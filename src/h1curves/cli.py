@@ -157,8 +157,14 @@ def common_options(fn):
 
 def _resolve_common(ctx, config_path):
     config = _load_config(config_path)
-    step = float(_effective(ctx, "step", config, 1e-3))
-    tol = float(_effective(ctx, "tol", config, 1e-6))
+    try:
+        step = float(_effective(ctx, "step", config, 1e-3))
+        tol = float(_effective(ctx, "tol", config, 1e-6))
+    except (TypeError, ValueError) as exc:
+        _fail(EXIT_PARSE, f"bad --step/--tol value: {exc}")
+    for name, value in (("step", step), ("tol", tol)):
+        if not (np.isfinite(value) and value > 0.0):
+            _fail(EXIT_PARSE, f"--{name} must be positive and finite, got {value}")
     fmt = _effective(ctx, "fmt", config, "csv") or "csv"
     output = _effective(ctx, "output", config, None)
     return step, tol, fmt, output
@@ -256,7 +262,12 @@ def classify(ctx, curve_json, step, tol, fmt, output, config):
     """Position-vector classification; emits a JSON verdict."""
     step, tol, fmt, output = _resolve_common(ctx, config)
     h = _curve_from_spec(_read_json(curve_json), step)
-    verdict = classify_position(h, tol=tol)
+    try:
+        verdict = classify_position(h, tol=tol)
+    except RegularityError as exc:
+        _fail(EXIT_REGULARITY, str(exc))
+    except ValueError as exc:  # includes AmbiguousClassificationError
+        _fail(EXIT_PARSE, f"cannot classify: {exc}")
     _emit(_json_text(verdict.to_json()), output)
 
 
@@ -287,7 +298,10 @@ def check(ctx, surface_json, curve_json, step, tol, fmt, output, config):
     step, tol, fmt, output = _resolve_common(ctx, config)
     sigma = _surface_from_json(_read_json(surface_json))
     h = _curve_from_spec(_read_json(curve_json), step)
-    report = surface_membership(h, sigma, tol=tol)
+    try:
+        report = surface_membership(h, sigma, tol=tol)
+    except (EvalDomainError, ValueError) as exc:
+        _fail(EXIT_PARSE, f"bad surface spec: {exc}")
     _emit(_json_text(report.to_json()), output)
     if not report.member:
         sys.exit(EXIT_NEGATIVE)
@@ -360,7 +374,7 @@ def pansu(ctx, lam, step, tol, fmt, output, config):
     """Pansu sphere: profile, generating geodesic, membership certificate."""
     step, tol, fmt, output = _resolve_common(ctx, config)
     try:
-        sphere = pansu_sphere(lam)
+        sphere = pansu_sphere(lam, step=step, tol=tol)
     except ValueError as exc:
         _fail(EXIT_PARSE, str(exc))
     doc = {

@@ -6,6 +6,8 @@ geometry modules wrap these in function objects.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
@@ -83,22 +85,37 @@ def fd4_second(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def golden_section(f, a: float, b: float, tol: float = 1e-10, max_iter: int = 200):
-    """Minimize a unimodal scalar function on [a, b]; returns (x_min, f_min)."""
+def golden_section(f, a, b, tol: float = 1e-10):
+    """Minimize f on every bracket [a, b] at once; returns (x_min, f_min).
+
+    ``a`` and ``b`` are arrays of one shape (scalars work as 0-d arrays),
+    each pair a bracket of a unimodal function.  ``f`` takes an array of
+    that shape and returns the values elementwise, so every iteration makes
+    exactly one call for all brackets.  The iteration count is fixed from
+    the widest bracket, ceil(log(tol/width)/log(1/phi)), which leaves every
+    bracket narrower than ``tol``, makes the same number of calls on every
+    run and keeps the output deterministic."""
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    width = float(np.max(b - a, initial=0.0))
+    n_iter = math.ceil(math.log(tol / width) / math.log(inv_phi)) if width > tol else 0
     x1 = b - inv_phi * (b - a)
     x2 = a + inv_phi * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if b - a < tol:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = f(x2)
+    for _ in range(n_iter):
+        # f1 <= f2 keeps [a, x2] and moves x1 into x2's place; otherwise
+        # [x1, b] is kept and x2 moves into x1's place
+        left = f1 <= f2
+        a = np.where(left, a, x1)
+        b = np.where(left, x2, b)
+        x_kept = np.where(left, x1, x2)
+        f_kept = np.where(left, f1, f2)
+        x_new = np.where(left, b - inv_phi * (b - a), a + inv_phi * (b - a))
+        f_new = f(x_new)
+        x1, x2 = np.where(left, x_new, x_kept), np.where(left, x_kept, x_new)
+        f1, f2 = np.where(left, f_new, f_kept), np.where(left, f_kept, f_new)
     x = 0.5 * (a + b)
     return x, f(x)

@@ -139,6 +139,57 @@ class TestMembership:
         report = surface_membership(lift, cylinder, tol=1e-6)
         assert report.member and report.max_defect < 1e-9
 
+    @pytest.mark.parametrize("delta", [-0.04, -1e-3, 2e-3, 0.03])
+    def test_offset_cylinder_recovers_offset(self, delta):
+        lift = reparam_horizontal(
+            ParamCurve.from_expressions("cos(s)", "sin(s)", "-s", (0.0, 6.0))
+        )
+        cylinder = SurfaceOfRevolution.from_profiles(
+            as_field(repr(1.0 + delta)), as_field("-s"), (-0.5, 6.5)
+        )
+        report = surface_membership(lift, cylinder, tol=1e-6)
+        assert not report.member
+        assert report.max_defect == pytest.approx(abs(delta), abs=1e-12)
+
+    def test_folded_generator_refines_the_nearest_basin(self):
+        # the generator is a V with its vertex at (g, f) = (1, 0): arm 1
+        # (s > 0) is (1 + s, eps s), arm 2 (s < 0) is (1 + |s|/10, eps s/10),
+        # so arm 2 has ten times as many grid points.  The curve's
+        # (rho, z) runs parallel to arm 1 at distance e/sqrt(1 + eps^2),
+        # inside the V, so arm 2 is farther but its grid point is often the
+        # closer one
+        eps, e = 0.05, 0.005
+        q = "((11*s + 9*abs(s))/20)"
+        sigma = SurfaceOfRevolution.from_profiles(
+            as_field(f"1 + abs({q})"), as_field(f"{eps}*{q}"), (-10.0, 1.0)
+        )
+        # z' = y x' - x y' holds for x + iy = s exp(i eps/s), z = eps s + z0
+        curve = reparam_horizontal(ParamCurve.from_expressions(
+            f"s*cos({eps}/s)", f"s*sin({eps}/s)", f"{eps}*s - {eps} - {e}",
+            (1.105, 1.5),
+        ))
+        report = surface_membership(curve, sigma, tol=1e-6, profile_panels=1024)
+        assert report.max_defect == pytest.approx(e / np.sqrt(1.0 + eps**2), abs=1e-12)
+
+        pts = curve.point(np.linspace(0.0, curve.s_max, 200))
+        rho, z = np.hypot(pts[:, 0], pts[:, 1]), pts[:, 2]
+        sp = np.linspace(-10.0, 1.0, 1025)
+        gp, fp = sigma.profile(sp)
+        argmin = np.argmin((rho[:, None] - gp) ** 2 + (z[:, None] - fp) ** 2, axis=1)
+        assert np.any(sp[argmin] < 0.0)  # the grid argmin lies on arm 2
+
+    def test_negative_squared_radius_between_grid_points_raises(self):
+        # g^2 vanishes (to roundoff) on every grid node and is -1 halfway
+        # between, so only the refinement inside a bracket can see it
+        sigma = SurfaceOfRevolution(
+            g2=as_field("-sin(1024*pi*s)^2"), f=as_field("s"), s_lo=0.0, s_hi=1.0
+        )
+        lift = reparam_horizontal(
+            ParamCurve.from_expressions("cos(s)", "sin(s)", "-s", (0.0, 1.0))
+        )
+        with pytest.raises(ValueError, match="negative squared radius"):
+            surface_membership(lift, sigma, tol=1e-6, profile_panels=1024)
+
     def test_immobility_and_realization_on_surface(self):
         # a solution's curve sits on the surface swept by
         # (sqrt(u1^2+u2^2), -u3); its own invariants match the inputs
@@ -348,6 +399,17 @@ class TestPansuSphere:
         sphere = pansu_sphere(1.0)
         assert sphere.certificate.kappa_error < 1e-9
         assert sphere.certificate.tau_error < 1e-9
+
+    @pytest.mark.parametrize("lam", [0.775, 1.55])
+    def test_profile_touching_axis_past_roundoff(self, lam):
+        # lam * pi/(2 lam) rounds past pi/2 here, so cos is about -1e-17 at
+        # an end of the profile range
+        sphere = pansu_sphere(lam)
+        assert sphere.certificate.membership.member
+
+    def test_membership_miss_is_a_verdict(self):
+        sphere = pansu_sphere(1.0, tol=1e-30)
+        assert not sphere.certificate.membership.member
 
     def test_graphs_and_membership(self):
         sphere = pansu_sphere(0.7)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from h1curves.cesaro import pansu_sphere
 from h1curves.cli import main
 
 
@@ -209,6 +210,48 @@ class TestClassify:
         assert json.loads(result.output)["tag"] == "General"
 
 
+class TestErrorExits:
+    @pytest.fixture
+    def spec(self, tmp_path):
+        return write_json(tmp_path, "c.json", {
+            "type": "analytic", "x": "s", "y": "s^2", "z": "0", "range": [0, 1],
+        })
+
+    @staticmethod
+    def assert_one_error_line(result):
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_classify_interval_too_short(self, runner, tmp_path):
+        spec = write_json(tmp_path, "c.json", {
+            "type": "analytic", "x": "s", "y": "s^2", "z": "0", "range": [0, 1e-7],
+        })
+        self.assert_one_error_line(runner.invoke(main, ["classify", spec]))
+
+    def test_classify_ambiguous(self, runner, spec, monkeypatch):
+        from h1curves import cli
+        from h1curves.classify import AmbiguousClassificationError, ClassTag
+
+        def ambiguous(h, tol):
+            raise AmbiguousClassificationError([ClassTag.CIRCULAR_HELIX])
+
+        monkeypatch.setattr(cli, "classify_position", ambiguous)
+        self.assert_one_error_line(runner.invoke(main, ["classify", spec]))
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--step", "0"), ("--step", "-1e-3"), ("--step", "nan"), ("--step", "inf"),
+        ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"),
+    ])
+    def test_nonpositive_or_nonfinite_step_and_tol(self, runner, spec, flag, value):
+        self.assert_one_error_line(runner.invoke(main, ["analyze", spec, flag, value]))
+
+    def test_bad_step_from_config(self, runner, spec, tmp_path):
+        config = write_json(tmp_path, "cfg.json", {"step": "fine"})
+        self.assert_one_error_line(runner.invoke(main, ["analyze", spec, "--config", config]))
+
+
 class TestSurface:
     def test_pansu_membership(self, runner):
         result = runner.invoke(main, ["surface", "pansu", "--lam", "1"])
@@ -216,6 +259,49 @@ class TestSurface:
         doc = json.loads(result.output)
         assert doc["certificate"]["membership"]["member"] is True
         assert doc["certificate"]["kappa_error"] < 1e-9
+
+    @pytest.mark.parametrize("lam", ["0.775", "1.55"])
+    def test_pansu_profile_touching_axis(self, runner, lam):
+        result = runner.invoke(main, ["surface", "pansu", "--lam", lam])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["certificate"]["membership"]["member"] is True
+
+    def test_pansu_honours_tol(self, runner):
+        result = runner.invoke(main, ["surface", "pansu", "--lam", "1", "--tol", "1e-30"])
+        assert result.exit_code == 1
+        membership = json.loads(result.stdout)["certificate"]["membership"]
+        assert membership["member"] is False
+        assert 0.0 < membership["max_defect"] < 1e-9
+
+    def test_pansu_passes_step_and_tol(self, runner, monkeypatch):
+        from h1curves import cli
+
+        seen = {}
+
+        def spy(lam, **kwargs):
+            seen.update(kwargs)
+            return pansu_sphere(lam, **kwargs)
+
+        monkeypatch.setattr(cli, "pansu_sphere", spy)
+        result = runner.invoke(main, [
+            "surface", "pansu", "--lam", "1", "--step", "0.1", "--tol", "1e-5",
+        ])
+        assert result.exit_code == 0
+        assert seen == {"step": 0.1, "tol": 1e-5}
+
+    @pytest.mark.parametrize("doc", [
+        {"g": "1", "f": "s", "range": [1, 1]},
+        {"g": "1", "f": "s", "range": [2, 1]},
+        {"g": "1", "f": "log(s)", "range": [-1, 1]},
+    ])
+    def test_check_rejects_bad_surface(self, runner, tmp_path, doc):
+        surface = write_json(tmp_path, "s.json", doc)
+        curve = write_json(tmp_path, "c.json", {
+            "type": "analytic", "x": "cos(s)", "y": "sin(s)", "z": "-s", "range": [0, 1],
+        })
+        result = runner.invoke(main, ["surface", "check", surface, curve])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: bad surface spec")
 
     def test_check_line_vs_sphere(self, runner, tmp_path):
         surface = write_json(tmp_path, "s.json", {
