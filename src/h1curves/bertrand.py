@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import HorizontalCurve, ParamCurve, reparam_horizontal
+from .curves import HorizontalCurve, ParamCurve
 from .fields import as_field
 from .numerics import cumulative_simpson
 
@@ -149,7 +149,7 @@ def bertrand_mate(
     mate_pts = pts + np.stack(
         [u1 * xp - u2 * yp, u1 * yp + u2 * xp, u3], axis=1
     )
-    mate_curve = reparam_horizontal(
+    mate_curve = HorizontalCurve.arc_length(
         ParamCurve.from_samples(grid, mate_pts[:, 0], mate_pts[:, 1], mate_pts[:, 2])
     )
     return BertrandMate(mate_curve, h, spec, branch, grid, u1, u2, u3, tau_bar)

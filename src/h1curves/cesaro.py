@@ -291,15 +291,15 @@ def curve_from_cesaro_solution(
         y = -u1 sin(phi) - u2 cos(phi),
         z = -u3,           phi = heading0 + theta(s).
 
-    Its measured invariants are exactly the solution's (kappa, tau); the
-    free heading0 is the residual rotational symmetry."""
+    Its measured invariants are exactly the solution's (kappa, tau) and s - lo
+    is its arc length; the free heading0 is the residual rotational symmetry."""
     grid = sol.grid
     phi = heading0 + np.asarray(sol.theta(grid))
     u1, u2, u3 = (np.asarray(f(grid)) for f in (sol.u1, sol.u2, sol.u3))
     x = -u1 * np.cos(phi) + u2 * np.sin(phi)
     y = -u1 * np.sin(phi) - u2 * np.cos(phi)
     z = -u3
-    return reparam_horizontal(ParamCurve.from_samples(grid, x, y, z))
+    return HorizontalCurve.arc_length(ParamCurve.from_samples(grid, x, y, z))
 
 
 # ---------------------------------------------------------------------------

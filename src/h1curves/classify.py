@@ -28,6 +28,7 @@ import numpy as np
 
 from .curves import HorizontalCurve, ParamCurve, frame_coefficients
 from .fields import AffineField, AntiderivativeField, LinearCombinationField, as_field
+from .frenet import planar_cascade
 from .numerics import cumulative_simpson
 
 __all__ = [
@@ -261,9 +262,7 @@ def make_canonical(tag: ClassTag, interval: tuple[float, float], **params) -> Pa
         phi0 = float(params.get("heading", 0.0))
         x0, y0 = float(params.get("x0", 0.0)), float(params.get("y0", 0.0))
         s = np.linspace(lo, hi, n + 1)
-        phi = phi0 + cumulative_simpson(np.asarray(kappa(s)), x=s, initial=0.0)
-        x = x0 + cumulative_simpson(np.cos(phi), x=s, initial=0.0)
-        y = y0 + cumulative_simpson(np.sin(phi), x=s, initial=0.0)
+        x, y, _, _ = planar_cascade(np.asarray(kappa(s)), (hi - lo) / n, phi0, x0, y0)
         return ParamCurve.from_samples(s, x, y, np.zeros_like(s))
     if tag is ClassTag.VERTICAL_PLANE_CURVE:
         c1, c2, c3 = (float(params[k]) for k in ("c1", "c2", "c3"))

@@ -40,14 +40,11 @@ from .curves import (
 from .expressions import EvalDomainError, ExpressionError
 from .frenet import InitialPose, reconstruct
 from .heisenberg import H1Point
+from .numerics import panel_count
 
 EXIT_NEGATIVE = 1
 EXIT_PARSE = 2
 EXIT_REGULARITY = 3
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _fail(code: int, message: str):
@@ -89,18 +86,13 @@ def _curve_from_spec(spec: dict, step: float) -> HorizontalCurve:
     try:
         kind = spec["type"]
         if kind == "analytic":
-            curve = ParamCurve.from_expressions(
-                spec["x"], spec["y"], spec["z"], spec["range"]
-            )
+            curve = ParamCurve.from_expressions(spec["x"], spec["y"], spec["z"], spec["range"])
             return reparam_horizontal(curve, step=step)
         if kind == "samples":
             data = np.asarray(spec["data"], dtype=float)
             if data.ndim != 2 or data.shape[1] != 4:
                 raise ValueError("samples data must be rows of [u, x, y, z]")
-            curve = ParamCurve.from_samples(
-                data[:, 0], data[:, 1], data[:, 2], data[:, 3]
-            )
-            return reparam_horizontal(curve, step=step)
+            return reparam_horizontal(ParamCurve.from_samples(*data.T), step=step)
         if kind == "intrinsic":
             inv = InvariantPair.from_expressions(spec["kappa"], spec["tau"])
             lo, hi = (float(v) for v in spec["range"])
@@ -126,10 +118,17 @@ def _emit(text: str, output: str | None):
 
 
 def _csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join(line % tuple(row) for row in rows.tolist())
+
+
+def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """Output grid over [lo, hi] at about ``step``; exit 2 over budget."""
+    try:
+        n = panel_count(hi - lo, step)
+    except ValueError as exc:
+        _fail(EXIT_PARSE, str(exc))
+    return np.linspace(lo, hi, n + 1)
 
 
 def _json_text(obj) -> str:
@@ -137,7 +136,7 @@ def _json_text(obj) -> str:
 
 
 _common = [
-    click.option("--step", type=float, default=None, help="grid/RK4 step (default 1e-3)"),
+    click.option("--step", type=float, default=None, help="grid/quadrature step (default 1e-3)"),
     click.option("--tol", type=float, default=None, help="verdict tolerance (default 1e-6)"),
     click.option(
         "--format", "fmt", type=click.Choice(["csv", "json"]), default=None,
@@ -184,21 +183,18 @@ def analyze(ctx, curve_json, step, tol, fmt, output, config):
     """Invariants along a curve: columns s, x, y, z, kappa, tau."""
     step, tol, fmt, output = _resolve_common(ctx, config)
     h = _curve_from_spec(_read_json(curve_json), step)
-    n = max(2, int(np.ceil(h.s_max / step)))
-    s = np.linspace(0.0, h.s_max, n + 1)
+    s = _grid(0.0, h.s_max, step)
     pts = h.point(s)
     try:
         kappa, tau = h.invariants(s)
     except RegularityError as exc:
         _fail(EXIT_REGULARITY, str(exc))
     rows = np.column_stack([s, pts, kappa, tau])
+    header = ["s", "x", "y", "z", "kappa", "tau"]
     if fmt == "csv":
-        _emit(_csv(["s", "x", "y", "z", "kappa", "tau"], rows), output)
+        _emit(_csv(header, rows), output)
     else:
-        _emit(_json_text({
-            "columns": ["s", "x", "y", "z", "kappa", "tau"],
-            "rows": rows.tolist(),
-        }), output)
+        _emit(_json_text({"columns": header, "rows": rows.tolist()}), output)
 
 
 @main.command("reconstruct")
@@ -212,8 +208,7 @@ def reconstruct_cmd(ctx, curve_json, step, tol, fmt, output, config):
     if spec.get("type") != "intrinsic":
         _fail(EXIT_PARSE, "reconstruct needs an intrinsic curve spec")
     h = _curve_from_spec(spec, step)
-    n = max(2, int(np.ceil(h.s_max / step)))
-    s = np.linspace(0.0, h.s_max, n + 1)
+    s = _grid(0.0, h.s_max, step)
     pts = h.point(s)
     rows = np.column_stack([s, pts])
     if fmt == "csv":
@@ -241,8 +236,7 @@ def bertrand(ctx, curve_json, c1, c2, tau_bar, g, step, tol, fmt, output, config
         _fail(EXIT_PARSE, f"bad offset expression: {exc}")
     except ValueError as exc:
         _fail(EXIT_PARSE, str(exc))
-    n = max(2, int(np.ceil(h.s_max / step)))
-    s = np.linspace(0.0, min(h.s_max, mate.curve.s_max), n + 1)
+    s = _grid(0.0, min(h.s_max, mate.curve.s_max), step)
     base = h.point(s)
     other = mate.curve.point(s)
     dist = np.linalg.norm(other - base, axis=1)
@@ -329,9 +323,8 @@ def gen_const_kappa(ctx, kappa, tau_const, c1, c2, c3g, c3f, srange, step, tol, 
     if fmt == "json":
         _emit(_json_text(sigma.to_json()), output)
     else:
-        s = np.linspace(sigma.s_lo, sigma.s_hi, max(2, int(np.ceil((sigma.s_hi - sigma.s_lo) / step))) + 1)
-        g, f = sigma.profile(s)
-        _emit(_csv(["s", "g", "f"], np.column_stack([s, g, f])), output)
+        s = _grid(sigma.s_lo, sigma.s_hi, step)
+        _emit(_csv(["s", "g", "f"], np.column_stack([s, *sigma.profile(s)])), output)
 
 
 @surface.command("gen-const-tau")
@@ -355,15 +348,12 @@ def gen_const_tau(ctx, kappa, tau_const, constants, g2_const, f_const, srange, s
         )
     except (ExpressionError, EvalDomainError, ValueError) as exc:
         _fail(EXIT_PARSE, str(exc))
-    s = np.linspace(sigma.s_lo, sigma.s_hi, max(2, int(np.ceil((sigma.s_hi - sigma.s_lo) / step))) + 1)
-    g, f = sigma.profile(s)
+    s = _grid(sigma.s_lo, sigma.s_hi, step)
+    rows = np.column_stack([s, *sigma.profile(s)])
     if fmt == "json":
-        _emit(_json_text({
-            "samples": np.column_stack([s, g, f]).tolist(),
-            "range": [sigma.s_lo, sigma.s_hi],
-        }), output)
+        _emit(_json_text({"samples": rows.tolist(), "range": [sigma.s_lo, sigma.s_hi]}), output)
     else:
-        _emit(_csv(["s", "g", "f"], np.column_stack([s, g, f])), output)
+        _emit(_csv(["s", "g", "f"], rows), output)
 
 
 @surface.command()

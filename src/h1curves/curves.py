@@ -27,7 +27,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .fields import LinearCombinationField, SampledField, as_field
 from .heisenberg import H1Point, PshTransform
-from .numerics import cumulative_simpson, uniform_grid
+from .numerics import cumulative_simpson, panel_count, uniform_grid
 
 __all__ = [
     "RegularityError",
@@ -58,7 +58,6 @@ class ParamCurve:
     z: object
     u_min: float
     u_max: float
-    kind: str = "analytic"  # "analytic" | "samples"
 
     def __post_init__(self):
         if not self.u_max > self.u_min:
@@ -68,19 +67,22 @@ class ParamCurve:
 
     @classmethod
     def from_expressions(cls, x: str, y: str, z: str, u_range) -> "ParamCurve":
-        lo, hi = (float(v) for v in u_range)
-        return cls(as_field(x), as_field(y), as_field(z), lo, hi, kind="analytic")
+        return cls.from_fields(x, y, z, u_range)
 
     @classmethod
-    def from_fields(cls, x, y, z, u_range, kind: str = "analytic") -> "ParamCurve":
+    def from_fields(cls, x, y, z, u_range) -> "ParamCurve":
         lo, hi = (float(v) for v in u_range)
-        return cls(as_field(x), as_field(y), as_field(z), lo, hi, kind=kind)
+        return cls(as_field(x), as_field(y), as_field(z), lo, hi)
 
     @classmethod
     def from_samples(cls, u, x, y, z) -> "ParamCurve":
         u = np.asarray(u, dtype=float)
         if u.ndim != 1 or u.size < 4:
             raise ValueError("need at least 4 samples")
+        for name, column in zip("uxyz", (u, x, y, z)):
+            bad = np.flatnonzero(~np.isfinite(np.asarray(column, dtype=float)))
+            if bad.size:
+                raise ValueError(f"sample column {name} is not finite at row {bad[0]}")
         if np.any(np.diff(u) <= 0):
             raise ValueError("sample parameters must be strictly increasing")
         n = max(u.size, 64)
@@ -90,7 +92,6 @@ class ParamCurve:
             SampledField.resample(u, z, n),
             float(u[0]),
             float(u[-1]),
-            kind="samples",
         )
 
     # -- evaluation ---------------------------------------------------------
@@ -168,23 +169,32 @@ def kappa_tau_arbitrary(c: ParamCurve, u, tol: float = 1e-12):
 class HorizontalCurve:
     """A curve reparametrized by horizontal arc-length s in [0, S].
 
-    Holds the monotone map s -> u (built by composite Simpson and refined
-    per query by safeguarded Newton on the local integral), so the contact
-    speed in s is exactly one by construction.
+    Holds the monotone map s -> u, so the contact speed in s is exactly one
+    by construction: from the arc length sigma(u_grid) of
+    ``reparam_horizontal`` a PCHIP inverse refined per query by safeguarded
+    Newton on the local integral, or, built by ``arc_length``, u = u_min + s.
     """
 
-    def __init__(self, param: ParamCurve, u_grid: np.ndarray, sigma: np.ndarray):
+    def __init__(self, param: ParamCurve, u_grid=None, sigma=None):
         self.param = param
-        self._u_grid = u_grid
-        self._sigma = sigma
-        self.s_max = float(sigma[-1])
-        self._inverse = PchipInterpolator(sigma, u_grid)
+        self._u_grid, self._sigma = u_grid, sigma
+        arc = sigma is None
+        self.s_max = param.u_max - param.u_min if arc else float(sigma[-1])
+        self._inverse = None if arc else PchipInterpolator(sigma, u_grid)
+
+    @classmethod
+    def arc_length(cls, param: ParamCurve) -> "HorizontalCurve":
+        """``param`` as already parametrized by horizontal arc length."""
+        return cls(param)
 
     # -- parameter map ------------------------------------------------------
 
     def u_of_s(self, s, refine_tol: float = 1e-12, max_iter: int = 8):
         scalar = np.ndim(s) == 0
         s = np.atleast_1d(np.asarray(s, dtype=float))
+        if self._inverse is None:
+            u = self.param.u_min + np.clip(s, 0.0, self.s_max)
+            return float(u[0]) if scalar else u
         u = np.clip(self._inverse(np.clip(s, 0.0, self.s_max)),
                     self.param.u_min, self.param.u_max)
         # anchor each query at the nearest grid node below and Newton-refine
@@ -201,9 +211,7 @@ class HorizontalCurve:
             u = np.clip(u - step, self.param.u_min, self.param.u_max)
             if np.max(np.abs(step)) < refine_tol:
                 break
-        if scalar:
-            return float(u[0])
-        return u
+        return float(u[0]) if scalar else u
 
     def _local_integral(self, a: np.ndarray, b: np.ndarray, panels: int = 16):
         # composite Simpson over [a_i, b_i] for vectors a, b
@@ -242,9 +250,8 @@ class HorizontalCurve:
 
     def heading(self, s):
         v = self.velocity(s)
-        if v.ndim == 1:
-            return float(np.arctan2(v[1], v[0]))
-        return np.arctan2(v[..., 1], v[..., 0])
+        angle = np.arctan2(v[..., 1], v[..., 0])
+        return float(angle) if v.ndim == 1 else angle
 
     def diameter(self, n: int = 256) -> float:
         return self.param.diameter(n)
@@ -252,8 +259,7 @@ class HorizontalCurve:
     def frame_arrays(self, s):
         """Vectorized frame: returns (points, t, n, b) with shape (m, 3)."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        u = self.u_of_s(s)
-        pts = self.param.point(u)
+        pts = self.point(s)
         x, y = pts[..., 0], pts[..., 1]
         v = self.velocity(s)
         xp, yp = v[..., 0], v[..., 1]
@@ -275,16 +281,17 @@ def reparam_horizontal(
     """Reparametrize by horizontal arc-length.
 
     ``step`` controls the u-grid spacing of the Simpson accumulation of
-    sigma(u) = integral of the contact speed; inversion is monotone (PCHIP)
-    interpolation refined to ~1e-12 per query.
+    sigma(u) = integral of the contact speed (4096 panels when omitted; a
+    request above ``numerics.MAX_PANELS`` raises ValueError); inversion is
+    monotone (PCHIP) interpolation refined to ~1e-12 per query.
     """
+    n_panels = panel_count(c.u_max - c.u_min, step, minimum=64) if step else 4096
     if tol is None:
         tol = 1e-8 * c.diameter()
-    span = c.u_max - c.u_min
-    n_panels = int(np.ceil(span / step)) if step else 4096
-    n_panels = max(64, min(n_panels, 200_000))
     u = uniform_grid(c.u_min, c.u_max, n_panels)
     speed = c.contact_speed(u)
+    if not np.all(np.isfinite(speed)):
+        raise ValueError(f"curve is not finite near u = {u[np.argmin(np.isfinite(speed))]}")
     if np.min(speed) <= tol:
         bad = u[np.argmin(speed)]
         raise RegularityError(
@@ -420,4 +427,4 @@ def psh_transform_curve(g: PshTransform, c: ParamCurve) -> ParamCurve:
         [(1.0, c.z), (p.y * ca - p.x * sa, c.x), (-p.y * sa - p.x * ca, c.y)],
         const=p.z,
     )
-    return ParamCurve(x, y, z, c.u_min, c.u_max, kind=c.kind)
+    return ParamCurve(x, y, z, c.u_min, c.u_max)

@@ -10,8 +10,9 @@ heading of the unit contact velocity against e1,
 
 where the z-equation is the T-component identity -x'y + xy' + z' = tau
 solved for z'.  The contact constraint |r'_xi| = 1 then holds exactly and
-frame orthonormality cannot drift.  Integration is classical RK4 at a
-fixed step for bit-reproducible output.
+frame orthonormality cannot drift.  The system is triangular (phi, then x
+and y, then z), so it is solved by successive cumulative quadratures
+rather than a stepping loop.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import HorizontalCurve, ParamCurve, reparam_horizontal
+from .curves import HorizontalCurve, ParamCurve
 from .heisenberg import H1Point, PshTransform, left_translate
+from .numerics import cumulative_simpson, panel_count
 
 __all__ = [
     "InitialPose",
     "AlignmentError",
+    "planar_cascade",
     "reconstruct",
     "find_psh_alignment",
 ]
@@ -52,55 +55,40 @@ class AlignmentError(ValueError):
     """No pseudo-hermitian transformation maps one curve onto the other."""
 
 
+def planar_cascade(kappa, dx: float, heading: float = 0.0, x0: float = 0.0, y0: float = 0.0):
+    """The unit-speed plane curve of curvature ``kappa``, sampled on a
+    uniform grid of spacing dx: phi = heading + int kappa, then
+    x = x0 + int cos(phi) and y = y0 + int sin(phi), each a cumulative
+    Simpson from the first node.  Returns (x, y, cos(phi), sin(phi))."""
+    phi = heading + cumulative_simpson(kappa, dx=dx, initial=0.0)
+    cos, sin = np.cos(phi), np.sin(phi)
+    x = x0 + cumulative_simpson(cos, dx=dx, initial=0.0)
+    y = y0 + cumulative_simpson(sin, dx=dx, initial=0.0)
+    return x, y, cos, sin
+
+
 def reconstruct(
     inv, pose: InitialPose, s_max: float, step: float = 1e-3
 ) -> HorizontalCurve:
-    """Integrate the reduced Frenet system for the curve with invariants
-    ``inv`` and initial pose ``pose`` over [0, s_max].
-
-    The actual step is s_max/ceil(s_max/step) so the endpoint is hit
-    exactly.  Returns the curve as samples reparametrized by (its own,
-    numerically identical) horizontal arc-length.
-    """
-    if not s_max > 0:
-        raise ValueError("s_max must be positive")
-    if not step > 0:
-        raise ValueError("step must be positive")
-    n = max(4, int(np.ceil(s_max / step)))
-    h = s_max / n
-    s_half = np.linspace(0.0, s_max, 2 * n + 1)  # nodes and half-steps
+    """The curve with invariants ``inv`` and initial pose ``pose`` on
+    [0, s_max], by the planar cascade and z = z0 + int (tau + y cos(phi) -
+    x sin(phi)) on n = ceil(s_max/step) panels (at least 4) and their
+    midpoints.  The n+1 panel nodes, 4th-order accurate, are the samples of
+    a curve already parametrized by arc length, with s_max exact."""
+    if not (s_max > 0 and step > 0):
+        raise ValueError(f"s_max and step must be positive, got {s_max} and {step}")
+    n = panel_count(s_max, step, minimum=4)
+    s_half = np.linspace(0.0, s_max, 2 * n + 1)  # nodes and midpoints
     kappa = np.asarray(inv.kappa(s_half), dtype=float)
     tau = np.asarray(inv.tau(s_half), dtype=float)
     if not (np.all(np.isfinite(kappa)) and np.all(np.isfinite(tau))):
         raise ValueError("invariants are not finite on [0, s_max]")
-
-    out = np.empty((n + 1, 4))
-    out[0] = (pose.point.x, pose.point.y, pose.point.z, pose.heading)
-
-    def rhs(x, y, z, phi, kap, tv):
-        c, sn = math.cos(phi), math.sin(phi)
-        return c, sn, tv + y * c - x * sn, kap
-
-    x, y, z, phi = out[0]
-    for i in range(n):
-        k0, k1, k2 = kappa[2 * i], kappa[2 * i + 1], kappa[2 * i + 2]
-        t0, t1, t2 = tau[2 * i], tau[2 * i + 1], tau[2 * i + 2]
-        a1 = rhs(x, y, z, phi, k0, t0)
-        a2 = rhs(x + h / 2 * a1[0], y + h / 2 * a1[1], z + h / 2 * a1[2],
-                 phi + h / 2 * a1[3], k1, t1)
-        a3 = rhs(x + h / 2 * a2[0], y + h / 2 * a2[1], z + h / 2 * a2[2],
-                 phi + h / 2 * a2[3], k1, t1)
-        a4 = rhs(x + h * a3[0], y + h * a3[1], z + h * a3[2],
-                 phi + h * a3[3], k2, t2)
-        x += h / 6 * (a1[0] + 2 * a2[0] + 2 * a3[0] + a4[0])
-        y += h / 6 * (a1[1] + 2 * a2[1] + 2 * a3[1] + a4[1])
-        z += h / 6 * (a1[2] + 2 * a2[2] + 2 * a3[2] + a4[2])
-        phi += h / 6 * (a1[3] + 2 * a2[3] + 2 * a3[3] + a4[3])
-        out[i + 1] = (x, y, z, phi)
-
-    s = np.linspace(0.0, s_max, n + 1)
-    curve = ParamCurve.from_samples(s, out[:, 0], out[:, 1], out[:, 2])
-    return reparam_horizontal(curve, step=h)
+    dx = s_max / (2 * n)
+    p = pose.point
+    x, y, cos, sin = planar_cascade(kappa, dx, pose.heading, p.x, p.y)
+    z = p.z + cumulative_simpson(tau + y * cos - x * sin, dx=dx, initial=0.0)
+    curve = ParamCurve.from_samples(s_half[::2], x[::2], y[::2], z[::2])
+    return HorizontalCurve.arc_length(curve)
 
 
 def find_psh_alignment(

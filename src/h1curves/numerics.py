@@ -14,11 +14,26 @@ from scipy.integrate import cumulative_simpson, simpson
 __all__ = [
     "simpson",
     "cumulative_simpson",
+    "MAX_PANELS",
+    "panel_count",
     "uniform_grid",
     "fd4_first",
     "fd4_second",
     "golden_section",
 ]
+
+
+MAX_PANELS = 1_000_000  # budget of every grid built from a (span, step) request
+
+
+def panel_count(span: float, step: float, minimum: int = 2) -> int:
+    """ceil(span/step), at least ``minimum``; a request above MAX_PANELS
+    (or not finite) raises ValueError before anything is allocated."""
+    n = span / step
+    if not n <= MAX_PANELS:
+        raise ValueError(f"grid of {n:.0f} panels requested (span {span:g} / step "
+                         f"{step:g}) exceeds the limit of {MAX_PANELS}")
+    return max(minimum, math.ceil(n))
 
 
 def uniform_grid(a: float, b: float, n_panels: int) -> np.ndarray:

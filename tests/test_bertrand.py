@@ -33,6 +33,17 @@ def unit_circle_curve(s_max=4.0):
 
 
 class TestMateConstruction:
+    def test_mate_shares_the_arc_length_parameter(self):
+        base = reconstruct(
+            InvariantPair.from_expressions("1 + 0.3*sin(s)", "0.4"), InitialPose.origin(), 4.0
+        )
+        m = bertrand_mate(base, BertrandSpec(0.7, -0.4))
+        assert m.curve.s_max == base.s_max
+        assert m.curve.contact_speed_check() <= 1e-12
+        # the mate's own arc length agrees with the shared parameter
+        measured = reparam_horizontal(m.curve.param, step=1e-3).s_max
+        assert abs(measured - base.s_max) < 1e-9
+
     def test_line_vertical_lift(self):
         m = bertrand_mate(line(), BertrandSpec(0.0, 0.0, g="1"))
         assert m.branch == "zero-kappa"

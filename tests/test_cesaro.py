@@ -111,6 +111,14 @@ class TestClosedForm:
         assert np.max(np.abs(kappa - inv.kappa(s))) < 1e-6
         assert np.max(np.abs(tau - inv.tau(s))) < 1e-6
 
+    def test_realized_curve_is_arc_length_parametrized(self):
+        inv = InvariantPair.from_expressions("2 + sin(s)", "0.2*cos(s)")
+        sol = cesaro_closed_form(inv, CesaroConstants.default(0.5, -0.2), interval=(1.0, 4.0))
+        h = curve_from_cesaro_solution(sol, heading0=0.9)
+        assert h.s_max == 3.0
+        assert h.contact_speed_check() <= 1e-12
+        assert abs(reparam_horizontal(h.param, step=1e-3).s_max - 3.0) < 1e-9
+
 
 class TestMembership:
     def test_pansu_geodesic_on_pansu_sphere(self):

@@ -134,6 +134,15 @@ class TestReconstruct:
         assert np.max(np.abs(data[:, 2] - (1 - np.cos(2 * s)) / 2)) < 1e-6
         assert np.max(np.abs(data[:, 3] - (np.sin(2 * s) / 4 - s / 2))) < 1e-6
 
+    def test_last_row_is_the_endpoint(self, runner, tmp_path):
+        spec = write_json(tmp_path, "c.json", {
+            "type": "intrinsic", "kappa": "1 + 0.5*sin(s)", "tau": "0.2", "range": [0, 4],
+        })
+        result = runner.invoke(main, ["reconstruct", spec, "--step", "1e-3"])
+        assert result.exit_code == 0
+        last = result.output.strip().split("\n")[-1]
+        assert last.split(",")[0] == "4"
+
     def test_domain_error_exit(self, runner, tmp_path):
         spec = write_json(tmp_path, "c.json", {
             "type": "intrinsic", "kappa": "1/s", "tau": "0", "range": [0, 1],
@@ -251,6 +260,43 @@ class TestErrorExits:
         config = write_json(tmp_path, "cfg.json", {"step": "fine"})
         self.assert_one_error_line(runner.invoke(main, ["analyze", spec, "--config", config]))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_curve_is_a_domain_error(self, runner, tmp_path):
+        spec = write_json(tmp_path, "c.json", {
+            "type": "analytic", "x": "exp(exp(s))", "y": "s", "z": "0", "range": [0, 10],
+        })
+        result = runner.invoke(main, ["analyze", spec])
+        assert result.exit_code == 2
+        errors = [l for l in result.stderr.splitlines() if l.startswith("error: ")]
+        assert len(errors) == 1 and "not finite" in errors[0]
+
+    def test_nan_sample_names_its_column(self, runner, tmp_path):
+        data = [[u, u, u * u, 0.0] for u in range(8)]
+        data[3][1] = float("nan")
+        spec = tmp_path / "c.json"
+        spec.write_text(json.dumps({"type": "samples", "data": data}))  # writes NaN
+        result = runner.invoke(main, ["analyze", str(spec)])
+        self.assert_one_error_line(result)
+        assert "column x is not finite" in result.stderr
+
+    @pytest.mark.parametrize("hi", [1e9, (1_000_000 + 1) * 1e-3])
+    def test_intrinsic_range_over_grid_budget(self, runner, tmp_path, hi):
+        spec = write_json(tmp_path, "c.json", {
+            "type": "intrinsic", "kappa": "1", "tau": "0", "range": [0, hi],
+        })
+        result = runner.invoke(main, ["reconstruct", spec, "--step", "1e-3"])
+        self.assert_one_error_line(result)
+        assert "panels requested" in result.stderr
+
+    def test_output_grid_over_budget(self, runner, tmp_path):
+        # 1000 reparametrization panels, but an arc length of 1e7
+        spec = write_json(tmp_path, "c.json", {
+            "type": "analytic", "x": "1e7*s", "y": "0", "z": "0", "range": [0, 1],
+        })
+        result = runner.invoke(main, ["analyze", spec])
+        self.assert_one_error_line(result)
+        assert "10000000000 panels requested" in result.stderr
+
 
 class TestSurface:
     def test_pansu_membership(self, runner):
@@ -355,3 +401,22 @@ class TestSurface:
         header, data = parse_csv(result.output)
         assert header == ["s", "g", "f"]
         assert np.all(data[:, 1] >= 0)
+
+
+class TestCsvFormat:
+    def test_bytes_match_per_value_formatting(self):
+        from h1curves.cli import _csv
+
+        rows = np.array([
+            [-0.0, 1e-300, 1e300, 3.0],
+            [-2.5, 0.1, -7.0, 1.0 / 3.0],
+            [123456789012345678.0, -1e-5, 2.0**-1074, -np.pi],
+        ])
+        header = ["a", "b", "c", "d"]
+        expected = "\n".join(
+            [",".join(header)]
+            + [",".join(f"{float(v):.17g}" for v in row) for row in rows]
+        ) + "\n"
+        assert _csv(header, rows) == expected
+        assert expected.split("\n")[1] == "-0,1e-300,1.0000000000000001e+300,3"
+        assert _csv(header, np.empty((0, 4))) == "a,b,c,d\n"

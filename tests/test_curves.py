@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from h1curves import (
+    HorizontalCurve,
     InitialPose,
     InvariantPair,
     ParamCurve,
@@ -225,6 +226,61 @@ class TestPshInvariance:
         moved = psh_transform_curve(g, c)
         u = np.linspace(0.0, 3.0, 11)
         assert np.allclose(moved.point(u), g.apply_array(c.point(u)), atol=1e-12)
+
+
+class TestArcLengthCurve:
+    def test_u_of_s_is_the_identity_shift(self):
+        c = ParamCurve.from_expressions("cos(s)", "sin(s)", "0.5*s", (1.5, 4.0))
+        h = HorizontalCurve.arc_length(c)
+        s = np.linspace(0.0, h.s_max, 41)
+        assert h.s_max == 2.5
+        assert np.array_equal(h.u_of_s(s), 1.5 + s)
+        assert h.u_of_s(0.7) == 2.2
+        # queries outside [0, S] clamp to the ends, as for reparametrized curves
+        assert np.array_equal(h.u_of_s(np.array([-1.0, 9.0])), [1.5, 4.0])
+
+    def test_geometry_agrees_with_reparametrization(self):
+        c = pansu_curve(1.0)
+        a = HorizontalCurve.arc_length(c)
+        b = reparam_horizontal(c)
+        s = np.linspace(0.1, np.pi - 0.1, 30)
+        assert np.max(np.abs(a.point(s) - b.point(s))) < 1e-10
+        ka, ta = a.invariants(s)
+        kb, tb = b.invariants(s)
+        assert np.max(np.abs(ka - kb)) < 1e-8 and np.max(np.abs(ta - tb)) < 1e-8
+        assert a.contact_speed_check() <= 1e-12
+
+
+class TestFiniteInputs:
+    @pytest.mark.parametrize("column", range(4))
+    def test_sample_column_named(self, column):
+        data = np.column_stack([np.arange(8.0)] + [np.arange(8.0) ** k for k in (1, 2, 3)])
+        data[5, column] = np.nan
+        with pytest.raises(ValueError, match=f"column {'uxyz'[column]} is not finite"):
+            ParamCurve.from_samples(*data.T)
+
+    def test_overflowing_curve_is_a_domain_error(self):
+        c = ParamCurve.from_expressions("exp(exp(s))", "s", "0", (0.0, 10.0))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="not finite") as err:
+                reparam_horizontal(c)
+        assert not isinstance(err.value, RegularityError)
+
+    def test_grid_budget_checked_before_evaluation(self):
+        calls = []
+
+        class Recording:
+            def __call__(self, s):
+                calls.append(np.shape(s))
+                return np.zeros_like(np.asarray(s, dtype=float))
+
+            def derivative(self):
+                return self
+
+        c = ParamCurve.from_fields(Recording(), Recording(), Recording(), (0.0, 1e9))
+        with pytest.raises(ValueError, match="panels requested"):
+            reparam_horizontal(c, step=1e-3)
+        assert calls == []
 
 
 class TestSampledCurves:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from h1curves import (
     reconstruct,
     reparam_horizontal,
 )
+from h1curves.numerics import MAX_PANELS
 
 from conftest import random_invariant_exprs, random_psh_transform
 
@@ -75,6 +78,79 @@ class TestReconstruct:
         dn = (npl - nm) / (2 * eps)
         assert np.max(np.abs(dt - k * n0)) < 1e-5
         assert np.max(np.abs(dn + k * t0 + b0)) < 1e-5
+
+
+def constant_invariant_curve(kappa, tau, s):
+    """Closed form of the curve with constant (kappa, tau), from the origin
+    with heading 0."""
+    return np.stack([
+        np.sin(kappa * s) / kappa,
+        (1 - np.cos(kappa * s)) / kappa,
+        tau * s + np.sin(kappa * s) / kappa**2 - s / kappa,
+    ], axis=1)
+
+
+class RecordingField:
+    """A zero field that counts its evaluations."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, s):
+        self.calls += 1
+        return np.zeros_like(np.asarray(s, dtype=float))
+
+    def derivative(self):
+        return self
+
+
+class TestQuadratureCascade:
+    # at step 1e-3 the truncation error is below 1e-15 and what remains is
+    # the roundoff of summing 2e4 terms, about n*eps*max|r| (a few 1e-12 here)
+    @pytest.mark.parametrize("kappa,tau", [(2.0, 0.5), (-1.3, -0.7), (2.5, 1.0)])
+    @pytest.mark.parametrize("step,bound", [(1e-2, 1e-8), (1e-3, 1e-11)])
+    def test_constant_invariants_match_closed_form(self, kappa, tau, step, bound):
+        S = 10.0
+        h = reconstruct(InvariantPair.from_constants(kappa, tau), InitialPose.origin(), S, step)
+        s = np.linspace(0.0, S, 1001)
+        err = np.max(np.abs(h.point(s) - constant_invariant_curve(kappa, tau, s)))
+        assert err <= bound
+
+    def test_fourth_order_convergence(self):
+        inv = InvariantPair.from_expressions("1 + 0.5*sin(2*s)", "0.3*cos(s)")
+        S = 4.0
+        ref = reconstruct(inv, InitialPose.origin(), S, 1e-3).point(S)
+        coarse, fine = (
+            np.max(np.abs(reconstruct(inv, InitialPose.origin(), S, step).point(S) - ref))
+            for step in (0.04, 0.02)
+        )
+        assert coarse > 1e-10  # well above roundoff, so the ratio is meaningful
+        assert coarse / fine >= 12.0
+
+    def test_s_max_is_exact(self):
+        for S, step in ((4.0, 1e-3), (np.pi, 0.01), (10.0, 0.003)):
+            h = reconstruct(InvariantPair.from_constants(1.5, 0.2), InitialPose.origin(), S, step)
+            assert h.s_max == S
+            assert h.param.u_min == 0.0 and h.param.u_max == S
+
+    def test_contact_speed_is_one(self):
+        inv = InvariantPair.from_expressions("sin(3*s)", "cos(2*s)")
+        h = reconstruct(inv, InitialPose(H1Point(0.3, -0.2, 1.0), 0.7), 4.0)
+        assert h.contact_speed_check() <= 1e-12
+
+    @pytest.mark.parametrize("s_max,step", [(1e9, 1e-3), ((MAX_PANELS + 1) * 1e-3, 1e-3)])
+    def test_grid_budget_checked_before_any_allocation(self, s_max, step):
+        field = RecordingField()
+        inv = InvariantPair(field, field)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="panels requested"):
+                reconstruct(inv, InitialPose.origin(), s_max, step)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert field.calls == 0
+        assert peak < 1_000_000  # one grid of the request would be 16 MB
 
 
 class TestAlignment:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from h1curves.numerics import golden_section
+from h1curves.numerics import MAX_PANELS, golden_section, panel_count
 
 
 class TestGoldenSection:
@@ -48,3 +48,21 @@ class TestGoldenSection:
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError, match="tol"):
             golden_section(np.abs, np.zeros(2), np.ones(2), tol=0.0)
+
+
+class TestPanelCount:
+    def test_ceil_with_minimum(self):
+        assert panel_count(1.0, 0.3) == 4
+        assert panel_count(1e-9, 1.0) == 2
+        assert panel_count(1.0, 0.5, minimum=64) == 64
+
+    def test_exact_budget_is_allowed(self):
+        assert panel_count(float(MAX_PANELS), 1.0) == MAX_PANELS
+
+    @pytest.mark.parametrize("span,step", [
+        (1e9, 1e-3), (MAX_PANELS + 1.0, 1.0), (1.0, 1e-300), (math.inf, 1.0),
+    ])
+    def test_over_budget_names_the_request(self, span, step):
+        with pytest.raises(ValueError, match="panels requested") as err:
+            panel_count(span, step)
+        assert str(MAX_PANELS) in str(err.value)
