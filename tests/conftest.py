@@ -53,3 +53,17 @@ def random_psh_transform(rng):
         float(rng.uniform(-np.pi, np.pi)),
         H1Point(*rng.uniform(-2, 2, size=3)),
     )
+
+
+class RecordingField:
+    """A zero field that counts its evaluations."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, s):
+        self.calls += 1
+        return np.zeros_like(np.asarray(s, dtype=float))
+
+    def derivative(self):
+        return self

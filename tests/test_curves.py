@@ -17,7 +17,7 @@ from h1curves import (
     verify_cesaro,
 )
 
-from conftest import random_analytic_curve, random_psh_transform
+from conftest import RecordingField, random_analytic_curve, random_psh_transform
 
 
 def line_curve(scale="1"):
@@ -267,20 +267,11 @@ class TestFiniteInputs:
         assert not isinstance(err.value, RegularityError)
 
     def test_grid_budget_checked_before_evaluation(self):
-        calls = []
-
-        class Recording:
-            def __call__(self, s):
-                calls.append(np.shape(s))
-                return np.zeros_like(np.asarray(s, dtype=float))
-
-            def derivative(self):
-                return self
-
-        c = ParamCurve.from_fields(Recording(), Recording(), Recording(), (0.0, 1e9))
+        field = RecordingField()
+        c = ParamCurve.from_fields(field, field, field, (0.0, 1e9))
         with pytest.raises(ValueError, match="panels requested"):
             reparam_horizontal(c, step=1e-3)
-        assert calls == []
+        assert field.calls == 0
 
 
 class TestSampledCurves:

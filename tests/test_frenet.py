@@ -16,7 +16,7 @@ from h1curves import (
 )
 from h1curves.numerics import MAX_PANELS
 
-from conftest import random_invariant_exprs, random_psh_transform
+from conftest import RecordingField, random_invariant_exprs, random_psh_transform
 
 
 class TestReconstruct:
@@ -88,20 +88,6 @@ def constant_invariant_curve(kappa, tau, s):
         (1 - np.cos(kappa * s)) / kappa,
         tau * s + np.sin(kappa * s) / kappa**2 - s / kappa,
     ], axis=1)
-
-
-class RecordingField:
-    """A zero field that counts its evaluations."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def __call__(self, s):
-        self.calls += 1
-        return np.zeros_like(np.asarray(s, dtype=float))
-
-    def derivative(self):
-        return self
 
 
 class TestQuadratureCascade:
