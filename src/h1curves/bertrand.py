@@ -135,7 +135,7 @@ def bertrand_mate(
         tau_bar = np.asarray(
             (spec.tau_bar if spec.tau_bar is not None else h.tau)(grid), dtype=float
         )
-        u3 = cumulative_simpson(u2 - tau + tau_bar, x=grid, initial=0.0)
+        u3 = cumulative_simpson(u2 - tau + tau_bar, dx=h.s_max / (grid.size - 1))
     else:
         raise BranchError(
             f"kappa spans both regimes on [0, {h.s_max:.3g}] "

@@ -42,10 +42,10 @@ import numpy as np
 from .curves import HorizontalCurve, InvariantPair, ParamCurve, reparam_horizontal
 from .fields import (
     AffineField,
-    AntiderivativeField,
     ConstantField,
     LinearCombinationField,
     SqrtField,
+    antiderivative,
     as_field,
 )
 from .numerics import golden_section, uniform_grid
@@ -169,7 +169,7 @@ class _ClosedFormCore:
         self.constants = constants
         self.A = constants.c1 * c5 + constants.c3 * c6
         self.B = constants.c2 * c5 + constants.c4 * c6
-        self.theta = AntiderivativeField(inv.kappa, lo, hi, n_panels)
+        self.theta = antiderivative(inv.kappa, lo, hi, n_panels)
         kp = inv.kappa.derivative()
         delta = constants.delta
 
@@ -185,8 +185,8 @@ class _ClosedFormCore:
 
             return integrand
 
-        self.I1 = AntiderivativeField(weight(constants.c1, constants.c2), lo, hi, n_panels)
-        self.I2 = AntiderivativeField(weight(constants.c3, constants.c4), lo, hi, n_panels)
+        self.I1 = antiderivative(weight(constants.c1, constants.c2), lo, hi, n_panels)
+        self.I2 = antiderivative(weight(constants.c3, constants.c4), lo, hi, n_panels)
         self.u1 = _U1Field(self)
         self.u2 = _U2Field(self)
 
@@ -231,8 +231,10 @@ def cesaro_closed_form(
     if np.max(np.abs(kappa_vals)) <= _ZERO_KAPPA_TOL:
         u1 = AffineField(c5, -1.0)
         u2 = ConstantField(c6)
-        u3 = AntiderivativeField(
-            lambda s: c6 - np.asarray(inv.tau(s)), lo, hi, n_panels, const=u3_const
+        # u3 = u3_const + c6 (s - lo) - integral of tau
+        u3 = LinearCombinationField(
+            [(c6, AffineField(-lo, 1.0)), (-1.0, antiderivative(inv.tau, lo, hi, n_panels))],
+            const=u3_const,
         )
         return CesaroSolution(
             inv, constants, (lo, hi), "zero-kappa",
@@ -246,7 +248,7 @@ def cesaro_closed_form(
         )
 
     core = _ClosedFormCore(inv, constants, c5, c6, lo, hi, n_panels)
-    u3 = AntiderivativeField(
+    u3 = antiderivative(
         lambda s: np.asarray(core.u2(s)) - np.asarray(inv.tau(s)),
         lo, hi, n_panels, const=u3_const,
     )
@@ -517,7 +519,7 @@ def generate_surface_constant_kappa(
     )
     tau_field = as_field(tau)
     f = LinearCombinationField(
-        [(1.0, AntiderivativeField(tau_field, lo, hi, n_panels)),
+        [(1.0, antiderivative(tau_field, lo, hi, n_panels)),
          (1.0, as_field(f_trig_text))]
     )
     f_text = None
@@ -555,7 +557,7 @@ def generate_surface_constant_tau(
     if sol.branch != "general":
         raise ValueError("kappa must be nonzero for this construction")
     g2 = LinearCombinationField(
-        [(-2.0, AntiderivativeField(sol.u1, lo, hi, n_panels))], const=g2_const
+        [(-2.0, antiderivative(sol.u1, lo, hi, n_panels))], const=g2_const
     )
     grid = sol.grid
     g2_vals = np.asarray(g2(grid))
@@ -566,7 +568,7 @@ def generate_surface_constant_tau(
             f"near s = {bad}"
         )
     f_integrand = LinearCombinationField([(-1.0, sol.u2), (1.0, inv.tau)])
-    f = AntiderivativeField(f_integrand, lo, hi, n_panels, const=f_const)
+    f = antiderivative(f_integrand, lo, hi, n_panels, const=f_const)
     return SurfaceOfRevolution(g2, f, lo, hi)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import HorizontalCurve, ParamCurve, frame_coefficients
-from .fields import AffineField, AntiderivativeField, LinearCombinationField, as_field
+from .fields import AffineField, LinearCombinationField, antiderivative, as_field
 from .frenet import planar_cascade
 from .numerics import cumulative_simpson
 
@@ -208,7 +208,7 @@ def _fit_helix(grid, pts, u1, u2, u3, kappa, tau, thresh, h):
     if kappa_mean == 0.0:
         return None
     c1 = -1.0 / kappa_mean
-    drift = pts[:, 2] - cumulative_simpson(tau, x=grid, initial=0.0)
+    drift = pts[:, 2] - cumulative_simpson(tau, dx=h.s_max / (grid.size - 1))
     pitch = float(np.polyfit(grid, drift, 1)[0])
     c2 = float(np.mean(drift - pitch * grid))
     pitch_residual = float(np.max(np.abs(drift - pitch * grid - c2)))
@@ -270,7 +270,7 @@ def make_canonical(tag: ClassTag, interval: tuple[float, float], **params) -> Pa
         return ParamCurve.from_fields(
             AffineField(c2 * c1, c2),
             AffineField(c3 * c1, c3),
-            AntiderivativeField(tau, lo, hi),
+            antiderivative(tau, lo, hi),
             (lo, hi),
         )
     if tag is ClassTag.CIRCULAR_HELIX:
@@ -283,7 +283,7 @@ def make_canonical(tag: ClassTag, interval: tuple[float, float], **params) -> Pa
         x = as_field(f"({repr(c3)})*sin(s/({r1})) + ({repr(c4)})*cos(s/({r1}))")
         y = as_field(f"({repr(c3)})*cos(s/({r1})) - ({repr(c4)})*sin(s/({r1}))")
         z = LinearCombinationField(
-            [(1.0, AffineField(c2, c1)), (1.0, AntiderivativeField(tau, lo, hi))]
+            [(1.0, AffineField(c2, c1)), (1.0, antiderivative(tau, lo, hi))]
         )
         return ParamCurve.from_fields(x, y, z, (lo, hi))
     raise ValueError(f"no canonical form for {tag}")

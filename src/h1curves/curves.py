@@ -23,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .fields import LinearCombinationField, SampledField, as_field
+from .fields import CubicHermite, LinearCombinationField, SampledField, as_field
 from .heisenberg import H1Point, PshTransform
 from .numerics import cumulative_simpson, panel_count, uniform_grid
 
@@ -171,16 +170,18 @@ class HorizontalCurve:
 
     Holds the monotone map s -> u, so the contact speed in s is exactly one
     by construction: from the arc length sigma(u_grid) of
-    ``reparam_horizontal`` a PCHIP inverse refined per query by safeguarded
-    Newton on the local integral, or, built by ``arc_length``, u = u_min + s.
+    ``reparam_horizontal`` and the contact speed at the same nodes, a cubic
+    Hermite inverse (slopes du/dsigma = 1/speed) refined per query by
+    safeguarded Newton on the local integral, or, built by ``arc_length``,
+    u = u_min + s.
     """
 
-    def __init__(self, param: ParamCurve, u_grid=None, sigma=None):
+    def __init__(self, param: ParamCurve, u_grid=None, sigma=None, speed=None):
         self.param = param
         self._u_grid, self._sigma = u_grid, sigma
         arc = sigma is None
         self.s_max = param.u_max - param.u_min if arc else float(sigma[-1])
-        self._inverse = None if arc else PchipInterpolator(sigma, u_grid)
+        self._inverse = None if arc else CubicHermite(sigma, u_grid, 1.0 / speed)
 
     @classmethod
     def arc_length(cls, param: ParamCurve) -> "HorizontalCurve":
@@ -283,7 +284,8 @@ def reparam_horizontal(
     ``step`` controls the u-grid spacing of the Simpson accumulation of
     sigma(u) = integral of the contact speed (4096 panels when omitted; a
     request above ``numerics.MAX_PANELS`` raises ValueError); inversion is
-    monotone (PCHIP) interpolation refined to ~1e-12 per query.
+    a cubic Hermite seed (slopes 1/speed) refined by Newton to ~1e-12 per
+    query.
     """
     n_panels = panel_count(c.u_max - c.u_min, step, minimum=64) if step else 4096
     if tol is None:
@@ -298,8 +300,8 @@ def reparam_horizontal(
             f"curve is not horizontally regular: contact speed "
             f"{np.min(speed):.3e} <= tol {tol:.3e} near u = {bad}"
         )
-    sigma = cumulative_simpson(speed, x=u, initial=0.0)
-    return HorizontalCurve(c, u, sigma)
+    sigma = cumulative_simpson(speed, dx=(c.u_max - c.u_min) / (u.size - 1))
+    return HorizontalCurve(c, u, sigma, speed)
 
 
 # ---------------------------------------------------------------------------

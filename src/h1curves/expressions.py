@@ -469,7 +469,10 @@ class ScalarFn:
 
     def __call__(self, s):
         arr = np.asarray(s, dtype=float)
-        out = _eval(self.ast, arr if arr.ndim else float(arr))
+        # overflow and the like yield inf/nan, which the callers' finiteness
+        # checks report as one error; numpy's warnings would add stderr lines
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = _eval(self.ast, arr if arr.ndim else float(arr))
         if arr.ndim and np.ndim(out) == 0:
             out = np.full(arr.shape, float(out))
         return out

@@ -60,10 +60,10 @@ def planar_cascade(kappa, dx: float, heading: float = 0.0, x0: float = 0.0, y0: 
     uniform grid of spacing dx: phi = heading + int kappa, then
     x = x0 + int cos(phi) and y = y0 + int sin(phi), each a cumulative
     Simpson from the first node.  Returns (x, y, cos(phi), sin(phi))."""
-    phi = heading + cumulative_simpson(kappa, dx=dx, initial=0.0)
+    phi = heading + cumulative_simpson(kappa, dx=dx)
     cos, sin = np.cos(phi), np.sin(phi)
-    x = x0 + cumulative_simpson(cos, dx=dx, initial=0.0)
-    y = y0 + cumulative_simpson(sin, dx=dx, initial=0.0)
+    x = x0 + cumulative_simpson(cos, dx=dx)
+    y = y0 + cumulative_simpson(sin, dx=dx)
     return x, y, cos, sin
 
 
@@ -86,7 +86,7 @@ def reconstruct(
     dx = s_max / (2 * n)
     p = pose.point
     x, y, cos, sin = planar_cascade(kappa, dx, pose.heading, p.x, p.y)
-    z = p.z + cumulative_simpson(tau + y * cos - x * sin, dx=dx, initial=0.0)
+    z = p.z + cumulative_simpson(tau + y * cos - x * sin, dx=dx)
     curve = ParamCurve.from_samples(s_half[::2], x[::2], y[::2], z[::2])
     return HorizontalCurve.arc_length(curve)
 

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import h1curves
 from h1curves.cesaro import pansu_sphere
 from h1curves.cli import main
 
@@ -420,3 +425,30 @@ class TestCsvFormat:
         assert _csv(header, rows) == expected
         assert expected.split("\n")[1] == "-0,1e-300,1.0000000000000001e+300,3"
         assert _csv(header, np.empty((0, 4))) == "a,b,c,d\n"
+
+
+class TestFreshProcess:
+    """The CLI as users start it: a new interpreter per command."""
+
+    @staticmethod
+    def run(*args):
+        src = str(Path(h1curves.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env=env, timeout=120)
+
+    def test_import_loads_no_scipy(self):
+        proc = self.run("-c", "import sys, h1curves.cli; "
+                              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_overflow_error_is_the_only_stderr_line(self, tmp_path):
+        spec = write_json(tmp_path, "c.json", {
+            "type": "analytic", "x": "exp(exp(s))", "y": "s", "z": "0", "range": [0, 10],
+        })
+        proc = self.run("-m", "h1curves.cli", "analyze", spec)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr

@@ -130,6 +130,20 @@ class TestReparam:
         h = reparam_horizontal(ParamCurve.from_expressions(x, y, z, (0.0, 4.0)))
         assert h.contact_speed_check() < 1e-8
 
+    def test_coarse_step_inversion_matches_closed_form(self):
+        # x' + i y' = (1 + u^2) e^{iu}: contact speed 1 + u^2, so
+        # sigma(u) = u + u^3/3, inverted by Cardano as u = A - 1/A with
+        # A^3 = 3s/2 + sqrt(9s^2/4 + 1).  At step 0.1 the Hermite seed alone
+        # is off by about 2e-6; Newton must finish the job.
+        c = ParamCurve.from_expressions(
+            "(s^2 - 1)*sin(s) + 2*s*cos(s)", "(1 - s^2)*cos(s) + 2*s*sin(s)", "0", (0.0, 8.0)
+        )
+        h = reparam_horizontal(c, step=0.1)
+        assert h.s_max == pytest.approx(8.0 + 512.0 / 3.0, rel=1e-14)
+        s = np.linspace(0.0, h.s_max, 1001)
+        a = np.cbrt(1.5 * s + np.sqrt(2.25 * s * s + 1.0))
+        assert np.max(np.abs(h.u_of_s(s) - (a - 1.0 / a))) < 1e-12
+
 
 class TestFrame:
     def test_line_frame(self):

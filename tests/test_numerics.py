@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from h1curves.numerics import MAX_PANELS, golden_section, panel_count
+from h1curves.numerics import MAX_PANELS, cumulative_simpson, golden_section, panel_count
 
 
 class TestGoldenSection:
@@ -66,3 +66,33 @@ class TestPanelCount:
         with pytest.raises(ValueError, match="panels requested") as err:
             panel_count(span, step)
         assert str(MAX_PANELS) in str(err.value)
+
+
+class TestCumulativeSimpson:
+    @pytest.mark.parametrize("panels", [2, 3, 4, 7, 10, 31])
+    def test_exact_on_quadratics_at_every_node(self, rng, panels):
+        a, b, c = rng.uniform(-2.0, 2.0, 3)
+        x = np.linspace(-0.4, 1.3, panels + 1)
+        out = cumulative_simpson(a + b * x + c * x * x, dx=1.7 / panels)
+        exact = a * (x + 0.4) + b / 2 * (x * x - 0.16) + c / 3 * (x**3 + 0.064)
+        assert out[0] == 0.0
+        assert np.max(np.abs(out - exact)) < 1e-14
+
+    @pytest.mark.parametrize("panels", [2, 3, 4, 7, 10, 31])
+    def test_cubics_exact_at_even_nodes_one_interval_error_at_odd(self, panels):
+        # an even/odd interval pair is composite Simpson; an odd node adds
+        # the error of one three-point interval, dx^4 y'''/24, with the sign
+        # of the interval's side (the last interval is taken from the right)
+        dx = 0.3
+        x = dx * np.arange(panels + 1)
+        out = cumulative_simpson(x**3, dx=dx)
+        one_interval = 6.0 * dx**4 / 24.0
+        expected = np.zeros_like(x)
+        expected[1::2] = -one_interval
+        if panels % 2:
+            expected[-1] = one_interval
+        assert np.max(np.abs(out - x**4 / 4 - expected)) < 1e-14 * (1.0 + x[-1] ** 4)
+
+    def test_needs_three_samples(self):
+        with pytest.raises(ValueError, match="at least 3"):
+            cumulative_simpson(np.ones(2), dx=0.1)
