@@ -40,6 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .curves import HorizontalCurve, ParamCurve
+from .expressions import EvalDomainError
 from .fields import as_field
 from .numerics import cumulative_simpson
 
@@ -101,6 +102,18 @@ def _mate_grid(h: HorizontalCurve, n: int | None) -> np.ndarray:
     return np.linspace(0.0, h.s_max, n + 1)
 
 
+def _offset(field, name: str, grid) -> np.ndarray:
+    """An offset field on the grid; a failed evaluation is a bad offset."""
+    try:
+        values = np.asarray(field(grid), dtype=float)
+    except EvalDomainError as exc:
+        raise ValueError(f"bad offset expression {name}: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        bad = grid[np.argmin(np.isfinite(values))]
+        raise ValueError(f"bad offset expression {name}: not finite near s = {bad}")
+    return values
+
+
 def bertrand_mate(
     h: HorizontalCurve,
     spec: BertrandSpec,
@@ -113,7 +126,8 @@ def bertrand_mate(
     crosses between regimes on the interval is refused.
     """
     grid = _mate_grid(h, n)
-    kappa, tau = h.invariants(grid)
+    smp = h.sample(grid)
+    kappa, tau = smp.kappa, smp.tau
     kmax, kmin = float(np.max(np.abs(kappa))), float(np.min(np.abs(kappa)))
     if kmax < zero_tol:
         branch = "zero-kappa"
@@ -121,20 +135,17 @@ def bertrand_mate(
             raise ValueError("the kappa == 0 branch needs the vertical offset g")
         u1 = np.full_like(grid, spec.c1)
         u2 = np.full_like(grid, spec.c2)
-        u3 = np.asarray(spec.g(grid), dtype=float)
-        gp = np.asarray(spec.g.derivative()(grid), dtype=float)
-        tau_bar = tau - spec.c2 + gp
+        u3 = _offset(spec.g, "g", grid)
+        tau_bar = tau - spec.c2 + _offset(spec.g.derivative(), "g'", grid)
     elif kmin >= zero_tol:
         branch = "general"
         # theta = integral of kappa = unwrapped heading difference; the
         # heading needs only first derivatives and is accurate to roundoff
-        heading = np.unwrap(np.asarray(h.heading(grid)))
+        heading = np.unwrap(np.arctan2(smp.velocity[:, 1], smp.velocity[:, 0]))
         theta = heading - heading[0]
         u1 = spec.c1 * np.sin(theta) + spec.c2 * np.cos(theta)
         u2 = spec.c1 * np.cos(theta) - spec.c2 * np.sin(theta)
-        tau_bar = np.asarray(
-            (spec.tau_bar if spec.tau_bar is not None else h.tau)(grid), dtype=float
-        )
+        tau_bar = tau if spec.tau_bar is None else _offset(spec.tau_bar, "tau_bar", grid)
         u3 = cumulative_simpson(u2 - tau + tau_bar, dx=h.s_max / (grid.size - 1))
     else:
         raise BranchError(
@@ -143,10 +154,8 @@ def bertrand_mate(
             "split the interval at the sign change"
         )
 
-    pts = h.point(grid)
-    v = h.velocity(grid)
-    xp, yp = v[:, 0], v[:, 1]
-    mate_pts = pts + np.stack(
+    xp, yp = smp.velocity[:, 0], smp.velocity[:, 1]
+    mate_pts = smp.points + np.stack(
         [u1 * xp - u2 * yp, u1 * yp + u2 * xp, u3], axis=1
     )
     mate_curve = HorizontalCurve.arc_length(

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import HorizontalCurve, ParamCurve, frame_coefficients
+from .curves import HorizontalCurve, ParamCurve
 from .fields import AffineField, LinearCombinationField, antiderivative, as_field
 from .frenet import planar_cascade
 from .numerics import cumulative_simpson
@@ -83,9 +83,9 @@ def classify_position(
     if h.s_max < 10.0 * tol:
         raise ValueError("interval too short to classify meaningfully")
     grid = np.linspace(0.0, h.s_max, n)
-    u1, u2, u3 = frame_coefficients(h, grid)
-    kappa, tau = h.invariants(grid)
-    pts = h.point(grid)
+    smp = h.sample(grid)
+    u1, u2, u3 = smp.coefficients()
+    kappa, tau, pts = smp.kappa, smp.tau, smp.points
     diam = max(h.diameter(), 1e-30)
     thresh = tol * diam
 

@@ -119,7 +119,7 @@ def _emit(text: str, output: str | None):
 
 def _csv(header: list[str], rows) -> str:
     line = ",".join(["%.17g"] * len(header)) + "\n"
-    return ",".join(header) + "\n" + "".join(line % tuple(row) for row in rows.tolist())
+    return ",".join(header) + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -133,6 +133,19 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+def _json_table(doc: dict, key: str, rows: np.ndarray) -> str:
+    """``_json_text({**doc, key: rows.tolist()})`` for a 2-d float table,
+    with the table text from one ``%r`` over all values (repr is what
+    json.dumps prints for a finite float).  Non-finite values, which JSON
+    spells NaN/Infinity, and empty tables go through json.dumps."""
+    if rows.size == 0 or not np.isfinite(rows).all():
+        return _json_text({**doc, key: rows.tolist()})
+    head = json.dumps({**doc, key: None}, indent=2)  # ... "key": null\n}
+    row = "    [\n" + ",\n".join(["      %r"] * rows.shape[1]) + "\n    ]"
+    table = "[\n" + ",\n".join([row] * rows.shape[0]) + "\n  ]"
+    return head[:-len("null\n}")] + table % tuple(rows.ravel().tolist()) + "\n}\n"
 
 
 _common = [
@@ -184,17 +197,18 @@ def analyze(ctx, curve_json, step, tol, fmt, output, config):
     step, tol, fmt, output = _resolve_common(ctx, config)
     h = _curve_from_spec(_read_json(curve_json), step)
     s = _grid(0.0, h.s_max, step)
-    pts = h.point(s)
     try:
-        kappa, tau = h.invariants(s)
+        smp = h.sample(s)
     except RegularityError as exc:
         _fail(EXIT_REGULARITY, str(exc))
-    rows = np.column_stack([s, pts, kappa, tau])
+    except EvalDomainError as exc:
+        _fail(EXIT_PARSE, f"cannot evaluate curve: {exc}")
+    rows = np.column_stack([s, smp.points, smp.kappa, smp.tau])
     header = ["s", "x", "y", "z", "kappa", "tau"]
     if fmt == "csv":
         _emit(_csv(header, rows), output)
     else:
-        _emit(_json_text({"columns": header, "rows": rows.tolist()}), output)
+        _emit(_json_table({"columns": header}, "rows", rows), output)
 
 
 @main.command("reconstruct")
@@ -214,7 +228,7 @@ def reconstruct_cmd(ctx, curve_json, step, tol, fmt, output, config):
     if fmt == "csv":
         _emit(_csv(["s", "x", "y", "z"], rows), output)
     else:
-        _emit(_json_text({"type": "samples", "data": rows.tolist()}), output)
+        _emit(_json_table({"type": "samples"}, "data", rows), output)
 
 
 @main.command()
@@ -231,10 +245,13 @@ def bertrand(ctx, curve_json, c1, c2, tau_bar, g, step, tol, fmt, output, config
     h = _curve_from_spec(_read_json(curve_json), step)
     try:
         spec = BertrandSpec(c1, c2, tau_bar=tau_bar, g=g)
-        mate = bertrand_mate(h, spec)
     except (ExpressionError, EvalDomainError) as exc:
         _fail(EXIT_PARSE, f"bad offset expression: {exc}")
-    except ValueError as exc:
+    try:
+        mate = bertrand_mate(h, spec)
+    except EvalDomainError as exc:
+        _fail(EXIT_PARSE, f"cannot evaluate curve: {exc}")
+    except ValueError as exc:  # includes BranchError and bad offsets
         _fail(EXIT_PARSE, str(exc))
     s = _grid(0.0, min(h.s_max, mate.curve.s_max), step)
     base = h.point(s)
@@ -245,7 +262,7 @@ def bertrand(ctx, curve_json, c1, c2, tau_bar, g, step, tol, fmt, output, config
     if fmt == "csv":
         _emit(_csv(header, rows), output)
     else:
-        _emit(_json_text({"columns": header, "rows": rows.tolist()}), output)
+        _emit(_json_table({"columns": header}, "rows", rows), output)
 
 
 @main.command()

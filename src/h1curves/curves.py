@@ -20,7 +20,9 @@ components use 4th-order finite differences on a uniform resample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +34,7 @@ __all__ = [
     "RegularityError",
     "ParamCurve",
     "HorizontalCurve",
+    "CurveSample",
     "Frame",
     "InvariantPair",
     "is_horizontally_regular",
@@ -140,19 +143,24 @@ def is_horizontally_regular(c: ParamCurve, tol: float | None = None, n: int = 10
     return bool(np.min(c.contact_speed(u)) > tol)
 
 
-def kappa_tau_arbitrary(c: ParamCurve, u, tol: float = 1e-12):
-    """Invariants at parameter u (scalar or array), arbitrary parametrization."""
-    scalar = np.ndim(u) == 0
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+def _jet(c: ParamCurve, u: np.ndarray):
+    """(x, y, z, x', y', z', x'', y'') of ``c`` at the 1-d array u."""
     dx, dy, dz = c._first()
     ddx, ddy = c._second()
-    xp, yp, zp = np.asarray(dx(u)), np.asarray(dy(u)), np.asarray(dz(u))
-    xpp, ypp = np.asarray(ddx(u)), np.asarray(ddy(u))
+    return tuple(np.asarray(f(u)) for f in (c.x, c.y, c.z, dx, dy, dz, ddx, ddy))
+
+
+def kappa_tau_arbitrary(c: ParamCurve, u, tol: float = 1e-12, jet=None):
+    """Invariants at parameter u (scalar or array), arbitrary parametrization.
+
+    ``jet``, when given, is ``_jet(c, u)`` already evaluated at the 1-d u."""
+    scalar = np.ndim(u) == 0
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    x, y, _, xp, yp, zp, xpp, ypp = _jet(c, u) if jet is None else jet
     speed2 = xp * xp + yp * yp
     if np.any(speed2 < tol * tol):
         bad = u[np.argmin(speed2)]
         raise RegularityError(f"degenerate contact speed near u = {bad}")
-    x, y = np.asarray(c.x(u)), np.asarray(c.y(u))
     speed = np.sqrt(speed2)
     kappa = (xp * ypp - xpp * yp) / speed2**1.5
     tau = (x * yp - xp * y + zp) / speed
@@ -165,15 +173,43 @@ def kappa_tau_arbitrary(c: ParamCurve, u, tol: float = 1e-12):
 # Horizontal arc-length
 
 
+# 4-node Gauss-Legendre rule on [0, 1], exact on polynomials of degree 7:
+# nodes (1 -+ x)/2 for x = sqrt(3/7 +- (2/7) sqrt(6/5)), weights (18 -+ sqrt(30))/72
+_X_OUT, _X_IN = (0.5 * math.sqrt(3.0 / 7.0 + k * 2.0 / 7.0 * math.sqrt(1.2)) for k in (1, -1))
+_W_OUT, _W_IN = ((18.0 - k * math.sqrt(30.0)) / 72.0 for k in (1, -1))
+_GL4_T = (0.5 - _X_OUT, 0.5 - _X_IN, 0.5 + _X_IN, 0.5 + _X_OUT)
+_GL4_W = (_W_OUT, _W_IN, _W_IN, _W_OUT)
+
+
+class CurveSample(NamedTuple):
+    """A curve evaluated at horizontal arc lengths s: the parameter u, the
+    points and unit velocity d/ds (Euclidean components, shape (m, 3)),
+    kappa and tau.  For a scalar s: a float, two 3-vectors, two floats."""
+
+    u: np.ndarray
+    points: np.ndarray
+    velocity: np.ndarray
+    kappa: np.ndarray
+    tau: np.ndarray
+
+    def coefficients(self):
+        """(u1~, u2~, u3~) = (x x' + y y', y x' - x y', z); see
+        ``frame_coefficients``."""
+        x, y, z = self.points[..., 0], self.points[..., 1], self.points[..., 2]
+        xp, yp = self.velocity[..., 0], self.velocity[..., 1]
+        return x * xp + y * yp, y * xp - x * yp, z
+
+
 class HorizontalCurve:
     """A curve reparametrized by horizontal arc-length s in [0, S].
 
     Holds the monotone map s -> u, so the contact speed in s is exactly one
     by construction: from the arc length sigma(u_grid) of
-    ``reparam_horizontal`` and the contact speed at the same nodes, a cubic
-    Hermite inverse (slopes du/dsigma = 1/speed) refined per query by
-    safeguarded Newton on the local integral, or, built by ``arc_length``,
-    u = u_min + s.
+    ``reparam_horizontal`` and the contact speed at the same nodes, a
+    Hermite seed (the cubic Hermite inverse, slopes du/dsigma = 1/speed),
+    then Newton with a 4-node Gauss-Legendre local integral per query, or,
+    built by ``arc_length``, u = u_min + s.  ``sample`` inverts once and
+    returns every pointwise quantity; ``point`` evaluates positions only.
     """
 
     def __init__(self, param: ParamCurve, u_grid=None, sigma=None, speed=None):
@@ -192,62 +228,69 @@ class HorizontalCurve:
 
     def u_of_s(self, s, refine_tol: float = 1e-12, max_iter: int = 8):
         scalar = np.ndim(s) == 0
-        s = np.atleast_1d(np.asarray(s, dtype=float))
+        s = np.clip(np.atleast_1d(np.asarray(s, dtype=float)), 0.0, self.s_max)
         if self._inverse is None:
-            u = self.param.u_min + np.clip(s, 0.0, self.s_max)
+            u = self.param.u_min + s
             return float(u[0]) if scalar else u
-        u = np.clip(self._inverse(np.clip(s, 0.0, self.s_max)),
-                    self.param.u_min, self.param.u_max)
+        lo, hi = self.param.u_min, self.param.u_max
+        u = np.clip(self._inverse(s), lo, hi)
         # anchor each query at the nearest grid node below and Newton-refine
-        # on sigma(u) - s, with the local integral by composite Simpson
+        # sigma(u) - s; a query stops once its own step is below refine_tol
         idx = np.clip(np.searchsorted(self._sigma, s, side="right") - 1, 0,
                       len(self._sigma) - 2)
-        u_lo = self._u_grid[idx]
-        s_lo = self._sigma[idx]
+        active = np.arange(s.size)
         for _ in range(max_iter):
-            local = self._local_integral(u_lo, u)
-            res = (s_lo + local) - s
-            speed = self.param.contact_speed(u)
-            step = res / np.maximum(speed, 1e-300)
-            u = np.clip(u - step, self.param.u_min, self.param.u_max)
-            if np.max(np.abs(step)) < refine_tol:
+            i, ua = idx[active], u[active]
+            local, speed = self._local_integral(self._u_grid[i], ua)
+            step = (self._sigma[i] + local - s[active]) / np.maximum(speed, 1e-300)
+            u[active] = np.clip(ua - step, lo, hi)
+            active = active[np.abs(step) >= refine_tol]
+            if not active.size:
                 break
         return float(u[0]) if scalar else u
 
-    def _local_integral(self, a: np.ndarray, b: np.ndarray, panels: int = 16):
-        # composite Simpson over [a_i, b_i] for vectors a, b
-        w = np.linspace(0.0, 1.0, panels + 1)[:, None]
-        nodes = a[None, :] + (b - a)[None, :] * w
-        vals = self.param.contact_speed(nodes.ravel()).reshape(nodes.shape)
-        h = (b - a) / panels
-        weights = np.ones(panels + 1)
-        weights[1:-1:2] = 4.0
-        weights[2:-1:2] = 2.0
-        return (h / 3.0) * np.einsum("i,ij->j", weights, vals)
+    def _local_integral(self, a: np.ndarray, b: np.ndarray):
+        """The integral of the contact speed over [a_i, b_i] by 4-node
+        Gauss-Legendre, and the speed at b_i, from one contact_speed call."""
+        m = b.size
+        nodes = np.concatenate([a + (b - a) * t for t in _GL4_T] + [b])
+        vals = self.param.contact_speed(nodes)
+        rule = sum(w * vals[k * m:(k + 1) * m] for k, w in enumerate(_GL4_W))
+        return (b - a) * rule, vals[4 * m:]
 
     # -- geometry -----------------------------------------------------------
+
+    def sample(self, s) -> CurveSample:
+        """Points, unit velocity, kappa and tau at s from one inversion."""
+        scalar = np.ndim(s) == 0
+        u = np.atleast_1d(self.u_of_s(s))
+        jet = _jet(self.param, u)
+        kappa, tau = kappa_tau_arbitrary(self.param, u, jet=jet)
+        x, y, z, xp, yp, zp = jet[:6]
+        speed = np.hypot(xp, yp)
+        points = np.stack([x, y, z], axis=-1)
+        velocity = np.stack([xp / speed, yp / speed, zp / speed], axis=-1)
+        if scalar:
+            return CurveSample(float(u[0]), points[0], velocity[0],
+                               float(kappa[0]), float(tau[0]))
+        return CurveSample(u, points, velocity, kappa, tau)
 
     def point(self, s):
         return self.param.point(self.u_of_s(s))
 
     def velocity(self, s):
         """d/ds of the Euclidean coordinates (unit contact speed)."""
-        scalar = np.ndim(s) == 0
-        u = np.atleast_1d(self.u_of_s(s))
-        dx, dy, dz = self.param._first()
-        xp, yp, zp = np.asarray(dx(u)), np.asarray(dy(u)), np.asarray(dz(u))
-        speed = np.hypot(xp, yp)
-        out = np.stack([xp / speed, yp / speed, zp / speed], axis=-1)
-        return out[0] if scalar else out
+        return self.sample(s).velocity
 
     def kappa(self, s):
-        return kappa_tau_arbitrary(self.param, self.u_of_s(s))[0]
+        return self.sample(s).kappa
 
     def tau(self, s):
-        return kappa_tau_arbitrary(self.param, self.u_of_s(s))[1]
+        return self.sample(s).tau
 
     def invariants(self, s):
-        return kappa_tau_arbitrary(self.param, self.u_of_s(s))
+        smp = self.sample(s)
+        return smp.kappa, smp.tau
 
     def heading(self, s):
         v = self.velocity(s)
@@ -259,10 +302,9 @@ class HorizontalCurve:
 
     def frame_arrays(self, s):
         """Vectorized frame: returns (points, t, n, b) with shape (m, 3)."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        pts = self.point(s)
+        smp = self.sample(np.atleast_1d(np.asarray(s, dtype=float)))
+        pts, v = smp.points, smp.velocity
         x, y = pts[..., 0], pts[..., 1]
-        v = self.velocity(s)
         xp, yp = v[..., 0], v[..., 1]
         t = np.stack([xp, yp, xp * y - x * yp], axis=-1)
         n = np.stack([-yp, xp, -y * yp - x * xp], axis=-1)
@@ -284,8 +326,10 @@ def reparam_horizontal(
     ``step`` controls the u-grid spacing of the Simpson accumulation of
     sigma(u) = integral of the contact speed (4096 panels when omitted; a
     request above ``numerics.MAX_PANELS`` raises ValueError); inversion is
-    a cubic Hermite seed (slopes 1/speed) refined by Newton to ~1e-12 per
-    query.
+    a Hermite seed (the cubic Hermite inverse, slopes 1/speed), then Newton
+    with a 4-node Gauss-Legendre local integral to ~1e-12 per query.  Use
+    ``HorizontalCurve.sample`` to get points, velocity and invariants from
+    one inversion.
     """
     n_panels = panel_count(c.u_max - c.u_min, step, minimum=64) if step else 4096
     if tol is None:
@@ -349,14 +393,7 @@ def frame_coefficients(h: HorizontalCurve, s):
     sqrt(u1~^2 + u2~^2) is the distance to the z-axis and u3~ the height.
     """
     scalar = np.ndim(s) == 0
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    pts = h.point(s)
-    v = h.velocity(s)
-    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    xp, yp = v[..., 0], v[..., 1]
-    u1 = x * xp + y * yp
-    u2 = y * xp - x * yp
-    u3 = z
+    u1, u2, u3 = h.sample(np.atleast_1d(np.asarray(s, dtype=float))).coefficients()
     if scalar:
         return float(u1[0]), float(u2[0]), float(u3[0])
     return u1, u2, u3
@@ -371,14 +408,15 @@ def verify_cesaro(h: HorizontalCurve, grid, h_fd: float = 1e-5) -> float:
     with step h_fd.  Holds identically for every horizontally regular
     curve, so the residual measures only numerical error.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if np.any(grid - h_fd < 0.0) or np.any(grid + h_fd > h.s_max):
         raise ValueError("grid must lie at least h_fd inside [0, S]")
-    um = [-np.asarray(c) for c in frame_coefficients(h, grid - h_fd)]
-    up = [-np.asarray(c) for c in frame_coefficients(h, grid + h_fd)]
-    u0 = [-np.asarray(c) for c in frame_coefficients(h, grid)]
-    du = [(p - m) / (2.0 * h_fd) for p, m in zip(up, um)]
-    kappa, tau = h.invariants(grid)
+    m = grid.size
+    smp = h.sample(np.concatenate([grid - h_fd, grid, grid + h_fd]))
+    # (u1, u2, u3) at s - h_fd, s and s + h_fd
+    um, u0, up = (-np.stack(smp.coefficients())).reshape(3, 3, m).swapaxes(0, 1)
+    du = (up - um) / (2.0 * h_fd)
+    kappa, tau = smp.kappa[m:2 * m], smp.tau[m:2 * m]
     r1 = du[0] - (kappa * u0[1] - 1.0)
     r2 = du[1] + kappa * u0[0]
     r3 = du[2] - (u0[1] - tau)

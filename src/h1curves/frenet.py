@@ -107,23 +107,24 @@ def find_psh_alignment(
     """
     s_hi = min(a.s_max, b.s_max)
     grid = np.linspace(0.0, s_hi, n)
-    ka, ta_ = a.invariants(grid)
-    kb, tb_ = b.invariants(grid)
-    dk = float(np.max(np.abs(ka - kb)))
-    dt = float(np.max(np.abs(ta_ - tb_)))
+    sa, sb = a.sample(grid), b.sample(grid)
+    dk = float(np.max(np.abs(sa.kappa - sb.kappa)))
+    dt = float(np.max(np.abs(sa.tau - sb.tau)))
     if dk > invariant_tol or dt > invariant_tol:
         raise AlignmentError(
             f"invariants differ (max |dkappa| = {dk:.3e}, max |dtau| = {dt:.3e}); "
             "the curves are not congruent"
         )
-    angle = float(b.heading(0.0) - a.heading(0.0))
+    # grid[0] = 0: the rotation is the heading difference at the start
+    (ax, ay, _), (bx, by, _) = sa.velocity[0], sb.velocity[0]
+    angle = float(np.arctan2(by, bx) - np.arctan2(ay, ax))
     rot = PshTransform(angle, H1Point.origin())
-    a0 = H1Point.from_array(a.point(0.0))
-    b0 = H1Point.from_array(b.point(0.0))
+    a0 = H1Point.from_array(sa.points[0])
+    b0 = H1Point.from_array(sb.points[0])
     shift = left_translate(b0, rot.apply(a0).inverse())
     g = PshTransform(angle, shift)
-    moved = g.apply_array(a.point(grid))
-    sup = float(np.max(np.linalg.norm(moved - b.point(grid), axis=1)))
+    moved = g.apply_array(sa.points)
+    sup = float(np.max(np.linalg.norm(moved - sb.points, axis=1)))
     if sup > tol:
         raise AlignmentError(
             f"alignment failed: sup-distance {sup:.3e} exceeds tol {tol:.3e}"

@@ -293,6 +293,38 @@ class TestErrorExits:
         self.assert_one_error_line(result)
         assert "panels requested" in result.stderr
 
+    @pytest.fixture
+    def pole_spec(self, tmp_path):
+        # x and y are regular; z has a pole on the grid at s = 0.5
+        return write_json(tmp_path, "pole.json", {
+            "type": "analytic", "x": "cos(s)", "y": "sin(s)", "z": "1/(s-0.5)",
+            "range": [0, 1],
+        })
+
+    @pytest.mark.parametrize("step", ["0.1", "0.05"])
+    def test_analyze_curve_that_fails_to_evaluate(self, runner, pole_spec, step):
+        result = runner.invoke(main, ["analyze", pole_spec, "--step", step])
+        self.assert_one_error_line(result)
+        assert result.stderr.startswith("error: cannot evaluate curve: division by zero")
+
+    def test_bertrand_blames_the_curve_not_the_offset(self, runner, pole_spec):
+        result = runner.invoke(main, ["bertrand", pole_spec, "--c1", "0.3", "--step", "0.1"])
+        self.assert_one_error_line(result)
+        assert result.stderr.startswith("error: cannot evaluate curve: division by zero")
+
+    @pytest.mark.parametrize("tau_bar,reason", [
+        ("1/(s-0.5)", "division by zero"), ("1e999", "not finite near s = 0"),
+    ])
+    def test_bertrand_offset_that_fails_to_evaluate(self, runner, tmp_path, tau_bar, reason):
+        spec = write_json(tmp_path, "c.json", {
+            "type": "analytic", "x": "cos(s)", "y": "sin(s)", "z": "0.2*s", "range": [0, 1],
+        })
+        result = runner.invoke(main, [
+            "bertrand", spec, "--c1", "0.3", "--tau-bar", tau_bar, "--step", "0.1",
+        ])
+        self.assert_one_error_line(result)
+        assert result.stderr.startswith(f"error: bad offset expression tau_bar: {reason}")
+
     def test_output_grid_over_budget(self, runner, tmp_path):
         # 1000 reparametrization panels, but an arc length of 1e7
         spec = write_json(tmp_path, "c.json", {
@@ -425,6 +457,44 @@ class TestCsvFormat:
         assert _csv(header, rows) == expected
         assert expected.split("\n")[1] == "-0,1e-300,1.0000000000000001e+300,3"
         assert _csv(header, np.empty((0, 4))) == "a,b,c,d\n"
+
+
+class TestJsonTable:
+    DOCS = [({"columns": ["a", "b", "c"]}, "rows"), ({"type": "samples"}, "data")]
+
+    @staticmethod
+    def dumps(doc, key, rows):
+        return json.dumps({**doc, key: rows.tolist()}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc,key", DOCS)
+    def test_bytes_match_json_dumps(self, doc, key):
+        from h1curves.cli import _json_table
+
+        rows = np.array([
+            [-0.0, 5e-324, 1e300],
+            [0.1, -1e-5, 2.0**-1074],
+            [123456789012345678.0, 1e16, -np.pi],
+            [3.0, 1.0 / 3.0, -7.0],
+        ])
+        assert _json_table(doc, key, rows) == self.dumps(doc, key, rows)
+        assert _json_table(doc, key, rows[:1]) == self.dumps(doc, key, rows[:1])
+
+    @pytest.mark.parametrize("doc,key", DOCS)
+    def test_zero_rows(self, doc, key):
+        from h1curves.cli import _json_table
+
+        rows = np.empty((0, 3))
+        assert _json_table(doc, key, rows) == self.dumps(doc, key, rows)
+
+    @pytest.mark.parametrize("doc,key", DOCS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_fall_back_to_json_dumps(self, doc, key, bad):
+        from h1curves.cli import _json_table
+
+        rows = np.array([[1.0, 2.0, 3.0], [4.0, bad, 6.0]])
+        text = _json_table(doc, key, rows)
+        assert text == self.dumps(doc, key, rows)
+        assert "NaN" in text or "Infinity" in text
 
 
 class TestFreshProcess:

@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from h1curves import (
     HorizontalCurve,
@@ -16,6 +19,9 @@ from h1curves import (
     reparam_horizontal,
     verify_cesaro,
 )
+from h1curves.bertrand import BertrandSpec, bertrand_mate
+from h1curves.classify import classify_position
+from h1curves.cli import main
 
 from conftest import RecordingField, random_analytic_curve, random_psh_transform
 
@@ -305,3 +311,109 @@ class TestSampledCurves:
             ParamCurve.from_samples([0, 1, 2], [0, 1, 2], [0, 0, 0], [0, 0, 0])
         with pytest.raises(ValueError):
             ParamCurve.from_samples([0, 1, 1, 2], np.zeros(4), np.zeros(4), np.zeros(4))
+
+
+def slow_speed_curve(u_max=10.0):
+    """x' + i y' = (1 + 0.5 sin u) e^{iu}: contact speed 1 + 0.5 sin u, so
+    sigma(u) = u + 0.5 (1 - cos u) in closed form."""
+    return ParamCurve.from_expressions(
+        "sin(s) + 0.25*sin(s)^2", "0.25*(s - sin(s)*cos(s)) - cos(s)", "0.1*s", (0.0, u_max)
+    )
+
+
+class TestSample:
+    @pytest.mark.parametrize("make", [
+        lambda: reparam_horizontal(slow_speed_curve(4.0)),
+        lambda: reconstruct(InvariantPair.from_expressions("1 + 0.5*sin(s)", "0.2*s"),
+                            InitialPose.origin(), 3.0, 1e-3),
+    ], ids=["reparametrized", "arc-length"])
+    def test_matches_the_single_quantity_methods(self, make):
+        h = make()
+        s = np.linspace(0.0, h.s_max, 97)
+        smp = h.sample(s)
+        assert np.array_equal(smp.u, h.u_of_s(s))
+        assert np.array_equal(smp.points, h.point(s))
+        assert np.array_equal(smp.velocity, h.velocity(s))
+        kappa, tau = h.invariants(s)
+        assert np.array_equal(smp.kappa, kappa) and np.array_equal(smp.tau, tau)
+        assert np.array_equal(smp.kappa, h.kappa(s)) and np.array_equal(smp.tau, h.tau(s))
+        assert np.array_equal(np.stack(smp.coefficients()), np.stack(frame_coefficients(h, s)))
+
+    def test_scalar_query(self):
+        h = reparam_horizontal(slow_speed_curve(4.0))
+        one = h.sample(1.3)
+        many = h.sample(np.array([1.3]))
+        assert isinstance(one.u, float) and isinstance(one.kappa, float)
+        assert isinstance(one.tau, float)
+        assert one.points.shape == one.velocity.shape == (3,)
+        assert one.kappa == pytest.approx(many.kappa[0], abs=1e-15)
+        assert np.allclose(one.points, many.points[0], rtol=0, atol=1e-15)
+
+    @staticmethod
+    def bisect(target, u_max=10.0):
+        """The u in [0, u_max] where the increasing ``target(u)`` crosses zero."""
+        lo, hi = np.zeros_like(target(0.0)), np.full_like(target(0.0), u_max)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            below = target(mid) < 0.0
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        return 0.5 * (lo + hi)
+
+    def test_inversion_matches_closed_form(self):
+        # at the CLI's default step the Simpson arc length is good to ~1e-14,
+        # so u_of_s must agree with the inverse of the closed-form sigma
+        h = reparam_horizontal(slow_speed_curve(), step=1e-3)
+        s = np.linspace(0.0, h.s_max, 2001)
+        ref = self.bisect(lambda u: u + 0.5 * (1.0 - np.cos(u)) - s)
+        assert np.max(np.abs(h.u_of_s(s) - ref)) < 1e-12
+
+    @pytest.mark.parametrize("step", [None, 1e-3, 0.05])
+    def test_newton_inverts_the_grid_arc_length(self, step):
+        # the map u_of_s inverts: sigma at the grid node below, plus the exact
+        # integral of the contact speed from that node; the reference takes
+        # that integral in closed form, so only the Hermite seed, the
+        # Gauss-Legendre rule and the Newton stopping rule are under test
+        h = reparam_horizontal(slow_speed_curve(), step=step)
+        s = np.linspace(0.0, h.s_max, 2001)
+        i = np.clip(np.searchsorted(h._sigma, s, side="right") - 1, 0, h._sigma.size - 2)
+        u_i = h._u_grid[i]
+        ref = self.bisect(lambda u: h._sigma[i] + (u - u_i) + 0.5 * (np.cos(u_i) - np.cos(u)) - s)
+        assert np.max(np.abs(h.u_of_s(s) - ref)) < 1e-12
+
+
+class TestOneInversionPerGrid:
+    """Each multi-quantity caller inverts s -> u once on its grid."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        original = HorizontalCurve.u_of_s
+
+        def counting(self, s, *args, **kwargs):
+            seen.append(np.size(s))
+            return original(self, s, *args, **kwargs)
+
+        monkeypatch.setattr(HorizontalCurve, "u_of_s", counting)
+        return seen
+
+    def test_bertrand_mate(self, calls):
+        h = reparam_horizontal(slow_speed_curve(4.0))
+        mate = bertrand_mate(h, BertrandSpec(0.3, -0.2))
+        assert calls == [mate.grid.size]
+
+    def test_classify_position(self, calls):
+        classify_position(reparam_horizontal(slow_speed_curve(4.0)), n=400)
+        assert calls == [400]
+
+    def test_analyze(self, calls, tmp_path):
+        spec = tmp_path / "c.json"
+        spec.write_text(json.dumps({"type": "analytic", "x": "cos(s)", "y": "2*sin(s)",
+                                    "z": "0.1*s", "range": [0, 3]}))
+        result = CliRunner().invoke(main, ["analyze", str(spec), "--step", "0.01"])
+        assert result.exit_code == 0
+        assert calls == [len(result.output.strip().splitlines()) - 1]
+
+    def test_verify_cesaro(self, calls):
+        h = reparam_horizontal(slow_speed_curve(4.0))
+        assert verify_cesaro(h, np.linspace(0.1, h.s_max - 0.1, 30)) < 1e-6
+        assert calls == [90]
