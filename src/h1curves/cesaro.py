@@ -48,7 +48,7 @@ from .fields import (
     antiderivative,
     as_field,
 )
-from .numerics import golden_section, uniform_grid
+from .numerics import lowest_local_minima, minimize_brackets, uniform_grid
 
 __all__ = [
     "CesaroConstants",
@@ -325,23 +325,24 @@ class SurfaceOfRevolution:
     f_text: str | None = None
 
     def __post_init__(self):
-        if not self.s_hi > self.s_lo:
+        if not (self.s_hi > self.s_lo and np.isfinite(self.s_hi - self.s_lo)):
             raise ValueError(
-                f"profile range [{self.s_lo}, {self.s_hi}] must be increasing"
+                f"profile range [{self.s_lo}, {self.s_hi}] must be finite and increasing"
             )
 
     @classmethod
     def from_profiles(cls, g, f, interval, g_text=None, f_text=None):
         g = as_field(g)
         lo, hi = (float(v) for v in interval)
+        sigma = cls(LinearCombinationField([(1.0, _Square(g))]), as_field(f), lo, hi,
+                    g_text, f_text)
         values = np.asarray(g(np.linspace(lo, hi, 512)), dtype=float)
         # a profile that touches the axis at an end of the range can come out
         # a few ulps below zero there (cos just past pi/2); only values below
         # roundoff relative to the profile's own size are negative
         if np.any(values < -64.0 * np.finfo(float).eps * np.max(np.abs(values))):
             raise ValueError("radius profile g must be nonnegative")
-        g2 = LinearCombinationField([(1.0, _Square(g))])
-        return cls(g2, as_field(f), lo, hi, g_text, f_text)
+        return sigma
 
     @property
     def g(self):
@@ -377,9 +378,24 @@ class _Square:
         return LinearCombinationField([(2.0, ProductField(self.inner, self.inner.derivative()))])
 
 
-# basins refined per curve sample, and curve samples per block of the grid scan
+# The membership search scans the generator on a grid of profile_panels
+# panels, in blocks of _MEMBERSHIP_BLOCK curve samples so the (samples x
+# grid) temporaries stay small, and keeps for each sample its
+# _MEMBERSHIP_BASINS lowest candidate basins of d^2.  Each basin's bracket of
+# two grid panels is narrowed by golden section to _MEMBERSHIP_COARSE times
+# the profile span (14 evaluations for 1024 panels instead of 48 to 1e-12),
+# then _MEMBERSHIP_PARABOLIC_STEPS steps of parabolic interpolation finish
+# it: each roughly squares the error, from about 1e-5 of the span to the
+# rounding floor (three steps fell short on about 1 of 900 workload checks,
+# four on none).  A bracket that a probe 1e-12 of the span to either side
+# cannot certify is searched again by golden section to 1e-12 of the span.
+# _MEMBERSHIP_ROUNDOFF scales the rounding error of d^2 within which that
+# probe counts as level (see surface_membership).
 _MEMBERSHIP_BASINS = 4
 _MEMBERSHIP_BLOCK = 32
+_MEMBERSHIP_COARSE = 1e-5
+_MEMBERSHIP_PARABOLIC_STEPS = 4
+_MEMBERSHIP_ROUNDOFF = 8.0
 
 
 @dataclass
@@ -413,41 +429,64 @@ def surface_membership(
     A grid scan over the generator picks, for each sample, the closest few
     basins of d^2 (its interior local minima and the two ends): a folded
     generator can pass near a point more than once, so the grid argmin
-    alone is not enough.  One batched golden-section search then refines
-    all (sample, basin) brackets together with a fixed iteration count,
-    one vectorized ``sigma.profile`` call per iteration."""
+    alone is not enough.  ``numerics.minimize_brackets`` then refines all
+    (sample, basin) brackets together, one vectorized ``sigma.profile``
+    call per step: a coarse golden section, a few parabolic steps, and a
+    certificate that f(x +- 1e-12 span) is not lower than f(x) beyond
+    rounding; a bracket without one (a kinked generator, say) is searched
+    again by golden section to 1e-12 of the span.  A sample's defect is the
+    lowest d^2 actually evaluated, grid nodes included, so it is the
+    distance to a real generator point and never an interpolated value."""
     s_curve = np.linspace(0.0, h.s_max, n_samples)
     pts = h.point(s_curve)
-    rho = np.hypot(pts[:, 0], pts[:, 1])[:, None]
-    height = pts[:, 2][:, None]
+    rho = np.hypot(pts[:, 0], pts[:, 1])
+    height = pts[:, 2]
     sp = np.linspace(sigma.s_lo, sigma.s_hi, profile_panels + 1)
     gp, fp = sigma.profile(sp)
     last = len(sp) - 1
 
-    # scan in blocks of rows so the (samples x grid) temporaries stay small
-    basins = np.empty((n_samples, _MEMBERSHIP_BASINS), dtype=np.intp)
-    grid_d2 = np.empty((n_samples, _MEMBERSHIP_BASINS))
+    rows, nodes, grid_d2 = [], [], []
+    d2 = np.empty((_MEMBERSHIP_BLOCK, sp.size))
+    dz = np.empty_like(d2)
     for lo in range(0, n_samples, _MEMBERSHIP_BLOCK):
-        rows = slice(lo, lo + _MEMBERSHIP_BLOCK)
-        d2 = (rho[rows] - gp) ** 2 + (height[rows] - fp) ** 2
-        interior = (d2[:, 1:-1] <= d2[:, :-2]) & (d2[:, 1:-1] <= d2[:, 2:])
-        d2[:, 1:-1][~interior] = np.inf
-        k = np.argsort(d2, axis=1, kind="stable")[:, :_MEMBERSHIP_BASINS]
-        basins[rows] = k
-        grid_d2[rows] = np.take_along_axis(d2, k, axis=1)
-    # fewer candidates than basins leaves non-candidates (d^2 = inf) in the
-    # tail; they are refined with the rest but never counted
-    counted = np.isfinite(grid_d2)
+        block = slice(lo, lo + _MEMBERSHIP_BLOCK)
+        d2_block, dz_block = d2[: len(rho[block])], dz[: len(rho[block])]
+        with np.errstate(over="ignore"):  # a d^2 past the float range is inf, no candidate
+            np.square(np.subtract(rho[block, None], gp, out=d2_block), out=d2_block)
+            np.square(np.subtract(height[block, None], fp, out=dz_block), out=dz_block)
+            d2_block += dz_block
+        r, k = lowest_local_minima(d2_block, _MEMBERSHIP_BASINS)
+        k = np.stack([np.maximum(k - 1, 0), k, np.minimum(k + 1, last)])
+        rows.append(r + lo)
+        nodes.append(k)
+        grid_d2.append(d2_block[r, k])
+    rows = np.concatenate(rows)
+    nodes, grid_d2 = np.concatenate(nodes, axis=1), np.concatenate(grid_d2, axis=1)
+    # an end basin has two distinct nodes: its repeated one must not count as
+    # a third point of the first parabola
+    grid_d2[(nodes == nodes[1]) & (np.arange(3) != 1)[:, None]] = np.inf
+    rho_b, height_b = rho[rows], height[rows]
 
-    def point_defect(t):
-        g_t, f_t = sigma.profile(t.ravel())
-        return (rho - g_t.reshape(t.shape)) ** 2 + (height - f_t.reshape(t.shape)) ** 2
+    def point_defect(t, i):
+        g_t, f_t = sigma.profile(t)
+        with np.errstate(over="ignore"):
+            return (rho_b[i] - g_t) ** 2 + (height_b[i] - f_t) ** 2
 
-    _, refined = golden_section(
-        point_defect, sp[np.maximum(basins - 1, 0)], sp[np.minimum(basins + 1, last)],
-        tol=1e-12 * (sigma.s_hi - sigma.s_lo),
+    # each difference in d^2 = (rho - g)^2 + (z - f)^2 carries about eps
+    # times the problem's size, so d^2 = v carries about 2 sqrt(v) eps size;
+    # _MEMBERSHIP_ROUNDOFF = 8 allows four times that, for the few ulps by
+    # which g and f themselves are off
+    size = sum(float(np.max(np.abs(v), where=np.isfinite(v), initial=0.0))
+               for v in (np.concatenate([rho, height]), np.concatenate([gp, fp])))
+    span = sigma.s_hi - sigma.s_lo
+    _, refined = minimize_brackets(
+        point_defect, sp[nodes[0]], sp[nodes[2]], (sp[nodes], grid_d2),
+        tol=1e-12 * span, coarse_tol=_MEMBERSHIP_COARSE * span,
+        steps=_MEMBERSHIP_PARABOLIC_STEPS,
+        roundoff=lambda v: _MEMBERSHIP_ROUNDOFF * np.finfo(float).eps * size * np.sqrt(v),
     )
-    best = np.min(np.where(counted, np.minimum(grid_d2, refined), np.inf), axis=1)
+    best = np.full(n_samples, np.inf)
+    np.minimum.at(best, rows, refined)
     i = int(np.argmax(best))
     max_defect = float(np.sqrt(max(best[i], 0.0)))
     return MembershipReport(max_defect < tol, max_defect, float(s_curve[i]))
@@ -644,8 +683,8 @@ def pansu_sphere(
     geodesic's membership in the surface within ``tol``, (iii) its measured
     invariants being 2 lam and 0 within 1e-9.  Failing (i) or (iii) raises
     ValueError; (ii) is a verdict, read from ``certificate.membership``."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
     l = repr(float(lam))
     geo = reparam_horizontal(
         ParamCurve.from_expressions(

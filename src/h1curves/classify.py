@@ -212,6 +212,12 @@ def _fit_helix(grid, pts, u1, u2, u3, kappa, tau, thresh, h):
     pitch = float(np.polyfit(grid, drift, 1)[0])
     c2 = float(np.mean(drift - pitch * grid))
     pitch_residual = float(np.max(np.abs(drift - pitch * grid - c2)))
+    # z - integral(tau) of a helix is affine in s, so the residual is the
+    # quadrature error of integral(tau) alone: below 2e-3 * thresh on the
+    # tested helices.  A height off the affine fit by more than thresh, the
+    # radius bound, is a position off the canonical form.
+    if pitch_residual > thresh:
+        return None
     return PositionClass(
         ClassTag.CIRCULAR_HELIX,
         witness={"radius": radius, "c1": c1, "pitch": pitch, "c2": c2},

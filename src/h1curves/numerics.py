@@ -18,6 +18,8 @@ __all__ = [
     "fd4_first",
     "fd4_second",
     "golden_section",
+    "lowest_local_minima",
+    "minimize_brackets",
 ]
 
 
@@ -159,3 +161,93 @@ def golden_section(f, a, b, tol: float = 1e-10):
         f1, f2 = np.where(left, f_new, f_kept), np.where(left, f_kept, f_new)
     x = 0.5 * (a + b)
     return x, f(x)
+
+
+def lowest_local_minima(values, k: int):
+    """The at most ``k`` lowest candidate minima of every row of ``values``:
+    the interior entries no larger than either neighbour, and the two ends,
+    finite ones only.  Returns (rows, cols) ordered by row, then by (value,
+    column), so ties go to the lower column."""
+    v = np.asarray(values, dtype=float)
+    candidate = np.ones(v.shape, dtype=bool)
+    np.logical_and(v[:, 1:-1] <= v[:, :-2], v[:, 1:-1] <= v[:, 2:], out=candidate[:, 1:-1])
+    rows, cols = np.divmod(np.flatnonzero(candidate), v.shape[1])
+    value = v[rows, cols]
+    finite = np.isfinite(value)
+    rows, cols, value = rows[finite], cols[finite], value[finite]
+    order = np.lexsort((cols, value, rows))
+    rows, cols = rows[order], cols[order]
+    keep = np.arange(rows.size) - np.searchsorted(rows, rows) < k
+    return rows[keep], cols[keep]
+
+
+def _parabola_vertex(t, ft):
+    """Vertex of the parabola through the points t[0], t[1], t[2] (rows)
+    with values ft; t[0] where they fix none (collinear or repeated)."""
+    (x, w, v), (fx, fw, fv) = t, ft
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        u = x - ((x - v) * q - (x - w) * r) / (2.0 * (q - r))
+    return np.where(np.isfinite(u), u, x)
+
+
+def _lowest_rows(t, ft, k: int):
+    """The k lowest of the points t (one row per point, one column per
+    bracket) with values ft, in increasing value; a NaN value sorts last,
+    and of equal values the earlier row comes first."""
+    order = np.argsort(ft, axis=0, kind="stable")[:k]
+    return np.take_along_axis(t, order, 0), np.take_along_axis(ft, order, 0)
+
+
+def minimize_brackets(f, a, b, known, tol: float, coarse_tol: float, steps: int, roundoff):
+    """Minimize on every bracket [a[i], b[i]] of a function unimodal there;
+    returns (x, f(x)) at the lowest point evaluated in each bracket.
+
+    ``f(t, i)`` gives the objective of brackets ``i`` (an index array) at
+    the points ``t``.  ``known`` is a pair (t, f(t)) of arrays with one
+    column per bracket: points already evaluated, such as the grid nodes a
+    bracket came from; they count as evaluated, so a minimum at an end of a
+    bracket is found exactly.  ``golden_section`` first narrows every
+    bracket to ``coarse_tol``; ``steps`` steps of successive parabolic
+    interpolation through the three lowest points so far, each clipped to
+    [a, b] and at least ``tol`` long, then finish it (R. P. Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 5).  A
+    bracket is settled when neither f(x - tol) nor f(x + tol) lies below
+    f(x) by more than ``roundoff(f(x))``, the rounding error of f near x.
+    Any other bracket (a kink near the minimum, say) is searched again by
+    ``golden_section`` from [a, b] to ``tol``, as a search with no
+    parabolic stage would, so no bracket ends less refined.  Each call of f
+    takes every bracket, or every unsettled one, at once."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = a.size
+    every = np.arange(n)
+    seen_t, seen_f = list(known[0]), list(known[1])  # one row per evaluation
+
+    def recorded(t, i=every):
+        ft = f(t, i)
+        row_t, row_f = np.full(n, np.nan), np.full(n, np.inf)
+        row_t[i], row_f[i] = t, ft
+        seen_t.append(row_t)
+        seen_f.append(row_f)
+        return ft
+
+    golden_section(recorded, a, b, tol=coarse_tol)
+    t, ft = _lowest_rows(np.array(seen_t), np.array(seen_f), 3)
+    for _ in range(steps):
+        # a step shorter than tol is lengthened to tol: values that close to
+        # x differ by rounding alone and would only steer the next parabola
+        x, u = t[0], _parabola_vertex(t, ft)
+        u = np.clip(np.where(np.abs(u - x) < tol, x + np.copysign(tol, u - x), u), a, b)
+        t, ft = _lowest_rows(np.vstack([t, u]), np.vstack([ft, f(u, every)]), 3)
+    x, fx = t[0], ft[0]
+    sides = np.maximum(x - tol, a), np.minimum(x + tol, b)
+    side_f = np.split(f(np.concatenate(sides), np.concatenate([every, every])), 2)
+    unsettled = np.flatnonzero(~(np.minimum(*side_f) >= fx - roundoff(fx)))
+    # x is the lowest point so far: the record starts again from it
+    seen_t[:], seen_f[:] = [x, *sides], [fx, *side_f]
+    if unsettled.size:
+        golden_section(lambda t: recorded(t, unsettled), a[unsettled], b[unsettled], tol=tol)
+    (x,), (fx,) = _lowest_rows(np.array(seen_t), np.array(seen_f), 1)
+    return x, fx

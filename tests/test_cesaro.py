@@ -23,7 +23,9 @@ from h1curves.cesaro import (
     sphere_horizontal_gap,
     surface_membership,
 )
+from h1curves import numerics
 from h1curves.fields import as_field
+from h1curves.numerics import lowest_local_minima
 
 
 class TestClosedForm:
@@ -222,6 +224,118 @@ class TestMembership:
         )
         report = surface_membership(h, sigma, tol=1e-6)
         assert report.member
+
+
+def _argsort_basins(d2, k):
+    """Reference candidate selection: non-minima set to inf, then a stable
+    argsort of each whole row, keeping the finite entries of its first k."""
+    d2 = np.array(d2, dtype=float)
+    interior = (d2[:, 1:-1] <= d2[:, :-2]) & (d2[:, 1:-1] <= d2[:, 2:])
+    d2[:, 1:-1][~interior] = np.inf
+    cols = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    keep = np.isfinite(np.take_along_axis(d2, cols, axis=1))
+    rows = np.broadcast_to(np.arange(d2.shape[0])[:, None], cols.shape)
+    return rows[keep], cols[keep]
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestMembershipSearch:
+    @staticmethod
+    def cylinder_case(delta=0.0):
+        lift = reparam_horizontal(
+            ParamCurve.from_expressions("cos(s)", "sin(s)", "-s", (0.0, 6.0))
+        )
+        cylinder = SurfaceOfRevolution.from_profiles(
+            as_field(repr(1.0 + delta)), as_field("-s"), (-0.5, 6.5)
+        )
+        return lift, cylinder
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("shape", [(32, 1025), (7, 40), (5, 3), (4, 2)])
+    def test_candidates_match_argsort_selection(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        blocks = [rng.random(shape),
+                  rng.integers(0, 3, shape).astype(float),  # ties and plateaus
+                  np.where(rng.random(shape) < 0.2, np.inf, rng.random(shape))]
+        blocks[2][rng.random(shape) < 0.1] = np.nan
+        for d2 in blocks:
+            for k in (1, 4):
+                rows, cols = lowest_local_minima(d2, k)
+                want_rows, want_cols = _argsort_basins(d2, k)
+                np.testing.assert_array_equal(rows, want_rows)
+                np.testing.assert_array_equal(cols, want_cols)
+
+    def test_kink_at_the_nearest_point_takes_the_fallback(self, monkeypatch):
+        # the generator is a roof with its ridge (2, c) off the grid; every
+        # curve point (3 cos, 3 sin, z) has |z - c| < 1, inside the ridge's
+        # normal cone, so the ridge is the nearest point and d^2 has a kink
+        # there that parabolic steps cannot resolve
+        c = 0.1 + 2.0**0.5 * 1e-3
+        lo, hi = c - 0.6, c + 0.7
+        sigma = SurfaceOfRevolution.from_profiles(
+            as_field(f"2 - abs(s - {c!r})"), as_field("s"), (lo, hi)
+        )
+        curve = reparam_horizontal(ParamCurve.from_expressions(
+            "3*cos(s)", "3*sin(s)", "0.3 - 9*s", (0.0, 0.05)
+        ))
+        golden = _counting(monkeypatch, numerics, "golden_section")
+        report = surface_membership(curve, sigma, tol=1e-6)
+        assert len(golden) == 2  # the coarse search and the fallback
+
+        pts = curve.point(np.linspace(0.0, curve.s_max, 200))
+        rho, z = np.hypot(pts[:, 0], pts[:, 1]), pts[:, 2]
+        dense = np.append(np.linspace(lo, hi, 200_001), c)
+        gp, fp = sigma.profile(dense)
+        brute = np.max(np.sqrt(np.min(
+            (rho[:, None] - gp) ** 2 + (z[:, None] - fp) ** 2, axis=1)))
+        assert report.max_defect == pytest.approx(brute, abs=1e-12)
+
+    def test_cylinder_check_profile_calls(self, monkeypatch):
+        # one call for the grid, 14 for golden section to 1e-5 of the span,
+        # 4 parabolic steps, one for the certificate probes, no fallback
+        lift, cylinder = self.cylinder_case(0.01)
+        profile = _counting(monkeypatch, SurfaceOfRevolution, "profile")
+        golden = _counting(monkeypatch, numerics, "golden_section")
+        report = surface_membership(lift, cylinder, tol=1e-6)
+        assert report.max_defect == pytest.approx(0.01, abs=1e-12)
+        assert len(profile) == 1 + 14 + 4 + 1
+        assert len(golden) == 1
+
+    def test_minimum_near_a_generator_end_needs_no_fallback(self, monkeypatch):
+        # the profile range is 1e6 long and the curve's heights all lie
+        # within the first golden-section width of its end s = 0, so the
+        # first parabola runs through that end node and two golden points
+        lift = reparam_horizontal(
+            ParamCurve.from_expressions("cos(s)", "sin(s)", "-s", (0.0, 1.0))
+        )
+        cylinder = SurfaceOfRevolution.from_profiles(
+            as_field("1"), as_field("-s"), (0.0, 1e6)
+        )
+        golden = _counting(monkeypatch, numerics, "golden_section")
+        report = surface_membership(lift, cylinder, tol=1e-6)
+        assert report.member and report.max_defect < 1e-12
+        assert len(golden) == 1
+
+    @pytest.mark.parametrize("delta", [0.0, 0.02])
+    def test_repeated_runs_are_bit_identical(self, delta):
+        lift, cylinder = self.cylinder_case(delta)
+        sphere = pansu_sphere(1.3)
+        for h, sigma in ((lift, cylinder), (sphere.geodesic, sphere.surface)):
+            first = surface_membership(h, sigma, tol=1e-6)
+            second = surface_membership(h, sigma, tol=1e-6)
+            assert first.to_json() == second.to_json()
 
 
 class TestFrameCoefficientsOnSurfaces:

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import h1curves
 from h1curves.cesaro import pansu_sphere
@@ -312,6 +314,14 @@ class TestErrorExits:
         self.assert_one_error_line(result)
         assert result.stderr.startswith("error: cannot evaluate curve: division by zero")
 
+    def test_classify_rejects_a_helix_fit_with_a_bad_height(self, runner, pole_spec):
+        # x, y fit a helix exactly; the pole falls between the nodes of the
+        # classification grid, so z only fits an affine height with a
+        # residual in the thousands
+        result = runner.invoke(main, ["classify", pole_spec, "--step", "0.1"])
+        self.assert_one_error_line(result)
+        assert result.stderr.startswith("error: cannot classify")
+
     @pytest.mark.parametrize("tau_bar,reason", [
         ("1/(s-0.5)", "division by zero"), ("1e999", "not finite near s = 0"),
     ])
@@ -349,6 +359,12 @@ class TestSurface:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["certificate"]["membership"]["member"] is True
 
+    @pytest.mark.parametrize("lam", ["nan", "inf", "0", "-1"])
+    def test_pansu_names_a_bad_lambda(self, runner, lam):
+        result = runner.invoke(main, ["surface", "pansu", "--lam", lam])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: lam must be positive and finite")
+
     def test_pansu_honours_tol(self, runner):
         result = runner.invoke(main, ["surface", "pansu", "--lam", "1", "--tol", "1e-30"])
         assert result.exit_code == 1
@@ -385,6 +401,20 @@ class TestSurface:
         result = runner.invoke(main, ["surface", "check", surface, curve])
         assert result.exit_code == 2
         assert result.stderr.startswith("error: bad surface spec")
+
+    @pytest.mark.parametrize("lo,hi", [
+        (0.0, float("inf")), (float("-inf"), 1.0), (float("nan"), 1.0), (-1e308, 1e308),
+    ])
+    def test_check_rejects_a_range_that_is_not_finite(self, runner, tmp_path, lo, hi):
+        # the spec's JSON may spell Infinity and NaN; a range whose width
+        # overflows is no more usable
+        surface = write_json(tmp_path, "s.json", {"g": "1", "f": "s", "range": [lo, hi]})
+        curve = write_json(tmp_path, "c.json", {
+            "type": "analytic", "x": "cos(s)", "y": "sin(s)", "z": "-s", "range": [0, 1],
+        })
+        result = runner.invoke(main, ["surface", "check", surface, curve])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: bad surface spec: profile range")
 
     def test_check_line_vs_sphere(self, runner, tmp_path):
         surface = write_json(tmp_path, "s.json", {
@@ -514,6 +544,16 @@ class TestFreshProcess:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_membership_past_the_float_range_writes_no_warning(self, tmp_path):
+        # d^2 overflows on most of a profile grid spanning 1e300
+        surface = write_json(tmp_path, "s.json", {"g": "1", "f": "-s", "range": [0, 1e300]})
+        curve = write_json(tmp_path, "c.json", {
+            "type": "analytic", "x": "cos(s)", "y": "sin(s)", "z": "-s", "range": [0, 1],
+        })
+        proc = self.run("-m", "h1curves.cli", "surface", "check", surface, curve)
+        assert proc.returncode in (0, 1)
+        assert proc.stderr == ""
+
     def test_overflow_error_is_the_only_stderr_line(self, tmp_path):
         spec = write_json(tmp_path, "c.json", {
             "type": "analytic", "x": "exp(exp(s))", "y": "s", "z": "0", "range": [0, 10],
@@ -522,3 +562,65 @@ class TestFreshProcess:
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+# values that stress option and range parsing: zero, negatives, non-finite
+# and huge magnitudes; ordinary ones are drawn alongside
+_EDGE_VALUES = [0.0, -0.0, -1.0, float("nan"), float("inf"), float("-inf"), 1e300, -1e300, 1e-300]
+
+
+def _values(lo, hi):
+    return st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(lo, hi))
+
+
+class TestSurfaceErrorContract:
+    """Every `surface check` and `surface pansu` input ends in exit 0-3 and
+    no exception escapes.  An error exit (2 or 3) writes exactly one stderr
+    line, starting `error:`; exit 1 is the non-member verdict, printed as
+    the report on stdout with nothing on stderr.  Ordinary steps stay at or
+    above 1e-3, so no generated grid is larger than the commands' defaults
+    make."""
+
+    @staticmethod
+    def assert_contract(result):
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            result.exception)
+        assert result.exit_code in (0, 1, 2, 3)
+        event(f"exit {result.exit_code}")
+        if result.exit_code in (2, 3):
+            lines = result.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+        if result.exit_code == 1:
+            assert result.stderr == ""
+            doc = json.loads(result.stdout)
+            assert doc.get("certificate", {}).get("membership", doc)["member"] is False
+
+    @staticmethod
+    def options(step, tol):
+        args = []
+        for flag, value in (("--step", step), ("--tol", tol)):
+            if value is not None:
+                args += [flag, repr(value)]
+        return args
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(lam=_values(0.3, 3.0), step=st.none() | _values(1e-3, 0.5),
+           tol=st.none() | _values(1e-12, 1.0))
+    def test_pansu(self, lam, step, tol):
+        args = ["surface", "pansu", "--lam", repr(lam), *self.options(step, tol)]
+        self.assert_contract(CliRunner().invoke(main, args))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(lo=_values(-2.0, 2.0), width=_values(-1.0, 8.0),
+           step=st.none() | _values(1e-3, 0.5), tol=st.none() | _values(1e-12, 1.0))
+    def test_check(self, tmp_path_factory, lo, width, step, tol):
+        # the lift of the unit circle against the cylinder g = 1, f = -s over
+        # a generated profile range [lo, lo + width], which may be empty,
+        # reversed or not finite
+        workdir = tmp_path_factory.mktemp("check")
+        surface = write_json(workdir, "s.json", {"g": "1", "f": "-s", "range": [lo, lo + width]})
+        curve = write_json(workdir, "c.json", {
+            "type": "analytic", "x": "cos(s)", "y": "sin(s)", "z": "-s", "range": [0, 1],
+        })
+        args = ["surface", "check", surface, curve, *self.options(step, tol)]
+        self.assert_contract(CliRunner().invoke(main, args))
