@@ -29,25 +29,22 @@ u1^2 + u2^2 = g^2 and u3 = -f, which in terms of the invariants becomes
     f' - tau = ((g^2)''/2 - 1)/kappa,    f'' - tau' = -kappa (g^2)'/2.
 
 All indefinite integrals are pinned at the interval's left endpoint and
-evaluated by composite Simpson on a uniform grid (default 10^4 panels).
+evaluated by composite Simpson on a uniform grid (default 10^4 panels),
+exactly for a constant integrand.  The closed forms are ``ScalarFn`` trees
+over kappa, tau and these antiderivatives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .curves import HorizontalCurve, InvariantPair, ParamCurve, reparam_horizontal
-from .fields import (
-    AffineField,
-    ConstantField,
-    LinearCombinationField,
-    SqrtField,
-    antiderivative,
-    as_field,
-)
+from .expressions import Num, S
+from .fields import antiderivative, as_field
 from .numerics import lowest_local_minima, minimize_brackets, uniform_grid
 
 __all__ = [
@@ -95,102 +92,6 @@ class CesaroConstants:
         return cls(1.0, 0.0, 0.0, 1.0, c5, c6)
 
 
-class _RelationField:
-    """Derivative of a Cesàro coefficient through the first-order system
-    itself (an exact algebraic identity of the closed forms)."""
-
-    def __init__(self, core: "_ClosedFormCore", which: str):
-        self.core = core
-        self.which = which
-
-    def __call__(self, s):
-        core = self.core
-        if self.which == "u1":
-            return core.inv.kappa(s) * core.u2(s) - 1.0
-        return -core.inv.kappa(s) * core.u1(s)
-
-    def derivative(self):
-        raise NotImplementedError("Cesàro coefficients support two derivative orders")
-
-
-class _U1Field:
-    """u1 = A sin + B cos + (C3 sin + C4 cos) I1 - (C1 sin + C2 cos) I2,
-    all trig in theta(s)."""
-
-    def __init__(self, core):
-        self.core = core
-
-    def __call__(self, s):
-        core = self.core
-        c = core.constants
-        th = core.theta(s)
-        sin, cos = np.sin(th), np.cos(th)
-        return (
-            core.A * sin
-            + core.B * cos
-            + (c.c3 * sin + c.c4 * cos) * core.I1(s)
-            - (c.c1 * sin + c.c2 * cos) * core.I2(s)
-        )
-
-    def derivative(self):
-        return _RelationField(self.core, "u1")
-
-
-class _U2Field:
-    """u2 = A cos - B sin + (C3 cos - C4 sin) I1 - (C1 cos - C2 sin) I2
-    + 1/kappa, all trig in theta(s)."""
-
-    def __init__(self, core):
-        self.core = core
-
-    def __call__(self, s):
-        core = self.core
-        c = core.constants
-        th = core.theta(s)
-        sin, cos = np.sin(th), np.cos(th)
-        return (
-            core.A * cos
-            - core.B * sin
-            + (c.c3 * cos - c.c4 * sin) * core.I1(s)
-            - (c.c1 * cos - c.c2 * sin) * core.I2(s)
-            + 1.0 / np.asarray(core.inv.kappa(s))
-        )
-
-    def derivative(self):
-        return _RelationField(self.core, "u2")
-
-
-class _ClosedFormCore:
-    """Shared machinery of the general-branch closed forms: theta and the
-    two kappa'/(kappa^2 Delta)-weighted antiderivatives."""
-
-    def __init__(self, inv, constants, c5, c6, lo, hi, n_panels):
-        self.inv = inv
-        self.constants = constants
-        self.A = constants.c1 * c5 + constants.c3 * c6
-        self.B = constants.c2 * c5 + constants.c4 * c6
-        self.theta = antiderivative(inv.kappa, lo, hi, n_panels)
-        kp = inv.kappa.derivative()
-        delta = constants.delta
-
-        def weight(p, q):
-            def integrand(s):
-                th = self.theta(s)
-                k = np.asarray(inv.kappa(s))
-                return (
-                    (p * np.sin(th) + q * np.cos(th))
-                    * np.asarray(kp(s))
-                    / (k * k * delta)
-                )
-
-            return integrand
-
-        self.I1 = antiderivative(weight(constants.c1, constants.c2), lo, hi, n_panels)
-        self.I2 = antiderivative(weight(constants.c3, constants.c4), lo, hi, n_panels)
-        self.u1 = _U1Field(self)
-        self.u2 = _U2Field(self)
-
-
 @dataclass
 class CesaroSolution:
     """A solution (u1, u2, u3) of the immobility system for given
@@ -229,33 +130,26 @@ def cesaro_closed_form(
         raise ValueError("kappa is not finite on the interval")
 
     if np.max(np.abs(kappa_vals)) <= _ZERO_KAPPA_TOL:
-        u1 = AffineField(c5, -1.0)
-        u2 = ConstantField(c6)
-        # u3 = u3_const + c6 (s - lo) - integral of tau
-        u3 = LinearCombinationField(
-            [(c6, AffineField(-lo, 1.0)), (-1.0, antiderivative(inv.tau, lo, hi, n_panels))],
-            const=u3_const,
-        )
-        return CesaroSolution(
-            inv, constants, (lo, hi), "zero-kappa",
-            u1, u2, u3, ConstantField(0.0), grid,
-        )
-    if np.min(np.abs(kappa_vals)) <= _ZERO_KAPPA_TOL:
+        branch, theta, u1, u2 = "zero-kappa", as_field(0.0), c5 - S, as_field(c6)
+    elif np.min(np.abs(kappa_vals)) <= _ZERO_KAPPA_TOL:
         bad = grid[np.argmin(np.abs(kappa_vals))]
         raise ValueError(
             f"kappa vanishes near s = {bad} but is not identically zero; "
             "the closed forms require a single branch"
         )
-
-    core = _ClosedFormCore(inv, constants, c5, c6, lo, hi, n_panels)
-    u3 = antiderivative(
-        lambda s: np.asarray(core.u2(s)) - np.asarray(inv.tau(s)),
-        lo, hi, n_panels, const=u3_const,
-    )
-    return CesaroSolution(
-        inv, constants, (lo, hi), "general",
-        core.u1, core.u2, u3, core.theta, grid,
-    )
+    else:
+        branch, c, kappa = "general", constants, inv.kappa
+        theta = antiderivative(kappa, lo, hi, n_panels)
+        sin, cos = theta.apply("sin"), theta.apply("cos")
+        kp, k2d = kappa.derivative(), kappa ** 2 * c.delta
+        I1 = antiderivative((c.c1 * sin + c.c2 * cos) * kp / k2d, lo, hi, n_panels)
+        I2 = antiderivative((c.c3 * sin + c.c4 * cos) * kp / k2d, lo, hi, n_panels)
+        A, B = c.c1 * c5 + c.c3 * c6, c.c2 * c5 + c.c4 * c6
+        u1 = A * sin + B * cos + (c.c3 * sin + c.c4 * cos) * I1 - (c.c1 * sin + c.c2 * cos) * I2
+        u2 = (A * cos - B * sin + (c.c3 * cos - c.c4 * sin) * I1
+              - (c.c1 * cos - c.c2 * sin) * I2 + 1 / kappa)
+    u3 = antiderivative(u2 - inv.tau, lo, hi, n_panels, const=u3_const)
+    return CesaroSolution(inv, constants, (lo, hi), branch, u1, u2, u3, theta, grid)
 
 
 def cesaro_system_residual(
@@ -308,6 +202,13 @@ def curve_from_cesaro_solution(
 # Surfaces of revolution
 
 
+def _profile_range(interval) -> tuple[float, float]:
+    lo, hi = (float(v) for v in interval)
+    if not (hi > lo and np.isfinite(hi - lo)):
+        raise ValueError(f"profile range [{lo}, {hi}] must be finite and increasing")
+    return lo, hi
+
+
 @dataclass
 class SurfaceOfRevolution:
     """Surface (g(s) cos t, g(s) sin t, f(s)) about the z-axis.
@@ -325,17 +226,13 @@ class SurfaceOfRevolution:
     f_text: str | None = None
 
     def __post_init__(self):
-        if not (self.s_hi > self.s_lo and np.isfinite(self.s_hi - self.s_lo)):
-            raise ValueError(
-                f"profile range [{self.s_lo}, {self.s_hi}] must be finite and increasing"
-            )
+        _profile_range((self.s_lo, self.s_hi))
 
     @classmethod
     def from_profiles(cls, g, f, interval, g_text=None, f_text=None):
         g = as_field(g)
         lo, hi = (float(v) for v in interval)
-        sigma = cls(LinearCombinationField([(1.0, _Square(g))]), as_field(f), lo, hi,
-                    g_text, f_text)
+        sigma = cls(g ** 2, as_field(f), lo, hi, g_text, f_text)
         values = np.asarray(g(np.linspace(lo, hi, 512)), dtype=float)
         # a profile that touches the axis at an end of the range can come out
         # a few ulps below zero there (cos just past pi/2); only values below
@@ -344,10 +241,6 @@ class SurfaceOfRevolution:
             raise ValueError("radius profile g must be nonnegative")
         return sigma
 
-    @property
-    def g(self):
-        return SqrtField(self.g2)
-
     def profile(self, s):
         """(radius, height) samples along the generator."""
         g2 = np.asarray(self.g2(s), dtype=float)
@@ -355,27 +248,14 @@ class SurfaceOfRevolution:
         if np.any(g2 < -1e-12):
             raise ValueError("negative squared radius on the profile")
         g2 = np.where(bad, 0.0, g2)
-        return np.sqrt(g2), np.asarray(self.f(s), dtype=float)
+        # + 0.0 makes a zero height +0: a tree drops additive zeros, so a
+        # height that sums to zero can otherwise come out as -0
+        return np.sqrt(g2), np.asarray(self.f(s), dtype=float) + 0.0
 
     def to_json(self) -> dict:
         if self.g_text is None or self.f_text is None:
             raise ValueError("surface has no closed-form profile expressions")
         return {"g": self.g_text, "f": self.f_text, "range": [self.s_lo, self.s_hi]}
-
-
-class _Square:
-    def __init__(self, inner):
-        self.inner = inner
-
-    def __call__(self, s):
-        v = np.asarray(self.inner(s), dtype=float)
-        out = v * v
-        return out if np.ndim(s) else float(out)
-
-    def derivative(self):
-        from .fields import ProductField
-
-        return LinearCombinationField([(2.0, ProductField(self.inner, self.inner.derivative()))])
 
 
 # The membership search scans the generator on a grid of profile_panels
@@ -517,6 +397,17 @@ def check_necessary_conditions(
     return float(np.max(np.abs(res1))), float(np.max(np.abs(res2)))
 
 
+def _require_finite(grid=None, **values):
+    """Raise ValueError naming the first value that is not finite: a
+    parameter, or a profile sampled on ``grid``."""
+    for name, value in values.items():
+        finite = np.isfinite(value)
+        if not np.all(finite):
+            if grid is None:
+                raise ValueError(f"{name} must be finite, got {value}")
+            raise ValueError(f"{name} is not finite near s = {grid[np.argmin(finite)]}")
+
+
 def generate_surface_constant_kappa(
     kappa: float,
     tau,
@@ -534,37 +425,39 @@ def generate_surface_constant_kappa(
             - s/kappa + C3f.
 
     The two integration constants are deliberately independent (c3g, c3f).
-    Only the nonnegative branch of g is produced; a negative radicand is an
-    error naming the offending s."""
+    Only the nonnegative branch of g is produced; a negative radicand, a
+    profile that is not finite on the range and a parameter that is not
+    finite are errors naming the offending s or parameter.  g^2 and the
+    trigonometric part of f are parsed from the text ``to_json`` prints."""
+    tau = as_field(tau)
+    # a tau that depends on s is checked through f on the grid below
+    tau_value = tau.ast.value if isinstance(tau.ast, Num) else 0.0
+    _require_finite(kappa=kappa, tau=tau_value, c1=c1, c2=c2, c3g=c3g, c3f=c3f)
     if kappa == 0.0:
         raise ValueError("kappa must be a nonzero constant")
-    lo, hi = (float(v) for v in interval)
+    lo, hi = _profile_range(interval)
     k = repr(float(kappa))
     g2_text = (
         f"(-({repr(float(c1))})*cos(({k})*s) + ({repr(float(c2))})*sin(({k})*s)"
         f" + ({repr(float(c3g))}))/({k})"
     )
+    f_trig_text = (
+        f"(({repr(float(c1))})*sin(({k})*s) + ({repr(float(c2))})*cos(({k})*s))"
+        f"/(2*({k})) - s/({k}) + ({repr(float(c3f))})"
+    )
     g2 = as_field(g2_text)
+    f = antiderivative(tau, lo, hi, n_panels) + as_field(f_trig_text)
     grid = uniform_grid(lo, hi, 4096)
     radicand = np.asarray(g2(grid))
+    _require_finite(grid, g=radicand, f=f(grid))
     if np.min(radicand) < 0.0:
         bad = grid[np.argmin(radicand)]
         raise ValueError(
             f"negative radicand for g at s = {bad}: the profile is not real there"
         )
-    f_trig_text = (
-        f"(({repr(float(c1))})*sin(({k})*s) + ({repr(float(c2))})*cos(({k})*s))"
-        f"/(2*({k})) - s/({k}) + ({repr(float(c3f))})"
-    )
-    tau_field = as_field(tau)
-    f = LinearCombinationField(
-        [(1.0, antiderivative(tau_field, lo, hi, n_panels)),
-         (1.0, as_field(f_trig_text))]
-    )
     f_text = None
-    if isinstance(tau_field, ConstantField):
-        tv = repr(tau_field.value)
-        f_text = f"({tv})*(s - ({repr(lo)})) + {f_trig_text}"
+    if isinstance(tau.ast, Num):
+        f_text = f"({repr(tau_value)})*(s - ({repr(lo)})) + {f_trig_text}"
     return SurfaceOfRevolution(
         g2, f, lo, hi, g_text=f"sqrt({g2_text})", f_text=f_text
     )
@@ -587,27 +480,31 @@ def generate_surface_constant_tau(
 
     with u1 the closed-form coefficient; by the first system equation the
     f-integrand equals tau - u2.  Both integrals start at the interval's
-    left endpoint, with their constants exposed."""
-    lo, hi = (float(v) for v in interval)
-    tau_grid = np.asarray(inv.tau(np.linspace(lo, hi, 257)))
+    left endpoint, with their constants exposed.  A parameter or profile
+    that is not finite is an error naming it."""
+    c5, c6 = c5c6 if c5c6 is not None else (constants.c5, constants.c6)
+    _require_finite(c1=constants.c1, c2=constants.c2, c3=constants.c3, c4=constants.c4,
+                    c5=c5, c6=c6, g2_const=g2_const, f_const=f_const)
+    lo, hi = _profile_range(interval)
+    grid = np.linspace(lo, hi, 257)
+    tau_grid = np.asarray(inv.tau(grid))
+    _require_finite(grid, tau=tau_grid)
     if np.max(np.abs(tau_grid - tau_grid[0])) > 1e-8 * (1.0 + np.max(np.abs(tau_grid))):
         raise ValueError("tau must be constant for this construction")
-    sol = cesaro_closed_form(inv, constants, c5c6, (lo, hi), n_panels)
+    sol = cesaro_closed_form(inv, constants, (c5, c6), (lo, hi), n_panels)
     if sol.branch != "general":
         raise ValueError("kappa must be nonzero for this construction")
-    g2 = LinearCombinationField(
-        [(-2.0, antiderivative(sol.u1, lo, hi, n_panels))], const=g2_const
-    )
+    g2 = g2_const - 2 * antiderivative(sol.u1, lo, hi, n_panels)
+    f = antiderivative(inv.tau - sol.u2, lo, hi, n_panels, const=f_const)
     grid = sol.grid
     g2_vals = np.asarray(g2(grid))
+    _require_finite(grid, g=g2_vals, f=f(grid))
     if np.min(g2_vals) < 0.0:
         bad = grid[np.argmin(g2_vals)]
         raise ValueError(
             f"squared radius -2*integral(u1) + {g2_const} turns negative "
             f"near s = {bad}"
         )
-    f_integrand = LinearCombinationField([(-1.0, sol.u2), (1.0, inv.tau)])
-    f = antiderivative(f_integrand, lo, hi, n_panels, const=f_const)
     return SurfaceOfRevolution(g2, f, lo, hi)
 
 
@@ -683,18 +580,28 @@ def pansu_sphere(
     geodesic's membership in the surface within ``tol``, (iii) its measured
     invariants being 2 lam and 0 within 1e-9.  Failing (i) or (iii) raises
     ValueError; (ii) is a verdict, read from ``certificate.membership``."""
-    if not 0.0 < lam < np.inf:
-        raise ValueError(f"lam must be positive and finite, got {lam}")
-    l = repr(float(lam))
+    # constants are folded before they enter the trees, as parsing the text
+    # sin(2*lam*s)/(4*lam^2) folds them, so the trees and their derivatives
+    # evaluate bit for bit like the parsed text
+    try:
+        four_lam2 = 4 * lam ** 2
+    except OverflowError:  # lam ** 2 past the float range
+        four_lam2 = math.inf
+    if not (lam > 0.0 and 0.0 < four_lam2 < math.inf and math.pi / lam < math.inf):
+        raise ValueError("lam must be positive and finite, with 4 lam^2 and pi/lam finite "
+                         f"and nonzero, got {lam}")
+    two_lam = 2 * lam
+    sin = (two_lam * S).apply("sin")
     geo = reparam_horizontal(
-        ParamCurve.from_expressions(
-            f"sin(2*({l})*s)/(2*({l}))",
-            f"(1 - cos(2*({l})*s))/(2*({l}))",
-            f"sin(2*({l})*s)/(4*({l})^2) - s/(2*({l})) + pi/(4*({l})^2)",
+        ParamCurve.from_fields(
+            sin / two_lam,
+            (1 - (two_lam * S).apply("cos")) / two_lam,
+            sin / four_lam2 - S / two_lam + math.pi / four_lam2,
             (0.0, np.pi / lam),
         ),
         step=step,
     )
+    l = repr(float(lam))
     g_text = f"cos(({l})*s)/({l})"
     f_text = f"(sin(-2*({l})*s) - 2*({l})*s)/(4*({l})^2)"
     surface = SurfaceOfRevolution.from_profiles(

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import HorizontalCurve, ParamCurve
-from .fields import AffineField, LinearCombinationField, antiderivative, as_field
+from .expressions import S
+from .fields import antiderivative, as_field
 from .frenet import planar_cascade
 from .numerics import cumulative_simpson
 
@@ -259,9 +260,7 @@ def make_canonical(tag: ClassTag, interval: tuple[float, float], **params) -> Pa
         heading = float(params.get("heading", 0.0))
         bx, by = params.get("offset", (0.0, 0.0))
         a, c = np.cos(heading), np.sin(heading)
-        return ParamCurve.from_fields(
-            AffineField(bx, a), AffineField(by, c), 0.0, (lo, hi)
-        )
+        return ParamCurve.from_fields(bx + a * S, by + c * S, 0.0, (lo, hi))
     if tag is ClassTag.PLANAR_CURVE_XY:
         kappa = as_field(params["kappa"])
         n = int(params.get("n", 4000))
@@ -272,24 +271,14 @@ def make_canonical(tag: ClassTag, interval: tuple[float, float], **params) -> Pa
         return ParamCurve.from_samples(s, x, y, np.zeros_like(s))
     if tag is ClassTag.VERTICAL_PLANE_CURVE:
         c1, c2, c3 = (float(params[k]) for k in ("c1", "c2", "c3"))
-        tau = as_field(params.get("tau", 0.0))
-        return ParamCurve.from_fields(
-            AffineField(c2 * c1, c2),
-            AffineField(c3 * c1, c3),
-            antiderivative(tau, lo, hi),
-            (lo, hi),
-        )
+        tau = antiderivative(params.get("tau", 0.0), lo, hi)
+        return ParamCurve.from_fields(c2 * c1 + c2 * S, c3 * c1 + c3 * S, tau, (lo, hi))
     if tag is ClassTag.CIRCULAR_HELIX:
         c1 = float(params["c1"])
         if c1 == 0.0:
             raise ValueError("helix needs c1 != 0")
         c2, c3, c4 = (float(params.get(k, 0.0)) for k in ("c2", "c3", "c4"))
-        tau = as_field(params.get("tau", 0.0))
-        r1 = repr(c1)
-        x = as_field(f"({repr(c3)})*sin(s/({r1})) + ({repr(c4)})*cos(s/({r1}))")
-        y = as_field(f"({repr(c3)})*cos(s/({r1})) - ({repr(c4)})*sin(s/({r1}))")
-        z = LinearCombinationField(
-            [(1.0, AffineField(c2, c1)), (1.0, antiderivative(tau, lo, hi))]
-        )
-        return ParamCurve.from_fields(x, y, z, (lo, hi))
+        sin, cos = (S / c1).apply("sin"), (S / c1).apply("cos")
+        z = c2 + c1 * S + antiderivative(params.get("tau", 0.0), lo, hi)
+        return ParamCurve.from_fields(c3 * sin + c4 * cos, c3 * cos - c4 * sin, z, (lo, hi))
     raise ValueError(f"no canonical form for {tag}")

@@ -38,6 +38,7 @@ from .curves import (
     reparam_horizontal,
 )
 from .expressions import EvalDomainError, ExpressionError
+from .fields import as_field
 from .frenet import InitialPose, reconstruct
 from .heisenberg import H1Point
 from .numerics import panel_count
@@ -289,8 +290,6 @@ def surface():
 
 def _surface_from_json(doc: dict) -> SurfaceOfRevolution:
     try:
-        from .fields import as_field
-
         return SurfaceOfRevolution.from_profiles(
             as_field(doc["g"]), as_field(doc["f"]), doc["range"],
             g_text=doc["g"], f_text=doc["f"],
@@ -335,13 +334,14 @@ def gen_const_kappa(ctx, kappa, tau_const, c1, c2, c3g, c3f, srange, step, tol, 
         sigma = generate_surface_constant_kappa(
             kappa, tau_const, c1, c2, c3g, c3f, srange
         )
+        if fmt == "json":
+            text = _json_text(sigma.to_json())
+        else:
+            s = _grid(sigma.s_lo, sigma.s_hi, step)
+            text = _csv(["s", "g", "f"], np.column_stack([s, *sigma.profile(s)]))
     except ValueError as exc:
         _fail(EXIT_PARSE, str(exc))
-    if fmt == "json":
-        _emit(_json_text(sigma.to_json()), output)
-    else:
-        s = _grid(sigma.s_lo, sigma.s_hi, step)
-        _emit(_csv(["s", "g", "f"], np.column_stack([s, *sigma.profile(s)])), output)
+    _emit(text, output)
 
 
 @surface.command("gen-const-tau")
@@ -363,10 +363,10 @@ def gen_const_tau(ctx, kappa, tau_const, constants, g2_const, f_const, srange, s
             inv, CesaroConstants(*constants[:4]), (constants[4], constants[5]),
             srange, g2_const=g2_const, f_const=f_const,
         )
+        s = _grid(sigma.s_lo, sigma.s_hi, step)
+        rows = np.column_stack([s, *sigma.profile(s)])
     except (ExpressionError, EvalDomainError, ValueError) as exc:
         _fail(EXIT_PARSE, str(exc))
-    s = _grid(sigma.s_lo, sigma.s_hi, step)
-    rows = np.column_stack([s, *sigma.profile(s)])
     if fmt == "json":
         _emit(_json_text({"samples": rows.tolist(), "range": [sigma.s_lo, sigma.s_hi]}), output)
     else:

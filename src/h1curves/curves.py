@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import CubicHermite, LinearCombinationField, SampledField, as_field
+from .fields import CubicHermite, SampledField, as_field
 from .heisenberg import H1Point, PshTransform
 from .numerics import cumulative_simpson, panel_count, uniform_grid
 
@@ -461,10 +461,8 @@ def psh_transform_curve(g: PshTransform, c: ParamCurve) -> ParamCurve:
     """
     ca, sa = np.cos(g.angle), np.sin(g.angle)
     p = g.shift
-    x = LinearCombinationField([(ca, c.x), (-sa, c.y)], const=p.x)
-    y = LinearCombinationField([(sa, c.x), (ca, c.y)], const=p.y)
-    z = LinearCombinationField(
-        [(1.0, c.z), (p.y * ca - p.x * sa, c.x), (-p.y * sa - p.x * ca, c.y)],
-        const=p.z,
-    )
+    cx, cy, cz = (as_field(f) for f in (c.x, c.y, c.z))
+    x = p.x + ca * cx - sa * cy
+    y = p.y + sa * cx + ca * cy
+    z = p.z + cz + (p.y * ca - p.x * sa) * cx + (-p.y * sa - p.x * ca) * cy
     return ParamCurve(x, y, z, c.u_min, c.u_max)

@@ -1,8 +1,16 @@
-"""Parser, evaluator and exact symbolic differentiator for scalar functions
-of a single variable ``s``, supplied as text.
+"""Scalar functions of one variable ``s`` as expression trees: the one
+composite field type of h1curves.
 
-Grammar (recursive descent, standard precedence, '^' right-associative,
-unary minus binding looser than '^'):
+A ``ScalarFn`` is built by parsing text or by arithmetic (``+ - * / **``,
+unary minus and ``apply("sin")`` and the like) over numbers, the variable
+``S`` and numeric fields, which enter the tree as ``Leaf`` nodes.  It
+evaluates on floats and numpy arrays, each leaf once per call however
+many subtrees share it, and ``derivative()`` differentiates symbolically;
+a leaf differentiates by its own ``derivative()``, spliced into the tree
+when that is a ScalarFn too.
+
+Grammar of the text form (recursive descent, standard precedence, '^'
+right-associative, unary minus binding looser than '^'):
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
@@ -14,12 +22,13 @@ Evaluation is IEEE-754 double (vectorized over numpy arrays); domain
 violations raise instead of propagating NaN.  Differentiation is symbolic,
 so curvature formulas built on second derivatives stay accurate to
 roundoff.  No simplification beyond constant folding and dropping of
-additive/multiplicative neutral elements.
+additive/multiplicative neutral elements, whichever way a tree is built.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +36,8 @@ import numpy as np
 __all__ = [
     "ExpressionError",
     "EvalDomainError",
+    "Leaf",
+    "S",
     "ScalarFn",
     "parse",
     "to_text",
@@ -78,6 +89,13 @@ class BinOp:
 class Call:
     fn: str
     arg: object
+
+
+@dataclass(frozen=True, eq=False)
+class Leaf:
+    """A numeric field (callable, with ``derivative()``) inside a tree."""
+
+    field: object
 
 
 def _is_num(node, value=None):
@@ -300,16 +318,21 @@ def parse(text: str):
 # Evaluation
 
 
-def _eval(node, s):
+def _eval(node, s, leaves):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
         return s
+    if isinstance(node, Leaf):
+        # a leaf that several subtrees share is evaluated once per call
+        if node not in leaves:
+            leaves[node] = node.field(s)
+        return leaves[node]
     if isinstance(node, Neg):
-        return -_eval(node.child, s)
+        return -_eval(node.child, s, leaves)
     if isinstance(node, BinOp):
-        a = _eval(node.left, s)
-        b = _eval(node.right, s)
+        a = _eval(node.left, s, leaves)
+        b = _eval(node.right, s, leaves)
         if node.op == "+":
             return a + b
         if node.op == "-":
@@ -330,7 +353,7 @@ def _eval(node, s):
             return out if np.ndim(s) else float(out)
         raise AssertionError(node.op)
     if isinstance(node, Call):
-        a = _eval(node.arg, s)
+        a = _eval(node.arg, s, leaves)
         if node.fn == "sin":
             return np.sin(a)
         if node.fn == "cos":
@@ -362,6 +385,9 @@ def _diff(node):
         return Num(0.0)
     if isinstance(node, Var):
         return Num(1.0)
+    if isinstance(node, Leaf):
+        d = node.field.derivative()
+        return d.ast if isinstance(d, ScalarFn) else Leaf(d)
     if isinstance(node, Neg):
         return _neg(_diff(node.child))
     if isinstance(node, BinOp):
@@ -410,7 +436,7 @@ def _diff(node):
 
 
 # ---------------------------------------------------------------------------
-# Pretty printer (re-parseable output)
+# Pretty printer (re-parseable output for trees without leaves)
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 _NEG_PRECEDENCE = 3  # between '*' and '^'
@@ -424,6 +450,8 @@ def _fmt(node, parent_prec=0):
         return repr(node.value)
     if isinstance(node, Var):
         return "s"
+    if isinstance(node, Leaf):  # seen only in error messages
+        return f"<{type(node.field).__name__}>"
     if isinstance(node, Neg):
         inner = _fmt(node.child, _NEG_PRECEDENCE)
         text = f"-{inner}"
@@ -448,31 +476,55 @@ def to_text(node) -> str:
 # Public function object
 
 
+def _node(value):
+    """The tree of a ScalarFn, number or numeric field; None otherwise."""
+    if isinstance(value, ScalarFn):
+        return value.ast
+    if isinstance(value, numbers.Real):
+        return Num(float(value))
+    if callable(value) and hasattr(value, "derivative"):
+        return Leaf(value)
+    return None
+
+
+def _operator(op: str, reflected: bool = False):
+    """The method ``self op other`` (``other op self`` when reflected)."""
+
+    def method(self, other):
+        node = _node(other)
+        if node is None:
+            return NotImplemented
+        left, right = (node, self.ast) if reflected else (self.ast, node)
+        return ScalarFn(_binop(op, left, right))
+
+    return method
+
+
 @dataclass
 class ScalarFn:
-    """A parsed scalar function of ``s`` with cached exact derivatives.
+    """A scalar function of ``s`` with cached exact derivatives.
 
     Callable on floats and numpy arrays; ``derivative(order)`` returns a new
-    ScalarFn for orders up to 3.
+    ScalarFn for orders up to 3.  Arithmetic with numbers, numeric fields
+    and other ScalarFns, on either side, builds a new tree.
     """
 
     ast: object
     _derivatives: dict = field(default_factory=dict, repr=False)
 
+    # numpy scalars and arrays defer to the reflected operators below
+    __array_ufunc__ = None
+
     @classmethod
     def parse(cls, text: str) -> "ScalarFn":
         return cls(parse(text))
-
-    @classmethod
-    def constant(cls, value: float) -> "ScalarFn":
-        return cls(Num(float(value)))
 
     def __call__(self, s):
         arr = np.asarray(s, dtype=float)
         # overflow and the like yield inf/nan, which the callers' finiteness
         # checks report as one error; numpy's warnings would add stderr lines
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out = _eval(self.ast, arr if arr.ndim else float(arr))
+            out = _eval(self.ast, arr if arr.ndim else float(arr), {})
         if arr.ndim and np.ndim(out) == 0:
             out = np.full(arr.shape, float(out))
         return out
@@ -487,3 +539,21 @@ class ScalarFn:
 
     def text(self) -> str:
         return to_text(self.ast)
+
+    def apply(self, fn: str) -> "ScalarFn":
+        """``fn`` of this function, for fn one of the grammar's functions."""
+        if fn not in _FUNCTIONS:
+            raise ValueError(f"unknown function {fn!r}")
+        return ScalarFn(Call(fn, self.ast))
+
+    __add__, __radd__ = _operator("+"), _operator("+", reflected=True)
+    __sub__, __rsub__ = _operator("-"), _operator("-", reflected=True)
+    __mul__, __rmul__ = _operator("*"), _operator("*", reflected=True)
+    __truediv__, __rtruediv__ = _operator("/"), _operator("/", reflected=True)
+    __pow__, __rpow__ = _operator("^"), _operator("^", reflected=True)
+
+    def __neg__(self):
+        return ScalarFn(_neg(self.ast))
+
+
+S = ScalarFn(Var())

@@ -1,35 +1,33 @@
-"""Scalar function objects over one parameter, with derivatives.
+"""Scalar fields over one parameter s: one composite type, numeric leaves.
 
 A "field" is anything callable on floats/arrays that also offers
-``derivative() -> field``.  Parsed expressions (expressions.ScalarFn)
-satisfy the protocol natively; this module adds the numeric counterparts
-used for sampled curves, antiderivatives and affine assemblies, so that
-exact derivative information is preserved wherever it exists.  Numeric
-fields between their nodes are piecewise cubic Hermite interpolants
-(``CubicHermite``), with the node slopes each kind of field knows best.
+``derivative() -> field``.  ``expressions.ScalarFn`` is the only composite
+field: parsed text, or arithmetic over numbers, ``expressions.S`` and
+numeric fields, with exact symbolic derivatives wherever the tree has them.
+This module holds the numeric fields that enter such trees as leaves:
+``SampledField`` (values on a uniform grid), ``InterpolatedField`` (values
+on arbitrary nodes) and ``AntiderivativeField`` (a cumulative integral
+whose derivative is its exact integrand).  Between their nodes they are
+piecewise cubic Hermite interpolants (``CubicHermite``), with the node
+slopes each kind knows best.  ``as_field`` turns a number, expression text
+or numeric field into a ScalarFn.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .expressions import ScalarFn
+from .expressions import Leaf, Num, S, ScalarFn, _node
 from .numerics import cumulative_simpson, fd4_first, fd4_second, uniform_grid
 
 __all__ = [
     "as_field",
     "CubicHermite",
     "local_slopes",
-    "ConstantField",
-    "AffineField",
     "SampledField",
+    "InterpolatedField",
     "antiderivative",
     "AntiderivativeField",
-    "LinearCombinationField",
-    "ProductField",
-    "SqrtField",
 ]
 
 # target spacing for second-derivative stencils: balances the h^4 truncation
@@ -37,15 +35,17 @@ __all__ = [
 _SECOND_DERIV_STEP = 8e-3
 
 
-def as_field(value):
-    """Coerce a float, expression text or field into a field."""
-    if isinstance(value, (int, float)):
-        return ConstantField(float(value))
+def as_field(value) -> ScalarFn:
+    """A number, expression text or field as a ScalarFn; a numeric field
+    becomes a leaf of it."""
+    if isinstance(value, ScalarFn):
+        return value
     if isinstance(value, str):
         return ScalarFn.parse(value)
-    if callable(value) and hasattr(value, "derivative"):
-        return value
-    raise TypeError(f"cannot interpret {value!r} as a scalar field")
+    node = _node(value)
+    if node is None:
+        raise TypeError(f"cannot interpret {value!r} as a scalar field")
+    return ScalarFn(node)
 
 
 class CubicHermite:
@@ -101,33 +101,6 @@ def local_slopes(nodes, values) -> np.ndarray:
         numer = sum(np.prod([d[:, m] for m in others if m != j], axis=0) for j in others)
         slopes += y[idx[:, k]] * numer / denom
     return slopes
-
-
-class ConstantField:
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.full(s.shape, self.value) if s.ndim else self.value
-
-    def derivative(self):
-        return ConstantField(0.0)
-
-
-class AffineField:
-    """a + b*s."""
-
-    def __init__(self, a: float, b: float):
-        self.a, self.b = float(a), float(b)
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        out = self.a + self.b * s
-        return out if s.ndim else float(out)
-
-    def derivative(self):
-        return ConstantField(self.b)
 
 
 class SampledField:
@@ -227,11 +200,16 @@ class InterpolatedField:
 
 
 def antiderivative(integrand, lo: float, hi: float, n_panels: int = 10_000, const: float = 0.0):
-    """const + the integral of ``integrand`` from lo: exact, as an
-    AffineField, for a ConstantField integrand, else an AntiderivativeField."""
-    if isinstance(integrand, ConstantField):
-        return AffineField(const - integrand.value * float(lo), integrand.value)
-    return AntiderivativeField(integrand, lo, hi, n_panels, const)
+    """const + the integral of ``integrand`` from lo, as a ScalarFn: exactly
+    (const - c lo) + c s for a constant integrand c, else a leaf around an
+    AntiderivativeField."""
+    integrand = as_field(integrand)
+    if isinstance(integrand.ast, Num):
+        c = integrand.ast.value
+        return (float(const) - c * float(lo)) + c * S
+    # a non-finite integrand is left to the callers' finiteness checks
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return ScalarFn(Leaf(AntiderivativeField(integrand, lo, hi, n_panels, const)))
 
 
 class AntiderivativeField:
@@ -259,67 +237,3 @@ class AntiderivativeField:
 
     def derivative(self):
         return self.integrand
-
-
-class LinearCombinationField:
-    """const + sum(coef * field)."""
-
-    def __init__(self, terms: Sequence[tuple[float, object]], const: float = 0.0):
-        self.terms = [(float(c), as_field(f)) for c, f in terms]
-        self.const = float(const)
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.full(s.shape, self.const) if s.ndim else self.const
-        for c, f in self.terms:
-            out = out + c * f(s)
-        return out
-
-    def derivative(self):
-        return LinearCombinationField([(c, f.derivative()) for c, f in self.terms])
-
-
-class ProductField:
-    def __init__(self, left, right):
-        self.left = as_field(left)
-        self.right = as_field(right)
-
-    def __call__(self, s):
-        return self.left(s) * self.right(s)
-
-    def derivative(self):
-        return LinearCombinationField(
-            [
-                (1.0, ProductField(self.left.derivative(), self.right)),
-                (1.0, ProductField(self.left, self.right.derivative())),
-            ]
-        )
-
-
-class SqrtField:
-    """sqrt of a nonnegative field; one derivative order supported."""
-
-    def __init__(self, inner):
-        self.inner = as_field(inner)
-
-    def __call__(self, s):
-        v = np.asarray(self.inner(s), dtype=float)
-        if np.any(v < 0.0):
-            raise ValueError("sqrt of a negative field value")
-        out = np.sqrt(v)
-        return out if np.ndim(s) else float(out)
-
-    def derivative(self):
-        return _SqrtDerivative(self.inner)
-
-
-class _SqrtDerivative:
-    def __init__(self, inner):
-        self.inner = inner
-        self._dinner = inner.derivative()
-
-    def __call__(self, s):
-        return self._dinner(s) / (2.0 * np.sqrt(self.inner(s)))
-
-    def derivative(self):
-        raise NotImplementedError("sqrt fields support one derivative order")

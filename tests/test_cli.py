@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import h1curves
 from h1curves.cesaro import pansu_sphere
 from h1curves.cli import main
+from h1curves.expressions import ScalarFn
 
 
 @pytest.fixture
@@ -365,6 +366,13 @@ class TestSurface:
         assert result.exit_code == 2
         assert result.stderr.startswith("error: lam must be positive and finite")
 
+    @pytest.mark.parametrize("lam", ["1e300", "1e-300"])
+    def test_pansu_names_a_lambda_out_of_range(self, runner, lam):
+        result = runner.invoke(main, ["surface", "pansu", "--lam", lam])
+        assert result.exit_code == 2
+        assert result.stderr == ("error: lam must be positive and finite, with 4 lam^2 and "
+                                 f"pi/lam finite and nonzero, got {float(lam)!r}\n")
+
     def test_pansu_honours_tol(self, runner):
         result = runner.invoke(main, ["surface", "pansu", "--lam", "1", "--tol", "1e-30"])
         assert result.exit_code == 1
@@ -458,6 +466,16 @@ class TestSurface:
             "--range", str(-np.pi), "0",
         ])
         assert result.exit_code == 2
+
+    def test_gen_const_kappa_radicand_negative_between_check_nodes(self, runner):
+        # c3g < hypot(c1, c2): the radicand dips below zero within 5e-4 of
+        # s = pi, between the generator's check nodes; the output grid finds it
+        result = runner.invoke(main, [
+            "surface", "gen-const-kappa", "--kappa", "1", "--c1", "-1", "--c2", "0",
+            "--c3g", "0.9999999", "--range", "0", "10", "--step", "1e-4",
+        ])
+        assert result.exit_code == 2
+        assert result.stderr == "error: negative squared radius on the profile\n"
 
     def test_gen_const_tau_csv(self, runner):
         result = runner.invoke(main, [
@@ -624,3 +642,101 @@ class TestSurfaceErrorContract:
         })
         args = ["surface", "check", surface, curve, *self.options(step, tol)]
         self.assert_contract(CliRunner().invoke(main, args))
+
+
+def _options(**ordinary):
+    """Values for the named options, each drawn from its ordinary strategy,
+    with up to two of them replaced by edge values."""
+    edges = st.dictionaries(st.sampled_from(sorted(ordinary)), st.sampled_from(_EDGE_VALUES),
+                            max_size=2)
+    return st.builds(lambda o, e: {**o, **e}, st.fixed_dictionaries(ordinary), edges)
+
+
+class TestGeneratorErrorContract:
+    """Every `surface gen-const-kappa` and `surface gen-const-tau` input ends
+    in exit 0, 2 or 3 with no exception escaping; an error exit writes
+    exactly one stderr line, starting `error:`.  On exit 0 every CSV number
+    is finite, and so is every printed profile text on the generator's own
+    check grid of its range.  Ordinary widths stay at or under 8 and steps
+    at or above 1e-2 or at the default 1e-3, so no output grid has more
+    than 8000 panels; edge values either give grids of a few panels or
+    exceed the grid budget."""
+
+    @staticmethod
+    def assert_contract(result, fmt):
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            result.exception)
+        assert result.exit_code in (0, 2, 3)
+        event(f"exit {result.exit_code}")
+        if result.exit_code:
+            lines = result.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+            return
+        if fmt == "csv":
+            _, data = parse_csv(result.stdout)
+            assert np.all(np.isfinite(data))
+            return
+        doc = json.loads(result.stdout)
+        if "samples" in doc:
+            assert np.all(np.isfinite(np.asarray(doc["samples"], dtype=float)))
+            return
+        grid = np.linspace(*doc["range"], 4097)
+        for text in (doc["g"], doc["f"]):
+            assert np.all(np.isfinite(ScalarFn.parse(text)(grid))), text
+
+    @staticmethod
+    def args(command, opts, fmt, extra=()):
+        """The command line; "lo" and "width" make --range, and a step of
+        None leaves --step at its default."""
+        opts = dict(opts)
+        lo, width, step = opts.pop("lo"), opts.pop("width"), opts.pop("step")
+        args = ["surface", command, *extra, "--range", repr(lo), repr(lo + width),
+                "--format", fmt]
+        if step is not None:
+            args += ["--step", repr(step)]
+        for name, value in opts.items():
+            args += [f"--{name}", repr(value)]
+        return args
+
+    _range = {"lo": st.floats(-3.0, 3.0), "width": st.floats(0.1, 8.0),
+              "step": st.none() | st.floats(1e-2, 0.5)}
+    _kappa_defaults = {"kappa": 1.0, "tau": 0.0, "c1": -1.0, "c2": 0.0, "c3g": 1.0,
+                       "c3f": 0.0, "lo": 0.0, "width": 1.0, "step": 0.1}
+    _tau_defaults = {"tau": 0.0, "g2-const": 4.0, "f-const": 0.0, "C1": 1.0, "C2": 0.0,
+                     "C3": 0.0, "C4": 1.0, "C5": 0.0, "C6": 0.0, "lo": 0.0, "width": 1.0,
+                     "step": 0.1}
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(opts=_options(kappa=st.floats(0.2, 3.0) | st.floats(-3.0, -0.2),
+                         **{k: st.floats(-3.0, 3.0) for k in ("tau", "c1", "c2", "c3g", "c3f")},
+                         **_range),
+           fmt=st.sampled_from(["csv", "json"]))
+    @example(opts={**_kappa_defaults, "tau": float("inf")}, fmt="csv")
+    @example(opts={**_kappa_defaults, "tau": float("nan")}, fmt="json")
+    @example(opts={**_kappa_defaults, "kappa": float("nan")}, fmt="csv")
+    @example(opts={**_kappa_defaults, "kappa": float("inf")}, fmt="json")
+    @example(opts={**_kappa_defaults, "c1": float("nan")}, fmt="csv")
+    @example(opts={**_kappa_defaults, "c3f": float("inf")}, fmt="json")
+    def test_gen_const_kappa(self, opts, fmt):
+        self.assert_contract(CliRunner().invoke(main, self.args("gen-const-kappa", opts, fmt)),
+                             fmt)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(kappa=st.sampled_from(["2 + sin(s)", "1.5", "-1 - 0.3*cos(s)", "s", "0"]),
+           opts=_options(tau=st.floats(-3.0, 3.0), **{"g2-const": st.floats(0.0, 100.0)},
+                         **{"f-const": st.floats(-3.0, 3.0)},
+                         **{f"C{i}": st.floats(-2.0, 2.0) for i in range(1, 7)}, **_range),
+           fmt=st.sampled_from(["csv", "json"]))
+    @example(kappa="2 + sin(s)", opts={**_tau_defaults, "g2-const": float("nan")}, fmt="csv")
+    @example(kappa="2 + sin(s)", opts={**_tau_defaults, "f-const": float("inf")}, fmt="csv")
+    @example(kappa="2 + sin(s)", opts={**_tau_defaults, "tau": float("inf")}, fmt="json")
+    @example(kappa="2 + sin(s)", opts={**_tau_defaults, "C5": float("nan")}, fmt="csv")
+    # Delta = C2 C3 - C1 C4 is subnormal: the weights of I1 and I2 overflow
+    @example(kappa="2 + sin(s)", opts={**_tau_defaults, "C1": -5e-324, "C2": 0.8, "C3": 5e-324,
+                                       "C4": -1.7}, fmt="csv")
+    def test_gen_const_tau(self, kappa, opts, fmt):
+        opts = dict(opts)
+        constants = [repr(opts.pop(f"C{i}")) for i in range(1, 7)]
+        args = self.args("gen-const-tau", opts, fmt,
+                         ["--kappa", kappa, "--constants", *constants])
+        self.assert_contract(CliRunner().invoke(main, args), fmt)

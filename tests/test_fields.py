@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
+from h1curves.expressions import Leaf, S, ScalarFn
 from h1curves.fields import (
-    AffineField,
     AntiderivativeField,
-    ConstantField,
     CubicHermite,
     InterpolatedField,
     SampledField,
     antiderivative,
+    as_field,
     local_slopes,
 )
+
+from conftest import RecordingField
 
 
 def cubic(s):
@@ -81,17 +83,69 @@ class TestCubicHermite:
 
 class TestAntiderivative:
     def test_constant_integrand_is_exactly_affine(self):
-        f = antiderivative(ConstantField(2.0), 0.5, 3.0, const=0.25)
-        assert isinstance(f, AffineField)
+        f = antiderivative(as_field(2.0), 0.5, 3.0, const=0.25)
+        assert isinstance(f, ScalarFn)
         s = np.linspace(0.5, 3.0, 7)
         assert np.array_equal(f(s), 0.25 + 2.0 * (s - 0.5))
         assert f.derivative()(1.7) == 2.0
 
     def test_integrand_values_are_the_hermite_slopes(self):
-        f = antiderivative(AffineField(1.0, -0.6), -1.0, 2.0, n_panels=8)
-        assert isinstance(f, AntiderivativeField)
+        f = antiderivative(1.0 - 0.6 * S, -1.0, 2.0, n_panels=8)
+        assert isinstance(f.ast, Leaf) and isinstance(f.ast.field, AntiderivativeField)
         # a quadratic antiderivative, exact at the Simpson nodes and with
         # exact slopes, is reproduced between them too
         s = np.linspace(-1.0, 2.0, 97)
         exact = (s + 1.0) - 0.3 * (s * s - 1.0)
         assert np.max(np.abs(f(s) - exact)) < 1e-14
+
+
+class TestFieldTrees:
+    """Arithmetic over numbers, S and numeric leaves builds ScalarFn trees."""
+
+    def test_sampled_leaf_values_and_derivative(self):
+        grid = np.linspace(0.0, 3.0, 301)
+        leaf = SampledField(grid, np.sin(grid))
+        f = 2.5 * as_field(leaf) - 0.75
+        assert isinstance(f, ScalarFn)
+        s = np.linspace(0.1, 2.9, 57)
+        assert np.array_equal(f(s), 2.5 * leaf(s) - 0.75)
+        assert f(1.3) == 2.5 * leaf(1.3) - 0.75
+        assert np.array_equal(f.derivative()(s), 2.5 * leaf.derivative()(s))
+
+    def test_leaf_on_either_side_of_an_operator(self):
+        grid = np.linspace(0.0, 3.0, 301)
+        leaf = SampledField(grid, np.cos(grid))
+        s = np.linspace(0.1, 2.9, 57)
+        assert np.array_equal((S * leaf)(s), s * leaf(s))
+        assert np.array_equal((leaf - S)(s), leaf(s) - s)
+
+    def test_a_shared_leaf_is_evaluated_once_per_call(self):
+        leaf = RecordingField()
+        f = as_field(leaf)
+        g = (f * f + f.apply("sin")) / (2.0 + f)
+        g(np.linspace(0.0, 1.0, 5))
+        assert leaf.calls == 1
+        g(0.5)
+        assert leaf.calls == 2
+
+    def test_derivative_of_an_antiderivative_is_its_integrand_tree(self):
+        integrand = as_field("1 + s^2") * S.apply("cos")
+        f = antiderivative(integrand, 0.0, 2.0)
+        assert isinstance(f.ast, Leaf)
+        assert f.derivative().ast is integrand.ast
+
+    def test_antiderivative_of_a_constant_has_no_leaf(self):
+        f = antiderivative(3.0 - 1.0, -1.0, 2.0, const=0.5)
+        # a tree with a leaf has no text form that parses back
+        assert ScalarFn.parse(f.text()).ast == f.ast
+        s = np.linspace(-1.0, 2.0, 13)
+        assert np.array_equal(f(s), (0.5 - 2.0 * -1.0) + 2.0 * s)
+
+    @pytest.mark.parametrize("scalar", [np.float64(2.0), np.int64(2), np.float32(2.0)])
+    def test_numpy_scalars_build_trees(self, scalar):
+        s = np.linspace(0.0, 1.0, 5)
+        for f in (scalar * S, S * scalar, scalar + S, scalar - S, scalar / (S + 1.0),
+                  S ** scalar):
+            assert isinstance(f, ScalarFn)
+        assert np.array_equal((scalar * S)(s), 2.0 * s)
+        assert np.array_equal((scalar - S)(s), 2.0 - s)
