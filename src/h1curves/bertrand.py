@@ -75,6 +75,9 @@ class BertrandSpec:
     g: Optional[object] = None
 
     def __post_init__(self):
+        for name, value in (("c1", self.c1), ("c2", self.c2)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.tau_bar is not None:
             self.tau_bar = as_field(self.tau_bar)
         if self.g is not None:

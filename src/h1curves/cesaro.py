@@ -479,9 +479,10 @@ def generate_surface_constant_tau(
         f   = integral((-u1' - 1)/kappa + tau) + f_const,
 
     with u1 the closed-form coefficient; by the first system equation the
-    f-integrand equals tau - u2.  Both integrals start at the interval's
-    left endpoint, with their constants exposed.  A parameter or profile
-    that is not finite is an error naming it."""
+    f-integrand equals tau - u2, so f = -u3 with u3 = integral(u2 - tau) -
+    f_const.  Both integrals start at the interval's left endpoint, with
+    their constants exposed.  A non-finite parameter or profile is an
+    error naming it."""
     c5, c6 = c5c6 if c5c6 is not None else (constants.c5, constants.c6)
     _require_finite(c1=constants.c1, c2=constants.c2, c3=constants.c3, c4=constants.c4,
                     c5=c5, c6=c6, g2_const=g2_const, f_const=f_const)
@@ -491,11 +492,11 @@ def generate_surface_constant_tau(
     _require_finite(grid, tau=tau_grid)
     if np.max(np.abs(tau_grid - tau_grid[0])) > 1e-8 * (1.0 + np.max(np.abs(tau_grid))):
         raise ValueError("tau must be constant for this construction")
-    sol = cesaro_closed_form(inv, constants, (c5, c6), (lo, hi), n_panels)
+    sol = cesaro_closed_form(inv, constants, (c5, c6), (lo, hi), n_panels, u3_const=-f_const)
     if sol.branch != "general":
         raise ValueError("kappa must be nonzero for this construction")
     g2 = g2_const - 2 * antiderivative(sol.u1, lo, hi, n_panels)
-    f = antiderivative(inv.tau - sol.u2, lo, hi, n_panels, const=f_const)
+    f = -sol.u3
     grid = sol.grid
     g2_vals = np.asarray(g2(grid))
     _require_finite(grid, g=g2_vals, f=f(grid))

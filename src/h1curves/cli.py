@@ -8,14 +8,21 @@ Curve specs are JSON documents (file path or '-' for stdin):
      "initial": {"point": [x, y, z], "heading": phi}}
 
 Exit codes: 0 success, 1 negative verdict (e.g. non-membership),
-2 parse/specification errors, 3 horizontal-regularity failure.  All
-numbers print with 17 significant digits so doubles round-trip.
+2 parse/specification errors, 3 horizontal-regularity failure.  One
+boundary, ``_exit_codes`` around the ``main`` group's parsing and
+dispatch, decides them: a click usage error, any other ValueError and
+an OSError exit 2, a RegularityError exits 3, each with one ``error:``
+line on stderr.  Commands raise; they exit themselves only with 1, for a
+negative verdict.  ``--config`` fills click's default map, so explicit
+flags win over config values, which win over the defaults.  All numbers
+print with 17 significant digits so doubles round-trip.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 
 import click
 import numpy as np
@@ -48,43 +55,85 @@ EXIT_PARSE = 2
 EXIT_REGULARITY = 3
 
 
-def _fail(code: int, message: str):
+@contextmanager
+def _exit_codes():
+    """The error boundary: one ``error:`` line and the exit code of a failure."""
+    try:
+        yield
+        return
+    except click.exceptions.NoArgsIsHelpError:
+        raise  # a bare group prints its help, as click does
+    except click.UsageError as exc:
+        code, message = EXIT_PARSE, exc.format_message()
+    except RegularityError as exc:
+        code, message = EXIT_REGULARITY, str(exc)
+    except (ValueError, OSError) as exc:
+        code, message = EXIT_PARSE, str(exc)
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
 
-def _read_json(path: str):
+@contextmanager
+def _prefixed(prefix: str, *errors):
+    """Re-raise ``errors`` as a ValueError whose message starts with
+    ``prefix``; a RegularityError keeps its own exit code."""
     try:
+        yield
+    except RegularityError:
+        raise
+    except errors as exc:
+        raise ValueError(f"{prefix}: {exc}") from exc
+
+
+class _Group(click.Group):
+    """The class of ``main``: its parsing and its dispatch run in the boundary."""
+
+    def make_context(self, *args, **kwargs):
+        with _exit_codes():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _exit_codes():
+            return super().invoke(ctx)
+
+
+def _read_json(path: str):
+    with _prefixed(f"cannot read JSON from {path}", OSError, ValueError):
         if path == "-":
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail(EXIT_PARSE, f"cannot read JSON from {path}: {exc}")
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    cfg = _read_json(path)
-    if not isinstance(cfg, dict):
-        _fail(EXIT_PARSE, "config must be a JSON object")
-    return cfg
+# config keys and the JSON values each takes; click converts and checks them
+_CONFIG_TYPES = {"step": (int, float, str), "tol": (int, float, str), "fmt": str, "output": str}
 
 
-def _effective(ctx, name: str, config: dict, default):
-    """Explicit flags win over config values, which win over defaults."""
-    source = ctx.get_parameter_source(name)
-    value = ctx.params.get(name)
-    if source is not None and source.name == "COMMANDLINE":
-        return value
-    if name in config:
-        return config[name]
-    return value if value is not None else default
+def _load_config(ctx, param, path):
+    """Eager ``--config``: the JSON object becomes click's default map."""
+    if path is None:
+        return None
+    config = _read_json(path)
+    if not isinstance(config, dict):
+        raise click.BadParameter("config must be a JSON object", ctx, param)
+    for key, value in config.items():
+        if key not in _CONFIG_TYPES:
+            raise click.BadParameter(
+                f"unknown config key {key!r}; the keys are {', '.join(_CONFIG_TYPES)}", ctx, param)
+        if not isinstance(value, _CONFIG_TYPES[key]):
+            raise click.BadParameter(f"bad config value {key}: {value!r}", ctx, param)
+    ctx.default_map = config
+    return path
+
+
+def _positive_finite(ctx, param, value: float) -> float:
+    if not (np.isfinite(value) and value > 0.0):
+        raise click.BadParameter(f"must be positive and finite, got {value}", ctx, param)
+    return value
 
 
 def _curve_from_spec(spec: dict, step: float) -> HorizontalCurve:
-    try:
+    with _prefixed("bad curve spec", KeyError, TypeError, ValueError):
         kind = spec["type"]
         if kind == "analytic":
             curve = ParamCurve.from_expressions(spec["x"], spec["y"], spec["z"], spec["range"])
@@ -100,14 +149,12 @@ def _curve_from_spec(spec: dict, step: float) -> HorizontalCurve:
             if lo != 0.0:
                 raise ValueError("intrinsic range must start at 0")
             initial = spec.get("initial", {})
+            if not isinstance(initial, dict):
+                raise ValueError("intrinsic initial must be an object")
             point = H1Point.from_array(initial.get("point", [0.0, 0.0, 0.0]))
             heading = float(initial.get("heading", 0.0))
             return reconstruct(inv, InitialPose(point, heading), hi, step)
         raise ValueError(f"unknown curve type {kind!r}")
-    except RegularityError as exc:
-        _fail(EXIT_REGULARITY, str(exc))
-    except (KeyError, ValueError, TypeError, ExpressionError, EvalDomainError) as exc:
-        _fail(EXIT_PARSE, f"bad curve spec: {exc}")
 
 
 def _emit(text: str, output: str | None):
@@ -124,12 +171,16 @@ def _csv(header: list[str], rows) -> str:
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """Output grid over [lo, hi] at about ``step``; exit 2 over budget."""
-    try:
-        n = panel_count(hi - lo, step)
-    except ValueError as exc:
-        _fail(EXIT_PARSE, str(exc))
-    return np.linspace(lo, hi, n + 1)
+    """Output grid over [lo, hi] at about ``step``; refused over budget."""
+    return np.linspace(lo, hi, panel_count(hi - lo, step) + 1)
+
+
+def _table(fmt: str, header: list[str], rows, doc: dict | None = None, key: str = "rows") -> str:
+    """CSV, or the JSON document ``doc`` (default ``{"columns": header}``)
+    with the table under ``key``."""
+    if fmt == "csv":
+        return _csv(header, rows)
+    return _json_table({"columns": header} if doc is None else doc, key, rows)
 
 
 def _json_text(obj) -> str:
@@ -150,15 +201,18 @@ def _json_table(doc: dict, key: str, rows: np.ndarray) -> str:
 
 
 _common = [
-    click.option("--step", type=float, default=None, help="grid/quadrature step (default 1e-3)"),
-    click.option("--tol", type=float, default=None, help="verdict tolerance (default 1e-6)"),
+    click.option("--step", type=float, default=1e-3, callback=_positive_finite,
+                 help="grid/quadrature step (default 1e-3)"),
+    click.option("--tol", type=float, default=1e-6, callback=_positive_finite,
+                 help="verdict tolerance (default 1e-6)"),
     click.option(
-        "--format", "fmt", type=click.Choice(["csv", "json"]), default=None,
+        "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
         help="output format (default csv)",
     ),
     click.option("--output", type=click.Path(), default=None, help="output path (default stdout)"),
-    click.option("--config", type=click.Path(exists=False), default=None,
-                 help="JSON config mirroring the flags; flags win"),
+    click.option("--config", type=click.Path(), is_eager=True, expose_value=False,
+                 callback=_load_config,
+                 help="JSON config with keys step, tol, fmt, output; flags win"),
 ]
 
 
@@ -168,22 +222,7 @@ def common_options(fn):
     return fn
 
 
-def _resolve_common(ctx, config_path):
-    config = _load_config(config_path)
-    try:
-        step = float(_effective(ctx, "step", config, 1e-3))
-        tol = float(_effective(ctx, "tol", config, 1e-6))
-    except (TypeError, ValueError) as exc:
-        _fail(EXIT_PARSE, f"bad --step/--tol value: {exc}")
-    for name, value in (("step", step), ("tol", tol)):
-        if not (np.isfinite(value) and value > 0.0):
-            _fail(EXIT_PARSE, f"--{name} must be positive and finite, got {value}")
-    fmt = _effective(ctx, "fmt", config, "csv") or "csv"
-    output = _effective(ctx, "output", config, None)
-    return step, tol, fmt, output
-
-
-@click.group()
+@click.group(cls=_Group)
 def main():
     """Curves in the first Heisenberg group: invariants, reconstruction,
     Bertrand mates, surface membership, classification."""
@@ -192,44 +231,28 @@ def main():
 @main.command()
 @click.argument("curve_json")
 @common_options
-@click.pass_context
-def analyze(ctx, curve_json, step, tol, fmt, output, config):
+def analyze(curve_json, step, tol, fmt, output):
     """Invariants along a curve: columns s, x, y, z, kappa, tau."""
-    step, tol, fmt, output = _resolve_common(ctx, config)
     h = _curve_from_spec(_read_json(curve_json), step)
     s = _grid(0.0, h.s_max, step)
-    try:
+    with _prefixed("cannot evaluate curve", EvalDomainError):
         smp = h.sample(s)
-    except RegularityError as exc:
-        _fail(EXIT_REGULARITY, str(exc))
-    except EvalDomainError as exc:
-        _fail(EXIT_PARSE, f"cannot evaluate curve: {exc}")
     rows = np.column_stack([s, smp.points, smp.kappa, smp.tau])
-    header = ["s", "x", "y", "z", "kappa", "tau"]
-    if fmt == "csv":
-        _emit(_csv(header, rows), output)
-    else:
-        _emit(_json_table({"columns": header}, "rows", rows), output)
+    _emit(_table(fmt, ["s", "x", "y", "z", "kappa", "tau"], rows), output)
 
 
 @main.command("reconstruct")
 @click.argument("curve_json")
 @common_options
-@click.pass_context
-def reconstruct_cmd(ctx, curve_json, step, tol, fmt, output, config):
+def reconstruct_cmd(curve_json, step, tol, fmt, output):
     """Reconstruct a curve from intrinsic invariants; emits samples."""
-    step, tol, fmt, output = _resolve_common(ctx, config)
     spec = _read_json(curve_json)
-    if spec.get("type") != "intrinsic":
-        _fail(EXIT_PARSE, "reconstruct needs an intrinsic curve spec")
+    if not isinstance(spec, dict) or spec.get("type") != "intrinsic":
+        raise ValueError("reconstruct needs an intrinsic curve spec")
     h = _curve_from_spec(spec, step)
     s = _grid(0.0, h.s_max, step)
-    pts = h.point(s)
-    rows = np.column_stack([s, pts])
-    if fmt == "csv":
-        _emit(_csv(["s", "x", "y", "z"], rows), output)
-    else:
-        _emit(_json_table({"type": "samples"}, "data", rows), output)
+    rows = np.column_stack([s, h.point(s)])
+    _emit(_table(fmt, ["s", "x", "y", "z"], rows, {"type": "samples"}, "data"), output)
 
 
 @main.command()
@@ -239,47 +262,32 @@ def reconstruct_cmd(ctx, curve_json, step, tol, fmt, output, config):
 @click.option("--tau-bar", "tau_bar", default=None, help="mate contact normality (kappa != 0)")
 @click.option("--g", default=None, help="vertical offset expression (kappa == 0)")
 @common_options
-@click.pass_context
-def bertrand(ctx, curve_json, c1, c2, tau_bar, g, step, tol, fmt, output, config):
+def bertrand(curve_json, c1, c2, tau_bar, g, step, tol, fmt, output):
     """Construct a Bertrand mate; emits paired samples with distances."""
-    step, tol, fmt, output = _resolve_common(ctx, config)
     h = _curve_from_spec(_read_json(curve_json), step)
-    try:
+    with _prefixed("bad offset expression", ExpressionError, EvalDomainError):
         spec = BertrandSpec(c1, c2, tau_bar=tau_bar, g=g)
-    except (ExpressionError, EvalDomainError) as exc:
-        _fail(EXIT_PARSE, f"bad offset expression: {exc}")
-    try:
+    with _prefixed("cannot evaluate curve", EvalDomainError):
         mate = bertrand_mate(h, spec)
-    except EvalDomainError as exc:
-        _fail(EXIT_PARSE, f"cannot evaluate curve: {exc}")
-    except ValueError as exc:  # includes BranchError and bad offsets
-        _fail(EXIT_PARSE, str(exc))
     s = _grid(0.0, min(h.s_max, mate.curve.s_max), step)
     base = h.point(s)
     other = mate.curve.point(s)
-    dist = np.linalg.norm(other - base, axis=1)
+    with np.errstate(over="ignore"):
+        dist = np.linalg.norm(other - base, axis=1)
+    if not np.all(np.isfinite(dist)):  # offsets past about 1e154 square to inf
+        raise ValueError(f"mate distance overflows near s = {s[np.argmin(np.isfinite(dist))]}")
     rows = np.column_stack([s, base, other, dist])
-    header = ["s", "x", "y", "z", "x_bar", "y_bar", "z_bar", "dist"]
-    if fmt == "csv":
-        _emit(_csv(header, rows), output)
-    else:
-        _emit(_json_table({"columns": header}, "rows", rows), output)
+    _emit(_table(fmt, ["s", "x", "y", "z", "x_bar", "y_bar", "z_bar", "dist"], rows), output)
 
 
 @main.command()
 @click.argument("curve_json")
 @common_options
-@click.pass_context
-def classify(ctx, curve_json, step, tol, fmt, output, config):
+def classify(curve_json, step, tol, fmt, output):
     """Position-vector classification; emits a JSON verdict."""
-    step, tol, fmt, output = _resolve_common(ctx, config)
     h = _curve_from_spec(_read_json(curve_json), step)
-    try:
+    with _prefixed("cannot classify", ValueError):  # AmbiguousClassificationError too
         verdict = classify_position(h, tol=tol)
-    except RegularityError as exc:
-        _fail(EXIT_REGULARITY, str(exc))
-    except ValueError as exc:  # includes AmbiguousClassificationError
-        _fail(EXIT_PARSE, f"cannot classify: {exc}")
     _emit(_json_text(verdict.to_json()), output)
 
 
@@ -289,29 +297,23 @@ def surface():
 
 
 def _surface_from_json(doc: dict) -> SurfaceOfRevolution:
-    try:
+    with _prefixed("bad surface spec", KeyError, TypeError, ValueError):
         return SurfaceOfRevolution.from_profiles(
             as_field(doc["g"]), as_field(doc["f"]), doc["range"],
             g_text=doc["g"], f_text=doc["f"],
         )
-    except (KeyError, ValueError, TypeError, ExpressionError) as exc:
-        _fail(EXIT_PARSE, f"bad surface spec: {exc}")
 
 
 @surface.command()
 @click.argument("surface_json")
 @click.argument("curve_json")
 @common_options
-@click.pass_context
-def check(ctx, surface_json, curve_json, step, tol, fmt, output, config):
+def check(surface_json, curve_json, step, tol, fmt, output):
     """Membership of a curve in a surface; exit 1 when not a member."""
-    step, tol, fmt, output = _resolve_common(ctx, config)
     sigma = _surface_from_json(_read_json(surface_json))
     h = _curve_from_spec(_read_json(curve_json), step)
-    try:
+    with _prefixed("bad surface spec", ValueError):
         report = surface_membership(h, sigma, tol=tol)
-    except (EvalDomainError, ValueError) as exc:
-        _fail(EXIT_PARSE, f"bad surface spec: {exc}")
     _emit(_json_text(report.to_json()), output)
     if not report.member:
         sys.exit(EXIT_NEGATIVE)
@@ -326,21 +328,14 @@ def check(ctx, surface_json, curve_json, step, tol, fmt, output, config):
 @click.option("--c3f", type=float, default=0.0, help="integration constant in f")
 @click.option("--range", "srange", type=float, nargs=2, required=True)
 @common_options
-@click.pass_context
-def gen_const_kappa(ctx, kappa, tau_const, c1, c2, c3g, c3f, srange, step, tol, fmt, output, config):
+def gen_const_kappa(kappa, tau_const, c1, c2, c3g, c3f, srange, step, tol, fmt, output):
     """Generate the surface admitting a constant-kappa curve."""
-    step, tol, fmt, output = _resolve_common(ctx, config)
-    try:
-        sigma = generate_surface_constant_kappa(
-            kappa, tau_const, c1, c2, c3g, c3f, srange
-        )
-        if fmt == "json":
-            text = _json_text(sigma.to_json())
-        else:
-            s = _grid(sigma.s_lo, sigma.s_hi, step)
-            text = _csv(["s", "g", "f"], np.column_stack([s, *sigma.profile(s)]))
-    except ValueError as exc:
-        _fail(EXIT_PARSE, str(exc))
+    sigma = generate_surface_constant_kappa(kappa, tau_const, c1, c2, c3g, c3f, srange)
+    if fmt == "json":
+        text = _json_text(sigma.to_json())
+    else:
+        s = _grid(sigma.s_lo, sigma.s_hi, step)
+        text = _csv(["s", "g", "f"], np.column_stack([s, *sigma.profile(s)]))
     _emit(text, output)
 
 
@@ -353,20 +348,15 @@ def gen_const_kappa(ctx, kappa, tau_const, c1, c2, c3g, c3f, srange, step, tol, 
 @click.option("--f-const", type=float, default=0.0, help="integration constant of f")
 @click.option("--range", "srange", type=float, nargs=2, required=True)
 @common_options
-@click.pass_context
-def gen_const_tau(ctx, kappa, tau_const, constants, g2_const, f_const, srange, step, tol, fmt, output, config):
+def gen_const_tau(kappa, tau_const, constants, g2_const, f_const, srange, step, tol, fmt, output):
     """Generate the surface admitting a constant-tau curve."""
-    step, tol, fmt, output = _resolve_common(ctx, config)
-    try:
-        inv = InvariantPair(kappa, float(tau_const))
-        sigma = generate_surface_constant_tau(
-            inv, CesaroConstants(*constants[:4]), (constants[4], constants[5]),
-            srange, g2_const=g2_const, f_const=f_const,
-        )
-        s = _grid(sigma.s_lo, sigma.s_hi, step)
-        rows = np.column_stack([s, *sigma.profile(s)])
-    except (ExpressionError, EvalDomainError, ValueError) as exc:
-        _fail(EXIT_PARSE, str(exc))
+    inv = InvariantPair(kappa, float(tau_const))
+    sigma = generate_surface_constant_tau(
+        inv, CesaroConstants(*constants[:4]), (constants[4], constants[5]),
+        srange, g2_const=g2_const, f_const=f_const,
+    )
+    s = _grid(sigma.s_lo, sigma.s_hi, step)
+    rows = np.column_stack([s, *sigma.profile(s)])
     if fmt == "json":
         _emit(_json_text({"samples": rows.tolist(), "range": [sigma.s_lo, sigma.s_hi]}), output)
     else:
@@ -376,14 +366,9 @@ def gen_const_tau(ctx, kappa, tau_const, constants, g2_const, f_const, srange, s
 @surface.command()
 @click.option("--lam", "--lambda", "lam", type=float, required=True, help="shape parameter, > 0")
 @common_options
-@click.pass_context
-def pansu(ctx, lam, step, tol, fmt, output, config):
+def pansu(lam, step, tol, fmt, output):
     """Pansu sphere: profile, generating geodesic, membership certificate."""
-    step, tol, fmt, output = _resolve_common(ctx, config)
-    try:
-        sphere = pansu_sphere(lam, step=step, tol=tol)
-    except ValueError as exc:
-        _fail(EXIT_PARSE, str(exc))
+    sphere = pansu_sphere(lam, step=step, tol=tol)
     doc = {
         "surface": sphere.surface.to_json(),
         "certificate": sphere.certificate.to_json(),

@@ -54,19 +54,24 @@ class CubicHermite:
 
     Exact on cubics whenever the slopes are; with slopes accurate to
     O(h^4) the interpolation error is O(h^4).  Nodes (at least 2) must be
-    strictly increasing."""
+    strictly increasing.  Finite values whose coefficients overflow, as on
+    a spacing whose square underflows, are refused."""
 
     def __init__(self, nodes, values, slopes):
         x = np.asarray(nodes, dtype=float)
         y = np.asarray(values, dtype=float)
         m = np.asarray(slopes, dtype=float)
         h = np.diff(x)
-        delta = np.diff(y) / h
         m0, m1 = m[:-1], m[1:]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            delta = np.diff(y) / h
+            c2 = (3.0 * delta - 2.0 * m0 - m1) / h
+            c3 = (m0 + m1 - 2.0 * delta) / (h * h)
+        if not (np.isfinite(c2).all() and np.isfinite(c3).all()) and np.isfinite(y).all():
+            raise ValueError(f"cubic interpolation overflows (node spacing down to {np.min(h):g})")
         # power form in the offset from each interval's left node
         self.nodes = x
-        self._coef = (y[:-1], m0, (3.0 * delta - 2.0 * m0 - m1) / h,
-                      (m0 + m1 - 2.0 * delta) / (h * h))
+        self._coef = (y[:-1], m0, c2, c3)
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -94,12 +99,14 @@ def local_slopes(nodes, values) -> np.ndarray:
     slopes = np.zeros(x.size)
     # derivative at the node of the Lagrange basis polynomial of stencil
     # node k: sum over j != k of prod over m != k, j of d[m], divided by
-    # prod over m != k of (xs[k] - xs[m])
-    for k in range(width):
-        others = [m for m in range(width) if m != k]
-        denom = np.prod([xs[:, k] - xs[:, m] for m in others], axis=0)
-        numer = sum(np.prod([d[:, m] for m in others if m != j], axis=0) for j in others)
-        slopes += y[idx[:, k]] * numer / denom
+    # prod over m != k of (xs[k] - xs[m]); slopes that overflow are left to
+    # CubicHermite to refuse
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for k in range(width):
+            others = [m for m in range(width) if m != k]
+            denom = np.prod([xs[:, k] - xs[:, m] for m in others], axis=0)
+            numer = sum(np.prod([d[:, m] for m in others if m != j], axis=0) for j in others)
+            slopes += y[idx[:, k]] * numer / denom
     return slopes
 
 

@@ -24,7 +24,7 @@ from h1curves.cesaro import (
     surface_membership,
 )
 from h1curves import numerics
-from h1curves.fields import as_field
+from h1curves.fields import antiderivative, as_field
 from h1curves.numerics import lowest_local_minima
 
 
@@ -469,6 +469,27 @@ class TestGenerateConstantTau:
         )
         res1, res2 = check_necessary_conditions(surf, inv, np.linspace(0.1, 4.9, 80))
         assert res1 < 1e-6 and res2 < 1e-6
+
+    @pytest.mark.parametrize("kappa,tau,constants", [
+        ("1.5 + 0.3*sin(s)", "0.2", (1, 0, 0, 1, 0.4, -0.2)),
+        ("-1 - 0.3*cos(s)", "-0.4", (0.5, 0.2, -0.3, 1.1, 0.4, -0.6)),
+        # constant kappa and default constants: tau - u2 folds to a number,
+        # so the antiderivative is the exact affine one
+        ("3", "0", (1, 0, 0, 1, 0, 0)),
+    ])
+    def test_height_is_the_antiderivative_of_tau_minus_u2(self, kappa, tau, constants):
+        # f is read off the closed form's own u3, bit for bit what the
+        # explicit f_const + integral(tau - u2) gives, on and off the nodes
+        lo, hi, f_const = 0.5, 3.5, 0.7
+        inv = InvariantPair.from_expressions(kappa, tau)
+        c = CesaroConstants(*constants)
+        surf = generate_surface_constant_tau(inv, c, interval=(lo, hi), g2_const=20.0,
+                                             f_const=f_const)
+        sol = cesaro_closed_form(inv, c, interval=(lo, hi))
+        explicit = antiderivative(inv.tau - sol.u2, lo, hi, const=f_const)
+        s = np.linspace(lo, hi, 7919)
+        assert np.array_equal(surf.f(s), explicit(s))
+        assert surf.f(lo) == f_const
 
     def test_negative_squared_radius_reports_crossing(self):
         inv = InvariantPair.from_constants(2.0, 0.0)

@@ -345,6 +345,132 @@ class TestErrorExits:
         self.assert_one_error_line(result)
         assert "10000000000 panels requested" in result.stderr
 
+    # sigma(u) rounds to repeated values on subnormal panels
+    TINY_ANALYTIC = {"type": "analytic", "x": "cos(s)", "y": "sin(s)", "z": "0",
+                     "range": [0, 1e-300]}
+    # products of four node offsets underflow in the cubic slopes
+    TINY_INTRINSIC = {"type": "intrinsic", "kappa": "cos(s)", "tau": "0", "range": [0, 1e-300]}
+
+    @pytest.mark.parametrize("command,spec", [
+        ("analyze", TINY_ANALYTIC), ("classify", TINY_ANALYTIC), ("analyze", TINY_INTRINSIC),
+        ("reconstruct", TINY_INTRINSIC), ("classify", TINY_INTRINSIC),
+    ])
+    def test_range_too_short_to_resolve(self, runner, tmp_path, command, spec):
+        result = runner.invoke(main, [command, write_json(tmp_path, "c.json", spec)])
+        self.assert_one_error_line(result)
+        assert result.stderr.startswith("error: bad curve spec: ")
+
+    @pytest.mark.parametrize("flag,value,reason", [
+        ("--c1", "inf", "c1 must be finite"), ("--c2", "nan", "c2 must be finite"),
+        ("--c1", "1e300", "mate distance overflows"), ("--c2", "-1e155", "mate distance overflows"),
+    ])
+    def test_bertrand_offset_out_of_range(self, runner, tmp_path, flag, value, reason):
+        spec = write_json(tmp_path, "c.json", {
+            "type": "analytic", "x": "cos(s)", "y": "sin(s)", "z": "0.2*s", "range": [0, 2],
+        })
+        result = runner.invoke(main, ["bertrand", spec, flag, value, "--step", "0.01"])
+        self.assert_one_error_line(result)
+        assert result.stderr.startswith(f"error: {reason}")
+
+
+class TestErrorBoundary:
+    """Failures outside the computations: output paths, config files, spec
+    shapes and click usage errors all end in exit 2 with one `error:` line."""
+
+    assert_one_error_line = staticmethod(TestErrorExits.assert_one_error_line)
+
+    @pytest.fixture
+    def spec(self, tmp_path):
+        return write_json(tmp_path, "c.json", INTRINSIC_PANSU)
+
+    def test_output_into_a_missing_directory(self, runner, spec, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        self.assert_one_error_line(runner.invoke(main, ["analyze", spec, "--output", str(out)]))
+        assert not out.parent.exists()
+
+    def test_output_onto_a_directory(self, runner, spec, tmp_path):
+        self.assert_one_error_line(
+            runner.invoke(main, ["analyze", spec, "--output", str(tmp_path)]))
+
+    @pytest.mark.parametrize("output", [7, ["a"]])
+    def test_config_output_that_is_not_a_string(self, runner, spec, tmp_path, output):
+        # an integer output once opened that file descriptor
+        config = write_json(tmp_path, "cfg.json", {"output": output})
+        result = runner.invoke(main, ["analyze", spec, "--config", config])
+        self.assert_one_error_line(result)
+        assert result.stdout == ""
+
+    def test_config_format_outside_the_choices(self, runner, spec, tmp_path):
+        config = write_json(tmp_path, "cfg.json", {"fmt": "xml"})
+        result = runner.invoke(main, ["analyze", spec, "--config", config])
+        self.assert_one_error_line(result)
+        assert "'xml' is not one of 'csv', 'json'" in result.stderr
+
+    @pytest.mark.parametrize("doc", [{"format": "json"}, {"step": 0.5, "config": "x.json"}])
+    def test_config_key_outside_the_options(self, runner, spec, tmp_path, doc):
+        config = write_json(tmp_path, "cfg.json", doc)
+        result = runner.invoke(main, ["analyze", spec, "--config", config])
+        self.assert_one_error_line(result)
+        assert "the keys are step, tol, fmt, output" in result.stderr
+
+    @pytest.mark.parametrize("doc", [
+        [0.5], "step", {"step": [0.5]}, {"tol": {"v": 1}}, {"step": None}, {"fmt": None},
+    ])
+    def test_config_that_is_not_an_object_of_values(self, runner, spec, tmp_path, doc):
+        config = write_json(tmp_path, "cfg.json", doc)
+        self.assert_one_error_line(runner.invoke(main, ["analyze", spec, "--config", config]))
+
+    def test_config_fills_every_option(self, runner, spec, tmp_path):
+        out = tmp_path / "out.json"
+        config = write_json(tmp_path, "cfg.json", {
+            "step": "0.5", "tol": 1e-3, "fmt": "json", "output": str(out),
+        })
+        result = runner.invoke(main, ["analyze", spec, "--config", config])
+        assert result.exit_code == 0 and result.stdout == ""
+        direct = runner.invoke(main, ["analyze", spec, "--step", "0.5", "--format", "json"])
+        assert out.read_text() == direct.stdout
+
+    def test_intrinsic_initial_that_is_not_an_object(self, runner, tmp_path):
+        spec = write_json(tmp_path, "c.json", {**INTRINSIC_PANSU, "initial": [0, 0, 0]})
+        for command in ("analyze", "reconstruct"):
+            result = runner.invoke(main, [command, spec])
+            self.assert_one_error_line(result)
+            assert result.stderr.startswith("error: bad curve spec: intrinsic initial")
+
+    @pytest.mark.parametrize("doc", [[1, 2], "intrinsic", 3, None])
+    def test_reconstruct_of_a_spec_that_is_not_an_object(self, runner, tmp_path, doc):
+        spec = write_json(tmp_path, "c.json", doc)
+        result = runner.invoke(main, ["reconstruct", spec])
+        self.assert_one_error_line(result)
+        assert result.stderr == "error: reconstruct needs an intrinsic curve spec\n"
+
+    @pytest.mark.parametrize("args", [
+        ["analyze", "{spec}", "--step", "abc"],
+        ["analyze", "{spec}", "--bogus"],
+        ["analyze"],
+        ["surface", "pansu"],
+        ["surface", "pansu", "--lam"],
+        ["nocommand"],
+        ["surface", "nocommand"],
+        ["--bogus"],
+    ])
+    def test_usage_error(self, runner, spec, args):
+        result = runner.invoke(main, [a.format(spec=spec) for a in args])
+        self.assert_one_error_line(result)
+        assert "Usage:" not in result.stderr
+
+    @pytest.mark.parametrize("args", [[], ["surface"]])
+    def test_bare_group_prints_its_help(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "Usage:" in result.output and "Commands:" in result.output
+        assert "error:" not in result.output
+
+    def test_help(self, runner):
+        result = runner.invoke(main, ["analyze", "--help"])
+        assert result.exit_code == 0
+        assert "--config PATH" in result.stdout and result.stderr == ""
+
 
 class TestSurface:
     def test_pansu_membership(self, runner):
@@ -572,6 +698,14 @@ class TestFreshProcess:
         assert proc.returncode in (0, 1)
         assert proc.stderr == ""
 
+    def test_output_into_a_missing_directory(self, tmp_path):
+        spec = write_json(tmp_path, "c.json", INTRINSIC_PANSU)
+        proc = self.run("-m", "h1curves.cli", "analyze", spec,
+                        "--output", str(tmp_path / "missing" / "x.csv"))
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
     def test_overflow_error_is_the_only_stderr_line(self, tmp_path):
         spec = write_json(tmp_path, "c.json", {
             "type": "analytic", "x": "exp(exp(s))", "y": "s", "z": "0", "range": [0, 10],
@@ -740,3 +874,152 @@ class TestGeneratorErrorContract:
         args = self.args("gen-const-tau", opts, fmt,
                          ["--kappa", kappa, "--constants", *constants])
         self.assert_contract(CliRunner().invoke(main, args), fmt)
+
+
+# curve specs for the property test of the curve commands: good ones, and
+# good ones spoiled by one bad value (texts that do not parse, fail to
+# evaluate or overflow, and values that are not texts), a dropped key or a
+# shape that is not a spec
+_TEXTS = ["cos(s)", "sin(s)", "0.2*s", "s", "0.5*s^2", "0", "1 + 0.5*sin(s)", "2"]
+_BAD_VALUES = ["sin(q)", "1/(s-0.5)", "exp(exp(s))", "(", "", 3, None, ["s"], "analytic",
+               [0, 1e-300], [1, 0], [0, float("nan")], [0, float("inf")], [0, 1e300], [-1, 1],
+               {"point": [1, 2]}, {"point": "abc"}, {"heading": "x"}, {"heading": [1]}]
+
+
+def _spec_range(lo):
+    return st.builds(lambda a, w: [a, a + w], lo, st.floats(0.1, 4.0))
+
+
+def _samples(n, width, corrupt):
+    u = np.linspace(0.0, width, n)
+    rows = np.column_stack([u, np.cos(u), np.sin(u), 0.2 * u]).tolist()
+    if corrupt == "column" and rows:
+        rows = [row[:3] for row in rows]
+    elif corrupt == "nan" and rows:
+        rows[n // 2][2] = float("nan")
+    elif corrupt == "text" and rows:
+        rows[0][1] = "x"
+    elif corrupt == "order":
+        rows.reverse()
+    elif corrupt == "ragged" and rows:
+        rows[-1] = rows[-1][:2]
+    return {"type": "samples", "data": rows}
+
+
+def _spoiled(spec, index, bad):
+    """``spec`` with one of its keys dropped (``bad`` is None) or set to ``bad``."""
+    keys = sorted(spec)
+    key = keys[index % len(keys)]
+    rest = {k: v for k, v in spec.items() if k != key}
+    return rest if bad is None else {**rest, key: bad}
+
+
+_ANALYTIC = st.fixed_dictionaries({
+    "type": st.just("analytic"), "x": st.sampled_from(_TEXTS), "y": st.sampled_from(_TEXTS),
+    "z": st.sampled_from(_TEXTS), "range": _spec_range(st.floats(-2.0, 2.0)),
+})
+_SAMPLES = st.builds(_samples, st.integers(0, 40), st.floats(0.5, 4.0),
+                     st.sampled_from([None, None, None, "column", "nan", "text", "order",
+                                      "ragged"]))
+_INITIAL = st.fixed_dictionaries({}, optional={
+    "point": st.sampled_from([[0, 0, 0], [1, -2, 0.5]]), "heading": st.sampled_from([0, 1.3, -2.0]),
+})
+_INTRINSIC = st.fixed_dictionaries({
+    "type": st.just("intrinsic"), "kappa": st.sampled_from(_TEXTS),
+    "tau": st.sampled_from(_TEXTS), "range": _spec_range(st.just(0.0)),
+}, optional={"initial": _INITIAL})
+_CURVE_SPECS = st.one_of(
+    _ANALYTIC, _SAMPLES, _INTRINSIC,
+    st.builds(_spoiled, _ANALYTIC | _INTRINSIC, st.integers(0, 5),
+              st.none() | st.sampled_from(_BAD_VALUES)),
+    st.sampled_from([[1, 2], "curve", 3, None, {}, {"type": "spiral"}, {"type": 7}]),
+)
+# config files: good ones, and bad ones that break one rule each; an
+# "output" of "out", "missing" or "dir" names a path in the example's own
+# directory
+_CONFIGS = st.fixed_dictionaries({}, optional={
+    "step": st.sampled_from([0.5, 0.05, "0.25"]), "tol": st.sampled_from([1e-3, 1e-8]),
+    "fmt": st.sampled_from(["csv", "json"]), "output": st.just("out"),
+})
+_BAD_CONFIGS = [
+    {"step": "fine"}, {"step": -1}, {"step": float("nan")}, {"step": None}, {"step": [0.1]},
+    {"tol": 0}, {"tol": {"v": 1}}, {"fmt": "xml"}, {"fmt": None}, {"output": "missing"},
+    {"output": "dir"}, {"output": 7}, {"output": ["a"]}, {"format": "json"}, [0.5],
+]
+# common flags: ordinary values, or with one of them at an edge
+_FLAGS = st.builds(
+    lambda ordinary, edge: {**ordinary, **edge},
+    st.fixed_dictionaries({
+        "step": st.none() | st.floats(1e-2, 0.5), "tol": st.none() | st.floats(1e-12, 1.0),
+        "fmt": st.sampled_from([None, "csv", "json"]), "bogus": st.just(False),
+        "config": st.none() | _CONFIGS,
+    }),
+    st.booleans().flatmap(lambda edge: st.one_of(
+        st.sampled_from(_EDGE_VALUES).map(lambda v: {"step": v}),
+        st.sampled_from(_EDGE_VALUES).map(lambda v: {"tol": v}),
+        st.just({"fmt": "xml"}),
+        st.just({"bogus": True}),
+        st.sampled_from(_BAD_CONFIGS).map(lambda c: {"config": c}),
+    ) if edge else st.just({})),
+)
+_BERTRAND_OFFSETS = st.fixed_dictionaries({
+    "--c1": st.floats(-2.0, 2.0) | st.sampled_from(_EDGE_VALUES), "--c2": st.floats(-2.0, 2.0),
+}, optional={
+    "--tau-bar": st.sampled_from(["0.3", "s", "1 + 0.2*cos(s)", "1/(s-0.5)", "1e999", "sin("]),
+    "--g": st.sampled_from(["s", "0", "1/(s-0.5)", "("]),
+})
+
+
+class TestCurveCommandErrorContract:
+    """Every `analyze`, `reconstruct`, `bertrand` and `classify` input ends
+    in exit 0, 2 or 3 (these commands give no negative verdict) with no
+    exception escaping; an error exit writes exactly one stderr line,
+    starting `error:`, and a success writes nothing there.  Specs are
+    analytic, sampled, intrinsic or malformed; flags are ordinary or have
+    one edge: a step or tolerance, a format, an unknown option or a bad
+    config file.  Ordinary spec ranges are at most 4 wide and ordinary
+    steps at least 1e-2 or the default 1e-3, so range/step ratios stay at
+    or under 1e4 before the arc length stretches them; edge values either
+    give grids of a few panels or exceed the grid budget."""
+
+    @staticmethod
+    def assert_contract(result):
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            result.exception)
+        assert result.exit_code in (0, 2, 3)
+        event(f"exit {result.exit_code}")
+        if result.exit_code:
+            lines = result.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+        else:
+            assert result.stderr == ""
+
+    @staticmethod
+    def args(workdir, step, tol, fmt, bogus, config):
+        args = []
+        for flag, value in (("--step", step), ("--tol", tol)):
+            if value is not None:
+                args += [flag, repr(value)]
+        if fmt is not None:
+            args += ["--format", fmt]
+        if bogus:
+            args += ["--bogus"]
+        if config is not None:
+            paths = {"out": workdir / "out.txt", "missing": workdir / "no" / "x.txt",
+                     "dir": workdir}
+            if isinstance(config, dict) and isinstance(config.get("output"), str):
+                config = {**config, "output": str(paths[config["output"]])}
+            args += ["--config", write_json(workdir, "cfg.json", config)]
+        return args
+
+    @pytest.mark.parametrize("command", ["analyze", "reconstruct", "bertrand", "classify"])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(spec=_CURVE_SPECS, offsets=_BERTRAND_OFFSETS, flags=_FLAGS)
+    def test_curve_command(self, tmp_path_factory, command, spec, offsets, flags):
+        workdir = tmp_path_factory.mktemp(command)
+        args = [command, write_json(workdir, "c.json", spec)]
+        if command == "bertrand":
+            for flag, value in offsets.items():
+                args += [flag, value if isinstance(value, str) else repr(value)]
+        args += self.args(workdir, **flags)
+        self.assert_contract(CliRunner().invoke(main, args))
