@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import HorizontalCurve, ParamCurve
+from .curves import RELATIVE_ZERO, HorizontalCurve, ParamCurve, kappa_branch
 from .expressions import EvalDomainError
 from .fields import as_field
 from .numerics import cumulative_simpson
@@ -56,9 +56,6 @@ __all__ = [
     "tangent_normal_residual",
     "binormal_normal_residual",
 ]
-
-_ZERO_KAPPA_TOL = 1e-8
-
 
 class BranchError(ValueError):
     """kappa is neither identically zero nor bounded away from zero."""
@@ -89,7 +86,6 @@ class BertrandMate:
     """A constructed mate with its build data, for verification."""
 
     curve: HorizontalCurve
-    base: HorizontalCurve
     spec: BertrandSpec
     branch: str  # "zero-kappa" | "general"
     grid: np.ndarray
@@ -117,35 +113,27 @@ def _offset(field, name: str, grid) -> np.ndarray:
     return values
 
 
-def bertrand_mate(
-    h: HorizontalCurve,
-    spec: BertrandSpec,
-    n: int | None = None,
-    zero_tol: float = _ZERO_KAPPA_TOL,
-) -> BertrandMate:
+def bertrand_mate(h: HorizontalCurve, spec: BertrandSpec, n: int | None = None) -> BertrandMate:
     """Construct the mate of ``h`` for the given offsets.
 
-    The branch is selected by whether max|kappa| < zero_tol; a kappa that
-    crosses between regimes on the interval is refused.
+    The branch is "zero-kappa" when max |kappa| S <= RELATIVE_ZERO and
+    "general" when min |kappa| S exceeds it; a kappa that crosses between
+    regimes on the interval is refused.
     """
     grid = _mate_grid(h, n)
     smp = h.sample(grid)
     kappa, tau = smp.kappa, smp.tau
-    kmax, kmin = float(np.max(np.abs(kappa))), float(np.min(np.abs(kappa)))
-    if kmax < zero_tol:
-        branch = "zero-kappa"
+    branch = kappa_branch(kappa, h.s_max)
+    if branch == "zero-kappa":
         if spec.g is None:
             raise ValueError("the kappa == 0 branch needs the vertical offset g")
         u1 = np.full_like(grid, spec.c1)
         u2 = np.full_like(grid, spec.c2)
         u3 = _offset(spec.g, "g", grid)
         tau_bar = tau - spec.c2 + _offset(spec.g.derivative(), "g'", grid)
-    elif kmin >= zero_tol:
-        branch = "general"
-        # theta = integral of kappa = unwrapped heading difference; the
-        # heading needs only first derivatives and is accurate to roundoff
-        heading = np.unwrap(np.arctan2(smp.velocity[:, 1], smp.velocity[:, 0]))
-        theta = heading - heading[0]
+    elif branch == "general":
+        heading = smp.heading()
+        theta = heading - heading[0]  # the integral of kappa
         u1 = spec.c1 * np.sin(theta) + spec.c2 * np.cos(theta)
         u2 = spec.c1 * np.cos(theta) - spec.c2 * np.sin(theta)
         tau_bar = tau if spec.tau_bar is None else _offset(spec.tau_bar, "tau_bar", grid)
@@ -153,8 +141,8 @@ def bertrand_mate(
     else:
         raise BranchError(
             f"kappa spans both regimes on [0, {h.s_max:.3g}] "
-            f"(min |kappa| = {kmin:.3e}, max = {kmax:.3e}); "
-            "split the interval at the sign change"
+            f"(min |kappa| = {np.min(np.abs(kappa)):.3e}, max = {np.max(np.abs(kappa)):.3e}, "
+            f"zero below {RELATIVE_ZERO / h.s_max:.3e}); split the interval at the sign change"
         )
 
     xp, yp = smp.velocity[:, 0], smp.velocity[:, 1]
@@ -164,7 +152,7 @@ def bertrand_mate(
     mate_curve = HorizontalCurve.arc_length(
         ParamCurve.from_samples(grid, mate_pts[:, 0], mate_pts[:, 1], mate_pts[:, 2])
     )
-    return BertrandMate(mate_curve, h, spec, branch, grid, u1, u2, u3, tau_bar)
+    return BertrandMate(mate_curve, spec, branch, grid, u1, u2, u3, tau_bar)
 
 
 @dataclass

@@ -19,8 +19,11 @@ C2 C3 - C1 C4 != 0,
 where I1, I2 are the antiderivatives of (C1 sin + C2 cos)(theta) resp.
 (C3 sin + C4 cos)(theta) times kappa'/(kappa^2 Delta).  The forms satisfy
 the system identically for either sign of kappa (theta carries the sign).
-For kappa == 0 the system degenerates to u1 = c1 - s, u2 = c2,
-u3 = integral(c2 - tau) + c3.
+theta is the antiderivative of the given kappa, not a curve's heading
+(``CurveSample.heading``): the input here is invariants, and there is no
+curve yet.  For kappa == 0 the system degenerates to u1 = c1 - s, u2 = c2,
+u3 = integral(c2 - tau) + c3.  kappa counts as zero on [lo, hi] where
+|kappa| (hi - lo) <= ``curves.RELATIVE_ZERO``.
 
 These solutions characterize membership of curves in surfaces of
 revolution about the z-axis: r lies on the surface swept by (g, f) iff
@@ -42,7 +45,8 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import HorizontalCurve, InvariantPair, ParamCurve, reparam_horizontal
+from .curves import (HorizontalCurve, InvariantPair, ParamCurve, immobility_residuals,
+                     kappa_branch, reparam_horizontal)
 from .expressions import Num, S
 from .fields import antiderivative, as_field
 from .numerics import lowest_local_minima, minimize_brackets, uniform_grid
@@ -63,9 +67,6 @@ __all__ = [
     "sphere_horizontal_gap",
     "pansu_sphere",
 ]
-
-_ZERO_KAPPA_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class CesaroConstants:
@@ -129,16 +130,17 @@ def cesaro_closed_form(
     if not np.all(np.isfinite(kappa_vals)):
         raise ValueError("kappa is not finite on the interval")
 
-    if np.max(np.abs(kappa_vals)) <= _ZERO_KAPPA_TOL:
-        branch, theta, u1, u2 = "zero-kappa", as_field(0.0), c5 - S, as_field(c6)
-    elif np.min(np.abs(kappa_vals)) <= _ZERO_KAPPA_TOL:
+    branch = kappa_branch(kappa_vals, hi - lo)
+    if branch == "zero-kappa":
+        theta, u1, u2 = as_field(0.0), c5 - S, as_field(c6)
+    elif branch == "mixed":
         bad = grid[np.argmin(np.abs(kappa_vals))]
         raise ValueError(
             f"kappa vanishes near s = {bad} but is not identically zero; "
             "the closed forms require a single branch"
         )
     else:
-        branch, c, kappa = "general", constants, inv.kappa
+        c, kappa = constants, inv.kappa
         theta = antiderivative(kappa, lo, hi, n_panels)
         sin, cos = theta.apply("sin"), theta.apply("cos")
         kp, k2d = kappa.derivative(), kappa ** 2 * c.delta
@@ -155,27 +157,17 @@ def cesaro_closed_form(
 def cesaro_system_residual(
     sol: CesaroSolution, grid, h_fd: float = 1e-5
 ) -> tuple[float, float, float]:
-    """Max residuals of the three first-order equations, derivatives by
+    """``curves.immobility_residuals`` of the solution, derivatives by
     central differences with step h_fd (independent of the closed forms)."""
     grid = np.asarray(grid, dtype=float)
     lo, hi = sol.interval
     if np.any(grid - h_fd < lo) or np.any(grid + h_fd > hi):
         raise ValueError("grid must lie at least h_fd inside the interval")
-
-    def cd(f):
-        return (np.asarray(f(grid + h_fd)) - np.asarray(f(grid - h_fd))) / (2 * h_fd)
-
-    kappa = np.asarray(sol.inv.kappa(grid))
-    tau = np.asarray(sol.inv.tau(grid))
-    u1, u2 = np.asarray(sol.u1(grid)), np.asarray(sol.u2(grid))
-    r1 = cd(sol.u1) - (kappa * u2 - 1.0)
-    r2 = cd(sol.u2) + kappa * u1
-    r3 = cd(sol.u3) - (u2 - tau)
-    return (
-        float(np.max(np.abs(r1))),
-        float(np.max(np.abs(r2))),
-        float(np.max(np.abs(r3))),
-    )
+    u = [np.asarray(f(grid)) for f in (sol.u1, sol.u2)]
+    du = [(np.asarray(f(grid + h_fd)) - np.asarray(f(grid - h_fd))) / (2 * h_fd)
+          for f in (sol.u1, sol.u2, sol.u3)]
+    return immobility_residuals(u, du, np.asarray(sol.inv.kappa(grid)),
+                                np.asarray(sol.inv.tau(grid)))
 
 
 def curve_from_cesaro_solution(
@@ -381,10 +373,11 @@ def check_necessary_conditions(
         f'' - tau' = -kappa (g^2)'/2,
 
     for the surface's profiles and the curve invariants; kappa must not
-    vanish on the grid."""
+    vanish on the grid, by the rule of ``cesaro_closed_form`` with the
+    grid's span as the length."""
     grid = np.asarray(grid, dtype=float)
     kappa = np.asarray(inv.kappa(grid))
-    if np.any(np.abs(kappa) < 1e-12):
+    if kappa_branch(kappa, np.ptp(grid)) != "general":
         raise ValueError("kappa vanishes on the grid; conditions are singular")
     g2p = sigma.g2.derivative()
     g2pp = g2p.derivative()
@@ -408,6 +401,22 @@ def _require_finite(grid=None, **values):
             raise ValueError(f"{name} is not finite near s = {grid[np.argmin(finite)]}")
 
 
+def _radicand_critical(kappa, c1, c2, c3g, lo, hi) -> list:
+    """(value, s) of g^2 = (-c1 cos(kappa s) + c2 sin(kappa s) + c3g)/kappa
+    at its interior extrema in [lo, hi]: where kappa s = t0 + m pi,
+    t0 = atan2(-c2, c1), the trigonometric part is -H for even m and +H for
+    odd m, H = hypot(c1, c2).  Over a whole period the least g^2 is thus
+    (c3g - sign(kappa) H)/kappa."""
+    H, t0, period = math.hypot(c1, c2), math.atan2(-c2, c1), 2.0 * math.pi / abs(kappa)
+    found = []
+    for trig, t in ((-H, t0), (H, t0 + math.pi)):
+        periods = (lo - t / kappa) / period  # from one s of the family to lo
+        s = t / kappa + math.ceil(periods) * period if math.isfinite(periods) else math.inf
+        if s <= hi:
+            found.append(((c3g + trig) / kappa, s))
+    return found
+
+
 def generate_surface_constant_kappa(
     kappa: float,
     tau,
@@ -425,7 +434,9 @@ def generate_surface_constant_kappa(
             - s/kappa + C3f.
 
     The two integration constants are deliberately independent (c3g, c3f).
-    Only the nonnegative branch of g is produced; a negative radicand, a
+    Only the nonnegative branch of g is produced; a radicand that is
+    negative anywhere on the range (its least value is found exactly, at the
+    ends and at the extrema of the trigonometric part), a
     profile that is not finite on the range and a parameter that is not
     finite are errors naming the offending s or parameter.  g^2 and the
     trigonometric part of f are parsed from the text ``to_json`` prints."""
@@ -450,8 +461,9 @@ def generate_surface_constant_kappa(
     grid = uniform_grid(lo, hi, 4096)
     radicand = np.asarray(g2(grid))
     _require_finite(grid, g=radicand, f=f(grid))
-    if np.min(radicand) < 0.0:
-        bad = grid[np.argmin(radicand)]
+    least, bad = min([(float(np.min(radicand)), float(grid[np.argmin(radicand)]))]
+                     + _radicand_critical(kappa, c1, c2, c3g, lo, hi))
+    if least < 0.0:
         raise ValueError(
             f"negative radicand for g at s = {bad}: the profile is not real there"
         )

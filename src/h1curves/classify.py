@@ -16,7 +16,10 @@ For a horizontally regular curve with frame coefficients
     sqrt(c3^2 + c4^2).
 
 Coefficient vanishing alone is numerically fragile, so each candidate must
-also pass the fit of its canonical form before the tag is returned.
+also pass the fit of its canonical form before the tag is returned.  Every
+threshold is homogeneous in the curve's horizontal length l = S: kappa l
+against ``RELATIVE_ZERO``, horizontal lengths (u1~, u2~, tau and the fit
+residuals in the xy-plane) against tol l, heights (u3~, z) against tol l^2.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import HorizontalCurve, ParamCurve
+from .curves import HorizontalCurve, ParamCurve, kappa_branch
 from .expressions import S
 from .fields import antiderivative, as_field
 from .frenet import planar_cascade
@@ -72,27 +75,24 @@ class AmbiguousClassificationError(ValueError):
         )
 
 
-_KAPPA_ZERO = 1e-5
-
-
 def classify_position(
     h: HorizontalCurve, tol: float = 1e-6, n: int = 400
 ) -> PositionClass:
     """Tag the curve by the vanishing frame coefficient, confirmed by the
-    canonical fit.  Thresholds are relative: a coefficient counts as zero
-    below tol * (curve diameter)."""
+    canonical fit.  Thresholds are relative to the horizontal length
+    l = S: u1~ and u2~ count as zero below tol * l, u3~ below tol * l^2,
+    kappa at or below RELATIVE_ZERO / l."""
     if h.s_max < 10.0 * tol:
         raise ValueError("interval too short to classify meaningfully")
     grid = np.linspace(0.0, h.s_max, n)
     smp = h.sample(grid)
     u1, u2, u3 = smp.coefficients()
     kappa, tau, pts = smp.kappa, smp.tau, smp.points
-    diam = max(h.diameter(), 1e-30)
-    thresh = tol * diam
+    thresh = tol * h.s_max  # lengths; heights compare with thresh * S
 
     candidates = []
-    if np.max(np.abs(u3)) < thresh:
-        if np.max(np.abs(kappa)) < _KAPPA_ZERO:
+    if np.max(np.abs(u3)) < thresh * h.s_max:
+        if kappa_branch(kappa, h.s_max) == "zero-kappa":
             candidates.append(ClassTag.LINE_IN_XY_PLANE)
         else:
             candidates.append(ClassTag.PLANAR_CURVE_XY)
@@ -147,8 +147,7 @@ def _fit_planar(grid, pts, u1, u2, u3, kappa, tau, thresh, h):
     # the xy-plane case with kappa != 0: position = (tau'/kappa) t - tau n,
     # so u2~ = -tau holds pointwise and the curve is never a line
     tau_residual = float(np.max(np.abs(u2 + tau)))
-    scale = 1.0 + float(np.max(np.abs(tau)))
-    if tau_residual > 1e-4 * scale:
+    if tau_residual > 1e-4 * (h.s_max + float(np.max(np.abs(tau)))):
         return None
     eps = 1e-4 * h.s_max
     inner = (grid > grid[0] + eps) & (grid < grid[-1] - eps)
@@ -204,7 +203,7 @@ def _fit_helix(grid, pts, u1, u2, u3, kappa, tau, thresh, h):
     radius_residual = float(np.max(np.abs(rho - radius)))
     kappa_mean = float(np.mean(kappa))
     kappa_residual = float(np.max(np.abs(kappa - kappa_mean)))
-    if radius_residual > thresh or kappa_residual > 1e-4 * (1 + abs(kappa_mean)):
+    if radius_residual > thresh or kappa_residual > 1e-4 * (1.0 / h.s_max + abs(kappa_mean)):
         return None
     if kappa_mean == 0.0:
         return None
@@ -214,10 +213,9 @@ def _fit_helix(grid, pts, u1, u2, u3, kappa, tau, thresh, h):
     c2 = float(np.mean(drift - pitch * grid))
     pitch_residual = float(np.max(np.abs(drift - pitch * grid - c2)))
     # z - integral(tau) of a helix is affine in s, so the residual is the
-    # quadrature error of integral(tau) alone: below 2e-3 * thresh on the
-    # tested helices.  A height off the affine fit by more than thresh, the
-    # radius bound, is a position off the canonical form.
-    if pitch_residual > thresh:
+    # quadrature error of integral(tau) alone.  A height off the affine fit
+    # by more than thresh * S, the bound on heights, is off the canonical form.
+    if pitch_residual > thresh * h.s_max:
         return None
     return PositionClass(
         ClassTag.CIRCULAR_HELIX,

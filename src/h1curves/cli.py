@@ -14,13 +14,16 @@ dispatch, decides them: a click usage error, any other ValueError and
 an OSError exit 2, a RegularityError exits 3, each with one ``error:``
 line on stderr.  Commands raise; they exit themselves only with 1, for a
 negative verdict.  ``--config`` fills click's default map, so explicit
-flags win over config values, which win over the defaults.  All numbers
+flags win over config values, which win over the defaults.  ``--output``
+is probed for writing while the options are parsed, before any work, and
+is written only once the command has its whole text.  All numbers
 print with 17 significant digits so doubles round-trip.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from contextlib import contextmanager
 
@@ -132,6 +135,18 @@ def _positive_finite(ctx, param, value: float) -> float:
     return value
 
 
+def _writable(ctx, param, path):
+    """Probe ``path`` by appending nothing, so an unwritable one fails before
+    any work and a later failure truncates nothing; a file the probe made
+    is removed."""
+    if path is not None:
+        existed = os.path.lexists(path)
+        open(path, "a", encoding="utf-8").close()
+        if not existed:
+            os.remove(path)
+    return path
+
+
 def _curve_from_spec(spec: dict, step: float) -> HorizontalCurve:
     with _prefixed("bad curve spec", KeyError, TypeError, ValueError):
         kind = spec["type"]
@@ -209,7 +224,8 @@ _common = [
         "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
         help="output format (default csv)",
     ),
-    click.option("--output", type=click.Path(), default=None, help="output path (default stdout)"),
+    click.option("--output", type=click.Path(), default=None, callback=_writable,
+                 help="output path (default stdout)"),
     click.option("--config", type=click.Path(), is_eager=True, expose_value=False,
                  callback=_load_config,
                  help="JSON config with keys step, tol, fmt, output; flags win"),

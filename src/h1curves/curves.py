@@ -16,6 +16,12 @@ moving frame is, in Euclidean coordinates,
 
 with n = J t.  Analytic components differentiate symbolically; sampled
 components use 4th-order finite differences on a uniform resample.
+
+The dilation (x, y, z) -> (l x, l y, l^2 z), s -> l s sends kappa to
+kappa/l and tau to l tau (Capogna, Danielli, Pauls & Tyson, An Introduction
+to the Heisenberg Group..., Birkhauser 2007, ch. 2), so every threshold
+compares a dimensionless ratio, formed with the horizontal length (S, or
+hi - lo for invariants on [lo, hi]), with ``RELATIVE_ZERO``.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .heisenberg import H1Point, PshTransform
 from .numerics import cumulative_simpson, panel_count, uniform_grid
 
 __all__ = [
+    "RELATIVE_ZERO",
     "RegularityError",
     "ParamCurve",
     "HorizontalCurve",
@@ -38,17 +45,33 @@ __all__ = [
     "Frame",
     "InvariantPair",
     "is_horizontally_regular",
+    "kappa_branch",
     "kappa_tau_arbitrary",
     "reparam_horizontal",
     "frame_at",
     "frame_coefficients",
+    "immobility_residuals",
     "verify_cesaro",
     "psh_transform_curve",
 ]
 
 
+# A dimensionless ratio at or below this counts as zero: kappa times the
+# horizontal length, and the contact speed over its mean.
+RELATIVE_ZERO = 1e-8
+
+
 class RegularityError(ValueError):
     """The contact part of the velocity is (numerically) degenerate."""
+
+
+def kappa_branch(kappa, length: float) -> str:
+    """The branch of the kappa samples: "zero-kappa" when |kappa| * length
+    <= RELATIVE_ZERO at every sample, "general" at none, "mixed" otherwise."""
+    scaled = np.abs(np.asarray(kappa, dtype=float)) * length
+    if np.max(scaled) <= RELATIVE_ZERO:
+        return "zero-kappa"
+    return "general" if np.min(scaled) > RELATIVE_ZERO else "mixed"
 
 
 @dataclass
@@ -125,22 +148,14 @@ class ParamCurve:
         dx, dy, _ = self._first()
         return np.hypot(np.asarray(dx(u)), np.asarray(dy(u)))
 
-    def diameter(self, n: int = 256) -> float:
-        pts = self.point(np.linspace(self.u_min, self.u_max, n))
-        return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
 
-
-def is_horizontally_regular(c: ParamCurve, tol: float | None = None, n: int = 1024) -> bool:
-    """True when the contact speed stays above tol on a dense grid.
-
-    tol defaults to 1e-8 times the curve diameter.
-    """
-    if tol is None:
-        tol = 1e-8 * c.diameter()
-    elif tol <= 0:
-        raise ValueError("tol must be positive")
-    u = np.linspace(c.u_min, c.u_max, n)
-    return bool(np.min(c.contact_speed(u)) > tol)
+def is_horizontally_regular(c: ParamCurve, n: int = 1024) -> bool:
+    """True when ``reparam_horizontal`` finds the curve regular at n panels."""
+    try:
+        reparam_horizontal(c, step=(c.u_max - c.u_min) / n)
+    except RegularityError:
+        return False
+    return True
 
 
 def _jet(c: ParamCurve, u: np.ndarray):
@@ -199,6 +214,13 @@ class CurveSample(NamedTuple):
         xp, yp = self.velocity[..., 0], self.velocity[..., 1]
         return x * xp + y * yp, y * xp - x * yp, z
 
+    def heading(self):
+        """The angle of the unit contact velocity against e1, unwrapped along
+        the samples: on an increasing s grid heading - heading[0] is the
+        integral of kappa, to roundoff, from first derivatives alone."""
+        angle = np.arctan2(self.velocity[..., 1], self.velocity[..., 0])
+        return np.unwrap(angle) if angle.ndim else float(angle)
+
 
 class HorizontalCurve:
     """A curve reparametrized by horizontal arc-length s in [0, S].
@@ -227,6 +249,8 @@ class HorizontalCurve:
     # -- parameter map ------------------------------------------------------
 
     def u_of_s(self, s, refine_tol: float = 1e-12, max_iter: int = 8):
+        """u at the arc lengths s; Newton stops for a query once its residual
+        sigma(u) - s is below refine_tol * S."""
         scalar = np.ndim(s) == 0
         s = np.clip(np.atleast_1d(np.asarray(s, dtype=float)), 0.0, self.s_max)
         if self._inverse is None:
@@ -235,16 +259,16 @@ class HorizontalCurve:
         lo, hi = self.param.u_min, self.param.u_max
         u = np.clip(self._inverse(s), lo, hi)
         # anchor each query at the nearest grid node below and Newton-refine
-        # sigma(u) - s; a query stops once its own step is below refine_tol
+        # sigma(u) - s, whose rounding floor grows with S
         idx = np.clip(np.searchsorted(self._sigma, s, side="right") - 1, 0,
                       len(self._sigma) - 2)
         active = np.arange(s.size)
         for _ in range(max_iter):
             i, ua = idx[active], u[active]
             local, speed = self._local_integral(self._u_grid[i], ua)
-            step = (self._sigma[i] + local - s[active]) / np.maximum(speed, 1e-300)
-            u[active] = np.clip(ua - step, lo, hi)
-            active = active[np.abs(step) >= refine_tol]
+            residual = self._sigma[i] + local - s[active]
+            u[active] = np.clip(ua - residual / np.maximum(speed, 1e-300), lo, hi)
+            active = active[np.abs(residual) >= refine_tol * self.s_max]
             if not active.size:
                 break
         return float(u[0]) if scalar else u
@@ -293,12 +317,7 @@ class HorizontalCurve:
         return smp.kappa, smp.tau
 
     def heading(self, s):
-        v = self.velocity(s)
-        angle = np.arctan2(v[..., 1], v[..., 0])
-        return float(angle) if v.ndim == 1 else angle
-
-    def diameter(self, n: int = 256) -> float:
-        return self.param.diameter(n)
+        return self.sample(s).heading()
 
     def frame_arrays(self, s):
         """Vectorized frame: returns (points, t, n, b) with shape (m, 3)."""
@@ -318,33 +337,30 @@ class HorizontalCurve:
         return float(np.max(np.abs(np.hypot(v[:, 0], v[:, 1]) - 1.0)))
 
 
-def reparam_horizontal(
-    c: ParamCurve, step: float | None = None, tol: float | None = None
-) -> HorizontalCurve:
+def reparam_horizontal(c: ParamCurve, step: float | None = None) -> HorizontalCurve:
     """Reparametrize by horizontal arc-length.
 
     ``step`` controls the u-grid spacing of the Simpson accumulation of
     sigma(u) = integral of the contact speed (4096 panels when omitted; a
-    request above ``numerics.MAX_PANELS`` raises ValueError); inversion is
-    a Hermite seed (the cubic Hermite inverse, slopes 1/speed), then Newton
-    with a 4-node Gauss-Legendre local integral to ~1e-12 per query.  Use
-    ``HorizontalCurve.sample`` to get points, velocity and invariants from
-    one inversion.
+    request above ``numerics.MAX_PANELS`` raises ValueError); a contact
+    speed at or below RELATIVE_ZERO times its mean on that grid raises
+    RegularityError.  Inversion is a Hermite seed (the cubic Hermite
+    inverse, slopes 1/speed), then Newton with a 4-node Gauss-Legendre
+    local integral to ~1e-12 S per query.  Use ``HorizontalCurve.sample``
+    to get points, velocity and invariants from one inversion.
     """
     n_panels = panel_count(c.u_max - c.u_min, step, minimum=64) if step else 4096
-    if tol is None:
-        tol = 1e-8 * c.diameter()
     u = uniform_grid(c.u_min, c.u_max, n_panels)
     speed = c.contact_speed(u)
     if not np.all(np.isfinite(speed)):
         raise ValueError(f"curve is not finite near u = {u[np.argmin(np.isfinite(speed))]}")
-    if np.min(speed) <= tol:
-        bad = u[np.argmin(speed)]
-        raise RegularityError(
-            f"curve is not horizontally regular: contact speed "
-            f"{np.min(speed):.3e} <= tol {tol:.3e} near u = {bad}"
-        )
     sigma = cumulative_simpson(speed, dx=(c.u_max - c.u_min) / (u.size - 1))
+    floor = RELATIVE_ZERO * sigma[-1] / (c.u_max - c.u_min)  # of the mean speed
+    if np.min(speed) <= floor:
+        raise RegularityError(
+            f"curve is not horizontally regular: contact speed {np.min(speed):.3e} "
+            f"<= {floor:.3e} ({RELATIVE_ZERO:g} of its mean) near u = {u[np.argmin(speed)]}"
+        )
     return HorizontalCurve(c, u, sigma, speed)
 
 
@@ -399,14 +415,21 @@ def frame_coefficients(h: HorizontalCurve, s):
     return u1, u2, u3
 
 
-def verify_cesaro(h: HorizontalCurve, grid, h_fd: float = 1e-5) -> float:
-    """Max residual of the first-order immobility system
+def immobility_residuals(u, du, kappa, tau) -> tuple[float, float, float]:
+    """Max |residual| of each equation of the first-order immobility system
 
         u1' = kappa u2 - 1,   u2' = -kappa u1,   u3' = u2 - tau
 
-    for u_i = -(position coefficients), derivatives by central differences
-    with step h_fd.  Holds identically for every horizontally regular
-    curve, so the residual measures only numerical error.
+    for coefficients u = (u1, u2, ...) and derivatives du at common samples."""
+    return tuple(float(np.max(np.abs(r))) for r in (
+        du[0] - (kappa * u[1] - 1.0), du[1] + kappa * u[0], du[2] - (u[1] - tau)))
+
+
+def verify_cesaro(h: HorizontalCurve, grid, h_fd: float = 1e-5) -> float:
+    """The largest ``immobility_residuals`` for u_i = -(position
+    coefficients), derivatives by central differences with step h_fd.  The
+    system holds identically for every horizontally regular curve, so the
+    residual measures only numerical error.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if np.any(grid - h_fd < 0.0) or np.any(grid + h_fd > h.s_max):
@@ -416,11 +439,7 @@ def verify_cesaro(h: HorizontalCurve, grid, h_fd: float = 1e-5) -> float:
     # (u1, u2, u3) at s - h_fd, s and s + h_fd
     um, u0, up = (-np.stack(smp.coefficients())).reshape(3, 3, m).swapaxes(0, 1)
     du = (up - um) / (2.0 * h_fd)
-    kappa, tau = smp.kappa[m:2 * m], smp.tau[m:2 * m]
-    r1 = du[0] - (kappa * u0[1] - 1.0)
-    r2 = du[1] + kappa * u0[0]
-    r3 = du[2] - (u0[1] - tau)
-    return float(max(np.max(np.abs(r1)), np.max(np.abs(r2)), np.max(np.abs(r3))))
+    return max(immobility_residuals(u0, du, smp.kappa[m:2 * m], smp.tau[m:2 * m]))
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,12 @@ __all__ = [
     "AntiderivativeField",
 ]
 
-# target spacing for second-derivative stencils: balances the h^4 truncation
-# against eps/h^2 roundoff amplification for samples good to ~1e-13
-_SECOND_DERIV_STEP = 8e-3
+# target spacing for second-derivative stencils, as a fraction of the
+# field's own length ptp(f)/max|f'| (2 for a unit circle's coordinates, the
+# wavelength over pi for an oscillation): balances the h^4 truncation
+# against eps/h^2 roundoff amplification for samples good to ~1e-13, and
+# dilates with the field, so a dilated curve gets the same stencil
+_SECOND_DERIV_SPACING = 4e-3
 
 
 def as_field(value) -> ScalarFn:
@@ -164,7 +167,9 @@ class SampledField:
             )
         if self._order == 1:
             src = self._source
-            stride = int(round(_SECOND_DERIV_STEP / src.h))
+            slope = np.max(np.abs(self.values))
+            length = np.ptp(src.values) / slope if slope > 0.0 else 0.0
+            stride = int(round(_SECOND_DERIV_SPACING * length / src.h))
             stride = max(1, min(stride, (src.grid.size - 1) // 8))
             if stride == 1:
                 return SampledField(

@@ -59,7 +59,9 @@ def planar_cascade(kappa, dx: float, heading: float = 0.0, x0: float = 0.0, y0: 
     """The unit-speed plane curve of curvature ``kappa``, sampled on a
     uniform grid of spacing dx: phi = heading + int kappa, then
     x = x0 + int cos(phi) and y = y0 + int sin(phi), each a cumulative
-    Simpson from the first node.  Returns (x, y, cos(phi), sin(phi))."""
+    Simpson from the first node.  Returns (x, y, cos(phi), sin(phi)).  phi
+    integrates kappa rather than reading ``CurveSample.heading``: the input
+    is invariants, and the curve is what this builds."""
     phi = heading + cumulative_simpson(kappa, dx=dx)
     cos, sin = np.cos(phi), np.sin(phi)
     x = x0 + cumulative_simpson(cos, dx=dx)
@@ -116,8 +118,7 @@ def find_psh_alignment(
             "the curves are not congruent"
         )
     # grid[0] = 0: the rotation is the heading difference at the start
-    (ax, ay, _), (bx, by, _) = sa.velocity[0], sb.velocity[0]
-    angle = float(np.arctan2(by, bx) - np.arctan2(ay, ax))
+    angle = float(sb.heading()[0] - sa.heading()[0])
     rot = PshTransform(angle, H1Point.origin())
     a0 = H1Point.from_array(sa.points[0])
     b0 = H1Point.from_array(sb.points[0])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -408,6 +410,72 @@ class TestNecessaryConditions:
             check_necessary_conditions(sigma, inv, np.linspace(0.1, 0.9, 10))
 
 
+def _dilated(text: str, lam: float) -> str:
+    """text(s/lam), a field of s on the dilated interval."""
+    return re.sub(r"\bs\b", f"(s/({lam!r}))", text)
+
+
+class TestDilation:
+    """Under the dilation s -> lam s, kappa -> kappa/lam, tau -> lam tau the
+    branch of the closed forms and the refusal of the necessary conditions
+    do not change: kappa counts as zero by |kappa| times the interval's
+    length.  Each kappa below sat on the other side of the former absolute
+    thresholds at one of the two dilations."""
+
+    S = 10.0
+    KAPPAS = {"zero": "0", "small": "5e-9", "tiny": "5e-10", "crossing": "s - 3",
+              "general": "1 + 0.5*sin(s)"}
+
+    @staticmethod
+    def branch(kappa: str, tau: str, interval):
+        try:
+            return cesaro_closed_form(InvariantPair(kappa, tau), CesaroConstants.default(),
+                                      interval=interval, n_panels=200).branch
+        except ValueError as exc:
+            return str(exc).split(" near ")[0]
+
+    @pytest.mark.parametrize("lam", [1e-4, 1e4])
+    @pytest.mark.parametrize("name", list(KAPPAS))
+    def test_closed_form_branch(self, name, lam):
+        kappa, tau = self.KAPPAS[name], "0.3 + 0.1*s"
+        base = self.branch(kappa, tau, (0.0, self.S))
+        dilated = self.branch(f"({_dilated(kappa, lam)})/({lam!r})",
+                              f"({lam!r})*({_dilated(tau, lam)})", (0.0, lam * self.S))
+        assert dilated == base
+        assert base == {"zero": "zero-kappa", "tiny": "zero-kappa", "crossing": "kappa vanishes",
+                        "small": "general", "general": "general"}[name]
+
+    @staticmethod
+    def conditions(kappa: str, tau: str, lam: float, S: float):
+        """The residuals for a surface that does not contain the curve (so
+        both are of order one over kappa), or the refusal; the grid has a
+        node at s = 3 lam, where the crossing kappa vanishes."""
+        g = f"({lam!r})*(1 + 0.1*{_dilated('s', lam)})"
+        f = f"({lam!r})^2*0.5*{_dilated('s', lam)}^2"
+        sigma = SurfaceOfRevolution.from_profiles(as_field(g), as_field(f), (0.0, lam * S))
+        try:
+            return check_necessary_conditions(sigma, InvariantPair(kappa, tau),
+                                              np.linspace(0.0, lam * S, 51))
+        except ValueError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("lam", [1e-4, 1e4])
+    @pytest.mark.parametrize("name", list(KAPPAS))
+    def test_necessary_conditions(self, name, lam):
+        kappa, tau = self.KAPPAS[name], "0.3 + 0.1*s"
+        base = self.conditions(kappa, tau, 1.0, self.S)
+        dilated = self.conditions(f"({_dilated(kappa, lam)})/({lam!r})",
+                                  f"({lam!r})*({_dilated(tau, lam)})", lam, self.S)
+        if isinstance(base, str):
+            assert dilated == base
+            assert name in ("zero", "tiny", "crossing")
+        else:
+            # f' - tau - ((g^2)''/2 - 1)/kappa scales by lam; the second is invariant
+            assert name in ("small", "general")
+            assert dilated[0] == pytest.approx(lam * base[0], rel=1e-9)
+            assert dilated[1] == pytest.approx(base[1], rel=1e-9)
+
+
 class TestGenerateConstantKappa:
     def test_pansu_profile_reproduction(self):
         # lam = 1: C1 = -1, C2 = 0, C3 = 1 reproduce the closed profile
@@ -444,6 +512,36 @@ class TestGenerateConstantKappa:
     def test_negative_radicand_reports_location(self):
         with pytest.raises(ValueError, match="negative radicand"):
             generate_surface_constant_kappa(2.0, 0.0, -1.0, 0.0, 0.5, 0.0, (-np.pi, 0.0))
+
+    # the least g^2 lies inside each range: at s = 2.91 (+ 4.83 k) for
+    # kappa = 1.3 and at s = -0.92 (+ 8.98 k) for kappa = -0.7
+    @pytest.mark.parametrize("kappa,interval", [
+        (1.3, (0.0, 20.0)), (1.3, (1.0, 4.0)), (1.3, (2.8, 3.0)),
+        (-0.7, (0.0, 20.0)), (-0.7, (-2.0, 1.0)), (-0.7, (-1.0, -0.8)),
+    ], ids=[f"{part}-kappa{sign}" for sign in "+-"
+            for part in ("periods", "within-a-period", "short")])
+    def test_radicand_minimum_is_exact(self, kappa, interval):
+        # g^2 = (trig + c3g)/kappa with trig = -c1 cos(kappa s) + c2 sin(kappa s);
+        # its least value is at the least trig for kappa > 0 and at the
+        # greatest for kappa < 0.  A dip 1e-12 deep is about 2e-6 wide, far
+        # narrower than the generator's grid spacing; a dense scan refined
+        # about its best node finds the extreme to about 1e-16.
+        c1, c2 = -0.6, 0.45
+        sign = np.sign(kappa)
+
+        def extreme(s):
+            trig = -c1 * np.cos(kappa * s) + c2 * np.sin(kappa * s)
+            return trig[np.argmin(sign * trig)], s[np.argmin(sign * trig)]
+
+        s = np.linspace(*interval, 200_001)
+        _, at = extreme(s)
+        value, _ = extreme(np.clip(np.linspace(at - 2e-4, at + 2e-4, 40_001), *interval))
+        with pytest.raises(ValueError, match="negative radicand"):
+            generate_surface_constant_kappa(kappa, 0.0, c1, c2, -value - sign * 1e-12, 0.0,
+                                            interval)
+        surf = generate_surface_constant_kappa(kappa, 0.0, c1, c2, -value + sign * 1e-12, 0.0,
+                                               interval)
+        assert np.min(surf.g2(s)) > 0.0
 
 
 class TestGenerateConstantTau:

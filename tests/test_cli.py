@@ -388,6 +388,40 @@ class TestErrorBoundary:
         self.assert_one_error_line(runner.invoke(main, ["analyze", spec, "--output", str(out)]))
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "reconstruct", "bertrand", "classify"])
+    def test_output_is_checked_before_the_curve_is_built(self, runner, spec, tmp_path,
+                                                          monkeypatch, command):
+        from h1curves import cli
+
+        built = []
+        monkeypatch.setattr(cli, "_curve_from_spec", lambda *args: built.append(args))
+        out = tmp_path / "missing" / "x.csv"
+        self.assert_one_error_line(runner.invoke(main, [command, spec, "--output", str(out)]))
+        assert built == []
+
+    def test_output_is_checked_before_a_surface_is_generated(self, runner, tmp_path,
+                                                             monkeypatch):
+        from h1curves import cli
+
+        built = []
+        monkeypatch.setattr(cli, "generate_surface_constant_kappa",
+                            lambda *args: built.append(args))
+        result = runner.invoke(main, ["surface", "gen-const-kappa", "--kappa", "1",
+                                      "--range", "0", "1", "--output",
+                                      str(tmp_path / "missing" / "x.csv")])
+        self.assert_one_error_line(result)
+        assert built == []
+
+    def test_failed_run_leaves_the_output_alone(self, runner, tmp_path):
+        bad = write_json(tmp_path, "bad.json", {"type": "analytic", "x": "(", "y": "0",
+                                                "z": "0", "range": [0, 1]})
+        kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+        kept.write_text("earlier result\n")
+        for out in (kept, fresh):
+            self.assert_one_error_line(runner.invoke(main, ["analyze", bad, "--output", str(out)]))
+        assert kept.read_text() == "earlier result\n"
+        assert not fresh.exists()
+
     def test_output_onto_a_directory(self, runner, spec, tmp_path):
         self.assert_one_error_line(
             runner.invoke(main, ["analyze", spec, "--output", str(tmp_path)]))
@@ -594,14 +628,36 @@ class TestSurface:
         assert result.exit_code == 2
 
     def test_gen_const_kappa_radicand_negative_between_check_nodes(self, runner):
-        # c3g < hypot(c1, c2): the radicand dips below zero within 5e-4 of
-        # s = pi, between the generator's check nodes; the output grid finds it
+        # c3g < hypot(c1, c2): the radicand dips to -1e-7 within 5e-4 of
+        # s = pi, between the generator's check nodes; its exact minimum
+        # refuses it before any profile is sampled
         result = runner.invoke(main, [
             "surface", "gen-const-kappa", "--kappa", "1", "--c1", "-1", "--c2", "0",
             "--c3g", "0.9999999", "--range", "0", "10", "--step", "1e-4",
         ])
         assert result.exit_code == 2
-        assert result.stderr == "error: negative squared radius on the profile\n"
+        assert result.stderr == (
+            "error: negative radicand for g at s = 3.141592653589793: the profile is not real there\n")
+
+    @pytest.mark.parametrize("args,exit_code", [
+        # the coarse step and the JSON text once hid the dip at s = pi
+        (["--kappa", "1", "--c1", "-1", "--c3g", "0.9999999", "--range", "0", "10",
+          "--step", "0.01"], 2),
+        # kappa < 0: g^2 = cos(s) + 0.9999999 reaches -1e-7 at s = pi
+        (["--kappa", "-1", "--c1", "1", "--c3g", "-0.9999999", "--range", "0", "10",
+          "--format", "json"], 2),
+        (["--kappa", "-1", "--c1", "1", "--c3g", "-0.9999999", "--range", "3", "3.2",
+          "--format", "json"], 2),
+        # shorter than a period: the dip at s = pi lies outside [0, 3] and [3.2, 6]
+        (["--kappa", "1", "--c1", "-1", "--c3g", "0.9999999", "--range", "0", "3"], 0),
+        (["--kappa", "-1", "--c1", "1", "--c3g", "-0.9999999", "--range", "3.2", "6",
+          "--format", "json"], 0),
+    ])
+    def test_gen_const_kappa_radicand_minimum_is_exact(self, runner, args, exit_code):
+        result = runner.invoke(main, ["surface", "gen-const-kappa", *args])
+        assert result.exit_code == exit_code, result.stderr
+        if exit_code:
+            assert result.stderr.startswith("error: negative radicand for g at s = 3.14159")
 
     def test_gen_const_tau_csv(self, runner):
         result = runner.invoke(main, [

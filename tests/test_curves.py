@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -379,6 +380,60 @@ class TestSample:
         u_i = h._u_grid[i]
         ref = self.bisect(lambda u: h._sigma[i] + (u - u_i) + 0.5 * (np.cos(u_i) - np.cos(u)) - s)
         assert np.max(np.abs(h.u_of_s(s) - ref)) < 1e-12
+
+
+def dilated_slow_speed_curve(lam, u_max=10.0):
+    """``slow_speed_curve`` under (x, y, z) -> (lam x, lam y, lam^2 z), u -> lam u."""
+    def dilate(text, power):
+        return f"({lam!r})^{power}*(" + re.sub(r"\bs\b", f"(s/({lam!r}))", text) + ")"
+
+    return ParamCurve.from_expressions(
+        dilate("sin(s) + 0.25*sin(s)^2", 1), dilate("0.25*(s - sin(s)*cos(s)) - cos(s)", 1),
+        dilate("0.1*s", 2), (0.0, lam * u_max))
+
+
+class TestInversionScale:
+    @staticmethod
+    def points_per_query(lam):
+        """Contact-speed evaluations per query point of one u_of_s call."""
+        h = reparam_horizontal(dilated_slow_speed_curve(lam), step=1e-3 * lam)
+        counted, speed = [0], h.param.contact_speed
+
+        def counting(u):
+            counted[0] += np.size(u)
+            return speed(u)
+
+        h.param.contact_speed = counting
+        s = np.linspace(0.0, h.s_max, 2001)
+        h.u_of_s(s)
+        return counted[0] / s.size
+
+    @pytest.mark.parametrize("lam", [1e-4, 1e4])
+    def test_newton_work_does_not_depend_on_units(self, lam):
+        # the Newton stop is relative to S: an absolute one ran into the
+        # rounding floor of sigma at large lam (13.5 points per query at 1e4)
+        # and stopped early at small lam
+        assert abs(self.points_per_query(lam) - self.points_per_query(1.0)) <= 1.0
+
+    @pytest.mark.parametrize("lam", [1e-4, 1e4])
+    def test_inversion_is_relative_to_scale(self, lam):
+        base = reparam_horizontal(slow_speed_curve(), step=1e-3)
+        h = reparam_horizontal(dilated_slow_speed_curve(lam), step=1e-3 * lam)
+        assert h.s_max == pytest.approx(lam * base.s_max, rel=1e-13)
+        s = np.linspace(0.0, base.s_max, 2001)
+        assert np.max(np.abs(h.u_of_s(lam * s) / lam - base.u_of_s(s))) < 1e-12
+
+
+class TestHeading:
+    def test_unwrapped_along_the_samples(self):
+        # the unit circle x = cos u, y = sin u heads at u + pi/2
+        h = reparam_horizontal(ParamCurve.from_expressions("cos(s)", "sin(s)", "0", (0.0, 9.0)))
+        s = np.linspace(0.0, h.s_max, 300)
+        heading = h.sample(s).heading()
+        assert np.max(np.abs(heading - (s + np.pi / 2))) < 1e-9
+        assert np.array_equal(h.heading(s), heading)
+        # a single sample has nothing to unwrap against: atan2's range
+        assert h.heading(2.0) == pytest.approx(2.0 + np.pi / 2 - 2 * np.pi, abs=1e-9)
 
 
 class TestOneInversionPerGrid:
