@@ -86,6 +86,7 @@ class BertrandMate:
     """A constructed mate with its build data, for verification."""
 
     curve: HorizontalCurve
+    base: HorizontalCurve
     spec: BertrandSpec
     branch: str  # "zero-kappa" | "general"
     grid: np.ndarray
@@ -152,7 +153,7 @@ def bertrand_mate(h: HorizontalCurve, spec: BertrandSpec, n: int | None = None) 
     mate_curve = HorizontalCurve.arc_length(
         ParamCurve.from_samples(grid, mate_pts[:, 0], mate_pts[:, 1], mate_pts[:, 2])
     )
-    return BertrandMate(mate_curve, spec, branch, grid, u1, u2, u3, tau_bar)
+    return BertrandMate(mate_curve, h, spec, branch, grid, u1, u2, u3, tau_bar)
 
 
 @dataclass

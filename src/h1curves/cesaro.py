@@ -45,8 +45,8 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import (HorizontalCurve, InvariantPair, ParamCurve, immobility_residuals,
-                     kappa_branch, reparam_horizontal)
+from .curves import (HorizontalCurve, InvariantPair, ParamCurve, kappa_branch,
+                     reparam_horizontal)
 from .expressions import Num, S
 from .fields import antiderivative, as_field
 from .numerics import lowest_local_minima, minimize_brackets, uniform_grid
@@ -157,17 +157,27 @@ def cesaro_closed_form(
 def cesaro_system_residual(
     sol: CesaroSolution, grid, h_fd: float = 1e-5
 ) -> tuple[float, float, float]:
-    """``curves.immobility_residuals`` of the solution, derivatives by
+    """Max residuals of the three first-order equations, derivatives by
     central differences with step h_fd (independent of the closed forms)."""
     grid = np.asarray(grid, dtype=float)
     lo, hi = sol.interval
     if np.any(grid - h_fd < lo) or np.any(grid + h_fd > hi):
         raise ValueError("grid must lie at least h_fd inside the interval")
-    u = [np.asarray(f(grid)) for f in (sol.u1, sol.u2)]
-    du = [(np.asarray(f(grid + h_fd)) - np.asarray(f(grid - h_fd))) / (2 * h_fd)
-          for f in (sol.u1, sol.u2, sol.u3)]
-    return immobility_residuals(u, du, np.asarray(sol.inv.kappa(grid)),
-                                np.asarray(sol.inv.tau(grid)))
+
+    def cd(f):
+        return (np.asarray(f(grid + h_fd)) - np.asarray(f(grid - h_fd))) / (2 * h_fd)
+
+    kappa = np.asarray(sol.inv.kappa(grid))
+    tau = np.asarray(sol.inv.tau(grid))
+    u1, u2 = np.asarray(sol.u1(grid)), np.asarray(sol.u2(grid))
+    r1 = cd(sol.u1) - (kappa * u2 - 1.0)
+    r2 = cd(sol.u2) + kappa * u1
+    r3 = cd(sol.u3) - (u2 - tau)
+    return (
+        float(np.max(np.abs(r1))),
+        float(np.max(np.abs(r2))),
+        float(np.max(np.abs(r3))),
+    )
 
 
 def curve_from_cesaro_solution(
@@ -374,10 +384,10 @@ def check_necessary_conditions(
 
     for the surface's profiles and the curve invariants; kappa must not
     vanish on the grid, by the rule of ``cesaro_closed_form`` with the
-    grid's span as the length."""
+    surface's range [s_lo, s_hi] as the interval."""
     grid = np.asarray(grid, dtype=float)
     kappa = np.asarray(inv.kappa(grid))
-    if kappa_branch(kappa, np.ptp(grid)) != "general":
+    if kappa_branch(kappa, sigma.s_hi - sigma.s_lo) != "general":
         raise ValueError("kappa vanishes on the grid; conditions are singular")
     g2p = sigma.g2.derivative()
     g2pp = g2p.derivative()

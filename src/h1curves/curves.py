@@ -50,7 +50,6 @@ __all__ = [
     "reparam_horizontal",
     "frame_at",
     "frame_coefficients",
-    "immobility_residuals",
     "verify_cesaro",
     "psh_transform_curve",
 ]
@@ -415,21 +414,14 @@ def frame_coefficients(h: HorizontalCurve, s):
     return u1, u2, u3
 
 
-def immobility_residuals(u, du, kappa, tau) -> tuple[float, float, float]:
-    """Max |residual| of each equation of the first-order immobility system
+def verify_cesaro(h: HorizontalCurve, grid, h_fd: float = 1e-5) -> float:
+    """Max residual of the first-order immobility system
 
         u1' = kappa u2 - 1,   u2' = -kappa u1,   u3' = u2 - tau
 
-    for coefficients u = (u1, u2, ...) and derivatives du at common samples."""
-    return tuple(float(np.max(np.abs(r))) for r in (
-        du[0] - (kappa * u[1] - 1.0), du[1] + kappa * u[0], du[2] - (u[1] - tau)))
-
-
-def verify_cesaro(h: HorizontalCurve, grid, h_fd: float = 1e-5) -> float:
-    """The largest ``immobility_residuals`` for u_i = -(position
-    coefficients), derivatives by central differences with step h_fd.  The
-    system holds identically for every horizontally regular curve, so the
-    residual measures only numerical error.
+    for u_i = -(position coefficients), derivatives by central differences
+    with step h_fd.  Holds identically for every horizontally regular
+    curve, so the residual measures only numerical error.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if np.any(grid - h_fd < 0.0) or np.any(grid + h_fd > h.s_max):
@@ -439,7 +431,11 @@ def verify_cesaro(h: HorizontalCurve, grid, h_fd: float = 1e-5) -> float:
     # (u1, u2, u3) at s - h_fd, s and s + h_fd
     um, u0, up = (-np.stack(smp.coefficients())).reshape(3, 3, m).swapaxes(0, 1)
     du = (up - um) / (2.0 * h_fd)
-    return max(immobility_residuals(u0, du, smp.kappa[m:2 * m], smp.tau[m:2 * m]))
+    kappa, tau = smp.kappa[m:2 * m], smp.tau[m:2 * m]
+    r1 = du[0] - (kappa * u0[1] - 1.0)
+    r2 = du[1] + kappa * u0[0]
+    r3 = du[2] - (u0[1] - tau)
+    return float(max(np.max(np.abs(r1)), np.max(np.abs(r2)), np.max(np.abs(r3))))
 
 
 # ---------------------------------------------------------------------------

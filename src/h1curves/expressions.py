@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,10 +43,7 @@ __all__ = [
     "to_text",
 ]
 
-_UFUNCS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "log": np.log,
-           "sqrt": np.sqrt, "abs": np.abs}
-_FUNCTIONS = tuple(_UFUNCS)
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
 
 
 class ExpressionError(ValueError):
@@ -148,14 +144,22 @@ def _binop(op, left, right):
 
 
 def _apply_scalar(op, a, b):
-    if op == "/" and b == 0.0:
-        raise EvalDomainError("division by zero in constant expression")
-    if op != "^":
-        return _ARITH[op](a, b)
-    try:
-        return float(a) ** float(b)
-    except (OverflowError, ValueError) as exc:
-        raise EvalDomainError(f"invalid constant power {a}^{b}") from exc
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        if b == 0.0:
+            raise EvalDomainError("division by zero in constant expression")
+        return a / b
+    if op == "^":
+        try:
+            return float(a) ** float(b)
+        except (OverflowError, ValueError) as exc:
+            raise EvalDomainError(f"invalid constant power {a}^{b}") from exc
+    raise AssertionError(op)
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +208,23 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("name", text[i:j], i))
             i = j
             continue
-        if c not in "+-−*/^()":  # the unicode minus is accepted too
-            raise ExpressionError(f"unexpected character {c!r}", i)
-        kind = {"(": "lparen", ")": "rparen"}.get(c, "op")
-        tokens.append(_Token(kind, "-" if c == "−" else c, i))
-        i += 1
+        if c in "+*/^":
+            tokens.append(_Token("op", c, i))
+            i += 1
+            continue
+        if c == "-" or c == "−":  # accept the unicode minus too
+            tokens.append(_Token("op", "-", i))
+            i += 1
+            continue
+        if c == "(":
+            tokens.append(_Token("lparen", c, i))
+            i += 1
+            continue
+        if c == ")":
+            tokens.append(_Token("rparen", c, i))
+            i += 1
+            continue
+        raise ExpressionError(f"unexpected character {c!r}", i)
     tokens.append(_Token("end", "", n))
     return tokens
 
@@ -317,22 +333,46 @@ def _eval(node, s, leaves):
     if isinstance(node, BinOp):
         a = _eval(node.left, s, leaves)
         b = _eval(node.right, s, leaves)
-        if node.op == "/" and np.any(b == 0.0):
-            raise EvalDomainError(f"division by zero in {to_text(node)!r}")
-        if node.op != "^":
-            return _ARITH[node.op](a, b)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.power(np.asarray(a, dtype=float), b)
-        if np.any(np.isnan(out)) and not np.any(np.isnan(a)):
-            raise EvalDomainError(f"fractional power of a negative base in {to_text(node)!r}")
-        return out if np.ndim(s) else float(out)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if node.op == "/":
+            if np.any(b == 0.0):
+                raise EvalDomainError(f"division by zero in {to_text(node)!r}")
+            return a / b
+        if node.op == "^":
+            with np.errstate(invalid="ignore", divide="ignore"):
+                out = np.power(np.asarray(a, dtype=float), b)
+            if np.any(np.isnan(out)) and not np.any(np.isnan(a)):
+                raise EvalDomainError(
+                    f"fractional power of a negative base in {to_text(node)!r}"
+                )
+            return out if np.ndim(s) else float(out)
+        raise AssertionError(node.op)
     if isinstance(node, Call):
         a = _eval(node.arg, s, leaves)
-        if node.fn == "log" and np.any(np.asarray(a) <= 0.0):
-            raise EvalDomainError("log of a non-positive argument")
-        if node.fn == "sqrt" and np.any(np.asarray(a) < 0.0):
-            raise EvalDomainError("sqrt of a negative argument")
-        return _UFUNCS[node.fn](a)
+        if node.fn == "sin":
+            return np.sin(a)
+        if node.fn == "cos":
+            return np.cos(a)
+        if node.fn == "tan":
+            return np.tan(a)
+        if node.fn == "exp":
+            return np.exp(a)
+        if node.fn == "log":
+            if np.any(np.asarray(a) <= 0.0):
+                raise EvalDomainError("log of a non-positive argument")
+            return np.log(a)
+        if node.fn == "sqrt":
+            if np.any(np.asarray(a) < 0.0):
+                raise EvalDomainError("sqrt of a negative argument")
+            return np.sqrt(a)
+        if node.fn == "abs":
+            return np.abs(a)
+        raise AssertionError(node.fn)
     raise AssertionError(type(node))
 
 

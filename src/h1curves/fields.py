@@ -30,11 +30,13 @@ __all__ = [
     "AntiderivativeField",
 ]
 
-# target spacing for second-derivative stencils, as a fraction of the
-# field's own length ptp(f)/max|f'| (2 for a unit circle's coordinates, the
-# wavelength over pi for an oscillation): balances the h^4 truncation
-# against eps/h^2 roundoff amplification for samples good to ~1e-13, and
-# dilates with the field, so a dilated curve gets the same stencil
+# target spacing for second-derivative stencils, as a fraction of the length
+# over which the slope varies, ptp(f')/max|f''| with f'' from the densest
+# stencil (2 for a whole turn of a unit circle's coordinates, the wavelength
+# over pi for an oscillation, whatever its drift; less on an arc shorter
+# than a turn): balances the h^4 truncation against eps/h^2 roundoff
+# amplification for samples good to ~1e-13, and dilates with the field, so a
+# dilated curve gets the same stencil
 _SECOND_DERIV_SPACING = 4e-3
 
 
@@ -167,14 +169,13 @@ class SampledField:
             )
         if self._order == 1:
             src = self._source
-            slope = np.max(np.abs(self.values))
-            length = np.ptp(src.values) / slope if slope > 0.0 else 0.0
+            dense = fd4_second(src.values, src.h)
+            bend = np.max(np.abs(dense))
+            length = np.ptp(self.values) / bend if bend > 0.0 else 0.0
             stride = int(round(_SECOND_DERIV_SPACING * length / src.h))
             stride = max(1, min(stride, (src.grid.size - 1) // 8))
             if stride == 1:
-                return SampledField(
-                    src.grid, fd4_second(src.values, src.h), _order=2, _source=src
-                )
+                return SampledField(src.grid, dense, _order=2, _source=src)
             # two strided passes, anchored at either endpoint, so neither
             # end of the interval relies on extrapolation
             n = src.grid.size

@@ -409,6 +409,14 @@ class TestNecessaryConditions:
         with pytest.raises(ValueError):
             check_necessary_conditions(sigma, inv, np.linspace(0.1, 0.9, 10))
 
+    def test_one_point_grid(self):
+        # kappa counts as zero against the surface's range, not the grid's
+        # span, so a single sample of kappa = 1 is checked, not refused
+        sigma = SurfaceOfRevolution.from_profiles(as_field("1"), as_field("s"), (0, 1))
+        inv = InvariantPair.from_constants(1.0, 0.0)
+        res1, res2 = check_necessary_conditions(sigma, inv, [0.5])
+        assert res1 == pytest.approx(2.0) and res2 == pytest.approx(0.0)
+
 
 def _dilated(text: str, lam: float) -> str:
     """text(s/lam), a field of s on the dilated interval."""

@@ -192,3 +192,36 @@ def test_dilated_and_rotated_curve_answers_alike(tmp_path_factory, kind, data):
     tau_size = max(np.max(np.abs(tau)), length)
     assert np.max(np.abs(lam * dilated[:, 4] - kappa)) <= 1e-6 * kappa_size
     assert np.max(np.abs(dilated[:, 5] / lam - tau)) <= 1e-6 * tau_size
+
+
+class TestLongWavySamples:
+    """A sampled curve that drifts far while it oscillates: the stencil of
+    its second derivatives follows the oscillation, not the sampled range,
+    so kappa is the analytic one in every frame and unit.  A spacing that
+    grew with the range would span several wavelengths here, except in the
+    frame where a rotation cancels the drift."""
+
+    @staticmethod
+    def kappa_columns(tmp_path, angle, lam):
+        u = np.linspace(0.0, 100.0, 10001)
+        x, y, z = u + 0.1 * np.sin(5 * u), u - 0.1 * np.sin(5 * u), 0.3 * u
+        c, s = math.cos(angle), math.sin(angle)
+        rows = np.column_stack([lam * u, lam * (c * x - s * y), lam * (s * x + c * y),
+                                lam**2 * z])
+        result = run(tmp_path, ["analyze", "--step", repr(0.5 * lam)],
+                     {"type": "samples", "data": rows.tolist()})
+        assert result.exit_code == 0, result.stderr
+        return columns(result)
+
+    def test_kappa_is_analytic_in_every_frame_and_unit(self, tmp_path):
+        base = self.kappa_columns(tmp_path, 0.0, 1.0)
+        u = (base[:, 1] + base[:, 2]) / 2.0  # x + y = 2u on this curve
+        xp, yp = 1 + 0.5 * np.cos(5 * u), 1 - 0.5 * np.cos(5 * u)
+        xpp, ypp = -2.5 * np.sin(5 * u), 2.5 * np.sin(5 * u)
+        exact = (xp * ypp - yp * xpp) / (xp**2 + yp**2) ** 1.5
+        size = np.max(np.abs(exact))
+        assert np.max(np.abs(base[:, 4] - exact)) <= 1e-5 * size
+        for angle, lam in ((math.pi / 4, 1.0), (1.0, 1.0), (0.3, 1e-3), (math.pi / 4, 1e3)):
+            table = self.kappa_columns(tmp_path, angle, lam)
+            assert table.shape == base.shape
+            assert np.max(np.abs(lam * table[:, 4] - base[:, 4])) <= 1e-6 * size, (angle, lam)
