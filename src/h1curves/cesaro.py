@@ -45,8 +45,8 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import (HorizontalCurve, InvariantPair, ParamCurve, kappa_branch,
-                     reparam_horizontal)
+from .curves import (HorizontalCurve, InvariantPair, ParamCurve, immobility_residuals,
+                     kappa_branch, reparam_horizontal)
 from .expressions import Num, S
 from .fields import antiderivative, as_field
 from .numerics import lowest_local_minima, minimize_brackets, uniform_grid
@@ -157,27 +157,17 @@ def cesaro_closed_form(
 def cesaro_system_residual(
     sol: CesaroSolution, grid, h_fd: float = 1e-5
 ) -> tuple[float, float, float]:
-    """Max residuals of the three first-order equations, derivatives by
+    """``curves.immobility_residuals`` of the solution, derivatives by
     central differences with step h_fd (independent of the closed forms)."""
     grid = np.asarray(grid, dtype=float)
     lo, hi = sol.interval
     if np.any(grid - h_fd < lo) or np.any(grid + h_fd > hi):
         raise ValueError("grid must lie at least h_fd inside the interval")
-
-    def cd(f):
-        return (np.asarray(f(grid + h_fd)) - np.asarray(f(grid - h_fd))) / (2 * h_fd)
-
-    kappa = np.asarray(sol.inv.kappa(grid))
-    tau = np.asarray(sol.inv.tau(grid))
-    u1, u2 = np.asarray(sol.u1(grid)), np.asarray(sol.u2(grid))
-    r1 = cd(sol.u1) - (kappa * u2 - 1.0)
-    r2 = cd(sol.u2) + kappa * u1
-    r3 = cd(sol.u3) - (u2 - tau)
-    return (
-        float(np.max(np.abs(r1))),
-        float(np.max(np.abs(r2))),
-        float(np.max(np.abs(r3))),
-    )
+    u = [np.asarray(f(grid)) for f in (sol.u1, sol.u2)]
+    du = [(np.asarray(f(grid + h_fd)) - np.asarray(f(grid - h_fd))) / (2 * h_fd)
+          for f in (sol.u1, sol.u2, sol.u3)]
+    return immobility_residuals(u, du, np.asarray(sol.inv.kappa(grid)),
+                                np.asarray(sol.inv.tau(grid)))
 
 
 def curve_from_cesaro_solution(
@@ -235,7 +225,12 @@ class SurfaceOfRevolution:
         g = as_field(g)
         lo, hi = (float(v) for v in interval)
         sigma = cls(g ** 2, as_field(f), lo, hi, g_text, f_text)
-        values = np.asarray(g(np.linspace(lo, hi, 512)), dtype=float)
+        grid = np.linspace(lo, hi, 512)
+        values = np.asarray(g(grid), dtype=float)
+        for name, column in (("g", values), ("f", sigma.f(grid))):
+            finite = np.isfinite(column)
+            if not finite.all():
+                raise ValueError(f"profile {name} is not finite near s = {grid[np.argmin(finite)]}")
         # a profile that touches the axis at an end of the range can come out
         # a few ulps below zero there (cos just past pi/2); only values below
         # roundoff relative to the profile's own size are negative

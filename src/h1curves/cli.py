@@ -271,6 +271,12 @@ def reconstruct_cmd(curve_json, step, tol, fmt, output):
     _emit(_table(fmt, ["s", "x", "y", "z"], rows, {"type": "samples"}, "data"), output)
 
 
+def _offset(name: str, text: str | None):
+    """The field of an offset option's text; a failure names the option."""
+    with _prefixed(f"bad offset expression {name}", ExpressionError, EvalDomainError):
+        return None if text is None else as_field(text)
+
+
 @main.command()
 @click.argument("curve_json")
 @click.option("--c1", type=float, default=0.0, help="tangent offset constant")
@@ -281,8 +287,7 @@ def reconstruct_cmd(curve_json, step, tol, fmt, output):
 def bertrand(curve_json, c1, c2, tau_bar, g, step, tol, fmt, output):
     """Construct a Bertrand mate; emits paired samples with distances."""
     h = _curve_from_spec(_read_json(curve_json), step)
-    with _prefixed("bad offset expression", ExpressionError, EvalDomainError):
-        spec = BertrandSpec(c1, c2, tau_bar=tau_bar, g=g)
+    spec = BertrandSpec(c1, c2, tau_bar=_offset("tau_bar", tau_bar), g=_offset("g", g))
     with _prefixed("cannot evaluate curve", EvalDomainError):
         mate = bertrand_mate(h, spec)
     s = _grid(0.0, min(h.s_max, mate.curve.s_max), step)
@@ -328,7 +333,9 @@ def check(surface_json, curve_json, step, tol, fmt, output):
     """Membership of a curve in a surface; exit 1 when not a member."""
     sigma = _surface_from_json(_read_json(surface_json))
     h = _curve_from_spec(_read_json(curve_json), step)
-    with _prefixed("bad surface spec", ValueError):
+    # a profile's domain error blames the surface; a curve point that is not
+    # finite names the curve itself
+    with _prefixed("bad surface spec", EvalDomainError):
         report = surface_membership(h, sigma, tol=tol)
     _emit(_json_text(report.to_json()), output)
     if not report.member:

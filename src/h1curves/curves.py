@@ -50,6 +50,7 @@ __all__ = [
     "reparam_horizontal",
     "frame_at",
     "frame_coefficients",
+    "immobility_residuals",
     "verify_cesaro",
     "psh_transform_curve",
 ]
@@ -75,7 +76,9 @@ def kappa_branch(kappa, length: float) -> str:
 
 @dataclass
 class ParamCurve:
-    """A curve over an arbitrary parameter u, with field components."""
+    """A curve over an arbitrary parameter u.  Each component becomes a
+    ScalarFn (``fields.as_field``: a number, expression text or numeric
+    field), which caches its own derivatives."""
 
     x: object
     y: object
@@ -86,8 +89,7 @@ class ParamCurve:
     def __post_init__(self):
         if not self.u_max > self.u_min:
             raise ValueError(f"degenerate interval [{self.u_min}, {self.u_max}]")
-        self._d1 = None
-        self._d2 = None
+        self.x, self.y, self.z = (as_field(f) for f in (self.x, self.y, self.z))
 
     @classmethod
     def from_expressions(cls, x: str, y: str, z: str, u_range) -> "ParamCurve":
@@ -96,7 +98,7 @@ class ParamCurve:
     @classmethod
     def from_fields(cls, x, y, z, u_range) -> "ParamCurve":
         lo, hi = (float(v) for v in u_range)
-        return cls(as_field(x), as_field(y), as_field(z), lo, hi)
+        return cls(x, y, z, lo, hi)
 
     @classmethod
     def from_samples(cls, u, x, y, z) -> "ParamCurve":
@@ -128,24 +130,8 @@ class ParamCurve:
         )
         return out
 
-    def _first(self):
-        if self._d1 is None:
-            self._d1 = (
-                self.x.derivative(),
-                self.y.derivative(),
-                self.z.derivative(),
-            )
-        return self._d1
-
-    def _second(self):
-        if self._d2 is None:
-            dx, dy, _ = self._first()
-            self._d2 = (dx.derivative(), dy.derivative())
-        return self._d2
-
     def contact_speed(self, u):
-        dx, dy, _ = self._first()
-        return np.hypot(np.asarray(dx(u)), np.asarray(dy(u)))
+        return np.hypot(np.asarray(self.x.derivative()(u)), np.asarray(self.y.derivative()(u)))
 
 
 def is_horizontally_regular(c: ParamCurve, n: int = 1024) -> bool:
@@ -157,11 +143,21 @@ def is_horizontally_regular(c: ParamCurve, n: int = 1024) -> bool:
     return True
 
 
+def _check_finite(u: np.ndarray, *columns):
+    """Refuse a curve unless every column is finite at every u (1-d)."""
+    finite = np.logical_and.reduce([np.isfinite(col) for col in columns])
+    if not finite.all():
+        raise ValueError(f"curve is not finite near u = {u[np.argmin(finite)]}")
+
+
 def _jet(c: ParamCurve, u: np.ndarray):
-    """(x, y, z, x', y', z', x'', y'') of ``c`` at the 1-d array u."""
-    dx, dy, dz = c._first()
-    ddx, ddy = c._second()
-    return tuple(np.asarray(f(u)) for f in (c.x, c.y, c.z, dx, dy, dz, ddx, ddy))
+    """(x, y, z, x', y', z', x'', y'') of ``c`` at the 1-d array u; a point
+    that is not finite is refused."""
+    x, y, z = c.x, c.y, c.z
+    jet = tuple(np.asarray(f(u)) for f in (x, y, z, x.derivative(), y.derivative(),
+                                           z.derivative(), x.derivative(2), y.derivative(2)))
+    _check_finite(u, *jet[:3])
+    return jet
 
 
 def kappa_tau_arbitrary(c: ParamCurve, u, tol: float = 1e-12, jet=None):
@@ -299,7 +295,11 @@ class HorizontalCurve:
         return CurveSample(u, points, velocity, kappa, tau)
 
     def point(self, s):
-        return self.param.point(self.u_of_s(s))
+        """Positions at s; a point that is not finite is refused."""
+        u = self.u_of_s(s)
+        points = self.param.point(u)
+        _check_finite(np.atleast_1d(u), *np.atleast_2d(points).T)
+        return points
 
     def velocity(self, s):
         """d/ds of the Euclidean coordinates (unit contact speed)."""
@@ -351,8 +351,7 @@ def reparam_horizontal(c: ParamCurve, step: float | None = None) -> HorizontalCu
     n_panels = panel_count(c.u_max - c.u_min, step, minimum=64) if step else 4096
     u = uniform_grid(c.u_min, c.u_max, n_panels)
     speed = c.contact_speed(u)
-    if not np.all(np.isfinite(speed)):
-        raise ValueError(f"curve is not finite near u = {u[np.argmin(np.isfinite(speed))]}")
+    _check_finite(u, speed)
     sigma = cumulative_simpson(speed, dx=(c.u_max - c.u_min) / (u.size - 1))
     floor = RELATIVE_ZERO * sigma[-1] / (c.u_max - c.u_min)  # of the mean speed
     if np.min(speed) <= floor:
@@ -414,14 +413,21 @@ def frame_coefficients(h: HorizontalCurve, s):
     return u1, u2, u3
 
 
-def verify_cesaro(h: HorizontalCurve, grid, h_fd: float = 1e-5) -> float:
-    """Max residual of the first-order immobility system
+def immobility_residuals(u, du, kappa, tau) -> tuple[float, float, float]:
+    """Max |residual| of each equation of the first-order immobility system
 
         u1' = kappa u2 - 1,   u2' = -kappa u1,   u3' = u2 - tau
 
-    for u_i = -(position coefficients), derivatives by central differences
-    with step h_fd.  Holds identically for every horizontally regular
-    curve, so the residual measures only numerical error.
+    for coefficients u = (u1, u2, ...) and derivatives du at common samples."""
+    return tuple(float(np.max(np.abs(r))) for r in (
+        du[0] - (kappa * u[1] - 1.0), du[1] + kappa * u[0], du[2] - (u[1] - tau)))
+
+
+def verify_cesaro(h: HorizontalCurve, grid, h_fd: float = 1e-5) -> float:
+    """The largest ``immobility_residuals`` for u_i = -(position
+    coefficients), derivatives by central differences with step h_fd.  The
+    system holds identically for every horizontally regular curve, so the
+    residual measures only numerical error.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if np.any(grid - h_fd < 0.0) or np.any(grid + h_fd > h.s_max):
@@ -431,11 +437,7 @@ def verify_cesaro(h: HorizontalCurve, grid, h_fd: float = 1e-5) -> float:
     # (u1, u2, u3) at s - h_fd, s and s + h_fd
     um, u0, up = (-np.stack(smp.coefficients())).reshape(3, 3, m).swapaxes(0, 1)
     du = (up - um) / (2.0 * h_fd)
-    kappa, tau = smp.kappa[m:2 * m], smp.tau[m:2 * m]
-    r1 = du[0] - (kappa * u0[1] - 1.0)
-    r2 = du[1] + kappa * u0[0]
-    r3 = du[2] - (u0[1] - tau)
-    return float(max(np.max(np.abs(r1)), np.max(np.abs(r2)), np.max(np.abs(r3))))
+    return max(immobility_residuals(u0, du, smp.kappa[m:2 * m], smp.tau[m:2 * m]))
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +478,7 @@ def psh_transform_curve(g: PshTransform, c: ParamCurve) -> ParamCurve:
     """
     ca, sa = np.cos(g.angle), np.sin(g.angle)
     p = g.shift
-    cx, cy, cz = (as_field(f) for f in (c.x, c.y, c.z))
-    x = p.x + ca * cx - sa * cy
-    y = p.y + sa * cx + ca * cy
-    z = p.z + cz + (p.y * ca - p.x * sa) * cx + (-p.y * sa - p.x * ca) * cy
+    x = p.x + ca * c.x - sa * c.y
+    y = p.y + sa * c.x + ca * c.y
+    z = p.z + c.z + (p.y * ca - p.x * sa) * c.x + (-p.y * sa - p.x * ca) * c.y
     return ParamCurve(x, y, z, c.u_min, c.u_max)

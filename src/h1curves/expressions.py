@@ -9,27 +9,40 @@ many subtrees share it, and ``derivative()`` differentiates symbolically;
 a leaf differentiates by its own ``derivative()``, spliced into the tree
 when that is a ScalarFn too.
 
-Grammar of the text form (recursive descent, standard precedence, '^'
-right-associative, unary minus binding looser than '^'):
+One table, ``_OPS``, declares each binary operator and each function once:
+its precedence, its kernel (evaluation together with its domain check) and
+its derivative rule.  The tokenizer, the parser, constant folding,
+evaluation, differentiation and the printer all read it.  The text form is
+parsed by precedence climbing (T. Norvell, Parsing Expressions by
+Recursive Descent, 1999):
 
-    expr   := term (('+' | '-') term)*
-    term   := factor (('*' | '/') factor)*
-    factor := '-' factor | atom ('^' factor)?
-    atom   := number | 's' | 'pi' | func '(' expr ')' | '(' expr ')'
-    func   := sin | cos | tan | exp | log | sqrt | abs
+    expr(p) := unary (op expr(q))*   over the ops of precedence >= p, with
+                                     q = prec(op), '^' grouping to the right,
+                                     else prec(op) + 1, grouping to the left
+    unary   := '-' expr(3) | atom    (binds between '*' (2) and '^' (4))
+    atom    := number | 's' | 'pi' | func '(' expr(1) ')' | '(' expr(1) ')'
 
-Evaluation is IEEE-754 double (vectorized over numpy arrays); domain
-violations raise instead of propagating NaN.  Differentiation is symbolic,
-so curvature formulas built on second derivatives stay accurate to
-roundoff.  No simplification beyond constant folding and dropping of
-additive/multiplicative neutral elements, whichever way a tree is built.
+with the ops + - (1), * / (2), ^ (4) and the functions sin, cos, tan, exp,
+log, sqrt and abs.
+
+Evaluation is IEEE-754 double (vectorized over numpy arrays).  Leaving a
+function's real domain raises EvalDomainError instead of propagating NaN;
+overflow and zero to a negative power give inf, which the callers'
+finiteness checks report.  An operator over two numbers folds by its own
+kernel, so a constant fails exactly as the same value of ``s`` would.
+Differentiation is symbolic, so curvature formulas built on second
+derivatives stay accurate to roundoff.  No simplification beyond that
+folding and dropping of additive/multiplicative neutral elements,
+whichever way a tree is built.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,8 +55,6 @@ __all__ = [
     "parse",
     "to_text",
 ]
-
-_FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
 
 
 class ExpressionError(ValueError):
@@ -112,7 +123,7 @@ def _neg(child):
 
 def _binop(op, left, right):
     if _is_num(left) and _is_num(right):
-        return Num(_apply_scalar(op, left.value, right.value))
+        return Num(float(_apply(op, BinOp(op, left, right), left.value, right.value)))
     if op == "+":
         if _is_num(left, 0.0):
             return right
@@ -143,23 +154,89 @@ def _binop(op, left, right):
     return BinOp(op, left, right)
 
 
-def _apply_scalar(op, a, b):
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0.0:
-            raise EvalDomainError("division by zero in constant expression")
-        return a / b
-    if op == "^":
-        try:
-            return float(a) ** float(b)
-        except (OverflowError, ValueError) as exc:
-            raise EvalDomainError(f"invalid constant power {a}^{b}") from exc
-    raise AssertionError(op)
+# ---------------------------------------------------------------------------
+# The operator table
+
+
+def _divide(a, b):
+    if np.any(b == 0.0):
+        raise EvalDomainError("division by zero")
+    return a / b
+
+
+def _power(a, b):
+    # overflow and 0^-1 give inf, left to the callers' finiteness checks
+    with np.errstate(all="ignore"):
+        out = np.power(np.asarray(a, dtype=float), b)
+    if np.any(np.isnan(out)) and not np.any(np.isnan(a)):
+        raise EvalDomainError("fractional power of a negative base")
+    return out if np.ndim(out) else float(out)
+
+
+def _refusing(ufunc, bad, reason):
+    """``ufunc``, raising EvalDomainError(reason) where ``bad(a, 0)`` holds."""
+
+    def kernel(a):
+        if np.any(bad(a, 0.0)):
+            raise EvalDomainError(reason)
+        return ufunc(a)
+
+    return kernel
+
+
+def _d_power(node, du, dv):
+    u, v = node.left, node.right
+    if _is_num(v):
+        return _binop("*", _binop("*", v, _binop("^", u, Num(v.value - 1.0))), du)
+    # general u^v = exp(v log u)
+    term1 = _binop("*", dv, Call("log", u))
+    term2 = _binop("/", _binop("*", v, du), u)
+    return _binop("*", node, _binop("+", term1, term2))
+
+
+class _Op(NamedTuple):
+    """An operator or function of the language."""
+
+    prec: int  # binding power of a binary operator; 0 for a function
+    kernel: Callable  # operand values -> value, raising EvalDomainError
+    # binary: (node, d left, d right) -> derivative tree;
+    # function: argument tree -> derivative of the function at it
+    rule: Callable
+    assoc: str = "left"  # "right" for '^'; "any" when either grouping prints bare
+
+
+_OPS = {
+    "+": _Op(1, operator.add, lambda n, du, dv: _binop("+", du, dv), "any"),
+    "-": _Op(1, operator.sub, lambda n, du, dv: _binop("-", du, dv)),
+    "*": _Op(2, operator.mul, lambda n, du, dv: _binop(
+        "+", _binop("*", du, n.right), _binop("*", n.left, dv)), "any"),
+    "/": _Op(2, _divide, lambda n, du, dv: _binop(
+        "/", _binop("-", _binop("*", du, n.right), _binop("*", n.left, dv)),
+        _binop("^", n.right, Num(2.0)))),
+    "^": _Op(4, _power, _d_power, "right"),
+    "sin": _Op(0, np.sin, lambda u: Call("cos", u)),
+    "cos": _Op(0, np.cos, lambda u: _neg(Call("sin", u))),
+    "tan": _Op(0, np.tan, lambda u: _binop("+", Num(1.0), _binop("^", Call("tan", u), Num(2.0)))),
+    "exp": _Op(0, np.exp, lambda u: Call("exp", u)),
+    "log": _Op(0, _refusing(np.log, np.less_equal, "log of a non-positive argument"),
+               lambda u: _binop("/", Num(1.0), u)),
+    "sqrt": _Op(0, _refusing(np.sqrt, np.less, "sqrt of a negative argument"),
+                lambda u: _binop("/", Num(0.5), Call("sqrt", u))),
+    "abs": _Op(0, np.abs, lambda u: _binop("/", u, Call("abs", u))),
+}
+_NEG_PREC = 3  # unary minus binds between '*' and '^'
+
+
+def _is_function(name: str) -> bool:
+    return name.isalpha() and name in _OPS
+
+
+def _apply(name, node, *values):
+    """The kernel of ``name`` on operand values; a domain error names ``node``."""
+    try:
+        return _OPS[name].kernel(*values)
+    except EvalDomainError as exc:
+        raise EvalDomainError(f"{exc} in {to_text(node)!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +245,7 @@ def _apply_scalar(op, a, b):
 
 @dataclass
 class _Token:
-    kind: str  # num, name, op, lparen, rparen, end
+    kind: str  # num, name, op, (, ), end
     text: str
     pos: int
     value: float = 0.0
@@ -208,30 +285,19 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("name", text[i:j], i))
             i = j
             continue
-        if c in "+*/^":
-            tokens.append(_Token("op", c, i))
-            i += 1
-            continue
-        if c == "-" or c == "−":  # accept the unicode minus too
-            tokens.append(_Token("op", "-", i))
-            i += 1
-            continue
-        if c == "(":
-            tokens.append(_Token("lparen", c, i))
-            i += 1
-            continue
-        if c == ")":
-            tokens.append(_Token("rparen", c, i))
-            i += 1
-            continue
-        raise ExpressionError(f"unexpected character {c!r}", i)
+        if c in "()":
+            tokens.append(_Token(c, c, i))
+        elif c in _OPS or c == "−":  # the unicode minus is accepted too
+            tokens.append(_Token("op", "-" if c == "−" else c, i))
+        else:
+            raise ExpressionError(f"unexpected character {c!r}", i)
+        i += 1
     tokens.append(_Token("end", "", n))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -247,41 +313,35 @@ class _Parser:
         tok = self.peek()
         if tok.kind != kind:
             raise ExpressionError(
-                f"expected {kind}, found {tok.text or 'end of input'!r}", tok.pos
+                f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos
             )
         return self.advance()
 
     def parse(self):
-        node = self.expr()
+        node = self.climb(1)
         tok = self.peek()
         if tok.kind != "end":
             raise ExpressionError(f"trailing input {tok.text!r}", tok.pos)
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = _binop(op, node, self.term())
+    def climb(self, min_prec: int):
+        """The longest expression whose binary operators bind at least as
+        tightly as ``min_prec``."""
+        node = self.unary()
+        while self.peek().kind == "op":
+            name = self.peek().text
+            op = _OPS[name]
+            if op.prec < min_prec:
+                break
+            self.advance()
+            node = _binop(name, node, self.climb(op.prec + (op.assoc != "right")))
         return node
 
-    def term(self):
-        node = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = _binop(op, node, self.factor())
-        return node
-
-    def factor(self):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+    def unary(self):
+        if self.peek().kind == "op" and self.peek().text == "-":
             self.advance()
-            return _neg(self.factor())
-        node = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            node = _binop("^", node, self.factor())
-        return node
+            return _neg(self.climb(_NEG_PREC))
+        return self.atom()
 
     def atom(self):
         tok = self.advance()
@@ -292,15 +352,15 @@ class _Parser:
                 return Var()
             if tok.text == "pi":
                 return Num(math.pi)
-            if tok.text in _FUNCTIONS:
-                self.expect("lparen")
-                arg = self.expr()
-                self.expect("rparen")
+            if _is_function(tok.text):
+                self.expect("(")
+                arg = self.climb(1)
+                self.expect(")")
                 return Call(tok.text, arg)
             raise ExpressionError(f"unknown identifier {tok.text!r}", tok.pos)
-        if tok.kind == "lparen":
-            node = self.expr()
-            self.expect("rparen")
+        if tok.kind == "(":
+            node = self.climb(1)
+            self.expect(")")
             return node
         raise ExpressionError(
             f"expected a value, found {tok.text or 'end of input'!r}", tok.pos
@@ -308,14 +368,15 @@ class _Parser:
 
 
 def parse(text: str):
-    """Parse expression text into an AST; raises ExpressionError on bad input."""
+    """Parse expression text into an AST; raises ExpressionError on bad input
+    and EvalDomainError on a constant outside an operator's domain."""
     if not text or not text.strip():
         raise ExpressionError("empty expression", 0)
     return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation, differentiation and printing
 
 
 def _eval(node, s, leaves):
@@ -331,57 +392,14 @@ def _eval(node, s, leaves):
     if isinstance(node, Neg):
         return -_eval(node.child, s, leaves)
     if isinstance(node, BinOp):
-        a = _eval(node.left, s, leaves)
-        b = _eval(node.right, s, leaves)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if np.any(b == 0.0):
-                raise EvalDomainError(f"division by zero in {to_text(node)!r}")
-            return a / b
-        if node.op == "^":
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out = np.power(np.asarray(a, dtype=float), b)
-            if np.any(np.isnan(out)) and not np.any(np.isnan(a)):
-                raise EvalDomainError(
-                    f"fractional power of a negative base in {to_text(node)!r}"
-                )
-            return out if np.ndim(s) else float(out)
-        raise AssertionError(node.op)
+        return _apply(node.op, node, _eval(node.left, s, leaves), _eval(node.right, s, leaves))
     if isinstance(node, Call):
-        a = _eval(node.arg, s, leaves)
-        if node.fn == "sin":
-            return np.sin(a)
-        if node.fn == "cos":
-            return np.cos(a)
-        if node.fn == "tan":
-            return np.tan(a)
-        if node.fn == "exp":
-            return np.exp(a)
-        if node.fn == "log":
-            if np.any(np.asarray(a) <= 0.0):
-                raise EvalDomainError("log of a non-positive argument")
-            return np.log(a)
-        if node.fn == "sqrt":
-            if np.any(np.asarray(a) < 0.0):
-                raise EvalDomainError("sqrt of a negative argument")
-            return np.sqrt(a)
-        if node.fn == "abs":
-            return np.abs(a)
-        raise AssertionError(node.fn)
+        return _apply(node.fn, node, _eval(node.arg, s, leaves))
     raise AssertionError(type(node))
 
 
-# ---------------------------------------------------------------------------
-# Symbolic differentiation
-
-
 def _diff(node):
-    if isinstance(node, (Num,)):
+    if isinstance(node, Num):
         return Num(0.0)
     if isinstance(node, Var):
         return Num(1.0)
@@ -391,55 +409,10 @@ def _diff(node):
     if isinstance(node, Neg):
         return _neg(_diff(node.child))
     if isinstance(node, BinOp):
-        u, v = node.left, node.right
-        du, dv = _diff(u), _diff(v)
-        if node.op in "+-":
-            return _binop(node.op, du, dv)
-        if node.op == "*":
-            return _binop("+", _binop("*", du, v), _binop("*", u, dv))
-        if node.op == "/":
-            num = _binop("-", _binop("*", du, v), _binop("*", u, dv))
-            return _binop("/", num, _binop("^", v, Num(2.0)))
-        if node.op == "^":
-            if _is_num(v):
-                c = v.value
-                return _binop(
-                    "*",
-                    _binop("*", Num(c), _binop("^", u, Num(c - 1.0))),
-                    du,
-                )
-            # general u^v = exp(v log u)
-            term1 = _binop("*", dv, Call("log", u))
-            term2 = _binop("/", _binop("*", v, du), u)
-            return _binop("*", node, _binop("+", term1, term2))
-        raise AssertionError(node.op)
+        return _OPS[node.op].rule(node, _diff(node.left), _diff(node.right))
     if isinstance(node, Call):
-        u, du = node.arg, _diff(node.arg)
-        if node.fn == "sin":
-            outer = Call("cos", u)
-        elif node.fn == "cos":
-            outer = _neg(Call("sin", u))
-        elif node.fn == "tan":
-            outer = _binop("+", Num(1.0), _binop("^", Call("tan", u), Num(2.0)))
-        elif node.fn == "exp":
-            outer = Call("exp", u)
-        elif node.fn == "log":
-            outer = _binop("/", Num(1.0), u)
-        elif node.fn == "sqrt":
-            outer = _binop("/", Num(0.5), Call("sqrt", u))
-        elif node.fn == "abs":
-            outer = _binop("/", u, Call("abs", u))
-        else:
-            raise AssertionError(node.fn)
-        return _binop("*", outer, du)
+        return _binop("*", _OPS[node.fn].rule(node.arg), _diff(node.arg))
     raise AssertionError(type(node))
-
-
-# ---------------------------------------------------------------------------
-# Pretty printer (re-parseable output for trees without leaves)
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-_NEG_PRECEDENCE = 3  # between '*' and '^'
 
 
 def _fmt(node, parent_prec=0):
@@ -453,22 +426,22 @@ def _fmt(node, parent_prec=0):
     if isinstance(node, Leaf):  # seen only in error messages
         return f"<{type(node.field).__name__}>"
     if isinstance(node, Neg):
-        inner = _fmt(node.child, _NEG_PRECEDENCE)
-        text = f"-{inner}"
-        return f"({text})" if parent_prec >= _NEG_PRECEDENCE else text
+        text = f"-{_fmt(node.child, _NEG_PREC)}"
+        return f"({text})" if parent_prec >= _NEG_PREC else text
     if isinstance(node, BinOp):
-        prec = _PRECEDENCE[node.op]
-        left = _fmt(node.left, prec if node.op != "^" else prec + 1)
-        right = _fmt(node.right, prec + 1 if node.op in "-/" else prec)
-        text = f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
-        return f"({text})" if prec < parent_prec else text
+        op = _OPS[node.op]
+        left = _fmt(node.left, op.prec + (op.assoc == "right"))
+        right = _fmt(node.right, op.prec + (op.assoc == "left"))
+        # sums and differences print spaced, products and powers bare
+        text = f"{left} {node.op} {right}" if op.prec == 1 else f"{left}{node.op}{right}"
+        return f"({text})" if op.prec < parent_prec else text
     if isinstance(node, Call):
         return f"{node.fn}({_fmt(node.arg, 0)})"
     raise AssertionError(type(node))
 
 
 def to_text(node) -> str:
-    """Render an AST back to parseable text."""
+    """Render an AST back to parseable text (for trees without leaves)."""
     return _fmt(node, 0)
 
 
@@ -542,7 +515,7 @@ class ScalarFn:
 
     def apply(self, fn: str) -> "ScalarFn":
         """``fn`` of this function, for fn one of the grammar's functions."""
-        if fn not in _FUNCTIONS:
+        if not _is_function(fn):
             raise ValueError(f"unknown function {fn!r}")
         return ScalarFn(Call(fn, self.ast))
 

@@ -325,6 +325,10 @@ class TestErrorExits:
 
     @pytest.mark.parametrize("tau_bar,reason", [
         ("1/(s-0.5)", "division by zero"), ("1e999", "not finite near s = 0"),
+        # constants fold by the evaluator's own kernels
+        ("(-2)^0.5*s", "fractional power of a negative base in '(-2.0)^0.5'"),
+        ("(-8)^(1/3)*s", "fractional power of a negative base in '(-8.0)^0.3333"),
+        ("0^(-1) + s", "not finite near s = 0"),
     ])
     def test_bertrand_offset_that_fails_to_evaluate(self, runner, tmp_path, tau_bar, reason):
         spec = write_json(tmp_path, "c.json", {
@@ -560,6 +564,9 @@ class TestSurface:
         {"g": "1", "f": "s", "range": [1, 1]},
         {"g": "1", "f": "s", "range": [2, 1]},
         {"g": "1", "f": "log(s)", "range": [-1, 1]},
+        {"g": "(-2)^0.5*s", "f": "s", "range": [0, 1]},
+        {"g": "1", "f": "(-8)^(1/3)*s", "range": [0, 1]},
+        {"g": "1", "f": "0^(-1) + s", "range": [0, 1]},
     ])
     def test_check_rejects_bad_surface(self, runner, tmp_path, doc):
         surface = write_json(tmp_path, "s.json", doc)
@@ -820,18 +827,26 @@ class TestSurfaceErrorContract:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(lo=_values(-2.0, 2.0), width=_values(-1.0, 8.0),
-           step=st.none() | _values(1e-3, 0.5), tol=st.none() | _values(1e-12, 1.0))
-    def test_check(self, tmp_path_factory, lo, width, step, tol):
+           step=st.none() | _values(1e-3, 0.5), tol=st.none() | _values(1e-12, 1.0),
+           profile=st.sampled_from([{}, {}, {}, {"g": "1e999"}, {"f": "1e999 + s"}]))
+    @example(lo=-1.0, width=3.0, step=None, tol=None, profile={"g": "1e999"})
+    @example(lo=-1.0, width=3.0, step=None, tol=None, profile={"f": "1e999 + s"})
+    def test_check(self, tmp_path_factory, lo, width, step, tol, profile):
         # the lift of the unit circle against the cylinder g = 1, f = -s over
         # a generated profile range [lo, lo + width], which may be empty,
-        # reversed or not finite
+        # reversed or not finite; a profile that is not finite gives no
+        # verdict
         workdir = tmp_path_factory.mktemp("check")
-        surface = write_json(workdir, "s.json", {"g": "1", "f": "-s", "range": [lo, lo + width]})
+        surface = write_json(workdir, "s.json", {
+            "g": "1", "f": "-s", "range": [lo, lo + width], **profile})
         curve = write_json(workdir, "c.json", {
             "type": "analytic", "x": "cos(s)", "y": "sin(s)", "z": "-s", "range": [0, 1],
         })
         args = ["surface", "check", surface, curve, *self.options(step, tol)]
-        self.assert_contract(CliRunner().invoke(main, args))
+        result = CliRunner().invoke(main, args)
+        self.assert_contract(result)
+        if profile:
+            assert result.exit_code == 2, result.stdout
 
 
 def _options(**ordinary):
@@ -912,12 +927,15 @@ class TestGeneratorErrorContract:
                              fmt)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(kappa=st.sampled_from(["2 + sin(s)", "1.5", "-1 - 0.3*cos(s)", "s", "0"]),
+    @given(kappa=st.sampled_from(["2 + sin(s)", "1.5", "-1 - 0.3*cos(s)", "s", "0",
+                                  "(-2)^0.5*s", "(-8)^(1/3)*s", "0^(-1) + s"]),
            opts=_options(tau=st.floats(-3.0, 3.0), **{"g2-const": st.floats(0.0, 100.0)},
                          **{"f-const": st.floats(-3.0, 3.0)},
                          **{f"C{i}": st.floats(-2.0, 2.0) for i in range(1, 7)}, **_range),
            fmt=st.sampled_from(["csv", "json"]))
     @example(kappa="2 + sin(s)", opts={**_tau_defaults, "g2-const": float("nan")}, fmt="csv")
+    @example(kappa="(-8)^(1/3)*s", opts=_tau_defaults, fmt="csv")
+    @example(kappa="0^(-1) + s", opts=_tau_defaults, fmt="json")
     @example(kappa="2 + sin(s)", opts={**_tau_defaults, "f-const": float("inf")}, fmt="csv")
     @example(kappa="2 + sin(s)", opts={**_tau_defaults, "tau": float("inf")}, fmt="json")
     @example(kappa="2 + sin(s)", opts={**_tau_defaults, "C5": float("nan")}, fmt="csv")
@@ -937,7 +955,8 @@ class TestGeneratorErrorContract:
 # evaluate or overflow, and values that are not texts), a dropped key or a
 # shape that is not a spec
 _TEXTS = ["cos(s)", "sin(s)", "0.2*s", "s", "0.5*s^2", "0", "1 + 0.5*sin(s)", "2"]
-_BAD_VALUES = ["sin(q)", "1/(s-0.5)", "exp(exp(s))", "(", "", 3, None, ["s"], "analytic",
+_BAD_VALUES = ["sin(q)", "1/(s-0.5)", "exp(exp(s))", "(-2)^0.5*s", "(-8)^(1/3)*s", "0^(-1) + s",
+               "1e999 + s", "(", "", 3, None, ["s"], "analytic",
                [0, 1e-300], [1, 0], [0, float("nan")], [0, float("inf")], [0, 1e300], [-1, 1],
                {"point": [1, 2]}, {"point": "abc"}, {"heading": "x"}, {"heading": [1]}]
 
@@ -1021,8 +1040,10 @@ _FLAGS = st.builds(
 _BERTRAND_OFFSETS = st.fixed_dictionaries({
     "--c1": st.floats(-2.0, 2.0) | st.sampled_from(_EDGE_VALUES), "--c2": st.floats(-2.0, 2.0),
 }, optional={
-    "--tau-bar": st.sampled_from(["0.3", "s", "1 + 0.2*cos(s)", "1/(s-0.5)", "1e999", "sin("]),
-    "--g": st.sampled_from(["s", "0", "1/(s-0.5)", "("]),
+    "--tau-bar": st.sampled_from(["0.3", "s", "1 + 0.2*cos(s)", "1/(s-0.5)", "1e999", "sin(",
+                                  "(-2)^0.5*s", "(-8)^(1/3)*s", "0^(-1) + s"]),
+    "--g": st.sampled_from(["s", "0", "1/(s-0.5)", "(", "(-2)^0.5*s", "(-8)^(1/3)*s",
+                            "0^(-1) + s"]),
 })
 
 
@@ -1068,9 +1089,21 @@ class TestCurveCommandErrorContract:
             args += ["--config", write_json(workdir, "cfg.json", config)]
         return args
 
+    _plain = {"step": 0.1, "tol": None, "fmt": None, "bogus": False, "config": None}
+
     @pytest.mark.parametrize("command", ["analyze", "reconstruct", "bertrand", "classify"])
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(spec=_CURVE_SPECS, offsets=_BERTRAND_OFFSETS, flags=_FLAGS)
+    # points that are not finite, and constants that fold outside their domain
+    @example(spec={"type": "analytic", "x": "1e999 + s", "y": "sin(s)", "z": "0.2*s",
+                   "range": [0, 1]}, offsets={"--c1": 0.3, "--c2": 0.0}, flags=_plain)
+    @example(spec={"type": "analytic", "x": "cos(s)", "y": "sin(s)", "z": "0^(-1) + s",
+                   "range": [0, 1]}, offsets={"--c1": 0.3, "--c2": 0.0}, flags=_plain)
+    @example(spec={"type": "intrinsic", "kappa": "(-8)^(1/3)*s", "tau": "0", "range": [0, 1]},
+             offsets={"--c1": 0.3, "--c2": 0.0}, flags=_plain)
+    @example(spec={"type": "analytic", "x": "cos(s)", "y": "sin(s)", "z": "0.2*s",
+                   "range": [0, 1]}, offsets={"--c1": 0.3, "--c2": 0.0, "--tau-bar": "(-2)^0.5*s"},
+             flags=_plain)
     def test_curve_command(self, tmp_path_factory, command, spec, offsets, flags):
         workdir = tmp_path_factory.mktemp(command)
         args = [command, write_json(workdir, "c.json", spec)]

@@ -60,6 +60,21 @@ class TestParse:
     def test_unicode_minus_accepted(self):
         assert ScalarFn.parse("−s")(2.0) == -2.0
 
+    # the groupings precedence climbing must keep: '-' and '/' to the left,
+    # '^' to the right, unary minus between '*' and '^'
+    @pytest.mark.parametrize("text,ast", [
+        ("s-2-3", BinOp("-", BinOp("-", Var(), Num(2.0)), Num(3.0))),
+        ("s/2/3", BinOp("/", BinOp("/", Var(), Num(2.0)), Num(3.0))),
+        ("2^3^s", BinOp("^", Num(2.0), BinOp("^", Num(3.0), Var()))),
+        ("2^-s^2", BinOp("^", Num(2.0), Neg(BinOp("^", Var(), Num(2.0))))),
+        ("-s*2", BinOp("*", Neg(Var()), Num(2.0))),
+        ("s*-2", BinOp("*", Var(), Num(-2.0))),
+        ("s*−2", BinOp("*", Var(), Num(-2.0))),
+        ("−s^2", Neg(BinOp("^", Var(), Num(2.0)))),
+    ])
+    def test_shape(self, text, ast):
+        assert parse(text) == ast
+
 
 class TestEval:
     def test_square(self):
@@ -79,6 +94,14 @@ class TestEval:
     def test_sqrt_domain(self):
         with pytest.raises(EvalDomainError):
             ScalarFn.parse("sqrt(s)")(-0.5)
+
+    def test_folded_constant_has_the_domain_of_evaluation(self):
+        with pytest.raises(EvalDomainError, match="fractional power of a negative base"):
+            parse("(-8)^(1/3)")
+        with pytest.raises(EvalDomainError):
+            ScalarFn.parse("s^(1/3)")(-8.0)
+        # zero to a negative power overflows to inf, as np.power gives it
+        assert parse("0^(-1)") == Num(float("inf"))
 
     def test_vectorized(self):
         s = np.linspace(0, 1, 7)
