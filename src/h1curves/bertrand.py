@@ -42,7 +42,7 @@ import numpy as np
 from .curves import RELATIVE_ZERO, HorizontalCurve, ParamCurve, kappa_branch
 from .expressions import EvalDomainError
 from .fields import as_field
-from .numerics import cumulative_simpson
+from .numerics import cumulative_simpson, require_finite
 
 __all__ = [
     "BertrandSpec",
@@ -72,9 +72,7 @@ class BertrandSpec:
     g: Optional[object] = None
 
     def __post_init__(self):
-        for name, value in (("c1", self.c1), ("c2", self.c2)):
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        require_finite(c1=self.c1, c2=self.c2)
         if self.tau_bar is not None:
             self.tau_bar = as_field(self.tau_bar)
         if self.g is not None:
@@ -107,9 +105,7 @@ def _offset(field, name: str, grid) -> np.ndarray:
         values = np.asarray(field(grid), dtype=float)
     except EvalDomainError as exc:
         raise ValueError(f"bad offset expression {name}: {exc}") from exc
-    if not np.all(np.isfinite(values)):
-        bad = grid[np.argmin(np.isfinite(values))]
-        raise ValueError(f"bad offset expression {name}: not finite near s = {bad}")
+    require_finite(grid, **{f"bad offset expression {name}": values})
     return values
 
 

@@ -47,9 +47,9 @@ import numpy as np
 
 from .curves import (HorizontalCurve, InvariantPair, ParamCurve, immobility_residuals,
                      kappa_branch, reparam_horizontal)
-from .expressions import Num, S
+from .expressions import EvalDomainError, Num, S
 from .fields import antiderivative, as_field
-from .numerics import lowest_local_minima, minimize_brackets, uniform_grid
+from .numerics import lowest_local_minima, minimize_brackets, require_finite, uniform_grid
 
 __all__ = [
     "CesaroConstants",
@@ -127,8 +127,7 @@ def cesaro_closed_form(
     c5, c6 = c5c6 if c5c6 is not None else (constants.c5, constants.c6)
     grid = uniform_grid(lo, hi, n_panels)
     kappa_vals = np.asarray(inv.kappa(grid), dtype=float)
-    if not np.all(np.isfinite(kappa_vals)):
-        raise ValueError("kappa is not finite on the interval")
+    require_finite(grid, kappa=kappa_vals)
 
     branch = kappa_branch(kappa_vals, hi - lo)
     if branch == "zero-kappa":
@@ -179,15 +178,14 @@ def curve_from_cesaro_solution(
         y = -u1 sin(phi) - u2 cos(phi),
         z = -u3,           phi = heading0 + theta(s).
 
-    Its measured invariants are exactly the solution's (kappa, tau) and s - lo
-    is its arc length; the free heading0 is the residual rotational symmetry."""
-    grid = sol.grid
-    phi = heading0 + np.asarray(sol.theta(grid))
-    u1, u2, u3 = (np.asarray(f(grid)) for f in (sol.u1, sol.u2, sol.u3))
-    x = -u1 * np.cos(phi) + u2 * np.sin(phi)
-    y = -u1 * np.sin(phi) - u2 * np.cos(phi)
-    z = -u3
-    return HorizontalCurve.arc_length(ParamCurve.from_samples(grid, x, y, z))
+    Trees over the solution's fields, its measured invariants are the
+    solution's (kappa, tau) to roundoff and s - lo is its arc length; the
+    free heading0 is the residual rotational symmetry."""
+    phi = heading0 + sol.theta
+    sin, cos = phi.apply("sin"), phi.apply("cos")
+    x = -sol.u1 * cos + sol.u2 * sin
+    y = -sol.u1 * sin - sol.u2 * cos
+    return HorizontalCurve.arc_length(ParamCurve.from_fields(x, y, -sol.u3, sol.interval))
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +225,7 @@ class SurfaceOfRevolution:
         sigma = cls(g ** 2, as_field(f), lo, hi, g_text, f_text)
         grid = np.linspace(lo, hi, 512)
         values = np.asarray(g(grid), dtype=float)
-        for name, column in (("g", values), ("f", sigma.f(grid))):
-            finite = np.isfinite(column)
-            if not finite.all():
-                raise ValueError(f"profile {name} is not finite near s = {grid[np.argmin(finite)]}")
+        require_finite(grid, g=values, f=sigma.f(grid))
         # a profile that touches the axis at an end of the range can come out
         # a few ulps below zero there (cos just past pi/2); only values below
         # roundoff relative to the profile's own size are negative
@@ -240,14 +235,16 @@ class SurfaceOfRevolution:
 
     def profile(self, s):
         """(radius, height) samples along the generator."""
-        g2 = np.asarray(self.g2(s), dtype=float)
-        bad = g2 < 0.0
-        if np.any(g2 < -1e-12):
-            raise ValueError("negative squared radius on the profile")
-        g2 = np.where(bad, 0.0, g2)
-        # + 0.0 makes a zero height +0: a tree drops additive zeros, so a
-        # height that sums to zero can otherwise come out as -0
-        return np.sqrt(g2), np.asarray(self.f(s), dtype=float) + 0.0
+        try:
+            g2 = np.asarray(self.g2(s), dtype=float)
+            if np.any(g2 < -1e-12):
+                raise ValueError("negative squared radius on the profile")
+            # + 0.0 makes a zero height +0: a tree drops additive zeros, so a
+            # height that sums to zero can otherwise come out as -0
+            height = np.asarray(self.f(s), dtype=float) + 0.0
+        except EvalDomainError as exc:
+            raise ValueError(f"bad surface spec: {exc}") from exc
+        return np.sqrt(np.where(g2 < 0.0, 0.0, g2)), height
 
     def to_json(self) -> dict:
         if self.g_text is None or self.f_text is None:
@@ -395,17 +392,6 @@ def check_necessary_conditions(
     return float(np.max(np.abs(res1))), float(np.max(np.abs(res2)))
 
 
-def _require_finite(grid=None, **values):
-    """Raise ValueError naming the first value that is not finite: a
-    parameter, or a profile sampled on ``grid``."""
-    for name, value in values.items():
-        finite = np.isfinite(value)
-        if not np.all(finite):
-            if grid is None:
-                raise ValueError(f"{name} must be finite, got {value}")
-            raise ValueError(f"{name} is not finite near s = {grid[np.argmin(finite)]}")
-
-
 def _radicand_critical(kappa, c1, c2, c3g, lo, hi) -> list:
     """(value, s) of g^2 = (-c1 cos(kappa s) + c2 sin(kappa s) + c3g)/kappa
     at its interior extrema in [lo, hi]: where kappa s = t0 + m pi,
@@ -448,7 +434,7 @@ def generate_surface_constant_kappa(
     tau = as_field(tau)
     # a tau that depends on s is checked through f on the grid below
     tau_value = tau.ast.value if isinstance(tau.ast, Num) else 0.0
-    _require_finite(kappa=kappa, tau=tau_value, c1=c1, c2=c2, c3g=c3g, c3f=c3f)
+    require_finite(kappa=kappa, tau=tau_value, c1=c1, c2=c2, c3g=c3g, c3f=c3f)
     if kappa == 0.0:
         raise ValueError("kappa must be a nonzero constant")
     lo, hi = _profile_range(interval)
@@ -465,7 +451,7 @@ def generate_surface_constant_kappa(
     f = antiderivative(tau, lo, hi, n_panels) + as_field(f_trig_text)
     grid = uniform_grid(lo, hi, 4096)
     radicand = np.asarray(g2(grid))
-    _require_finite(grid, g=radicand, f=f(grid))
+    require_finite(grid, g=radicand, f=f(grid))
     least, bad = min([(float(np.min(radicand)), float(grid[np.argmin(radicand)]))]
                      + _radicand_critical(kappa, c1, c2, c3g, lo, hi))
     if least < 0.0:
@@ -501,12 +487,12 @@ def generate_surface_constant_tau(
     their constants exposed.  A non-finite parameter or profile is an
     error naming it."""
     c5, c6 = c5c6 if c5c6 is not None else (constants.c5, constants.c6)
-    _require_finite(c1=constants.c1, c2=constants.c2, c3=constants.c3, c4=constants.c4,
-                    c5=c5, c6=c6, g2_const=g2_const, f_const=f_const)
+    require_finite(c1=constants.c1, c2=constants.c2, c3=constants.c3, c4=constants.c4,
+                   c5=c5, c6=c6, g2_const=g2_const, f_const=f_const)
     lo, hi = _profile_range(interval)
     grid = np.linspace(lo, hi, 257)
     tau_grid = np.asarray(inv.tau(grid))
-    _require_finite(grid, tau=tau_grid)
+    require_finite(grid, tau=tau_grid)
     if np.max(np.abs(tau_grid - tau_grid[0])) > 1e-8 * (1.0 + np.max(np.abs(tau_grid))):
         raise ValueError("tau must be constant for this construction")
     sol = cesaro_closed_form(inv, constants, (c5, c6), (lo, hi), n_panels, u3_const=-f_const)
@@ -516,7 +502,7 @@ def generate_surface_constant_tau(
     f = -sol.u3
     grid = sol.grid
     g2_vals = np.asarray(g2(grid))
-    _require_finite(grid, g=g2_vals, f=f(grid))
+    require_finite(grid, g=g2_vals, f=f(grid))
     if np.min(g2_vals) < 0.0:
         bad = grid[np.argmin(g2_vals)]
         raise ValueError(

@@ -31,8 +31,7 @@ import numpy as np
 
 from .curves import HorizontalCurve, ParamCurve, kappa_branch
 from .expressions import S
-from .fields import antiderivative, as_field
-from .frenet import planar_cascade
+from .fields import antiderivative
 from .numerics import cumulative_simpson
 
 __all__ = [
@@ -247,7 +246,7 @@ def make_canonical(tag: ClassTag, interval: tuple[float, float], **params) -> Pa
 
     Parameters by tag:
       LINE_IN_XY_PLANE: heading, offset=(bx, by)
-      PLANAR_CURVE_XY: kappa (expression), x0, y0, heading, n (samples)
+      PLANAR_CURVE_XY: kappa (expression), x0, y0, heading, n (quadrature panels)
       VERTICAL_PLANE_CURVE: c1, c2, c3, tau
       CIRCULAR_HELIX: c1 != 0, c2, c3, c4, tau  (unit contact speed needs
         c3^2 + c4^2 = c1^2; the fitted c1 after reparametrization is
@@ -260,13 +259,11 @@ def make_canonical(tag: ClassTag, interval: tuple[float, float], **params) -> Pa
         a, c = np.cos(heading), np.sin(heading)
         return ParamCurve.from_fields(bx + a * S, by + c * S, 0.0, (lo, hi))
     if tag is ClassTag.PLANAR_CURVE_XY:
-        kappa = as_field(params["kappa"])
         n = int(params.get("n", 4000))
-        phi0 = float(params.get("heading", 0.0))
-        x0, y0 = float(params.get("x0", 0.0)), float(params.get("y0", 0.0))
-        s = np.linspace(lo, hi, n + 1)
-        x, y, _, _ = planar_cascade(np.asarray(kappa(s)), (hi - lo) / n, phi0, x0, y0)
-        return ParamCurve.from_samples(s, x, y, np.zeros_like(s))
+        phi = antiderivative(params["kappa"], lo, hi, n, const=float(params.get("heading", 0.0)))
+        x = antiderivative(phi.apply("cos"), lo, hi, n, const=float(params.get("x0", 0.0)))
+        y = antiderivative(phi.apply("sin"), lo, hi, n, const=float(params.get("y0", 0.0)))
+        return ParamCurve.from_fields(x, y, 0.0, (lo, hi))
     if tag is ClassTag.VERTICAL_PLANE_CURVE:
         c1, c2, c3 = (float(params[k]) for k in ("c1", "c2", "c3"))
         tau = antiderivative(params.get("tau", 0.0), lo, hi)

@@ -76,16 +76,21 @@ def _exit_codes():
     sys.exit(code)
 
 
+class _Prefixed(ValueError):
+    """An error that a ``_prefixed`` block has already named."""
+
+
 @contextmanager
 def _prefixed(prefix: str, *errors):
     """Re-raise ``errors`` as a ValueError whose message starts with
-    ``prefix``; a RegularityError keeps its own exit code."""
+    ``prefix``; a RegularityError keeps its own exit code, and an error an
+    inner block already prefixed keeps its prefix."""
     try:
         yield
-    except RegularityError:
+    except (RegularityError, _Prefixed):
         raise
     except errors as exc:
-        raise ValueError(f"{prefix}: {exc}") from exc
+        raise _Prefixed(f"{prefix}: {exc}") from exc
 
 
 class _Group(click.Group):
@@ -307,7 +312,8 @@ def bertrand(curve_json, c1, c2, tau_bar, g, step, tol, fmt, output):
 def classify(curve_json, step, tol, fmt, output):
     """Position-vector classification; emits a JSON verdict."""
     h = _curve_from_spec(_read_json(curve_json), step)
-    with _prefixed("cannot classify", ValueError):  # AmbiguousClassificationError too
+    with (_prefixed("cannot classify", ValueError),  # AmbiguousClassificationError too
+          _prefixed("cannot evaluate curve", EvalDomainError)):
         verdict = classify_position(h, tol=tol)
     _emit(_json_text(verdict.to_json()), output)
 
@@ -333,9 +339,9 @@ def check(surface_json, curve_json, step, tol, fmt, output):
     """Membership of a curve in a surface; exit 1 when not a member."""
     sigma = _surface_from_json(_read_json(surface_json))
     h = _curve_from_spec(_read_json(curve_json), step)
-    # a profile's domain error blames the surface; a curve point that is not
-    # finite names the curve itself
-    with _prefixed("bad surface spec", EvalDomainError):
+    # a profile's domain error is already a bad surface spec; a curve point
+    # that is not finite names the curve itself
+    with _prefixed("cannot evaluate curve", EvalDomainError):
         report = surface_membership(h, sigma, tol=tol)
     _emit(_json_text(report.to_json()), output)
     if not report.member:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .fields import CubicHermite, SampledField, as_field
 from .heisenberg import H1Point, PshTransform
-from .numerics import cumulative_simpson, panel_count, uniform_grid
+from .numerics import cumulative_simpson, panel_count, require_finite, uniform_grid
 
 __all__ = [
     "RELATIVE_ZERO",
@@ -143,20 +143,13 @@ def is_horizontally_regular(c: ParamCurve, n: int = 1024) -> bool:
     return True
 
 
-def _check_finite(u: np.ndarray, *columns):
-    """Refuse a curve unless every column is finite at every u (1-d)."""
-    finite = np.logical_and.reduce([np.isfinite(col) for col in columns])
-    if not finite.all():
-        raise ValueError(f"curve is not finite near u = {u[np.argmin(finite)]}")
-
-
 def _jet(c: ParamCurve, u: np.ndarray):
     """(x, y, z, x', y', z', x'', y'') of ``c`` at the 1-d array u; a point
     that is not finite is refused."""
     x, y, z = c.x, c.y, c.z
     jet = tuple(np.asarray(f(u)) for f in (x, y, z, x.derivative(), y.derivative(),
                                            z.derivative(), x.derivative(2), y.derivative(2)))
-    _check_finite(u, *jet[:3])
+    require_finite(u, "u", curve=jet[:3])
     return jet
 
 
@@ -298,7 +291,7 @@ class HorizontalCurve:
         """Positions at s; a point that is not finite is refused."""
         u = self.u_of_s(s)
         points = self.param.point(u)
-        _check_finite(np.atleast_1d(u), *np.atleast_2d(points).T)
+        require_finite(np.atleast_1d(u), "u", curve=np.atleast_2d(points).T)
         return points
 
     def velocity(self, s):
@@ -351,7 +344,7 @@ def reparam_horizontal(c: ParamCurve, step: float | None = None) -> HorizontalCu
     n_panels = panel_count(c.u_max - c.u_min, step, minimum=64) if step else 4096
     u = uniform_grid(c.u_min, c.u_max, n_panels)
     speed = c.contact_speed(u)
-    _check_finite(u, speed)
+    require_finite(u, "u", curve=speed)
     sigma = cumulative_simpson(speed, dx=(c.u_max - c.u_min) / (u.size - 1))
     floor = RELATIVE_ZERO * sigma[-1] / (c.u_max - c.u_min)  # of the mean speed
     if np.min(speed) <= floor:

@@ -5,9 +5,10 @@ A ``ScalarFn`` is built by parsing text or by arithmetic (``+ - * / **``,
 unary minus and ``apply("sin")`` and the like) over numbers, the variable
 ``S`` and numeric fields, which enter the tree as ``Leaf`` nodes.  It
 evaluates on floats and numpy arrays, each leaf once per call however
-many subtrees share it, and ``derivative()`` differentiates symbolically;
-a leaf differentiates by its own ``derivative()``, spliced into the tree
-when that is a ScalarFn too.
+many subtrees share it, and ``derivative()`` differentiates symbolically.
+A leaf carries a derivative order: it differentiates by raising that
+order, and evaluates as ``field(s, order)``, so a numeric field answers
+every order it supports by index and no new field is built.
 
 One table, ``_OPS``, declares each binary operator and each function once:
 its precedence, its kernel (evaluation together with its domain check) and
@@ -104,9 +105,11 @@ class Call:
 
 @dataclass(frozen=True, eq=False)
 class Leaf:
-    """A numeric field (callable, with ``derivative()``) inside a tree."""
+    """The derivative of ``order`` of a numeric field inside a tree; the
+    field is called as ``field(s, order)``."""
 
     field: object
+    order: int = 0
 
 
 def _is_num(node, value=None):
@@ -387,7 +390,7 @@ def _eval(node, s, leaves):
     if isinstance(node, Leaf):
         # a leaf that several subtrees share is evaluated once per call
         if node not in leaves:
-            leaves[node] = node.field(s)
+            leaves[node] = node.field(s, node.order)
         return leaves[node]
     if isinstance(node, Neg):
         return -_eval(node.child, s, leaves)
@@ -404,8 +407,7 @@ def _diff(node):
     if isinstance(node, Var):
         return Num(1.0)
     if isinstance(node, Leaf):
-        d = node.field.derivative()
-        return d.ast if isinstance(d, ScalarFn) else Leaf(d)
+        return Leaf(node.field, node.order + 1)
     if isinstance(node, Neg):
         return _neg(_diff(node.child))
     if isinstance(node, BinOp):

@@ -1,16 +1,18 @@
 """Scalar fields over one parameter s: one composite type, numeric leaves.
 
-A "field" is anything callable on floats/arrays that also offers
-``derivative() -> field``.  ``expressions.ScalarFn`` is the only composite
-field: parsed text, or arithmetic over numbers, ``expressions.S`` and
-numeric fields, with exact symbolic derivatives wherever the tree has them.
-This module holds the numeric fields that enter such trees as leaves:
-``SampledField`` (values on a uniform grid), ``InterpolatedField`` (values
-on arbitrary nodes) and ``AntiderivativeField`` (a cumulative integral
-whose derivative is its exact integrand).  Between their nodes they are
-piecewise cubic Hermite interpolants (``CubicHermite``), with the node
-slopes each kind knows best.  ``as_field`` turns a number, expression text
-or numeric field into a ScalarFn.
+A numeric field is called as ``field(s, order=0)``, its derivative of that
+order at s, and ``derivative()`` gives its first derivative as a ScalarFn.
+``expressions.ScalarFn`` is the only composite field: parsed text, or
+arithmetic over numbers, ``expressions.S`` and numeric fields, which enter
+the tree as leaves holding a field and a derivative order, so
+differentiating a tree builds no new field.  This module holds the numeric
+fields: ``SampledField`` (values on a uniform grid, finite-difference
+derivatives of order 1 and 2) and ``AntiderivativeField`` (a cumulative
+integral whose derivatives are those of its exact integrand).  Between
+their nodes they are piecewise cubic Hermite interpolants
+(``CubicHermite``), with the node slopes each kind knows best.
+``as_field`` turns a number, expression text or numeric field into a
+ScalarFn.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "CubicHermite",
     "local_slopes",
     "SampledField",
-    "InterpolatedField",
     "antiderivative",
     "AntiderivativeField",
 ]
@@ -119,12 +120,13 @@ class SampledField:
     """Values on a uniform grid, evaluated through the cubic Hermite
     interpolant whose node slopes are 4th-order finite differences.
 
-    Derivative values are 4th-order finite differences; the second
-    derivative widens the stencil (subsampling the grid) so roundoff in the
-    stored samples is not amplified past the truncation error.
+    Derivatives of order 1 and 2 are interpolated the same way from their
+    4th-order finite differences on the grid; the second derivative widens
+    the stencil (subsampling the grid) so roundoff in the stored samples is
+    not amplified past the truncation error.  Order 3 is refused.
     """
 
-    def __init__(self, grid: np.ndarray, values: np.ndarray, _order: int = 0, _source=None):
+    def __init__(self, grid: np.ndarray, values: np.ndarray):
         self.grid = np.asarray(grid, dtype=float)
         self.values = np.asarray(values, dtype=float)
         if self.grid.ndim != 1 or self.grid.size != self.values.size:
@@ -135,9 +137,7 @@ class SampledField:
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise ValueError("grid must be uniform")
         self.h = float(steps[0])
-        self._order = _order
-        self._source = _source
-        self._hermite = None
+        self._interps = {}  # derivative order -> CubicHermite, built on first use
 
     @classmethod
     def resample(cls, u: np.ndarray, values: np.ndarray, n: int | None = None):
@@ -152,64 +152,52 @@ class SampledField:
             return cls(u, values)
         return cls(grid, CubicHermite(u, values, local_slopes(u, values))(grid))
 
-    def _interp(self):
-        if self._hermite is None:
-            self._hermite = CubicHermite(self.grid, self.values, fd4_first(self.values, self.h))
-        return self._hermite
+    def _interp(self, order: int) -> CubicHermite:
+        """The interpolant of the derivative of ``order``, built on first use."""
+        if order not in self._interps:
+            first = fd4_first(self.values, self.h)
+            if order == 0:
+                args = self.grid, self.values, first
+            elif order == 1:
+                args = self.grid, first, fd4_first(first, self.h)
+            elif order == 2:
+                args = self._second(first)
+            else:
+                raise NotImplementedError("sampled fields support two derivative orders")
+            self._interps[order] = CubicHermite(*args)
+        return self._interps[order]
 
-    def __call__(self, s):
+    def _second(self, first):
+        """Nodes, values and slopes of the second derivative's interpolant,
+        from the first derivative ``first`` on the grid."""
+        dense = fd4_second(self.values, self.h)
+        bend = np.max(np.abs(dense))
+        length = np.ptp(first) / bend if bend > 0.0 else 0.0
+        stride = int(round(_SECOND_DERIV_SPACING * length / self.h))
+        stride = max(1, min(stride, (self.grid.size - 1) // 8))
+        if stride == 1:
+            return self.grid, dense, fd4_first(dense, self.h)
+        # two strided passes, anchored at either endpoint, so neither end of
+        # the interval relies on extrapolation
+        n = self.grid.size
+        left = np.arange(0, n, stride)
+        right = np.arange(n - 1, -1, -stride)[::-1]
+        d_left = fd4_second(self.values[left], self.h * stride)
+        d_right = fd4_second(self.values[right], self.h * stride)
+        cut = n // 2
+        keep_l = left <= cut
+        keep_r = right > cut
+        nodes = self.grid[np.concatenate([left[keep_l], right[keep_r]])]
+        vals = np.concatenate([d_left[keep_l], d_right[keep_r]])
+        return nodes, vals, local_slopes(nodes, vals)
+
+    def __call__(self, s, order: int = 0):
         s = np.asarray(s, dtype=float)
-        out = self._interp()(s)
+        out = self._interp(order)(s)
         return out if s.ndim else float(out)
 
     def derivative(self):
-        if self._order == 0:
-            return SampledField(
-                self.grid, fd4_first(self.values, self.h), _order=1, _source=self
-            )
-        if self._order == 1:
-            src = self._source
-            dense = fd4_second(src.values, src.h)
-            bend = np.max(np.abs(dense))
-            length = np.ptp(self.values) / bend if bend > 0.0 else 0.0
-            stride = int(round(_SECOND_DERIV_SPACING * length / src.h))
-            stride = max(1, min(stride, (src.grid.size - 1) // 8))
-            if stride == 1:
-                return SampledField(src.grid, dense, _order=2, _source=src)
-            # two strided passes, anchored at either endpoint, so neither
-            # end of the interval relies on extrapolation
-            n = src.grid.size
-            left = np.arange(0, n, stride)
-            right = np.arange(n - 1, -1, -stride)[::-1]
-            d_left = fd4_second(src.values[left], src.h * stride)
-            d_right = fd4_second(src.values[right], src.h * stride)
-            cut = n // 2
-            keep_l = left <= cut
-            keep_r = right > cut
-            nodes = np.concatenate([left[keep_l], right[keep_r]])
-            vals = np.concatenate([d_left[keep_l], d_right[keep_r]])
-            return InterpolatedField(src.grid[nodes], vals)
-        raise NotImplementedError("sampled fields support two derivative orders")
-
-
-class InterpolatedField:
-    """Values on arbitrary strictly increasing nodes (cubic Hermite with
-    ``local_slopes``); terminal in the derivative chain."""
-
-    def __init__(self, nodes: np.ndarray, values: np.ndarray):
-        self.nodes = np.asarray(nodes, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        self._hermite = CubicHermite(
-            self.nodes, self.values, local_slopes(self.nodes, self.values)
-        )
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        out = self._hermite(s)
-        return out if s.ndim else float(out)
-
-    def derivative(self):
-        raise NotImplementedError("interpolated fields are not differentiable")
+        return ScalarFn(Leaf(self, 1))
 
 
 def antiderivative(integrand, lo: float, hi: float, n_panels: int = 10_000, const: float = 0.0):
@@ -226,15 +214,15 @@ def antiderivative(integrand, lo: float, hi: float, n_panels: int = 10_000, cons
 
 
 class AntiderivativeField:
-    """Cumulative integral of a field from the interval's left endpoint,
+    """Cumulative integral of a ScalarFn from the interval's left endpoint,
     by cumulative Simpson on a uniform grid, interpolated by cubic Hermite
-    with the integrand values as slopes.  The exact integrand is kept, so
-    ``derivative()`` has no quadrature error."""
+    with the integrand values as slopes.  The exact integrand is kept: the
+    derivative of order n >= 1 is its derivative of order n - 1, with no
+    quadrature error."""
 
-    def __init__(self, integrand, lo: float, hi: float, n_panels: int = 10_000, const: float = 0.0):
-        # plain callables are fine as integrands; they only lack further
-        # derivative orders
-        self.integrand = integrand if callable(integrand) else as_field(integrand)
+    def __init__(self, integrand: ScalarFn, lo: float, hi: float, n_panels: int = 10_000,
+                 const: float = 0.0):
+        self.integrand = integrand
         self.lo, self.hi = float(lo), float(hi)
         self.const = float(const)
         grid = uniform_grid(lo, hi, n_panels)
@@ -243,7 +231,10 @@ class AntiderivativeField:
         self._hermite = CubicHermite(grid, values, f)
         self.grid = grid
 
-    def __call__(self, s):
+    def __call__(self, s, order: int = 0):
+        if order:
+            integrand = self.integrand
+            return (integrand if order == 1 else integrand.derivative(order - 1))(s)
         s = np.asarray(s, dtype=float)
         out = self._hermite(s) + self.const
         return out if s.ndim else float(out)

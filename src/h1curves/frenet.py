@@ -24,12 +24,11 @@ import numpy as np
 
 from .curves import HorizontalCurve, ParamCurve
 from .heisenberg import H1Point, PshTransform, left_translate
-from .numerics import cumulative_simpson, panel_count
+from .numerics import cumulative_simpson, panel_count, require_finite
 
 __all__ = [
     "InitialPose",
     "AlignmentError",
-    "planar_cascade",
     "reconstruct",
     "find_psh_alignment",
 ]
@@ -55,39 +54,29 @@ class AlignmentError(ValueError):
     """No pseudo-hermitian transformation maps one curve onto the other."""
 
 
-def planar_cascade(kappa, dx: float, heading: float = 0.0, x0: float = 0.0, y0: float = 0.0):
-    """The unit-speed plane curve of curvature ``kappa``, sampled on a
-    uniform grid of spacing dx: phi = heading + int kappa, then
-    x = x0 + int cos(phi) and y = y0 + int sin(phi), each a cumulative
-    Simpson from the first node.  Returns (x, y, cos(phi), sin(phi)).  phi
-    integrates kappa rather than reading ``CurveSample.heading``: the input
-    is invariants, and the curve is what this builds."""
-    phi = heading + cumulative_simpson(kappa, dx=dx)
-    cos, sin = np.cos(phi), np.sin(phi)
-    x = x0 + cumulative_simpson(cos, dx=dx)
-    y = y0 + cumulative_simpson(sin, dx=dx)
-    return x, y, cos, sin
-
-
 def reconstruct(
     inv, pose: InitialPose, s_max: float, step: float = 1e-3
 ) -> HorizontalCurve:
     """The curve with invariants ``inv`` and initial pose ``pose`` on
-    [0, s_max], by the planar cascade and z = z0 + int (tau + y cos(phi) -
-    x sin(phi)) on n = ceil(s_max/step) panels (at least 4) and their
+    [0, s_max], by the cascade above, each integral a cumulative Simpson
+    from s = 0 on n = ceil(s_max/step) panels (at least 4) and their
     midpoints.  The n+1 panel nodes, 4th-order accurate, are the samples of
-    a curve already parametrized by arc length, with s_max exact."""
+    a curve already parametrized by arc length, with s_max exact.  phi
+    integrates kappa: the input is invariants, and the curve is what this
+    builds."""
     if not (s_max > 0 and step > 0):
         raise ValueError(f"s_max and step must be positive, got {s_max} and {step}")
     n = panel_count(s_max, step, minimum=4)
     s_half = np.linspace(0.0, s_max, 2 * n + 1)  # nodes and midpoints
     kappa = np.asarray(inv.kappa(s_half), dtype=float)
     tau = np.asarray(inv.tau(s_half), dtype=float)
-    if not (np.all(np.isfinite(kappa)) and np.all(np.isfinite(tau))):
-        raise ValueError("invariants are not finite on [0, s_max]")
+    require_finite(s_half, kappa=kappa, tau=tau)
     dx = s_max / (2 * n)
     p = pose.point
-    x, y, cos, sin = planar_cascade(kappa, dx, pose.heading, p.x, p.y)
+    phi = pose.heading + cumulative_simpson(kappa, dx=dx)
+    cos, sin = np.cos(phi), np.sin(phi)
+    x = p.x + cumulative_simpson(cos, dx=dx)
+    y = p.y + cumulative_simpson(sin, dx=dx)
     z = p.z + cumulative_simpson(tau + y * cos - x * sin, dx=dx)
     curve = ParamCurve.from_samples(s_half[::2], x[::2], y[::2], z[::2])
     return HorizontalCurve.arc_length(curve)

@@ -14,6 +14,7 @@ __all__ = [
     "cumulative_simpson",
     "MAX_PANELS",
     "panel_count",
+    "require_finite",
     "uniform_grid",
     "fd4_first",
     "fd4_second",
@@ -34,6 +35,20 @@ def panel_count(span: float, step: float, minimum: int = 2) -> int:
         raise ValueError(f"grid of {n:.0f} panels requested (span {span:g} / step "
                          f"{step:g}) exceeds the limit of {MAX_PANELS}")
     return max(minimum, math.ceil(n))
+
+
+def require_finite(grid=None, variable: str = "s", **values):
+    """Raise ValueError naming the first of ``values`` that is not finite:
+    a parameter, or samples on ``grid``, a 1-d array of the ``variable``
+    (several columns stack along the first axis), located at the first
+    node where one is not finite."""
+    for name, value in values.items():
+        finite = np.isfinite(value)
+        if not np.all(finite):
+            if grid is None:
+                raise ValueError(f"{name} must be finite, got {value}")
+            bad = grid[np.argmin(finite.reshape(-1, len(grid)).all(axis=0))]
+            raise ValueError(f"{name}: not finite near {variable} = {bad}")
 
 
 def cumulative_simpson(y, dx: float) -> np.ndarray:

@@ -61,7 +61,7 @@ class RecordingField:
     def __init__(self):
         self.calls = 0
 
-    def __call__(self, s):
+    def __call__(self, s, order=0):
         self.calls += 1
         return np.zeros_like(np.asarray(s, dtype=float))
 

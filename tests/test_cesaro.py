@@ -115,6 +115,18 @@ class TestClosedForm:
         assert np.max(np.abs(kappa - inv.kappa(s))) < 1e-6
         assert np.max(np.abs(tau - inv.tau(s))) < 1e-6
 
+    def test_realized_curve_invariants_are_exact_to_roundoff(self):
+        # the curve is built from the solution's own trees, so its
+        # derivatives carry no quadrature or difference error
+        inv = InvariantPair.from_expressions("1.5 + 0.3*sin(3*s)", "0.4 + 0.2*cos(s)")
+        constants = CesaroConstants(1.0, 0.5, -0.3, 1.2, 0.2, -0.1)
+        sol = cesaro_closed_form(inv, constants, interval=(0, 3))
+        h = curve_from_cesaro_solution(sol, heading0=0.3)
+        s = np.linspace(0.0, 3.0, 301)
+        kappa, tau = h.invariants(s)
+        assert np.max(np.abs(kappa - inv.kappa(s))) < 1e-12
+        assert np.max(np.abs(tau - inv.tau(s))) < 1e-12
+
     def test_realized_curve_is_arc_length_parametrized(self):
         inv = InvariantPair.from_expressions("2 + sin(s)", "0.2*cos(s)")
         sol = cesaro_closed_form(inv, CesaroConstants.default(0.5, -0.2), interval=(1.0, 4.0))

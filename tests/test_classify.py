@@ -13,6 +13,7 @@ from h1curves.classify import (
     classify_position,
     make_canonical,
 )
+from h1curves.curves import kappa_tau_arbitrary
 
 from conftest import random_invariant_exprs
 
@@ -173,6 +174,12 @@ class TestCaseProperties:
         s = np.linspace(0, h.s_max, 60)
         assert np.max(np.abs(h.point(s)[:, 2])) < 1e-10
         assert np.max(np.abs(h.kappa(s))) > 1e-3
+
+    def test_planar_case_reproduces_its_kappa(self):
+        c = make_canonical(ClassTag.PLANAR_CURVE_XY, (0, 5), kappa="1 + 0.4*sin(s)", x0=0.7)
+        u = np.linspace(0.0, 5.0, 301)
+        kappa, _ = kappa_tau_arbitrary(c, u)
+        assert np.max(np.abs(kappa - (1.0 + 0.4 * np.sin(u)))) < 1e-12
 
     def test_helix_plane_norm_constant(self):
         c = make_canonical(

@@ -323,6 +323,37 @@ class TestErrorExits:
         self.assert_one_error_line(result)
         assert result.stderr.startswith("error: cannot classify")
 
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["bertrand", "--c1", "0.3"], ["classify"],
+        ["surface", "check", "cylinder"],
+    ], ids=["analyze", "bertrand", "classify", "check"])
+    def test_curve_that_fails_to_evaluate_is_blamed(self, runner, tmp_path, command):
+        # x and y are regular, so reparametrization succeeds; z first fails
+        # inside the command's own computation
+        spec = write_json(tmp_path, "log.json", {
+            "type": "analytic", "x": "cos(s)", "y": "sin(s)", "z": "log(s - 0.5)",
+            "range": [0, 1],
+        })
+        if command[-1] == "cylinder":
+            command = [*command[:-1], write_json(tmp_path, "s.json", {
+                "g": "1", "f": "-s", "range": [0, 1]})]
+        result = runner.invoke(main, [*command, spec, "--step", "0.1"])
+        self.assert_one_error_line(result)
+        assert result.stderr.startswith(
+            "error: cannot evaluate curve: log of a non-positive argument in 'log(s - 0.5)'")
+
+    @pytest.mark.parametrize("args", [
+        ["analyze", "intrinsic"],
+        ["surface", "gen-const-tau", "--kappa", "1e999", "--range", "0", "1"],
+    ], ids=["intrinsic", "gen-const-tau"])
+    def test_kappa_that_is_not_finite_is_named(self, runner, tmp_path, args):
+        if args[-1] == "intrinsic":
+            args = [args[0], write_json(tmp_path, "c.json", {
+                "type": "intrinsic", "kappa": "1e999", "tau": "0", "range": [0, 1]})]
+        result = runner.invoke(main, args)
+        self.assert_one_error_line(result)
+        assert "kappa: not finite near s = 0" in result.stderr
+
     @pytest.mark.parametrize("tau_bar,reason", [
         ("1/(s-0.5)", "division by zero"), ("1e999", "not finite near s = 0"),
         # constants fold by the evaluator's own kernels
