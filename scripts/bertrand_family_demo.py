@@ -37,7 +37,7 @@ def main():
         tau_bar = f"{rng.uniform(-0.5, 0.5):.4f}*cos(s)"
         mate = bertrand_mate(base, BertrandSpec(c1, c2, tau_bar=tau_bar))
         rel = check_frame_relation(base, mate.curve, 1e-8)
-        dist = mate_distance(base, mate)
+        dist = mate_distance(mate)
         print(
             f"mate {i}: c = ({c1:+.3f}, {c2:+.3f})  "
             f"relation = {rel.value}  "

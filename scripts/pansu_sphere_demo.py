@@ -25,7 +25,7 @@ def main():
               f"(expected {np.pi / (4 * lam * lam):.12g})")
         print(f"  kappa error: {cert.kappa_error:.3e}   "
               f"tau error: {cert.tau_error:.3e}")
-        print(f"  graph defect |z| - F(rho): {cert.graph_defect:.3e}")
+        print(f"  distance to the graph z = +/-F(rho): {cert.graph_defect:.3e}")
         print(f"  membership: {cert.membership.member} "
               f"(max defect {cert.membership.max_defect:.3e})")
 

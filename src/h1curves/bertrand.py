@@ -42,7 +42,7 @@ import numpy as np
 from .curves import RELATIVE_ZERO, HorizontalCurve, ParamCurve, kappa_branch
 from .expressions import EvalDomainError
 from .fields import as_field
-from .numerics import cumulative_simpson, require_finite
+from .numerics import cumulative_simpson, require_finite, step_grid
 
 __all__ = [
     "BertrandSpec",
@@ -81,22 +81,19 @@ class BertrandSpec:
 
 @dataclass
 class BertrandMate:
-    """A constructed mate with its build data, for verification."""
+    """A constructed mate with its build data: the grid it was built on, the
+    base and mate points there, and the frame offsets."""
 
     curve: HorizontalCurve
     spec: BertrandSpec
     branch: str  # "zero-kappa" | "general"
     grid: np.ndarray
+    base: np.ndarray  # base curve points on the grid, shape (m, 3)
+    points: np.ndarray  # mate points on the grid, shape (m, 3)
     u1: np.ndarray
     u2: np.ndarray
     u3: np.ndarray
     tau_bar: np.ndarray  # contact normality the mate was built to carry
-
-
-def _mate_grid(h: HorizontalCurve, n: int | None) -> np.ndarray:
-    if n is None:
-        n = int(min(20_000, max(1000, np.ceil(h.s_max / 1e-3))))
-    return np.linspace(0.0, h.s_max, n + 1)
 
 
 def _offset(field, name: str, grid) -> np.ndarray:
@@ -109,14 +106,17 @@ def _offset(field, name: str, grid) -> np.ndarray:
     return values
 
 
-def bertrand_mate(h: HorizontalCurve, spec: BertrandSpec, n: int | None = None) -> BertrandMate:
+def bertrand_mate(h: HorizontalCurve, spec: BertrandSpec, step: float = 1e-3) -> BertrandMate:
     """Construct the mate of ``h`` for the given offsets.
 
-    The branch is "zero-kappa" when max |kappa| S <= RELATIVE_ZERO and
-    "general" when min |kappa| S exceeds it; a kappa that crosses between
-    regimes on the interval is refused.
+    The mate is built on ``numerics.step_grid(0, S, step)`` from one
+    ``h.sample`` there: the base and mate points on that grid are kept, and
+    u3 of the general branch is a cumulative Simpson integral on it
+    (error O(step^4)).  The branch is "zero-kappa" when max |kappa| S <=
+    RELATIVE_ZERO and "general" when min |kappa| S exceeds it; a kappa that
+    crosses between regimes on the interval is refused.
     """
-    grid = _mate_grid(h, n)
+    grid = step_grid(0.0, h.s_max, step)
     smp = h.sample(grid)
     kappa, tau = smp.kappa, smp.tau
     branch = kappa_branch(kappa, h.s_max)
@@ -129,7 +129,9 @@ def bertrand_mate(h: HorizontalCurve, spec: BertrandSpec, n: int | None = None) 
         tau_bar = tau - spec.c2 + _offset(spec.g.derivative(), "g'", grid)
     elif branch == "general":
         heading = smp.heading()
-        theta = heading - heading[0]  # the integral of kappa
+        # the integral of kappa up to whole turns, which sin and cos ignore:
+        # unwrapping cannot count the turns of a step that turns past pi
+        theta = heading - heading[0]
         u1 = spec.c1 * np.sin(theta) + spec.c2 * np.cos(theta)
         u2 = spec.c1 * np.cos(theta) - spec.c2 * np.sin(theta)
         tau_bar = tau if spec.tau_bar is None else _offset(spec.tau_bar, "tau_bar", grid)
@@ -148,7 +150,8 @@ def bertrand_mate(h: HorizontalCurve, spec: BertrandSpec, n: int | None = None) 
     mate_curve = HorizontalCurve.arc_length(
         ParamCurve.from_samples(grid, mate_pts[:, 0], mate_pts[:, 1], mate_pts[:, 2])
     )
-    return BertrandMate(mate_curve, spec, branch, grid, u1, u2, u3, tau_bar)
+    return BertrandMate(mate_curve, spec, branch, grid, smp.points, mate_pts,
+                        u1, u2, u3, tau_bar)
 
 
 @dataclass
@@ -168,15 +171,10 @@ class MateDistance:
     b_offset_max: float
 
 
-def mate_distance(
-    h: HorizontalCurve, mate: BertrandMate, grid=None
-) -> MateDistance:
-    """Pointwise distances between base and mate on the grid, compared to
-    the expected constant sqrt(c1^2 + c2^2)."""
-    if grid is None:
-        grid = np.linspace(0.0, min(h.s_max, mate.curve.s_max), 400)
-    grid = np.asarray(grid, dtype=float)
-    delta = mate.curve.point(grid) - h.point(grid)
+def mate_distance(mate: BertrandMate) -> MateDistance:
+    """Pointwise distances between the base and mate points on the mate's
+    grid, compared to the expected constant sqrt(c1^2 + c2^2)."""
+    delta = mate.points - mate.base
     planar = np.hypot(delta[:, 0], delta[:, 1])
     euclid = np.linalg.norm(delta, axis=1)
     b_off = delta[:, 2]  # vertical component of the componentwise offset

@@ -45,11 +45,11 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import (HorizontalCurve, InvariantPair, ParamCurve, immobility_residuals,
-                     kappa_branch, reparam_horizontal)
+from .curves import HorizontalCurve, InvariantPair, ParamCurve, immobility_residuals, kappa_branch
 from .expressions import EvalDomainError, Num, S
 from .fields import antiderivative, as_field
-from .numerics import lowest_local_minima, minimize_brackets, require_finite, uniform_grid
+from .numerics import (lowest_local_minima, minimize_brackets, require_finite, step_grid,
+                       uniform_grid)
 
 __all__ = [
     "CesaroConstants",
@@ -571,19 +571,20 @@ def pansu_graph_height(lam: float, rho):
     return (lr * np.sqrt(1.0 - lr * lr) + np.arccos(lr)) / (2.0 * lam * lam)
 
 
-def pansu_sphere(
-    lam: float, n_check: int = 400, step: float | None = None, tol: float = 1e-6
-) -> PansuSphere:
+def pansu_sphere(lam: float, step: float = 1e-3, tol: float = 1e-6) -> PansuSphere:
     """The Pansu sphere: the surface swept by rotating the constant
     p-curvature geodesic (kappa = 2 lam, tau = 0) about the z-axis, equal to
     the union of the graphs of +/- the closed-form height function.
 
-    Returns the generator profile, the pole-to-pole geodesic
-    (reparametrized with grid step ``step``), and a certificate of (i) the
-    geodesic points satisfying z = +/-height(rho) within 1e-8, (ii) the
-    geodesic's membership in the surface within ``tol``, (iii) its measured
-    invariants being 2 lam and 0 within 1e-9.  Failing (i) or (iii) raises
-    ValueError; (ii) is a verdict, read from ``certificate.membership``."""
+    Returns the generator profile, the pole-to-pole geodesic (x' = cos 2 lam
+    s and y' = sin 2 lam s, so s is already its horizontal arc length), and
+    a certificate from one sample of it on ``numerics.step_grid(0, pi/lam,
+    step)``: (i) its distance to the graphs z = +/-height(rho) within 1e-8,
+    to first order |dz|/sqrt(1 + height'^2), or rho - 1/lam past the
+    equator, where height' is unbounded; (ii) its invariants within 1e-9 of
+    2 lam and 0; (iii) its membership in the surface within ``tol``.
+    Failing (i) or (ii) raises ValueError; (iii) is a verdict, read from
+    ``certificate.membership``."""
     # constants are folded before they enter the trees, as parsing the text
     # sin(2*lam*s)/(4*lam^2) folds them, so the trees and their derivatives
     # evaluate bit for bit like the parsed text
@@ -596,15 +597,12 @@ def pansu_sphere(
                          f"and nonzero, got {lam}")
     two_lam = 2 * lam
     sin = (two_lam * S).apply("sin")
-    geo = reparam_horizontal(
-        ParamCurve.from_fields(
-            sin / two_lam,
-            (1 - (two_lam * S).apply("cos")) / two_lam,
-            sin / four_lam2 - S / two_lam + math.pi / four_lam2,
-            (0.0, np.pi / lam),
-        ),
-        step=step,
-    )
+    geo = HorizontalCurve.arc_length(ParamCurve.from_fields(
+        sin / two_lam,
+        (1 - (two_lam * S).apply("cos")) / two_lam,
+        sin / four_lam2 - S / two_lam + math.pi / four_lam2,
+        (0.0, np.pi / lam),
+    ))
     l = repr(float(lam))
     g_text = f"cos(({l})*s)/({l})"
     f_text = f"(sin(-2*({l})*s) - 2*({l})*s)/(4*({l})^2)"
@@ -616,25 +614,20 @@ def pansu_sphere(
         f_text=f_text,
     )
 
-    s = np.linspace(0.0, geo.s_max, n_check)
-    pts = geo.point(s)
+    smp = geo.sample(step_grid(0.0, geo.s_max, step))
+    pts = smp.points
     rho = np.hypot(pts[:, 0], pts[:, 1])
-    graph_defect = float(
-        np.max(np.abs(np.abs(pts[:, 2]) - pansu_graph_height(lam, rho)))
-    )
-    inner = np.linspace(0.02 * geo.s_max, 0.98 * geo.s_max, n_check)
-    kappa, tau = geo.invariants(inner)
-    kappa_error = float(np.max(np.abs(kappa - 2.0 * lam)))
-    tau_error = float(np.max(np.abs(tau)))
+    # |height'(rho)| = x^2/(lam w) with x = lam rho and w = sqrt(1 - x^2),
+    # so 1/sqrt(1 + height'^2) = lam w/hypot(lam w, x^2)
+    x = np.minimum(lam * rho, 1.0)
+    lam_w = lam * np.sqrt(1.0 - x * x)
+    dz = np.abs(np.abs(pts[:, 2]) - pansu_graph_height(lam, rho))
+    graph_defect = float(np.max(np.maximum(dz * lam_w / np.hypot(lam_w, x * x),
+                                           rho - 1.0 / lam)))
+    kappa_error = float(np.max(np.abs(smp.kappa - 2.0 * lam)))
+    tau_error = float(np.max(np.abs(smp.tau)))
     membership = surface_membership(geo, surface, tol=tol)
-    cert = PansuCertificate(
-        graph_defect=graph_defect,
-        membership=membership,
-        kappa_error=kappa_error,
-        tau_error=tau_error,
-        north_pole=pts[0],
-        south_pole=pts[-1],
-    )
+    cert = PansuCertificate(graph_defect, membership, kappa_error, tau_error, pts[0], pts[-1])
     if graph_defect > 1e-8:
         raise ValueError(f"geodesic leaves the graph: defect {graph_defect:.3e}")
     if kappa_error > 1e-9 or tau_error > 1e-9:

@@ -149,9 +149,9 @@ def _fit_planar(grid, pts, u1, u2, u3, kappa, tau, thresh, h):
     if tau_residual > 1e-4 * (h.s_max + float(np.max(np.abs(tau)))):
         return None
     eps = 1e-4 * h.s_max
-    inner = (grid > grid[0] + eps) & (grid < grid[-1] - eps)
+    interior = (grid > grid[0] + eps) & (grid < grid[-1] - eps)
     taup = np.gradient(tau, grid)
-    f_residual = float(np.max(np.abs((u1 * kappa - taup)[inner])))
+    f_residual = float(np.max(np.abs((u1 * kappa - taup)[interior])))
     return PositionClass(
         ClassTag.PLANAR_CURVE_XY,
         witness={"max_kappa": float(np.max(np.abs(kappa)))},

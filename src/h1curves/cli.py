@@ -51,7 +51,7 @@ from .expressions import EvalDomainError, ExpressionError
 from .fields import as_field
 from .frenet import InitialPose, reconstruct
 from .heisenberg import H1Point
-from .numerics import panel_count
+from .numerics import step_grid
 
 EXIT_NEGATIVE = 1
 EXIT_PARSE = 2
@@ -190,11 +190,6 @@ def _csv(header: list[str], rows) -> str:
     return ",".join(header) + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist())
 
 
-def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """Output grid over [lo, hi] at about ``step``; refused over budget."""
-    return np.linspace(lo, hi, panel_count(hi - lo, step) + 1)
-
-
 def _table(fmt: str, header: list[str], rows, doc: dict | None = None, key: str = "rows") -> str:
     """CSV, or the JSON document ``doc`` (default ``{"columns": header}``)
     with the table under ``key``."""
@@ -255,7 +250,7 @@ def main():
 def analyze(curve_json, step, tol, fmt, output):
     """Invariants along a curve: columns s, x, y, z, kappa, tau."""
     h = _curve_from_spec(_read_json(curve_json), step)
-    s = _grid(0.0, h.s_max, step)
+    s = step_grid(0.0, h.s_max, step)
     with _prefixed("cannot evaluate curve", EvalDomainError):
         smp = h.sample(s)
     rows = np.column_stack([s, smp.points, smp.kappa, smp.tau])
@@ -271,7 +266,7 @@ def reconstruct_cmd(curve_json, step, tol, fmt, output):
     if not isinstance(spec, dict) or spec.get("type") != "intrinsic":
         raise ValueError("reconstruct needs an intrinsic curve spec")
     h = _curve_from_spec(spec, step)
-    s = _grid(0.0, h.s_max, step)
+    s = step_grid(0.0, h.s_max, step)
     rows = np.column_stack([s, h.point(s)])
     _emit(_table(fmt, ["s", "x", "y", "z"], rows, {"type": "samples"}, "data"), output)
 
@@ -294,15 +289,13 @@ def bertrand(curve_json, c1, c2, tau_bar, g, step, tol, fmt, output):
     h = _curve_from_spec(_read_json(curve_json), step)
     spec = BertrandSpec(c1, c2, tau_bar=_offset("tau_bar", tau_bar), g=_offset("g", g))
     with _prefixed("cannot evaluate curve", EvalDomainError):
-        mate = bertrand_mate(h, spec)
-    s = _grid(0.0, min(h.s_max, mate.curve.s_max), step)
-    base = h.point(s)
-    other = mate.curve.point(s)
+        mate = bertrand_mate(h, spec, step)
     with np.errstate(over="ignore"):
-        dist = np.linalg.norm(other - base, axis=1)
+        dist = np.linalg.norm(mate.points - mate.base, axis=1)
     if not np.all(np.isfinite(dist)):  # offsets past about 1e154 square to inf
-        raise ValueError(f"mate distance overflows near s = {s[np.argmin(np.isfinite(dist))]}")
-    rows = np.column_stack([s, base, other, dist])
+        bad = mate.grid[np.argmin(np.isfinite(dist))]
+        raise ValueError(f"mate distance overflows near s = {bad}")
+    rows = np.column_stack([mate.grid, mate.base, mate.points, dist])
     _emit(_table(fmt, ["s", "x", "y", "z", "x_bar", "y_bar", "z_bar", "dist"], rows), output)
 
 
@@ -363,7 +356,7 @@ def gen_const_kappa(kappa, tau_const, c1, c2, c3g, c3f, srange, step, tol, fmt, 
     if fmt == "json":
         text = _json_text(sigma.to_json())
     else:
-        s = _grid(sigma.s_lo, sigma.s_hi, step)
+        s = step_grid(sigma.s_lo, sigma.s_hi, step)
         text = _csv(["s", "g", "f"], np.column_stack([s, *sigma.profile(s)]))
     _emit(text, output)
 
@@ -384,7 +377,7 @@ def gen_const_tau(kappa, tau_const, constants, g2_const, f_const, srange, step, 
         inv, CesaroConstants(*constants[:4]), (constants[4], constants[5]),
         srange, g2_const=g2_const, f_const=f_const,
     )
-    s = _grid(sigma.s_lo, sigma.s_hi, step)
+    s = step_grid(sigma.s_lo, sigma.s_hi, step)
     rows = np.column_stack([s, *sigma.profile(s)])
     if fmt == "json":
         _emit(_json_text({"samples": rows.tolist(), "range": [sigma.s_lo, sigma.s_hi]}), output)

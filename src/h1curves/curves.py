@@ -153,18 +153,20 @@ def _jet(c: ParamCurve, u: np.ndarray):
     return jet
 
 
-def kappa_tau_arbitrary(c: ParamCurve, u, tol: float = 1e-12, jet=None):
+def kappa_tau_arbitrary(c: ParamCurve, u, jet=None):
     """Invariants at parameter u (scalar or array), arbitrary parametrization.
+    A contact speed at or below RELATIVE_ZERO times the largest among the
+    samples (a zero one always) raises RegularityError.
 
     ``jet``, when given, is ``_jet(c, u)`` already evaluated at the 1-d u."""
     scalar = np.ndim(u) == 0
     u = np.atleast_1d(np.asarray(u, dtype=float))
     x, y, _, xp, yp, zp, xpp, ypp = _jet(c, u) if jet is None else jet
     speed2 = xp * xp + yp * yp
-    if np.any(speed2 < tol * tol):
-        bad = u[np.argmin(speed2)]
-        raise RegularityError(f"degenerate contact speed near u = {bad}")
     speed = np.sqrt(speed2)
+    if np.any(speed <= RELATIVE_ZERO * np.max(speed)):
+        bad = u[np.argmin(speed)]
+        raise RegularityError(f"degenerate contact speed near u = {bad}")
     kappa = (xp * ypp - xpp * yp) / speed2**1.5
     tau = (x * yp - xp * y + zp) / speed
     if scalar:

@@ -388,10 +388,12 @@ def _eval(node, s, leaves):
     if isinstance(node, Var):
         return s
     if isinstance(node, Leaf):
-        # a leaf that several subtrees share is evaluated once per call
-        if node not in leaves:
-            leaves[node] = node.field(s, node.order)
-        return leaves[node]
+        # one field at one order is evaluated once per call, however many
+        # leaf nodes (as differentiation makes) stand for it
+        key = node.field, node.order
+        if key not in leaves:
+            leaves[key] = node.field(s, node.order)
+        return leaves[key]
     if isinstance(node, Neg):
         return -_eval(node.child, s, leaves)
     if isinstance(node, BinOp):

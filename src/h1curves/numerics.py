@@ -15,6 +15,7 @@ __all__ = [
     "MAX_PANELS",
     "panel_count",
     "require_finite",
+    "step_grid",
     "uniform_grid",
     "fd4_first",
     "fd4_second",
@@ -35,6 +36,13 @@ def panel_count(span: float, step: float, minimum: int = 2) -> int:
         raise ValueError(f"grid of {n:.0f} panels requested (span {span:g} / step "
                          f"{step:g}) exceeds the limit of {MAX_PANELS}")
     return max(minimum, math.ceil(n))
+
+
+def step_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """The uniform grid over [lo, hi] at about ``step``: ceil((hi - lo)/step)
+    panels, at least 4, so every table has at least 5 rows; a request over
+    budget is refused by ``panel_count``."""
+    return np.linspace(lo, hi, panel_count(hi - lo, step, minimum=4) + 1)
 
 
 def require_finite(grid=None, variable: str = "s", **values):

@@ -232,7 +232,7 @@ def test_criterion_09_bertrand_suite():
         km, _ = mate.curve.invariants(inner)
         kb, _ = base.invariants(inner)
         worst_kappa = max(worst_kappa, float(np.max(np.abs(km - kb))))
-        d = mate_distance(base, mate)
+        d = mate_distance(mate)
         worst_dist = max(worst_dist, d.contact_deviation)
         curves.extend([base, mate.curve])
 

@@ -4,6 +4,7 @@ import pytest
 from h1curves import (
     InitialPose,
     InvariantPair,
+    ParamCurve,
     PshTransform,
     H1Point,
     psh_transform_curve,
@@ -111,19 +112,19 @@ class TestMateDistance:
     def test_three_four_five(self):
         base = unit_circle_curve()
         m = bertrand_mate(base, BertrandSpec(3.0, 4.0))
-        d = mate_distance(base, m)
+        d = mate_distance(m)
         assert d.contact_mean == pytest.approx(5.0, abs=1e-8)
         assert d.contact_deviation < 1e-8
 
     def test_zero_offsets(self):
         base = unit_circle_curve()
-        d = mate_distance(base, bertrand_mate(base, BertrandSpec(0.0, 0.0)))
+        d = mate_distance(bertrand_mate(base, BertrandSpec(0.0, 0.0)))
         assert d.contact_mean < 1e-9
         assert d.euclidean_max < 1e-9
 
     def test_zero_branch_vertical_offset_flagged(self):
         m = bertrand_mate(line(), BertrandSpec(1.0, 2.0, g="sin(s)"))
-        d = mate_distance(line(), m)
+        d = mate_distance(m)
         # contact offset stays sqrt(1 + 4); the b-offset varies with g
         assert d.contact_deviation < 1e-8
         assert d.b_offset_max == pytest.approx(np.sin(np.pi / 2), abs=1e-6)
@@ -148,6 +149,34 @@ class TestFrameRelation:
         g = PshTransform(np.pi / 3, H1Point.origin())
         rotated = reparam_horizontal(psh_transform_curve(g, base.param))
         assert check_frame_relation(base, rotated, 1e-6) is FrameRelation.NONE
+
+
+class TestMateGrid:
+    """The mate is built on the step grid, from one sample of the base."""
+
+    @pytest.fixture
+    def ellipse(self):
+        c = ParamCurve.from_expressions(
+            "1.5*cos(1.2*s) + 0.2", "0.8*sin(1.2*s) - 0.1", "0.3*s", (0.0, 4.0))
+        return reparam_horizontal(c, step=1e-3)
+
+    def test_points_are_the_sampled_base_plus_offsets(self, ellipse):
+        m = bertrand_mate(ellipse, BertrandSpec(0.3, -0.5), step=0.1)
+        assert np.array_equal(m.base, ellipse.sample(m.grid).points)
+        assert np.array_equal(m.points[:, 2], m.base[:, 2] + m.u3)
+        assert m.curve.s_max == ellipse.s_max
+
+    def test_z_bar_converges_at_fourth_order(self, ellipse):
+        # u3 is a cumulative Simpson integral on the grid: halving the step
+        # divides its error by about 16; the reference has 8 times the nodes
+        spec = BertrandSpec(0.3, -0.5)
+        ref = bertrand_mate(ellipse, spec, step=ellipse.s_max / 4096)
+        errors = []
+        for n in (64, 128, 256, 512):
+            m = bertrand_mate(ellipse, spec, step=ellipse.s_max / n)
+            assert m.grid.size == n + 1
+            errors.append(np.max(np.abs(m.points[:, 2] - ref.points[::4096 // n, 2])))
+        assert min(a / b for a, b in zip(errors, errors[1:])) >= 12.0
 
 
 class TestImpossiblePairings:

@@ -26,7 +26,7 @@ from h1curves.cesaro import (
     surface_membership,
 )
 from h1curves import numerics
-from h1curves.fields import antiderivative, as_field
+from h1curves.fields import CubicHermite, antiderivative, as_field
 from h1curves.numerics import lowest_local_minima
 
 
@@ -126,6 +126,28 @@ class TestClosedForm:
         kappa, tau = h.invariants(s)
         assert np.max(np.abs(kappa - inv.kappa(s))) < 1e-12
         assert np.max(np.abs(tau - inv.tau(s))) < 1e-12
+
+    def test_realized_curve_evaluates_each_field_once_per_order(self, monkeypatch):
+        # derivatives make new leaf nodes for the same field and order; a
+        # call evaluates that field's interpolant once, not once per node
+        inv = InvariantPair.from_expressions("1.5 + 0.3*sin(3*s)", "0.4 + 0.2*cos(s)")
+        constants = CesaroConstants(1.0, 0.5, -0.3, 1.2, 0.2, -0.1)
+        h = curve_from_cesaro_solution(cesaro_closed_form(inv, constants, interval=(0, 3)))
+        calls = []
+        original = CubicHermite.__call__
+
+        def counting(self, s):
+            calls.append(self)
+            return original(self, s)
+
+        monkeypatch.setattr(CubicHermite, "__call__", counting)
+        s = np.linspace(0.0, 3.0, 31)
+        counts = []
+        for f in (h.param.x, h.param.x.derivative(), h.param.x.derivative(2)):
+            calls.clear()
+            f(s)
+            counts.append(len(calls))
+        assert counts[1] <= 5 and counts[2] <= 7
 
     def test_realized_curve_is_arc_length_parametrized(self):
         inv = InvariantPair.from_expressions("2 + sin(s)", "0.2*cos(s)")
@@ -676,6 +698,16 @@ class TestPansuSphere:
         sphere = pansu_sphere(0.7)
         assert sphere.certificate.graph_defect < 1e-8
         assert sphere.certificate.membership.member
+
+    def test_equator_node(self):
+        # the grid has a node at s = S/2, where the graph's slope is
+        # unbounded and the vertical defect |z| - h(rho) is 4e-8 here; the
+        # distance to the graph stays at roundoff
+        lam = 0.6011953709324269
+        S = np.pi / lam
+        assert S / 2 in numerics.step_grid(0.0, S, S / 400)
+        sphere = pansu_sphere(lam, step=S / 400)
+        assert sphere.certificate.graph_defect < 1e-14
 
     def test_height_function_endpoints(self):
         lam = 1.0

@@ -81,6 +81,18 @@ class TestAnalyze:
         result = runner.invoke(main, ["analyze", spec])
         assert result.exit_code == 2
 
+    def test_small_scale_curve_is_regular(self, runner, tmp_path):
+        # a contact speed of 1e-13 is small only against the curve's own
+        # speeds, which are all equal here: kappa = 1/radius
+        spec = write_json(tmp_path, "c.json", {
+            "type": "analytic", "x": "1e-13*cos(s)", "y": "1e-13*sin(s)", "z": "5e-27*s",
+            "range": [0, 3],
+        })
+        result = runner.invoke(main, ["analyze", spec, "--step", "1e-3"])
+        assert result.exit_code == 0, result.output
+        _, data = parse_csv(result.output)
+        assert np.max(np.abs(data[:, 4] / 1e13 - 1.0)) < 1e-6
+
     def test_determinism(self, runner, tmp_path):
         spec = write_json(tmp_path, "c.json", INTRINSIC_PANSU)
         a = runner.invoke(main, ["analyze", spec, "--step", "0.05"])
@@ -194,6 +206,30 @@ class TestBertrand:
         assert header == ["s", "x", "y", "z", "x_bar", "y_bar", "z_bar", "dist"]
         planar = np.hypot(data[:, 4] - data[:, 1], data[:, 5] - data[:, 2])
         assert np.max(np.abs(planar - 5.0)) < 1e-7
+
+    @pytest.mark.parametrize("step", ["0.1", "0.005"])
+    def test_planar_distance_is_exact_on_the_step_grid(self, runner, tmp_path, step):
+        spec = write_json(tmp_path, "c.json", {
+            "type": "analytic", "x": "1.5*cos(1.2*s) + 0.2", "y": "0.8*sin(1.2*s) - 0.1",
+            "z": "0.3*s", "range": [0, 4],
+        })
+        result = runner.invoke(main, ["bertrand", spec, "--c1", "0.3", "--c2", "-0.5",
+                                      "--step", step])
+        assert result.exit_code == 0
+        _, data = parse_csv(result.output)
+        planar = np.hypot(data[:, 4] - data[:, 1], data[:, 5] - data[:, 2])
+        assert np.max(np.abs(planar - np.hypot(0.3, -0.5))) < 1e-14
+
+    @pytest.mark.parametrize("step", ["3", "5", "100"])
+    def test_coarse_step_prints_five_rows(self, runner, tmp_path, step):
+        # the curve's horizontal length is 5.68: every grid has 4 panels
+        spec = write_json(tmp_path, "c.json", {
+            "type": "analytic", "x": "1.5*cos(1.2*s) + 0.2", "y": "0.8*sin(1.2*s) - 0.1",
+            "z": "0.3*s", "range": [0, 4],
+        })
+        result = runner.invoke(main, ["bertrand", spec, "--c1", "0.3", "--step", step])
+        assert result.exit_code == 0
+        assert len(result.output.strip().splitlines()) == 1 + 5
 
     def test_zero_branch_requires_g(self, runner, tmp_path):
         spec = write_json(tmp_path, "c.json", {

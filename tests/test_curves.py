@@ -21,8 +21,10 @@ from h1curves import (
     verify_cesaro,
 )
 from h1curves.bertrand import BertrandSpec, bertrand_mate
+from h1curves.cesaro import pansu_sphere
 from h1curves.classify import classify_position
 from h1curves.cli import main
+from h1curves.numerics import step_grid
 
 from conftest import RecordingField, random_analytic_curve, random_psh_transform
 
@@ -467,6 +469,21 @@ class TestOneInversionPerGrid:
         result = CliRunner().invoke(main, ["analyze", str(spec), "--step", "0.01"])
         assert result.exit_code == 0
         assert calls == [len(result.output.strip().splitlines()) - 1]
+
+    def test_bertrand_cli(self, calls, tmp_path):
+        spec = tmp_path / "c.json"
+        spec.write_text(json.dumps({"type": "analytic", "x": "1.5*cos(s)", "y": "0.8*sin(s)",
+                                    "z": "0.1*s", "range": [0, 4]}))
+        result = CliRunner().invoke(main, ["bertrand", str(spec), "--c1", "0.3", "--c2", "0.2",
+                                           "--step", "0.1"])
+        assert result.exit_code == 0
+        assert calls == [len(result.output.strip().splitlines()) - 1]
+
+    def test_pansu_sphere(self, calls):
+        # the geodesic is already unit speed: its grid and the membership
+        # samples are its only inversions
+        sphere = pansu_sphere(1.0, step=0.01)
+        assert calls == [step_grid(0.0, sphere.geodesic.s_max, 0.01).size, 200]
 
     def test_verify_cesaro(self, calls):
         h = reparam_horizontal(slow_speed_curve(4.0))

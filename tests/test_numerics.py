@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from h1curves.numerics import MAX_PANELS, cumulative_simpson, golden_section, panel_count
+from h1curves.numerics import (MAX_PANELS, cumulative_simpson, golden_section, panel_count,
+                               step_grid)
 
 
 class TestGoldenSection:
@@ -55,6 +56,12 @@ class TestPanelCount:
         assert panel_count(1.0, 0.3) == 4
         assert panel_count(1e-9, 1.0) == 2
         assert panel_count(1.0, 0.5, minimum=64) == 64
+
+    @pytest.mark.parametrize("step,nodes", [(1e-3, 1001), (0.3, 5), (0.5, 5), (10.0, 5)])
+    def test_step_grid_has_at_least_four_panels(self, step, nodes):
+        grid = step_grid(-0.25, 0.75, step)
+        assert grid.size == nodes
+        assert (grid[0], grid[-1]) == (-0.25, 0.75)
 
     def test_exact_budget_is_allowed(self):
         assert panel_count(float(MAX_PANELS), 1.0) == MAX_PANELS
