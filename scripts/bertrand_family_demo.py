@@ -12,6 +12,7 @@ from h1curves.bertrand import (
     BertrandSpec,
     bertrand_mate,
     check_frame_relation,
+    mate_curve,
     mate_distance,
 )
 
@@ -36,7 +37,7 @@ def main():
         c1, c2 = rng.uniform(-2, 2, size=2)
         tau_bar = f"{rng.uniform(-0.5, 0.5):.4f}*cos(s)"
         mate = bertrand_mate(base, BertrandSpec(c1, c2, tau_bar=tau_bar))
-        rel = check_frame_relation(base, mate.curve, 1e-8)
+        rel = check_frame_relation(base, mate_curve(mate), 1e-8)
         dist = mate_distance(mate)
         print(
             f"mate {i}: c = ({c1:+.3f}, {c2:+.3f})  "

@@ -14,13 +14,10 @@ from .heisenberg import (
 )
 from .expressions import EvalDomainError, ExpressionError, ScalarFn
 from .curves import (
-    Frame,
     HorizontalCurve,
     InvariantPair,
     ParamCurve,
     RegularityError,
-    frame_at,
-    frame_coefficients,
     is_horizontally_regular,
     kappa_tau_arbitrary,
     psh_transform_curve,
@@ -41,13 +38,10 @@ __all__ = [
     "EvalDomainError",
     "ExpressionError",
     "ScalarFn",
-    "Frame",
     "HorizontalCurve",
     "InvariantPair",
     "ParamCurve",
     "RegularityError",
-    "frame_at",
-    "frame_coefficients",
     "is_horizontally_regular",
     "kappa_tau_arbitrary",
     "psh_transform_curve",

@@ -24,8 +24,8 @@ shares the parameter (ds_bar/ds = 1), keeps kappa, and sits at constant
 contact-plane distance sqrt(c1^2 + c2^2) from the base curve; the full
 Euclidean distance is sqrt(c1^2 + c2^2 + u3^2) pointwise.
 
-Frame fields of two curves are compared through the left-invariant frame
-(basis components), the identification under which the shared-normal
+The frame fields of two curves are compared through the left-invariant
+frame (basis components), the identification under which the shared-normal
 condition is stated.  The mixed pairings t_bar = g n and n_bar = g b are
 impossible; ``tangent_normal_residual`` and ``binormal_normal_residual``
 quantify how far any candidate pair stays from satisfying them.
@@ -51,11 +51,15 @@ __all__ = [
     "FrameRelation",
     "MateDistance",
     "bertrand_mate",
+    "mate_curve",
     "mate_distance",
     "check_frame_relation",
     "tangent_normal_residual",
     "binormal_normal_residual",
 ]
+
+_FRAME_SAMPLES = 200
+
 
 class BranchError(ValueError):
     """kappa is neither identically zero nor bounded away from zero."""
@@ -82,9 +86,9 @@ class BertrandSpec:
 @dataclass
 class BertrandMate:
     """A constructed mate with its build data: the grid it was built on, the
-    base and mate points there, and the frame offsets."""
+    base and mate points there, and the frame offsets.  ``mate_curve``
+    builds the mate as a curve."""
 
-    curve: HorizontalCurve
     spec: BertrandSpec
     branch: str  # "zero-kappa" | "general"
     grid: np.ndarray
@@ -114,7 +118,8 @@ def bertrand_mate(h: HorizontalCurve, spec: BertrandSpec, step: float = 1e-3) ->
     u3 of the general branch is a cumulative Simpson integral on it
     (error O(step^4)).  The branch is "zero-kappa" when max |kappa| S <=
     RELATIVE_ZERO and "general" when min |kappa| S exceeds it; a kappa that
-    crosses between regimes on the interval is refused.
+    crosses between regimes on the interval is refused, and so is a mate
+    point that is not finite.  ``mate_curve`` builds the mate as a curve.
     """
     grid = step_grid(0.0, h.s_max, step)
     smp = h.sample(grid)
@@ -132,10 +137,11 @@ def bertrand_mate(h: HorizontalCurve, spec: BertrandSpec, step: float = 1e-3) ->
         # the integral of kappa up to whole turns, which sin and cos ignore:
         # unwrapping cannot count the turns of a step that turns past pi
         theta = heading - heading[0]
-        u1 = spec.c1 * np.sin(theta) + spec.c2 * np.cos(theta)
-        u2 = spec.c1 * np.cos(theta) - spec.c2 * np.sin(theta)
         tau_bar = tau if spec.tau_bar is None else _offset(spec.tau_bar, "tau_bar", grid)
-        u3 = cumulative_simpson(u2 - tau + tau_bar, dx=h.s_max / (grid.size - 1))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, at its s
+            u1 = spec.c1 * np.sin(theta) + spec.c2 * np.cos(theta)
+            u2 = spec.c1 * np.cos(theta) - spec.c2 * np.sin(theta)
+            u3 = cumulative_simpson(u2 - tau + tau_bar, dx=h.s_max / (grid.size - 1))
     else:
         raise BranchError(
             f"kappa spans both regimes on [0, {h.s_max:.3g}] "
@@ -144,14 +150,18 @@ def bertrand_mate(h: HorizontalCurve, spec: BertrandSpec, step: float = 1e-3) ->
         )
 
     xp, yp = smp.velocity[:, 0], smp.velocity[:, 1]
-    mate_pts = smp.points + np.stack(
-        [u1 * xp - u2 * yp, u1 * yp + u2 * xp, u3], axis=1
-    )
-    mate_curve = HorizontalCurve.arc_length(
-        ParamCurve.from_samples(grid, mate_pts[:, 0], mate_pts[:, 1], mate_pts[:, 2])
-    )
-    return BertrandMate(mate_curve, spec, branch, grid, smp.points, mate_pts,
-                        u1, u2, u3, tau_bar)
+    with np.errstate(over="ignore", invalid="ignore"):  # offsets near the float range
+        mate_pts = smp.points + np.stack(
+            [u1 * xp - u2 * yp, u1 * yp + u2 * xp, u3], axis=1
+        )
+    require_finite(grid, mate=mate_pts.T)
+    return BertrandMate(spec, branch, grid, smp.points, mate_pts, u1, u2, u3, tau_bar)
+
+
+def mate_curve(mate: BertrandMate) -> HorizontalCurve:
+    """The mate as a curve: its points on the mate's grid, resampled, with
+    the shared parameter s as its horizontal arc length."""
+    return HorizontalCurve.arc_length(ParamCurve.from_samples(mate.grid, *mate.points.T))
 
 
 @dataclass
@@ -194,43 +204,41 @@ class FrameRelation(enum.Enum):
     NONE = "None"
 
 
-def _contact_headings(a: HorizontalCurve, b: HorizontalCurve, n: int):
-    s_hi = min(a.s_max, b.s_max)
-    grid = np.linspace(0.0, s_hi, n)
-    va = a.velocity(grid)
-    vb = b.velocity(grid)
-    return va[:, :2], vb[:, :2]
+def _contact_headings(a: HorizontalCurve, b: HorizontalCurve):
+    """The basis components (x', y') of both unit tangents on a common grid."""
+    grid = np.linspace(0.0, min(a.s_max, b.s_max), _FRAME_SAMPLES)
+    return a.sample(grid).velocity[:, :2], b.sample(grid).velocity[:, :2]
 
 
 def check_frame_relation(
-    a: HorizontalCurve, b: HorizontalCurve, tol: float = 1e-6, n: int = 200
+    a: HorizontalCurve, b: HorizontalCurve, tol: float = 1e-6
 ) -> FrameRelation:
     """NormalAligned iff the normal fields agree pointwise in basis
     components (equivalently the tangents agree, via n = J t)."""
-    ta, tb = _contact_headings(a, b, n)
+    ta, tb = _contact_headings(a, b)
     if float(np.max(np.linalg.norm(tb - ta, axis=1))) < tol:
         return FrameRelation.NORMAL_ALIGNED
     return FrameRelation.NONE
 
 
-def tangent_normal_residual(a: HorizontalCurve, b: HorizontalCurve, n: int = 100) -> float:
+def tangent_normal_residual(a: HorizontalCurve, b: HorizontalCurve) -> float:
     """How badly the pairing t_b = g(s) n_a fails for the best pointwise g.
 
     Differentiating the pairing forces the vertical frame row g = 0 while
     unit tangents force |g| = 1, so the residual (the larger of the fit
     defect |t_b - g n_a| and the forced |g|) is bounded below by 1/sqrt(2)
     for every curve pair."""
-    ta, tb = _contact_headings(a, b, n)
+    ta, tb = _contact_headings(a, b)
     na = np.stack([-ta[:, 1], ta[:, 0]], axis=1)
     g = np.sum(tb * na, axis=1)
     fit = np.linalg.norm(tb - g[:, None] * na, axis=1)
     return float(np.max(np.maximum(fit, np.abs(g))))
 
 
-def binormal_normal_residual(a: HorizontalCurve, b: HorizontalCurve, n: int = 100) -> float:
+def binormal_normal_residual(a: HorizontalCurve, b: HorizontalCurve) -> float:
     """How badly the pairing n_b = g(s) b_a fails: n_b is a unit contact
     vector while b_a is vertical, so the defect is identically 1."""
-    ta, tb = _contact_headings(a, b, n)
+    ta, tb = _contact_headings(a, b)
     nb = np.stack([-tb[:, 1], tb[:, 0]], axis=1)
     # b has no contact part: the best contact-plane approximation of g*b is 0
     return float(np.max(np.linalg.norm(nb, axis=1)))

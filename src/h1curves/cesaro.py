@@ -32,7 +32,7 @@ u1^2 + u2^2 = g^2 and u3 = -f, which in terms of the invariants becomes
     f' - tau = ((g^2)''/2 - 1)/kappa,    f'' - tau' = -kappa (g^2)'/2.
 
 All indefinite integrals are pinned at the interval's left endpoint and
-evaluated by composite Simpson on a uniform grid (default 10^4 panels),
+evaluated by composite Simpson on a uniform grid of 10^4 panels,
 exactly for a constant integrand.  The closed forms are ``ScalarFn`` trees
 over kappa, tau and these antiderivatives.
 """
@@ -45,7 +45,8 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import HorizontalCurve, InvariantPair, ParamCurve, immobility_residuals, kappa_branch
+from .curves import (FD_STEP, HorizontalCurve, InvariantPair, ParamCurve, immobility_residuals,
+                     kappa_branch)
 from .expressions import EvalDomainError, Num, S
 from .fields import antiderivative, as_field
 from .numerics import (lowest_local_minima, minimize_brackets, require_finite, step_grid,
@@ -67,6 +68,10 @@ __all__ = [
     "sphere_horizontal_gap",
     "pansu_sphere",
 ]
+
+# Panels of every closed-form antiderivative and of the closed forms' grid.
+_PANELS = 10_000
+
 
 @dataclass(frozen=True)
 class CesaroConstants:
@@ -114,7 +119,6 @@ def cesaro_closed_form(
     constants: CesaroConstants,
     c5c6: tuple[float, float] | None = None,
     interval: tuple[float, float] = (0.0, 1.0),
-    n_panels: int = 10_000,
     u3_const: float = 0.0,
 ) -> CesaroSolution:
     """Closed-form immobility solution on the interval.
@@ -125,7 +129,7 @@ def cesaro_closed_form(
     """
     lo, hi = (float(v) for v in interval)
     c5, c6 = c5c6 if c5c6 is not None else (constants.c5, constants.c6)
-    grid = uniform_grid(lo, hi, n_panels)
+    grid = uniform_grid(lo, hi, _PANELS)
     kappa_vals = np.asarray(inv.kappa(grid), dtype=float)
     require_finite(grid, kappa=kappa_vals)
 
@@ -140,30 +144,29 @@ def cesaro_closed_form(
         )
     else:
         c, kappa = constants, inv.kappa
-        theta = antiderivative(kappa, lo, hi, n_panels)
+        theta = antiderivative(kappa, lo, hi, _PANELS)
         sin, cos = theta.apply("sin"), theta.apply("cos")
         kp, k2d = kappa.derivative(), kappa ** 2 * c.delta
-        I1 = antiderivative((c.c1 * sin + c.c2 * cos) * kp / k2d, lo, hi, n_panels)
-        I2 = antiderivative((c.c3 * sin + c.c4 * cos) * kp / k2d, lo, hi, n_panels)
+        I1 = antiderivative((c.c1 * sin + c.c2 * cos) * kp / k2d, lo, hi, _PANELS)
+        I2 = antiderivative((c.c3 * sin + c.c4 * cos) * kp / k2d, lo, hi, _PANELS)
         A, B = c.c1 * c5 + c.c3 * c6, c.c2 * c5 + c.c4 * c6
         u1 = A * sin + B * cos + (c.c3 * sin + c.c4 * cos) * I1 - (c.c1 * sin + c.c2 * cos) * I2
         u2 = (A * cos - B * sin + (c.c3 * cos - c.c4 * sin) * I1
               - (c.c1 * cos - c.c2 * sin) * I2 + 1 / kappa)
-    u3 = antiderivative(u2 - inv.tau, lo, hi, n_panels, const=u3_const)
+    u3 = antiderivative(u2 - inv.tau, lo, hi, _PANELS, const=u3_const)
     return CesaroSolution(inv, constants, (lo, hi), branch, u1, u2, u3, theta, grid)
 
 
-def cesaro_system_residual(
-    sol: CesaroSolution, grid, h_fd: float = 1e-5
-) -> tuple[float, float, float]:
+def cesaro_system_residual(sol: CesaroSolution, grid) -> tuple[float, float, float]:
     """``curves.immobility_residuals`` of the solution, derivatives by
-    central differences with step h_fd (independent of the closed forms)."""
+    central differences with step ``curves.FD_STEP`` (independent of the
+    closed forms)."""
     grid = np.asarray(grid, dtype=float)
     lo, hi = sol.interval
-    if np.any(grid - h_fd < lo) or np.any(grid + h_fd > hi):
-        raise ValueError("grid must lie at least h_fd inside the interval")
+    if np.any(grid - FD_STEP < lo) or np.any(grid + FD_STEP > hi):
+        raise ValueError(f"grid must lie at least {FD_STEP:g} inside the interval")
     u = [np.asarray(f(grid)) for f in (sol.u1, sol.u2)]
-    du = [(np.asarray(f(grid + h_fd)) - np.asarray(f(grid - h_fd))) / (2 * h_fd)
+    du = [(np.asarray(f(grid + FD_STEP)) - np.asarray(f(grid - FD_STEP))) / (2 * FD_STEP)
           for f in (sol.u1, sol.u2, sol.u3)]
     return immobility_residuals(u, du, np.asarray(sol.inv.kappa(grid)),
                                 np.asarray(sol.inv.tau(grid)))
@@ -252,12 +255,13 @@ class SurfaceOfRevolution:
         return {"g": self.g_text, "f": self.f_text, "range": [self.s_lo, self.s_hi]}
 
 
-# The membership search scans the generator on a grid of profile_panels
-# panels, in blocks of _MEMBERSHIP_BLOCK curve samples so the (samples x
-# grid) temporaries stay small, and keeps for each sample its
-# _MEMBERSHIP_BASINS lowest candidate basins of d^2.  Each basin's bracket of
-# two grid panels is narrowed by golden section to _MEMBERSHIP_COARSE times
-# the profile span (14 evaluations for 1024 panels instead of 48 to 1e-12),
+# The membership search takes _MEMBERSHIP_SAMPLES curve samples and scans
+# the generator on a grid of _MEMBERSHIP_PANELS panels, in blocks of
+# _MEMBERSHIP_BLOCK curve samples so the (samples x grid) temporaries stay
+# small, and keeps for each sample its _MEMBERSHIP_BASINS lowest candidate
+# basins of d^2.  Each basin's bracket of two grid panels is narrowed by
+# golden section to _MEMBERSHIP_COARSE times the profile span (14
+# evaluations for 1024 panels instead of 48 to 1e-12),
 # then _MEMBERSHIP_PARABOLIC_STEPS steps of parabolic interpolation finish
 # it: each roughly squares the error, from about 1e-5 of the span to the
 # rounding floor (three steps fell short on about 1 of 900 workload checks,
@@ -265,6 +269,8 @@ class SurfaceOfRevolution:
 # cannot certify is searched again by golden section to 1e-12 of the span.
 # _MEMBERSHIP_ROUNDOFF scales the rounding error of d^2 within which that
 # probe counts as level (see surface_membership).
+_MEMBERSHIP_SAMPLES = 200
+_MEMBERSHIP_PANELS = 1024
 _MEMBERSHIP_BASINS = 4
 _MEMBERSHIP_BLOCK = 32
 _MEMBERSHIP_COARSE = 1e-5
@@ -293,8 +299,6 @@ def surface_membership(
     h: HorizontalCurve,
     sigma: SurfaceOfRevolution,
     tol: float = 1e-6,
-    n_samples: int = 200,
-    profile_panels: int = 1024,
 ) -> MembershipReport:
     """Geometric membership test: every sampled curve point must lie within
     tol of the surface, measured as the distance from (distance-to-z-axis,
@@ -311,18 +315,18 @@ def surface_membership(
     again by golden section to 1e-12 of the span.  A sample's defect is the
     lowest d^2 actually evaluated, grid nodes included, so it is the
     distance to a real generator point and never an interpolated value."""
-    s_curve = np.linspace(0.0, h.s_max, n_samples)
+    s_curve = np.linspace(0.0, h.s_max, _MEMBERSHIP_SAMPLES)
     pts = h.point(s_curve)
     rho = np.hypot(pts[:, 0], pts[:, 1])
     height = pts[:, 2]
-    sp = np.linspace(sigma.s_lo, sigma.s_hi, profile_panels + 1)
+    sp = np.linspace(sigma.s_lo, sigma.s_hi, _MEMBERSHIP_PANELS + 1)
     gp, fp = sigma.profile(sp)
     last = len(sp) - 1
 
     rows, nodes, grid_d2 = [], [], []
     d2 = np.empty((_MEMBERSHIP_BLOCK, sp.size))
     dz = np.empty_like(d2)
-    for lo in range(0, n_samples, _MEMBERSHIP_BLOCK):
+    for lo in range(0, _MEMBERSHIP_SAMPLES, _MEMBERSHIP_BLOCK):
         block = slice(lo, lo + _MEMBERSHIP_BLOCK)
         d2_block, dz_block = d2[: len(rho[block])], dz[: len(rho[block])]
         with np.errstate(over="ignore"):  # a d^2 past the float range is inf, no candidate
@@ -359,7 +363,7 @@ def surface_membership(
         steps=_MEMBERSHIP_PARABOLIC_STEPS,
         roundoff=lambda v: _MEMBERSHIP_ROUNDOFF * np.finfo(float).eps * size * np.sqrt(v),
     )
-    best = np.full(n_samples, np.inf)
+    best = np.full(_MEMBERSHIP_SAMPLES, np.inf)
     np.minimum.at(best, rows, refined)
     i = int(np.argmax(best))
     max_defect = float(np.sqrt(max(best[i], 0.0)))
@@ -416,7 +420,6 @@ def generate_surface_constant_kappa(
     c3g: float,
     c3f: float,
     interval: tuple[float, float],
-    n_panels: int = 10_000,
 ) -> SurfaceOfRevolution:
     """Surface admitting a curve of nonzero constant p-curvature:
 
@@ -448,7 +451,7 @@ def generate_surface_constant_kappa(
         f"/(2*({k})) - s/({k}) + ({repr(float(c3f))})"
     )
     g2 = as_field(g2_text)
-    f = antiderivative(tau, lo, hi, n_panels) + as_field(f_trig_text)
+    f = antiderivative(tau, lo, hi, _PANELS) + as_field(f_trig_text)
     grid = uniform_grid(lo, hi, 4096)
     radicand = np.asarray(g2(grid))
     require_finite(grid, g=radicand, f=f(grid))
@@ -473,7 +476,6 @@ def generate_surface_constant_tau(
     interval: tuple[float, float] = (0.0, 1.0),
     g2_const: float = 0.0,
     f_const: float = 0.0,
-    n_panels: int = 10_000,
 ) -> SurfaceOfRevolution:
     """Surface admitting a curve of constant tau and nonzero (not
     necessarily constant) kappa:
@@ -495,10 +497,10 @@ def generate_surface_constant_tau(
     require_finite(grid, tau=tau_grid)
     if np.max(np.abs(tau_grid - tau_grid[0])) > 1e-8 * (1.0 + np.max(np.abs(tau_grid))):
         raise ValueError("tau must be constant for this construction")
-    sol = cesaro_closed_form(inv, constants, (c5, c6), (lo, hi), n_panels, u3_const=-f_const)
+    sol = cesaro_closed_form(inv, constants, (c5, c6), (lo, hi), u3_const=-f_const)
     if sol.branch != "general":
         raise ValueError("kappa must be nonzero for this construction")
-    g2 = g2_const - 2 * antiderivative(sol.u1, lo, hi, n_panels)
+    g2 = g2_const - 2 * antiderivative(sol.u1, lo, hi, _PANELS)
     f = -sol.u3
     grid = sol.grid
     g2_vals = np.asarray(g2(grid))

@@ -17,6 +17,12 @@ moving frame is, in Euclidean coordinates,
 with n = J t.  Analytic components differentiate symbolically; sampled
 components use 4th-order finite differences on a uniform resample.
 
+A ``HorizontalCurve`` answers two pointwise questions: ``sample(s)``
+inverts s -> u once and returns a ``CurveSample`` (u, points, unit
+velocity, kappa and tau), from which the frame, the position coefficients
+and the heading are read; ``point(s)`` gives positions only.  A caller
+that needs two quantities at the same s samples once.
+
 The dilation (x, y, z) -> (l x, l y, l^2 z), s -> l s sends kappa to
 kappa/l and tau to l tau (Capogna, Danielli, Pauls & Tyson, An Introduction
 to the Heisenberg Group..., Birkhauser 2007, ch. 2), so every threshold
@@ -33,23 +39,21 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import CubicHermite, SampledField, as_field
-from .heisenberg import H1Point, PshTransform
+from .heisenberg import PshTransform
 from .numerics import cumulative_simpson, panel_count, require_finite, uniform_grid
 
 __all__ = [
     "RELATIVE_ZERO",
+    "FD_STEP",
     "RegularityError",
     "ParamCurve",
     "HorizontalCurve",
     "CurveSample",
-    "Frame",
     "InvariantPair",
     "is_horizontally_regular",
     "kappa_branch",
     "kappa_tau_arbitrary",
     "reparam_horizontal",
-    "frame_at",
-    "frame_coefficients",
     "immobility_residuals",
     "verify_cesaro",
     "psh_transform_curve",
@@ -59,6 +63,17 @@ __all__ = [
 # A dimensionless ratio at or below this counts as zero: kappa times the
 # horizontal length, and the contact speed over its mean.
 RELATIVE_ZERO = 1e-8
+
+# The s -> u Newton stops for a query once its residual sigma(u) - s is
+# below _NEWTON_TOL * S, or after _NEWTON_MAX_ITER steps.
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 8
+
+_REGULARITY_PANELS = 1024
+
+# The central-difference step of the immobility residual checks
+# (``verify_cesaro`` and ``cesaro.cesaro_system_residual``).
+FD_STEP = 1e-5
 
 
 class RegularityError(ValueError):
@@ -134,10 +149,10 @@ class ParamCurve:
         return np.hypot(np.asarray(self.x.derivative()(u)), np.asarray(self.y.derivative()(u)))
 
 
-def is_horizontally_regular(c: ParamCurve, n: int = 1024) -> bool:
-    """True when ``reparam_horizontal`` finds the curve regular at n panels."""
+def is_horizontally_regular(c: ParamCurve) -> bool:
+    """True when ``reparam_horizontal`` finds the curve regular at 1024 panels."""
     try:
-        reparam_horizontal(c, step=(c.u_max - c.u_min) / n)
+        reparam_horizontal(c, step=(c.u_max - c.u_min) / _REGULARITY_PANELS)
     except RegularityError:
         return False
     return True
@@ -189,7 +204,8 @@ _GL4_W = (_W_OUT, _W_IN, _W_IN, _W_OUT)
 class CurveSample(NamedTuple):
     """A curve evaluated at horizontal arc lengths s: the parameter u, the
     points and unit velocity d/ds (Euclidean components, shape (m, 3)),
-    kappa and tau.  For a scalar s: a float, two 3-vectors, two floats."""
+    kappa and tau.  For a scalar s: a float, two 3-vectors, two floats.
+    The frame, the position coefficients and the heading are read off it."""
 
     u: np.ndarray
     points: np.ndarray
@@ -197,9 +213,26 @@ class CurveSample(NamedTuple):
     kappa: np.ndarray
     tau: np.ndarray
 
+    def frame(self):
+        """The moving frame (t, n, b) in Euclidean components, each shaped
+        like ``points``: t = (x', y', x'y - xy'), n = J t = (-y', x', -yy' -
+        xx'), b = (0, 0, 1).  Their basis components are (x', y', 0),
+        (-y', x', 0) and (0, 0, 1)."""
+        x, y = self.points[..., 0], self.points[..., 1]
+        xp, yp = self.velocity[..., 0], self.velocity[..., 1]
+        t = np.stack([xp, yp, xp * y - x * yp], axis=-1)
+        n = np.stack([-yp, xp, -y * yp - x * xp], axis=-1)
+        b = np.broadcast_to(np.array([0.0, 0.0, 1.0]), t.shape)
+        return t, n, b
+
     def coefficients(self):
-        """(u1~, u2~, u3~) = (x x' + y y', y x' - x y', z); see
-        ``frame_coefficients``."""
+        """Coefficients (u1~, u2~, u3~) of the position vector in the curve's
+        own frame: r = u1~ t + u2~ n + u3~ b with
+
+            u1~ = x x' + y y',   u2~ = y x' - x y',   u3~ = z.
+
+        sqrt(u1~^2 + u2~^2) is the distance to the z-axis and u3~ the
+        height."""
         x, y, z = self.points[..., 0], self.points[..., 1], self.points[..., 2]
         xp, yp = self.velocity[..., 0], self.velocity[..., 1]
         return x * xp + y * yp, y * xp - x * yp, z
@@ -238,9 +271,9 @@ class HorizontalCurve:
 
     # -- parameter map ------------------------------------------------------
 
-    def u_of_s(self, s, refine_tol: float = 1e-12, max_iter: int = 8):
+    def u_of_s(self, s):
         """u at the arc lengths s; Newton stops for a query once its residual
-        sigma(u) - s is below refine_tol * S."""
+        sigma(u) - s is below 1e-12 S."""
         scalar = np.ndim(s) == 0
         s = np.clip(np.atleast_1d(np.asarray(s, dtype=float)), 0.0, self.s_max)
         if self._inverse is None:
@@ -253,12 +286,12 @@ class HorizontalCurve:
         idx = np.clip(np.searchsorted(self._sigma, s, side="right") - 1, 0,
                       len(self._sigma) - 2)
         active = np.arange(s.size)
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_MAX_ITER):
             i, ua = idx[active], u[active]
             local, speed = self._local_integral(self._u_grid[i], ua)
             residual = self._sigma[i] + local - s[active]
             u[active] = np.clip(ua - residual / np.maximum(speed, 1e-300), lo, hi)
-            active = active[np.abs(residual) >= refine_tol * self.s_max]
+            active = active[np.abs(residual) >= _NEWTON_TOL * self.s_max]
             if not active.size:
                 break
         return float(u[0]) if scalar else u
@@ -296,40 +329,6 @@ class HorizontalCurve:
         require_finite(np.atleast_1d(u), "u", curve=np.atleast_2d(points).T)
         return points
 
-    def velocity(self, s):
-        """d/ds of the Euclidean coordinates (unit contact speed)."""
-        return self.sample(s).velocity
-
-    def kappa(self, s):
-        return self.sample(s).kappa
-
-    def tau(self, s):
-        return self.sample(s).tau
-
-    def invariants(self, s):
-        smp = self.sample(s)
-        return smp.kappa, smp.tau
-
-    def heading(self, s):
-        return self.sample(s).heading()
-
-    def frame_arrays(self, s):
-        """Vectorized frame: returns (points, t, n, b) with shape (m, 3)."""
-        smp = self.sample(np.atleast_1d(np.asarray(s, dtype=float)))
-        pts, v = smp.points, smp.velocity
-        x, y = pts[..., 0], pts[..., 1]
-        xp, yp = v[..., 0], v[..., 1]
-        t = np.stack([xp, yp, xp * y - x * yp], axis=-1)
-        n = np.stack([-yp, xp, -y * yp - x * xp], axis=-1)
-        b = np.broadcast_to(np.array([0.0, 0.0, 1.0]), t.shape)
-        return pts, t, n, b
-
-    def contact_speed_check(self, n: int = 257) -> float:
-        """Max deviation of |r'_xi(s)| from 1 on a grid (should be ~eps)."""
-        s = np.linspace(0.0, self.s_max, n)
-        v = self.velocity(s)
-        return float(np.max(np.abs(np.hypot(v[:, 0], v[:, 1]) - 1.0)))
-
 
 def reparam_horizontal(c: ParamCurve, step: float | None = None) -> HorizontalCurve:
     """Reparametrize by horizontal arc-length.
@@ -358,54 +357,7 @@ def reparam_horizontal(c: ParamCurve, step: float | None = None) -> HorizontalCu
 
 
 # ---------------------------------------------------------------------------
-# Frames and position coefficients
-
-
-@dataclass
-class Frame:
-    """Orthonormal frame (t, n, b) at a curve point, Euclidean components.
-
-    b is always (0, 0, 1); t and n lie in the contact plane at the base
-    point and n = J t.  ``contact`` holds the basis components (x', y') of
-    t; the basis components of n are (-y', x')."""
-
-    base: H1Point
-    t: np.ndarray
-    n: np.ndarray
-    b: np.ndarray
-    contact: tuple[float, float]
-
-    def t_basis(self) -> np.ndarray:
-        return np.array([self.contact[0], self.contact[1], 0.0])
-
-    def n_basis(self) -> np.ndarray:
-        return np.array([-self.contact[1], self.contact[0], 0.0])
-
-
-def frame_at(h: HorizontalCurve, s: float) -> Frame:
-    pts, t, n, b = h.frame_arrays(float(s))
-    return Frame(
-        base=H1Point.from_array(pts[0]),
-        t=t[0],
-        n=n[0],
-        b=np.array([0.0, 0.0, 1.0]),
-        contact=(float(t[0][0]), float(t[0][1])),
-    )
-
-
-def frame_coefficients(h: HorizontalCurve, s):
-    """Coefficients (u1~, u2~, u3~) of the position vector in the curve's own
-    frame: r = u1~ t + u2~ n + u3~ b with
-
-        u1~ = x x' + y y',   u2~ = y x' - x y',   u3~ = z.
-
-    sqrt(u1~^2 + u2~^2) is the distance to the z-axis and u3~ the height.
-    """
-    scalar = np.ndim(s) == 0
-    u1, u2, u3 = h.sample(np.atleast_1d(np.asarray(s, dtype=float))).coefficients()
-    if scalar:
-        return float(u1[0]), float(u2[0]), float(u3[0])
-    return u1, u2, u3
+# The immobility identity
 
 
 def immobility_residuals(u, du, kappa, tau) -> tuple[float, float, float]:
@@ -418,20 +370,20 @@ def immobility_residuals(u, du, kappa, tau) -> tuple[float, float, float]:
         du[0] - (kappa * u[1] - 1.0), du[1] + kappa * u[0], du[2] - (u[1] - tau)))
 
 
-def verify_cesaro(h: HorizontalCurve, grid, h_fd: float = 1e-5) -> float:
+def verify_cesaro(h: HorizontalCurve, grid) -> float:
     """The largest ``immobility_residuals`` for u_i = -(position
-    coefficients), derivatives by central differences with step h_fd.  The
-    system holds identically for every horizontally regular curve, so the
-    residual measures only numerical error.
+    coefficients), derivatives by central differences with step FD_STEP.
+    The system holds identically for every horizontally regular curve, so
+    the residual measures only numerical error.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if np.any(grid - h_fd < 0.0) or np.any(grid + h_fd > h.s_max):
-        raise ValueError("grid must lie at least h_fd inside [0, S]")
+    if np.any(grid - FD_STEP < 0.0) or np.any(grid + FD_STEP > h.s_max):
+        raise ValueError(f"grid must lie at least {FD_STEP:g} inside [0, S]")
     m = grid.size
-    smp = h.sample(np.concatenate([grid - h_fd, grid, grid + h_fd]))
-    # (u1, u2, u3) at s - h_fd, s and s + h_fd
+    smp = h.sample(np.concatenate([grid - FD_STEP, grid, grid + FD_STEP]))
+    # (u1, u2, u3) at s - FD_STEP, s and s + FD_STEP
     um, u0, up = (-np.stack(smp.coefficients())).reshape(3, 3, m).swapaxes(0, 1)
-    du = (up - um) / (2.0 * h_fd)
+    du = (up - um) / (2.0 * FD_STEP)
     return max(immobility_residuals(u0, du, smp.kappa[m:2 * m], smp.tau[m:2 * m]))
 
 

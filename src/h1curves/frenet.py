@@ -33,6 +33,9 @@ __all__ = [
     "find_psh_alignment",
 ]
 
+_ALIGNMENT_SAMPLES = 200
+_INVARIANT_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class InitialPose:
@@ -83,25 +86,22 @@ def reconstruct(
 
 
 def find_psh_alignment(
-    a: HorizontalCurve,
-    b: HorizontalCurve,
-    tol: float = 1e-6,
-    n: int = 200,
-    invariant_tol: float = 1e-4,
+    a: HorizontalCurve, b: HorizontalCurve, tol: float = 1e-6
 ) -> PshTransform:
     """The pseudo-hermitian transformation g with g(a) = b, when the curves
-    share invariants; raises AlignmentError otherwise.
+    share invariants (within 1e-4 at 200 points of their common interval);
+    raises AlignmentError otherwise.
 
     The rotation angle is the heading difference at s = 0 and the shift is
     solved from the group law; the result is accepted only if the
     sup-distance of the transformed curve to b is below tol.
     """
     s_hi = min(a.s_max, b.s_max)
-    grid = np.linspace(0.0, s_hi, n)
+    grid = np.linspace(0.0, s_hi, _ALIGNMENT_SAMPLES)
     sa, sb = a.sample(grid), b.sample(grid)
     dk = float(np.max(np.abs(sa.kappa - sb.kappa)))
     dt = float(np.max(np.abs(sa.tau - sb.tau)))
-    if dk > invariant_tol or dt > invariant_tol:
+    if dk > _INVARIANT_TOL or dt > _INVARIANT_TOL:
         raise AlignmentError(
             f"invariants differ (max |dkappa| = {dk:.3e}, max |dtau| = {dt:.3e}); "
             "the curves are not congruent"

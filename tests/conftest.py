@@ -46,6 +46,13 @@ def random_analytic_curve(rng):
     return x, y, z
 
 
+def contact_speed_deviation(h, n=257):
+    """Max deviation of the contact speed |(x', y')| from 1 at n points of
+    [0, S], read off one sample of the curve h."""
+    v = h.sample(np.linspace(0.0, h.s_max, n)).velocity
+    return float(np.max(np.abs(np.hypot(v[:, 0], v[:, 1]) - 1.0)))
+
+
 def random_psh_transform(rng):
     from h1curves import H1Point, PshTransform
 

@@ -20,6 +20,7 @@ from h1curves.bertrand import (
     BertrandSpec,
     bertrand_mate,
     binormal_normal_residual,
+    mate_curve,
     mate_distance,
     tangent_normal_residual,
 )
@@ -54,9 +55,9 @@ def test_criterion_01_pansu_reproduction():
         axis=1,
     )
     sup = float(np.max(np.linalg.norm(h.point(s) - expected, axis=1)))
-    kappa, tau = h.invariants(s)
-    dk = float(np.max(np.abs(kappa - 2.0)))
-    dt = float(np.max(np.abs(tau)))
+    smp = h.sample(s)
+    dk = float(np.max(np.abs(smp.kappa - 2.0)))
+    dt = float(np.max(np.abs(smp.tau)))
     ok = sup < 1e-6 and dk < 1e-7 and dt < 1e-7
     report(1, "pansu-reproduction", ok,
            f"sup={sup:.2e}, dkappa={dk:.2e}, dtau={dt:.2e}")
@@ -70,11 +71,11 @@ def test_criterion_02_invariant_round_trip():
         inv = InvariantPair.from_expressions(kt, tt)
         h = reconstruct(inv, InitialPose.origin(), 5.0, 1e-3)
         s = np.linspace(0.0, h.s_max, 400)
-        kappa, tau = h.invariants(s)
+        smp = h.sample(s)
         worst = max(
             worst,
-            float(np.max(np.abs(kappa - inv.kappa(s)))),
-            float(np.max(np.abs(tau - inv.tau(s)))),
+            float(np.max(np.abs(smp.kappa - inv.kappa(s)))),
+            float(np.max(np.abs(smp.tau - inv.tau(s)))),
         )
     report(2, "invariant-round-trip", worst < 1e-5, f"max deviation={worst:.2e}")
 
@@ -132,7 +133,7 @@ def test_criterion_05_cesaro_identity():
             InvariantPair.from_expressions(kt, tt), InitialPose.origin(), 5.0, 1e-3
         )
         grid = np.linspace(0.05, h.s_max - 0.05, 60)
-        worst = max(worst, verify_cesaro(h, grid, h_fd=1e-5))
+        worst = max(worst, verify_cesaro(h, grid))
     report(5, "cesaro-identity", worst < 1e-6, f"max residual={worst:.2e}")
 
 
@@ -222,26 +223,26 @@ def test_criterion_09_bertrand_suite():
         c1, c2 = rng.uniform(-2, 2, size=2)
         spec = BertrandSpec(c1, c2, tau_bar=f"{rng.uniform(-0.5, 0.5):.6f}*cos(s)")
         mate = bertrand_mate(base, spec)
+        curve = mate_curve(mate)
         grid = np.linspace(0.0, 4.0, 150)
-        va, vb = base.velocity(grid), mate.curve.velocity(grid)
+        va, vb = base.sample(grid).velocity, curve.sample(grid).velocity
         worst_align = max(worst_align, float(np.max(
             np.linalg.norm(vb[:, :2] - va[:, :2], axis=1)
         )))
-        worst_ds = max(worst_ds, abs(mate.curve.s_max - base.s_max) / base.s_max)
+        worst_ds = max(worst_ds, abs(curve.s_max - base.s_max) / base.s_max)
         inner = np.linspace(0.05, 3.95, 80)
-        km, _ = mate.curve.invariants(inner)
-        kb, _ = base.invariants(inner)
+        km, kb = curve.sample(inner).kappa, base.sample(inner).kappa
         worst_kappa = max(worst_kappa, float(np.max(np.abs(km - kb))))
         d = mate_distance(mate)
         worst_dist = max(worst_dist, d.contact_deviation)
-        curves.extend([base, mate.curve])
+        curves.extend([base, curve])
 
     min_tn = min_bn = np.inf
     n_curves = len(curves)
     for _ in range(1000):
         i, j = rng.integers(0, n_curves, size=2)
-        min_tn = min(min_tn, tangent_normal_residual(curves[i], curves[j], n=50))
-        min_bn = min(min_bn, binormal_normal_residual(curves[i], curves[j], n=50))
+        min_tn = min(min_tn, tangent_normal_residual(curves[i], curves[j]))
+        min_bn = min(min_bn, binormal_normal_residual(curves[i], curves[j]))
     ok = (worst_align < 1e-8 and worst_ds < 1e-8 and worst_kappa < 1e-7
           and worst_dist < 1e-8 and min_tn > 0.1 and min_bn > 0.1)
     report(9, "bertrand-suite", ok,

@@ -18,11 +18,12 @@ from h1curves.bertrand import (
     bertrand_mate,
     binormal_normal_residual,
     check_frame_relation,
+    mate_curve,
     mate_distance,
     tangent_normal_residual,
 )
 
-from conftest import random_invariant_exprs
+from conftest import contact_speed_deviation, random_invariant_exprs
 
 
 def line(s_max=3.0):
@@ -38,18 +39,19 @@ class TestMateConstruction:
         base = reconstruct(
             InvariantPair.from_expressions("1 + 0.3*sin(s)", "0.4"), InitialPose.origin(), 4.0
         )
-        m = bertrand_mate(base, BertrandSpec(0.7, -0.4))
-        assert m.curve.s_max == base.s_max
-        assert m.curve.contact_speed_check() <= 1e-12
+        mate = mate_curve(bertrand_mate(base, BertrandSpec(0.7, -0.4)))
+        assert mate.s_max == base.s_max
+        assert contact_speed_deviation(mate) <= 1e-12
         # the mate's own arc length agrees with the shared parameter
-        measured = reparam_horizontal(m.curve.param, step=1e-3).s_max
+        measured = reparam_horizontal(mate.param, step=1e-3).s_max
         assert abs(measured - base.s_max) < 1e-9
 
     def test_line_vertical_lift(self):
         m = bertrand_mate(line(), BertrandSpec(0.0, 0.0, g="1"))
         assert m.branch == "zero-kappa"
         s = np.linspace(0, 3, 13)
-        assert np.max(np.abs(m.curve.point(s) - np.stack([s, 0 * s, 0 * s + 1], axis=1))) < 1e-9
+        expected = np.stack([s, 0 * s, 0 * s + 1], axis=1)
+        assert np.max(np.abs(mate_curve(m).point(s) - expected)) < 1e-9
         assert np.max(np.abs(m.tau_bar)) < 1e-12
 
     def test_zero_branch_tau_bar_formula(self):
@@ -59,7 +61,7 @@ class TestMateConstruction:
         expected = 0.0 - 1.0 + 1.0 * grid
         assert np.max(np.abs(m.tau_bar - expected)) < 1e-9
         inner = np.linspace(0.2, 2.8, 25)
-        _, tb = m.curve.invariants(inner)
+        tb = mate_curve(m).sample(inner).tau
         assert np.max(np.abs(tb - (inner - 1.0))) < 1e-7
 
     def test_zero_branch_requires_g(self):
@@ -78,7 +80,7 @@ class TestMateConstruction:
         base = unit_circle_curve()
         m = bertrand_mate(base, BertrandSpec(0.0, 0.0))
         s = np.linspace(0, base.s_max, 33)
-        assert np.max(np.linalg.norm(m.curve.point(s) - base.point(s), axis=1)) < 1e-9
+        assert np.max(np.linalg.norm(mate_curve(m).point(s) - base.point(s), axis=1)) < 1e-9
 
     def test_branch_mixing_refused(self):
         h = reconstruct(
@@ -95,13 +97,14 @@ class TestMateConstruction:
             )
             c1, c2 = rng.uniform(-2, 2, size=2)
             tb_text = f"{rng.uniform(-0.5, 0.5):.6f}*cos(s)"
-            m = bertrand_mate(base, BertrandSpec(c1, c2, tau_bar=tb_text))
+            mate = mate_curve(bertrand_mate(base, BertrandSpec(c1, c2, tau_bar=tb_text)))
             # shared normal field, shared parameter, shared kappa
-            assert check_frame_relation(base, m.curve, 1e-8) is FrameRelation.NORMAL_ALIGNED
-            assert m.curve.s_max == pytest.approx(base.s_max, abs=1e-8)
+            assert check_frame_relation(base, mate, 1e-8) is FrameRelation.NORMAL_ALIGNED
+            assert mate.s_max == pytest.approx(base.s_max, abs=1e-8)
             inner = np.linspace(0.1, base.s_max - 0.1, 40)
-            km, tm = m.curve.invariants(inner)
-            kb, _ = base.invariants(inner)
+            sm = mate.sample(inner)
+            km, tm = sm.kappa, sm.tau
+            kb = base.sample(inner).kappa
             assert np.max(np.abs(km - kb)) < 1e-7
             from h1curves.expressions import ScalarFn
 
@@ -138,7 +141,7 @@ class TestFrameRelation:
     def test_mate_is_normal_aligned(self):
         base = unit_circle_curve()
         m = bertrand_mate(base, BertrandSpec(0.7, -0.4))
-        assert check_frame_relation(base, m.curve, 1e-8) is FrameRelation.NORMAL_ALIGNED
+        assert check_frame_relation(base, mate_curve(m), 1e-8) is FrameRelation.NORMAL_ALIGNED
 
     def test_identity_is_normal_aligned(self):
         base = unit_circle_curve()
@@ -164,7 +167,7 @@ class TestMateGrid:
         m = bertrand_mate(ellipse, BertrandSpec(0.3, -0.5), step=0.1)
         assert np.array_equal(m.base, ellipse.sample(m.grid).points)
         assert np.array_equal(m.points[:, 2], m.base[:, 2] + m.u3)
-        assert m.curve.s_max == ellipse.s_max
+        assert mate_curve(m).s_max == ellipse.s_max
 
     def test_z_bar_converges_at_fourth_order(self, ellipse):
         # u3 is a cumulative Simpson integral on the grid: halving the step
@@ -196,7 +199,7 @@ class TestImpossiblePairings:
     def test_binormal_normal_residual_is_one(self):
         base = unit_circle_curve()
         m = bertrand_mate(base, BertrandSpec(1.0, 0.5))
-        assert binormal_normal_residual(base, m.curve) == pytest.approx(1.0, abs=1e-12)
+        assert binormal_normal_residual(base, mate_curve(m)) == pytest.approx(1.0, abs=1e-12)
 
     def test_vertical_frame_component_vanishes_exactly(self):
         # b is vertical and n is contact: their pairing is identically zero,
@@ -204,6 +207,6 @@ class TestImpossiblePairings:
         base = unit_circle_curve()
         m = bertrand_mate(base, BertrandSpec(0.3, 0.9))
         s = np.linspace(0, base.s_max, 50)
-        v = m.curve.velocity(s)
+        v = mate_curve(m).sample(s).velocity
         n_basis_vertical = np.zeros_like(v[:, 0])  # (-y', x', 0) has a3 = 0
         assert np.array_equal(n_basis_vertical, 0.0 * v[:, 0])

@@ -29,6 +29,8 @@ from h1curves import numerics
 from h1curves.fields import CubicHermite, antiderivative, as_field
 from h1curves.numerics import lowest_local_minima
 
+from conftest import contact_speed_deviation
+
 
 class TestClosedForm:
     def test_constant_kappa_matches_simplified_form(self):
@@ -111,9 +113,9 @@ class TestClosedForm:
         sol = cesaro_closed_form(inv, CesaroConstants.default(0.5, -0.2), interval=(0, 4))
         h = curve_from_cesaro_solution(sol, heading0=0.9)
         s = np.linspace(0.1, h.s_max - 0.1, 50)
-        kappa, tau = h.invariants(s)
-        assert np.max(np.abs(kappa - inv.kappa(s))) < 1e-6
-        assert np.max(np.abs(tau - inv.tau(s))) < 1e-6
+        smp = h.sample(s)
+        assert np.max(np.abs(smp.kappa - inv.kappa(s))) < 1e-6
+        assert np.max(np.abs(smp.tau - inv.tau(s))) < 1e-6
 
     def test_realized_curve_invariants_are_exact_to_roundoff(self):
         # the curve is built from the solution's own trees, so its
@@ -123,9 +125,9 @@ class TestClosedForm:
         sol = cesaro_closed_form(inv, constants, interval=(0, 3))
         h = curve_from_cesaro_solution(sol, heading0=0.3)
         s = np.linspace(0.0, 3.0, 301)
-        kappa, tau = h.invariants(s)
-        assert np.max(np.abs(kappa - inv.kappa(s))) < 1e-12
-        assert np.max(np.abs(tau - inv.tau(s))) < 1e-12
+        smp = h.sample(s)
+        assert np.max(np.abs(smp.kappa - inv.kappa(s))) < 1e-12
+        assert np.max(np.abs(smp.tau - inv.tau(s))) < 1e-12
 
     def test_realized_curve_evaluates_each_field_once_per_order(self, monkeypatch):
         # derivatives make new leaf nodes for the same field and order; a
@@ -154,7 +156,7 @@ class TestClosedForm:
         sol = cesaro_closed_form(inv, CesaroConstants.default(0.5, -0.2), interval=(1.0, 4.0))
         h = curve_from_cesaro_solution(sol, heading0=0.9)
         assert h.s_max == 3.0
-        assert h.contact_speed_check() <= 1e-12
+        assert contact_speed_deviation(h) <= 1e-12
         assert abs(reparam_horizontal(h.param, step=1e-3).s_max - 3.0) < 1e-9
 
 
@@ -214,7 +216,7 @@ class TestMembership:
             f"s*cos({eps}/s)", f"s*sin({eps}/s)", f"{eps}*s - {eps} - {e}",
             (1.105, 1.5),
         ))
-        report = surface_membership(curve, sigma, tol=1e-6, profile_panels=1024)
+        report = surface_membership(curve, sigma, tol=1e-6)
         assert report.max_defect == pytest.approx(e / np.sqrt(1.0 + eps**2), abs=1e-12)
 
         pts = curve.point(np.linspace(0.0, curve.s_max, 200))
@@ -234,7 +236,7 @@ class TestMembership:
             ParamCurve.from_expressions("cos(s)", "sin(s)", "-s", (0.0, 1.0))
         )
         with pytest.raises(ValueError, match="negative squared radius"):
-            surface_membership(lift, sigma, tol=1e-6, profile_panels=1024)
+            surface_membership(lift, sigma, tol=1e-6)
 
     def test_immobility_and_realization_on_surface(self):
         # a solution's curve sits on the surface swept by
@@ -378,23 +380,19 @@ class TestFrameCoefficientsOnSurfaces:
     def test_cylinder_lift_coefficients_match_generator(self):
         # a curve on a surface of revolution has u1~^2 + u2~^2 = g^2 and
         # u3~ = f along the shared parameter
-        from h1curves import frame_coefficients
-
         lift = reparam_horizontal(
             ParamCurve.from_expressions("cos(s)", "sin(s)", "-s", (0.0, 6.0))
         )
         s = np.linspace(0.1, 5.9, 40)
-        u1, u2, u3 = frame_coefficients(lift, s)
+        u1, u2, u3 = lift.sample(s).coefficients()
         assert np.max(np.abs(u1**2 + u2**2 - 1.0)) < 1e-8  # g = 1
         assert np.max(np.abs(u3 - (-s))) < 1e-8  # f = -s
 
     def test_pansu_geodesic_coefficients_match_generator(self):
-        from h1curves import frame_coefficients
-
         sphere = pansu_sphere(1.0)
         geo = sphere.geodesic
         s = np.linspace(0.05, geo.s_max - 0.05, 50)
-        u1, u2, u3 = frame_coefficients(geo, s)
+        u1, u2, u3 = geo.sample(s).coefficients()
         # generator parameter matched by the quarter-turn shift
         t = s - np.pi / 2
         g, f = sphere.surface.profile(t)
@@ -472,7 +470,7 @@ class TestDilation:
     def branch(kappa: str, tau: str, interval):
         try:
             return cesaro_closed_form(InvariantPair(kappa, tau), CesaroConstants.default(),
-                                      interval=interval, n_panels=200).branch
+                                      interval=interval).branch
         except ValueError as exc:
             return str(exc).split(" near ")[0]
 
@@ -750,9 +748,9 @@ class TestTheoremLoop:
         z = -(-np.asarray(f(s_grid)))  # u3 = -f
         curve = reparam_horizontal(ParamCurve.from_samples(s_grid, x, y, z))
         si = np.linspace(0.1, curve.s_max - 0.1, 30)
-        kappa, tau = curve.invariants(si)
-        assert np.max(np.abs(kappa - k)) < 1e-6
-        assert np.max(np.abs(tau)) < 1e-6
+        smp = curve.sample(si)
+        assert np.max(np.abs(smp.kappa - k)) < 1e-6
+        assert np.max(np.abs(smp.tau)) < 1e-6
         rho = np.hypot(x, y)
         stretched_g = np.sqrt(np.asarray(g(s_grid)) ** 2 + c_stretch)
         assert np.max(np.abs(rho - stretched_g)) < 1e-6

@@ -87,9 +87,9 @@ class TestCanonicalForms:
             c.point(s), np.stack([np.sin(s), np.cos(s), s], axis=1), atol=1e-12
         )
         h = reparam_horizontal(c)
-        kappa, tau = h.invariants(np.linspace(0.2, 6.8, 30))
-        assert np.max(np.abs(kappa + 1.0)) < 1e-7  # kappa = -1/c1
-        assert np.max(np.abs(tau)) < 1e-7
+        smp = h.sample(np.linspace(0.2, 6.8, 30))
+        assert np.max(np.abs(smp.kappa + 1.0)) < 1e-7  # kappa = -1/c1
+        assert np.max(np.abs(smp.tau)) < 1e-7
 
     def test_helix_rejects_zero_c1(self):
         with pytest.raises(ValueError, match="c1"):
@@ -173,7 +173,7 @@ class TestCaseProperties:
         h = reparam_horizontal(c)
         s = np.linspace(0, h.s_max, 60)
         assert np.max(np.abs(h.point(s)[:, 2])) < 1e-10
-        assert np.max(np.abs(h.kappa(s))) > 1e-3
+        assert np.max(np.abs(h.sample(s).kappa)) > 1e-3
 
     def test_planar_case_reproduces_its_kappa(self):
         c = make_canonical(ClassTag.PLANAR_CURVE_XY, (0, 5), kappa="1 + 0.4*sin(s)", x0=0.7)
@@ -189,6 +189,6 @@ class TestCaseProperties:
         pts = h.point(np.linspace(0, h.s_max, 50))
         r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
         assert np.ptp(r2) < 1e-10
-        kappa = h.kappa(np.linspace(0.2, h.s_max - 0.2, 30))
+        kappa = h.sample(np.linspace(0.2, h.s_max - 0.2, 30)).kappa
         assert np.ptp(kappa) < 1e-7
         assert np.mean(kappa) == pytest.approx(-1 / 1.5, abs=1e-9)

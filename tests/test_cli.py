@@ -231,6 +231,28 @@ class TestBertrand:
         assert result.exit_code == 0
         assert len(result.output.strip().splitlines()) == 1 + 5
 
+    def test_analytic_spec_builds_no_sampled_field(self, runner, tmp_path, monkeypatch):
+        # the CLI prints the mate points it built; the mate is never resampled
+        # into a curve
+        from h1curves.fields import SampledField
+
+        built = []
+        original = SampledField.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SampledField, "__init__", counting)
+        spec = write_json(tmp_path, "c.json", {
+            "type": "analytic", "x": "1.5*cos(1.2*s) + 0.2", "y": "0.8*sin(1.2*s) - 0.1",
+            "z": "0.3*s", "range": [0, 4],
+        })
+        result = runner.invoke(main, ["bertrand", spec, "--c1", "0.3", "--c2", "-0.5",
+                                      "--step", "0.1"])
+        assert result.exit_code == 0
+        assert built == []
+
     def test_zero_branch_requires_g(self, runner, tmp_path):
         spec = write_json(tmp_path, "c.json", {
             "type": "intrinsic", "kappa": "0", "tau": "0", "range": [0, 2],
@@ -442,6 +464,19 @@ class TestErrorExits:
         result = runner.invoke(main, ["bertrand", spec, flag, value, "--step", "0.01"])
         self.assert_one_error_line(result)
         assert result.stderr.startswith(f"error: {reason}")
+
+    @pytest.mark.parametrize("offsets", [["--c1", "1.7e308", "--c2", "1.7e308"],
+                                         ["--c1", "0.3", "--tau-bar", "1e308"]],
+                             ids=["frame-offsets", "vertical-offset"])
+    def test_bertrand_mate_point_not_finite(self, runner, tmp_path, offsets):
+        # finite offsets whose mate point overflows: refused at its s, with no
+        # numpy warning before the error line
+        spec = write_json(tmp_path, "c.json", {
+            "type": "analytic", "x": "cos(s)", "y": "sin(s)", "z": "0.2*s", "range": [0, 2],
+        })
+        result = runner.invoke(main, ["bertrand", spec, *offsets, "--step", "0.1"])
+        self.assert_one_error_line(result)
+        assert result.stderr.startswith("error: mate: not finite near s = 0.1")
 
 
 class TestErrorBoundary:

@@ -11,8 +11,6 @@ from h1curves import (
     InvariantPair,
     ParamCurve,
     RegularityError,
-    frame_at,
-    frame_coefficients,
     is_horizontally_regular,
     kappa_tau_arbitrary,
     psh_transform_curve,
@@ -26,7 +24,8 @@ from h1curves.classify import classify_position
 from h1curves.cli import main
 from h1curves.numerics import step_grid
 
-from conftest import RecordingField, random_analytic_curve, random_psh_transform
+from conftest import (RecordingField, contact_speed_deviation, random_analytic_curve,
+                      random_psh_transform)
 
 
 def line_curve(scale="1"):
@@ -95,10 +94,10 @@ class TestKappaTau:
         h = reparam_horizontal(c)
         s = np.linspace(0.3, h.s_max - 0.3, 15)
         eps = 1e-6
-        phi_p = h.heading(s + eps)
-        phi_m = h.heading(s - eps)
+        phi_p = h.sample(s + eps).heading()
+        phi_m = h.sample(s - eps).heading()
         oracle = (np.unwrap(np.stack([phi_m, phi_p]), axis=0)[1] - phi_m) / (2 * eps)
-        assert np.max(np.abs(h.kappa(s) - oracle)) < 1e-6
+        assert np.max(np.abs(h.sample(s).kappa - oracle)) < 1e-6
 
     def test_tau_vanishes_iff_velocity_has_no_vertical_part(self):
         lift = ParamCurve.from_expressions("cos(s)", "sin(s)", "-s", (0.0, 5.0))
@@ -137,7 +136,7 @@ class TestReparam:
     def test_unit_contact_speed_invariant(self, rng):
         x, y, z = random_analytic_curve(rng)
         h = reparam_horizontal(ParamCurve.from_expressions(x, y, z, (0.0, 4.0)))
-        assert h.contact_speed_check() < 1e-8
+        assert contact_speed_deviation(h) < 1e-8
 
     def test_coarse_step_inversion_matches_closed_form(self):
         # x' + i y' = (1 + u^2) e^{iu}: contact speed 1 + u^2, so
@@ -155,45 +154,59 @@ class TestReparam:
 
 
 class TestFrame:
+    """The frame is read off one sample, at a scalar s or on an array."""
+
     def test_line_frame(self):
         h = reparam_horizontal(line_curve())
-        f = frame_at(h, 0.75)
-        assert np.allclose(f.t, [1, 0, 0], atol=1e-10)
-        assert np.allclose(f.n, [0, 1, -0.75], atol=1e-10)
-        assert np.array_equal(f.b, [0, 0, 1])
+        t, n, b = h.sample(0.75).frame()
+        assert np.allclose(t, [1, 0, 0], atol=1e-10)
+        assert np.allclose(n, [0, 1, -0.75], atol=1e-10)
+        assert np.array_equal(b, [0, 0, 1])
 
     def test_lift_frame_at_start(self):
         c = ParamCurve.from_expressions("cos(s)", "sin(s)", "-s", (0.0, 5.0))
         h = reparam_horizontal(c)
-        f = frame_at(h, 0.0)
-        assert np.allclose(f.t, [0, 1, -1], atol=1e-9)
-        assert np.allclose(f.t_basis(), [0, 1, 0], atol=1e-9)
+        t, _, _ = h.sample(0.0).frame()
+        assert np.allclose(t, [0, 1, -1], atol=1e-9)
+        # basis components (x', y', 0)
+        assert np.allclose([t[0], t[1], 0.0], [0, 1, 0], atol=1e-9)
 
     def test_n_is_J_of_t_in_basis_components(self, rng):
         x, y, z = random_analytic_curve(rng)
         h = reparam_horizontal(ParamCurve.from_expressions(x, y, z, (0.0, 3.0)))
-        for s in np.linspace(0.1, h.s_max - 0.1, 7):
-            f = frame_at(h, float(s))
-            xp, yp = f.contact
-            assert np.allclose(f.n_basis(), [-yp, xp, 0.0], atol=1e-14)
+        grid = np.linspace(0.1, h.s_max - 0.1, 7)
+        for s in grid:
+            smp = h.sample(float(s))
+            t, n, b = smp.frame()
+            xp, yp = t[0], t[1]
+            assert np.allclose([n[0], n[1], 0.0], [-yp, xp, 0.0], atol=1e-14)
+            assert np.array_equal(b, [0, 0, 1])
             # Euclidean t and n lie in the contact plane at the base point
-            p = f.base
-            assert f.t[2] == pytest.approx(f.t[0] * p.y - f.t[1] * p.x, abs=1e-9)
-            assert f.n[2] == pytest.approx(f.n[0] * p.y - f.n[1] * p.x, abs=1e-9)
+            px, py = smp.points[0], smp.points[1]
+            assert t[2] == pytest.approx(t[0] * py - t[1] * px, abs=1e-9)
+            assert n[2] == pytest.approx(n[0] * py - n[1] * px, abs=1e-9)
             assert np.hypot(xp, yp) == pytest.approx(1.0, abs=1e-10)
+        smp = h.sample(grid)
+        t, n, b = smp.frame()
+        assert t.shape == n.shape == b.shape == (grid.size, 3)
+        assert np.allclose(n[:, :2], np.stack([-t[:, 1], t[:, 0]], axis=1), atol=1e-14)
+        assert np.array_equal(b, np.tile([0.0, 0.0, 1.0], (grid.size, 1)))
+        px, py = smp.points[:, 0], smp.points[:, 1]
+        assert np.allclose(t[:, 2], t[:, 0] * py - t[:, 1] * px, rtol=0, atol=1e-9)
+        assert np.allclose(n[:, 2], n[:, 0] * py - n[:, 1] * px, rtol=0, atol=1e-9)
 
 
 class TestFrameCoefficients:
     def test_line_is_parallel_to_t(self):
         h = reparam_horizontal(line_curve())
-        u1, u2, u3 = frame_coefficients(h, 0.6)
+        u1, u2, u3 = h.sample(0.6).coefficients()
         assert (u1, u2, u3) == pytest.approx((0.6, 0.0, 0.0), abs=1e-10)
 
     def test_plane_norm_preserved(self, rng):
         x, y, z = random_analytic_curve(rng)
         h = reparam_horizontal(ParamCurve.from_expressions(x, y, z, (0.0, 3.0)))
         s = np.linspace(0.1, h.s_max - 0.1, 20)
-        u1, u2, u3 = frame_coefficients(h, s)
+        u1, u2, u3 = h.sample(s).coefficients()
         pts = h.point(s)
         assert np.max(np.abs(u1**2 + u2**2 - (pts[:, 0] ** 2 + pts[:, 1] ** 2))) < 1e-10
         assert np.max(np.abs(u3 - pts[:, 2])) == 0.0
@@ -202,7 +215,7 @@ class TestFrameCoefficients:
         x, y, z = random_analytic_curve(rng)
         h = reparam_horizontal(ParamCurve.from_expressions(x, y, z, (0.0, 3.0)))
         s = np.linspace(0.1, h.s_max - 0.1, 20)
-        u1, u2, u3 = frame_coefficients(h, s)
+        u1, u2, u3 = h.sample(s).coefficients()
         dist = np.linalg.norm(h.point(s), axis=1)
         assert np.max(np.abs(np.sqrt(u1**2 + u2**2 + u3**2) - dist)) < 1e-10
 
@@ -215,13 +228,13 @@ class TestVerifyCesaro:
     def test_pansu_curve(self):
         h = reparam_horizontal(pansu_curve(1.0))
         grid = np.linspace(0.1, h.s_max - 0.1, 30)
-        assert verify_cesaro(h, grid, h_fd=1e-5) < 1e-7
+        assert verify_cesaro(h, grid) < 1e-7
 
     def test_reconstructed_curve(self):
         inv = InvariantPair.from_expressions("1 + 0.5*sin(s)", "0.2*s")
         h = reconstruct(inv, InitialPose.origin(), 3.0, 1e-3)
         grid = np.linspace(0.1, h.s_max - 0.1, 25)
-        assert verify_cesaro(h, grid, h_fd=1e-5) < 1e-6
+        assert verify_cesaro(h, grid) < 1e-6
 
     def test_grid_must_be_interior(self):
         h = reparam_horizontal(line_curve())
@@ -268,10 +281,10 @@ class TestArcLengthCurve:
         b = reparam_horizontal(c)
         s = np.linspace(0.1, np.pi - 0.1, 30)
         assert np.max(np.abs(a.point(s) - b.point(s))) < 1e-10
-        ka, ta = a.invariants(s)
-        kb, tb = b.invariants(s)
-        assert np.max(np.abs(ka - kb)) < 1e-8 and np.max(np.abs(ta - tb)) < 1e-8
-        assert a.contact_speed_check() <= 1e-12
+        sa, sb = a.sample(s), b.sample(s)
+        assert np.max(np.abs(sa.kappa - sb.kappa)) < 1e-8
+        assert np.max(np.abs(sa.tau - sb.tau)) < 1e-8
+        assert contact_speed_deviation(a) <= 1e-12
 
 
 class TestFiniteInputs:
@@ -336,11 +349,6 @@ class TestSample:
         smp = h.sample(s)
         assert np.array_equal(smp.u, h.u_of_s(s))
         assert np.array_equal(smp.points, h.point(s))
-        assert np.array_equal(smp.velocity, h.velocity(s))
-        kappa, tau = h.invariants(s)
-        assert np.array_equal(smp.kappa, kappa) and np.array_equal(smp.tau, tau)
-        assert np.array_equal(smp.kappa, h.kappa(s)) and np.array_equal(smp.tau, h.tau(s))
-        assert np.array_equal(np.stack(smp.coefficients()), np.stack(frame_coefficients(h, s)))
 
     def test_scalar_query(self):
         h = reparam_horizontal(slow_speed_curve(4.0))
@@ -433,9 +441,10 @@ class TestHeading:
         s = np.linspace(0.0, h.s_max, 300)
         heading = h.sample(s).heading()
         assert np.max(np.abs(heading - (s + np.pi / 2))) < 1e-9
-        assert np.array_equal(h.heading(s), heading)
         # a single sample has nothing to unwrap against: atan2's range
-        assert h.heading(2.0) == pytest.approx(2.0 + np.pi / 2 - 2 * np.pi, abs=1e-9)
+        one = h.sample(2.0).heading()
+        assert isinstance(one, float)
+        assert one == pytest.approx(2.0 + np.pi / 2 - 2 * np.pi, abs=1e-9)
 
 
 class TestOneInversionPerGrid:
@@ -459,7 +468,7 @@ class TestOneInversionPerGrid:
         assert calls == [mate.grid.size]
 
     def test_classify_position(self, calls):
-        classify_position(reparam_horizontal(slow_speed_curve(4.0)), n=400)
+        classify_position(reparam_horizontal(slow_speed_curve(4.0)))
         assert calls == [400]
 
     def test_analyze(self, calls, tmp_path):

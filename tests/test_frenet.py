@@ -16,7 +16,8 @@ from h1curves import (
 )
 from h1curves.numerics import MAX_PANELS
 
-from conftest import RecordingField, random_invariant_exprs, random_psh_transform
+from conftest import (RecordingField, contact_speed_deviation, random_invariant_exprs,
+                      random_psh_transform)
 
 
 class TestReconstruct:
@@ -50,14 +51,14 @@ class TestReconstruct:
             inv = InvariantPair.from_expressions(kt, tt)
             h = reconstruct(inv, InitialPose.origin(), 5.0, 1e-3)
             s = np.linspace(0.05, h.s_max - 0.05, 60)
-            k, t = h.invariants(s)
-            assert np.max(np.abs(k - inv.kappa(s))) < 1e-5
-            assert np.max(np.abs(t - inv.tau(s))) < 1e-6
+            smp = h.sample(s)
+            assert np.max(np.abs(smp.kappa - inv.kappa(s))) < 1e-5
+            assert np.max(np.abs(smp.tau - inv.tau(s))) < 1e-6
 
     def test_unit_contact_speed_exact(self):
         inv = InvariantPair.from_expressions("sin(3*s)", "cos(2*s)")
         h = reconstruct(inv, InitialPose.origin(), 4.0)
-        assert h.contact_speed_check() < 1e-9
+        assert contact_speed_deviation(h) < 1e-9
 
     def test_nonfinite_invariants_rejected(self):
         inv = InvariantPair.from_expressions("1/(s - 1)", "0")
@@ -70,10 +71,11 @@ class TestReconstruct:
         h = reconstruct(inv, InitialPose.origin(), 3.0)
         s = np.linspace(0.2, 2.8, 15)
         eps = 1e-4
-        _, tp, npl, _ = h.frame_arrays(s + eps)
-        _, tm, nm, _ = h.frame_arrays(s - eps)
-        _, t0, n0, b0 = h.frame_arrays(s)
-        k = h.kappa(s)[:, None]
+        tp, npl, _ = h.sample(s + eps).frame()
+        tm, nm, _ = h.sample(s - eps).frame()
+        smp = h.sample(s)
+        t0, n0, b0 = smp.frame()
+        k = smp.kappa[:, None]
         dt = (tp - tm) / (2 * eps)
         dn = (npl - nm) / (2 * eps)
         assert np.max(np.abs(dt - k * n0)) < 1e-5
@@ -122,7 +124,7 @@ class TestQuadratureCascade:
     def test_contact_speed_is_one(self):
         inv = InvariantPair.from_expressions("sin(3*s)", "cos(2*s)")
         h = reconstruct(inv, InitialPose(H1Point(0.3, -0.2, 1.0), 0.7), 4.0)
-        assert h.contact_speed_check() <= 1e-12
+        assert contact_speed_deviation(h) <= 1e-12
 
     @pytest.mark.parametrize("s_max,step", [(1e9, 1e-3), ((MAX_PANELS + 1) * 1e-3, 1e-3)])
     def test_grid_budget_checked_before_any_allocation(self, s_max, step):
