@@ -2,16 +2,7 @@
 Heisenberg group: invariants, reconstruction, Cesàro immobility, surfaces
 of revolution, Bertrand mates, and position-vector classification."""
 
-from .heisenberg import (
-    H1Point,
-    PshTransform,
-    TangentVector,
-    apply_J,
-    group_inverse,
-    left_translate,
-    psh_apply,
-    standard_frame,
-)
+from .heisenberg import H1Point, PshTransform, left_translate
 from .expressions import EvalDomainError, ExpressionError, ScalarFn
 from .curves import (
     HorizontalCurve,
@@ -29,12 +20,7 @@ from .frenet import AlignmentError, InitialPose, find_psh_alignment, reconstruct
 __all__ = [
     "H1Point",
     "PshTransform",
-    "TangentVector",
-    "apply_J",
-    "group_inverse",
     "left_translate",
-    "psh_apply",
-    "standard_frame",
     "EvalDomainError",
     "ExpressionError",
     "ScalarFn",

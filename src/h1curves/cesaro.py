@@ -117,7 +117,6 @@ class CesaroSolution:
 def cesaro_closed_form(
     inv: InvariantPair,
     constants: CesaroConstants,
-    c5c6: tuple[float, float] | None = None,
     interval: tuple[float, float] = (0.0, 1.0),
     u3_const: float = 0.0,
 ) -> CesaroSolution:
@@ -125,17 +124,16 @@ def cesaro_closed_form(
 
     kappa must be either identically zero (then the degenerate branch with
     c1 = C5, c2 = C6 applies) or bounded away from zero; a sign change is
-    rejected.  c5c6 overrides the constants' (c5, c6) when given.
+    rejected.
     """
     lo, hi = (float(v) for v in interval)
-    c5, c6 = c5c6 if c5c6 is not None else (constants.c5, constants.c6)
     grid = uniform_grid(lo, hi, _PANELS)
     kappa_vals = np.asarray(inv.kappa(grid), dtype=float)
     require_finite(grid, kappa=kappa_vals)
 
     branch = kappa_branch(kappa_vals, hi - lo)
     if branch == "zero-kappa":
-        theta, u1, u2 = as_field(0.0), c5 - S, as_field(c6)
+        theta, u1, u2 = as_field(0.0), constants.c5 - S, as_field(constants.c6)
     elif branch == "mixed":
         bad = grid[np.argmin(np.abs(kappa_vals))]
         raise ValueError(
@@ -149,7 +147,7 @@ def cesaro_closed_form(
         kp, k2d = kappa.derivative(), kappa ** 2 * c.delta
         I1 = antiderivative((c.c1 * sin + c.c2 * cos) * kp / k2d, lo, hi, _PANELS)
         I2 = antiderivative((c.c3 * sin + c.c4 * cos) * kp / k2d, lo, hi, _PANELS)
-        A, B = c.c1 * c5 + c.c3 * c6, c.c2 * c5 + c.c4 * c6
+        A, B = c.c1 * c.c5 + c.c3 * c.c6, c.c2 * c.c5 + c.c4 * c.c6
         u1 = A * sin + B * cos + (c.c3 * sin + c.c4 * cos) * I1 - (c.c1 * sin + c.c2 * cos) * I2
         u2 = (A * cos - B * sin + (c.c3 * cos - c.c4 * sin) * I1
               - (c.c1 * cos - c.c2 * sin) * I2 + 1 / kappa)
@@ -472,7 +470,6 @@ def generate_surface_constant_kappa(
 def generate_surface_constant_tau(
     inv: InvariantPair,
     constants: CesaroConstants,
-    c5c6: tuple[float, float] | None = None,
     interval: tuple[float, float] = (0.0, 1.0),
     g2_const: float = 0.0,
     f_const: float = 0.0,
@@ -488,16 +485,15 @@ def generate_surface_constant_tau(
     f_const.  Both integrals start at the interval's left endpoint, with
     their constants exposed.  A non-finite parameter or profile is an
     error naming it."""
-    c5, c6 = c5c6 if c5c6 is not None else (constants.c5, constants.c6)
     require_finite(c1=constants.c1, c2=constants.c2, c3=constants.c3, c4=constants.c4,
-                   c5=c5, c6=c6, g2_const=g2_const, f_const=f_const)
+                   c5=constants.c5, c6=constants.c6, g2_const=g2_const, f_const=f_const)
     lo, hi = _profile_range(interval)
     grid = np.linspace(lo, hi, 257)
     tau_grid = np.asarray(inv.tau(grid))
     require_finite(grid, tau=tau_grid)
     if np.max(np.abs(tau_grid - tau_grid[0])) > 1e-8 * (1.0 + np.max(np.abs(tau_grid))):
         raise ValueError("tau must be constant for this construction")
-    sol = cesaro_closed_form(inv, constants, (c5, c6), (lo, hi), u3_const=-f_const)
+    sol = cesaro_closed_form(inv, constants, (lo, hi), u3_const=-f_const)
     if sol.branch != "general":
         raise ValueError("kappa must be nonzero for this construction")
     g2 = g2_const - 2 * antiderivative(sol.u1, lo, hi, _PANELS)

@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _VERDICT_SAMPLES = 400
+# quadrature panels of each antiderivative of the planar canonical curve
+_CANONICAL_PANELS = 4000
 
 
 class ClassTag(enum.Enum):
@@ -246,7 +248,7 @@ def make_canonical(tag: ClassTag, interval: tuple[float, float], **params) -> Pa
 
     Parameters by tag:
       LINE_IN_XY_PLANE: heading, offset=(bx, by)
-      PLANAR_CURVE_XY: kappa (expression), x0, y0, heading, n (quadrature panels)
+      PLANAR_CURVE_XY: kappa (expression), x0, y0, heading
       VERTICAL_PLANE_CURVE: c1, c2, c3, tau
       CIRCULAR_HELIX: c1 != 0, c2, c3, c4, tau  (unit contact speed needs
         c3^2 + c4^2 = c1^2; the fitted c1 after reparametrization is
@@ -259,7 +261,7 @@ def make_canonical(tag: ClassTag, interval: tuple[float, float], **params) -> Pa
         a, c = np.cos(heading), np.sin(heading)
         return ParamCurve.from_fields(bx + a * S, by + c * S, 0.0, (lo, hi))
     if tag is ClassTag.PLANAR_CURVE_XY:
-        n = int(params.get("n", 4000))
+        n = _CANONICAL_PANELS
         phi = antiderivative(params["kappa"], lo, hi, n, const=float(params.get("heading", 0.0)))
         x = antiderivative(phi.apply("cos"), lo, hi, n, const=float(params.get("x0", 0.0)))
         y = antiderivative(phi.apply("sin"), lo, hi, n, const=float(params.get("y0", 0.0)))

@@ -374,8 +374,7 @@ def gen_const_tau(kappa, tau_const, constants, g2_const, f_const, srange, step, 
     """Generate the surface admitting a constant-tau curve."""
     inv = InvariantPair(kappa, float(tau_const))
     sigma = generate_surface_constant_tau(
-        inv, CesaroConstants(*constants[:4]), (constants[4], constants[5]),
-        srange, g2_const=g2_const, f_const=f_const,
+        inv, CesaroConstants(*constants), srange, g2_const=g2_const, f_const=f_const,
     )
     s = step_grid(sigma.s_lo, sigma.s_hi, step)
     rows = np.column_stack([s, *sigma.profile(s)])

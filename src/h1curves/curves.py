@@ -419,13 +419,8 @@ class InvariantPair:
 def psh_transform_curve(g: PshTransform, c: ParamCurve) -> ParamCurve:
     """The induced curve map of a pseudo-hermitian transformation.
 
-    Components stay exact linear combinations of the originals, so analytic
-    derivative information survives; kappa and tau are invariant under the
-    result.
+    ``g.apply`` acts on the component trees, so the components stay exact
+    linear combinations of the originals and analytic derivative
+    information survives; kappa and tau are invariant under the result.
     """
-    ca, sa = np.cos(g.angle), np.sin(g.angle)
-    p = g.shift
-    x = p.x + ca * c.x - sa * c.y
-    y = p.y + sa * c.x + ca * c.y
-    z = p.z + c.z + (p.y * ca - p.x * sa) * c.x + (-p.y * sa - p.x * ca) * c.y
-    return ParamCurve(x, y, z, c.u_min, c.u_max)
+    return ParamCurve(*g.apply(c.x, c.y, c.z), c.u_min, c.u_max)

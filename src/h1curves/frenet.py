@@ -66,7 +66,7 @@ def reconstruct(
     midpoints.  The n+1 panel nodes, 4th-order accurate, are the samples of
     a curve already parametrized by arc length, with s_max exact.  phi
     integrates kappa: the input is invariants, and the curve is what this
-    builds."""
+    builds.  A coordinate past the float range is refused, naming its s."""
     if not (s_max > 0 and step > 0):
         raise ValueError(f"s_max and step must be positive, got {s_max} and {step}")
     n = panel_count(s_max, step, minimum=4)
@@ -76,11 +76,13 @@ def reconstruct(
     require_finite(s_half, kappa=kappa, tau=tau)
     dx = s_max / (2 * n)
     p = pose.point
-    phi = pose.heading + cumulative_simpson(kappa, dx=dx)
-    cos, sin = np.cos(phi), np.sin(phi)
-    x = p.x + cumulative_simpson(cos, dx=dx)
-    y = p.y + cumulative_simpson(sin, dx=dx)
-    z = p.z + cumulative_simpson(tau + y * cos - x * sin, dx=dx)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, at its s
+        phi = pose.heading + cumulative_simpson(kappa, dx=dx)
+        cos, sin = np.cos(phi), np.sin(phi)
+        x = p.x + cumulative_simpson(cos, dx=dx)
+        y = p.y + cumulative_simpson(sin, dx=dx)
+        z = p.z + cumulative_simpson(tau + y * cos - x * sin, dx=dx)
+    require_finite(s_half, x=x, y=y, z=z)
     curve = ParamCurve.from_samples(s_half[::2], x[::2], y[::2], z[::2])
     return HorizontalCurve.arc_length(curve)
 
@@ -108,12 +110,11 @@ def find_psh_alignment(
         )
     # grid[0] = 0: the rotation is the heading difference at the start
     angle = float(sb.heading()[0] - sa.heading()[0])
-    rot = PshTransform(angle, H1Point.origin())
-    a0 = H1Point.from_array(sa.points[0])
-    b0 = H1Point.from_array(sb.points[0])
-    shift = left_translate(b0, rot.apply(a0).inverse())
+    # the shift takes the rotated start of a onto the start of b
+    a0 = H1Point.from_array(PshTransform(angle, H1Point.origin()).apply(*sa.points[0]))
+    shift = left_translate(H1Point.from_array(sb.points[0]), a0.inverse())
     g = PshTransform(angle, shift)
-    moved = g.apply_array(sa.points)
+    moved = np.stack(g.apply(*sa.points.T), axis=-1)
     sup = float(np.max(np.linalg.norm(moved - sb.points, axis=1)))
     if sup > tol:
         raise AlignmentError(

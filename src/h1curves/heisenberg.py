@@ -1,13 +1,14 @@
-"""The first Heisenberg group: points, group law, left-invariant frame,
-the almost complex structure J, and the pseudo-hermitian transformation
-group (z-axis rotations acting semidirectly on left translations).
+"""The first Heisenberg group: points, the group law, and the
+pseudo-hermitian transformation group (z-axis rotations followed by left
+translations), under which kappa and tau are invariant.
 
 Coordinates are the Euclidean coordinates of H ~ R^3 with group law
 
     (x, y, z) . (a, b, c) = (a + x, b + y, c + z + y*a - x*b),
 
-so left translation by p twists the height by the signed area term.
-All values are immutable; every operation is a pure function.
+so left translation by p twists the height by the signed area term.  The
+moving frame and J (n = J t) are read off a curve's samples, by
+``curves.CurveSample.frame``.
 """
 
 from __future__ import annotations
@@ -15,17 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "H1Point",
-    "TangentVector",
     "PshTransform",
     "left_translate",
-    "group_inverse",
-    "standard_frame",
-    "apply_J",
-    "psh_apply",
 ]
 
 
@@ -50,86 +44,15 @@ class H1Point:
         x, y, z = (float(v) for v in arr)
         return cls(x, y, z)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    def to_json(self) -> list[float]:
-        return [self.x, self.y, self.z]
-
     def inverse(self) -> "H1Point":
         return H1Point(-self.x, -self.y, -self.z)
-
-
-def left_translate(p: H1Point, q: H1Point) -> H1Point:
-    """Group product p.q, i.e. the left translation of q by p."""
-    return H1Point(
-        q.x + p.x,
-        q.y + p.y,
-        q.z + p.z + p.y * q.x - p.x * q.y,
-    )
-
-
-def group_inverse(p: H1Point) -> H1Point:
-    """Inverse element; (x, y, z)^-1 = (-x, -y, -z) under the group law."""
-    return p.inverse()
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """Tangent vector in components along the left-invariant basis
-    (e1, e2, T) at ``base``.  The contact plane is a3 == 0."""
-
-    a1: float
-    a2: float
-    a3: float
-    base: H1Point
-
-    def __post_init__(self):
-        for name in ("a1", "a2", "a3"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite component {name}")
-
-    def components(self) -> np.ndarray:
-        return np.array([self.a1, self.a2, self.a3])
-
-    def euclidean(self) -> np.ndarray:
-        """Euclidean coordinates: a1*(1,0,y) + a2*(0,1,-x) + a3*(0,0,1)."""
-        return np.array(
-            [
-                self.a1,
-                self.a2,
-                self.a1 * self.base.y - self.a2 * self.base.x + self.a3,
-            ]
-        )
-
-    def is_contact(self, tol: float = 0.0) -> bool:
-        return abs(self.a3) <= tol
-
-
-def standard_frame(p: H1Point) -> tuple[TangentVector, TangentVector, TangentVector]:
-    """The left-invariant frame at p: e1 = (1,0,y), e2 = (0,1,-x), T = (0,0,1)
-    in Euclidean coordinates (basis components are the unit vectors)."""
-    return (
-        TangentVector(1.0, 0.0, 0.0, p),
-        TangentVector(0.0, 1.0, 0.0, p),
-        TangentVector(0.0, 0.0, 1.0, p),
-    )
-
-
-def apply_J(v: TangentVector) -> TangentVector:
-    """Rotation by 90 degrees inside the contact plane: J e1 = e2,
-    J e2 = -e1, J T = 0."""
-    return TangentVector(-v.a2, v.a1, 0.0, v.base)
 
 
 @dataclass(frozen=True)
 class PshTransform:
     """Pseudo-hermitian transformation: rotate (x, y) about the z-axis by
-    ``angle`` (z fixed), then left-translate by ``shift``.
-
-    Rotations are group automorphisms here, which gives the semidirect
-    composition law.  Orientation-reversing maps are not represented.
-    """
+    ``angle`` (z fixed), then left-translate by ``shift``.  Orientation-
+    reversing maps are not represented."""
 
     angle: float
     shift: H1Point
@@ -138,41 +61,18 @@ class PshTransform:
         if not math.isfinite(self.angle):
             raise ValueError("non-finite rotation angle")
 
-    @classmethod
-    def identity(cls) -> "PshTransform":
-        return cls(0.0, H1Point.origin())
-
-    def rotate(self, p: H1Point) -> H1Point:
+    def apply(self, x, y, z):
+        """The image (x, y, z) of a point.  Only ``+ - *`` touch the
+        coordinates, so they may be floats, numpy arrays (the columns of an
+        (m, 3) array: ``np.stack(g.apply(*points.T), axis=-1)``) or
+        ``ScalarFn`` trees (the components of a curve)."""
         c, s = math.cos(self.angle), math.sin(self.angle)
-        return H1Point(c * p.x - s * p.y, s * p.x + c * p.y, p.z)
-
-    def apply(self, p: H1Point) -> H1Point:
-        return left_translate(self.shift, self.rotate(p))
-
-    def apply_array(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized apply for an (n, 3) array of points."""
-        pts = np.asarray(points, dtype=float)
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        x = c * pts[:, 0] - s * pts[:, 1]
-        y = s * pts[:, 0] + c * pts[:, 1]
-        z = pts[:, 2]
+        x, y = c * x - s * y, s * x + c * y
         p = self.shift
-        return np.stack(
-            [x + p.x, y + p.y, z + p.z + p.y * x - p.x * y], axis=1
-        )
-
-    def inverse(self) -> "PshTransform":
-        inv = PshTransform(-self.angle, H1Point.origin())
-        return PshTransform(-self.angle, inv.rotate(self.shift.inverse()))
-
-    def compose(self, other: "PshTransform") -> "PshTransform":
-        """self after other: (a2, p2) . (a1, p1) = (a1 + a2, p2 . R_a2(p1))."""
-        rotated = PshTransform(self.angle, H1Point.origin()).rotate(other.shift)
-        return PshTransform(
-            self.angle + other.angle, left_translate(self.shift, rotated)
-        )
+        return x + p.x, y + p.y, z + p.z + p.y * x - p.x * y
 
 
-def psh_apply(transform: PshTransform, p: H1Point) -> H1Point:
-    """Apply a pseudo-hermitian transformation to a point."""
-    return transform.apply(p)
+def left_translate(p: H1Point, q: H1Point) -> H1Point:
+    """Group product p.q, i.e. the left translation of q by p: the angle-0
+    ``PshTransform``, exact since cos 0 = 1 and sin 0 = 0."""
+    return H1Point(*PshTransform(0.0, p).apply(q.x, q.y, q.z))

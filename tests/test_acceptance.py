@@ -117,7 +117,7 @@ def test_criterion_04_fundamental_theorem_uniqueness():
         g = find_psh_alignment(a, b, tol=1e-6)
         grid = np.linspace(0.0, 4.0, 120)
         sup = float(np.max(np.linalg.norm(
-            g.apply_array(a.point(grid)) - b.point(grid), axis=1
+            np.stack(g.apply(*a.point(grid).T), axis=-1) - b.point(grid), axis=1
         )))
         worst = max(worst, sup)
     report(4, "fundamental-theorem-uniqueness", worst < 1e-6,

@@ -354,6 +354,22 @@ class TestErrorExits:
         self.assert_one_error_line(result)
         assert "panels requested" in result.stderr
 
+    @pytest.mark.parametrize("command", ["reconstruct", "analyze"])
+    @pytest.mark.parametrize("fields,column", [
+        ({"kappa": "1", "tau": "1e308"}, "z"),
+        ({"kappa": "1e308", "tau": "0"}, "x"),
+        ({"kappa": "1", "tau": "0", "initial": {"point": [1e308, 1e308, 0]}}, "z"),
+        ({"kappa": "1", "tau": "0", "initial": {"point": [0, -1e308, 0]}}, "z"),
+    ], ids=["tau", "kappa", "point", "negative-y"])
+    def test_reconstruction_past_the_float_range(self, runner, tmp_path, command, fields,
+                                                 column):
+        # the cascade overflows; the first column that does is refused at
+        # its s, with no numpy warning before the error line
+        spec = write_json(tmp_path, "c.json", {"type": "intrinsic", "range": [0, 1], **fields})
+        result = runner.invoke(main, [command, spec, "--step", "0.25"])
+        self.assert_one_error_line(result)
+        assert f"{column}: not finite near s = " in result.stderr
+
     @pytest.fixture
     def pole_spec(self, tmp_path):
         # x and y are regular; z has a pole on the grid at s = 0.5

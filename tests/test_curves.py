@@ -261,7 +261,8 @@ class TestPshInvariance:
         g = random_psh_transform(rng)
         moved = psh_transform_curve(g, c)
         u = np.linspace(0.0, 3.0, 11)
-        assert np.allclose(moved.point(u), g.apply_array(c.point(u)), atol=1e-12)
+        pointwise = np.stack(g.apply(*c.point(u).T), axis=-1)
+        assert np.allclose(moved.point(u), pointwise, atol=1e-12)
 
 
 class TestArcLengthCurve:

@@ -146,7 +146,7 @@ class TestAlignment:
         h = reconstruct(InvariantPair.from_constants(1, 0), InitialPose.origin(), 3.0)
         g = find_psh_alignment(h, h, tol=1e-8)
         assert abs(g.angle) < 1e-12
-        assert np.allclose(g.shift.as_array(), 0, atol=1e-12)
+        assert np.allclose([g.shift.x, g.shift.y, g.shift.z], 0, atol=1e-12)
 
     def test_recovers_random_transform(self, rng):
         x_expr = "s + 0.2*sin(s)"
@@ -156,12 +156,13 @@ class TestAlignment:
             g = random_psh_transform(rng)
             b = reparam_horizontal(psh_transform_curve(g, c))
             found = find_psh_alignment(a, b, tol=1e-8)
-            moved = found.apply_array(a.point(np.linspace(0, a.s_max, 50)))
+            moved = np.stack(found.apply(*a.point(np.linspace(0, a.s_max, 50)).T), axis=-1)
             target = b.point(np.linspace(0, b.s_max, 50))
             assert np.max(np.linalg.norm(moved - target, axis=1)) < 1e-8
             two_pi = 2 * np.pi
             assert abs((found.angle - g.angle + np.pi) % two_pi - np.pi) < 1e-9
-            assert np.allclose(found.shift.as_array(), g.shift.as_array(), atol=1e-8)
+            assert np.allclose([found.shift.x, found.shift.y, found.shift.z],
+                               [g.shift.x, g.shift.y, g.shift.z], atol=1e-8)
 
     def test_different_invariants_detected(self):
         line = reconstruct(InvariantPair.from_constants(0, 0), InitialPose.origin(), 3.0)
@@ -177,7 +178,6 @@ class TestAlignment:
         b = reconstruct(inv, pose, 4.0)
         g = find_psh_alignment(a, b, tol=1e-6)
         grid = np.linspace(0, 4.0, 80)
-        sup = np.max(
-            np.linalg.norm(g.apply_array(a.point(grid)) - b.point(grid), axis=1)
-        )
+        moved = np.stack(g.apply(*a.point(grid).T), axis=-1)
+        sup = np.max(np.linalg.norm(moved - b.point(grid), axis=1))
         assert sup < 1e-6
