@@ -7,7 +7,7 @@ import argparse
 
 import numpy as np
 
-from h1curves import InitialPose, InvariantPair, reconstruct
+from h1curves import InitialPose, InvariantPair, reconstruct_curve
 from h1curves.bertrand import (
     BertrandSpec,
     bertrand_mate,
@@ -26,7 +26,7 @@ def main():
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 
-    base = reconstruct(
+    base = reconstruct_curve(
         InvariantPair.from_expressions(args.kappa, args.tau),
         InitialPose.origin(),
         args.s_max,

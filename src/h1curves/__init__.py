@@ -15,7 +15,7 @@ from .curves import (
     reparam_horizontal,
     verify_cesaro,
 )
-from .frenet import AlignmentError, InitialPose, find_psh_alignment, reconstruct
+from .frenet import AlignmentError, InitialPose, find_psh_alignment, reconstruct, reconstruct_curve
 
 __all__ = [
     "H1Point",
@@ -37,4 +37,5 @@ __all__ = [
     "InitialPose",
     "find_psh_alignment",
     "reconstruct",
+    "reconstruct_curve",
 ]

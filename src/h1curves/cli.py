@@ -16,8 +16,10 @@ line on stderr.  Commands raise; they exit themselves only with 1, for a
 negative verdict.  ``--config`` fills click's default map, so explicit
 flags win over config values, which win over the defaults.  ``--output``
 is probed for writing while the options are parsed, before any work, and
-is written only once the command has its whole text.  All numbers
-print with 17 significant digits so doubles round-trip.
+is written only once the command has its whole text.  CSV prints every
+number as ``"%.17g"`` does (17 significant digits, by ``textout``), JSON
+as Python's shortest round-trip ``repr``; both read back to the same
+doubles.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .curves import (
 )
 from .expressions import EvalDomainError, ExpressionError
 from .fields import as_field
-from .frenet import InitialPose, reconstruct
+from .frenet import InitialPose, reconstruct, reconstruct_curve
 from .heisenberg import H1Point
 from .numerics import step_grid
 
@@ -164,17 +166,22 @@ def _curve_from_spec(spec: dict, step: float) -> HorizontalCurve:
                 raise ValueError("samples data must be rows of [u, x, y, z]")
             return reparam_horizontal(ParamCurve.from_samples(*data.T), step=step)
         if kind == "intrinsic":
-            inv = InvariantPair.from_expressions(spec["kappa"], spec["tau"])
-            lo, hi = (float(v) for v in spec["range"])
-            if lo != 0.0:
-                raise ValueError("intrinsic range must start at 0")
-            initial = spec.get("initial", {})
-            if not isinstance(initial, dict):
-                raise ValueError("intrinsic initial must be an object")
-            point = H1Point.from_array(initial.get("point", [0.0, 0.0, 0.0]))
-            heading = float(initial.get("heading", 0.0))
-            return reconstruct(inv, InitialPose(point, heading), hi, step)
+            return reconstruct_curve(*_intrinsic(spec), step)
         raise ValueError(f"unknown curve type {kind!r}")
+
+
+def _intrinsic(spec: dict) -> tuple[InvariantPair, InitialPose, float]:
+    """The invariants, initial pose and length of an intrinsic spec."""
+    inv = InvariantPair.from_expressions(spec["kappa"], spec["tau"])
+    lo, hi = (float(v) for v in spec["range"])
+    if lo != 0.0:
+        raise ValueError("intrinsic range must start at 0")
+    initial = spec.get("initial", {})
+    if not isinstance(initial, dict):
+        raise ValueError("intrinsic initial must be an object")
+    point = H1Point.from_array(initial.get("point", [0.0, 0.0, 0.0]))
+    heading = float(initial.get("heading", 0.0))
+    return inv, InitialPose(point, heading), hi
 
 
 def _emit(text: str, output: str | None):
@@ -186,8 +193,9 @@ def _emit(text: str, output: str | None):
 
 
 def _csv(header: list[str], rows) -> str:
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    return ",".join(header) + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist())
+    from . import textout  # imported on first use: commands that write no CSV never compile it
+
+    return textout.csv(header, rows)
 
 
 def _table(fmt: str, header: list[str], rows, doc: dict | None = None, key: str = "rows") -> str:
@@ -261,13 +269,14 @@ def analyze(curve_json, step, tol, fmt, output):
 @click.argument("curve_json")
 @common_options
 def reconstruct_cmd(curve_json, step, tol, fmt, output):
-    """Reconstruct a curve from intrinsic invariants; emits samples."""
+    """Reconstruct a curve from intrinsic invariants; emits its quadrature
+    nodes (s, x, y, z) as samples."""
     spec = _read_json(curve_json)
     if not isinstance(spec, dict) or spec.get("type") != "intrinsic":
         raise ValueError("reconstruct needs an intrinsic curve spec")
-    h = _curve_from_spec(spec, step)
-    s = step_grid(0.0, h.s_max, step)
-    rows = np.column_stack([s, h.point(s)])
+    with _prefixed("bad curve spec", KeyError, TypeError, ValueError):
+        rows = reconstruct(*_intrinsic(spec), step)
+        ParamCurve.from_samples(*rows.T)  # refuses what the samples reader refuses
     _emit(_table(fmt, ["s", "x", "y", "z"], rows, {"type": "samples"}, "data"), output)
 
 

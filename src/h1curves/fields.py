@@ -116,6 +116,10 @@ def local_slopes(nodes, values) -> np.ndarray:
     return slopes
 
 
+class _NonUniformGrid(ValueError):
+    """The grid of a SampledField is not uniform."""
+
+
 class SampledField:
     """Values on a uniform grid, evaluated through the cubic Hermite
     interpolant whose node slopes are 4th-order finite differences.
@@ -135,21 +139,25 @@ class SampledField:
             raise ValueError("need at least 7 samples")
         steps = np.diff(self.grid)
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-            raise ValueError("grid must be uniform")
+            raise _NonUniformGrid("grid must be uniform")
         self.h = float(steps[0])
         self._interps = {}  # derivative order -> CubicHermite, built on first use
 
     @classmethod
     def resample(cls, u: np.ndarray, values: np.ndarray, n: int | None = None):
         """Build from possibly non-uniform samples (at least 4) by cubic
-        Hermite resampling, with node slopes from ``local_slopes``."""
+        Hermite resampling, with node slopes from ``local_slopes``; n samples
+        on a uniform grid are kept, by the one uniformity test of the
+        constructor."""
         u = np.asarray(u, dtype=float)
         values = np.asarray(values, dtype=float)
         n = n or max(u.size, 64)
+        if u.size == n:
+            try:
+                return cls(u, values)
+            except _NonUniformGrid:
+                pass
         grid = np.linspace(u[0], u[-1], n)
-        steps = np.diff(u)
-        if u.size == n and np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-            return cls(u, values)
         return cls(grid, CubicHermite(u, values, local_slopes(u, values))(grid))
 
     def _interp(self, order: int) -> CubicHermite:

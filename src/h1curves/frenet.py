@@ -30,6 +30,7 @@ __all__ = [
     "InitialPose",
     "AlignmentError",
     "reconstruct",
+    "reconstruct_curve",
     "find_psh_alignment",
 ]
 
@@ -57,16 +58,16 @@ class AlignmentError(ValueError):
     """No pseudo-hermitian transformation maps one curve onto the other."""
 
 
-def reconstruct(
-    inv, pose: InitialPose, s_max: float, step: float = 1e-3
-) -> HorizontalCurve:
-    """The curve with invariants ``inv`` and initial pose ``pose`` on
-    [0, s_max], by the cascade above, each integral a cumulative Simpson
-    from s = 0 on n = ceil(s_max/step) panels (at least 4) and their
-    midpoints.  The n+1 panel nodes, 4th-order accurate, are the samples of
-    a curve already parametrized by arc length, with s_max exact.  phi
-    integrates kappa: the input is invariants, and the curve is what this
-    builds.  A coordinate past the float range is refused, naming its s."""
+def reconstruct(inv, pose: InitialPose, s_max: float, step: float) -> np.ndarray:
+    """The samples (s, x, y, z), one row per node, of the curve with
+    invariants ``inv`` and initial pose ``pose`` on [0, s_max], by the
+    cascade above, each integral a cumulative Simpson from s = 0 on
+    n = ceil(s_max/step) panels (at least 4) and their midpoints.  The n+1
+    panel nodes, 4th-order accurate, are ``step_grid(0, s_max, step)`` bit
+    for bit: samples of a curve already parametrized by arc length, with
+    s_max exact.  phi integrates kappa: the input is invariants, and the
+    curve is what this builds.  A coordinate past the float range is
+    refused, naming its s."""
     if not (s_max > 0 and step > 0):
         raise ValueError(f"s_max and step must be positive, got {s_max} and {step}")
     n = panel_count(s_max, step, minimum=4)
@@ -83,8 +84,13 @@ def reconstruct(
         y = p.y + cumulative_simpson(sin, dx=dx)
         z = p.z + cumulative_simpson(tau + y * cos - x * sin, dx=dx)
     require_finite(s_half, x=x, y=y, z=z)
-    curve = ParamCurve.from_samples(s_half[::2], x[::2], y[::2], z[::2])
-    return HorizontalCurve.arc_length(curve)
+    return np.column_stack([s_half[::2], x[::2], y[::2], z[::2]])
+
+
+def reconstruct_curve(inv, pose: InitialPose, s_max: float, step: float = 1e-3) -> HorizontalCurve:
+    """The curve through the samples of ``reconstruct``, parametrized by arc length."""
+    samples = reconstruct(inv, pose, s_max, step)
+    return HorizontalCurve.arc_length(ParamCurve.from_samples(*samples.T))
 
 
 def find_psh_alignment(

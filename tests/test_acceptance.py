@@ -12,7 +12,7 @@ from h1curves import (
     find_psh_alignment,
     kappa_tau_arbitrary,
     psh_transform_curve,
-    reconstruct,
+    reconstruct_curve,
     reparam_horizontal,
     verify_cesaro,
 )
@@ -47,7 +47,7 @@ def report(index, name, ok, detail):
 
 
 def test_criterion_01_pansu_reproduction():
-    h = reconstruct(InvariantPair.from_constants(2, 0), InitialPose.origin(),
+    h = reconstruct_curve(InvariantPair.from_constants(2, 0), InitialPose.origin(),
                     np.pi, 1e-3)
     s = np.linspace(0.0, h.s_max, 1001)
     expected = np.stack(
@@ -69,7 +69,7 @@ def test_criterion_02_invariant_round_trip():
     for _ in range(20):
         kt, tt = random_invariant_exprs(rng)
         inv = InvariantPair.from_expressions(kt, tt)
-        h = reconstruct(inv, InitialPose.origin(), 5.0, 1e-3)
+        h = reconstruct_curve(inv, InitialPose.origin(), 5.0, 1e-3)
         s = np.linspace(0.0, h.s_max, 400)
         smp = h.sample(s)
         worst = max(
@@ -109,11 +109,11 @@ def test_criterion_04_fundamental_theorem_uniqueness():
     for _ in range(8):
         kt, tt = random_invariant_exprs(rng)
         inv = InvariantPair.from_expressions(kt, tt)
-        a = reconstruct(inv, InitialPose.origin(), 4.0, 1e-3)
+        a = reconstruct_curve(inv, InitialPose.origin(), 4.0, 1e-3)
         pose = InitialPose(
             H1Point(*rng.uniform(-1.5, 1.5, size=3)), float(rng.uniform(-3, 3))
         )
-        b = reconstruct(inv, pose, 4.0, 1e-3)
+        b = reconstruct_curve(inv, pose, 4.0, 1e-3)
         g = find_psh_alignment(a, b, tol=1e-6)
         grid = np.linspace(0.0, 4.0, 120)
         sup = float(np.max(np.linalg.norm(
@@ -129,7 +129,7 @@ def test_criterion_05_cesaro_identity():
     worst = 0.0
     for _ in range(10):
         kt, tt = random_invariant_exprs(rng)
-        h = reconstruct(
+        h = reconstruct_curve(
             InvariantPair.from_expressions(kt, tt), InitialPose.origin(), 5.0, 1e-3
         )
         grid = np.linspace(0.05, h.s_max - 0.05, 60)
@@ -185,7 +185,7 @@ def test_criterion_07_surface_loop():
         surf, inv, np.linspace(-np.pi / 2 + 0.05, np.pi / 2 - 0.05, 101)
     )
     # the reconstructed constant-kappa curve lies on it
-    h = reconstruct(inv, InitialPose.origin(), np.pi, 1e-3)
+    h = reconstruct_curve(inv, InitialPose.origin(), np.pi, 1e-3)
     membership = surface_membership(h, surf, tol=1e-6)
     # the stated lambda = 1 constants reproduce the closed-form profile
     paper = generate_surface_constant_kappa(2.0, 0.0, -1.0, 0.0, 1.0, 1.0,
@@ -217,7 +217,7 @@ def test_criterion_09_bertrand_suite():
     curves = []
     for _ in range(20):
         kt, tt = random_invariant_exprs(rng, kappa_nonzero=True)
-        base = reconstruct(
+        base = reconstruct_curve(
             InvariantPair.from_expressions(kt, tt), InitialPose.origin(), 4.0, 1e-3
         )
         c1, c2 = rng.uniform(-2, 2, size=2)
@@ -286,7 +286,7 @@ def test_criterion_10_classification_round_trip():
     generic_ok = 0
     for _ in range(20):
         kt, tt = random_invariant_exprs(rng)
-        h = reconstruct(InvariantPair.from_expressions(kt, tt),
+        h = reconstruct_curve(InvariantPair.from_expressions(kt, tt),
                         InitialPose.origin(), 4.0, 1e-3)
         generic_ok += classify_position(h).tag is ClassTag.GENERAL
     ok &= generic_ok == 20

@@ -8,7 +8,7 @@ from h1curves import (
     PshTransform,
     H1Point,
     psh_transform_curve,
-    reconstruct,
+    reconstruct_curve,
     reparam_horizontal,
 )
 from h1curves.bertrand import (
@@ -27,16 +27,16 @@ from conftest import contact_speed_deviation, random_invariant_exprs
 
 
 def line(s_max=3.0):
-    return reconstruct(InvariantPair.from_constants(0, 0), InitialPose.origin(), s_max)
+    return reconstruct_curve(InvariantPair.from_constants(0, 0), InitialPose.origin(), s_max)
 
 
 def unit_circle_curve(s_max=4.0):
-    return reconstruct(InvariantPair.from_constants(1, 0), InitialPose.origin(), s_max)
+    return reconstruct_curve(InvariantPair.from_constants(1, 0), InitialPose.origin(), s_max)
 
 
 class TestMateConstruction:
     def test_mate_shares_the_arc_length_parameter(self):
-        base = reconstruct(
+        base = reconstruct_curve(
             InvariantPair.from_expressions("1 + 0.3*sin(s)", "0.4"), InitialPose.origin(), 4.0
         )
         mate = mate_curve(bertrand_mate(base, BertrandSpec(0.7, -0.4)))
@@ -83,7 +83,7 @@ class TestMateConstruction:
         assert np.max(np.linalg.norm(mate_curve(m).point(s) - base.point(s), axis=1)) < 1e-9
 
     def test_branch_mixing_refused(self):
-        h = reconstruct(
+        h = reconstruct_curve(
             InvariantPair.from_expressions("sin(s)", "0"), InitialPose.origin(), 3.0
         )
         with pytest.raises(BranchError):
@@ -92,7 +92,7 @@ class TestMateConstruction:
     def test_mate_properties(self, rng):
         for _ in range(3):
             kt, tt = random_invariant_exprs(rng, kappa_nonzero=True)
-            base = reconstruct(
+            base = reconstruct_curve(
                 InvariantPair.from_expressions(kt, tt), InitialPose.origin(), 4.0
             )
             c1, c2 = rng.uniform(-2, 2, size=2)

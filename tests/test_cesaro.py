@@ -8,7 +8,7 @@ from h1curves import (
     InvariantPair,
     ParamCurve,
     find_psh_alignment,
-    reconstruct,
+    reconstruct_curve,
     reparam_horizontal,
 )
 from h1curves.cesaro import (

@@ -5,7 +5,7 @@ from h1curves import (
     InitialPose,
     InvariantPair,
     ParamCurve,
-    reconstruct,
+    reconstruct_curve,
     reparam_horizontal,
 )
 from h1curves.classify import (
@@ -64,7 +64,7 @@ class TestClassifyExamples:
 
     def test_generic_curve(self, rng):
         kt, tt = random_invariant_exprs(rng)
-        h = reconstruct(
+        h = reconstruct_curve(
             InvariantPair.from_expressions(kt, tt),
             InitialPose.origin(),
             4.0,
@@ -161,7 +161,7 @@ class TestRoundTrip:
     def test_generic_never_tagged(self, rng):
         for _ in range(4):
             kt, tt = random_invariant_exprs(rng)
-            h = reconstruct(
+            h = reconstruct_curve(
                 InvariantPair.from_expressions(kt, tt), InitialPose.origin(), 4.0
             )
             assert classify_position(h).tag is ClassTag.GENERAL

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import h1curves
 from h1curves.cesaro import pansu_sphere
@@ -813,6 +814,73 @@ class TestCsvFormat:
         assert expected.split("\n")[1] == "-0,1e-300,1.0000000000000001e+300,3"
         assert _csv(header, np.empty((0, 4))) == "a,b,c,d\n"
 
+    @staticmethod
+    def assert_per_value(rows):
+        from h1curves.cli import _csv
+
+        header = [f"c{j}" for j in range(rows.shape[1])]
+        lines = [",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in rows.tolist()]
+        assert _csv(header, rows).split("\n") == lines + [""]  # a list reports its first bad line
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rows=hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 9)),
+                           elements=st.floats(allow_nan=True, allow_infinity=True,
+                                              allow_subnormal=True)))
+    def test_property_matches_per_value_formatting(self, rows):
+        self.assert_per_value(rows)
+
+    @staticmethod
+    def ulps(values, reach=2):
+        """Each value and its neighbours up to ``reach`` ulps away, one row each."""
+        columns = [np.asarray(values, dtype=float)]
+        for _ in range(reach):
+            columns.insert(0, np.nextafter(columns[0], -np.inf))
+            columns.append(np.nextafter(columns[-1], np.inf))
+        return np.column_stack(columns)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_powers_of_ten_and_their_neighbours(self, sign):
+        powers = [float(f"1e{e}") for e in range(-323, 309)]
+        self.assert_per_value(sign * self.ulps(powers))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_seventeen_digit_boundaries(self, sign):
+        edges = [9.999999999999999e16, 1e17, 2.0**53 - 1, 2.0**53, 2.0**53 + 2,
+                 9.9999999999999998e149, 99999999999999998.0, 1e16 - 1]
+        self.assert_per_value(sign * self.ulps(edges))
+
+    def test_exact_ties_round_half_even(self):
+        from h1curves import textout
+
+        # m/1024 with m odd, about 3e10: 8 digits before the point and the
+        # 18th significant digit an exact 5, after an even and an odd 17th
+        m = 3 * 10**10 + 1 + 2 * np.arange(2000, dtype=np.int64)
+        ties = np.concatenate([m / 1024.0, -m / 1024.0])
+        assert textout._digits(ties)[2].all()  # each one is left to Python
+        self.assert_per_value(ties.reshape(-1, 4))
+
+    def test_zero_column_and_all_nan_table(self):
+        from h1curves import textout
+
+        assert not textout._digits(np.array([0.0, -0.0]))[2].any()  # zeros stay in numpy
+        rows = np.column_stack([np.linspace(0, 4, 2501), np.zeros(2501), -np.zeros(2501)])
+        self.assert_per_value(rows)
+        self.assert_per_value(np.full((5, 3), np.nan))
+        self.assert_per_value(np.array([[np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0]]))
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(18).integers(0, 2**64, 10**5, dtype=np.uint64, endpoint=False)
+        self.assert_per_value(bits.view(np.float64).reshape(-1, 5))
+
+    @pytest.mark.parametrize("ncols", [3, 7])
+    def test_separators_across_chunks(self, ncols):
+        from h1curves import textout
+
+        rng = np.random.default_rng(ncols)
+        nrows = 3 * textout._CHUNK // ncols + 5  # three whole chunks and a part
+        rows = rng.normal(size=(nrows, ncols)) * 10.0 ** rng.integers(-30, 30, (nrows, ncols))
+        self.assert_per_value(rows)
+
 
 class TestJsonTable:
     DOCS = [({"columns": ["a", "b", "c"]}, "rows"), ({"type": "samples"}, "data")]
@@ -868,6 +936,15 @@ class TestFreshProcess:
                               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_import_builds_no_format_table(self):
+        # the CSV kernel's tables are built by the first table it formats
+        proc = self.run("-c", "import sys, h1curves.cli; "
+                              "t = sys.modules.get('h1curves.textout'); "
+                              "print(t is None or sum(f.cache_info().currsize for f in "
+                              "(t._tables, t._masks, t._powers)))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() in ("True", "0")
 
     def test_membership_past_the_float_range_writes_no_warning(self, tmp_path):
         # d^2 overflows on most of a profile grid spanning 1e300

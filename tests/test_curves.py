@@ -14,7 +14,7 @@ from h1curves import (
     is_horizontally_regular,
     kappa_tau_arbitrary,
     psh_transform_curve,
-    reconstruct,
+    reconstruct_curve,
     reparam_horizontal,
     verify_cesaro,
 )
@@ -232,7 +232,7 @@ class TestVerifyCesaro:
 
     def test_reconstructed_curve(self):
         inv = InvariantPair.from_expressions("1 + 0.5*sin(s)", "0.2*s")
-        h = reconstruct(inv, InitialPose.origin(), 3.0, 1e-3)
+        h = reconstruct_curve(inv, InitialPose.origin(), 3.0, 1e-3)
         grid = np.linspace(0.1, h.s_max - 0.1, 25)
         assert verify_cesaro(h, grid) < 1e-6
 
@@ -341,7 +341,7 @@ def slow_speed_curve(u_max=10.0):
 class TestSample:
     @pytest.mark.parametrize("make", [
         lambda: reparam_horizontal(slow_speed_curve(4.0)),
-        lambda: reconstruct(InvariantPair.from_expressions("1 + 0.5*sin(s)", "0.2*s"),
+        lambda: reconstruct_curve(InvariantPair.from_expressions("1 + 0.5*sin(s)", "0.2*s"),
                             InitialPose.origin(), 3.0, 1e-3),
     ], ids=["reparametrized", "arc-length"])
     def test_matches_the_single_quantity_methods(self, make):

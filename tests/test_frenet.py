@@ -12,9 +12,10 @@ from h1curves import (
     find_psh_alignment,
     psh_transform_curve,
     reconstruct,
+    reconstruct_curve,
     reparam_horizontal,
 )
-from h1curves.numerics import MAX_PANELS
+from h1curves.numerics import MAX_PANELS, step_grid
 
 from conftest import (RecordingField, contact_speed_deviation, random_invariant_exprs,
                       random_psh_transform)
@@ -22,13 +23,13 @@ from conftest import (RecordingField, contact_speed_deviation, random_invariant_
 
 class TestReconstruct:
     def test_zero_invariants_give_line(self):
-        h = reconstruct(InvariantPair.from_constants(0, 0), InitialPose.origin(), 2.0)
+        h = reconstruct_curve(InvariantPair.from_constants(0, 0), InitialPose.origin(), 2.0)
         s = np.linspace(0, 2, 21)
         assert np.max(np.abs(h.point(s) - np.stack([s, 0 * s, 0 * s], axis=1))) < 1e-10
 
     def test_constant_tau_line_with_drift(self):
         c = 0.7
-        h = reconstruct(
+        h = reconstruct_curve(
             InvariantPair.from_constants(0, c), InitialPose.origin(), 2.0
         )
         s = np.linspace(0, 2, 21)
@@ -37,7 +38,7 @@ class TestReconstruct:
 
     def test_pansu_generator(self):
         # kappa = 2*lambda, tau = 0 from the origin with heading 0
-        h = reconstruct(InvariantPair.from_constants(2, 0), InitialPose.origin(), np.pi)
+        h = reconstruct_curve(InvariantPair.from_constants(2, 0), InitialPose.origin(), np.pi)
         s = np.linspace(0, np.pi, 101)
         expected = np.stack(
             [np.sin(2 * s) / 2, (1 - np.cos(2 * s)) / 2, np.sin(2 * s) / 4 - s / 2],
@@ -49,7 +50,7 @@ class TestReconstruct:
         for _ in range(3):
             kt, tt = random_invariant_exprs(rng)
             inv = InvariantPair.from_expressions(kt, tt)
-            h = reconstruct(inv, InitialPose.origin(), 5.0, 1e-3)
+            h = reconstruct_curve(inv, InitialPose.origin(), 5.0, 1e-3)
             s = np.linspace(0.05, h.s_max - 0.05, 60)
             smp = h.sample(s)
             assert np.max(np.abs(smp.kappa - inv.kappa(s))) < 1e-5
@@ -57,18 +58,18 @@ class TestReconstruct:
 
     def test_unit_contact_speed_exact(self):
         inv = InvariantPair.from_expressions("sin(3*s)", "cos(2*s)")
-        h = reconstruct(inv, InitialPose.origin(), 4.0)
+        h = reconstruct_curve(inv, InitialPose.origin(), 4.0)
         assert contact_speed_deviation(h) < 1e-9
 
     def test_nonfinite_invariants_rejected(self):
         inv = InvariantPair.from_expressions("1/(s - 1)", "0")
         with pytest.raises((ValueError, ZeroDivisionError)):
-            reconstruct(inv, InitialPose.origin(), 2.0)
+            reconstruct_curve(inv, InitialPose.origin(), 2.0)
 
     def test_frenet_relations_from_coordinates(self):
         # t' = kappa n, n' = -kappa t - b, b' = 0 for the Euclidean frame
         inv = InvariantPair.from_expressions("1 + 0.3*sin(s)", "0.4")
-        h = reconstruct(inv, InitialPose.origin(), 3.0)
+        h = reconstruct_curve(inv, InitialPose.origin(), 3.0)
         s = np.linspace(0.2, 2.8, 15)
         eps = 1e-4
         tp, npl, _ = h.sample(s + eps).frame()
@@ -99,7 +100,8 @@ class TestQuadratureCascade:
     @pytest.mark.parametrize("step,bound", [(1e-2, 1e-8), (1e-3, 1e-11)])
     def test_constant_invariants_match_closed_form(self, kappa, tau, step, bound):
         S = 10.0
-        h = reconstruct(InvariantPair.from_constants(kappa, tau), InitialPose.origin(), S, step)
+        h = reconstruct_curve(InvariantPair.from_constants(kappa, tau), InitialPose.origin(),
+                              S, step)
         s = np.linspace(0.0, S, 1001)
         err = np.max(np.abs(h.point(s) - constant_invariant_curve(kappa, tau, s)))
         assert err <= bound
@@ -107,9 +109,9 @@ class TestQuadratureCascade:
     def test_fourth_order_convergence(self):
         inv = InvariantPair.from_expressions("1 + 0.5*sin(2*s)", "0.3*cos(s)")
         S = 4.0
-        ref = reconstruct(inv, InitialPose.origin(), S, 1e-3).point(S)
+        ref = reconstruct_curve(inv, InitialPose.origin(), S, 1e-3).point(S)
         coarse, fine = (
-            np.max(np.abs(reconstruct(inv, InitialPose.origin(), S, step).point(S) - ref))
+            np.max(np.abs(reconstruct_curve(inv, InitialPose.origin(), S, step).point(S) - ref))
             for step in (0.04, 0.02)
         )
         assert coarse > 1e-10  # well above roundoff, so the ratio is meaningful
@@ -117,13 +119,20 @@ class TestQuadratureCascade:
 
     def test_s_max_is_exact(self):
         for S, step in ((4.0, 1e-3), (np.pi, 0.01), (10.0, 0.003)):
-            h = reconstruct(InvariantPair.from_constants(1.5, 0.2), InitialPose.origin(), S, step)
+            h = reconstruct_curve(InvariantPair.from_constants(1.5, 0.2), InitialPose.origin(),
+                                  S, step)
             assert h.s_max == S
             assert h.param.u_min == 0.0 and h.param.u_max == S
 
+    @pytest.mark.parametrize("S,step", [(4.0, 0.002), (np.pi, 0.01), (1e-5, 3e-7), (7.3, 1.9)])
+    def test_samples_are_on_the_step_grid(self, S, step):
+        rows = reconstruct(InvariantPair.from_constants(1.5, 0.2), InitialPose.origin(), S, step)
+        assert rows.shape[1] == 4
+        assert np.array_equal(rows[:, 0], step_grid(0.0, S, step))
+
     def test_contact_speed_is_one(self):
         inv = InvariantPair.from_expressions("sin(3*s)", "cos(2*s)")
-        h = reconstruct(inv, InitialPose(H1Point(0.3, -0.2, 1.0), 0.7), 4.0)
+        h = reconstruct_curve(inv, InitialPose(H1Point(0.3, -0.2, 1.0), 0.7), 4.0)
         assert contact_speed_deviation(h) <= 1e-12
 
     @pytest.mark.parametrize("s_max,step", [(1e9, 1e-3), ((MAX_PANELS + 1) * 1e-3, 1e-3)])
@@ -133,7 +142,7 @@ class TestQuadratureCascade:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="panels requested"):
-                reconstruct(inv, InitialPose.origin(), s_max, step)
+                reconstruct_curve(inv, InitialPose.origin(), s_max, step)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -143,7 +152,7 @@ class TestQuadratureCascade:
 
 class TestAlignment:
     def test_identity_for_same_curve(self):
-        h = reconstruct(InvariantPair.from_constants(1, 0), InitialPose.origin(), 3.0)
+        h = reconstruct_curve(InvariantPair.from_constants(1, 0), InitialPose.origin(), 3.0)
         g = find_psh_alignment(h, h, tol=1e-8)
         assert abs(g.angle) < 1e-12
         assert np.allclose([g.shift.x, g.shift.y, g.shift.z], 0, atol=1e-12)
@@ -165,17 +174,17 @@ class TestAlignment:
                                [g.shift.x, g.shift.y, g.shift.z], atol=1e-8)
 
     def test_different_invariants_detected(self):
-        line = reconstruct(InvariantPair.from_constants(0, 0), InitialPose.origin(), 3.0)
-        pansu = reconstruct(InvariantPair.from_constants(2, 0), InitialPose.origin(), 3.0)
+        line = reconstruct_curve(InvariantPair.from_constants(0, 0), InitialPose.origin(), 3.0)
+        pansu = reconstruct_curve(InvariantPair.from_constants(2, 0), InitialPose.origin(), 3.0)
         with pytest.raises(AlignmentError, match="invariants differ"):
             find_psh_alignment(line, pansu)
 
     def test_uniqueness_of_fundamental_theorem(self, rng):
         kt, tt = random_invariant_exprs(rng)
         inv = InvariantPair.from_expressions(kt, tt)
-        a = reconstruct(inv, InitialPose.origin(), 4.0)
+        a = reconstruct_curve(inv, InitialPose.origin(), 4.0)
         pose = InitialPose(H1Point(0.5, -1.0, 2.0), 1.1)
-        b = reconstruct(inv, pose, 4.0)
+        b = reconstruct_curve(inv, pose, 4.0)
         g = find_psh_alignment(a, b, tol=1e-6)
         grid = np.linspace(0, 4.0, 80)
         moved = np.stack(g.apply(*a.point(grid).T), axis=-1)
