@@ -16,10 +16,12 @@ line on stderr.  Commands raise; they exit themselves only with 1, for a
 negative verdict.  ``--config`` fills click's default map, so explicit
 flags win over config values, which win over the defaults.  ``--output``
 is probed for writing while the options are parsed, before any work, and
-is written only once the command has its whole text.  CSV prints every
-number as ``"%.17g"`` does (17 significant digits, by ``textout``), JSON
-as Python's shortest round-trip ``repr``; both read back to the same
-doubles.
+is written only once the command has its whole text, to stdout without
+``click.echo``.  Every table goes through ``textout``, imported on first
+use: CSV prints each number as ``"%.17g"`` does (17 significant digits),
+JSON as ``json.dumps(..., indent=2)`` does, each number Python's shortest
+round-trip ``repr``, with the table at its key's place in the document;
+both read back to the same doubles.
 """
 
 from __future__ import annotations
@@ -185,17 +187,30 @@ def _intrinsic(spec: dict) -> tuple[InvariantPair, InitialPose, float]:
 
 
 def _emit(text: str, output: str | None):
+    """Write a command's whole text to ``output`` or to stdout.  stdout is
+    written directly: the text holds no ANSI escape for ``click.echo`` to
+    strip (CSV is numbers and fixed headers, and ``json.dumps`` escapes
+    control characters), and scanning it costs about 0.4 ms per MB."""
     if output:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
+        sys.stdout.flush()
 
 
 def _csv(header: list[str], rows) -> str:
-    from . import textout  # imported on first use: commands that write no CSV never compile it
+    from . import textout  # imported on first use: commands that write no table never compile it
 
     return textout.csv(header, rows)
+
+
+def _json_table(doc: dict, key: str, rows) -> str:
+    """``_json_text({**doc, key: rows.tolist()})`` for a 2-d float table;
+    ``key`` keeps its place when ``doc`` already holds it."""
+    from . import textout
+
+    return textout.json_table(doc, key, rows)
 
 
 def _table(fmt: str, header: list[str], rows, doc: dict | None = None, key: str = "rows") -> str:
@@ -208,19 +223,6 @@ def _table(fmt: str, header: list[str], rows, doc: dict | None = None, key: str 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
-
-
-def _json_table(doc: dict, key: str, rows: np.ndarray) -> str:
-    """``_json_text({**doc, key: rows.tolist()})`` for a 2-d float table,
-    with the table text from one ``%r`` over all values (repr is what
-    json.dumps prints for a finite float).  Non-finite values, which JSON
-    spells NaN/Infinity, and empty tables go through json.dumps."""
-    if rows.size == 0 or not np.isfinite(rows).all():
-        return _json_text({**doc, key: rows.tolist()})
-    head = json.dumps({**doc, key: None}, indent=2)  # ... "key": null\n}
-    row = "    [\n" + ",\n".join(["      %r"] * rows.shape[1]) + "\n    ]"
-    table = "[\n" + ",\n".join([row] * rows.shape[0]) + "\n  ]"
-    return head[:-len("null\n}")] + table % tuple(rows.ravel().tolist()) + "\n}\n"
 
 
 _common = [
@@ -387,10 +389,8 @@ def gen_const_tau(kappa, tau_const, constants, g2_const, f_const, srange, step, 
     )
     s = step_grid(sigma.s_lo, sigma.s_hi, step)
     rows = np.column_stack([s, *sigma.profile(s)])
-    if fmt == "json":
-        _emit(_json_text({"samples": rows.tolist(), "range": [sigma.s_lo, sigma.s_hi]}), output)
-    else:
-        _emit(_csv(["s", "g", "f"], rows), output)
+    doc = {"samples": None, "range": [sigma.s_lo, sigma.s_hi]}  # the table goes first
+    _emit(_table(fmt, ["s", "g", "f"], rows, doc, "samples"), output)
 
 
 @surface.command()

@@ -795,6 +795,14 @@ class TestSurface:
         assert header == ["s", "g", "f"]
         assert np.all(data[:, 1] >= 0)
 
+    def test_gen_const_tau_json_is_json_dumps_of_the_csv_table(self, runner):
+        args = ["surface", "gen-const-tau", "--kappa", "2 + sin(s)", "--tau", "0.3",
+                "--g2-const", "1.0", "--range", "0", "5", "--step", "0.05"]
+        text = runner.invoke(main, args).output
+        doc = runner.invoke(main, [*args, "--format", "json"]).output
+        _, data = parse_csv(text)  # %.17g reads back to the same doubles
+        assert doc == json.dumps({"samples": data.tolist(), "range": [0.0, 5.0]}, indent=2) + "\n"
+
 
 class TestCsvFormat:
     def test_bytes_match_per_value_formatting(self):
@@ -919,6 +927,111 @@ class TestJsonTable:
         assert text == self.dumps(doc, key, rows)
         assert "NaN" in text or "Infinity" in text
 
+    # both document shapes the CLI writes, and the table before another key
+    # as gen-const-tau places it
+    SHAPES = DOCS + [({"samples": None, "range": [0.0, 2.5]}, "samples")]
+
+    @classmethod
+    def assert_dumps(cls, rows):
+        from h1curves.cli import _json_table
+
+        for doc, key in cls.SHAPES:
+            want = cls.dumps(doc, key, rows).split("\n")
+            assert _json_table(doc, key, rows).split("\n") == want  # a list reports its first bad line
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rows=hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 9)),
+                           elements=st.floats(allow_nan=True, allow_infinity=True,
+                                              allow_subnormal=True)))
+    def test_property_matches_json_dumps(self, rows):
+        self.assert_dumps(rows)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("base", [2, 10])
+    def test_powers_and_their_neighbours(self, sign, base):
+        if base == 2:
+            powers = 2.0 ** np.arange(-1074, 1024)
+        else:
+            powers = [float(f"1e{e}") for e in range(-323, 309)]
+        self.assert_dumps(sign * TestCsvFormat.ulps(powers))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_repr_form_boundaries(self, sign):
+        # repr is fixed point for exponents -4 to 15; %.17g goes on to 16
+        edges = [9999999999999998.0, 1e16, 9.999999999999999e-05, 0.0001, 1e15, 123.0, 0.5]
+        self.assert_dumps(sign * TestCsvFormat.ulps(edges))
+
+    def test_ties_of_the_nearest_multiple_go_to_python(self):
+        from h1curves import textout
+
+        # a shortest interval holding two 17-digit candidates equally near:
+        # repr rounds the tie half-even, to ...384.8, not ...384.7
+        ties = np.array([2191075020463384.75, -2191075020463384.75, 1125899906842623.75])
+        assert textout._shortest(ties)[2].all()
+        self.assert_dumps(ties.reshape(-1, 1))
+        assert "2191075020463384.8" in TestJsonTable.dumps({}, "r", ties[:1].reshape(1, 1))
+
+    def test_interval_ends_on_an_integer_go_to_python(self):
+        from h1curves import textout
+
+        # doubles near 1e19 are the multiples of 2048, half a gap 1024; the
+        # rounding interval ends on a 17-digit integer where x +- 1024 is a
+        # multiple of 10**(k - 16), and which end reads back depends on the
+        # mantissa's parity
+        m = 2048.0 * (np.arange(-3000, 3000) + int(1e19) // 2048)
+        exact = [any((int(v) + h) % 10 ** (len(str(int(v))) - 17) == 0 for h in (-1024, 1024))
+                 for v in m]
+        assert sum(exact) > 20
+        assert textout._shortest(m)[2][exact].all()
+        self.assert_dumps(np.column_stack([m, -m]))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_large_integers_stay_in_numpy(self, sign):
+        from h1curves import textout
+
+        # from 2**52 to 1e17 the rounding interval ends on exact integers,
+        # inside it for an even mantissa and outside for an odd one
+        rng = np.random.default_rng(52)
+        x = np.concatenate([rng.uniform(2.0**52, 1e17, 20000), 2.0 ** np.arange(52, 57),
+                            2.0**52 + np.arange(-40.0, 40.0), 2.0**53 + np.arange(-40.0, 40.0, 2.0),
+                            np.nextafter(1e17, 0) - 16.0 * np.arange(40), 1e16 + 2.0 * np.arange(40)])
+        assert not textout._shortest(x[x >= 2.0**52])[2].any()
+        self.assert_dumps(sign * x.reshape(-1, 5))
+
+    def test_integers_extremes_and_zeros(self):
+        from h1curves import textout
+
+        rows = np.array([[123.0, 5e-324, 1e300, 0.0], [-7.0, -5e-324, -1e-300, -0.0],
+                         [1e22, 2.0**53, 1e-280, 1e280]])
+        self.assert_dumps(rows)
+        zeros = np.zeros((2501, 2))
+        zeros[:, 1] = -0.0
+        assert not textout._shortest(zeros.ravel())[2].any()  # zeros stay in numpy
+        self.assert_dumps(np.column_stack([np.linspace(0, 4, 2501), zeros]))
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(20).integers(0, 2**64, 10**5, dtype=np.uint64, endpoint=False)
+        self.assert_dumps(bits.view(np.float64).reshape(-1, 5))
+
+    def test_workload_grids_need_no_python(self):
+        from h1curves import textout
+
+        # step grids, their powers of two among them, and smooth columns
+        s = np.arange(20001) * 0.001
+        rows = np.column_stack([s, np.cos(s), np.sin(3.0 * s) * 0.37, s * s - 2.0])
+        assert not textout._shortest(rows.ravel())[2].any()
+        self.assert_dumps(rows)
+
+    @pytest.mark.parametrize("ncols", [3, 7])
+    def test_separators_across_chunks(self, ncols):
+        from h1curves import textout
+
+        rng = np.random.default_rng(ncols + 20)
+        nrows = 3 * textout._CHUNK // ncols + 5  # three whole chunks and a part
+        rows = rng.normal(size=(nrows, ncols)) * 10.0 ** rng.integers(-30, 30, (nrows, ncols))
+        rows[::97, 1] = np.nan  # Python's text in some chunks
+        self.assert_dumps(rows)
+
 
 class TestFreshProcess:
     """The CLI as users start it: a new interpreter per command."""
@@ -938,11 +1051,12 @@ class TestFreshProcess:
         assert proc.stdout.strip() == "[]"
 
     def test_import_builds_no_format_table(self):
-        # the CSV kernel's tables are built by the first table it formats
+        # the text kernel's tables, CSV and JSON, are built by the first
+        # table it formats
         proc = self.run("-c", "import sys, h1curves.cli; "
                               "t = sys.modules.get('h1curves.textout'); "
                               "print(t is None or sum(f.cache_info().currsize for f in "
-                              "(t._tables, t._masks, t._powers)))")
+                              "(t._tables, t._layout, t._powers)))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() in ("True", "0")
 
