@@ -40,17 +40,16 @@ whole - r, or whole - r + 100), and otherwise the step is 10 if [A, B]
 holds a multiple of 10, else 1.  The multiple of the step nearest S lies
 in [A, B] when the interval is symmetric; below a power of two it may
 lie below A, and then the next one up is taken.  A choice within _TIE of
-a tie goes to Python.  From 2**52 to 1e17, where x, S and H are exact
-integers (k is 15 or 16, and hi is 10 or 1), the ends are exact too, and
-they belong to the interval when x's mantissa is even, since reading
-rounds a tie to even.  Digits of 10**17 carry into the exponent, as in
+a tie goes to Python.  Digits of 10**17 carry into the exponent, as in
 CSV.
 
 Fallback.  Non-finite values, |x| outside (1e-280, 1e280), where the
 split overflows and 10**p leaves the double range, and the near-ties
-above (exact ties among them) are formatted by Python itself: ``"%.17g"``
-for CSV, and for JSON ``repr``, or ``NaN``, ``Infinity`` and
-``-Infinity`` as ``json.dumps`` spells them.  Zeros take the fast path.
+and interval ends near an integer above are formatted by Python itself:
+``"%.17g"`` for CSV, and for JSON ``repr``, or ``NaN``, ``Infinity`` and
+``-Infinity`` as ``json.dumps`` spells them.  Exact ones are among them:
+from 2**52 to 1e17 S and H are integers, and whether an interval end
+reads back depends on the mantissa's parity.  Zeros take the fast path.
 
 Layout.  Each number gets _SLOTS byte slots that hold every form its
 text can take: sign, the ``0.000`` of a small number, 17 digits each
@@ -252,15 +251,9 @@ def _shortest(x: np.ndarray):
     s = r + frac  # S less the multiple of 100 whole - r
     lo_end = s - below
     hi_end = s + half
-    # from 2**52 to 1e17 x, S and H are exact integers: the ends belong to
-    # the interval when x's mantissa is even, as reading rounds ties to even
-    exact = (a >= 2.0**52) & (a < 1e17)
-    odd = exact & ((bits & 1) == 1)
-    lo = np.ceil(lo_end)
+    lo = np.ceil(lo_end)  # A and B, less the same multiple
     hi = np.floor(hi_end)
     ends = _off_integer(lo - lo_end) | _off_integer(hi_end - hi)
-    lo += odd  # A and B, less the same multiple
-    hi -= odd
     step = np.where((lo <= 0.0) | (hi >= 100.0), 100.0,
                     np.where(np.floor(hi / 10.0) * 10.0 >= lo, 10.0, 1.0))
     v = s / step + 0.5
@@ -268,7 +261,7 @@ def _shortest(x: np.ndarray):
     # the multiple of step nearest S is in [A, B], unless the gap below is
     # the shorter one and it lies below A; then the next one up is
     local = np.maximum(near * step, np.ceil(lo / step) * step)
-    slow = ~fast | _off_integer(v - near) | (ends & ~exact)
+    slow = ~fast | _off_integer(v - near) | ends
     n, k = _carried(whole - r + local.astype(np.int64), k, zero)
     return n, k, slow
 
