@@ -27,7 +27,7 @@ def main():
     args = ap.parse_args()
 
     base = reconstruct_curve(
-        InvariantPair.from_expressions(args.kappa, args.tau),
+        InvariantPair(args.kappa, args.tau),
         InitialPose.origin(),
         args.s_max,
     )

@@ -9,7 +9,6 @@ from .curves import (
     InvariantPair,
     ParamCurve,
     RegularityError,
-    is_horizontally_regular,
     kappa_tau_arbitrary,
     psh_transform_curve,
     reparam_horizontal,
@@ -28,7 +27,6 @@ __all__ = [
     "InvariantPair",
     "ParamCurve",
     "RegularityError",
-    "is_horizontally_regular",
     "kappa_tau_arbitrary",
     "psh_transform_curve",
     "reparam_horizontal",

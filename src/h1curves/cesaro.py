@@ -60,7 +60,6 @@ __all__ = [
     "PansuSphere",
     "cesaro_closed_form",
     "cesaro_system_residual",
-    "curve_from_cesaro_solution",
     "surface_membership",
     "check_necessary_conditions",
     "generate_surface_constant_kappa",
@@ -92,10 +91,6 @@ class CesaroConstants:
     @property
     def delta(self) -> float:
         return self.c2 * self.c3 - self.c1 * self.c4
-
-    @classmethod
-    def default(cls, c5: float = 0.0, c6: float = 0.0) -> "CesaroConstants":
-        return cls(1.0, 0.0, 0.0, 1.0, c5, c6)
 
 
 @dataclass
@@ -168,25 +163,6 @@ def cesaro_system_residual(sol: CesaroSolution, grid) -> tuple[float, float, flo
           for f in (sol.u1, sol.u2, sol.u3)]
     return immobility_residuals(u, du, np.asarray(sol.inv.kappa(grid)),
                                 np.asarray(sol.inv.tau(grid)))
-
-
-def curve_from_cesaro_solution(
-    sol: CesaroSolution, heading0: float = 0.0
-) -> HorizontalCurve:
-    """The curve whose own frame coefficients are -(u1, u2, u3):
-
-        x = -u1 cos(phi) + u2 sin(phi),
-        y = -u1 sin(phi) - u2 cos(phi),
-        z = -u3,           phi = heading0 + theta(s).
-
-    Trees over the solution's fields, its measured invariants are the
-    solution's (kappa, tau) to roundoff and s - lo is its arc length; the
-    free heading0 is the residual rotational symmetry."""
-    phi = heading0 + sol.theta
-    sin, cos = phi.apply("sin"), phi.apply("cos")
-    x = -sol.u1 * cos + sol.u2 * sin
-    y = -sol.u1 * sin - sol.u2 * cos
-    return HorizontalCurve.arc_length(ParamCurve.from_fields(x, y, -sol.u3, sol.interval))
 
 
 # ---------------------------------------------------------------------------

@@ -83,8 +83,6 @@ def classify_position(h: HorizontalCurve, tol: float = 1e-6) -> PositionClass:
     canonical fit, both read at 400 points.  Thresholds are relative to the
     horizontal length l = S: u1~ and u2~ count as zero below tol * l, u3~
     below tol * l^2, kappa at or below RELATIVE_ZERO / l."""
-    if h.s_max < 10.0 * tol:
-        raise ValueError("interval too short to classify meaningfully")
     grid = np.linspace(0.0, h.s_max, _VERDICT_SAMPLES)
     smp = h.sample(grid)
     u1, u2, u3 = smp.coefficients()

@@ -160,7 +160,7 @@ def _curve_from_spec(spec: dict, step: float) -> HorizontalCurve:
     with _prefixed("bad curve spec", KeyError, TypeError, ValueError):
         kind = spec["type"]
         if kind == "analytic":
-            curve = ParamCurve.from_expressions(spec["x"], spec["y"], spec["z"], spec["range"])
+            curve = ParamCurve.from_fields(spec["x"], spec["y"], spec["z"], spec["range"])
             return reparam_horizontal(curve, step=step)
         if kind == "samples":
             data = np.asarray(spec["data"], dtype=float)
@@ -174,7 +174,7 @@ def _curve_from_spec(spec: dict, step: float) -> HorizontalCurve:
 
 def _intrinsic(spec: dict) -> tuple[InvariantPair, InitialPose, float]:
     """The invariants, initial pose and length of an intrinsic spec."""
-    inv = InvariantPair.from_expressions(spec["kappa"], spec["tau"])
+    inv = InvariantPair(spec["kappa"], spec["tau"])
     lo, hi = (float(v) for v in spec["range"])
     if lo != 0.0:
         raise ValueError("intrinsic range must start at 0")

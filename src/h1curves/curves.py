@@ -19,9 +19,10 @@ components use 4th-order finite differences on a uniform resample.
 
 A ``HorizontalCurve`` answers two pointwise questions: ``sample(s)``
 inverts s -> u once and returns a ``CurveSample`` (u, points, unit
-velocity, kappa and tau), from which the frame, the position coefficients
-and the heading are read; ``point(s)`` gives positions only.  A caller
-that needs two quantities at the same s samples once.
+velocity, kappa and tau), from which the position coefficients and the
+heading are read and the frame above follows from the points and the
+velocity; ``point(s)`` gives positions only.  A caller that needs two
+quantities at the same s samples once.
 
 The dilation (x, y, z) -> (l x, l y, l^2 z), s -> l s sends kappa to
 kappa/l and tau to l tau (Capogna, Danielli, Pauls & Tyson, An Introduction
@@ -50,7 +51,6 @@ __all__ = [
     "HorizontalCurve",
     "CurveSample",
     "InvariantPair",
-    "is_horizontally_regular",
     "kappa_branch",
     "kappa_tau_arbitrary",
     "reparam_horizontal",
@@ -68,8 +68,6 @@ RELATIVE_ZERO = 1e-8
 # below _NEWTON_TOL * S, or after _NEWTON_MAX_ITER steps.
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 8
-
-_REGULARITY_PANELS = 1024
 
 # The central-difference step of the immobility residual checks
 # (``verify_cesaro`` and ``cesaro.cesaro_system_residual``).
@@ -105,10 +103,6 @@ class ParamCurve:
         if not self.u_max > self.u_min:
             raise ValueError(f"degenerate interval [{self.u_min}, {self.u_max}]")
         self.x, self.y, self.z = (as_field(f) for f in (self.x, self.y, self.z))
-
-    @classmethod
-    def from_expressions(cls, x: str, y: str, z: str, u_range) -> "ParamCurve":
-        return cls.from_fields(x, y, z, u_range)
 
     @classmethod
     def from_fields(cls, x, y, z, u_range) -> "ParamCurve":
@@ -147,15 +141,6 @@ class ParamCurve:
 
     def contact_speed(self, u):
         return np.hypot(np.asarray(self.x.derivative()(u)), np.asarray(self.y.derivative()(u)))
-
-
-def is_horizontally_regular(c: ParamCurve) -> bool:
-    """True when ``reparam_horizontal`` finds the curve regular at 1024 panels."""
-    try:
-        reparam_horizontal(c, step=(c.u_max - c.u_min) / _REGULARITY_PANELS)
-    except RegularityError:
-        return False
-    return True
 
 
 def _jet(c: ParamCurve, u: np.ndarray):
@@ -205,25 +190,13 @@ class CurveSample(NamedTuple):
     """A curve evaluated at horizontal arc lengths s: the parameter u, the
     points and unit velocity d/ds (Euclidean components, shape (m, 3)),
     kappa and tau.  For a scalar s: a float, two 3-vectors, two floats.
-    The frame, the position coefficients and the heading are read off it."""
+    The position coefficients and the heading are read off it."""
 
     u: np.ndarray
     points: np.ndarray
     velocity: np.ndarray
     kappa: np.ndarray
     tau: np.ndarray
-
-    def frame(self):
-        """The moving frame (t, n, b) in Euclidean components, each shaped
-        like ``points``: t = (x', y', x'y - xy'), n = J t = (-y', x', -yy' -
-        xx'), b = (0, 0, 1).  Their basis components are (x', y', 0),
-        (-y', x', 0) and (0, 0, 1)."""
-        x, y = self.points[..., 0], self.points[..., 1]
-        xp, yp = self.velocity[..., 0], self.velocity[..., 1]
-        t = np.stack([xp, yp, xp * y - x * yp], axis=-1)
-        n = np.stack([-yp, xp, -y * yp - x * xp], axis=-1)
-        b = np.broadcast_to(np.array([0.0, 0.0, 1.0]), t.shape)
-        return t, n, b
 
     def coefficients(self):
         """Coefficients (u1~, u2~, u3~) of the position vector in the curve's
@@ -401,14 +374,6 @@ class InvariantPair:
     def __post_init__(self):
         self.kappa = as_field(self.kappa)
         self.tau = as_field(self.tau)
-
-    @classmethod
-    def from_expressions(cls, kappa: str, tau: str) -> "InvariantPair":
-        return cls(kappa, tau)
-
-    @classmethod
-    def from_constants(cls, kappa: float, tau: float) -> "InvariantPair":
-        return cls(float(kappa), float(tau))
 
     @classmethod
     def from_samples(cls, s, kappa, tau) -> "InvariantPair":

@@ -7,8 +7,8 @@ Coordinates are the Euclidean coordinates of H ~ R^3 with group law
     (x, y, z) . (a, b, c) = (a + x, b + y, c + z + y*a - x*b),
 
 so left translation by p twists the height by the signed area term.  The
-moving frame and J (n = J t) are read off a curve's samples, by
-``curves.CurveSample.frame``.
+moving frame and J (n = J t) follow from a curve sample's points and unit
+velocity, by the formulas of the ``curves`` docstring.
 """
 
 from __future__ import annotations

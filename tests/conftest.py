@@ -53,6 +53,20 @@ def contact_speed_deviation(h, n=257):
     return float(np.max(np.abs(np.hypot(v[:, 0], v[:, 1]) - 1.0)))
 
 
+def frame(smp):
+    """The moving frame (t, n, b) of a ``CurveSample`` in Euclidean
+    components, each shaped like ``smp.points``: t = (x', y', x'y - xy'),
+    n = J t = (-y', x', -yy' - xx'), b = (0, 0, 1), the formulas of the
+    ``curves`` docstring.  Their basis components are (x', y', 0),
+    (-y', x', 0) and (0, 0, 1)."""
+    x, y = smp.points[..., 0], smp.points[..., 1]
+    xp, yp = smp.velocity[..., 0], smp.velocity[..., 1]
+    t = np.stack([xp, yp, xp * y - x * yp], axis=-1)
+    n = np.stack([-yp, xp, -y * yp - x * xp], axis=-1)
+    b = np.broadcast_to(np.array([0.0, 0.0, 1.0]), t.shape)
+    return t, n, b
+
+
 def random_psh_transform(rng):
     from h1curves import H1Point, PshTransform
 

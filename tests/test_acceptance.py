@@ -47,7 +47,7 @@ def report(index, name, ok, detail):
 
 
 def test_criterion_01_pansu_reproduction():
-    h = reconstruct_curve(InvariantPair.from_constants(2, 0), InitialPose.origin(),
+    h = reconstruct_curve(InvariantPair(2, 0), InitialPose.origin(),
                     np.pi, 1e-3)
     s = np.linspace(0.0, h.s_max, 1001)
     expected = np.stack(
@@ -68,7 +68,7 @@ def test_criterion_02_invariant_round_trip():
     worst = 0.0
     for _ in range(20):
         kt, tt = random_invariant_exprs(rng)
-        inv = InvariantPair.from_expressions(kt, tt)
+        inv = InvariantPair(kt, tt)
         h = reconstruct_curve(inv, InitialPose.origin(), 5.0, 1e-3)
         s = np.linspace(0.0, h.s_max, 400)
         smp = h.sample(s)
@@ -87,7 +87,7 @@ def test_criterion_03_psh_invariance():
         a = rng.uniform(0.2, 0.5)
         w = rng.uniform(0.5, 1.5)
         b = rng.uniform(0.3, 0.9)
-        c = ParamCurve.from_expressions(
+        c = ParamCurve.from_fields(
             f"s + {a:.6f}*sin({w:.6f}*s)",
             f"{b:.6f}*cos(s)",
             f"{rng.uniform(-0.4, 0.4):.6f}*s + 0.2*cos(s)",
@@ -108,7 +108,7 @@ def test_criterion_04_fundamental_theorem_uniqueness():
     worst = 0.0
     for _ in range(8):
         kt, tt = random_invariant_exprs(rng)
-        inv = InvariantPair.from_expressions(kt, tt)
+        inv = InvariantPair(kt, tt)
         a = reconstruct_curve(inv, InitialPose.origin(), 4.0, 1e-3)
         pose = InitialPose(
             H1Point(*rng.uniform(-1.5, 1.5, size=3)), float(rng.uniform(-3, 3))
@@ -130,7 +130,7 @@ def test_criterion_05_cesaro_identity():
     for _ in range(10):
         kt, tt = random_invariant_exprs(rng)
         h = reconstruct_curve(
-            InvariantPair.from_expressions(kt, tt), InitialPose.origin(), 5.0, 1e-3
+            InvariantPair(kt, tt), InitialPose.origin(), 5.0, 1e-3
         )
         grid = np.linspace(0.05, h.s_max - 0.05, 60)
         worst = max(worst, verify_cesaro(h, grid))
@@ -140,7 +140,7 @@ def test_criterion_05_cesaro_identity():
 def test_criterion_06_closed_form_odes():
     # nonconstant kappa: finite-difference residuals of both second-order
     # equations; constant kappa: exact match of the simplified closed form
-    inv = InvariantPair.from_expressions("2 + sin(s)", "0")
+    inv = InvariantPair("2 + sin(s)", "0")
     sol = cesaro_closed_form(inv, CesaroConstants(1, 0, 0, 1, 1.0, 0.0),
                              interval=(0, 5))
     grid = sol.grid
@@ -159,7 +159,7 @@ def test_criterion_06_closed_form_odes():
     kappa_c = 2.0
     A, B = 0.7, -0.4
     sol_c = cesaro_closed_form(
-        InvariantPair.from_constants(kappa_c, 0.0),
+        InvariantPair(kappa_c, 0.0),
         CesaroConstants(1, 0, 0, 1, A, B), interval=(0, 3),
     )
     s = np.linspace(0, 3, 301)
@@ -180,7 +180,7 @@ def test_criterion_07_surface_loop():
     # generated surface satisfies the membership conditions
     surf = generate_surface_constant_kappa(2.0, 0.0, -1.0, 0.0, 1.0, -np.pi / 4,
                                            (-np.pi / 2, np.pi / 2))
-    inv = InvariantPair.from_constants(2.0, 0.0)
+    inv = InvariantPair(2.0, 0.0)
     res1, res2 = check_necessary_conditions(
         surf, inv, np.linspace(-np.pi / 2 + 0.05, np.pi / 2 - 0.05, 101)
     )
@@ -218,7 +218,7 @@ def test_criterion_09_bertrand_suite():
     for _ in range(20):
         kt, tt = random_invariant_exprs(rng, kappa_nonzero=True)
         base = reconstruct_curve(
-            InvariantPair.from_expressions(kt, tt), InitialPose.origin(), 4.0, 1e-3
+            InvariantPair(kt, tt), InitialPose.origin(), 4.0, 1e-3
         )
         c1, c2 = rng.uniform(-2, 2, size=2)
         spec = BertrandSpec(c1, c2, tau_bar=f"{rng.uniform(-0.5, 0.5):.6f}*cos(s)")
@@ -286,7 +286,7 @@ def test_criterion_10_classification_round_trip():
     generic_ok = 0
     for _ in range(20):
         kt, tt = random_invariant_exprs(rng)
-        h = reconstruct_curve(InvariantPair.from_expressions(kt, tt),
+        h = reconstruct_curve(InvariantPair(kt, tt),
                         InitialPose.origin(), 4.0, 1e-3)
         generic_ok += classify_position(h).tag is ClassTag.GENERAL
     ok &= generic_ok == 20

@@ -27,17 +27,17 @@ from conftest import contact_speed_deviation, random_invariant_exprs
 
 
 def line(s_max=3.0):
-    return reconstruct_curve(InvariantPair.from_constants(0, 0), InitialPose.origin(), s_max)
+    return reconstruct_curve(InvariantPair(0, 0), InitialPose.origin(), s_max)
 
 
 def unit_circle_curve(s_max=4.0):
-    return reconstruct_curve(InvariantPair.from_constants(1, 0), InitialPose.origin(), s_max)
+    return reconstruct_curve(InvariantPair(1, 0), InitialPose.origin(), s_max)
 
 
 class TestMateConstruction:
     def test_mate_shares_the_arc_length_parameter(self):
         base = reconstruct_curve(
-            InvariantPair.from_expressions("1 + 0.3*sin(s)", "0.4"), InitialPose.origin(), 4.0
+            InvariantPair("1 + 0.3*sin(s)", "0.4"), InitialPose.origin(), 4.0
         )
         mate = mate_curve(bertrand_mate(base, BertrandSpec(0.7, -0.4)))
         assert mate.s_max == base.s_max
@@ -84,7 +84,7 @@ class TestMateConstruction:
 
     def test_branch_mixing_refused(self):
         h = reconstruct_curve(
-            InvariantPair.from_expressions("sin(s)", "0"), InitialPose.origin(), 3.0
+            InvariantPair("sin(s)", "0"), InitialPose.origin(), 3.0
         )
         with pytest.raises(BranchError):
             bertrand_mate(h, BertrandSpec(1.0, 0.0))
@@ -93,7 +93,7 @@ class TestMateConstruction:
         for _ in range(3):
             kt, tt = random_invariant_exprs(rng, kappa_nonzero=True)
             base = reconstruct_curve(
-                InvariantPair.from_expressions(kt, tt), InitialPose.origin(), 4.0
+                InvariantPair(kt, tt), InitialPose.origin(), 4.0
             )
             c1, c2 = rng.uniform(-2, 2, size=2)
             tb_text = f"{rng.uniform(-0.5, 0.5):.6f}*cos(s)"
@@ -159,7 +159,7 @@ class TestMateGrid:
 
     @pytest.fixture
     def ellipse(self):
-        c = ParamCurve.from_expressions(
+        c = ParamCurve.from_fields(
             "1.5*cos(1.2*s) + 0.2", "0.8*sin(1.2*s) - 0.1", "0.3*s", (0.0, 4.0))
         return reparam_horizontal(c, step=1e-3)
 

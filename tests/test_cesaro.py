@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from h1curves import (
+    HorizontalCurve,
     InitialPose,
     InvariantPair,
     ParamCurve,
@@ -17,7 +18,6 @@ from h1curves.cesaro import (
     cesaro_closed_form,
     cesaro_system_residual,
     check_necessary_conditions,
-    curve_from_cesaro_solution,
     generate_surface_constant_kappa,
     generate_surface_constant_tau,
     pansu_graph_height,
@@ -32,12 +32,22 @@ from h1curves.numerics import lowest_local_minima
 from conftest import contact_speed_deviation
 
 
+def curve_from_solution(sol, heading0=0.0):
+    """The curve whose own frame coefficients are the solution's -(u1, u2, u3):
+    x = -u1 cos(phi) + u2 sin(phi), y = -u1 sin(phi) - u2 cos(phi), z = -u3,
+    phi = heading0 + theta(s); its arc length is s - lo."""
+    phi = heading0 + sol.theta
+    sin, cos = phi.apply("sin"), phi.apply("cos")
+    x, y = -sol.u1 * cos + sol.u2 * sin, -sol.u1 * sin - sol.u2 * cos
+    return HorizontalCurve.arc_length(ParamCurve.from_fields(x, y, -sol.u3, sol.interval))
+
+
 class TestClosedForm:
     def test_constant_kappa_matches_simplified_form(self):
         # kappa' = 0 kills the integral terms: u1 = A sin + B cos,
         # u2 = A cos - B sin + 1/kappa with A = C1C5 + C3C6, B = C2C5 + C4C6
         kappa = 2.0
-        inv = InvariantPair.from_constants(kappa, 0.0)
+        inv = InvariantPair(kappa, 0.0)
         sol = cesaro_closed_form(
             inv, CesaroConstants(1, 0, 0, 1, 0.5, 0.25), interval=(0, 3)
         )
@@ -56,7 +66,7 @@ class TestClosedForm:
     def test_nonconstant_kappa_solves_second_order_odes(self):
         # finite-difference residuals of u'' - (k'/k)u' + k^2 u = forcing,
         # 4th-order stencils on grid-aligned nodes
-        inv = InvariantPair.from_expressions("2 + sin(s)", "0")
+        inv = InvariantPair("2 + sin(s)", "0")
         sol = cesaro_closed_form(
             inv, CesaroConstants(1, 0, 0, 1, 1.0, 0.0), interval=(0, 5)
         )
@@ -73,7 +83,7 @@ class TestClosedForm:
             assert np.max(np.abs(res)) < 1e-6
 
     def test_first_order_system_residuals(self):
-        inv = InvariantPair.from_expressions("2 + sin(s)", "0.4*cos(s)")
+        inv = InvariantPair("2 + sin(s)", "0.4*cos(s)")
         sol = cesaro_closed_form(
             inv, CesaroConstants(1, 0.2, -0.3, 1, 0.7, -0.2), interval=(0, 5)
         )
@@ -81,15 +91,16 @@ class TestClosedForm:
         assert max(res) < 1e-6
 
     def test_negative_kappa_branch(self):
-        inv = InvariantPair.from_expressions("-2 - 0.5*sin(s)", "0.1")
-        sol = cesaro_closed_form(inv, CesaroConstants.default(0.4, 0.1), interval=(0, 4))
+        inv = InvariantPair("-2 - 0.5*sin(s)", "0.1")
+        sol = cesaro_closed_form(inv, CesaroConstants(1.0, 0.0, 0.0, 1.0, 0.4, 0.1),
+                                 interval=(0, 4))
         res = cesaro_system_residual(sol, np.linspace(0.1, 3.9, 60))
         assert max(res) < 1e-6
 
     def test_zero_kappa_branch(self):
-        inv = InvariantPair.from_expressions("0", "0.5*sin(s)")
+        inv = InvariantPair("0", "0.5*sin(s)")
         sol = cesaro_closed_form(
-            inv, CesaroConstants.default(1.5, 0.7), interval=(0, 2), u3_const=0.3
+            inv, CesaroConstants(1.0, 0.0, 0.0, 1.0, 1.5, 0.7), interval=(0, 2), u3_const=0.3
         )
         assert sol.branch == "zero-kappa"
         s = np.linspace(0, 2, 50)
@@ -100,18 +111,19 @@ class TestClosedForm:
         assert max(res) < 1e-9
 
     def test_sign_changing_kappa_rejected(self):
-        inv = InvariantPair.from_expressions("sin(s)", "0")
+        inv = InvariantPair("sin(s)", "0")
         with pytest.raises(ValueError, match="vanishes"):
-            cesaro_closed_form(inv, CesaroConstants.default(), interval=(0, 5))
+            cesaro_closed_form(inv, CesaroConstants(1.0, 0.0, 0.0, 1.0), interval=(0, 5))
 
     def test_degenerate_constants_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             CesaroConstants(1.0, 2.0, 2.0, 4.0)
 
     def test_realized_curve_has_prescribed_invariants(self):
-        inv = InvariantPair.from_expressions("2 + sin(s)", "0.2*cos(s)")
-        sol = cesaro_closed_form(inv, CesaroConstants.default(0.5, -0.2), interval=(0, 4))
-        h = curve_from_cesaro_solution(sol, heading0=0.9)
+        inv = InvariantPair("2 + sin(s)", "0.2*cos(s)")
+        sol = cesaro_closed_form(inv, CesaroConstants(1.0, 0.0, 0.0, 1.0, 0.5, -0.2),
+                                 interval=(0, 4))
+        h = curve_from_solution(sol, heading0=0.9)
         s = np.linspace(0.1, h.s_max - 0.1, 50)
         smp = h.sample(s)
         assert np.max(np.abs(smp.kappa - inv.kappa(s))) < 1e-6
@@ -120,10 +132,10 @@ class TestClosedForm:
     def test_realized_curve_invariants_are_exact_to_roundoff(self):
         # the curve is built from the solution's own trees, so its
         # derivatives carry no quadrature or difference error
-        inv = InvariantPair.from_expressions("1.5 + 0.3*sin(3*s)", "0.4 + 0.2*cos(s)")
+        inv = InvariantPair("1.5 + 0.3*sin(3*s)", "0.4 + 0.2*cos(s)")
         constants = CesaroConstants(1.0, 0.5, -0.3, 1.2, 0.2, -0.1)
         sol = cesaro_closed_form(inv, constants, interval=(0, 3))
-        h = curve_from_cesaro_solution(sol, heading0=0.3)
+        h = curve_from_solution(sol, heading0=0.3)
         s = np.linspace(0.0, 3.0, 301)
         smp = h.sample(s)
         assert np.max(np.abs(smp.kappa - inv.kappa(s))) < 1e-12
@@ -132,9 +144,9 @@ class TestClosedForm:
     def test_realized_curve_evaluates_each_field_once_per_order(self, monkeypatch):
         # derivatives make new leaf nodes for the same field and order; a
         # call evaluates that field's interpolant once, not once per node
-        inv = InvariantPair.from_expressions("1.5 + 0.3*sin(3*s)", "0.4 + 0.2*cos(s)")
+        inv = InvariantPair("1.5 + 0.3*sin(3*s)", "0.4 + 0.2*cos(s)")
         constants = CesaroConstants(1.0, 0.5, -0.3, 1.2, 0.2, -0.1)
-        h = curve_from_cesaro_solution(cesaro_closed_form(inv, constants, interval=(0, 3)))
+        h = curve_from_solution(cesaro_closed_form(inv, constants, interval=(0, 3)))
         calls = []
         original = CubicHermite.__call__
 
@@ -152,9 +164,10 @@ class TestClosedForm:
         assert counts[1] <= 5 and counts[2] <= 7
 
     def test_realized_curve_is_arc_length_parametrized(self):
-        inv = InvariantPair.from_expressions("2 + sin(s)", "0.2*cos(s)")
-        sol = cesaro_closed_form(inv, CesaroConstants.default(0.5, -0.2), interval=(1.0, 4.0))
-        h = curve_from_cesaro_solution(sol, heading0=0.9)
+        inv = InvariantPair("2 + sin(s)", "0.2*cos(s)")
+        sol = cesaro_closed_form(inv, CesaroConstants(1.0, 0.0, 0.0, 1.0, 0.5, -0.2),
+                                 interval=(1.0, 4.0))
+        h = curve_from_solution(sol, heading0=0.9)
         assert h.s_max == 3.0
         assert contact_speed_deviation(h) <= 1e-12
         assert abs(reparam_horizontal(h.param, step=1e-3).s_max - 3.0) < 1e-9
@@ -168,7 +181,7 @@ class TestMembership:
 
     def test_line_not_on_unit_sphere(self):
         line = reparam_horizontal(
-            ParamCurve.from_expressions("s", "0", "0", (0.2, 2.0))
+            ParamCurve.from_fields("s", "0", "0", (0.2, 2.0))
         )
         sphere = SurfaceOfRevolution.from_profiles(
             as_field("sin(s)"), as_field("cos(s)"), (0.01, np.pi - 0.01)
@@ -179,7 +192,7 @@ class TestMembership:
 
     def test_lift_circle_on_cylinder(self):
         lift = reparam_horizontal(
-            ParamCurve.from_expressions("cos(s)", "sin(s)", "-s", (0.0, 6.0))
+            ParamCurve.from_fields("cos(s)", "sin(s)", "-s", (0.0, 6.0))
         )
         cylinder = SurfaceOfRevolution.from_profiles(
             as_field("1"), as_field("-s"), (-0.5, 6.5)
@@ -190,7 +203,7 @@ class TestMembership:
     @pytest.mark.parametrize("delta", [-0.04, -1e-3, 2e-3, 0.03])
     def test_offset_cylinder_recovers_offset(self, delta):
         lift = reparam_horizontal(
-            ParamCurve.from_expressions("cos(s)", "sin(s)", "-s", (0.0, 6.0))
+            ParamCurve.from_fields("cos(s)", "sin(s)", "-s", (0.0, 6.0))
         )
         cylinder = SurfaceOfRevolution.from_profiles(
             as_field(repr(1.0 + delta)), as_field("-s"), (-0.5, 6.5)
@@ -212,7 +225,7 @@ class TestMembership:
             as_field(f"1 + abs({q})"), as_field(f"{eps}*{q}"), (-10.0, 1.0)
         )
         # z' = y x' - x y' holds for x + iy = s exp(i eps/s), z = eps s + z0
-        curve = reparam_horizontal(ParamCurve.from_expressions(
+        curve = reparam_horizontal(ParamCurve.from_fields(
             f"s*cos({eps}/s)", f"s*sin({eps}/s)", f"{eps}*s - {eps} - {e}",
             (1.105, 1.5),
         ))
@@ -233,7 +246,7 @@ class TestMembership:
             g2=as_field("-sin(1024*pi*s)^2"), f=as_field("s"), s_lo=0.0, s_hi=1.0
         )
         lift = reparam_horizontal(
-            ParamCurve.from_expressions("cos(s)", "sin(s)", "-s", (0.0, 1.0))
+            ParamCurve.from_fields("cos(s)", "sin(s)", "-s", (0.0, 1.0))
         )
         with pytest.raises(ValueError, match="negative squared radius"):
             surface_membership(lift, sigma, tol=1e-6)
@@ -241,9 +254,10 @@ class TestMembership:
     def test_immobility_and_realization_on_surface(self):
         # a solution's curve sits on the surface swept by
         # (sqrt(u1^2+u2^2), -u3); its own invariants match the inputs
-        inv = InvariantPair.from_expressions("1.5 + 0.4*cos(s)", "0.1*s")
-        sol = cesaro_closed_form(inv, CesaroConstants.default(0.8, 0.3), interval=(0, 4))
-        h = curve_from_cesaro_solution(sol, heading0=0.3)
+        inv = InvariantPair("1.5 + 0.4*cos(s)", "0.1*s")
+        sol = cesaro_closed_form(inv, CesaroConstants(1.0, 0.0, 0.0, 1.0, 0.8, 0.3),
+                                 interval=(0, 4))
+        h = curve_from_solution(sol, heading0=0.3)
         s = np.linspace(0, h.s_max, 40)
         pts = h.point(s)
         rho = np.hypot(pts[:, 0], pts[:, 1])
@@ -293,7 +307,7 @@ class TestMembershipSearch:
     @staticmethod
     def cylinder_case(delta=0.0):
         lift = reparam_horizontal(
-            ParamCurve.from_expressions("cos(s)", "sin(s)", "-s", (0.0, 6.0))
+            ParamCurve.from_fields("cos(s)", "sin(s)", "-s", (0.0, 6.0))
         )
         cylinder = SurfaceOfRevolution.from_profiles(
             as_field(repr(1.0 + delta)), as_field("-s"), (-0.5, 6.5)
@@ -325,7 +339,7 @@ class TestMembershipSearch:
         sigma = SurfaceOfRevolution.from_profiles(
             as_field(f"2 - abs(s - {c!r})"), as_field("s"), (lo, hi)
         )
-        curve = reparam_horizontal(ParamCurve.from_expressions(
+        curve = reparam_horizontal(ParamCurve.from_fields(
             "3*cos(s)", "3*sin(s)", "0.3 - 9*s", (0.0, 0.05)
         ))
         golden = _counting(monkeypatch, numerics, "golden_section")
@@ -356,7 +370,7 @@ class TestMembershipSearch:
         # within the first golden-section width of its end s = 0, so the
         # first parabola runs through that end node and two golden points
         lift = reparam_horizontal(
-            ParamCurve.from_expressions("cos(s)", "sin(s)", "-s", (0.0, 1.0))
+            ParamCurve.from_fields("cos(s)", "sin(s)", "-s", (0.0, 1.0))
         )
         cylinder = SurfaceOfRevolution.from_profiles(
             as_field("1"), as_field("-s"), (0.0, 1e6)
@@ -381,7 +395,7 @@ class TestFrameCoefficientsOnSurfaces:
         # a curve on a surface of revolution has u1~^2 + u2~^2 = g^2 and
         # u3~ = f along the shared parameter
         lift = reparam_horizontal(
-            ParamCurve.from_expressions("cos(s)", "sin(s)", "-s", (0.0, 6.0))
+            ParamCurve.from_fields("cos(s)", "sin(s)", "-s", (0.0, 6.0))
         )
         s = np.linspace(0.1, 5.9, 40)
         u1, u2, u3 = lift.sample(s).coefficients()
@@ -403,7 +417,7 @@ class TestFrameCoefficientsOnSurfaces:
 class TestNecessaryConditions:
     def test_pansu_profile_analytic(self):
         lam = 1.0
-        inv = InvariantPair.from_constants(2 * lam, 0.0)
+        inv = InvariantPair(2 * lam, 0.0)
         sigma = SurfaceOfRevolution.from_profiles(
             as_field("cos(-s)"),
             as_field("(sin(-2*s) - 2*s)/4 + 1"),
@@ -431,13 +445,13 @@ class TestNecessaryConditions:
         sigma = SurfaceOfRevolution.from_profiles(
             as_field("2 + sin(s)"), as_field("s^2"), (0, 3)
         )
-        inv = InvariantPair.from_expressions("1 + 0.5*cos(s)", "0.3*s")
+        inv = InvariantPair("1 + 0.5*cos(s)", "0.3*s")
         res1, res2 = check_necessary_conditions(sigma, inv, np.linspace(0.2, 2.8, 40))
         assert res1 > 0.1 and res2 > 0.1
 
     def test_zero_kappa_rejected(self):
         sigma = SurfaceOfRevolution.from_profiles(as_field("1"), as_field("s"), (0, 1))
-        inv = InvariantPair.from_constants(0.0, 0.0)
+        inv = InvariantPair(0.0, 0.0)
         with pytest.raises(ValueError):
             check_necessary_conditions(sigma, inv, np.linspace(0.1, 0.9, 10))
 
@@ -445,7 +459,7 @@ class TestNecessaryConditions:
         # kappa counts as zero against the surface's range, not the grid's
         # span, so a single sample of kappa = 1 is checked, not refused
         sigma = SurfaceOfRevolution.from_profiles(as_field("1"), as_field("s"), (0, 1))
-        inv = InvariantPair.from_constants(1.0, 0.0)
+        inv = InvariantPair(1.0, 0.0)
         res1, res2 = check_necessary_conditions(sigma, inv, [0.5])
         assert res1 == pytest.approx(2.0) and res2 == pytest.approx(0.0)
 
@@ -469,7 +483,8 @@ class TestDilation:
     @staticmethod
     def branch(kappa: str, tau: str, interval):
         try:
-            return cesaro_closed_form(InvariantPair(kappa, tau), CesaroConstants.default(),
+            return cesaro_closed_form(InvariantPair(kappa, tau),
+                                      CesaroConstants(1.0, 0.0, 0.0, 1.0),
                                       interval=interval).branch
         except ValueError as exc:
             return str(exc).split(" near ")[0]
@@ -535,7 +550,7 @@ class TestGenerateConstantKappa:
         surf = generate_surface_constant_kappa(
             1.5, 0.25, -0.8, 0.3, 1.2, 0.5, (0.0, 2.0)
         )
-        inv = InvariantPair.from_constants(1.5, 0.25)
+        inv = InvariantPair(1.5, 0.25)
         res1, res2 = check_necessary_conditions(surf, inv, np.linspace(0.05, 1.95, 60))
         assert res1 < 1e-9 and res2 < 1e-9
 
@@ -587,7 +602,7 @@ class TestGenerateConstantKappa:
 class TestGenerateConstantTau:
     def test_constant_kappa_reduces_to_part_one(self):
         kappa, A, B, g2c = 2.0, 0.5, -0.3, 1.6
-        inv = InvariantPair.from_constants(kappa, 0.0)
+        inv = InvariantPair(kappa, 0.0)
         surf2 = generate_surface_constant_tau(
             inv, CesaroConstants(1, 0, 0, 1, A, B), interval=(0, 3), g2_const=g2c
         )
@@ -601,7 +616,7 @@ class TestGenerateConstantTau:
         assert np.max(np.abs((f1 - f1[0]) - (f2 - f2[0]))) < 1e-8
 
     def test_output_passes_necessary_conditions(self):
-        inv = InvariantPair.from_expressions("2 + sin(s)", "0.3")
+        inv = InvariantPair("2 + sin(s)", "0.3")
         surf = generate_surface_constant_tau(
             inv, CesaroConstants(1, 0, 0, 1, 0.0, 0.0), interval=(0, 5), g2_const=1.0
         )
@@ -619,7 +634,7 @@ class TestGenerateConstantTau:
         # f is read off the closed form's own u3, bit for bit what the
         # explicit f_const + integral(tau - u2) gives, on and off the nodes
         lo, hi, f_const = 0.5, 3.5, 0.7
-        inv = InvariantPair.from_expressions(kappa, tau)
+        inv = InvariantPair(kappa, tau)
         c = CesaroConstants(*constants)
         surf = generate_surface_constant_tau(inv, c, interval=(lo, hi), g2_const=20.0,
                                              f_const=f_const)
@@ -630,7 +645,7 @@ class TestGenerateConstantTau:
         assert surf.f(lo) == f_const
 
     def test_negative_squared_radius_reports_crossing(self):
-        inv = InvariantPair.from_constants(2.0, 0.0)
+        inv = InvariantPair(2.0, 0.0)
         with pytest.raises(ValueError, match="negative"):
             generate_surface_constant_tau(
                 inv, CesaroConstants(1, 0, 0, 1, 0.5, -0.3), interval=(0, 3),
@@ -638,10 +653,10 @@ class TestGenerateConstantTau:
             )
 
     def test_nonconstant_tau_rejected(self):
-        inv = InvariantPair.from_expressions("2", "sin(s)")
+        inv = InvariantPair("2", "sin(s)")
         with pytest.raises(ValueError, match="constant"):
             generate_surface_constant_tau(
-                inv, CesaroConstants.default(), interval=(0, 3)
+                inv, CesaroConstants(1.0, 0.0, 0.0, 1.0), interval=(0, 3)
             )
 
 
@@ -719,7 +734,7 @@ class TestTheoremLoop:
         # solve the system and the realized curve lies on the radially
         # stretched surface with the prescribed invariants
         lam = 1.0
-        inv = InvariantPair.from_constants(2 * lam, 0.0)
+        inv = InvariantPair(2 * lam, 0.0)
         lo, hi = -np.pi / 2 + 0.2, -0.2
         g = as_field("cos(-s)")
         f = as_field("(sin(-2*s) - 2*s)/4")

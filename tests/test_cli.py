@@ -301,10 +301,14 @@ class TestErrorExits:
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_classify_interval_too_short(self, runner, tmp_path):
+        # no length is too short: the scale rule reads kappa * S = 2e-7 as
+        # nonzero, so a parabola on [0, 1e-7] is classified as at length 1
         spec = write_json(tmp_path, "c.json", {
             "type": "analytic", "x": "s", "y": "s^2", "z": "0", "range": [0, 1e-7],
         })
-        self.assert_one_error_line(runner.invoke(main, ["classify", spec]))
+        result = runner.invoke(main, ["classify", spec])
+        assert result.exit_code == 0 and result.stderr == ""
+        assert json.loads(result.output)["tag"] == "PlanarCurveXY"
 
     def test_classify_ambiguous(self, runner, spec, monkeypatch):
         from h1curves import cli

@@ -11,7 +11,6 @@ from h1curves import (
     InvariantPair,
     ParamCurve,
     RegularityError,
-    is_horizontally_regular,
     kappa_tau_arbitrary,
     psh_transform_curve,
     reconstruct_curve,
@@ -24,17 +23,17 @@ from h1curves.classify import classify_position
 from h1curves.cli import main
 from h1curves.numerics import step_grid
 
-from conftest import (RecordingField, contact_speed_deviation, random_analytic_curve,
+from conftest import (RecordingField, contact_speed_deviation, frame, random_analytic_curve,
                       random_psh_transform)
 
 
 def line_curve(scale="1"):
-    return ParamCurve.from_expressions(f"{scale}*s", "0", "0", (0.0, 1.0))
+    return ParamCurve.from_fields(f"{scale}*s", "0", "0", (0.0, 1.0))
 
 
 def pansu_curve(lam=1.0):
     r = repr(float(lam))
-    return ParamCurve.from_expressions(
+    return ParamCurve.from_fields(
         f"sin(2*{r}*s)/(2*{r})",
         f"(1 - cos(2*{r}*s))/(2*{r})",
         f"sin(2*{r}*s)/(4*{r}^2) - s/(2*{r}) + pi/(4*{r}^2)",
@@ -43,16 +42,20 @@ def pansu_curve(lam=1.0):
 
 
 class TestRegularity:
+    """``reparam_horizontal`` at 1024 panels of the parameter span accepts a
+    regular curve and refuses a degenerate one."""
+
     def test_horizontal_line(self):
-        assert is_horizontally_regular(line_curve())
+        assert reparam_horizontal(line_curve(), step=1.0 / 1024).s_max == pytest.approx(1.0)
 
     def test_vertical_line_fails(self):
-        c = ParamCurve.from_expressions("0", "0", "s", (0.0, 1.0))
-        assert not is_horizontally_regular(c)
+        c = ParamCurve.from_fields("0", "0", "s", (0.0, 1.0))
+        with pytest.raises(RegularityError):
+            reparam_horizontal(c, step=1.0 / 1024)
 
     def test_helix_has_unit_contact_speed(self):
-        c = ParamCurve.from_expressions("cos(s)", "sin(s)", "s", (0.0, 6.0))
-        assert is_horizontally_regular(c)
+        c = ParamCurve.from_fields("cos(s)", "sin(s)", "s", (0.0, 6.0))
+        assert reparam_horizontal(c, step=6.0 / 1024).s_max == pytest.approx(6.0)
 
 
 class TestKappaTau:
@@ -64,7 +67,7 @@ class TestKappaTau:
     @pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
     def test_planar_circle(self, R):
         r = repr(float(R))
-        c = ParamCurve.from_expressions(
+        c = ParamCurve.from_fields(
             f"{r}*cos(s)", f"{r}*sin(s)", "0", (0.0, 2 * np.pi)
         )
         k, t = kappa_tau_arbitrary(c, 1.1)
@@ -74,7 +77,7 @@ class TestKappaTau:
     @pytest.mark.parametrize("R", [1.0, 3.0])
     def test_horizontal_lift_of_circle(self, R):
         r = repr(float(R))
-        c = ParamCurve.from_expressions(
+        c = ParamCurve.from_fields(
             f"{r}*cos(s/{r})", f"{r}*sin(s/{r})", f"-{r}*s", (0.0, 5.0)
         )
         k, t = kappa_tau_arbitrary(c, 2.0)
@@ -82,7 +85,7 @@ class TestKappaTau:
         assert t == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_speed_raises(self):
-        c = ParamCurve.from_expressions("s^2", "0", "0", (-1.0, 1.0))
+        c = ParamCurve.from_fields("s^2", "0", "0", (-1.0, 1.0))
         with pytest.raises(RegularityError):
             kappa_tau_arbitrary(c, 0.0)
 
@@ -90,7 +93,7 @@ class TestKappaTau:
         # independent oracle: derivative of the heading angle with respect
         # to planar arc-length, by central differences
         x, y, z = random_analytic_curve(rng)
-        c = ParamCurve.from_expressions(x, y, z, (0.0, 3.0))
+        c = ParamCurve.from_fields(x, y, z, (0.0, 3.0))
         h = reparam_horizontal(c)
         s = np.linspace(0.3, h.s_max - 0.3, 15)
         eps = 1e-6
@@ -100,8 +103,8 @@ class TestKappaTau:
         assert np.max(np.abs(h.sample(s).kappa - oracle)) < 1e-6
 
     def test_tau_vanishes_iff_velocity_has_no_vertical_part(self):
-        lift = ParamCurve.from_expressions("cos(s)", "sin(s)", "-s", (0.0, 5.0))
-        circle = ParamCurve.from_expressions("cos(s)", "sin(s)", "0", (0.0, 5.0))
+        lift = ParamCurve.from_fields("cos(s)", "sin(s)", "-s", (0.0, 5.0))
+        circle = ParamCurve.from_fields("cos(s)", "sin(s)", "0", (0.0, 5.0))
         u = np.linspace(0.2, 4.8, 25)
         for c, horizontal in ((lift, True), (circle, False)):
             _, t = kappa_tau_arbitrary(c, u)
@@ -118,12 +121,12 @@ class TestKappaTau:
 
 class TestReparam:
     def test_constant_speed_two(self):
-        h = reparam_horizontal(ParamCurve.from_expressions("2*s", "0", "0", (0, 1)))
+        h = reparam_horizontal(ParamCurve.from_fields("2*s", "0", "0", (0, 1)))
         assert h.s_max == pytest.approx(2.0, abs=1e-12)
         assert h.u_of_s(1.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_circle_radius_two(self):
-        c = ParamCurve.from_expressions("2*cos(s)", "2*sin(s)", "0", (0, 2 * np.pi))
+        c = ParamCurve.from_fields("2*cos(s)", "2*sin(s)", "0", (0, 2 * np.pi))
         h = reparam_horizontal(c)
         assert h.s_max == pytest.approx(4 * np.pi, rel=1e-10)
 
@@ -135,7 +138,7 @@ class TestReparam:
 
     def test_unit_contact_speed_invariant(self, rng):
         x, y, z = random_analytic_curve(rng)
-        h = reparam_horizontal(ParamCurve.from_expressions(x, y, z, (0.0, 4.0)))
+        h = reparam_horizontal(ParamCurve.from_fields(x, y, z, (0.0, 4.0)))
         assert contact_speed_deviation(h) < 1e-8
 
     def test_coarse_step_inversion_matches_closed_form(self):
@@ -143,7 +146,7 @@ class TestReparam:
         # sigma(u) = u + u^3/3, inverted by Cardano as u = A - 1/A with
         # A^3 = 3s/2 + sqrt(9s^2/4 + 1).  At step 0.1 the Hermite seed alone
         # is off by about 2e-6; Newton must finish the job.
-        c = ParamCurve.from_expressions(
+        c = ParamCurve.from_fields(
             "(s^2 - 1)*sin(s) + 2*s*cos(s)", "(1 - s^2)*cos(s) + 2*s*sin(s)", "0", (0.0, 8.0)
         )
         h = reparam_horizontal(c, step=0.1)
@@ -158,26 +161,26 @@ class TestFrame:
 
     def test_line_frame(self):
         h = reparam_horizontal(line_curve())
-        t, n, b = h.sample(0.75).frame()
+        t, n, b = frame(h.sample(0.75))
         assert np.allclose(t, [1, 0, 0], atol=1e-10)
         assert np.allclose(n, [0, 1, -0.75], atol=1e-10)
         assert np.array_equal(b, [0, 0, 1])
 
     def test_lift_frame_at_start(self):
-        c = ParamCurve.from_expressions("cos(s)", "sin(s)", "-s", (0.0, 5.0))
+        c = ParamCurve.from_fields("cos(s)", "sin(s)", "-s", (0.0, 5.0))
         h = reparam_horizontal(c)
-        t, _, _ = h.sample(0.0).frame()
+        t, _, _ = frame(h.sample(0.0))
         assert np.allclose(t, [0, 1, -1], atol=1e-9)
         # basis components (x', y', 0)
         assert np.allclose([t[0], t[1], 0.0], [0, 1, 0], atol=1e-9)
 
     def test_n_is_J_of_t_in_basis_components(self, rng):
         x, y, z = random_analytic_curve(rng)
-        h = reparam_horizontal(ParamCurve.from_expressions(x, y, z, (0.0, 3.0)))
+        h = reparam_horizontal(ParamCurve.from_fields(x, y, z, (0.0, 3.0)))
         grid = np.linspace(0.1, h.s_max - 0.1, 7)
         for s in grid:
             smp = h.sample(float(s))
-            t, n, b = smp.frame()
+            t, n, b = frame(smp)
             xp, yp = t[0], t[1]
             assert np.allclose([n[0], n[1], 0.0], [-yp, xp, 0.0], atol=1e-14)
             assert np.array_equal(b, [0, 0, 1])
@@ -187,7 +190,7 @@ class TestFrame:
             assert n[2] == pytest.approx(n[0] * py - n[1] * px, abs=1e-9)
             assert np.hypot(xp, yp) == pytest.approx(1.0, abs=1e-10)
         smp = h.sample(grid)
-        t, n, b = smp.frame()
+        t, n, b = frame(smp)
         assert t.shape == n.shape == b.shape == (grid.size, 3)
         assert np.allclose(n[:, :2], np.stack([-t[:, 1], t[:, 0]], axis=1), atol=1e-14)
         assert np.array_equal(b, np.tile([0.0, 0.0, 1.0], (grid.size, 1)))
@@ -204,7 +207,7 @@ class TestFrameCoefficients:
 
     def test_plane_norm_preserved(self, rng):
         x, y, z = random_analytic_curve(rng)
-        h = reparam_horizontal(ParamCurve.from_expressions(x, y, z, (0.0, 3.0)))
+        h = reparam_horizontal(ParamCurve.from_fields(x, y, z, (0.0, 3.0)))
         s = np.linspace(0.1, h.s_max - 0.1, 20)
         u1, u2, u3 = h.sample(s).coefficients()
         pts = h.point(s)
@@ -213,7 +216,7 @@ class TestFrameCoefficients:
 
     def test_norm_is_distance_to_origin(self, rng):
         x, y, z = random_analytic_curve(rng)
-        h = reparam_horizontal(ParamCurve.from_expressions(x, y, z, (0.0, 3.0)))
+        h = reparam_horizontal(ParamCurve.from_fields(x, y, z, (0.0, 3.0)))
         s = np.linspace(0.1, h.s_max - 0.1, 20)
         u1, u2, u3 = h.sample(s).coefficients()
         dist = np.linalg.norm(h.point(s), axis=1)
@@ -231,7 +234,7 @@ class TestVerifyCesaro:
         assert verify_cesaro(h, grid) < 1e-7
 
     def test_reconstructed_curve(self):
-        inv = InvariantPair.from_expressions("1 + 0.5*sin(s)", "0.2*s")
+        inv = InvariantPair("1 + 0.5*sin(s)", "0.2*s")
         h = reconstruct_curve(inv, InitialPose.origin(), 3.0, 1e-3)
         grid = np.linspace(0.1, h.s_max - 0.1, 25)
         assert verify_cesaro(h, grid) < 1e-6
@@ -246,7 +249,7 @@ class TestPshInvariance:
     def test_invariants_unchanged(self, rng):
         for _ in range(6):
             x, y, z = random_analytic_curve(rng)
-            c = ParamCurve.from_expressions(x, y, z, (0.0, 3.0))
+            c = ParamCurve.from_fields(x, y, z, (0.0, 3.0))
             g = random_psh_transform(rng)
             moved = psh_transform_curve(g, c)
             u = np.linspace(0.1, 2.9, 30)
@@ -257,7 +260,7 @@ class TestPshInvariance:
 
     def test_transform_matches_pointwise_apply(self, rng):
         x, y, z = random_analytic_curve(rng)
-        c = ParamCurve.from_expressions(x, y, z, (0.0, 3.0))
+        c = ParamCurve.from_fields(x, y, z, (0.0, 3.0))
         g = random_psh_transform(rng)
         moved = psh_transform_curve(g, c)
         u = np.linspace(0.0, 3.0, 11)
@@ -267,7 +270,7 @@ class TestPshInvariance:
 
 class TestArcLengthCurve:
     def test_u_of_s_is_the_identity_shift(self):
-        c = ParamCurve.from_expressions("cos(s)", "sin(s)", "0.5*s", (1.5, 4.0))
+        c = ParamCurve.from_fields("cos(s)", "sin(s)", "0.5*s", (1.5, 4.0))
         h = HorizontalCurve.arc_length(c)
         s = np.linspace(0.0, h.s_max, 41)
         assert h.s_max == 2.5
@@ -297,7 +300,7 @@ class TestFiniteInputs:
             ParamCurve.from_samples(*data.T)
 
     def test_overflowing_curve_is_a_domain_error(self):
-        c = ParamCurve.from_expressions("exp(exp(s))", "s", "0", (0.0, 10.0))
+        c = ParamCurve.from_fields("exp(exp(s))", "s", "0", (0.0, 10.0))
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="not finite") as err:
                 reparam_horizontal(c)
@@ -333,7 +336,7 @@ class TestSampledCurves:
 def slow_speed_curve(u_max=10.0):
     """x' + i y' = (1 + 0.5 sin u) e^{iu}: contact speed 1 + 0.5 sin u, so
     sigma(u) = u + 0.5 (1 - cos u) in closed form."""
-    return ParamCurve.from_expressions(
+    return ParamCurve.from_fields(
         "sin(s) + 0.25*sin(s)^2", "0.25*(s - sin(s)*cos(s)) - cos(s)", "0.1*s", (0.0, u_max)
     )
 
@@ -341,7 +344,7 @@ def slow_speed_curve(u_max=10.0):
 class TestSample:
     @pytest.mark.parametrize("make", [
         lambda: reparam_horizontal(slow_speed_curve(4.0)),
-        lambda: reconstruct_curve(InvariantPair.from_expressions("1 + 0.5*sin(s)", "0.2*s"),
+        lambda: reconstruct_curve(InvariantPair("1 + 0.5*sin(s)", "0.2*s"),
                             InitialPose.origin(), 3.0, 1e-3),
     ], ids=["reparametrized", "arc-length"])
     def test_matches_the_single_quantity_methods(self, make):
@@ -398,7 +401,7 @@ def dilated_slow_speed_curve(lam, u_max=10.0):
     def dilate(text, power):
         return f"({lam!r})^{power}*(" + re.sub(r"\bs\b", f"(s/({lam!r}))", text) + ")"
 
-    return ParamCurve.from_expressions(
+    return ParamCurve.from_fields(
         dilate("sin(s) + 0.25*sin(s)^2", 1), dilate("0.25*(s - sin(s)*cos(s)) - cos(s)", 1),
         dilate("0.1*s", 2), (0.0, lam * u_max))
 
@@ -438,7 +441,7 @@ class TestInversionScale:
 class TestHeading:
     def test_unwrapped_along_the_samples(self):
         # the unit circle x = cos u, y = sin u heads at u + pi/2
-        h = reparam_horizontal(ParamCurve.from_expressions("cos(s)", "sin(s)", "0", (0.0, 9.0)))
+        h = reparam_horizontal(ParamCurve.from_fields("cos(s)", "sin(s)", "0", (0.0, 9.0)))
         s = np.linspace(0.0, h.s_max, 300)
         heading = h.sample(s).heading()
         assert np.max(np.abs(heading - (s + np.pi / 2))) < 1e-9

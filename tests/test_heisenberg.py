@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from h1curves import H1Point, ParamCurve, PshTransform, left_translate, psh_transform_curve
 from h1curves.curves import CurveSample
 
+from conftest import frame
+
 COORD = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 
 point_st = st.builds(H1Point, COORD, COORD, COORD)
@@ -21,7 +23,7 @@ def frame_at(p, velocity):
     """The moving frame read off a sample at the point p with the given
     velocity (Euclidean components)."""
     smp = CurveSample(0.0, coords(p), np.asarray(velocity, dtype=float), 0.0, 0.0)
-    return smp.frame()
+    return frame(smp)
 
 
 def basis_components(v, p):
@@ -154,7 +156,7 @@ class TestPshTransform:
     def test_apply_array_matches_apply(self, rng):
         # one map for numbers, the columns of an (m, 3) array and curve trees
         g = PshTransform(0.8, H1Point(0.3, -0.7, 1.1))
-        c = ParamCurve.from_expressions("cos(s) + 0.2*s", "sin(2*s)", "0.3*s^2", (0.0, 2.0))
+        c = ParamCurve.from_fields("cos(s) + 0.2*s", "sin(2*s)", "0.3*s^2", (0.0, 2.0))
         u = np.sort(rng.uniform(0.0, 2.0, size=10))
         pts = c.point(u)
         batch = np.stack(g.apply(*pts.T), axis=-1)

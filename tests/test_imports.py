@@ -1,9 +1,13 @@
 """Every name a module of the package imports is used there, or re-exported
 through its ``__all__``: a deleted caller must not leave its import behind.
-Every public name of ``heisenberg`` has a caller: the group keeps only what
-the pipeline uses."""
+Every public name of the package has a caller in ``src/`` or ``scripts/``,
+apart from a short labelled allow-list, and every public name of
+``heisenberg`` has one outside its own module: the package keeps only what
+the pipeline uses.  Every script runs in CI, so a script is a caller that
+is exercised."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -74,3 +78,65 @@ def test_every_public_heisenberg_name_has_a_caller():
     tree = ast.parse(module.read_text(encoding="utf-8"))
     dead = sorted(qualified for qualified, bare in public_names(tree) if bare not in used)
     assert not dead, f"heisenberg names with no caller in src/ or scripts/: {', '.join(dead)}"
+
+
+# Public names whose only callers are tests, each with the test that calls it.
+CALLER_ALLOW_LIST = {
+    # acceptance criteria (tests/test_acceptance.py)
+    "psh_transform_curve": "criterion 03, pseudo-hermitian invariance",
+    "find_psh_alignment": "criterion 04, fundamental theorem uniqueness",
+    "make_canonical": "criterion 10, classification round trip",
+    # identity checks awaiting their commands' certificates (ROADMAP item 2)
+    "verify_cesaro": "criterion 05, the Cesaro identity (analyze)",
+    "check_necessary_conditions": "criterion 07, the surface loop (gen-const-*)",
+    "tangent_normal_residual": "criterion 09, the Bertrand suite (bertrand)",
+    "binormal_normal_residual": "criterion 09, the Bertrand suite (bertrand)",
+    "cesaro_system_residual": "tests/test_cesaro.py, closed-form residuals (gen-const-tau)",
+}
+
+
+def test_every_public_name_has_a_caller():
+    # an export or public method counts as called when its bare name is read
+    # as a variable or an attribute in any module, its own included, or in a
+    # script; ast knows no types, so this catches a name nobody uses
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES + SCRIPTS}
+    used = set().union(*map(referenced_names, trees.values()))
+    public = {(f"{path.stem}.{qualified}", bare) for path in SOURCES
+              for qualified, bare in public_names(trees[path])}
+    dead = sorted(qualified for qualified, bare in public
+                  if bare not in used and bare not in CALLER_ALLOW_LIST)
+    assert not dead, f"public names with no caller in src/ or scripts/: {', '.join(dead)}"
+    # an entry that gained a caller, or lost its definition, leaves the list
+    stale = sorted(name for name in CALLER_ALLOW_LIST
+                   if name in used or name not in {bare for _, bare in public})
+    assert not stale, f"allow-listed names to drop from the list: {', '.join(stale)}"
+    assert len(CALLER_ALLOW_LIST) <= 8
+
+
+def run_steps(workflow: str) -> list[str]:
+    """The command text of every ``run:`` step of a workflow: the value on
+    the ``run:`` line, or the deeper-indented block under ``run: |``."""
+    lines = workflow.splitlines()
+    steps = []
+    for i, line in enumerate(lines):
+        match = re.match(r"(\s*)(?:- )?run: (.*)$", line)
+        if not match:
+            continue
+        if match[2].strip() != "|":
+            steps.append(match[2])
+            continue
+        block = []
+        for below in lines[i + 1:]:
+            if below.strip() and len(below) - len(below.lstrip()) <= len(match[1]):
+                break
+            block.append(below)
+        steps.append("\n".join(block))
+    return steps
+
+
+def test_every_script_runs_in_ci():
+    # the caller test counts scripts as callers, so each must run somewhere
+    steps = run_steps((ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8"))
+    missing = [path.name for path in SCRIPTS
+               if not any(f"scripts/{path.name}" in step for step in steps)]
+    assert not missing, f"scripts no CI run: step names: {', '.join(missing)}"

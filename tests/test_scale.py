@@ -51,15 +51,17 @@ CURVES = {
     "tall-helix": (("cos(s)", "sin(s)", "100*s", 3.0), "CircularHelix"),
     "general": (("s + 0.1*sin(s)", "0.5*(s+1e-5)^3", "0.1*s + 0.2*s^2", 1.5), "General"),
 }
-LAMBDAS = [1e-4, 1e-2, 1.0, 1e2, 1e4]
+LAMBDAS = [1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4]
 
 
 class TestDilationProbe:
-    """Six curves, each dilated by five lam at step 1e-3 lam, through
+    """Six curves, each dilated by seven lam at step 1e-3 lam, through
     `classify`, `analyze` and `bertrand --c1 0.3 lam --c2 0.2 lam`.  With
     absolute or diameter-relative thresholds the helices and the
     vertical-plane curve were irregular at lam = 1e4 and the mates of the
-    planar and the general curve mixed the kappa branches there."""
+    planar and the general curve mixed the kappa branches there; with a
+    shortest length for `classify` every curve was refused from lam = 1e-6
+    down."""
 
     @staticmethod
     def outcomes(tmp_path, name, lam):
