@@ -68,7 +68,7 @@ __all__ = [
     "pansu_sphere",
 ]
 
-# Panels of every closed-form antiderivative and of the closed forms' grid.
+# Panels of the closed forms' grid, as many as each antiderivative has.
 _PANELS = 10_000
 
 
@@ -137,16 +137,16 @@ def cesaro_closed_form(
         )
     else:
         c, kappa = constants, inv.kappa
-        theta = antiderivative(kappa, lo, hi, _PANELS)
+        theta = antiderivative(kappa, lo, hi)
         sin, cos = theta.apply("sin"), theta.apply("cos")
         kp, k2d = kappa.derivative(), kappa ** 2 * c.delta
-        I1 = antiderivative((c.c1 * sin + c.c2 * cos) * kp / k2d, lo, hi, _PANELS)
-        I2 = antiderivative((c.c3 * sin + c.c4 * cos) * kp / k2d, lo, hi, _PANELS)
+        I1 = antiderivative((c.c1 * sin + c.c2 * cos) * kp / k2d, lo, hi)
+        I2 = antiderivative((c.c3 * sin + c.c4 * cos) * kp / k2d, lo, hi)
         A, B = c.c1 * c.c5 + c.c3 * c.c6, c.c2 * c.c5 + c.c4 * c.c6
         u1 = A * sin + B * cos + (c.c3 * sin + c.c4 * cos) * I1 - (c.c1 * sin + c.c2 * cos) * I2
         u2 = (A * cos - B * sin + (c.c3 * cos - c.c4 * sin) * I1
               - (c.c1 * cos - c.c2 * sin) * I2 + 1 / kappa)
-    u3 = antiderivative(u2 - inv.tau, lo, hi, _PANELS, const=u3_const)
+    u3 = antiderivative(u2 - inv.tau, lo, hi, const=u3_const)
     return CesaroSolution(inv, constants, (lo, hi), branch, u1, u2, u3, theta, grid)
 
 
@@ -425,7 +425,7 @@ def generate_surface_constant_kappa(
         f"/(2*({k})) - s/({k}) + ({repr(float(c3f))})"
     )
     g2 = as_field(g2_text)
-    f = antiderivative(tau, lo, hi, _PANELS) + as_field(f_trig_text)
+    f = antiderivative(tau, lo, hi) + as_field(f_trig_text)
     grid = uniform_grid(lo, hi, 4096)
     radicand = np.asarray(g2(grid))
     require_finite(grid, g=radicand, f=f(grid))
@@ -472,7 +472,7 @@ def generate_surface_constant_tau(
     sol = cesaro_closed_form(inv, constants, (lo, hi), u3_const=-f_const)
     if sol.branch != "general":
         raise ValueError("kappa must be nonzero for this construction")
-    g2 = g2_const - 2 * antiderivative(sol.u1, lo, hi, _PANELS)
+    g2 = g2_const - 2 * antiderivative(sol.u1, lo, hi)
     f = -sol.u3
     grid = sol.grid
     g2_vals = np.asarray(g2(grid))

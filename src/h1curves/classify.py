@@ -29,9 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import HorizontalCurve, ParamCurve, kappa_branch
+from .curves import HorizontalCurve, InvariantPair, ParamCurve, kappa_branch
 from .expressions import S
 from .fields import antiderivative
+from .frenet import InitialPose, _cascade_curve
+from .heisenberg import H1Point
 from .numerics import cumulative_simpson
 
 __all__ = [
@@ -43,8 +45,6 @@ __all__ = [
 ]
 
 _VERDICT_SAMPLES = 400
-# quadrature panels of each antiderivative of the planar canonical curve
-_CANONICAL_PANELS = 4000
 
 
 class ClassTag(enum.Enum):
@@ -259,11 +259,10 @@ def make_canonical(tag: ClassTag, interval: tuple[float, float], **params) -> Pa
         a, c = np.cos(heading), np.sin(heading)
         return ParamCurve.from_fields(bx + a * S, by + c * S, 0.0, (lo, hi))
     if tag is ClassTag.PLANAR_CURVE_XY:
-        n = _CANONICAL_PANELS
-        phi = antiderivative(params["kappa"], lo, hi, n, const=float(params.get("heading", 0.0)))
-        x = antiderivative(phi.apply("cos"), lo, hi, n, const=float(params.get("x0", 0.0)))
-        y = antiderivative(phi.apply("sin"), lo, hi, n, const=float(params.get("y0", 0.0)))
-        return ParamCurve.from_fields(x, y, 0.0, (lo, hi))
+        x0, y0 = (float(params.get(k, 0.0)) for k in ("x0", "y0"))
+        pose = InitialPose(H1Point(x0, y0, 0.0), float(params.get("heading", 0.0)))
+        c = _cascade_curve(InvariantPair(params["kappa"], 0.0), pose, lo, hi)
+        return ParamCurve.from_fields(c.x, c.y, 0.0, (lo, hi))
     if tag is ClassTag.VERTICAL_PLANE_CURVE:
         c1, c2, c3 = (float(params[k]) for k in ("c1", "c2", "c3"))
         tau = antiderivative(params.get("tau", 0.0), lo, hi)

@@ -120,11 +120,10 @@ class ParamCurve:
                 raise ValueError(f"sample column {name} is not finite at row {bad[0]}")
         if np.any(np.diff(u) <= 0):
             raise ValueError("sample parameters must be strictly increasing")
-        n = max(u.size, 64)
         return cls(
-            SampledField.resample(u, x, n),
-            SampledField.resample(u, y, n),
-            SampledField.resample(u, z, n),
+            SampledField.resample(u, x),
+            SampledField.resample(u, y),
+            SampledField.resample(u, z),
             float(u[0]),
             float(u[-1]),
         )
@@ -162,13 +161,15 @@ def kappa_tau_arbitrary(c: ParamCurve, u, jet=None):
     scalar = np.ndim(u) == 0
     u = np.atleast_1d(np.asarray(u, dtype=float))
     x, y, _, xp, yp, zp, xpp, ypp = _jet(c, u) if jet is None else jet
-    speed2 = xp * xp + yp * yp
-    speed = np.sqrt(speed2)
+    speed = np.hypot(xp, yp)
     if np.any(speed <= RELATIVE_ZERO * np.max(speed)):
         bad = u[np.argmin(speed)]
         raise RegularityError(f"degenerate contact speed near u = {bad}")
-    kappa = (xp * ypp - xpp * yp) / speed2**1.5
-    tau = (x * yp - xp * y + zp) / speed
+    # from the unit velocity (tx, ty), so no product squares a fast speed
+    with np.errstate(over="ignore", invalid="ignore"):
+        tx, ty = xp / speed, yp / speed
+        kappa = (tx * ypp - ty * xpp) / speed / speed
+        tau = x * ty - tx * y + zp / speed
     if scalar:
         return float(kappa[0]), float(tau[0])
     return kappa, tau
@@ -374,11 +375,6 @@ class InvariantPair:
     def __post_init__(self):
         self.kappa = as_field(self.kappa)
         self.tau = as_field(self.tau)
-
-    @classmethod
-    def from_samples(cls, s, kappa, tau) -> "InvariantPair":
-        s = np.asarray(s, dtype=float)
-        return cls(SampledField.resample(s, kappa), SampledField.resample(s, tau))
 
 
 def psh_transform_curve(g: PshTransform, c: ParamCurve) -> ParamCurve:

@@ -245,6 +245,14 @@ def _apply(name, node, *values):
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 
+# The deepest text accepted: its parse nests at most this many expressions
+# (a parenthesis, function argument, unary minus or operand opens one) and
+# its tree is at most this many nodes deep.  A third derivative is at most 13
+# times deeper (633 for ((s^s)^s)^..., the worst shape found), so parsing,
+# evaluation, printing and differentiation to order 3 stay well below
+# Python's default recursion limit of 1000 frames.
+_MAX_DEPTH = 50
+
 
 @dataclass
 class _Token:
@@ -303,6 +311,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0  # expressions being parsed, one inside the other
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -330,6 +339,9 @@ class _Parser:
     def climb(self, min_prec: int):
         """The longest expression whose binary operators bind at least as
         tightly as ``min_prec``."""
+        self.nesting += 1
+        if self.nesting > _MAX_DEPTH:
+            raise ExpressionError(f"expression deeper than {_MAX_DEPTH} levels", self.peek().pos)
         node = self.unary()
         while self.peek().kind == "op":
             name = self.peek().text
@@ -338,6 +350,7 @@ class _Parser:
                 break
             self.advance()
             node = _binop(name, node, self.climb(op.prec + (op.assoc != "right")))
+        self.nesting -= 1
         return node
 
     def unary(self):
@@ -370,12 +383,32 @@ class _Parser:
         )
 
 
+def _children(node):
+    if isinstance(node, BinOp):
+        return node.left, node.right
+    return (node.child,) if isinstance(node, Neg) else (node.arg,) if isinstance(node, Call) else ()
+
+
+def _depth(node) -> int:
+    """The number of nodes on the longest path down from ``node``, walked
+    level by level, a node that differentiation shared once per level."""
+    deepest, level = 0, [node]
+    while level:
+        deepest += 1
+        level = list({id(child): child for n in level for child in _children(n)}.values())
+    return deepest
+
+
 def parse(text: str):
     """Parse expression text into an AST; raises ExpressionError on bad input
-    and EvalDomainError on a constant outside an operator's domain."""
+    or on a text deeper than ``_MAX_DEPTH``, and EvalDomainError on a
+    constant outside an operator's domain."""
     if not text or not text.strip():
         raise ExpressionError("empty expression", 0)
-    return _Parser(text).parse()
+    node = _Parser(text).parse()
+    if _depth(node) > _MAX_DEPTH:
+        raise ExpressionError(f"expression deeper than {_MAX_DEPTH} levels", 0)
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +546,6 @@ class ScalarFn:
             base = self if order == 1 else self.derivative(order - 1)
             self._derivatives[order] = ScalarFn(_diff(base.ast))
         return self._derivatives[order]
-
-    def text(self) -> str:
-        return to_text(self.ast)
 
     def apply(self, fn: str) -> "ScalarFn":
         """``fn`` of this function, for fn one of the grammar's functions."""

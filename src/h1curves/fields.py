@@ -7,12 +7,13 @@ arithmetic over numbers, ``expressions.S`` and numeric fields, which enter
 the tree as leaves holding a field and a derivative order, so
 differentiating a tree builds no new field.  This module holds the numeric
 fields: ``SampledField`` (values on a uniform grid, finite-difference
-derivatives of order 1 and 2) and ``AntiderivativeField`` (a cumulative
-integral whose derivatives are those of its exact integrand).  Between
-their nodes they are piecewise cubic Hermite interpolants
-(``CubicHermite``), with the node slopes each kind knows best.
-``as_field`` turns a number, expression text or numeric field into a
-ScalarFn.
+derivatives of order 1 and 2), for sampled data only, and
+``AntiderivativeField`` (a cumulative integral whose derivatives are those
+of its exact integrand), from ``antiderivative`` or from the integrals of
+a reconstruction (``frenet``).  Between their nodes they are piecewise
+cubic Hermite interpolants (``CubicHermite``), with the node slopes each
+kind knows best.  ``as_field`` turns a number, expression text or numeric
+field into a ScalarFn.
 """
 
 from __future__ import annotations
@@ -144,14 +145,14 @@ class SampledField:
         self._interps = {}  # derivative order -> CubicHermite, built on first use
 
     @classmethod
-    def resample(cls, u: np.ndarray, values: np.ndarray, n: int | None = None):
+    def resample(cls, u: np.ndarray, values: np.ndarray):
         """Build from possibly non-uniform samples (at least 4) by cubic
-        Hermite resampling, with node slopes from ``local_slopes``; n samples
-        on a uniform grid are kept, by the one uniformity test of the
-        constructor."""
+        Hermite resampling onto max(size, 64) uniform nodes, with node slopes
+        from ``local_slopes``; samples already that many and uniform are
+        kept, by the one uniformity test of the constructor."""
         u = np.asarray(u, dtype=float)
         values = np.asarray(values, dtype=float)
-        n = n or max(u.size, 64)
+        n = max(u.size, 64)
         if u.size == n:
             try:
                 return cls(u, values)
@@ -208,36 +209,32 @@ class SampledField:
         return ScalarFn(Leaf(self, 1))
 
 
-def antiderivative(integrand, lo: float, hi: float, n_panels: int = 10_000, const: float = 0.0):
+def antiderivative(integrand, lo: float, hi: float, const: float = 0.0):
     """const + the integral of ``integrand`` from lo, as a ScalarFn: exactly
     (const - c lo) + c s for a constant integrand c, else a leaf around an
-    AntiderivativeField."""
+    AntiderivativeField, by cumulative Simpson on 10 000 uniform panels."""
     integrand = as_field(integrand)
     if isinstance(integrand.ast, Num):
         c = integrand.ast.value
         return (float(const) - c * float(lo)) + c * S
+    grid = uniform_grid(lo, hi, 10_000)
     # a non-finite integrand is left to the callers' finiteness checks
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return ScalarFn(Leaf(AntiderivativeField(integrand, lo, hi, n_panels, const)))
+        f = np.asarray(integrand(grid), dtype=float)
+        values = cumulative_simpson(f, dx=(float(hi) - float(lo)) / (grid.size - 1))
+        return ScalarFn(Leaf(AntiderivativeField(integrand, grid, values, f, const)))
 
 
 class AntiderivativeField:
-    """Cumulative integral of a ScalarFn from the interval's left endpoint,
-    by cumulative Simpson on a uniform grid, interpolated by cubic Hermite
-    with the integrand values as slopes.  The exact integrand is kept: the
-    derivative of order n >= 1 is its derivative of order n - 1, with no
-    quadrature error."""
+    """const + an integral of the ScalarFn ``integrand``, known on ``grid``
+    by its ``values`` and by the integrand's samples, the ``slopes`` of the
+    cubic Hermite interpolant between the nodes.  The exact integrand is
+    kept: the derivative of order n >= 1 is its derivative of order n - 1,
+    with no quadrature error."""
 
-    def __init__(self, integrand: ScalarFn, lo: float, hi: float, n_panels: int = 10_000,
-                 const: float = 0.0):
-        self.integrand = integrand
-        self.lo, self.hi = float(lo), float(hi)
-        self.const = float(const)
-        grid = uniform_grid(lo, hi, n_panels)
-        f = np.asarray(self.integrand(grid), dtype=float)
-        values = cumulative_simpson(f, dx=(self.hi - self.lo) / (grid.size - 1))
-        self._hermite = CubicHermite(grid, values, f)
-        self.grid = grid
+    def __init__(self, integrand: ScalarFn, grid, values, slopes, const: float = 0.0):
+        self.integrand, self.const = integrand, float(const)
+        self._hermite = CubicHermite(grid, values, slopes)
 
     def __call__(self, s, order: int = 0):
         if order:

@@ -12,7 +12,11 @@ where the z-equation is the T-component identity -x'y + xy' + z' = tau
 solved for z'.  The contact constraint |r'_xi| = 1 then holds exactly and
 frame orthonormality cannot drift.  The system is triangular (phi, then x
 and y, then z), so it is solved by successive cumulative quadratures
-rather than a stepping loop.
+rather than a stepping loop.  ``reconstruct`` prints the nodes;
+``reconstruct_curve`` keeps phi, x, y and z as ``AntiderivativeField``
+leaves over those same integrals, whose integrands are the trees above, so
+every derivative of the curve is an exact integrand: kappa is exact to
+roundoff, and tau to the rounding of the coordinates (eps max|(x, y)|).
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import HorizontalCurve, ParamCurve
+from .curves import RELATIVE_ZERO, HorizontalCurve, ParamCurve
+from .fields import AntiderivativeField, as_field
 from .heisenberg import H1Point, PshTransform, left_translate
 from .numerics import cumulative_simpson, panel_count, require_finite
 
@@ -58,39 +63,58 @@ class AlignmentError(ValueError):
     """No pseudo-hermitian transformation maps one curve onto the other."""
 
 
-def reconstruct(inv, pose: InitialPose, s_max: float, step: float) -> np.ndarray:
-    """The samples (s, x, y, z), one row per node, of the curve with
-    invariants ``inv`` and initial pose ``pose`` on [0, s_max], by the
-    cascade above, each integral a cumulative Simpson from s = 0 on
-    n = ceil(s_max/step) panels (at least 4) and their midpoints.  The n+1
-    panel nodes, 4th-order accurate, are ``step_grid(0, s_max, step)`` bit
-    for bit: samples of a curve already parametrized by arc length, with
-    s_max exact.  phi integrates kappa: the input is invariants, and the
-    curve is what this builds.  A coordinate past the float range is
-    refused, naming its s."""
-    if not (s_max > 0 and step > 0):
-        raise ValueError(f"s_max and step must be positive, got {s_max} and {step}")
-    n = panel_count(s_max, step, minimum=4)
-    s_half = np.linspace(0.0, s_max, 2 * n + 1)  # nodes and midpoints
-    kappa = np.asarray(inv.kappa(s_half), dtype=float)
-    tau = np.asarray(inv.tau(s_half), dtype=float)
-    require_finite(s_half, kappa=kappa, tau=tau)
-    dx = s_max / (2 * n)
+def _cascade(inv, pose: InitialPose, lo: float, hi: float, step: float):
+    """The cascade on [lo, hi], each integral a cumulative Simpson from lo on
+    n = ceil((hi - lo)/step) panels (at least 4) and their midpoints: that
+    grid and the (values, integrand) samples of phi, x, y and z.  A
+    coordinate past the float range is refused, naming its s."""
+    if not (hi - lo > 0 and step > 0):
+        raise ValueError(f"s_max and step must be positive, got {hi - lo} and {step}")
+    n = panel_count(hi - lo, step, minimum=4)
+    grid = np.linspace(lo, hi, 2 * n + 1)  # nodes and midpoints
+    kappa = np.asarray(inv.kappa(grid), dtype=float)
+    tau = np.asarray(inv.tau(grid), dtype=float)
+    require_finite(grid, kappa=kappa, tau=tau)
+    dx = (hi - lo) / (2 * n)
     p = pose.point
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, at its s
         phi = pose.heading + cumulative_simpson(kappa, dx=dx)
         cos, sin = np.cos(phi), np.sin(phi)
         x = p.x + cumulative_simpson(cos, dx=dx)
         y = p.y + cumulative_simpson(sin, dx=dx)
-        z = p.z + cumulative_simpson(tau + y * cos - x * sin, dx=dx)
-    require_finite(s_half, x=x, y=y, z=z)
-    return np.column_stack([s_half[::2], x[::2], y[::2], z[::2]])
+        dz = tau + y * cos - x * sin
+        z = p.z + cumulative_simpson(dz, dx=dx)
+    require_finite(grid, x=x, y=y, z=z)
+    return grid, (phi, kappa), (x, cos), (y, sin), (z, dz)
+
+
+def reconstruct(inv, pose: InitialPose, s_max: float, step: float) -> np.ndarray:
+    """The samples (s, x, y, z) of the curve with invariants ``inv`` and
+    initial pose ``pose`` at the cascade's panel nodes on [0, s_max],
+    4th-order accurate: ``step_grid(0, s_max, step)`` bit for bit, with
+    s_max exact, so the curve is already parametrized by arc length."""
+    grid, _, (x, _), (y, _), (z, _) = _cascade(inv, pose, 0.0, s_max, step)
+    return np.column_stack([grid[::2], x[::2], y[::2], z[::2]])
+
+
+def _cascade_curve(inv, pose: InitialPose, lo: float, hi: float, step: float = 1e-3) -> ParamCurve:
+    """The cascade's curve on [lo, hi], a tree over its own integrals (see
+    the module docstring).  Coordinates whose rounding exceeds RELATIVE_ZERO
+    of the length are refused: tau would drown in it."""
+    grid, *integrals = _cascade(inv, pose, lo, hi, step)
+    size = np.max(np.abs([integrals[1][0], integrals[2][0]]))
+    if np.finfo(float).eps * size > RELATIVE_ZERO * (hi - lo):
+        raise ValueError(f"coordinates up to {size:.3e} cannot resolve a length of {hi - lo:g}")
+    phi = as_field(AntiderivativeField(inv.kappa, grid, *integrals[0]))
+    cos, sin = phi.apply("cos"), phi.apply("sin")
+    x, y = (as_field(AntiderivativeField(f, grid, *v)) for f, v in zip((cos, sin), integrals[1:3]))
+    z = AntiderivativeField(inv.tau + y * cos - x * sin, grid, *integrals[3])
+    return ParamCurve(x, y, z, lo, hi)
 
 
 def reconstruct_curve(inv, pose: InitialPose, s_max: float, step: float = 1e-3) -> HorizontalCurve:
-    """The curve through the samples of ``reconstruct``, parametrized by arc length."""
-    samples = reconstruct(inv, pose, s_max, step)
-    return HorizontalCurve.arc_length(ParamCurve.from_samples(*samples.T))
+    """The curve of ``reconstruct`` as a tree, parametrized by arc length."""
+    return HorizontalCurve.arc_length(_cascade_curve(inv, pose, 0.0, s_max, step))
 
 
 def find_psh_alignment(

@@ -26,7 +26,7 @@ from h1curves.cesaro import (
     surface_membership,
 )
 from h1curves import numerics
-from h1curves.fields import CubicHermite, antiderivative, as_field
+from h1curves.fields import CubicHermite, SampledField, antiderivative, as_field
 from h1curves.numerics import lowest_local_minima
 
 from conftest import contact_speed_deviation
@@ -265,8 +265,6 @@ class TestMembership:
         assert np.max(np.abs(rho - np.hypot(sol.u1(s), sol.u2(s)))) < 1e-8
         assert np.max(np.abs(pts[:, 2] + np.asarray(sol.u3(s)))) < 1e-8
         # and the geometric membership test agrees
-        from h1curves.fields import SampledField
-
         grid = sol.grid
         sigma = SurfaceOfRevolution(
             g2=SampledField(grid, sol.u1(grid) ** 2 + sol.u2(grid) ** 2),
@@ -437,7 +435,8 @@ class TestNecessaryConditions:
             as_field("sin(s)"), as_field("cos(s)"), (0.05, np.pi - 0.05)
         )
         kappa1 = (2 * R**2 * np.sin(grid) ** 2 - R**2 + 1) / (R * np.sin(grid))
-        inv = InvariantPair.from_samples(grid, kappa1, np.zeros_like(grid))
+        inv = InvariantPair(SampledField.resample(grid, kappa1),
+                            SampledField.resample(grid, np.zeros_like(grid)))
         _, res2 = check_necessary_conditions(sigma, inv, grid[5:-5])
         assert res2 > 0.1
 

@@ -94,6 +94,20 @@ class TestAnalyze:
         _, data = parse_csv(result.output)
         assert np.max(np.abs(data[:, 4] / 1e13 - 1.0)) < 1e-6
 
+    def test_fast_parametrization_is_regular(self, runner, tmp_path):
+        # an arc of length 3 on a circle of radius 1e155, run through at
+        # speed 1e155: the squared speed would overflow, the unit velocity
+        # does not
+        spec = write_json(tmp_path, "c.json", {
+            "type": "analytic", "x": "1e155*cos(s)", "y": "1e155*sin(s)", "z": "0",
+            "range": [0, 3e-155],
+        })
+        result = runner.invoke(main, ["analyze", spec, "--step", "0.01"])
+        assert result.exit_code == 0 and result.stderr == ""
+        _, data = parse_csv(result.output)
+        assert np.max(np.abs(data[:, 4] / 1e-155 - 1.0)) < 1e-12
+        assert np.max(np.abs(data[:, 5] / 1e155 - 1.0)) < 1e-12
+
     def test_determinism(self, runner, tmp_path):
         spec = write_json(tmp_path, "c.json", INTRINSIC_PANSU)
         a = runner.invoke(main, ["analyze", spec, "--step", "0.05"])
@@ -232,9 +246,9 @@ class TestBertrand:
         assert result.exit_code == 0
         assert len(result.output.strip().splitlines()) == 1 + 5
 
-    def test_analytic_spec_builds_no_sampled_field(self, runner, tmp_path, monkeypatch):
-        # the CLI prints the mate points it built; the mate is never resampled
-        # into a curve
+    @pytest.fixture
+    def sampled_fields(self, monkeypatch):
+        """The SampledFields built while the test runs."""
         from h1curves.fields import SampledField
 
         built = []
@@ -245,6 +259,11 @@ class TestBertrand:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(SampledField, "__init__", counting)
+        return built
+
+    def test_analytic_spec_builds_no_sampled_field(self, runner, tmp_path, sampled_fields):
+        # the CLI prints the mate points it built; the mate is never resampled
+        # into a curve
         spec = write_json(tmp_path, "c.json", {
             "type": "analytic", "x": "1.5*cos(1.2*s) + 0.2", "y": "0.8*sin(1.2*s) - 0.1",
             "z": "0.3*s", "range": [0, 4],
@@ -252,7 +271,19 @@ class TestBertrand:
         result = runner.invoke(main, ["bertrand", spec, "--c1", "0.3", "--c2", "-0.5",
                                       "--step", "0.1"])
         assert result.exit_code == 0
-        assert built == []
+        assert sampled_fields == []
+
+    def test_intrinsic_spec_builds_no_sampled_field(self, runner, tmp_path, sampled_fields):
+        # a reconstruction is a tree over the cascade's own integrals: nothing
+        # is resampled or differentiated by finite differences
+        spec = write_json(tmp_path, "c.json", {
+            "type": "intrinsic", "kappa": "1 + 0.3*sin(s)", "tau": "0.2", "range": [0, 3],
+            "initial": {"point": [0.5, -0.2, 0.1], "heading": 0.4},
+        })
+        for command in ("analyze", "bertrand", "classify"):
+            result = runner.invoke(main, [command, spec, "--step", "0.01"])
+            assert result.exit_code == 0, result.stderr
+        assert sampled_fields == []
 
     def test_zero_branch_requires_g(self, runner, tmp_path):
         spec = write_json(tmp_path, "c.json", {
@@ -473,6 +504,32 @@ class TestErrorExits:
         result = runner.invoke(main, [command, write_json(tmp_path, "c.json", spec)])
         self.assert_one_error_line(result)
         assert result.stderr.startswith("error: bad curve spec: ")
+
+    @pytest.mark.parametrize("x", [
+        "(" * 400 + "s" + ")" * 400, "sin(" * 400 + "s" + ")" * 400, "-" * 500 + "s",
+        "+".join(["s"] * 1000),
+    ], ids=["parentheses", "sin", "minus", "sum"])
+    def test_expression_too_deep(self, runner, tmp_path, x):
+        # the parser or the evaluation ran out of stack: a RecursionError
+        # traceback, exit 1
+        spec = write_json(tmp_path, "c.json", {
+            "type": "analytic", "x": x, "y": "s^2", "z": "0", "range": [0, 1]})
+        result = runner.invoke(main, ["analyze", spec, "--step", "0.1"])
+        self.assert_one_error_line(result)
+        assert result.stderr.startswith("error: bad curve spec: expression deeper than 50 levels")
+
+    @pytest.mark.parametrize("depth,exit_code", [(50, 0), (51, 2)])
+    @pytest.mark.parametrize("shape", [lambda k: "sin(" * (k - 1) + "s" + ")" * (k - 1),
+                                       lambda k: "+".join(["s"] * k)], ids=["sin", "sum"])
+    def test_expression_depth_bound(self, runner, tmp_path, shape, depth, exit_code):
+        spec = write_json(tmp_path, "c.json", {
+            "type": "analytic", "x": shape(depth), "y": "s", "z": "0", "range": [0, 1]})
+        result = runner.invoke(main, ["analyze", spec, "--step", "0.25"])
+        assert result.exit_code == exit_code
+        if exit_code:
+            self.assert_one_error_line(result)
+        else:
+            assert result.stderr == ""
 
     @pytest.mark.parametrize("flag,value,reason", [
         ("--c1", "inf", "c1 must be finite"), ("--c2", "nan", "c2 must be finite"),

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from h1curves.expressions import (
+    _MAX_DEPTH,
     BinOp,
     Call,
     EvalDomainError,
@@ -14,6 +16,7 @@ from h1curves.expressions import (
     Num,
     ScalarFn,
     Var,
+    _depth,
     parse,
     to_text,
 )
@@ -233,5 +236,43 @@ class TestRoundTrip:
     @given(SAFE_S)
     def test_derivative_text_round_trip(self, s):
         d = ScalarFn.parse("s^2*sin(s) - cos(2*s)/(s + 1)").derivative()
-        again = ScalarFn.parse(d.text())
+        again = ScalarFn.parse(to_text(d.ast))
         assert again(s) == pytest.approx(d(s), rel=1e-12, abs=1e-12)
+
+
+# texts of a given depth: nesting for the first three, tree depth for the sum
+DEEP_TEXTS = {
+    "parentheses": lambda k: "(" * (k - 1) + "s" + ")" * (k - 1),
+    "sin": lambda k: "sin(" * (k - 1) + "s" + ")" * (k - 1),
+    "minus": lambda k: "-" * (k - 1) + "s",
+    "sum": lambda k: "+".join(["s"] * k),
+}
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize("shape", DEEP_TEXTS)
+    def test_at_the_bound_parses_evaluates_and_differentiates(self, shape):
+        f = ScalarFn.parse(DEEP_TEXTS[shape](_MAX_DEPTH))
+        assert np.isfinite(f(0.5)) and np.isfinite(f.derivative(3)(0.5))
+        assert parse(to_text(f.ast)) == f.ast
+
+    @pytest.mark.parametrize("shape", DEEP_TEXTS)
+    def test_one_past_the_bound_is_refused(self, shape):
+        with pytest.raises(ExpressionError, match="deeper than 50 levels"):
+            parse(DEEP_TEXTS[shape](_MAX_DEPTH + 1))
+
+    def test_deepest_third_derivative_fits_the_recursion_limit(self):
+        # ((s^s)^s)^... deepens fastest under differentiation: each level adds
+        # 13 to its third derivative (633 deep at the bound; measured here at
+        # 20 levels, since differentiation walks a shared subtree once per
+        # use).  Evaluating or printing a tree takes one frame per level.
+        def third(levels):
+            text = "s"
+            for _ in range(levels - 1):
+                text = f"({text})^s"
+            f = ScalarFn.parse(text)
+            assert _depth(f.ast) == levels
+            return _depth(f.derivative(3).ast)
+
+        assert third(20) - third(19) == 13 and third(20) <= 13 * 20
+        assert 13 * _MAX_DEPTH + 300 < sys.getrecursionlimit()

@@ -21,6 +21,10 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from h1curves.cli import main
+from h1curves.expressions import ScalarFn
+from h1curves.heisenberg import H1Point, PshTransform
+
+from conftest import random_invariant_exprs
 
 
 def dilate(text: str, lam: float, power: int) -> str:
@@ -227,3 +231,59 @@ class TestLongWavySamples:
             table = self.kappa_columns(tmp_path, angle, lam)
             assert table.shape == base.shape
             assert np.max(np.abs(lam * table[:, 4] - base[:, 4])) <= 1e-6 * size, (angle, lam)
+
+
+# ---------------------------------------------------------------------------
+# Left translation: a reconstruction far from the origin keeps its invariants
+
+EPS = np.finfo(float).eps
+
+
+def intrinsic_columns(tmp_path, kappa, tau, s_max, point, heading):
+    result = run(tmp_path, ["analyze", "--step", "1e-3"], {
+        "type": "intrinsic", "kappa": kappa, "tau": tau, "range": [0.0, s_max],
+        "initial": {"point": list(point), "heading": heading}})
+    assert result.exit_code == 0, result.stderr
+    return columns(result)
+
+
+class TestLeftTranslation:
+    """kappa = 1, tau = 0.2 on [0, 4] from (p, 0, 0): the reconstruction is
+    a tree over its own integrals, so kappa is exact to roundoff at every p
+    and tau to the rounding of the coordinates."""
+
+    @pytest.mark.parametrize("p", [0.0, 1e3, 1e5, 1e7])
+    def test_invariants_to_roundoff(self, tmp_path, p):
+        table = intrinsic_columns(tmp_path, "1", "0.2", 4.0, (p, 0.0, 0.0), 0.0)
+        assert np.max(np.abs(table[:, 4] - 1.0)) <= 16 * EPS
+        assert np.max(np.abs(table[:, 5] - 0.2)) <= 8 * EPS * (1.0 + p)
+
+    def test_unresolved_curve_is_refused(self, tmp_path):
+        # the rounding of x, about 1e184, dwarfs a curve of length 4
+        result = run(tmp_path, ["analyze", "--step", "1e-3"], {
+            "type": "intrinsic", "kappa": "1", "tau": "0.2", "range": [0.0, 4.0],
+            "initial": {"point": [1e200, 0.0, 0.0], "heading": 0.0}})
+        assert result.exit_code == 2
+        assert result.stderr.count("\n") == 1
+        assert result.stderr.startswith("error: bad curve spec: coordinates up to 1.000e+200 "
+                                        "cannot resolve a length of 4")
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), s_max=st.floats(1.0, 4.0),
+       angle=st.floats(-math.pi, math.pi), shift=st.tuples(*[st.floats(-1e7, 1e7)] * 3))
+def test_moved_reconstruction_keeps_its_invariants(tmp_path_factory, seed, s_max, angle, shift):
+    """A pseudo-hermitian transformation of the initial pose moves the
+    curve, not its invariants: the analyze columns match kappa(s) and tau(s)
+    to a few roundings of kappa and of the coordinates."""
+    rng = np.random.default_rng(seed)
+    kappa, tau = random_invariant_exprs(rng)
+    g = PshTransform(angle, H1Point(*shift))
+    point = g.apply(*rng.uniform(-1.0, 1.0, 3))
+    table = intrinsic_columns(tmp_path_factory.mktemp("moved"), kappa, tau, s_max,
+                              [float(v) for v in point], rng.uniform(-math.pi, math.pi) + angle)
+    s = table[:, 0]
+    exact_kappa, exact_tau = ScalarFn.parse(kappa)(s), ScalarFn.parse(tau)(s)
+    assert np.all(np.abs(table[:, 4] - exact_kappa) <= 8 * EPS * (1.0 + np.abs(exact_kappa)))
+    size = np.max(np.hypot(table[:, 1], table[:, 2]))
+    assert np.max(np.abs(table[:, 5] - exact_tau)) <= 8 * EPS * (1.0 + size)
