@@ -86,14 +86,15 @@ class BertrandSpec:
 @dataclass
 class BertrandMate:
     """A constructed mate with its build data: the grid it was built on, the
-    base and mate points there, and the frame offsets.  ``mate_curve``
-    builds the mate as a curve."""
+    base and mate points there, their distances and the frame offsets.
+    ``mate_curve`` builds the mate as a curve."""
 
     spec: BertrandSpec
     branch: str  # "zero-kappa" | "general"
     grid: np.ndarray
     base: np.ndarray  # base curve points on the grid, shape (m, 3)
     points: np.ndarray  # mate points on the grid, shape (m, 3)
+    dist: np.ndarray  # |points - base| on the grid, shape (m,)
     u1: np.ndarray
     u2: np.ndarray
     u3: np.ndarray
@@ -119,7 +120,8 @@ def bertrand_mate(h: HorizontalCurve, spec: BertrandSpec, step: float = 1e-3) ->
     (error O(step^4)).  The branch is "zero-kappa" when max |kappa| S <=
     RELATIVE_ZERO and "general" when min |kappa| S exceeds it; a kappa that
     crosses between regimes on the interval is refused, and so is a mate
-    point that is not finite.  ``mate_curve`` builds the mate as a curve.
+    point, or a distance |r_bar - r| of a pair, that is not finite.
+    ``mate_curve`` builds the mate as a curve.
     """
     grid = step_grid(0.0, h.s_max, step)
     smp = h.sample(grid)
@@ -154,8 +156,11 @@ def bertrand_mate(h: HorizontalCurve, spec: BertrandSpec, step: float = 1e-3) ->
         mate_pts = smp.points + np.stack(
             [u1 * xp - u2 * yp, u1 * yp + u2 * xp, u3], axis=1
         )
+        dist = np.linalg.norm(mate_pts - smp.points, axis=1)  # past about 1e154: inf
     require_finite(grid, mate=mate_pts.T)
-    return BertrandMate(spec, branch, grid, smp.points, mate_pts, u1, u2, u3, tau_bar)
+    if not np.all(np.isfinite(dist)):
+        raise ValueError(f"mate distance overflows near s = {grid[np.argmin(np.isfinite(dist))]}")
+    return BertrandMate(spec, branch, grid, smp.points, mate_pts, dist, u1, u2, u3, tau_bar)
 
 
 def mate_curve(mate: BertrandMate) -> HorizontalCurve:
@@ -186,14 +191,13 @@ def mate_distance(mate: BertrandMate) -> MateDistance:
     grid, compared to the expected constant sqrt(c1^2 + c2^2)."""
     delta = mate.points - mate.base
     planar = np.hypot(delta[:, 0], delta[:, 1])
-    euclid = np.linalg.norm(delta, axis=1)
     b_off = delta[:, 2]  # vertical component of the componentwise offset
     expected = float(np.hypot(mate.spec.c1, mate.spec.c2))
     return MateDistance(
         contact_mean=float(np.mean(planar)),
         contact_deviation=float(np.max(np.abs(planar - expected))),
-        euclidean_mean=float(np.mean(euclid)),
-        euclidean_max=float(np.max(euclid)),
+        euclidean_mean=float(np.mean(mate.dist)),
+        euclidean_max=float(np.max(mate.dist)),
         b_offset_min=float(np.min(b_off)),
         b_offset_max=float(np.max(b_off)),
     )

@@ -459,16 +459,16 @@ def generate_surface_constant_tau(
     with u1 the closed-form coefficient; by the first system equation the
     f-integrand equals tau - u2, so f = -u3 with u3 = integral(u2 - tau) -
     f_const.  Both integrals start at the interval's left endpoint, with
-    their constants exposed.  A non-finite parameter or profile is an
+    their constants exposed.  tau is constant exactly when its derivative
+    folds to the number 0, with no tolerance and no unit (``s - s`` is,
+    ``1e-9*sin(s)`` is not).  A non-finite parameter, tau or profile is an
     error naming it."""
     require_finite(c1=constants.c1, c2=constants.c2, c3=constants.c3, c4=constants.c4,
                    c5=constants.c5, c6=constants.c6, g2_const=g2_const, f_const=f_const)
     lo, hi = _profile_range(interval)
-    grid = np.linspace(lo, hi, 257)
-    tau_grid = np.asarray(inv.tau(grid))
-    require_finite(grid, tau=tau_grid)
-    if np.max(np.abs(tau_grid - tau_grid[0])) > 1e-8 * (1.0 + np.max(np.abs(tau_grid))):
+    if inv.tau.derivative().ast != Num(0.0):
         raise ValueError("tau must be constant for this construction")
+    require_finite(tau=inv.tau(lo))
     sol = cesaro_closed_form(inv, constants, (lo, hi), u3_const=-f_const)
     if sol.branch != "general":
         raise ValueError("kappa must be nonzero for this construction")

@@ -207,14 +207,19 @@ def _fit_helix(grid, pts, u1, u2, u3, kappa, tau, thresh, h):
     if kappa_mean == 0.0:
         return None
     c1 = -1.0 / kappa_mean
-    drift = pts[:, 2] - cumulative_simpson(tau, dx=h.s_max / (grid.size - 1))
+    tau_integral = cumulative_simpson(tau, dx=h.s_max / (grid.size - 1))
+    drift = pts[:, 2] - tau_integral
     pitch = float(np.polyfit(grid, drift, 1)[0])
     c2 = float(np.mean(drift - pitch * grid))
     pitch_residual = float(np.max(np.abs(drift - pitch * grid - c2)))
     # z - integral(tau) of a helix is affine in s, so the residual is the
-    # quadrature error of integral(tau) alone.  A height off the affine fit
-    # by more than thresh * S, the bound on heights, is off the canonical form.
-    if pitch_residual > thresh * h.s_max:
+    # quadrature error of integral(tau) and the rounding of both terms, which
+    # a height far above S^2 lifts far above thresh * S.  A height off the
+    # affine fit by more than that rounding and thresh * S, the bound on
+    # heights, is off the canonical form.
+    rounding = grid.size * np.finfo(float).eps * (np.max(np.abs(tau_integral))
+                                                  + np.max(np.abs(pts[:, 2])))
+    if pitch_residual > thresh * h.s_max + rounding:
         return None
     return PositionClass(
         ClassTag.CIRCULAR_HELIX,

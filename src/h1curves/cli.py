@@ -199,26 +199,15 @@ def _emit(text: str, output: str | None):
         sys.stdout.flush()
 
 
-def _csv(header: list[str], rows) -> str:
+def _table(fmt: str, header: list[str], rows, doc: dict | None = None, key: str = "rows") -> str:
+    """CSV, or ``_json_text`` of the JSON document ``doc`` (default
+    ``{"columns": header}``) with the 2-d float table ``rows`` as lists
+    under ``key``, which keeps its place when ``doc`` already holds it."""
     from . import textout  # imported on first use: commands that write no table never compile it
 
-    return textout.csv(header, rows)
-
-
-def _json_table(doc: dict, key: str, rows) -> str:
-    """``_json_text({**doc, key: rows.tolist()})`` for a 2-d float table;
-    ``key`` keeps its place when ``doc`` already holds it."""
-    from . import textout
-
-    return textout.json_table(doc, key, rows)
-
-
-def _table(fmt: str, header: list[str], rows, doc: dict | None = None, key: str = "rows") -> str:
-    """CSV, or the JSON document ``doc`` (default ``{"columns": header}``)
-    with the table under ``key``."""
     if fmt == "csv":
-        return _csv(header, rows)
-    return _json_table({"columns": header} if doc is None else doc, key, rows)
+        return textout.csv(header, rows)
+    return textout.json_table({"columns": header} if doc is None else doc, key, rows)
 
 
 def _json_text(obj) -> str:
@@ -278,7 +267,6 @@ def reconstruct_cmd(curve_json, step, tol, fmt, output):
         raise ValueError("reconstruct needs an intrinsic curve spec")
     with _prefixed("bad curve spec", KeyError, TypeError, ValueError):
         rows = reconstruct(*_intrinsic(spec), step)
-        ParamCurve.from_samples(*rows.T)  # refuses what the samples reader refuses
     _emit(_table(fmt, ["s", "x", "y", "z"], rows, {"type": "samples"}, "data"), output)
 
 
@@ -301,12 +289,7 @@ def bertrand(curve_json, c1, c2, tau_bar, g, step, tol, fmt, output):
     spec = BertrandSpec(c1, c2, tau_bar=_offset("tau_bar", tau_bar), g=_offset("g", g))
     with _prefixed("cannot evaluate curve", EvalDomainError):
         mate = bertrand_mate(h, spec, step)
-    with np.errstate(over="ignore"):
-        dist = np.linalg.norm(mate.points - mate.base, axis=1)
-    if not np.all(np.isfinite(dist)):  # offsets past about 1e154 square to inf
-        bad = mate.grid[np.argmin(np.isfinite(dist))]
-        raise ValueError(f"mate distance overflows near s = {bad}")
-    rows = np.column_stack([mate.grid, mate.base, mate.points, dist])
+    rows = np.column_stack([mate.grid, mate.base, mate.points, mate.dist])
     _emit(_table(fmt, ["s", "x", "y", "z", "x_bar", "y_bar", "z_bar", "dist"], rows), output)
 
 
@@ -368,7 +351,7 @@ def gen_const_kappa(kappa, tau_const, c1, c2, c3g, c3f, srange, step, tol, fmt, 
         text = _json_text(sigma.to_json())
     else:
         s = step_grid(sigma.s_lo, sigma.s_hi, step)
-        text = _csv(["s", "g", "f"], np.column_stack([s, *sigma.profile(s)]))
+        text = _table(fmt, ["s", "g", "f"], np.column_stack([s, *sigma.profile(s)]))
     _emit(text, output)
 
 

@@ -4,8 +4,11 @@ composite field type of h1curves.
 A ``ScalarFn`` is built by parsing text or by arithmetic (``+ - * / **``,
 unary minus and ``apply("sin")`` and the like) over numbers, the variable
 ``S`` and numeric fields, which enter the tree as ``Leaf`` nodes.  It
-evaluates on floats and numpy arrays, each leaf once per call however
-many subtrees share it, and ``derivative()`` differentiates symbolically.
+evaluates on floats and numpy arrays, each node and each leaf's field
+once per call however many subtrees share it, and ``derivative()``
+differentiates symbolically, each shared node once, so a derivative
+shares its subtrees as its tree does and both walks are linear in the
+tree's distinct nodes.
 A leaf carries a derivative order: it differentiates by raising that
 order, and evaluates as ``field(s, order)``, so a numeric field answers
 every order it supports by index and no new field is built.
@@ -415,41 +418,53 @@ def parse(text: str):
 # Evaluation, differentiation and printing
 
 
-def _eval(node, s, leaves):
+def _eval(node, s, memo):
+    """The value of ``node`` at ``s``, each node once however many parents
+    share it and each field at one order once however many leaves stand for
+    it: ``memo`` holds the values by node identity and by (field, order)."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
         return s
+    key = (node.field, node.order) if isinstance(node, Leaf) else id(node)
+    if key in memo:
+        return memo[key]
     if isinstance(node, Leaf):
-        # one field at one order is evaluated once per call, however many
-        # leaf nodes (as differentiation makes) stand for it
-        key = node.field, node.order
-        if key not in leaves:
-            leaves[key] = node.field(s, node.order)
-        return leaves[key]
-    if isinstance(node, Neg):
-        return -_eval(node.child, s, leaves)
-    if isinstance(node, BinOp):
-        return _apply(node.op, node, _eval(node.left, s, leaves), _eval(node.right, s, leaves))
-    if isinstance(node, Call):
-        return _apply(node.fn, node, _eval(node.arg, s, leaves))
-    raise AssertionError(type(node))
+        value = node.field(s, node.order)
+    elif isinstance(node, Neg):
+        value = -_eval(node.child, s, memo)
+    elif isinstance(node, BinOp):
+        value = _apply(node.op, node, _eval(node.left, s, memo), _eval(node.right, s, memo))
+    elif isinstance(node, Call):
+        value = _apply(node.fn, node, _eval(node.arg, s, memo))
+    else:
+        raise AssertionError(type(node))
+    memo[key] = value
+    return value
 
 
-def _diff(node):
+def _diff(node, memo):
+    """The derivative tree of ``node``, each node differentiated once (``memo``
+    by node identity), so it shares subtrees where ``node`` does."""
     if isinstance(node, Num):
         return Num(0.0)
     if isinstance(node, Var):
         return Num(1.0)
+    key = id(node)
+    if key in memo:
+        return memo[key]
     if isinstance(node, Leaf):
-        return Leaf(node.field, node.order + 1)
-    if isinstance(node, Neg):
-        return _neg(_diff(node.child))
-    if isinstance(node, BinOp):
-        return _OPS[node.op].rule(node, _diff(node.left), _diff(node.right))
-    if isinstance(node, Call):
-        return _binop("*", _OPS[node.fn].rule(node.arg), _diff(node.arg))
-    raise AssertionError(type(node))
+        out = Leaf(node.field, node.order + 1)
+    elif isinstance(node, Neg):
+        out = _neg(_diff(node.child, memo))
+    elif isinstance(node, BinOp):
+        out = _OPS[node.op].rule(node, _diff(node.left, memo), _diff(node.right, memo))
+    elif isinstance(node, Call):
+        out = _binop("*", _OPS[node.fn].rule(node.arg), _diff(node.arg, memo))
+    else:
+        raise AssertionError(type(node))
+    memo[key] = out
+    return out
 
 
 def _fmt(node, parent_prec=0):
@@ -544,7 +559,7 @@ class ScalarFn:
             raise ValueError("derivative order must be between 1 and 3")
         if order not in self._derivatives:
             base = self if order == 1 else self.derivative(order - 1)
-            self._derivatives[order] = ScalarFn(_diff(base.ast))
+            self._derivatives[order] = ScalarFn(_diff(base.ast, {}))
         return self._derivatives[order]
 
     def apply(self, fn: str) -> "ScalarFn":

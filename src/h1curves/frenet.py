@@ -17,6 +17,7 @@ rather than a stepping loop.  ``reconstruct`` prints the nodes;
 leaves over those same integrals, whose integrands are the trees above, so
 every derivative of the curve is an exact integrand: kappa is exact to
 roundoff, and tau to the rounding of the coordinates (eps max|(x, y)|).
+Both refuse through ``_cascade``, which refuses what no leaf can represent.
 """
 
 from __future__ import annotations
@@ -66,16 +67,19 @@ class AlignmentError(ValueError):
 def _cascade(inv, pose: InitialPose, lo: float, hi: float, step: float):
     """The cascade on [lo, hi], each integral a cumulative Simpson from lo on
     n = ceil((hi - lo)/step) panels (at least 4) and their midpoints: that
-    grid and the (values, integrand) samples of phi, x, y and z.  A
-    coordinate past the float range is refused, naming its s."""
+    grid and the (values, integrand) samples of phi, x, y and z.  Refused: a
+    spacing whose square underflows, a coordinate past the float range (at
+    its s), and coordinates whose rounding exceeds RELATIVE_ZERO of the length."""
     if not (hi - lo > 0 and step > 0):
         raise ValueError(f"s_max and step must be positive, got {hi - lo} and {step}")
     n = panel_count(hi - lo, step, minimum=4)
+    dx = (hi - lo) / (2 * n)
+    if dx * dx < np.finfo(float).tiny:
+        raise ValueError(f"a node spacing of {dx:.3e} is too fine to interpolate")
     grid = np.linspace(lo, hi, 2 * n + 1)  # nodes and midpoints
     kappa = np.asarray(inv.kappa(grid), dtype=float)
     tau = np.asarray(inv.tau(grid), dtype=float)
     require_finite(grid, kappa=kappa, tau=tau)
-    dx = (hi - lo) / (2 * n)
     p = pose.point
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, at its s
         phi = pose.heading + cumulative_simpson(kappa, dx=dx)
@@ -85,6 +89,9 @@ def _cascade(inv, pose: InitialPose, lo: float, hi: float, step: float):
         dz = tau + y * cos - x * sin
         z = p.z + cumulative_simpson(dz, dx=dx)
     require_finite(grid, x=x, y=y, z=z)
+    size = max(np.max(np.abs(x)), np.max(np.abs(y)))
+    if np.finfo(float).eps * size > RELATIVE_ZERO * (hi - lo):
+        raise ValueError(f"coordinates up to {size:.3e} cannot resolve a length of {hi - lo:g}")
     return grid, (phi, kappa), (x, cos), (y, sin), (z, dz)
 
 
@@ -98,13 +105,8 @@ def reconstruct(inv, pose: InitialPose, s_max: float, step: float) -> np.ndarray
 
 
 def _cascade_curve(inv, pose: InitialPose, lo: float, hi: float, step: float = 1e-3) -> ParamCurve:
-    """The cascade's curve on [lo, hi], a tree over its own integrals (see
-    the module docstring).  Coordinates whose rounding exceeds RELATIVE_ZERO
-    of the length are refused: tau would drown in it."""
+    """The cascade's curve on [lo, hi], a tree over its own integrals."""
     grid, *integrals = _cascade(inv, pose, lo, hi, step)
-    size = np.max(np.abs([integrals[1][0], integrals[2][0]]))
-    if np.finfo(float).eps * size > RELATIVE_ZERO * (hi - lo):
-        raise ValueError(f"coordinates up to {size:.3e} cannot resolve a length of {hi - lo:g}")
     phi = as_field(AntiderivativeField(inv.kappa, grid, *integrals[0]))
     cos, sin = phi.apply("cos"), phi.apply("sin")
     x, y = (as_field(AntiderivativeField(f, grid, *v)) for f, v in zip((cos, sin), integrals[1:3]))

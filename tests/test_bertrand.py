@@ -137,6 +137,19 @@ class TestMateDistance:
         assert d.euclidean_max - d.euclidean_mean > 0.01
 
 
+    def test_mate_carries_its_distance(self):
+        m = bertrand_mate(unit_circle_curve(), BertrandSpec(0.3, -0.5, tau_bar="0.2 + s"))
+        assert np.array_equal(m.dist, np.linalg.norm(m.points - m.base, axis=1))
+        d = mate_distance(m)
+        assert d.euclidean_max == np.max(m.dist) and d.euclidean_mean == np.mean(m.dist)
+
+    @pytest.mark.parametrize("c1,c2", [(0.0, 1e300), (-1e155, 0.0)])
+    def test_overflowing_distance_is_refused_at_its_s(self, c1, c2):
+        # finite mate points whose squared offset overflows
+        with pytest.raises(ValueError, match=r"^mate distance overflows near s = "):
+            bertrand_mate(unit_circle_curve(), BertrandSpec(c1, c2))
+
+
 class TestFrameRelation:
     def test_mate_is_normal_aligned(self):
         base = unit_circle_curve()

@@ -658,6 +658,26 @@ class TestGenerateConstantTau:
                 inv, CesaroConstants(1.0, 0.0, 0.0, 1.0), interval=(0, 3)
             )
 
+    @pytest.mark.parametrize("tau", ["0.2", "cos(0.5)", "s - s"])
+    def test_tau_whose_derivative_folds_to_zero_is_constant(self, tau):
+        surf = generate_surface_constant_tau(InvariantPair("2 + sin(s)", tau),
+                                             CesaroConstants(1.0, 0.0, 0.0, 1.0), (0, 3),
+                                             g2_const=4.0)
+        assert np.all(np.isfinite(surf.profile(np.linspace(0, 3, 31))))
+
+    def test_small_varying_tau_is_not_constant(self):
+        # the test is exact: no tolerance lets a small variation pass
+        with pytest.raises(ValueError, match="tau must be constant"):
+            generate_surface_constant_tau(InvariantPair("2", "1e-9*sin(s)"),
+                                          CesaroConstants(1.0, 0.0, 0.0, 1.0), (0, 3),
+                                          g2_const=4.0)
+
+    @pytest.mark.parametrize("tau", [np.inf, np.nan])
+    def test_tau_that_is_not_finite_is_refused(self, tau):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            generate_surface_constant_tau(InvariantPair("2", tau),
+                                          CesaroConstants(1.0, 0.0, 0.0, 1.0), (0, 3))
+
 
 class TestSphereGap:
     def test_gap_vanishes_at_quarter_pi(self):

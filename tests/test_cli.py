@@ -28,6 +28,22 @@ def write_json(tmp_path, name, doc):
     return str(path)
 
 
+@pytest.fixture
+def sampled_fields(monkeypatch):
+    """The SampledFields built while the test runs."""
+    from h1curves.fields import SampledField
+
+    built = []
+    original = SampledField.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SampledField, "__init__", counting)
+    return built
+
+
 INTRINSIC_PANSU = {
     "type": "intrinsic",
     "kappa": "2",
@@ -186,6 +202,47 @@ class TestReconstruct:
         result = runner.invoke(main, ["reconstruct", spec])
         assert result.exit_code == 2
 
+    def test_builds_no_sampled_field(self, runner, tmp_path, sampled_fields):
+        # the table is the cascade's own nodes, checked where they are made;
+        # nothing reads it back as samples
+        spec = write_json(tmp_path, "c.json", {
+            "type": "intrinsic", "kappa": "1 + 0.3*sin(s)", "tau": "0.2", "range": [0, 3],
+            "initial": {"point": [0.5, -0.2, 0.1], "heading": 0.4},
+        })
+        for fmt in ("csv", "json"):
+            result = runner.invoke(main, ["reconstruct", spec, "--step", "0.01", "--format", fmt])
+            assert result.exit_code == 0, result.stderr
+        assert sampled_fields == []
+
+    @pytest.mark.parametrize("command", ["reconstruct", "analyze"])
+    @pytest.mark.parametrize("spec,step", [
+        # the rounding of x, about 1e184, dwarfs a curve of length 4
+        ({"kappa": "1", "tau": "0.2", "range": [0, 4],
+          "initial": {"point": [1e200, 0, 0]}}, "1e-3"),
+        # a node spacing of 5e-304, whose square underflows
+        ({"kappa": "cos(s)", "tau": "0", "range": [0, 1e-300]}, "1e-303"),
+        # eps 2e8 is above 1e-8 of the length
+        ({"kappa": "1", "tau": "0.2", "range": [0, 4],
+          "initial": {"point": [2e8, 0, 0]}}, "1e-3"),
+    ], ids=["far", "fine", "past-the-resolution"])
+    def test_refuses_what_analyze_refuses(self, runner, tmp_path, command, spec, step):
+        path = write_json(tmp_path, "c.json", {"type": "intrinsic", **spec})
+        result = runner.invoke(main, [command, path, "--step", step])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: bad curve spec: ")
+
+    @pytest.mark.parametrize("command", ["reconstruct", "analyze"])
+    @pytest.mark.parametrize("p", [1e5, 1e8])
+    def test_far_curve_within_the_resolution(self, runner, tmp_path, command, p):
+        path = write_json(tmp_path, "c.json", {
+            "type": "intrinsic", "kappa": "1", "tau": "0.2", "range": [0, 4],
+            "initial": {"point": [p, 0, 0]}})
+        result = runner.invoke(main, [command, path, "--step", "1e-2"])
+        assert result.exit_code == 0, result.stderr
+        assert result.stderr == ""
+
     def test_requires_intrinsic(self, runner, tmp_path):
         spec = write_json(tmp_path, "c.json", {
             "type": "analytic", "x": "s", "y": "0", "z": "0", "range": [0, 1],
@@ -245,21 +302,6 @@ class TestBertrand:
         result = runner.invoke(main, ["bertrand", spec, "--c1", "0.3", "--step", step])
         assert result.exit_code == 0
         assert len(result.output.strip().splitlines()) == 1 + 5
-
-    @pytest.fixture
-    def sampled_fields(self, monkeypatch):
-        """The SampledFields built while the test runs."""
-        from h1curves.fields import SampledField
-
-        built = []
-        original = SampledField.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(self)
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(SampledField, "__init__", counting)
-        return built
 
     def test_analytic_spec_builds_no_sampled_field(self, runner, tmp_path, sampled_fields):
         # the CLI prints the mate points it built; the mate is never resampled
@@ -867,7 +909,7 @@ class TestSurface:
 
 class TestCsvFormat:
     def test_bytes_match_per_value_formatting(self):
-        from h1curves.cli import _csv
+        from h1curves.cli import _table
 
         rows = np.array([
             [-0.0, 1e-300, 1e300, 3.0],
@@ -879,17 +921,18 @@ class TestCsvFormat:
             [",".join(header)]
             + [",".join(f"{float(v):.17g}" for v in row) for row in rows]
         ) + "\n"
-        assert _csv(header, rows) == expected
+        assert _table("csv", header, rows) == expected
         assert expected.split("\n")[1] == "-0,1e-300,1.0000000000000001e+300,3"
-        assert _csv(header, np.empty((0, 4))) == "a,b,c,d\n"
+        assert _table("csv", header, np.empty((0, 4))) == "a,b,c,d\n"
 
     @staticmethod
     def assert_per_value(rows):
-        from h1curves.cli import _csv
+        from h1curves.cli import _table
 
         header = [f"c{j}" for j in range(rows.shape[1])]
         lines = [",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in rows.tolist()]
-        assert _csv(header, rows).split("\n") == lines + [""]  # a list reports its first bad line
+        # a list reports its first bad line
+        assert _table("csv", header, rows).split("\n") == lines + [""]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(rows=hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 9)),
@@ -960,7 +1003,7 @@ class TestJsonTable:
 
     @pytest.mark.parametrize("doc,key", DOCS)
     def test_bytes_match_json_dumps(self, doc, key):
-        from h1curves.cli import _json_table
+        from h1curves.cli import _table
 
         rows = np.array([
             [-0.0, 5e-324, 1e300],
@@ -968,23 +1011,23 @@ class TestJsonTable:
             [123456789012345678.0, 1e16, -np.pi],
             [3.0, 1.0 / 3.0, -7.0],
         ])
-        assert _json_table(doc, key, rows) == self.dumps(doc, key, rows)
-        assert _json_table(doc, key, rows[:1]) == self.dumps(doc, key, rows[:1])
+        assert _table("json", None, rows, doc, key) == self.dumps(doc, key, rows)
+        assert _table("json", None, rows[:1], doc, key) == self.dumps(doc, key, rows[:1])
 
     @pytest.mark.parametrize("doc,key", DOCS)
     def test_zero_rows(self, doc, key):
-        from h1curves.cli import _json_table
+        from h1curves.cli import _table
 
         rows = np.empty((0, 3))
-        assert _json_table(doc, key, rows) == self.dumps(doc, key, rows)
+        assert _table("json", None, rows, doc, key) == self.dumps(doc, key, rows)
 
     @pytest.mark.parametrize("doc,key", DOCS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_fall_back_to_json_dumps(self, doc, key, bad):
-        from h1curves.cli import _json_table
+        from h1curves.cli import _table
 
         rows = np.array([[1.0, 2.0, 3.0], [4.0, bad, 6.0]])
-        text = _json_table(doc, key, rows)
+        text = _table("json", None, rows, doc, key)
         assert text == self.dumps(doc, key, rows)
         assert "NaN" in text or "Infinity" in text
 
@@ -994,11 +1037,12 @@ class TestJsonTable:
 
     @classmethod
     def assert_dumps(cls, rows):
-        from h1curves.cli import _json_table
+        from h1curves.cli import _table
 
         for doc, key in cls.SHAPES:
             want = cls.dumps(doc, key, rows).split("\n")
-            assert _json_table(doc, key, rows).split("\n") == want  # a list reports its first bad line
+            # a list reports its first bad line
+            assert _table("json", None, rows, doc, key).split("\n") == want
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(rows=hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 9)),

@@ -16,6 +16,7 @@ from h1curves.expressions import (
     Num,
     ScalarFn,
     Var,
+    _children,
     _depth,
     parse,
     to_text,
@@ -195,6 +196,39 @@ class TestDifferentiate:
             assert d3(s) == pytest.approx(central_diff(d2, s), rel=1e-5, abs=1e-5)
 
 
+class TestSharedSubtrees:
+    """Evaluation and differentiation walk a tree's distinct nodes, not the
+    paths through them: a derivative uses its operand many times over."""
+
+    @staticmethod
+    def operator_nodes(node) -> int:
+        """The number of distinct BinOp and Call nodes of a tree, by identity."""
+        seen, stack = {}, [node]
+        while stack:
+            n = stack.pop()
+            if id(n) not in seen:
+                seen[id(n)] = n
+                stack.extend(_children(n))
+        return sum(isinstance(n, (BinOp, Call)) for n in seen.values())
+
+    def test_each_operator_of_a_third_derivative_applies_once(self, monkeypatch):
+        # the third derivative of 8 chained quotients calls a kernel about
+        # 10 000 times along its unfolded paths, 361 times once per node
+        from h1curves import expressions
+
+        d3 = ScalarFn.parse("/".join(["(s+2)"] * 8)).derivative(3)
+        calls = []
+        apply = expressions._apply
+
+        def counting(name, node, *values):
+            calls.append(name)
+            return apply(name, node, *values)
+
+        monkeypatch.setattr(expressions, "_apply", counting)
+        d3(np.linspace(0.0, 1.0, 11))
+        assert 0 < len(calls) <= self.operator_nodes(d3.ast)
+
+
 _COEF = st.floats(min_value=-3, max_value=3, allow_nan=False).map(lambda v: round(v, 4))
 _FREQ = st.floats(min_value=0.2, max_value=2.0, allow_nan=False).map(lambda v: round(v, 4))
 
@@ -263,16 +297,18 @@ class TestDepthBound:
 
     def test_deepest_third_derivative_fits_the_recursion_limit(self):
         # ((s^s)^s)^... deepens fastest under differentiation: each level adds
-        # 13 to its third derivative (633 deep at the bound; measured here at
-        # 20 levels, since differentiation walks a shared subtree once per
-        # use).  Evaluating or printing a tree takes one frame per level.
+        # 13 to its third derivative, 633 deep at the bound, where it also
+        # evaluates.  Evaluating or printing a tree takes one frame per level.
         def third(levels):
             text = "s"
             for _ in range(levels - 1):
                 text = f"({text})^s"
             f = ScalarFn.parse(text)
             assert _depth(f.ast) == levels
-            return _depth(f.derivative(3).ast)
+            return f.derivative(3)
 
-        assert third(20) - third(19) == 13 and third(20) <= 13 * 20
+        assert _depth(third(20).ast) - _depth(third(19).ast) == 13
+        assert _depth(third(20).ast) <= 13 * 20
+        deepest = third(_MAX_DEPTH)
+        assert _depth(deepest.ast) == 633 and np.isfinite(deepest(0.5))
         assert 13 * _MAX_DEPTH + 300 < sys.getrecursionlimit()

@@ -4,9 +4,12 @@ Every public name of the package has a caller in ``src/`` or ``scripts/``,
 apart from a short labelled allow-list, and every public name of
 ``heisenberg`` has one outside its own module: the package keeps only what
 the pipeline uses.  Every script runs in CI, so a script is a caller that
-is exercised."""
+is exercised.  Every function and method the benchmark's tracer patches
+exists, with the parameters its counters read by position."""
 
 import ast
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -155,3 +158,55 @@ def test_every_script_runs_in_ci():
     missing = [path.name for path in SCRIPTS
                if not any(f"scripts/{path.name}" in step for step in steps)]
     assert not missing, f"scripts no CI run: step names: {', '.join(missing)}"
+
+
+def traced_targets():
+    """(owner expression, attribute, call) of every ``patch_function`` and
+    ``patch_method`` call of ``perfbench/spans.py``; an attribute named by a
+    loop variable stands for each string the loop runs over."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    loops = {node.target.id: [elt.value for elt in node.iter.elts]
+             for node in ast.walk(tree)
+             if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("patch_function", "patch_method")):
+            owner, attr = node.args[:2]
+            names = loops[attr.id] if isinstance(attr, ast.Name) else [attr.value]
+            for name in names:
+                yield ast.unparse(owner), name, node
+
+
+def resolve(expression: str):
+    """``module`` or ``module.Class`` of h1curves, as spans.py names it."""
+    module, *rest = expression.split(".")
+    owner = importlib.import_module(f"h1curves.{module}")
+    for attr in rest:
+        owner = getattr(owner, attr)
+    return owner
+
+
+def test_every_traced_name_exists():
+    # a renamed target would surface only as a KeyError or AttributeError
+    # inside the tracer's install, in a traced benchmark run
+    targets = list(traced_targets())
+    assert len(targets) >= 17
+    missing = []
+    for owner, attr, call in targets:
+        found = resolve(owner)
+        # patch_method reads the class's own __dict__, not an inherited name
+        if not (attr in vars(found) if inspect.isclass(found) else hasattr(found, attr)):
+            missing.append(f"{owner}.{attr}")
+            continue
+        # a counter points(key, i) reads the positional argument i
+        count = call.args[3] if len(call.args) > 3 else None
+        if isinstance(count, ast.Call) and ast.unparse(count.func) == "points":
+            index = count.args[1].value
+            params = list(inspect.signature(inspect.unwrap(getattr(found, attr))).parameters)
+            if len(params) <= index:
+                missing.append(f"{owner}.{attr} argument {index}")
+    assert not missing, f"names the tracer patches that h1curves lacks: {', '.join(missing)}"
+    # the step counter of frenet.reconstruct reads s_max and step as
+    # arguments 2 and 3, or by those names
+    assert list(inspect.signature(resolve("frenet").reconstruct).parameters)[2:4] == [
+        "s_max", "step"]

@@ -99,6 +99,12 @@ class TestMixedUnits:
         spec = {"type": "analytic", "x": "cos(s)", "y": "sin(s)", "z": "-1e6*s", "range": [0, 3]}
         assert outcome(run(tmp_path, ["classify"], spec)) == (0, "CircularHelix")
 
+    def test_steepest_helix_is_a_helix(self, tmp_path):
+        # tau is about -1e9: the rounding of its integral, not a bad height,
+        # leaves the pitch residual of 5e-5 above tol * S^2 = 9e-6
+        spec = {"type": "analytic", "x": "cos(s)", "y": "sin(s)", "z": "-1e9*s", "range": [0, 3]}
+        assert outcome(run(tmp_path, ["classify"], spec)) == (0, "CircularHelix")
+
     def test_steeper_helix_is_regular(self, tmp_path):
         spec = {"type": "analytic", "x": "cos(s)", "y": "sin(s)", "z": "-1e9*s", "range": [0, 3]}
         result = run(tmp_path, ["analyze"], spec)
