@@ -119,8 +119,9 @@ def bertrand_mate(h: HorizontalCurve, spec: BertrandSpec, step: float = 1e-3) ->
     u3 of the general branch is a cumulative Simpson integral on it
     (error O(step^4)).  The branch is "zero-kappa" when max |kappa| S <=
     RELATIVE_ZERO and "general" when min |kappa| S exceeds it; a kappa that
-    crosses between regimes on the interval is refused, and so is a mate
-    point, or a distance |r_bar - r| of a pair, that is not finite.
+    crosses between regimes on the interval is refused, as is an offset of
+    the other branch (g on "general", tau_bar on "zero-kappa"), and so is a
+    mate point, or a distance |r_bar - r| of a pair, that is not finite.
     ``mate_curve`` builds the mate as a curve.
     """
     grid = step_grid(0.0, h.s_max, step)
@@ -130,11 +131,15 @@ def bertrand_mate(h: HorizontalCurve, spec: BertrandSpec, step: float = 1e-3) ->
     if branch == "zero-kappa":
         if spec.g is None:
             raise ValueError("the kappa == 0 branch needs the vertical offset g")
+        if spec.tau_bar is not None:
+            raise ValueError("the kappa == 0 branch takes g, not the offset tau_bar")
         u1 = np.full_like(grid, spec.c1)
         u2 = np.full_like(grid, spec.c2)
         u3 = _offset(spec.g, "g", grid)
         tau_bar = tau - spec.c2 + _offset(spec.g.derivative(), "g'", grid)
     elif branch == "general":
+        if spec.g is not None:
+            raise ValueError("the kappa != 0 branch takes tau_bar, not the vertical offset g")
         heading = smp.heading()
         # the integral of kappa up to whole turns, which sin and cos ignore:
         # unwrapping cannot count the turns of a step that turns past pi

@@ -1,11 +1,13 @@
 """Command-line interface: curve ingestion, computation, CSV/JSON output.
 
-Curve specs are JSON documents (file path or '-' for stdin):
+Curve and surface specs are JSON documents (file path or '-' for stdin)
+with these keys and no others:
 
     {"type": "analytic", "x": "...", "y": "...", "z": "...", "range": [a, b]}
     {"type": "samples", "data": [[u, x, y, z], ...]}
     {"type": "intrinsic", "kappa": "...", "tau": "...", "range": [0, S],
      "initial": {"point": [x, y, z], "heading": phi}}
+    {"g": "...", "f": "...", "range": [a, b]}
 
 Exit codes: 0 success, 1 negative verdict (e.g. non-membership),
 2 parse/specification errors, 3 horizontal-regularity failure.  One
@@ -13,8 +15,9 @@ boundary, ``_exit_codes`` around the ``main`` group's parsing and
 dispatch, decides them: a click usage error, any other ValueError and
 an OSError exit 2, a RegularityError exits 3, each with one ``error:``
 line on stderr.  Commands raise; they exit themselves only with 1, for a
-negative verdict.  ``--config`` fills click's default map, so explicit
-flags win over config values, which win over the defaults.  ``--output``
+negative verdict.  ``--config`` fills click's default map: flags win
+over config values, which win over the defaults, and a key for an option
+the command does not take is ignored.  ``--output``
 is probed for writing while the options are parsed, before any work, and
 is written only once the command has its whole text, to stdout without
 ``click.echo``.  Every table goes through ``textout``, imported on first
@@ -132,7 +135,7 @@ def _load_config(ctx, param, path):
         if key not in _CONFIG_TYPES:
             raise click.BadParameter(
                 f"unknown config key {key!r}; the keys are {', '.join(_CONFIG_TYPES)}", ctx, param)
-        if not isinstance(value, _CONFIG_TYPES[key]):
+        if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[key]):
             raise click.BadParameter(f"bad config value {key}: {value!r}", ctx, param)
     ctx.default_map = config
     return path
@@ -156,13 +159,27 @@ def _writable(ctx, param, path):
     return path
 
 
+# the keys of each spec document; any other key is refused
+_SPEC_KEYS = {"analytic": ("type", "x", "y", "z", "range"), "samples": ("type", "data"),
+              "intrinsic": ("type", "kappa", "tau", "range", "initial"),
+              "initial": ("point", "heading"), "surface": ("g", "f", "range")}
+
+
+def _known_keys(doc: dict, kind: str):
+    for key in doc:
+        if key not in _SPEC_KEYS[kind]:
+            raise ValueError(f"unknown key {key!r}; the keys are {', '.join(_SPEC_KEYS[kind])}")
+
+
 def _curve_from_spec(spec: dict, step: float) -> HorizontalCurve:
     with _prefixed("bad curve spec", KeyError, TypeError, ValueError):
         kind = spec["type"]
         if kind == "analytic":
+            _known_keys(spec, kind)
             curve = ParamCurve.from_fields(spec["x"], spec["y"], spec["z"], spec["range"])
             return reparam_horizontal(curve, step=step)
         if kind == "samples":
+            _known_keys(spec, kind)
             data = np.asarray(spec["data"], dtype=float)
             if data.ndim != 2 or data.shape[1] != 4:
                 raise ValueError("samples data must be rows of [u, x, y, z]")
@@ -174,6 +191,7 @@ def _curve_from_spec(spec: dict, step: float) -> HorizontalCurve:
 
 def _intrinsic(spec: dict) -> tuple[InvariantPair, InitialPose, float]:
     """The invariants, initial pose and length of an intrinsic spec."""
+    _known_keys(spec, "intrinsic")
     inv = InvariantPair(spec["kappa"], spec["tau"])
     lo, hi = (float(v) for v in spec["range"])
     if lo != 0.0:
@@ -181,6 +199,7 @@ def _intrinsic(spec: dict) -> tuple[InvariantPair, InitialPose, float]:
     initial = spec.get("initial", {})
     if not isinstance(initial, dict):
         raise ValueError("intrinsic initial must be an object")
+    _known_keys(initial, "initial")
     point = H1Point.from_array(initial.get("point", [0.0, 0.0, 0.0]))
     heading = float(initial.get("heading", 0.0))
     return inv, InitialPose(point, heading), hi
@@ -214,27 +233,28 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-_common = [
-    click.option("--step", type=float, default=1e-3, callback=_positive_finite,
-                 help="grid/quadrature step (default 1e-3)"),
-    click.option("--tol", type=float, default=1e-6, callback=_positive_finite,
-                 help="verdict tolerance (default 1e-6)"),
-    click.option(
-        "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-        help="output format (default csv)",
-    ),
-    click.option("--output", type=click.Path(), default=None, callback=_writable,
-                 help="output path (default stdout)"),
-    click.option("--config", type=click.Path(), is_eager=True, expose_value=False,
-                 callback=_load_config,
-                 help="JSON config with keys step, tol, fmt, output; flags win"),
-]
+_OPTIONS = {
+    "step": click.option("--step", type=float, default=1e-3, callback=_positive_finite,
+                         help="grid/quadrature step (default 1e-3)"),
+    "tol": click.option("--tol", type=float, default=1e-6, callback=_positive_finite,
+                        help="verdict tolerance (default 1e-6)"),
+    "fmt": click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
+                        help="output format (default csv)"),
+    "output": click.option("--output", type=click.Path(), default=None, callback=_writable,
+                           help="output path (default stdout)"),
+    "config": click.option("--config", type=click.Path(), is_eager=True, expose_value=False,
+                           callback=_load_config, help="JSON config with keys step, tol, fmt, "
+                           "output; flags win; a key for an option not taken is ignored"),
+}
 
 
-def common_options(fn):
-    for opt in reversed(_common):
-        fn = opt(fn)
-    return fn
+def _options(*names):
+    """Give a command the named ``_OPTIONS``, then ``--output`` and ``--config``."""
+    def decorate(fn):
+        for name in reversed((*names, "output", "config")):
+            fn = _OPTIONS[name](fn)
+        return fn
+    return decorate
 
 
 @click.group(cls=_Group)
@@ -245,8 +265,8 @@ def main():
 
 @main.command()
 @click.argument("curve_json")
-@common_options
-def analyze(curve_json, step, tol, fmt, output):
+@_options("step", "fmt")
+def analyze(curve_json, step, fmt, output):
     """Invariants along a curve: columns s, x, y, z, kappa, tau."""
     h = _curve_from_spec(_read_json(curve_json), step)
     s = step_grid(0.0, h.s_max, step)
@@ -258,8 +278,8 @@ def analyze(curve_json, step, tol, fmt, output):
 
 @main.command("reconstruct")
 @click.argument("curve_json")
-@common_options
-def reconstruct_cmd(curve_json, step, tol, fmt, output):
+@_options("step", "fmt")
+def reconstruct_cmd(curve_json, step, fmt, output):
     """Reconstruct a curve from intrinsic invariants; emits its quadrature
     nodes (s, x, y, z) as samples."""
     spec = _read_json(curve_json)
@@ -282,8 +302,8 @@ def _offset(name: str, text: str | None):
 @click.option("--c2", type=float, default=0.0, help="normal offset constant")
 @click.option("--tau-bar", "tau_bar", default=None, help="mate contact normality (kappa != 0)")
 @click.option("--g", default=None, help="vertical offset expression (kappa == 0)")
-@common_options
-def bertrand(curve_json, c1, c2, tau_bar, g, step, tol, fmt, output):
+@_options("step", "fmt")
+def bertrand(curve_json, c1, c2, tau_bar, g, step, fmt, output):
     """Construct a Bertrand mate; emits paired samples with distances."""
     h = _curve_from_spec(_read_json(curve_json), step)
     spec = BertrandSpec(c1, c2, tau_bar=_offset("tau_bar", tau_bar), g=_offset("g", g))
@@ -295,8 +315,8 @@ def bertrand(curve_json, c1, c2, tau_bar, g, step, tol, fmt, output):
 
 @main.command()
 @click.argument("curve_json")
-@common_options
-def classify(curve_json, step, tol, fmt, output):
+@_options("step", "tol")
+def classify(curve_json, step, tol, output):
     """Position-vector classification; emits a JSON verdict."""
     h = _curve_from_spec(_read_json(curve_json), step)
     with (_prefixed("cannot classify", ValueError),  # AmbiguousClassificationError too
@@ -312,17 +332,17 @@ def surface():
 
 def _surface_from_json(doc: dict) -> SurfaceOfRevolution:
     with _prefixed("bad surface spec", KeyError, TypeError, ValueError):
-        return SurfaceOfRevolution.from_profiles(
-            as_field(doc["g"]), as_field(doc["f"]), doc["range"],
-            g_text=doc["g"], f_text=doc["f"],
-        )
+        g, f = doc["g"], doc["f"]
+        _known_keys(doc, "surface")  # doc["g"] has shown it is an object
+        return SurfaceOfRevolution.from_profiles(as_field(g), as_field(f), doc["range"],
+                                                 g_text=g, f_text=f)
 
 
 @surface.command()
 @click.argument("surface_json")
 @click.argument("curve_json")
-@common_options
-def check(surface_json, curve_json, step, tol, fmt, output):
+@_options("step", "tol")
+def check(surface_json, curve_json, step, tol, output):
     """Membership of a curve in a surface; exit 1 when not a member."""
     sigma = _surface_from_json(_read_json(surface_json))
     h = _curve_from_spec(_read_json(curve_json), step)
@@ -343,8 +363,8 @@ def check(surface_json, curve_json, step, tol, fmt, output):
 @click.option("--c3g", type=float, default=1.0, help="integration constant in g")
 @click.option("--c3f", type=float, default=0.0, help="integration constant in f")
 @click.option("--range", "srange", type=float, nargs=2, required=True)
-@common_options
-def gen_const_kappa(kappa, tau_const, c1, c2, c3g, c3f, srange, step, tol, fmt, output):
+@_options("step", "fmt")
+def gen_const_kappa(kappa, tau_const, c1, c2, c3g, c3f, srange, step, fmt, output):
     """Generate the surface admitting a constant-kappa curve."""
     sigma = generate_surface_constant_kappa(kappa, tau_const, c1, c2, c3g, c3f, srange)
     if fmt == "json":
@@ -363,8 +383,8 @@ def gen_const_kappa(kappa, tau_const, c1, c2, c3g, c3f, srange, step, tol, fmt, 
 @click.option("--g2-const", type=float, default=0.0, help="integration constant of g^2")
 @click.option("--f-const", type=float, default=0.0, help="integration constant of f")
 @click.option("--range", "srange", type=float, nargs=2, required=True)
-@common_options
-def gen_const_tau(kappa, tau_const, constants, g2_const, f_const, srange, step, tol, fmt, output):
+@_options("step", "fmt")
+def gen_const_tau(kappa, tau_const, constants, g2_const, f_const, srange, step, fmt, output):
     """Generate the surface admitting a constant-tau curve."""
     inv = InvariantPair(kappa, float(tau_const))
     sigma = generate_surface_constant_tau(
@@ -378,8 +398,8 @@ def gen_const_tau(kappa, tau_const, constants, g2_const, f_const, srange, step, 
 
 @surface.command()
 @click.option("--lam", "--lambda", "lam", type=float, required=True, help="shape parameter, > 0")
-@common_options
-def pansu(lam, step, tol, fmt, output):
+@_options("step", "tol")
+def pansu(lam, step, tol, output):
     """Pansu sphere: profile, generating geodesic, membership certificate."""
     sphere = pansu_sphere(lam, step=step, tol=tol)
     doc = {

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import click
 from click.testing import CliRunner
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -337,6 +338,23 @@ class TestBertrand:
         result2 = runner.invoke(main, ["bertrand", spec, "--c1", "1", "--g", "s"])
         assert result2.exit_code == 0
 
+    @pytest.mark.parametrize("curve,offsets,message", [
+        (("cos(s)", "sin(s)", "0.5*s"), ["--g", "5*s"],
+         "the kappa != 0 branch takes tau_bar, not the vertical offset g"),
+        (("s", "0", "0"), ["--g", "s", "--tau-bar", "7"],
+         "the kappa == 0 branch takes g, not the offset tau_bar"),
+    ], ids=["general", "zero-kappa"])
+    def test_offset_of_the_other_branch_is_refused(self, runner, tmp_path, curve, offsets,
+                                                   message):
+        # each branch reads one of the two offsets; the other may not be dropped
+        # without a word
+        x, y, z = curve
+        spec = write_json(tmp_path, "c.json", {
+            "type": "analytic", "x": x, "y": y, "z": z, "range": [0, 3]})
+        result = runner.invoke(main, ["bertrand", spec, "--c1", "0.3", *offsets])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {message}\n"
+
 
 class TestClassify:
     def test_helix_verdict(self, runner, tmp_path):
@@ -398,7 +416,9 @@ class TestErrorExits:
         ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"),
     ])
     def test_nonpositive_or_nonfinite_step_and_tol(self, runner, spec, flag, value):
-        self.assert_one_error_line(runner.invoke(main, ["analyze", spec, flag, value]))
+        result = runner.invoke(main, ["classify", spec, flag, value])
+        self.assert_one_error_line(result)
+        assert "must be positive and finite" in result.stderr
 
     def test_bad_step_from_config(self, runner, spec, tmp_path):
         config = write_json(tmp_path, "cfg.json", {"step": "fine"})
@@ -675,6 +695,7 @@ class TestErrorBoundary:
 
     @pytest.mark.parametrize("doc", [
         [0.5], "step", {"step": [0.5]}, {"tol": {"v": 1}}, {"step": None}, {"fmt": None},
+        {"step": True}, {"tol": True},
     ])
     def test_config_that_is_not_an_object_of_values(self, runner, spec, tmp_path, doc):
         config = write_json(tmp_path, "cfg.json", doc)
@@ -707,6 +728,10 @@ class TestErrorBoundary:
     @pytest.mark.parametrize("args", [
         ["analyze", "{spec}", "--step", "abc"],
         ["analyze", "{spec}", "--bogus"],
+        # an option another command takes
+        ["analyze", "{spec}", "--tol", "1e-3"],
+        ["classify", "{spec}", "--format", "csv"],
+        ["surface", "pansu", "--lam", "1", "--format", "json"],
         ["analyze"],
         ["surface", "pansu"],
         ["surface", "pansu", "--lam"],
@@ -730,6 +755,55 @@ class TestErrorBoundary:
         result = runner.invoke(main, ["analyze", "--help"])
         assert result.exit_code == 0
         assert "--config PATH" in result.stdout and result.stderr == ""
+
+    def test_each_command_takes_the_options_it_reads(self):
+        # --tol only where a verdict reads it, --format only where a table is
+        # printed; classify, check and pansu always print JSON
+        table = ["--step", "--format", "--output", "--config"]
+        verdict = ["--step", "--tol", "--output", "--config"]
+        commands = {name: c for name, c in main.commands.items() if name != "surface"}
+        commands.update({f"surface {name}": c
+                         for name, c in main.commands["surface"].commands.items()})
+        options = {name: [p.opts[0] for p in c.params if isinstance(p, click.Option)]
+                   for name, c in commands.items()}
+        assert options == {
+            "analyze": table, "reconstruct": table,
+            "bertrand": ["--c1", "--c2", "--tau-bar", "--g", *table],
+            "classify": verdict, "surface check": verdict, "surface pansu": ["--lam", *verdict],
+            "surface gen-const-kappa": ["--kappa", "--tau", "--c1", "--c2", "--c3g", "--c3f",
+                                        "--range", *table],
+            "surface gen-const-tau": ["--kappa", "--tau", "--constants", "--g2-const",
+                                      "--f-const", "--range", *table],
+        }
+
+    @pytest.mark.parametrize("args,doc,message", [
+        (["analyze", "{doc}"], {"type": "analytic", "x": "s", "y": "s^2", "z": "0",
+                                "range": [0, 1], "kappa": "1"},
+         "bad curve spec: unknown key 'kappa'; the keys are type, x, y, z, range"),
+        (["analyze", "{doc}"], {"type": "samples", "data": [[u, u, u * u, 0] for u in range(5)],
+                                "range": [0, 4]},
+         "bad curve spec: unknown key 'range'; the keys are type, data"),
+        (["analyze", "{doc}"], {"type": "intrinsic", "kappa": "1", "tau": "0", "range": [0, 1],
+                                "intial": {"point": [5, 0, 0], "heading": 1}},
+         "bad curve spec: unknown key 'intial'; the keys are type, kappa, tau, range, initial"),
+        (["reconstruct", "{doc}"], {"type": "intrinsic", "kappa": "1", "tau": "0",
+                                    "range": [0, 1], "intial": {"point": [5, 0, 0], "heading": 1}},
+         "bad curve spec: unknown key 'intial'; the keys are type, kappa, tau, range, initial"),
+        (["reconstruct", "{doc}"], {**INTRINSIC_PANSU, "initial": {"point": [0, 0, 0], "phi": 1}},
+         "bad curve spec: unknown key 'phi'; the keys are point, heading"),
+        (["surface", "check", "{doc}", "{curve}"], {"g": "1", "f": "s", "range": [-1, 1],
+                                                    "rnage": [5, 6]},
+         "bad surface spec: unknown key 'rnage'; the keys are g, f, range"),
+    ], ids=["analytic", "samples", "intrinsic", "reconstruct", "initial", "surface"])
+    def test_spec_key_outside_its_kind(self, runner, tmp_path, args, doc, message):
+        # a misspelled key may not pass for an absent one: the intrinsic spec
+        # above would start at the origin with heading 0
+        paths = {"doc": write_json(tmp_path, "doc.json", doc), "curve": write_json(
+            tmp_path, "c.json", {"type": "analytic", "x": "cos(s)", "y": "sin(s)", "z": "-s",
+                                 "range": [0, 1]})}
+        result = runner.invoke(main, [a.format(**paths) for a in args])
+        self.assert_one_error_line(result)
+        assert result.stderr == f"error: {message}\n"
 
 
 class TestSurface:
@@ -1434,6 +1508,7 @@ _BAD_CONFIGS = [
     {"step": "fine"}, {"step": -1}, {"step": float("nan")}, {"step": None}, {"step": [0.1]},
     {"tol": 0}, {"tol": {"v": 1}}, {"fmt": "xml"}, {"fmt": None}, {"output": "missing"},
     {"output": "dir"}, {"output": 7}, {"output": ["a"]}, {"format": "json"}, [0.5],
+    {"step": True},
 ]
 # common flags: ordinary values, or with one of them at an edge
 _FLAGS = st.builds(
@@ -1468,7 +1543,8 @@ class TestCurveCommandErrorContract:
     starting `error:`, and a success writes nothing there.  Specs are
     analytic, sampled, intrinsic or malformed; flags are ordinary or have
     one edge: a step or tolerance, a format, an unknown option or a bad
-    config file.  Ordinary spec ranges are at most 4 wide and ordinary
+    config file.  An unknown option, or one that only other commands take,
+    exits 2.  Ordinary spec ranges are at most 4 wide and ordinary
     steps at least 1e-2 or the default 1e-3, so range/step ratios stay at
     or under 1e4 before the arc length stretches them; edge values either
     give grids of a few panels or exceed the grid budget."""
@@ -1486,14 +1562,20 @@ class TestCurveCommandErrorContract:
             assert result.stderr == ""
 
     @staticmethod
-    def args(workdir, step, tol, fmt, bogus, config):
+    def args(workdir, command, step, tol, fmt, bogus, config):
+        """The options; --tol goes only to classify and --format only to
+        the others, and a ``bogus`` of "foreign" is whichever of the two the
+        command does not take."""
+        verdict = command == "classify"
         args = []
-        for flag, value in (("--step", step), ("--tol", tol)):
+        for flag, value in (("--step", step), ("--tol", tol if verdict else None)):
             if value is not None:
                 args += [flag, repr(value)]
-        if fmt is not None:
+        if fmt is not None and not verdict:
             args += ["--format", fmt]
-        if bogus:
+        if bogus == "foreign":
+            args += ["--format", "csv"] if verdict else ["--tol", "1e-3"]
+        elif bogus:
             args += ["--bogus"]
         if config is not None:
             paths = {"out": workdir / "out.txt", "missing": workdir / "no" / "x.txt",
@@ -1518,11 +1600,17 @@ class TestCurveCommandErrorContract:
     @example(spec={"type": "analytic", "x": "cos(s)", "y": "sin(s)", "z": "0.2*s",
                    "range": [0, 1]}, offsets={"--c1": 0.3, "--c2": 0.0, "--tau-bar": "(-2)^0.5*s"},
              flags=_plain)
+    # an option another command takes is a usage error
+    @example(spec=INTRINSIC_PANSU, offsets={"--c1": 0.3, "--c2": 0.0},
+             flags={**_plain, "bogus": "foreign"})
     def test_curve_command(self, tmp_path_factory, command, spec, offsets, flags):
         workdir = tmp_path_factory.mktemp(command)
         args = [command, write_json(workdir, "c.json", spec)]
         if command == "bertrand":
             for flag, value in offsets.items():
                 args += [flag, value if isinstance(value, str) else repr(value)]
-        args += self.args(workdir, **flags)
-        self.assert_contract(CliRunner().invoke(main, args))
+        args += self.args(workdir, command, **flags)
+        result = CliRunner().invoke(main, args)
+        self.assert_contract(result)
+        if flags["bogus"]:
+            assert result.exit_code == 2, result.stdout

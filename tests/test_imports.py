@@ -5,7 +5,8 @@ apart from a short labelled allow-list, and every public name of
 ``heisenberg`` has one outside its own module: the package keeps only what
 the pipeline uses.  Every script runs in CI, so a script is a caller that
 is exercised.  Every function and method the benchmark's tracer patches
-exists, with the parameters its counters read by position."""
+exists, with the parameters its counters read by position.  Every
+parameter of a CLI command is read by its body."""
 
 import ast
 import importlib
@@ -129,6 +130,31 @@ def test_every_public_name_has_a_caller():
                    if name in used or name not in {bare for _, bare in public})
     assert not stale, f"allow-listed names to drop from the list: {', '.join(stale)}"
     assert len(CALLER_ALLOW_LIST) <= 8
+
+
+def commands(tree):
+    """Every function of the tree decorated by ``main.command`` or
+    ``surface.command``, called or bare."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and any(
+                ast.unparse(d.func if isinstance(d, ast.Call) else d)
+                in ("main.command", "surface.command") for d in node.decorator_list):
+            yield node
+
+
+def test_every_command_parameter_is_read():
+    # click fills each parameter from an option or an argument; one the
+    # body never reads is a user setting dropped without a word
+    tree = ast.parse((ROOT / "src" / "h1curves" / "cli.py").read_text(encoding="utf-8"))
+    found = list(commands(tree))
+    assert len(found) == 8
+    unread = []
+    for function in found:
+        loaded = {node.id for statement in function.body for node in ast.walk(statement)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{function.name} {arg.arg}" for arg in function.args.args
+                   if arg.arg not in loaded]
+    assert not unread, f"command parameters never read: {', '.join(unread)}"
 
 
 def run_steps(workflow: str) -> list[str]:
