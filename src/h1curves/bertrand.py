@@ -24,41 +24,34 @@ shares the parameter (ds_bar/ds = 1), keeps kappa, and sits at constant
 contact-plane distance sqrt(c1^2 + c2^2) from the base curve; the full
 Euclidean distance is sqrt(c1^2 + c2^2 + u3^2) pointwise.
 
-The frame fields of two curves are compared through the left-invariant
-frame (basis components), the identification under which the shared-normal
-condition is stated.  The mixed pairings t_bar = g n and n_bar = g b are
-impossible; ``tangent_normal_residual`` and ``binormal_normal_residual``
-quantify how far any candidate pair stays from satisfying them.
+``mate_residuals`` measures these facts on the arrays the mate was built
+as, with derivatives by ``numerics.fd4_first`` on its grid: the unit
+contact speed, the carried tau_bar, the shared tangent and the
+contact-plane distance.  Tangents are compared in basis components (the
+left-invariant frame), the identification under which the shared-normal
+condition is stated; n = J t, so a shared tangent is a shared normal.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .curves import RELATIVE_ZERO, HorizontalCurve, ParamCurve, kappa_branch
+from .curves import RELATIVE_ZERO, HorizontalCurve, kappa_branch
 from .expressions import EvalDomainError
 from .fields import as_field
-from .numerics import cumulative_simpson, require_finite, step_grid
+from .numerics import cumulative_simpson, fd4_first, require_finite, step_grid
 
 __all__ = [
     "BertrandSpec",
     "BertrandMate",
     "BranchError",
-    "FrameRelation",
-    "MateDistance",
+    "MateResiduals",
     "bertrand_mate",
-    "mate_curve",
-    "mate_distance",
-    "check_frame_relation",
-    "tangent_normal_residual",
-    "binormal_normal_residual",
+    "mate_residuals",
 ]
-
-_FRAME_SAMPLES = 200
 
 
 class BranchError(ValueError):
@@ -87,7 +80,7 @@ class BertrandSpec:
 class BertrandMate:
     """A constructed mate with its build data: the grid it was built on, the
     base and mate points there, their distances and the frame offsets.
-    ``mate_curve`` builds the mate as a curve."""
+    ``mate_residuals`` measures it."""
 
     spec: BertrandSpec
     branch: str  # "zero-kappa" | "general"
@@ -122,7 +115,6 @@ def bertrand_mate(h: HorizontalCurve, spec: BertrandSpec, step: float = 1e-3) ->
     crosses between regimes on the interval is refused, as is an offset of
     the other branch (g on "general", tau_bar on "zero-kappa"), and so is a
     mate point, or a distance |r_bar - r| of a pair, that is not finite.
-    ``mate_curve`` builds the mate as a curve.
     """
     grid = step_grid(0.0, h.s_max, step)
     smp = h.sample(grid)
@@ -168,86 +160,33 @@ def bertrand_mate(h: HorizontalCurve, spec: BertrandSpec, step: float = 1e-3) ->
     return BertrandMate(spec, branch, grid, smp.points, mate_pts, dist, u1, u2, u3, tau_bar)
 
 
-def mate_curve(mate: BertrandMate) -> HorizontalCurve:
-    """The mate as a curve: its points on the mate's grid, resampled, with
-    the shared parameter s as its horizontal arc length."""
-    return HorizontalCurve.arc_length(ParamCurve.from_samples(mate.grid, *mate.points.T))
+@dataclass(frozen=True)
+class MateResiduals:
+    """The largest deviation of each fact a mate was built to carry, on its
+    grid."""
+
+    speed: float  # | |(x_bar', y_bar')| - 1 |: s is the mate's horizontal arc length
+    tau_bar: float  # |x_bar y_bar' - x_bar' y_bar + z_bar' - tau_bar|
+    align: float  # |t_bar - t| in basis components: the shared tangent and normal
+    distance: float  # |planar |r_bar - r| - sqrt(c1^2 + c2^2)|
 
 
-@dataclass
-class MateDistance:
-    """Separation of a mate from its base curve.
-
-    The invariant constant is the contact-plane offset sqrt(c1^2 + c2^2),
-    which equals the Euclidean distance of the xy-projections; the vertical
-    frame offset u3 (flagged separately) makes the full R^3 distance
-    non-constant in general."""
-
-    contact_mean: float
-    contact_deviation: float  # max |planar distance - sqrt(c1^2 + c2^2)|
-    euclidean_mean: float
-    euclidean_max: float
-    b_offset_min: float
-    b_offset_max: float
-
-
-def mate_distance(mate: BertrandMate) -> MateDistance:
-    """Pointwise distances between the base and mate points on the mate's
-    grid, compared to the expected constant sqrt(c1^2 + c2^2)."""
+def mate_residuals(mate: BertrandMate) -> MateResiduals:
+    """The ``MateResiduals`` of a mate, from its grid, base and mate points,
+    tau_bar and spec alone; d/ds by ``numerics.fd4_first`` on the grid, error
+    O(step^4).  tau_bar is read where the stencil is centred: the one-sided
+    edge stencils turn the alternating O(step^4) error of u3's cumulative
+    Simpson nodes into O(step^3)."""
+    step = mate.grid[1] - mate.grid[0]
+    xp, yp = (fd4_first(column, step) for column in mate.base[:, :2].T)
+    xbp, ybp, zbp = (fd4_first(column, step) for column in mate.points.T)
+    xb, yb = mate.points[:, 0], mate.points[:, 1]
     delta = mate.points - mate.base
-    planar = np.hypot(delta[:, 0], delta[:, 1])
-    b_off = delta[:, 2]  # vertical component of the componentwise offset
-    expected = float(np.hypot(mate.spec.c1, mate.spec.c2))
-    return MateDistance(
-        contact_mean=float(np.mean(planar)),
-        contact_deviation=float(np.max(np.abs(planar - expected))),
-        euclidean_mean=float(np.mean(mate.dist)),
-        euclidean_max=float(np.max(mate.dist)),
-        b_offset_min=float(np.min(b_off)),
-        b_offset_max=float(np.max(b_off)),
+    tau_bar = (xb * ybp - xbp * yb + zbp)[2:-2]
+    return MateResiduals(
+        speed=float(np.max(np.abs(np.hypot(xbp, ybp) - 1.0))),
+        tau_bar=float(np.max(np.abs(tau_bar - mate.tau_bar[2:-2]))),
+        align=float(np.max(np.hypot(xbp - xp, ybp - yp))),
+        distance=float(np.max(np.abs(np.hypot(delta[:, 0], delta[:, 1])
+                                     - np.hypot(mate.spec.c1, mate.spec.c2)))),
     )
-
-
-class FrameRelation(enum.Enum):
-    NORMAL_ALIGNED = "NormalAligned"
-    NONE = "None"
-
-
-def _contact_headings(a: HorizontalCurve, b: HorizontalCurve):
-    """The basis components (x', y') of both unit tangents on a common grid."""
-    grid = np.linspace(0.0, min(a.s_max, b.s_max), _FRAME_SAMPLES)
-    return a.sample(grid).velocity[:, :2], b.sample(grid).velocity[:, :2]
-
-
-def check_frame_relation(
-    a: HorizontalCurve, b: HorizontalCurve, tol: float = 1e-6
-) -> FrameRelation:
-    """NormalAligned iff the normal fields agree pointwise in basis
-    components (equivalently the tangents agree, via n = J t)."""
-    ta, tb = _contact_headings(a, b)
-    if float(np.max(np.linalg.norm(tb - ta, axis=1))) < tol:
-        return FrameRelation.NORMAL_ALIGNED
-    return FrameRelation.NONE
-
-
-def tangent_normal_residual(a: HorizontalCurve, b: HorizontalCurve) -> float:
-    """How badly the pairing t_b = g(s) n_a fails for the best pointwise g.
-
-    Differentiating the pairing forces the vertical frame row g = 0 while
-    unit tangents force |g| = 1, so the residual (the larger of the fit
-    defect |t_b - g n_a| and the forced |g|) is bounded below by 1/sqrt(2)
-    for every curve pair."""
-    ta, tb = _contact_headings(a, b)
-    na = np.stack([-ta[:, 1], ta[:, 0]], axis=1)
-    g = np.sum(tb * na, axis=1)
-    fit = np.linalg.norm(tb - g[:, None] * na, axis=1)
-    return float(np.max(np.maximum(fit, np.abs(g))))
-
-
-def binormal_normal_residual(a: HorizontalCurve, b: HorizontalCurve) -> float:
-    """How badly the pairing n_b = g(s) b_a fails: n_b is a unit contact
-    vector while b_a is vertical, so the defect is identically 1."""
-    ta, tb = _contact_headings(a, b)
-    nb = np.stack([-tb[:, 1], tb[:, 0]], axis=1)
-    # b has no contact part: the best contact-plane approximation of g*b is 0
-    return float(np.max(np.linalg.norm(nb, axis=1)))

@@ -45,12 +45,12 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import (FD_STEP, HorizontalCurve, InvariantPair, ParamCurve, immobility_residuals,
+from .curves import (HorizontalCurve, InvariantPair, ParamCurve, immobility_residuals,
                      kappa_branch)
 from .expressions import EvalDomainError, Num, S
 from .fields import antiderivative, as_field
-from .numerics import (lowest_local_minima, minimize_brackets, require_finite, step_grid,
-                       uniform_grid)
+from .numerics import (fd4_first, lowest_local_minima, minimize_brackets, require_finite,
+                       step_grid, uniform_grid)
 
 __all__ = [
     "CesaroConstants",
@@ -150,19 +150,15 @@ def cesaro_closed_form(
     return CesaroSolution(inv, constants, (lo, hi), branch, u1, u2, u3, theta, grid)
 
 
-def cesaro_system_residual(sol: CesaroSolution, grid) -> tuple[float, float, float]:
-    """``curves.immobility_residuals`` of the solution, derivatives by
-    central differences with step ``curves.FD_STEP`` (independent of the
-    closed forms)."""
-    grid = np.asarray(grid, dtype=float)
-    lo, hi = sol.interval
-    if np.any(grid - FD_STEP < lo) or np.any(grid + FD_STEP > hi):
-        raise ValueError(f"grid must lie at least {FD_STEP:g} inside the interval")
-    u = [np.asarray(f(grid)) for f in (sol.u1, sol.u2)]
-    du = [(np.asarray(f(grid + FD_STEP)) - np.asarray(f(grid - FD_STEP))) / (2 * FD_STEP)
-          for f in (sol.u1, sol.u2, sol.u3)]
-    return immobility_residuals(u, du, np.asarray(sol.inv.kappa(grid)),
-                                np.asarray(sol.inv.tau(grid)))
+def cesaro_system_residual(sol: CesaroSolution) -> tuple[float, float, float]:
+    """``curves.immobility_residuals`` of the solution on ``sol.grid``, the
+    grid of its antiderivatives, derivatives by ``numerics.fd4_first`` there
+    (independent of the closed forms; error O(step^4))."""
+    grid = sol.grid
+    step = grid[1] - grid[0]
+    u = [np.broadcast_to(f(grid), grid.shape) for f in (sol.u1, sol.u2, sol.u3)]
+    du = [fd4_first(values, step) for values in u]
+    return immobility_residuals(u, du, sol.inv.kappa(grid), sol.inv.tau(grid))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from contextlib import contextmanager
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from .bertrand import BertrandSpec, bertrand_mate
 from .cesaro import (
@@ -365,7 +366,14 @@ def check(surface_json, curve_json, step, tol, output):
 @click.option("--range", "srange", type=float, nargs=2, required=True)
 @_options("step", "fmt")
 def gen_const_kappa(kappa, tau_const, c1, c2, c3g, c3f, srange, step, fmt, output):
-    """Generate the surface admitting a constant-kappa curve."""
+    """Generate the surface admitting a constant-kappa curve: its profiles
+    sampled at --step (csv), or their closed-form texts (json), which no
+    step samples, so --step with json is refused; a config file's step,
+    which serves every command, is ignored there."""
+    if fmt == "json" and (click.get_current_context().get_parameter_source("step")
+                          is ParameterSource.COMMANDLINE):
+        raise click.UsageError("--step samples the csv table; the json output is the "
+                               "closed-form profile texts, which have no step")
     sigma = generate_surface_constant_kappa(kappa, tau_const, c1, c2, c3g, c3f, srange)
     if fmt == "json":
         text = _json_text(sigma.to_json())

@@ -41,11 +41,10 @@ import numpy as np
 
 from .fields import CubicHermite, SampledField, as_field
 from .heisenberg import PshTransform
-from .numerics import cumulative_simpson, panel_count, require_finite, uniform_grid
+from .numerics import cumulative_simpson, fd4_first, panel_count, require_finite, uniform_grid
 
 __all__ = [
     "RELATIVE_ZERO",
-    "FD_STEP",
     "RegularityError",
     "ParamCurve",
     "HorizontalCurve",
@@ -68,10 +67,6 @@ RELATIVE_ZERO = 1e-8
 # below _NEWTON_TOL * S, or after _NEWTON_MAX_ITER steps.
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 8
-
-# The central-difference step of the immobility residual checks
-# (``verify_cesaro`` and ``cesaro.cesaro_system_residual``).
-FD_STEP = 1e-5
 
 
 class RegularityError(ValueError):
@@ -344,21 +339,19 @@ def immobility_residuals(u, du, kappa, tau) -> tuple[float, float, float]:
         du[0] - (kappa * u[1] - 1.0), du[1] + kappa * u[0], du[2] - (u[1] - tau)))
 
 
-def verify_cesaro(h: HorizontalCurve, grid) -> float:
+def verify_cesaro(grid, smp: CurveSample) -> float:
     """The largest ``immobility_residuals`` for u_i = -(position
-    coefficients), derivatives by central differences with step FD_STEP.
-    The system holds identically for every horizontally regular curve, so
-    the residual measures only numerical error.
+    coefficients) of ``smp``, a sample on the uniform ``grid`` (the table
+    ``analyze`` prints), derivatives by ``numerics.fd4_first`` on that grid
+    (error O(step^4); fewer than 6 nodes raise its ValueError).  The system
+    holds identically for every horizontally regular curve, so the residual
+    measures only numerical error.
     """
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if np.any(grid - FD_STEP < 0.0) or np.any(grid + FD_STEP > h.s_max):
-        raise ValueError(f"grid must lie at least {FD_STEP:g} inside [0, S]")
-    m = grid.size
-    smp = h.sample(np.concatenate([grid - FD_STEP, grid, grid + FD_STEP]))
-    # (u1, u2, u3) at s - FD_STEP, s and s + FD_STEP
-    um, u0, up = (-np.stack(smp.coefficients())).reshape(3, 3, m).swapaxes(0, 1)
-    du = (up - um) / (2.0 * FD_STEP)
-    return max(immobility_residuals(u0, du, smp.kappa[m:2 * m], smp.tau[m:2 * m]))
+    grid = np.asarray(grid, dtype=float)
+    step = np.ptp(grid) / max(grid.size - 1, 1)  # a lone node reaches fd4_first's refusal
+    u = -np.stack(smp.coefficients())
+    du = [fd4_first(column, step) for column in u]
+    return max(immobility_residuals(u, du, smp.kappa, smp.tau))
 
 
 # ---------------------------------------------------------------------------

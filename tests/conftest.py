@@ -16,6 +16,22 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def sampled_fields(monkeypatch):
+    """The SampledFields built while the test runs."""
+    from h1curves.fields import SampledField
+
+    built = []
+    original = SampledField.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SampledField, "__init__", counting)
+    return built
+
+
 def random_invariant_exprs(rng, kappa_nonzero=False):
     """Random smooth kappa/tau expression pair, tame amplitudes and
     frequencies so curves stay well-resolved at step 1e-3."""
@@ -65,6 +81,18 @@ def frame(smp):
     n = np.stack([-yp, xp, -y * yp - x * xp], axis=-1)
     b = np.broadcast_to(np.array([0.0, 0.0, 1.0]), t.shape)
     return t, n, b
+
+
+def mate_sample(mate):
+    """A ``BertrandMate``'s points on its grid as a ``CurveSample``: the unit
+    velocity by ``numerics.fd4_first``, kappa unknown (None), tau the
+    tau_bar the mate was built to carry."""
+    from h1curves.curves import CurveSample
+    from h1curves.numerics import fd4_first
+
+    step = mate.grid[1] - mate.grid[0]
+    velocity = np.stack([fd4_first(c, step) for c in mate.points.T], axis=1)
+    return CurveSample(mate.grid, mate.points, velocity, None, mate.tau_bar)
 
 
 def random_psh_transform(rng):

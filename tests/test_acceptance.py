@@ -16,14 +16,7 @@ from h1curves import (
     reparam_horizontal,
     verify_cesaro,
 )
-from h1curves.bertrand import (
-    BertrandSpec,
-    bertrand_mate,
-    binormal_normal_residual,
-    mate_curve,
-    mate_distance,
-    tangent_normal_residual,
-)
+from h1curves.bertrand import BertrandSpec, bertrand_mate, mate_residuals
 from h1curves.cesaro import (
     CesaroConstants,
     cesaro_closed_form,
@@ -34,8 +27,9 @@ from h1curves.cesaro import (
 )
 from h1curves.classify import ClassTag, classify_position, make_canonical
 from h1curves.expressions import ScalarFn
+from h1curves.numerics import fd4_first, step_grid
 
-from conftest import random_invariant_exprs, random_psh_transform
+from conftest import frame, mate_sample, random_invariant_exprs, random_psh_transform
 
 SEED = 987123
 
@@ -132,8 +126,8 @@ def test_criterion_05_cesaro_identity():
         h = reconstruct_curve(
             InvariantPair(kt, tt), InitialPose.origin(), 5.0, 1e-3
         )
-        grid = np.linspace(0.05, h.s_max - 0.05, 60)
-        worst = max(worst, verify_cesaro(h, grid))
+        grid = step_grid(0.0, h.s_max, 1e-3)  # the table analyze prints
+        worst = max(worst, verify_cesaro(grid, h.sample(grid)))
     report(5, "cesaro-identity", worst < 1e-6, f"max residual={worst:.2e}")
 
 
@@ -214,7 +208,7 @@ def test_criterion_08_sphere_impossibility():
 def test_criterion_09_bertrand_suite():
     rng = np.random.default_rng(SEED + 4)
     worst_align = worst_ds = worst_kappa = worst_dist = 0.0
-    curves = []
+    samples = []
     for _ in range(20):
         kt, tt = random_invariant_exprs(rng, kappa_nonzero=True)
         base = reconstruct_curve(
@@ -223,26 +217,29 @@ def test_criterion_09_bertrand_suite():
         c1, c2 = rng.uniform(-2, 2, size=2)
         spec = BertrandSpec(c1, c2, tau_bar=f"{rng.uniform(-0.5, 0.5):.6f}*cos(s)")
         mate = bertrand_mate(base, spec)
-        curve = mate_curve(mate)
-        grid = np.linspace(0.0, 4.0, 150)
-        va, vb = base.sample(grid).velocity, curve.sample(grid).velocity
-        worst_align = max(worst_align, float(np.max(
-            np.linalg.norm(vb[:, :2] - va[:, :2], axis=1)
-        )))
-        worst_ds = max(worst_ds, abs(curve.s_max - base.s_max) / base.s_max)
-        inner = np.linspace(0.05, 3.95, 80)
-        km, kb = curve.sample(inner).kappa, base.sample(inner).kappa
-        worst_kappa = max(worst_kappa, float(np.max(np.abs(km - kb))))
-        d = mate_distance(mate)
-        worst_dist = max(worst_dist, d.contact_deviation)
-        curves.extend([base, curve])
+        r = mate_residuals(mate)
+        worst_align = max(worst_align, r.align)
+        worst_ds = max(worst_ds, r.speed)
+        worst_dist = max(worst_dist, r.distance)
+        # the mate's kappa: the fd4 derivative of the heading of its points
+        mate_smp, base_smp = mate_sample(mate), base.sample(mate.grid)
+        kappa_bar = fd4_first(mate_smp.heading(), mate.grid[1] - mate.grid[0])
+        worst_kappa = max(worst_kappa, float(np.max(np.abs(kappa_bar - base_smp.kappa))))
+        samples.extend([base_smp, mate_smp])
 
+    # the pairings t_b = g n_a and n_b = g b_a are impossible: in basis
+    # components the best pointwise g leaves max(|t_b - g n_a|, |g|) >=
+    # 1/sqrt(2), and n_b, a unit contact vector, has no part along b_a
+    frames = [[f[..., :2] for f in frame(smp)[:2]] for smp in samples]
     min_tn = min_bn = np.inf
-    n_curves = len(curves)
+    n_curves = len(samples)
     for _ in range(1000):
         i, j = rng.integers(0, n_curves, size=2)
-        min_tn = min(min_tn, tangent_normal_residual(curves[i], curves[j]))
-        min_bn = min(min_bn, binormal_normal_residual(curves[i], curves[j]))
+        (_, na), (tb, nb) = frames[i], frames[j]
+        g = np.sum(tb * na, axis=-1)
+        fit = np.linalg.norm(tb - g[:, None] * na, axis=-1)
+        min_tn = min(min_tn, float(np.max(np.maximum(fit, np.abs(g)))))
+        min_bn = min(min_bn, float(np.max(np.linalg.norm(nb, axis=-1))))
     ok = (worst_align < 1e-8 and worst_ds < 1e-8 and worst_kappa < 1e-7
           and worst_dist < 1e-8 and min_tn > 0.1 and min_bn > 0.1)
     report(9, "bertrand-suite", ok,

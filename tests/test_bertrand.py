@@ -1,3 +1,8 @@
+import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,25 +10,19 @@ from h1curves import (
     InitialPose,
     InvariantPair,
     ParamCurve,
-    PshTransform,
-    H1Point,
-    psh_transform_curve,
     reconstruct_curve,
     reparam_horizontal,
 )
 from h1curves.bertrand import (
     BertrandSpec,
     BranchError,
-    FrameRelation,
     bertrand_mate,
-    binormal_normal_residual,
-    check_frame_relation,
-    mate_curve,
-    mate_distance,
-    tangent_normal_residual,
+    mate_residuals,
 )
+from h1curves.expressions import ScalarFn
+from h1curves.numerics import cumulative_simpson, fd4_first
 
-from conftest import contact_speed_deviation, random_invariant_exprs
+from conftest import mate_sample, random_invariant_exprs
 
 
 def line(s_max=3.0):
@@ -34,24 +33,29 @@ def unit_circle_curve(s_max=4.0):
     return reconstruct_curve(InvariantPair(1, 0), InitialPose.origin(), s_max)
 
 
+def mate_kappa(m):
+    """The mate's kappa, the fd4 derivative of its heading."""
+    return fd4_first(mate_sample(m).heading(), m.grid[1] - m.grid[0])
+
+
 class TestMateConstruction:
     def test_mate_shares_the_arc_length_parameter(self):
         base = reconstruct_curve(
             InvariantPair("1 + 0.3*sin(s)", "0.4"), InitialPose.origin(), 4.0
         )
-        mate = mate_curve(bertrand_mate(base, BertrandSpec(0.7, -0.4)))
-        assert mate.s_max == base.s_max
-        assert contact_speed_deviation(mate) <= 1e-12
+        m = bertrand_mate(base, BertrandSpec(0.7, -0.4))
+        assert m.grid[-1] == base.s_max
         # the mate's own arc length agrees with the shared parameter
-        measured = reparam_horizontal(mate.param, step=1e-3).s_max
+        speed = np.hypot(*mate_sample(m).velocity[:, :2].T)
+        measured = cumulative_simpson(speed, dx=m.grid[1] - m.grid[0])[-1]
         assert abs(measured - base.s_max) < 1e-9
 
     def test_line_vertical_lift(self):
         m = bertrand_mate(line(), BertrandSpec(0.0, 0.0, g="1"))
         assert m.branch == "zero-kappa"
-        s = np.linspace(0, 3, 13)
+        s = m.grid
         expected = np.stack([s, 0 * s, 0 * s + 1], axis=1)
-        assert np.max(np.abs(mate_curve(m).point(s) - expected)) < 1e-9
+        assert np.max(np.abs(m.points - expected)) < 1e-9
         assert np.max(np.abs(m.tau_bar)) < 1e-12
 
     def test_zero_branch_tau_bar_formula(self):
@@ -60,9 +64,8 @@ class TestMateConstruction:
         grid = m.grid
         expected = 0.0 - 1.0 + 1.0 * grid
         assert np.max(np.abs(m.tau_bar - expected)) < 1e-9
-        inner = np.linspace(0.2, 2.8, 25)
-        tb = mate_curve(m).sample(inner).tau
-        assert np.max(np.abs(tb - (inner - 1.0))) < 1e-7
+        # the mate points measurably carry it
+        assert mate_residuals(m).tau_bar < 1e-7
 
     def test_zero_branch_requires_g(self):
         with pytest.raises(ValueError, match="vertical offset"):
@@ -79,8 +82,7 @@ class TestMateConstruction:
     def test_self_mate(self):
         base = unit_circle_curve()
         m = bertrand_mate(base, BertrandSpec(0.0, 0.0))
-        s = np.linspace(0, base.s_max, 33)
-        assert np.max(np.linalg.norm(mate_curve(m).point(s) - base.point(s), axis=1)) < 1e-9
+        assert np.max(np.linalg.norm(m.points - base.point(m.grid), axis=1)) < 1e-9
 
     def test_branch_mixing_refused(self):
         h = reconstruct_curve(
@@ -97,51 +99,43 @@ class TestMateConstruction:
             )
             c1, c2 = rng.uniform(-2, 2, size=2)
             tb_text = f"{rng.uniform(-0.5, 0.5):.6f}*cos(s)"
-            mate = mate_curve(bertrand_mate(base, BertrandSpec(c1, c2, tau_bar=tb_text)))
-            # shared normal field, shared parameter, shared kappa
-            assert check_frame_relation(base, mate, 1e-8) is FrameRelation.NORMAL_ALIGNED
-            assert mate.s_max == pytest.approx(base.s_max, abs=1e-8)
-            inner = np.linspace(0.1, base.s_max - 0.1, 40)
-            sm = mate.sample(inner)
-            km, tm = sm.kappa, sm.tau
-            kb = base.sample(inner).kappa
-            assert np.max(np.abs(km - kb)) < 1e-7
-            from h1curves.expressions import ScalarFn
-
-            assert np.max(np.abs(tm - ScalarFn.parse(tb_text)(inner))) < 1e-7
+            m = bertrand_mate(base, BertrandSpec(c1, c2, tau_bar=tb_text))
+            # shared normal field, shared parameter, shared kappa, the tau_bar asked for
+            r = mate_residuals(m)
+            assert r.align < 1e-8
+            assert r.speed < 1e-8
+            assert np.max(np.abs(mate_kappa(m) - base.sample(m.grid).kappa)) < 1e-7
+            assert np.array_equal(m.tau_bar, ScalarFn.parse(tb_text)(m.grid))
+            assert r.tau_bar < 1e-7
 
 
 class TestMateDistance:
     def test_three_four_five(self):
         base = unit_circle_curve()
         m = bertrand_mate(base, BertrandSpec(3.0, 4.0))
-        d = mate_distance(m)
-        assert d.contact_mean == pytest.approx(5.0, abs=1e-8)
-        assert d.contact_deviation < 1e-8
+        planar = np.hypot(*(m.points - m.base)[:, :2].T)
+        assert np.mean(planar) == pytest.approx(5.0, abs=1e-8)
+        assert mate_residuals(m).distance < 1e-8
 
     def test_zero_offsets(self):
         base = unit_circle_curve()
-        d = mate_distance(bertrand_mate(base, BertrandSpec(0.0, 0.0)))
-        assert d.contact_mean < 1e-9
-        assert d.euclidean_max < 1e-9
+        m = bertrand_mate(base, BertrandSpec(0.0, 0.0))
+        assert np.max(m.dist) < 1e-9
 
     def test_zero_branch_vertical_offset_flagged(self):
         m = bertrand_mate(line(), BertrandSpec(1.0, 2.0, g="sin(s)"))
-        d = mate_distance(m)
         # contact offset stays sqrt(1 + 4); the b-offset varies with g
-        assert d.contact_deviation < 1e-8
-        assert d.b_offset_max == pytest.approx(np.sin(np.pi / 2), abs=1e-6)
-        assert d.b_offset_min == pytest.approx(0.0, abs=1e-6)
+        assert mate_residuals(m).distance < 1e-8
+        b_offset = (m.points - m.base)[:, 2]
+        assert np.max(b_offset) == pytest.approx(np.sin(np.pi / 2), abs=1e-6)
+        assert np.min(b_offset) == pytest.approx(0.0, abs=1e-6)
         # full Euclidean distance is sqrt(c1^2 + c2^2 + g^2), not constant
-        assert d.euclidean_max == pytest.approx(np.sqrt(6.0), abs=1e-6)
-        assert d.euclidean_max - d.euclidean_mean > 0.01
-
+        assert np.max(m.dist) == pytest.approx(np.sqrt(6.0), abs=1e-6)
+        assert np.max(m.dist) - np.mean(m.dist) > 0.01
 
     def test_mate_carries_its_distance(self):
         m = bertrand_mate(unit_circle_curve(), BertrandSpec(0.3, -0.5, tau_bar="0.2 + s"))
         assert np.array_equal(m.dist, np.linalg.norm(m.points - m.base, axis=1))
-        d = mate_distance(m)
-        assert d.euclidean_max == np.max(m.dist) and d.euclidean_mean == np.mean(m.dist)
 
     @pytest.mark.parametrize("c1,c2", [(0.0, 1e300), (-1e155, 0.0)])
     def test_overflowing_distance_is_refused_at_its_s(self, c1, c2):
@@ -150,21 +144,42 @@ class TestMateDistance:
             bertrand_mate(unit_circle_curve(), BertrandSpec(c1, c2))
 
 
+# every figure of ``mate_residuals`` of the wavy mate stays below this
+CLEAN_BOUND = 1e-7
+
+
+@pytest.fixture
+def wavy_base():
+    return reconstruct_curve(InvariantPair("1 + 0.4*sin(s)", "0.2*cos(s)"),
+                             InitialPose.origin(), 5.0)
+
+
+@pytest.fixture
+def wavy_mate(wavy_base):
+    m = bertrand_mate(wavy_base, BertrandSpec(0.7, -0.4, tau_bar="0.3*cos(s)"))
+    r = mate_residuals(m)
+    assert max(r.speed, r.tau_bar, r.align, r.distance) < CLEAN_BOUND
+    return m
+
+
 class TestFrameRelation:
     def test_mate_is_normal_aligned(self):
         base = unit_circle_curve()
         m = bertrand_mate(base, BertrandSpec(0.7, -0.4))
-        assert check_frame_relation(base, mate_curve(m), 1e-8) is FrameRelation.NORMAL_ALIGNED
+        assert mate_residuals(m).align < 1e-8
 
     def test_identity_is_normal_aligned(self):
-        base = unit_circle_curve()
-        assert check_frame_relation(base, base, 1e-10) is FrameRelation.NORMAL_ALIGNED
+        m = bertrand_mate(unit_circle_curve(), BertrandSpec(0.0, 0.0))
+        assert np.array_equal(m.points, m.base)
+        assert mate_residuals(m).align == 0.0
 
-    def test_rotated_copy_is_not(self):
-        base = unit_circle_curve()
-        g = PshTransform(np.pi / 3, H1Point.origin())
-        rotated = reparam_horizontal(psh_transform_curve(g, base.param))
-        assert check_frame_relation(base, rotated, 1e-6) is FrameRelation.NONE
+    def test_rotated_copy_is_not(self, wavy_mate):
+        # mate points rotated by pi/3 about the z-axis: every tangent turns
+        # by pi/3, so |t_bar - t| = 2 sin(pi/6) = 1
+        c, s = np.cos(np.pi / 3), np.sin(np.pi / 3)
+        points = wavy_mate.points @ np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+        r = mate_residuals(dataclasses.replace(wavy_mate, points=points))
+        assert r.align == pytest.approx(1.0, abs=1e-9)
 
 
 class TestMateGrid:
@@ -180,7 +195,7 @@ class TestMateGrid:
         m = bertrand_mate(ellipse, BertrandSpec(0.3, -0.5), step=0.1)
         assert np.array_equal(m.base, ellipse.sample(m.grid).points)
         assert np.array_equal(m.points[:, 2], m.base[:, 2] + m.u3)
-        assert mate_curve(m).s_max == ellipse.s_max
+        assert m.grid[-1] == ellipse.s_max
 
     def test_z_bar_converges_at_fourth_order(self, ellipse):
         # u3 is a cumulative Simpson integral on the grid: halving the step
@@ -194,32 +209,60 @@ class TestMateGrid:
             errors.append(np.max(np.abs(m.points[:, 2] - ref.points[::4096 // n, 2])))
         assert min(a / b for a, b in zip(errors, errors[1:])) >= 12.0
 
+    def test_tau_bar_residual_converges_at_fourth_order(self, ellipse):
+        # z_bar' and the contact terms are fourth-order differences of the
+        # grid arrays: halving the step divides the residual by about 16
+        spec = BertrandSpec(0.3, -0.5)
+        errors = [mate_residuals(bertrand_mate(ellipse, spec, step=ellipse.s_max / n)).tau_bar
+                  for n in (256, 512, 1024, 2048)]
+        assert min(a / b for a, b in zip(errors, errors[1:])) >= 12.0
+
+    def test_grid_of_five_nodes_is_refused_by_fd4(self, ellipse):
+        # step_grid's fewest nodes are one short of the fd4 stencil
+        m = bertrand_mate(ellipse, BertrandSpec(0.3, -0.5), step=ellipse.s_max / 4)
+        assert m.grid.size == 5
+        with pytest.raises(ValueError, match="at least 6 samples"):
+            mate_residuals(m)
+
+
+class TestMateResidualsFail:
+    """Each figure of ``mate_residuals`` rises above the bound a clean mate
+    meets when the fact it measures is broken in the arrays."""
+
+    def test_negated_z_bar(self, wavy_mate):
+        points = wavy_mate.points * [1.0, 1.0, -1.0]
+        r = mate_residuals(dataclasses.replace(wavy_mate, points=points))
+        assert r.tau_bar > CLEAN_BOUND
+
+    def test_c2_sign_flipped_in_the_planar_offset(self, wavy_base, wavy_mate):
+        # the tangent offset u1 = c1 sin(theta) + c2 cos(theta) rebuilt with
+        # -c2: the planar distance leaves sqrt(c1^2 + c2^2)
+        smp = wavy_base.sample(wavy_mate.grid)
+        heading = smp.heading()
+        shift = -2.0 * wavy_mate.spec.c2 * np.cos(heading - heading[0])
+        points = wavy_mate.points + shift[:, None] * smp.velocity * [1.0, 1.0, 0.0]
+        r = mate_residuals(dataclasses.replace(wavy_mate, points=points))
+        assert r.distance > CLEAN_BOUND
+
 
 class TestImpossiblePairings:
-    def test_tangent_normal_residual_lower_bound(self, rng):
-        # the pairing t_b = g n_a is unsatisfiable: residual >= 1/sqrt(2)
-        base = unit_circle_curve()
-        curves = [base.param]
-        for _ in range(5):
-            angle = rng.uniform(0, 2 * np.pi)
-            shift = H1Point(*rng.uniform(-1, 1, size=3))
-            curves.append(psh_transform_curve(PshTransform(angle, shift), base.param))
-        for c in curves:
-            other = reparam_horizontal(c)
-            assert tangent_normal_residual(base, other) > 0.1
-            assert tangent_normal_residual(base, other) >= 1 / np.sqrt(2) - 1e-9
-
-    def test_binormal_normal_residual_is_one(self):
-        base = unit_circle_curve()
-        m = bertrand_mate(base, BertrandSpec(1.0, 0.5))
-        assert binormal_normal_residual(base, mate_curve(m)) == pytest.approx(1.0, abs=1e-12)
-
     def test_vertical_frame_component_vanishes_exactly(self):
         # b is vertical and n is contact: their pairing is identically zero,
         # so n_bar = g b has no unit-field solution
         base = unit_circle_curve()
         m = bertrand_mate(base, BertrandSpec(0.3, 0.9))
-        s = np.linspace(0, base.s_max, 50)
-        v = mate_curve(m).sample(s).velocity
+        v = mate_sample(m).velocity
         n_basis_vertical = np.zeros_like(v[:, 0])  # (-y', x', 0) has a3 = 0
         assert np.array_equal(n_basis_vertical, 0.0 * v[:, 0])
+
+
+def test_demo_builds_no_sampled_field(monkeypatch, capsys, sampled_fields):
+    # the demo measures the mates it built; no mate is resampled into a curve
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bertrand_family_demo.py"
+    spec = importlib.util.spec_from_file_location("bertrand_family_demo", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    monkeypatch.setattr(sys, "argv", [path.name, "--count", "1", "--s-max", "2"])
+    demo.main()
+    assert "mate 0:" in capsys.readouterr().out
+    assert sampled_fields == []

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -26,6 +27,7 @@ from h1curves.cesaro import (
     surface_membership,
 )
 from h1curves import numerics
+from h1curves.expressions import ScalarFn
 from h1curves.fields import CubicHermite, SampledField, antiderivative, as_field
 from h1curves.numerics import lowest_local_minima
 
@@ -87,14 +89,14 @@ class TestClosedForm:
         sol = cesaro_closed_form(
             inv, CesaroConstants(1, 0.2, -0.3, 1, 0.7, -0.2), interval=(0, 5)
         )
-        res = cesaro_system_residual(sol, np.linspace(0.1, 4.9, 80))
+        res = cesaro_system_residual(sol)
         assert max(res) < 1e-6
 
     def test_negative_kappa_branch(self):
         inv = InvariantPair("-2 - 0.5*sin(s)", "0.1")
         sol = cesaro_closed_form(inv, CesaroConstants(1.0, 0.0, 0.0, 1.0, 0.4, 0.1),
                                  interval=(0, 4))
-        res = cesaro_system_residual(sol, np.linspace(0.1, 3.9, 60))
+        res = cesaro_system_residual(sol)
         assert max(res) < 1e-6
 
     def test_zero_kappa_branch(self):
@@ -107,8 +109,19 @@ class TestClosedForm:
         assert np.max(np.abs(sol.u1(s) - (1.5 - s))) < 1e-12
         assert np.max(np.abs(sol.u2(s) - 0.7)) < 1e-12
         assert sol.u3(0.0) == pytest.approx(0.3, abs=1e-12)
-        res = cesaro_system_residual(sol, np.linspace(0.1, 1.9, 30))
+        res = cesaro_system_residual(sol)
         assert max(res) < 1e-9
+
+    @pytest.mark.parametrize("kappa,bound", [("2 + sin(s)", 1e-6), ("0", 1e-9)])
+    def test_perturbed_tau_fails(self, kappa, bound):
+        # u3 solves u3' = u2 - tau for the tau it was built with, not for
+        # tau + 1e-5 cos(s)
+        inv = InvariantPair(kappa, "0.4*cos(s)")
+        sol = cesaro_closed_form(inv, CesaroConstants(1, 0.2, -0.3, 1, 0.7, -0.2), interval=(0, 5))
+        assert max(cesaro_system_residual(sol)) < bound
+        perturbed = InvariantPair(inv.kappa, inv.tau + 1e-5 * ScalarFn.parse("cos(s)"))
+        res = cesaro_system_residual(dataclasses.replace(sol, inv=perturbed))
+        assert res[2] > bound
 
     def test_sign_changing_kappa_rejected(self):
         inv = InvariantPair("sin(s)", "0")

@@ -29,22 +29,6 @@ def write_json(tmp_path, name, doc):
     return str(path)
 
 
-@pytest.fixture
-def sampled_fields(monkeypatch):
-    """The SampledFields built while the test runs."""
-    from h1curves.fields import SampledField
-
-    built = []
-    original = SampledField.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(SampledField, "__init__", counting)
-    return built
-
-
 INTRINSIC_PANSU = {
     "type": "intrinsic",
     "kappa": "2",
@@ -921,6 +905,23 @@ class TestSurface:
         doc = json.loads(result.output)
         assert "sqrt" in doc["g"]
         assert doc["range"] == [-np.pi, 0.0]
+
+    @pytest.mark.parametrize("step", ["0.5", "0.001"])
+    def test_gen_const_kappa_json_refuses_a_step_flag(self, runner, tmp_path, step):
+        # the JSON is the closed-form texts, which no step samples; a config
+        # file's step serves every command and stays accepted
+        args = ["surface", "gen-const-kappa", "--kappa", "2", "--range", "-3", "0"]
+        result = runner.invoke(main, [*args, "--format", "json", "--step", step])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --step samples the csv table")
+        plain = runner.invoke(main, [*args, "--format", "json"])
+        config = write_json(tmp_path, "cfg.json", {"step": float(step)})
+        configured = runner.invoke(main, [*args, "--format", "json", "--config", config])
+        assert plain.exit_code == configured.exit_code == 0
+        assert configured.stdout == plain.stdout
+        assert runner.invoke(main, [*args, "--step", step]).exit_code == 0
 
     def test_gen_const_kappa_negative_radicand(self, runner):
         result = runner.invoke(main, [

@@ -223,26 +223,38 @@ class TestFrameCoefficients:
         assert np.max(np.abs(np.sqrt(u1**2 + u2**2 + u3**2) - dist)) < 1e-10
 
 
+def cesaro_residual(h, step):
+    """``verify_cesaro`` on the table ``analyze`` prints at ``step``."""
+    grid = step_grid(0.0, h.s_max, step)
+    return verify_cesaro(grid, h.sample(grid))
+
+
 class TestVerifyCesaro:
     def test_line(self):
-        h = reparam_horizontal(line_curve())
-        assert verify_cesaro(h, np.linspace(0.1, 0.9, 9)) < 1e-9
+        assert cesaro_residual(reparam_horizontal(line_curve()), 1e-2) < 1e-9
 
     def test_pansu_curve(self):
-        h = reparam_horizontal(pansu_curve(1.0))
-        grid = np.linspace(0.1, h.s_max - 0.1, 30)
-        assert verify_cesaro(h, grid) < 1e-7
+        assert cesaro_residual(reparam_horizontal(pansu_curve(1.0)), 1e-3) < 1e-7
 
     def test_reconstructed_curve(self):
         inv = InvariantPair("1 + 0.5*sin(s)", "0.2*s")
         h = reconstruct_curve(inv, InitialPose.origin(), 3.0, 1e-3)
-        grid = np.linspace(0.1, h.s_max - 0.1, 25)
-        assert verify_cesaro(h, grid) < 1e-6
+        assert cesaro_residual(h, 1e-3) < 1e-6
 
-    def test_grid_must_be_interior(self):
+    def test_scaled_kappa_fails(self):
+        # kappa off by 1e-6 of itself breaks u1' = kappa u2 - 1 and u2' = -kappa u1
+        h = reparam_horizontal(pansu_curve(1.0))
+        grid = step_grid(0.0, h.s_max, 1e-3)
+        smp = h.sample(grid)
+        assert verify_cesaro(grid, smp) < 1e-7
+        assert verify_cesaro(grid, smp._replace(kappa=smp.kappa * (1 + 1e-6))) > 1e-7
+
+    @pytest.mark.parametrize("nodes", [1, 5])
+    def test_fewer_than_six_nodes_are_refused_by_fd4(self, nodes):
         h = reparam_horizontal(line_curve())
-        with pytest.raises(ValueError):
-            verify_cesaro(h, np.array([0.0, 0.5]))
+        grid = np.linspace(0.0, h.s_max, nodes)
+        with pytest.raises(ValueError, match="at least 6 samples"):
+            verify_cesaro(grid, h.sample(grid))
 
 
 class TestPshInvariance:
@@ -499,6 +511,8 @@ class TestOneInversionPerGrid:
         assert calls == [step_grid(0.0, sphere.geodesic.s_max, 0.01).size, 200]
 
     def test_verify_cesaro(self, calls):
+        # the check reads the sample it is given and inverts nothing itself
         h = reparam_horizontal(slow_speed_curve(4.0))
-        assert verify_cesaro(h, np.linspace(0.1, h.s_max - 0.1, 30)) < 1e-6
-        assert calls == [90]
+        grid = step_grid(0.0, h.s_max, 1e-2)
+        assert verify_cesaro(grid, h.sample(grid)) < 1e-6
+        assert calls == [grid.size]

@@ -107,8 +107,6 @@ CALLER_ALLOW_LIST = {
     # identity checks awaiting their commands' certificates (ROADMAP item 2)
     "verify_cesaro": "criterion 05, the Cesaro identity (analyze)",
     "check_necessary_conditions": "criterion 07, the surface loop (gen-const-*)",
-    "tangent_normal_residual": "criterion 09, the Bertrand suite (bertrand)",
-    "binormal_normal_residual": "criterion 09, the Bertrand suite (bertrand)",
     "cesaro_system_residual": "tests/test_cesaro.py, closed-form residuals (gen-const-tau)",
 }
 
@@ -129,7 +127,7 @@ def test_every_public_name_has_a_caller():
     stale = sorted(name for name in CALLER_ALLOW_LIST
                    if name in used or name not in {bare for _, bare in public})
     assert not stale, f"allow-listed names to drop from the list: {', '.join(stale)}"
-    assert len(CALLER_ALLOW_LIST) <= 8
+    assert len(CALLER_ALLOW_LIST) <= 6
 
 
 def commands(tree):
