@@ -42,7 +42,7 @@ import numpy as np
 from .curves import RELATIVE_ZERO, HorizontalCurve, kappa_branch
 from .expressions import EvalDomainError
 from .fields import as_field
-from .numerics import cumulative_simpson, fd4_first, require_finite, step_grid
+from .numerics import FD4_CENTRED, cumulative_simpson, fd4_first, require_finite, step_grid
 
 __all__ = [
     "BertrandSpec",
@@ -61,7 +61,8 @@ class BranchError(ValueError):
 @dataclass
 class BertrandSpec:
     """Offsets of a mate: contact constants c1, c2 plus either the desired
-    tau_bar (kappa != 0 branch) or the vertical offset g(s) (kappa == 0)."""
+    tau_bar (kappa != 0 branch) or the vertical offset g(s) (kappa == 0);
+    an offset text that does not parse is a bad offset expression."""
 
     c1: float
     c2: float
@@ -69,11 +70,14 @@ class BertrandSpec:
     g: Optional[object] = None
 
     def __post_init__(self):
+        for name in ("tau_bar", "g"):
+            value = getattr(self, name)
+            if value is not None:
+                try:
+                    setattr(self, name, as_field(value))
+                except ValueError as exc:
+                    raise ValueError(f"bad offset expression {name}: {exc}") from exc
         require_finite(c1=self.c1, c2=self.c2)
-        if self.tau_bar is not None:
-            self.tau_bar = as_field(self.tau_bar)
-        if self.g is not None:
-            self.g = as_field(self.g)
 
 
 @dataclass
@@ -174,18 +178,18 @@ class MateResiduals:
 def mate_residuals(mate: BertrandMate) -> MateResiduals:
     """The ``MateResiduals`` of a mate, from its grid, base and mate points,
     tau_bar and spec alone; d/ds by ``numerics.fd4_first`` on the grid, error
-    O(step^4).  tau_bar is read where the stencil is centred: the one-sided
-    edge stencils turn the alternating O(step^4) error of u3's cumulative
-    Simpson nodes into O(step^3)."""
+    O(step^4).  tau_bar is read at ``numerics.FD4_CENTRED``, where the
+    stencil is centred, past the edge error of u3's cumulative Simpson
+    nodes."""
     step = mate.grid[1] - mate.grid[0]
     xp, yp = (fd4_first(column, step) for column in mate.base[:, :2].T)
     xbp, ybp, zbp = (fd4_first(column, step) for column in mate.points.T)
     xb, yb = mate.points[:, 0], mate.points[:, 1]
     delta = mate.points - mate.base
-    tau_bar = (xb * ybp - xbp * yb + zbp)[2:-2]
+    tau_bar = (xb * ybp - xbp * yb + zbp)[FD4_CENTRED]
     return MateResiduals(
         speed=float(np.max(np.abs(np.hypot(xbp, ybp) - 1.0))),
-        tau_bar=float(np.max(np.abs(tau_bar - mate.tau_bar[2:-2]))),
+        tau_bar=float(np.max(np.abs(tau_bar - mate.tau_bar[FD4_CENTRED]))),
         align=float(np.max(np.hypot(xbp - xp, ybp - yp))),
         distance=float(np.max(np.abs(np.hypot(delta[:, 0], delta[:, 1])
                                      - np.hypot(mate.spec.c1, mate.spec.c2)))),

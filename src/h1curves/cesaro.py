@@ -32,9 +32,10 @@ u1^2 + u2^2 = g^2 and u3 = -f, which in terms of the invariants becomes
     f' - tau = ((g^2)''/2 - 1)/kappa,    f'' - tau' = -kappa (g^2)'/2.
 
 All indefinite integrals are pinned at the interval's left endpoint and
-evaluated by composite Simpson on a uniform grid of 10^4 panels,
-exactly for a constant integrand.  The closed forms are ``ScalarFn`` trees
-over kappa, tau and these antiderivatives.
+evaluated by cumulative Simpson on one uniform grid of
+``numerics.ANTIDERIVATIVE_PANELS`` panels over the interval, exactly for a
+constant integrand.  The closed forms are ``ScalarFn`` trees over kappa,
+tau and these antiderivatives.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from .curves import (HorizontalCurve, InvariantPair, ParamCurve, immobility_resi
                      kappa_branch)
 from .expressions import EvalDomainError, Num, S
 from .fields import antiderivative, as_field
-from .numerics import (fd4_first, lowest_local_minima, minimize_brackets, require_finite,
-                       step_grid, uniform_grid)
+from .numerics import (ANTIDERIVATIVE_PANELS, fd4_first, lowest_local_minima, minimize_brackets,
+                       require_finite, step_grid)
 
 __all__ = [
     "CesaroConstants",
@@ -67,10 +68,6 @@ __all__ = [
     "sphere_horizontal_gap",
     "pansu_sphere",
 ]
-
-# Panels of the closed forms' grid, as many as each antiderivative has.
-_PANELS = 10_000
-
 
 @dataclass(frozen=True)
 class CesaroConstants:
@@ -96,7 +93,8 @@ class CesaroConstants:
 @dataclass
 class CesaroSolution:
     """A solution (u1, u2, u3) of the immobility system for given
-    invariants, with theta the signed antiderivative of kappa."""
+    invariants, with theta the signed antiderivative of kappa; ``grid`` is
+    the grid its antiderivatives were built on."""
 
     inv: InvariantPair
     constants: Optional[CesaroConstants]
@@ -122,7 +120,9 @@ def cesaro_closed_form(
     rejected.
     """
     lo, hi = (float(v) for v in interval)
-    grid = uniform_grid(lo, hi, _PANELS)
+    if not hi > lo:
+        raise ValueError(f"degenerate interval [{lo}, {hi}]")
+    grid = np.linspace(lo, hi, ANTIDERIVATIVE_PANELS + 1)
     kappa_vals = np.asarray(inv.kappa(grid), dtype=float)
     require_finite(grid, kappa=kappa_vals)
 
@@ -137,23 +137,24 @@ def cesaro_closed_form(
         )
     else:
         c, kappa = constants, inv.kappa
-        theta = antiderivative(kappa, lo, hi)
+        theta = antiderivative(kappa, grid)
         sin, cos = theta.apply("sin"), theta.apply("cos")
         kp, k2d = kappa.derivative(), kappa ** 2 * c.delta
-        I1 = antiderivative((c.c1 * sin + c.c2 * cos) * kp / k2d, lo, hi)
-        I2 = antiderivative((c.c3 * sin + c.c4 * cos) * kp / k2d, lo, hi)
+        I1 = antiderivative((c.c1 * sin + c.c2 * cos) * kp / k2d, grid)
+        I2 = antiderivative((c.c3 * sin + c.c4 * cos) * kp / k2d, grid)
         A, B = c.c1 * c.c5 + c.c3 * c.c6, c.c2 * c.c5 + c.c4 * c.c6
         u1 = A * sin + B * cos + (c.c3 * sin + c.c4 * cos) * I1 - (c.c1 * sin + c.c2 * cos) * I2
         u2 = (A * cos - B * sin + (c.c3 * cos - c.c4 * sin) * I1
               - (c.c1 * cos - c.c2 * sin) * I2 + 1 / kappa)
-    u3 = antiderivative(u2 - inv.tau, lo, hi, const=u3_const)
+    u3 = antiderivative(u2 - inv.tau, grid, const=u3_const)
     return CesaroSolution(inv, constants, (lo, hi), branch, u1, u2, u3, theta, grid)
 
 
 def cesaro_system_residual(sol: CesaroSolution) -> tuple[float, float, float]:
     """``curves.immobility_residuals`` of the solution on ``sol.grid``, the
     grid of its antiderivatives, derivatives by ``numerics.fd4_first`` there
-    (independent of the closed forms; error O(step^4))."""
+    (independent of the closed forms; error O(step^4) where the stencil is
+    centred)."""
     grid = sol.grid
     step = grid[1] - grid[0]
     u = [np.broadcast_to(f(grid), grid.shape) for f in (sol.u1, sol.u2, sol.u3)]
@@ -421,8 +422,9 @@ def generate_surface_constant_kappa(
         f"/(2*({k})) - s/({k}) + ({repr(float(c3f))})"
     )
     g2 = as_field(g2_text)
-    f = antiderivative(tau, lo, hi) + as_field(f_trig_text)
-    grid = uniform_grid(lo, hi, 4096)
+    tau_integral = antiderivative(tau, np.linspace(lo, hi, ANTIDERIVATIVE_PANELS + 1))
+    f = tau_integral + as_field(f_trig_text)
+    grid = np.linspace(lo, hi, 4097)  # the sign scan's; the exact extrema join it below
     radicand = np.asarray(g2(grid))
     require_finite(grid, g=radicand, f=f(grid))
     least, bad = min([(float(np.min(radicand)), float(grid[np.argmin(radicand)]))]
@@ -468,7 +470,7 @@ def generate_surface_constant_tau(
     sol = cesaro_closed_form(inv, constants, (lo, hi), u3_const=-f_const)
     if sol.branch != "general":
         raise ValueError("kappa must be nonzero for this construction")
-    g2 = g2_const - 2 * antiderivative(sol.u1, lo, hi)
+    g2 = g2_const - 2 * antiderivative(sol.u1, sol.grid)
     f = -sol.u3
     grid = sol.grid
     g2_vals = np.asarray(g2(grid))

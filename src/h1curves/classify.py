@@ -34,7 +34,7 @@ from .expressions import S
 from .fields import antiderivative
 from .frenet import InitialPose, _cascade_curve
 from .heisenberg import H1Point
-from .numerics import cumulative_simpson
+from .numerics import ANTIDERIVATIVE_PANELS, cumulative_simpson
 
 __all__ = [
     "ClassTag",
@@ -164,26 +164,20 @@ def _fit_planar(grid, pts, u1, u2, u3, kappa, tau, thresh, h):
 
 
 def _fit_vertical(grid, pts, u1, u2, u3, kappa, tau, thresh, h):
-    # projections must sit on a line through the origin
+    # projections must sit on the line through the origin along the chord,
+    # whose direction is the direction of motion, as in _fit_line
     xy = pts[:, :2]
-    cov = xy.T @ xy
-    w, v = np.linalg.eigh(cov)
-    d = v[:, -1]  # principal direction
-    if d[0] < 0 or (d[0] == 0 and d[1] < 0):
-        d = -d
-    across = xy @ np.array([-d[1], d[0]])
-    plane_residual = float(np.max(np.abs(across)))
+    direction = xy[-1] - xy[0]
+    norm = np.linalg.norm(direction)
+    if norm == 0.0:
+        return None
+    d = direction / norm
+    plane_residual = float(np.max(np.abs(xy @ np.array([-d[1], d[0]]))))
     if plane_residual > thresh:
         return None
     along = xy @ d
     c1 = float(np.mean(along - grid))
     linear_residual = float(np.max(np.abs(along - grid - c1)))
-    if linear_residual > 100 * thresh:
-        # opposite orientation: along decreases with s
-        c1_rev = float(np.mean(-along - grid))
-        linear_residual_rev = float(np.max(np.abs(-along - grid - c1_rev)))
-        if linear_residual_rev < linear_residual:
-            d, c1, linear_residual = -d, c1_rev, linear_residual_rev
     return PositionClass(
         ClassTag.VERTICAL_PLANE_CURVE,
         witness={
@@ -258,6 +252,9 @@ def make_canonical(tag: ClassTag, interval: tuple[float, float], **params) -> Pa
         -1/kappa regardless)
     """
     lo, hi = (float(v) for v in interval)
+    if not hi > lo:
+        raise ValueError(f"degenerate interval [{lo}, {hi}]")
+    grid = np.linspace(lo, hi, ANTIDERIVATIVE_PANELS + 1)  # of the antiderivative of tau
     if tag is ClassTag.LINE_IN_XY_PLANE:
         heading = float(params.get("heading", 0.0))
         bx, by = params.get("offset", (0.0, 0.0))
@@ -270,7 +267,7 @@ def make_canonical(tag: ClassTag, interval: tuple[float, float], **params) -> Pa
         return ParamCurve.from_fields(c.x, c.y, 0.0, (lo, hi))
     if tag is ClassTag.VERTICAL_PLANE_CURVE:
         c1, c2, c3 = (float(params[k]) for k in ("c1", "c2", "c3"))
-        tau = antiderivative(params.get("tau", 0.0), lo, hi)
+        tau = antiderivative(params.get("tau", 0.0), grid)
         return ParamCurve.from_fields(c2 * c1 + c2 * S, c3 * c1 + c3 * S, tau, (lo, hi))
     if tag is ClassTag.CIRCULAR_HELIX:
         c1 = float(params["c1"])
@@ -278,6 +275,6 @@ def make_canonical(tag: ClassTag, interval: tuple[float, float], **params) -> Pa
             raise ValueError("helix needs c1 != 0")
         c2, c3, c4 = (float(params.get(k, 0.0)) for k in ("c2", "c3", "c4"))
         sin, cos = (S / c1).apply("sin"), (S / c1).apply("cos")
-        z = c2 + c1 * S + antiderivative(params.get("tau", 0.0), lo, hi)
+        z = c2 + c1 * S + antiderivative(params.get("tau", 0.0), grid)
         return ParamCurve.from_fields(c3 * sin + c4 * cos, c3 * cos - c4 * sin, z, (lo, hi))
     raise ValueError(f"no canonical form for {tag}")

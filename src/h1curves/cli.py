@@ -55,7 +55,7 @@ from .curves import (
     RegularityError,
     reparam_horizontal,
 )
-from .expressions import EvalDomainError, ExpressionError
+from .expressions import EvalDomainError
 from .fields import as_field
 from .frenet import InitialPose, reconstruct, reconstruct_curve
 from .heisenberg import H1Point
@@ -291,12 +291,6 @@ def reconstruct_cmd(curve_json, step, fmt, output):
     _emit(_table(fmt, ["s", "x", "y", "z"], rows, {"type": "samples"}, "data"), output)
 
 
-def _offset(name: str, text: str | None):
-    """The field of an offset option's text; a failure names the option."""
-    with _prefixed(f"bad offset expression {name}", ExpressionError, EvalDomainError):
-        return None if text is None else as_field(text)
-
-
 @main.command()
 @click.argument("curve_json")
 @click.option("--c1", type=float, default=0.0, help="tangent offset constant")
@@ -307,7 +301,7 @@ def _offset(name: str, text: str | None):
 def bertrand(curve_json, c1, c2, tau_bar, g, step, fmt, output):
     """Construct a Bertrand mate; emits paired samples with distances."""
     h = _curve_from_spec(_read_json(curve_json), step)
-    spec = BertrandSpec(c1, c2, tau_bar=_offset("tau_bar", tau_bar), g=_offset("g", g))
+    spec = BertrandSpec(c1, c2, tau_bar=tau_bar, g=g)
     with _prefixed("cannot evaluate curve", EvalDomainError):
         mate = bertrand_mate(h, spec, step)
     rows = np.column_stack([mate.grid, mate.base, mate.points, mate.dist])

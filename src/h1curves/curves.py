@@ -41,7 +41,7 @@ import numpy as np
 
 from .fields import CubicHermite, SampledField, as_field
 from .heisenberg import PshTransform
-from .numerics import cumulative_simpson, fd4_first, panel_count, require_finite, uniform_grid
+from .numerics import FD4_CENTRED, cumulative_simpson, fd4_first, panel_count, require_finite
 
 __all__ = [
     "RELATIVE_ZERO",
@@ -299,20 +299,19 @@ class HorizontalCurve:
         return points
 
 
-def reparam_horizontal(c: ParamCurve, step: float | None = None) -> HorizontalCurve:
+def reparam_horizontal(c: ParamCurve, step: float = 1e-3) -> HorizontalCurve:
     """Reparametrize by horizontal arc-length.
 
-    ``step`` controls the u-grid spacing of the Simpson accumulation of
-    sigma(u) = integral of the contact speed (4096 panels when omitted; a
-    request above ``numerics.MAX_PANELS`` raises ValueError); a contact
-    speed at or below RELATIVE_ZERO times its mean on that grid raises
-    RegularityError.  Inversion is a Hermite seed (the cubic Hermite
+    ``step`` controls the u-grid spacing of the cumulative Simpson
+    accumulation of sigma(u) = integral of the contact speed, on
+    ceil((u_max - u_min)/step) panels, at least 64 (a request above
+    ``numerics.MAX_PANELS`` raises ValueError); a contact speed at or below
+    RELATIVE_ZERO times its mean on that grid raises RegularityError.  Inversion is a Hermite seed (the cubic Hermite
     inverse, slopes 1/speed), then Newton with a 4-node Gauss-Legendre
     local integral to ~1e-12 S per query.  Use ``HorizontalCurve.sample``
     to get points, velocity and invariants from one inversion.
     """
-    n_panels = panel_count(c.u_max - c.u_min, step, minimum=64) if step else 4096
-    u = uniform_grid(c.u_min, c.u_max, n_panels)
+    u = np.linspace(c.u_min, c.u_max, panel_count(c.u_max - c.u_min, step, minimum=64) + 1)
     speed = c.contact_speed(u)
     require_finite(u, "u", curve=speed)
     sigma = cumulative_simpson(speed, dx=(c.u_max - c.u_min) / (u.size - 1))
@@ -334,8 +333,10 @@ def immobility_residuals(u, du, kappa, tau) -> tuple[float, float, float]:
 
         u1' = kappa u2 - 1,   u2' = -kappa u1,   u3' = u2 - tau
 
-    for coefficients u = (u1, u2, ...) and derivatives du at common samples."""
-    return tuple(float(np.max(np.abs(r))) for r in (
+    for coefficients u = (u1, u2, ...) and derivatives du by
+    ``numerics.fd4_first`` at common samples of a uniform grid, read at
+    ``numerics.FD4_CENTRED``, the nodes where its stencil is centred."""
+    return tuple(float(np.max(np.abs(r[FD4_CENTRED]))) for r in (
         du[0] - (kappa * u[1] - 1.0), du[1] + kappa * u[0], du[2] - (u[1] - tau)))
 
 
@@ -343,9 +344,10 @@ def verify_cesaro(grid, smp: CurveSample) -> float:
     """The largest ``immobility_residuals`` for u_i = -(position
     coefficients) of ``smp``, a sample on the uniform ``grid`` (the table
     ``analyze`` prints), derivatives by ``numerics.fd4_first`` on that grid
-    (error O(step^4); fewer than 6 nodes raise its ValueError).  The system
-    holds identically for every horizontally regular curve, so the residual
-    measures only numerical error.
+    (error O(step^4) where its stencil is centred, the nodes read; fewer
+    than 6 nodes raise its ValueError).  The system holds identically for
+    every horizontally regular curve, so the residual measures only
+    numerical error.
     """
     grid = np.asarray(grid, dtype=float)
     step = np.ptp(grid) / max(grid.size - 1, 1)  # a lone node reaches fd4_first's refusal

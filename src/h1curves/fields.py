@@ -9,11 +9,11 @@ differentiating a tree builds no new field.  This module holds the numeric
 fields: ``SampledField`` (values on a uniform grid, finite-difference
 derivatives of order 1 and 2), for sampled data only, and
 ``AntiderivativeField`` (a cumulative integral whose derivatives are those
-of its exact integrand), from ``antiderivative`` or from the integrals of
-a reconstruction (``frenet``).  Between their nodes they are piecewise
-cubic Hermite interpolants (``CubicHermite``), with the node slopes each
-kind knows best.  ``as_field`` turns a number, expression text or numeric
-field into a ScalarFn.
+of its exact integrand), from ``antiderivative`` on its caller's grid or
+from the integrals of a reconstruction (``frenet``).  Between their nodes
+they are piecewise cubic Hermite interpolants (``CubicHermite``), with the
+node slopes each kind knows best.  ``as_field`` turns a number, expression
+text or numeric field into a ScalarFn.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expressions import Leaf, Num, S, ScalarFn, _node
-from .numerics import cumulative_simpson, fd4_first, fd4_second, uniform_grid
+from .numerics import cumulative_simpson, fd4_first, fd4_second
 
 __all__ = [
     "as_field",
@@ -209,19 +209,20 @@ class SampledField:
         return ScalarFn(Leaf(self, 1))
 
 
-def antiderivative(integrand, lo: float, hi: float, const: float = 0.0):
-    """const + the integral of ``integrand`` from lo, as a ScalarFn: exactly
-    (const - c lo) + c s for a constant integrand c, else a leaf around an
-    AntiderivativeField, by cumulative Simpson on 10 000 uniform panels."""
+def antiderivative(integrand, grid, const: float = 0.0):
+    """const + the integral of ``integrand`` from grid[0], as a ScalarFn:
+    exactly (const - c grid[0]) + c s for a constant integrand c, else a
+    leaf around an AntiderivativeField, by cumulative Simpson on ``grid``,
+    the caller's uniform grid (at least 3 nodes)."""
     integrand = as_field(integrand)
+    lo = float(grid[0])
     if isinstance(integrand.ast, Num):
         c = integrand.ast.value
-        return (float(const) - c * float(lo)) + c * S
-    grid = uniform_grid(lo, hi, 10_000)
+        return (float(const) - c * lo) + c * S
     # a non-finite integrand is left to the callers' finiteness checks
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f = np.asarray(integrand(grid), dtype=float)
-        values = cumulative_simpson(f, dx=(float(hi) - float(lo)) / (grid.size - 1))
+        values = cumulative_simpson(f, dx=(float(grid[-1]) - lo) / (grid.size - 1))
         return ScalarFn(Leaf(AntiderivativeField(integrand, grid, values, f, const)))
 
 

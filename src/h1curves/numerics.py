@@ -13,11 +13,12 @@ import numpy as np
 __all__ = [
     "cumulative_simpson",
     "MAX_PANELS",
+    "ANTIDERIVATIVE_PANELS",
     "panel_count",
     "require_finite",
     "step_grid",
-    "uniform_grid",
     "fd4_first",
+    "FD4_CENTRED",
     "fd4_second",
     "golden_section",
     "lowest_local_minima",
@@ -26,6 +27,7 @@ __all__ = [
 
 
 MAX_PANELS = 1_000_000  # budget of every grid built from a (span, step) request
+ANTIDERIVATIVE_PANELS = 10_000  # panels of a closed form's antiderivatives over its interval
 
 
 def panel_count(span: float, step: float, minimum: int = 2) -> int:
@@ -86,16 +88,6 @@ def cumulative_simpson(y, dx: float) -> np.ndarray:
     return np.cumsum(pieces)
 
 
-def uniform_grid(a: float, b: float, n_panels: int) -> np.ndarray:
-    """Uniform grid with n_panels+1 nodes (n_panels is made even for Simpson)."""
-    if not b > a:
-        raise ValueError(f"degenerate interval [{a}, {b}]")
-    n = max(2, int(n_panels))
-    if n % 2:
-        n += 1
-    return np.linspace(a, b, n + 1)
-
-
 def fd_weights(offsets, deriv: int) -> np.ndarray:
     """Finite-difference weights for the given derivative order on integer
     node offsets (in units of the grid step), by solving the Taylor-moment
@@ -115,6 +107,12 @@ def fd_weights(offsets, deriv: int) -> np.ndarray:
 # would otherwise dominate the error near the boundary.
 _FD1_LEFT = np.array([fd_weights(np.arange(6), 1), fd_weights(np.arange(6) - 1, 1)])
 _FD2_LEFT = np.array([fd_weights(np.arange(8), 2), fd_weights(np.arange(8) - 1, 2)])
+
+
+# The nodes where fd4_first's stencil is centred.  A residual is read there:
+# the one-sided edge stencils turn an alternating O(h^4) error in the values,
+# as at cumulative Simpson's odd nodes, into O(h^3).
+FD4_CENTRED = slice(2, -2)
 
 
 def fd4_first(values: np.ndarray, h: float) -> np.ndarray:

@@ -128,7 +128,8 @@ def test_criterion_05_cesaro_identity():
         )
         grid = step_grid(0.0, h.s_max, 1e-3)  # the table analyze prints
         worst = max(worst, verify_cesaro(grid, h.sample(grid)))
-    report(5, "cesaro-identity", worst < 1e-6, f"max residual={worst:.2e}")
+    # read where fd4's stencil is centred: 3.6e-12 at most on these ten
+    report(5, "cesaro-identity", worst < 1e-11, f"max residual={worst:.2e}")
 
 
 def test_criterion_06_closed_form_odes():

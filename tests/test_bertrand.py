@@ -245,15 +245,8 @@ class TestMateResidualsFail:
         assert r.distance > CLEAN_BOUND
 
 
-class TestImpossiblePairings:
-    def test_vertical_frame_component_vanishes_exactly(self):
-        # b is vertical and n is contact: their pairing is identically zero,
-        # so n_bar = g b has no unit-field solution
-        base = unit_circle_curve()
-        m = bertrand_mate(base, BertrandSpec(0.3, 0.9))
-        v = mate_sample(m).velocity
-        n_basis_vertical = np.zeros_like(v[:, 0])  # (-y', x', 0) has a3 = 0
-        assert np.array_equal(n_basis_vertical, 0.0 * v[:, 0])
+# The impossible pairings t_b = g n_a and n_b = g b_a are asserted on
+# measured frames by test_acceptance.py::test_criterion_09_bertrand_suite.
 
 
 def test_demo_builds_no_sampled_field(monkeypatch, capsys, sampled_fields):

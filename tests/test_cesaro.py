@@ -27,8 +27,9 @@ from h1curves.cesaro import (
     surface_membership,
 )
 from h1curves import numerics
-from h1curves.expressions import ScalarFn
-from h1curves.fields import CubicHermite, SampledField, antiderivative, as_field
+from h1curves.expressions import Leaf, ScalarFn, _children
+from h1curves.fields import (AntiderivativeField, CubicHermite, SampledField, antiderivative,
+                             as_field)
 from h1curves.numerics import lowest_local_minima
 
 from conftest import contact_speed_deviation
@@ -42,6 +43,25 @@ def curve_from_solution(sol, heading0=0.0):
     sin, cos = phi.apply("sin"), phi.apply("cos")
     x, y = -sol.u1 * cos + sol.u2 * sin, -sol.u1 * sin - sol.u2 * cos
     return HorizontalCurve.arc_length(ParamCurve.from_fields(x, y, -sol.u3, sol.interval))
+
+
+def antiderivative_leaves(fn):
+    """Every ``AntiderivativeField`` in the tree of ``fn``, those inside the
+    integrands of others included, each once."""
+    found, stack = {}, [fn.ast]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf) and isinstance(node.field, AntiderivativeField):
+            if id(node.field) not in found:
+                found[id(node.field)] = node.field
+                stack.append(node.field.integrand.ast)
+        stack.extend(_children(node))
+    return list(found.values())
+
+
+# cesaro_system_residual of the closed forms below, read where fd4's stencil
+# is centred on their own grid: at most 2.5e-12, the rounding of fd4 there
+RESIDUAL_BOUND = 1e-11
 
 
 class TestClosedForm:
@@ -89,15 +109,13 @@ class TestClosedForm:
         sol = cesaro_closed_form(
             inv, CesaroConstants(1, 0.2, -0.3, 1, 0.7, -0.2), interval=(0, 5)
         )
-        res = cesaro_system_residual(sol)
-        assert max(res) < 1e-6
+        assert max(cesaro_system_residual(sol)) < RESIDUAL_BOUND
 
     def test_negative_kappa_branch(self):
         inv = InvariantPair("-2 - 0.5*sin(s)", "0.1")
         sol = cesaro_closed_form(inv, CesaroConstants(1.0, 0.0, 0.0, 1.0, 0.4, 0.1),
                                  interval=(0, 4))
-        res = cesaro_system_residual(sol)
-        assert max(res) < 1e-6
+        assert max(cesaro_system_residual(sol)) < RESIDUAL_BOUND
 
     def test_zero_kappa_branch(self):
         inv = InvariantPair("0", "0.5*sin(s)")
@@ -109,19 +127,32 @@ class TestClosedForm:
         assert np.max(np.abs(sol.u1(s) - (1.5 - s))) < 1e-12
         assert np.max(np.abs(sol.u2(s) - 0.7)) < 1e-12
         assert sol.u3(0.0) == pytest.approx(0.3, abs=1e-12)
-        res = cesaro_system_residual(sol)
-        assert max(res) < 1e-9
+        assert max(cesaro_system_residual(sol)) < RESIDUAL_BOUND
 
-    @pytest.mark.parametrize("kappa,bound", [("2 + sin(s)", 1e-6), ("0", 1e-9)])
-    def test_perturbed_tau_fails(self, kappa, bound):
+    @pytest.mark.parametrize("kappa", ["2 + sin(s)", "0"], ids=["general", "zero-kappa"])
+    def test_perturbed_tau_fails(self, kappa):
         # u3 solves u3' = u2 - tau for the tau it was built with, not for
         # tau + 1e-5 cos(s)
         inv = InvariantPair(kappa, "0.4*cos(s)")
         sol = cesaro_closed_form(inv, CesaroConstants(1, 0.2, -0.3, 1, 0.7, -0.2), interval=(0, 5))
-        assert max(cesaro_system_residual(sol)) < bound
+        assert max(cesaro_system_residual(sol)) < RESIDUAL_BOUND
         perturbed = InvariantPair(inv.kappa, inv.tau + 1e-5 * ScalarFn.parse("cos(s)"))
         res = cesaro_system_residual(dataclasses.replace(sol, inv=perturbed))
-        assert res[2] > bound
+        assert res[2] > RESIDUAL_BOUND
+
+    def test_antiderivatives_are_built_on_the_solution_grid(self):
+        # theta, I1, I2 and u3 (whose integrand holds the other three) are
+        # cumulative Simpson on sol.grid itself, not on copies of it
+        inv = InvariantPair("2 + sin(s)", "0.4*cos(s)")
+        sol = cesaro_closed_form(inv, CesaroConstants(1, 0.2, -0.3, 1, 0.7, -0.2), (0.5, 3.0))
+        leaves = antiderivative_leaves(sol.u3)
+        assert len(leaves) == 4
+        assert all(leaf._hermite.nodes is sol.grid for leaf in leaves)
+
+    def test_degenerate_interval_rejected(self):
+        inv = InvariantPair("2 + sin(s)", "0")
+        with pytest.raises(ValueError, match=r"degenerate interval \[1.0, 1.0\]"):
+            cesaro_closed_form(inv, CesaroConstants(1.0, 0.0, 0.0, 1.0), interval=(1, 1))
 
     def test_sign_changing_kappa_rejected(self):
         inv = InvariantPair("sin(s)", "0")
@@ -182,7 +213,7 @@ class TestClosedForm:
                                  interval=(1.0, 4.0))
         h = curve_from_solution(sol, heading0=0.9)
         assert h.s_max == 3.0
-        assert contact_speed_deviation(h) <= 1e-12
+        assert contact_speed_deviation(h) < 1e-11  # M = 1.1, D5 = 92: 6.1e-12 + 3.0e-12
         assert abs(reparam_horizontal(h.param, step=1e-3).s_max - 3.0) < 1e-9
 
 
@@ -627,6 +658,15 @@ class TestGenerateConstantTau:
         assert np.max(np.abs(g1 - g2)) < 1e-8
         assert np.max(np.abs((f1 - f1[0]) - (f2 - f2[0]))) < 1e-8
 
+    def test_squared_radius_is_integrated_on_the_solution_grid(self):
+        # g^2 = g2_const - 2 integral(u1) and the leaves inside u1 share one grid
+        inv = InvariantPair("2 + sin(s)", "0.3")
+        surf = generate_surface_constant_tau(inv, CesaroConstants(1, 0, 0, 1, 0.0, 0.0),
+                                             interval=(0, 5), g2_const=1.0)
+        leaves = antiderivative_leaves(surf.g2)
+        assert len(leaves) == 4  # integral(u1), theta, I1, I2
+        assert len({id(leaf._hermite.nodes) for leaf in leaves}) == 1
+
     def test_output_passes_necessary_conditions(self):
         inv = InvariantPair("2 + sin(s)", "0.3")
         surf = generate_surface_constant_tau(
@@ -651,7 +691,7 @@ class TestGenerateConstantTau:
         surf = generate_surface_constant_tau(inv, c, interval=(lo, hi), g2_const=20.0,
                                              f_const=f_const)
         sol = cesaro_closed_form(inv, c, interval=(lo, hi))
-        explicit = antiderivative(inv.tau - sol.u2, lo, hi, const=f_const)
+        explicit = antiderivative(inv.tau - sol.u2, sol.grid, const=f_const)
         s = np.linspace(lo, hi, 7919)
         assert np.array_equal(surf.f(s), explicit(s))
         assert surf.f(lo) == f_const

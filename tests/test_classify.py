@@ -96,6 +96,11 @@ class TestCanonicalForms:
         with pytest.raises(ValueError, match="c1"):
             make_canonical(ClassTag.CIRCULAR_HELIX, (0, 1), c1=0.0)
 
+    def test_degenerate_interval_rejected(self):
+        with pytest.raises(ValueError, match=r"degenerate interval \[1.0, 1.0\]"):
+            make_canonical(ClassTag.VERTICAL_PLANE_CURVE, (1, 1), c1=0.5, c2=1.0, c3=0.0,
+                           tau="sin(s)")
+
     def test_line_through_origin_heading(self):
         c = make_canonical(ClassTag.LINE_IN_XY_PLANE, (0, 2), heading=np.pi / 4)
         s = np.linspace(0, 2, 5)

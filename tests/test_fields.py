@@ -87,7 +87,7 @@ class TestCubicHermite:
 
 class TestAntiderivative:
     def test_constant_integrand_is_exactly_affine(self):
-        f = antiderivative(as_field(2.0), 0.5, 3.0, const=0.25)
+        f = antiderivative(as_field(2.0), np.linspace(0.5, 3.0, 5), const=0.25)
         assert isinstance(f, ScalarFn)
         s = np.linspace(0.5, 3.0, 7)
         assert np.array_equal(f(s), 0.25 + 2.0 * (s - 0.5))
@@ -95,18 +95,23 @@ class TestAntiderivative:
 
     def test_integrand_values_are_the_hermite_slopes(self):
         integrand = 1.0 - 0.6 * S
-        f = antiderivative(integrand, -1.0, 2.0)
+        f = antiderivative(integrand, np.linspace(-1.0, 2.0, 9))
         assert isinstance(f.ast, Leaf) and isinstance(f.ast.field, AntiderivativeField)
-        # the same leaf on 8 panels
-        grid = np.linspace(-1.0, 2.0, 9)
-        slopes = integrand(grid)
-        f = as_field(AntiderivativeField(integrand, grid, cumulative_simpson(slopes, 3.0 / 8),
-                                         slopes))
-        # a quadratic antiderivative, exact at the Simpson nodes and with
-        # exact slopes, is reproduced between them too
+        # a quadratic antiderivative, exact at the Simpson nodes of the 8
+        # panels and with exact slopes, is reproduced between them too
         s = np.linspace(-1.0, 2.0, 97)
         exact = (s + 1.0) - 0.3 * (s * s - 1.0)
         assert np.max(np.abs(f(s) - exact)) < 1e-14
+
+    def test_integrates_on_the_callers_grid_of_odd_panel_count(self):
+        # 7 panels, used as given: the values at the nodes are cumulative
+        # Simpson's on that grid, plus the constant
+        grid = np.linspace(0.3, 2.0, 8)
+        integrand = as_field("(1 + s)*cos(s)")
+        f = antiderivative(integrand, grid, const=0.4)
+        nodes = 0.4 + cumulative_simpson(integrand(grid), (2.0 - 0.3) / 7)
+        assert np.max(np.abs(f(grid) - nodes)) <= 1e-15
+        assert np.array_equal(f(grid[:-1]), nodes[:-1])
 
 
 class TestFieldTrees:
@@ -144,13 +149,13 @@ class TestFieldTrees:
 
     def test_derivative_of_an_antiderivative_is_its_integrand_tree(self):
         integrand = as_field("1 + s^2") * S.apply("cos")
-        f = antiderivative(integrand, 0.0, 2.0)
+        f = antiderivative(integrand, np.linspace(0.0, 2.0, 101))
         assert isinstance(f.ast, Leaf)
         s = np.linspace(0.0, 2.0, 41)
         assert np.array_equal(f.derivative()(s), integrand(s))
 
     def test_antiderivative_of_a_constant_has_no_leaf(self):
-        f = antiderivative(3.0 - 1.0, -1.0, 2.0, const=0.5)
+        f = antiderivative(3.0 - 1.0, np.linspace(-1.0, 2.0, 3), const=0.5)
         # a tree with a leaf has no text form that parses back
         assert ScalarFn.parse(to_text(f.ast)).ast == f.ast
         s = np.linspace(-1.0, 2.0, 13)

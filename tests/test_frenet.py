@@ -59,7 +59,7 @@ class TestReconstruct:
     def test_unit_contact_speed_exact(self):
         inv = InvariantPair("sin(3*s)", "cos(2*s)")
         h = reconstruct_curve(inv, InitialPose.origin(), 4.0)
-        assert contact_speed_deviation(h) < 1e-9
+        assert contact_speed_deviation(h) < 2e-11  # M = 3.6, D5 = 38: 2.5e-12 + 9.7e-12
 
     def test_nonfinite_invariants_rejected(self):
         inv = InvariantPair("1/(s - 1)", "0")
@@ -133,7 +133,7 @@ class TestQuadratureCascade:
     def test_contact_speed_is_one(self):
         inv = InvariantPair("sin(3*s)", "cos(2*s)")
         h = reconstruct_curve(inv, InitialPose(H1Point(0.3, -0.2, 1.0), 0.7), 4.0)
-        assert contact_speed_deviation(h) <= 1e-12
+        assert contact_speed_deviation(h) < 2e-11  # M = 3.2, D5 = 38: 2.5e-12 + 8.4e-12
 
     @pytest.mark.parametrize("s_max,step", [(1e9, 1e-3), ((MAX_PANELS + 1) * 1e-3, 1e-3)])
     def test_grid_budget_checked_before_any_allocation(self, s_max, step):
