@@ -6,8 +6,8 @@ curve is immobile exactly when its frame coefficients solve
     u1' = kappa u2 - 1,   u2' = -kappa u1,   u3' = u2 - tau.
 
 Because u3 is absent from the first two equations the system integrates in
-closed form: with theta(s) the antiderivative of kappa and Delta =
-C2 C3 - C1 C4 != 0,
+closed form.  The paper's forms, with theta(s) the antiderivative of kappa
+and Delta = C2 C3 - C1 C4 != 0, are
 
     u1 = (C1 C5 + C3 C6) sin(theta) + (C2 C5 + C4 C6) cos(theta)
          + (C3 sin + C4 cos)(theta) * I1 - (C1 sin + C2 cos)(theta) * I2
@@ -17,13 +17,27 @@ C2 C3 - C1 C4 != 0,
     u3 = integral(u2 - tau) + const,
 
 where I1, I2 are the antiderivatives of (C1 sin + C2 cos)(theta) resp.
-(C3 sin + C4 cos)(theta) times kappa'/(kappa^2 Delta).  The forms satisfy
-the system identically for either sign of kappa (theta carries the sign).
-theta is the antiderivative of the given kappa, not a curve's heading
-(``CurveSample.heading``): the input here is invariants, and there is no
-curve yet.  For kappa == 0 the system degenerates to u1 = c1 - s, u2 = c2,
-u3 = integral(c2 - tau) + c3.  kappa counts as zero on [lo, hi] where
-|kappa| (hi - lo) <= ``curves.RELATIVE_ZERO``.
+(C3 sin + C4 cos)(theta) times kappa'/(kappa^2 Delta).  One integration by
+parts turns them into one fixed planar point Q seen from the planar track
+(X, Y) = integral((cos theta, sin theta)) of a unit-speed curve heading at
+theta: u1 and u2 are the frame components of Q - (X, Y),
+
+    u1 = (Qx - X) cos(theta) + (Qy - Y) sin(theta),
+    u2 = (Qy - Y) cos(theta) - (Qx - X) sin(theta),
+
+which solve the first two equations for every kappa, of either sign and
+through its zeros.  The paper's constants fix Q as (u1, u2) at the left
+endpoint lo:
+
+    Q = (C2 C5 + C4 C6, C1 C5 + C3 C6 + 1/kappa(lo)).
+
+Only 1/kappa(lo) needs a nonzero kappa, so a kappa that is not identically
+zero is refused when |kappa(lo)| (hi - lo) <= ``curves.RELATIVE_ZERO``, and
+not for a zero inside the interval.  For kappa == 0 (|kappa| (hi - lo) <=
+RELATIVE_ZERO everywhere) the system degenerates to u1 = c1 - s, u2 = c2,
+u3 = integral(c2 - tau) + c3: the same two formulas with theta = 0 and
+Q = (C5 - lo, C6).  theta is the antiderivative of the given kappa: the
+input here is invariants, and there is no curve yet.
 
 These solutions characterize membership of curves in surfaces of
 revolution about the z-axis: r lies on the surface swept by (g, f) iff
@@ -31,8 +45,8 @@ u1^2 + u2^2 = g^2 and u3 = -f, which in terms of the invariants becomes
 
     f' - tau = ((g^2)''/2 - 1)/kappa,    f'' - tau' = -kappa (g^2)'/2.
 
-All indefinite integrals are pinned at the interval's left endpoint and
-evaluated by cumulative Simpson on one uniform grid of
+All indefinite integrals (theta, X, Y and u3) are pinned at the interval's
+left endpoint and evaluated by cumulative Simpson on one uniform grid of
 ``numerics.ANTIDERIVATIVE_PANELS`` panels over the interval, exactly for a
 constant integrand.  The closed forms are ``ScalarFn`` trees over kappa,
 tau and these antiderivatives.
@@ -46,8 +60,8 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import (HorizontalCurve, InvariantPair, ParamCurve, immobility_residuals,
-                     kappa_branch)
+from .curves import (RELATIVE_ZERO, HorizontalCurve, InvariantPair, ParamCurve,
+                     immobility_residuals, kappa_branch)
 from .expressions import EvalDomainError, Num, S
 from .fields import antiderivative, as_field
 from .numerics import (ANTIDERIVATIVE_PANELS, fd4_first, lowest_local_minima, minimize_brackets,
@@ -113,12 +127,10 @@ def cesaro_closed_form(
     interval: tuple[float, float] = (0.0, 1.0),
     u3_const: float = 0.0,
 ) -> CesaroSolution:
-    """Closed-form immobility solution on the interval.
-
-    kappa must be either identically zero (then the degenerate branch with
-    c1 = C5, c2 = C6 applies) or bounded away from zero; a sign change is
-    rejected.
-    """
+    """Closed-form immobility solution on the interval: the frame components
+    of the fixed point Q of the module docstring.  kappa is identically zero
+    (the degenerate branch, c1 = C5, c2 = C6) or nonzero at the left
+    endpoint, where the constants read 1/kappa; it may cross zero inside."""
     lo, hi = (float(v) for v in interval)
     if not hi > lo:
         raise ValueError(f"degenerate interval [{lo}, {hi}]")
@@ -126,26 +138,21 @@ def cesaro_closed_form(
     kappa_vals = np.asarray(inv.kappa(grid), dtype=float)
     require_finite(grid, kappa=kappa_vals)
 
-    branch = kappa_branch(kappa_vals, hi - lo)
-    if branch == "zero-kappa":
-        theta, u1, u2 = as_field(0.0), constants.c5 - S, as_field(constants.c6)
-    elif branch == "mixed":
-        bad = grid[np.argmin(np.abs(kappa_vals))]
-        raise ValueError(
-            f"kappa vanishes near s = {bad} but is not identically zero; "
-            "the closed forms require a single branch"
-        )
+    c = constants
+    if kappa_branch(kappa_vals, hi - lo) == "zero-kappa":
+        branch, theta, cos, sin = "zero-kappa", as_field(0.0), as_field(1.0), as_field(0.0)
+        qx, qy = c.c5 - lo, c.c6
     else:
-        c, kappa = constants, inv.kappa
-        theta = antiderivative(kappa, grid)
-        sin, cos = theta.apply("sin"), theta.apply("cos")
-        kp, k2d = kappa.derivative(), kappa ** 2 * c.delta
-        I1 = antiderivative((c.c1 * sin + c.c2 * cos) * kp / k2d, grid)
-        I2 = antiderivative((c.c3 * sin + c.c4 * cos) * kp / k2d, grid)
-        A, B = c.c1 * c.c5 + c.c3 * c.c6, c.c2 * c.c5 + c.c4 * c.c6
-        u1 = A * sin + B * cos + (c.c3 * sin + c.c4 * cos) * I1 - (c.c1 * sin + c.c2 * cos) * I2
-        u2 = (A * cos - B * sin + (c.c3 * cos - c.c4 * sin) * I1
-              - (c.c1 * cos - c.c2 * sin) * I2 + 1 / kappa)
+        if abs(kappa_vals[0]) * (hi - lo) <= RELATIVE_ZERO:
+            raise ValueError(f"kappa vanishes at s = {lo} but is not identically zero; "
+                             "the closed forms' constants need 1/kappa there")
+        branch, theta = "general", antiderivative(inv.kappa, grid)
+        cos, sin = theta.apply("cos"), theta.apply("sin")
+        qx = c.c2 * c.c5 + c.c4 * c.c6
+        qy = c.c1 * c.c5 + c.c3 * c.c6 + 1.0 / float(kappa_vals[0])
+    dx, dy = qx - antiderivative(cos, grid), qy - antiderivative(sin, grid)
+    u1 = dx * cos + dy * sin
+    u2 = dy * cos - dx * sin
     u3 = antiderivative(u2 - inv.tau, grid, const=u3_const)
     return CesaroSolution(inv, constants, (lo, hi), branch, u1, u2, u3, theta, grid)
 
@@ -349,9 +356,9 @@ def check_necessary_conditions(
         f' - tau = ((g^2)''/2 - 1)/kappa,
         f'' - tau' = -kappa (g^2)'/2,
 
-    for the surface's profiles and the curve invariants; kappa must not
-    vanish on the grid, by the rule of ``cesaro_closed_form`` with the
-    surface's range [s_lo, s_hi] as the interval."""
+    for the surface's profiles and the curve invariants.  The first divides
+    by kappa, so kappa must not vanish at any node of the grid: |kappa|
+    (s_hi - s_lo) <= ``curves.RELATIVE_ZERO``, against the surface's range."""
     grid = np.asarray(grid, dtype=float)
     kappa = np.asarray(inv.kappa(grid))
     if kappa_branch(kappa, sigma.s_hi - sigma.s_lo) != "general":
@@ -448,8 +455,9 @@ def generate_surface_constant_tau(
     g2_const: float = 0.0,
     f_const: float = 0.0,
 ) -> SurfaceOfRevolution:
-    """Surface admitting a curve of constant tau and nonzero (not
-    necessarily constant) kappa:
+    """Surface admitting a curve of constant tau and a kappa that is not
+    identically zero (not necessarily constant, and nonzero at the left
+    endpoint as ``cesaro_closed_form`` requires):
 
         g^2 = -2 integral(u1) + g2_const,
         f   = integral((-u1' - 1)/kappa + tau) + f_const,
@@ -469,7 +477,7 @@ def generate_surface_constant_tau(
     require_finite(tau=inv.tau(lo))
     sol = cesaro_closed_form(inv, constants, (lo, hi), u3_const=-f_const)
     if sol.branch != "general":
-        raise ValueError("kappa must be nonzero for this construction")
+        raise ValueError("kappa must not be identically zero for this construction")
     g2 = g2_const - 2 * antiderivative(sol.u1, sol.grid)
     f = -sol.u3
     grid = sol.grid

@@ -19,9 +19,9 @@ components use 4th-order finite differences on a uniform resample.
 
 A ``HorizontalCurve`` answers two pointwise questions: ``sample(s)``
 inverts s -> u once and returns a ``CurveSample`` (u, points, unit
-velocity, kappa and tau), from which the position coefficients and the
-heading are read and the frame above follows from the points and the
-velocity; ``point(s)`` gives positions only.  A caller that needs two
+velocity, kappa and tau), from which the position coefficients are read
+and the frame above follows from the points and the velocity; ``point(s)``
+gives positions only.  A caller that needs two
 quantities at the same s samples once.
 
 The dilation (x, y, z) -> (l x, l y, l^2 z), s -> l s sends kappa to
@@ -186,7 +186,7 @@ class CurveSample(NamedTuple):
     """A curve evaluated at horizontal arc lengths s: the parameter u, the
     points and unit velocity d/ds (Euclidean components, shape (m, 3)),
     kappa and tau.  For a scalar s: a float, two 3-vectors, two floats.
-    The position coefficients and the heading are read off it."""
+    The position coefficients are read off it."""
 
     u: np.ndarray
     points: np.ndarray
@@ -205,13 +205,6 @@ class CurveSample(NamedTuple):
         x, y, z = self.points[..., 0], self.points[..., 1], self.points[..., 2]
         xp, yp = self.velocity[..., 0], self.velocity[..., 1]
         return x * xp + y * yp, y * xp - x * yp, z
-
-    def heading(self):
-        """The angle of the unit contact velocity against e1, unwrapped along
-        the samples: on an increasing s grid heading - heading[0] is the
-        integral of kappa, to roundoff, from first derivatives alone."""
-        angle = np.arctan2(self.velocity[..., 1], self.velocity[..., 0])
-        return np.unwrap(angle) if angle.ndim else float(angle)
 
 
 class HorizontalCurve:

@@ -70,8 +70,8 @@ def _cascade(inv, pose: InitialPose, lo: float, hi: float, step: float):
     grid and the (values, integrand) samples of phi, x, y and z.  Refused: a
     spacing whose square underflows, a coordinate past the float range (at
     its s), and coordinates whose rounding exceeds RELATIVE_ZERO of the length."""
-    if not (hi - lo > 0 and step > 0):
-        raise ValueError(f"s_max and step must be positive, got {hi - lo} and {step}")
+    if not hi - lo > 0:
+        raise ValueError(f"s_max must be positive, got {hi - lo}")
     n = panel_count(hi - lo, step, minimum=4)
     dx = (hi - lo) / (2 * n)
     if dx * dx < np.finfo(float).tiny:
@@ -141,7 +141,8 @@ def find_psh_alignment(
             "the curves are not congruent"
         )
     # grid[0] = 0: the rotation is the heading difference at the start
-    angle = float(sb.heading()[0] - sa.heading()[0])
+    (ax, ay, _), (bx, by, _) = sa.velocity[0], sb.velocity[0]
+    angle = float(np.arctan2(by, bx) - np.arctan2(ay, ax))
     # the shift takes the rotated start of a onto the start of b
     a0 = H1Point.from_array(PshTransform(angle, H1Point.origin()).apply(*sa.points[0]))
     shift = left_translate(H1Point.from_array(sb.points[0]), a0.inverse())

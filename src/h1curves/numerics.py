@@ -31,8 +31,11 @@ ANTIDERIVATIVE_PANELS = 10_000  # panels of a closed form's antiderivatives over
 
 
 def panel_count(span: float, step: float, minimum: int = 2) -> int:
-    """ceil(span/step), at least ``minimum``; a request above MAX_PANELS
-    (or not finite) raises ValueError before anything is allocated."""
+    """ceil(span/step), at least ``minimum``; a step that is not positive and
+    finite, or a request above MAX_PANELS (or not finite), raises ValueError
+    before anything is allocated."""
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     n = span / step
     if not n <= MAX_PANELS:
         raise ValueError(f"grid of {n:.0f} panels requested (span {span:g} / step "

@@ -93,6 +93,14 @@ def frame(smp):
     return t, n, b
 
 
+def heading(smp):
+    """The angle of a ``CurveSample``'s unit contact velocity against e1,
+    unwrapped along its samples: on an increasing s grid heading -
+    heading[0] is the integral of kappa, to roundoff, from first
+    derivatives alone."""
+    return np.unwrap(np.arctan2(smp.velocity[:, 1], smp.velocity[:, 0]))
+
+
 def mate_sample(mate):
     """A ``BertrandMate``'s points on its grid as a ``CurveSample``: the unit
     velocity by ``numerics.fd4_first``, kappa unknown (None), tau the

@@ -29,7 +29,8 @@ from h1curves.classify import ClassTag, classify_position, make_canonical
 from h1curves.expressions import ScalarFn
 from h1curves.numerics import fd4_first, step_grid
 
-from conftest import frame, mate_sample, random_invariant_exprs, random_psh_transform
+from conftest import (frame, heading, mate_sample, random_invariant_exprs,
+                      random_psh_transform)
 
 SEED = 987123
 
@@ -224,7 +225,7 @@ def test_criterion_09_bertrand_suite():
         worst_dist = max(worst_dist, r.distance)
         # the mate's kappa: the fd4 derivative of the heading of its points
         mate_smp, base_smp = mate_sample(mate), base.sample(mate.grid)
-        kappa_bar = fd4_first(mate_smp.heading(), mate.grid[1] - mate.grid[0])
+        kappa_bar = fd4_first(heading(mate_smp), mate.grid[1] - mate.grid[0])
         worst_kappa = max(worst_kappa, float(np.max(np.abs(kappa_bar - base_smp.kappa))))
         samples.extend([base_smp, mate_smp])
 
@@ -241,7 +242,9 @@ def test_criterion_09_bertrand_suite():
         fit = np.linalg.norm(tb - g[:, None] * na, axis=-1)
         min_tn = min(min_tn, float(np.max(np.maximum(fit, np.abs(g)))))
         min_bn = min(min_bn, float(np.max(np.linalg.norm(nb, axis=-1))))
-    ok = (worst_align < 1e-8 and worst_ds < 1e-8 and worst_kappa < 1e-7
+    # align and ds read fd4 where it is centred: at most 5.4e-13 and 6.9e-12
+    # over the twenty mates
+    ok = (worst_align < 2e-12 and worst_ds < 2e-11 and worst_kappa < 1e-7
           and worst_dist < 1e-8 and min_tn > 0.1 and min_bn > 0.1)
     report(9, "bertrand-suite", ok,
            f"align={worst_align:.2e}, ds={worst_ds:.2e}, dkappa={worst_kappa:.2e}, "

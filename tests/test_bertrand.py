@@ -15,14 +15,13 @@ from h1curves import (
 )
 from h1curves.bertrand import (
     BertrandSpec,
-    BranchError,
     bertrand_mate,
     mate_residuals,
 )
 from h1curves.expressions import ScalarFn
 from h1curves.numerics import cumulative_simpson, fd4_first
 
-from conftest import mate_sample, random_invariant_exprs
+from conftest import heading, mate_sample, random_invariant_exprs
 
 
 def line(s_max=3.0):
@@ -35,7 +34,7 @@ def unit_circle_curve(s_max=4.0):
 
 def mate_kappa(m):
     """The mate's kappa, the fd4 derivative of its heading."""
-    return fd4_first(mate_sample(m).heading(), m.grid[1] - m.grid[0])
+    return fd4_first(heading(mate_sample(m)), m.grid[1] - m.grid[0])
 
 
 class TestMateConstruction:
@@ -84,12 +83,19 @@ class TestMateConstruction:
         m = bertrand_mate(base, BertrandSpec(0.0, 0.0))
         assert np.max(np.linalg.norm(m.points - base.point(m.grid), axis=1)) < 1e-9
 
-    def test_branch_mixing_refused(self):
+    def test_kappa_vanishing_on_a_node_builds_a_measured_mate(self):
+        # kappa = sin(s) is zero on the node s = 0: the fixed vector d needs
+        # no heading and no nonzero kappa, so the mate meets criterion 09's
+        # bounds as any other mate does
         h = reconstruct_curve(
             InvariantPair("sin(s)", "0"), InitialPose.origin(), 3.0
         )
-        with pytest.raises(BranchError):
-            bertrand_mate(h, BertrandSpec(1.0, 0.0))
+        m = bertrand_mate(h, BertrandSpec(1.0, 0.0))
+        assert m.branch == "general"
+        r = mate_residuals(m)
+        assert r.align < 2e-12 and r.speed < 2e-11 and r.distance < 1e-8
+        assert np.max(np.abs(mate_kappa(m) - h.sample(m.grid).kappa)) < 1e-7
+        assert r.tau_bar < CLEAN_BOUND
 
     def test_mate_properties(self, rng):
         for _ in range(3):
@@ -144,8 +150,9 @@ class TestMateDistance:
             bertrand_mate(unit_circle_curve(), BertrandSpec(c1, c2))
 
 
-# every figure of ``mate_residuals`` of the wavy mate stays below this
-CLEAN_BOUND = 1e-7
+# every figure of ``mate_residuals`` of the wavy mate stays below this; at
+# step 1e-3 the largest, tau_bar, measures 1.4e-12
+CLEAN_BOUND = 1e-11
 
 
 @pytest.fixture
@@ -190,6 +197,16 @@ class TestMateGrid:
         c = ParamCurve.from_fields(
             "1.5*cos(1.2*s) + 0.2", "0.8*sin(1.2*s) - 0.1", "0.3*s", (0.0, 4.0))
         return reparam_horizontal(c, step=1e-3)
+
+    def test_planar_offset_is_one_vector(self, ellipse):
+        # r_bar - r in the plane is d = c2 t(0) + c1 n(0) at every node, to
+        # the rounding of one sum: one ulp of the largest coordinate
+        m = bertrand_mate(ellipse, BertrandSpec(0.3, -0.5), step=0.1)
+        d = (m.points - m.base)[:, :2]
+        tx, ty, _ = ellipse.sample(0.0).velocity
+        assert np.max(np.abs(d - d[0])) <= np.spacing(np.max(np.abs(m.points[:, :2])))
+        assert np.allclose(d[0], [-0.5 * tx - 0.3 * ty, -0.5 * ty + 0.3 * tx],
+                           rtol=0.0, atol=1e-15)
 
     def test_points_are_the_sampled_base_plus_offsets(self, ellipse):
         m = bertrand_mate(ellipse, BertrandSpec(0.3, -0.5), step=0.1)
@@ -238,8 +255,8 @@ class TestMateResidualsFail:
         # the tangent offset u1 = c1 sin(theta) + c2 cos(theta) rebuilt with
         # -c2: the planar distance leaves sqrt(c1^2 + c2^2)
         smp = wavy_base.sample(wavy_mate.grid)
-        heading = smp.heading()
-        shift = -2.0 * wavy_mate.spec.c2 * np.cos(heading - heading[0])
+        theta = heading(smp) - heading(smp)[0]
+        shift = -2.0 * wavy_mate.spec.c2 * np.cos(theta)
         points = wavy_mate.points + shift[:, None] * smp.velocity * [1.0, 1.0, 0.0]
         r = mate_residuals(dataclasses.replace(wavy_mate, points=points))
         assert r.distance > CLEAN_BOUND

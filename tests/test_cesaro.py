@@ -59,9 +59,35 @@ def antiderivative_leaves(fn):
     return list(found.values())
 
 
+def paper_closed_form(inv, c, grid):
+    """The paper's u1 and u2: A sin + B cos and A cos - B sin of theta plus
+    the I1, I2 terms (integrals of kappa'/(kappa^2 Delta)) and 1/kappa, all
+    on ``grid``.  The reference the fixed point Q must reproduce."""
+    theta = antiderivative(inv.kappa, grid)
+    sin, cos = theta.apply("sin"), theta.apply("cos")
+    kp, k2d = inv.kappa.derivative(), inv.kappa ** 2 * c.delta
+    I1 = antiderivative((c.c1 * sin + c.c2 * cos) * kp / k2d, grid)
+    I2 = antiderivative((c.c3 * sin + c.c4 * cos) * kp / k2d, grid)
+    A, B = c.c1 * c.c5 + c.c3 * c.c6, c.c2 * c.c5 + c.c4 * c.c6
+    u1 = A * sin + B * cos + (c.c3 * sin + c.c4 * cos) * I1 - (c.c1 * sin + c.c2 * cos) * I2
+    u2 = (A * cos - B * sin + (c.c3 * cos - c.c4 * sin) * I1
+          - (c.c1 * cos - c.c2 * sin) * I2 + 1 / inv.kappa)
+    return u1, u2
+
+
 # cesaro_system_residual of the closed forms below, read where fd4's stencil
-# is centred on their own grid: at most 2.5e-12, the rounding of fd4 there
+# is centred on their own grid: at most 5.0e-12 (a kappa crossing zero) and
+# 2.9e-12 for the others, the rounding of fd4 there
 RESIDUAL_BOUND = 1e-11
+
+# the general cases of the tests below: kappa, tau, constants, interval
+GENERAL_CASES = [
+    ("2 + sin(s)", "0.4*cos(s)", (1, 0.2, -0.3, 1, 0.7, -0.2), (0, 5)),
+    ("-2 - 0.5*sin(s)", "0.1", (1.0, 0.0, 0.0, 1.0, 0.4, 0.1), (0, 4)),
+    ("2 + sin(s)", "0.2*cos(s)", (1.0, 0.0, 0.0, 1.0, 0.5, -0.2), (1.0, 4.0)),
+    ("1.5 + 0.3*sin(3*s)", "0.4 + 0.2*cos(s)", (1.0, 0.5, -0.3, 1.2, 0.2, -0.1), (0, 3)),
+    ("1.5 + 0.4*cos(s)", "0.1*s", (1.0, 0.0, 0.0, 1.0, 0.8, 0.3), (0, 4)),
+]
 
 
 class TestClosedForm:
@@ -140,8 +166,31 @@ class TestClosedForm:
         res = cesaro_system_residual(dataclasses.replace(sol, inv=perturbed))
         assert res[2] > RESIDUAL_BOUND
 
+    @pytest.mark.parametrize("kappa,tau,constants,interval", GENERAL_CASES)
+    def test_fixed_point_is_the_papers_closed_form(self, kappa, tau, constants, interval):
+        # Q = (C2 C5 + C4 C6, C1 C5 + C3 C6 + 1/kappa(lo)) seen from the track
+        # (X, Y) is the paper's form, integrated by parts
+        inv, c = InvariantPair(kappa, tau), CesaroConstants(*constants)
+        sol = cesaro_closed_form(inv, c, interval=interval)
+        u1, u2 = paper_closed_form(inv, c, sol.grid)
+        s = np.concatenate([sol.grid, np.linspace(*interval, 997)])
+        assert np.max(np.abs(sol.u1(s) - u1(s))) <= 1e-12
+        assert np.max(np.abs(sol.u2(s) - u2(s))) <= 1e-12
+        u3 = antiderivative(u2 - inv.tau, sol.grid)
+        assert np.max(np.abs(sol.u3(s) - u3(s))) <= 1e-12
+
+    @pytest.mark.parametrize("kappa", ["s - 0.50005", "s - 0.5"],
+                             ids=["between-nodes", "on-a-node"])
+    def test_kappa_crossing_zero_inside_the_interval(self, kappa):
+        # only the constants read 1/kappa, at the left endpoint: the forms
+        # hold through the zero, where the paper's 1/kappa has a pole
+        inv = InvariantPair(kappa, "0.3")
+        sol = cesaro_closed_form(inv, CesaroConstants(1, 0.2, -0.3, 1, 0.7, -0.2), (0, 1))
+        assert sol.branch == "general"
+        assert max(cesaro_system_residual(sol)) < RESIDUAL_BOUND
+
     def test_antiderivatives_are_built_on_the_solution_grid(self):
-        # theta, I1, I2 and u3 (whose integrand holds the other three) are
+        # theta, X, Y and u3 (whose integrand holds the other three) are
         # cumulative Simpson on sol.grid itself, not on copies of it
         inv = InvariantPair("2 + sin(s)", "0.4*cos(s)")
         sol = cesaro_closed_form(inv, CesaroConstants(1, 0.2, -0.3, 1, 0.7, -0.2), (0.5, 3.0))
@@ -516,12 +565,13 @@ class TestDilation:
     """Under the dilation s -> lam s, kappa -> kappa/lam, tau -> lam tau the
     branch of the closed forms and the refusal of the necessary conditions
     do not change: kappa counts as zero by |kappa| times the interval's
-    length.  Each kappa below sat on the other side of the former absolute
-    thresholds at one of the two dilations."""
+    length.  Each of the first four kappas below sat on the other side of
+    the former absolute thresholds at one of the two dilations; "crossing"
+    vanishes inside the interval and "start" at its left endpoint."""
 
     S = 10.0
     KAPPAS = {"zero": "0", "small": "5e-9", "tiny": "5e-10", "crossing": "s - 3",
-              "general": "1 + 0.5*sin(s)"}
+              "start": "s", "general": "1 + 0.5*sin(s)"}
 
     @staticmethod
     def branch(kappa: str, tau: str, interval):
@@ -540,7 +590,10 @@ class TestDilation:
         dilated = self.branch(f"({_dilated(kappa, lam)})/({lam!r})",
                               f"({lam!r})*({_dilated(tau, lam)})", (0.0, lam * self.S))
         assert dilated == base
-        assert base == {"zero": "zero-kappa", "tiny": "zero-kappa", "crossing": "kappa vanishes",
+        # the closed forms divide by kappa at the left endpoint only
+        assert base == {"zero": "zero-kappa", "tiny": "zero-kappa", "crossing": "general",
+                        "start": "kappa vanishes at s = 0.0 but is not identically zero; "
+                                 "the closed forms' constants need 1/kappa there",
                         "small": "general", "general": "general"}[name]
 
     @staticmethod
@@ -566,7 +619,7 @@ class TestDilation:
                                   f"({lam!r})*({_dilated(tau, lam)})", lam, self.S)
         if isinstance(base, str):
             assert dilated == base
-            assert name in ("zero", "tiny", "crossing")
+            assert name in ("zero", "tiny", "crossing", "start")
         else:
             # f' - tau - ((g^2)''/2 - 1)/kappa scales by lam; the second is invariant
             assert name in ("small", "general")
@@ -664,7 +717,7 @@ class TestGenerateConstantTau:
         surf = generate_surface_constant_tau(inv, CesaroConstants(1, 0, 0, 1, 0.0, 0.0),
                                              interval=(0, 5), g2_const=1.0)
         leaves = antiderivative_leaves(surf.g2)
-        assert len(leaves) == 4  # integral(u1), theta, I1, I2
+        assert len(leaves) == 4  # integral(u1), theta, X, Y
         assert len({id(leaf._hermite.nodes) for leaf in leaves}) == 1
 
     def test_output_passes_necessary_conditions(self):

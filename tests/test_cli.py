@@ -973,6 +973,24 @@ class TestSurface:
         assert header == ["s", "g", "f"]
         assert np.all(data[:, 1] >= 0)
 
+    @pytest.mark.parametrize("kappa", ["s - 0.50005", "s - 0.5"],
+                             ids=["between-nodes", "on-a-node"])
+    def test_gen_const_tau_through_a_zero_of_kappa(self, runner, kappa):
+        # the closed forms divide by kappa at the left endpoint only, so f is
+        # smooth through the zero: adjacent rows differ by about 0.0020
+        result = runner.invoke(main, ["surface", "gen-const-tau", "--kappa", kappa,
+                                      "--range", "0", "1", "--g2-const", "1e9"])
+        assert result.exit_code == 0, result.stderr
+        _, data = parse_csv(result.output)
+        assert np.max(np.abs(np.diff(data[:, 2]))) < 0.01
+
+    def test_gen_const_tau_kappa_vanishing_at_the_start_is_refused(self, runner):
+        result = runner.invoke(main, ["surface", "gen-const-tau", "--kappa", "s - 0.25",
+                                      "--range", "0.25", "1"])
+        assert result.exit_code == 2
+        assert result.stderr == ("error: kappa vanishes at s = 0.25 but is not identically "
+                                 "zero; the closed forms' constants need 1/kappa there\n")
+
     def test_gen_const_tau_json_is_json_dumps_of_the_csv_table(self, runner):
         args = ["surface", "gen-const-tau", "--kappa", "2 + sin(s)", "--tau", "0.3",
                 "--g2-const", "1.0", "--range", "0", "5", "--step", "0.05"]

@@ -23,8 +23,8 @@ from h1curves.classify import classify_position
 from h1curves.cli import main
 from h1curves.numerics import step_grid
 
-from conftest import (RecordingField, contact_speed_deviation, frame, random_analytic_curve,
-                      random_psh_transform)
+from conftest import (RecordingField, contact_speed_deviation, frame, heading,
+                      random_analytic_curve, random_psh_transform)
 
 
 def line_curve(scale="1"):
@@ -97,8 +97,8 @@ class TestKappaTau:
         h = reparam_horizontal(c)
         s = np.linspace(0.3, h.s_max - 0.3, 15)
         eps = 1e-6
-        phi_p = h.sample(s + eps).heading()
-        phi_m = h.sample(s - eps).heading()
+        phi_p = heading(h.sample(s + eps))
+        phi_m = heading(h.sample(s - eps))
         oracle = (np.unwrap(np.stack([phi_m, phi_p]), axis=0)[1] - phi_m) / (2 * eps)
         assert np.max(np.abs(h.sample(s).kappa - oracle)) < 1e-6
 
@@ -471,19 +471,6 @@ class TestInversionScale:
         assert h.s_max == pytest.approx(lam * base.s_max, rel=1e-13)
         s = np.linspace(0.0, base.s_max, 2001)
         assert np.max(np.abs(h.u_of_s(lam * s) / lam - base.u_of_s(s))) < 1e-12
-
-
-class TestHeading:
-    def test_unwrapped_along_the_samples(self):
-        # the unit circle x = cos u, y = sin u heads at u + pi/2
-        h = reparam_horizontal(ParamCurve.from_fields("cos(s)", "sin(s)", "0", (0.0, 9.0)))
-        s = np.linspace(0.0, h.s_max, 300)
-        heading = h.sample(s).heading()
-        assert np.max(np.abs(heading - (s + np.pi / 2))) < 1e-9
-        # a single sample has nothing to unwrap against: atan2's range
-        one = h.sample(2.0).heading()
-        assert isinstance(one, float)
-        assert one == pytest.approx(2.0 + np.pi / 2 - 2 * np.pi, abs=1e-9)
 
 
 class TestOneInversionPerGrid:

@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from h1curves import HorizontalCurve, ParamCurve, reparam_horizontal
+from h1curves.bertrand import BertrandSpec, bertrand_mate
 from h1curves.numerics import (MAX_PANELS, cumulative_simpson, golden_section, panel_count,
                                step_grid)
+
+LINE = ParamCurve.from_fields("s", "0", "0", (0.0, 1.0))
 
 
 class TestGoldenSection:
@@ -62,6 +66,18 @@ class TestPanelCount:
         grid = step_grid(-0.25, 0.75, step)
         assert grid.size == nodes
         assert (grid[0], grid[-1]) == (-0.25, 0.75)
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan])
+    @pytest.mark.parametrize("build", [
+        lambda step: step_grid(0.0, 1.0, step),
+        lambda step: reparam_horizontal(LINE, step=step),
+        lambda step: bertrand_mate(HorizontalCurve.arc_length(LINE), BertrandSpec(0.0, 0.0, g="0"),
+                                   step=step),
+    ], ids=["step_grid", "reparam_horizontal", "bertrand_mate"])
+    def test_step_that_is_not_positive_and_finite_is_refused(self, build, step):
+        # not a ZeroDivisionError, nor the fewest panels for a negative step
+        with pytest.raises(ValueError, match=f"^step must be positive and finite, got {step}$"):
+            build(step)
 
     def test_exact_budget_is_allowed(self):
         assert panel_count(float(MAX_PANELS), 1.0) == MAX_PANELS
