@@ -5,39 +5,33 @@ curve is immobile exactly when its frame coefficients solve
 
     u1' = kappa u2 - 1,   u2' = -kappa u1,   u3' = u2 - tau.
 
-Because u3 is absent from the first two equations the system integrates in
-closed form.  The paper's forms, with theta(s) the antiderivative of kappa
-and Delta = C2 C3 - C1 C4 != 0, are
+Minus the position coefficients of any horizontally regular curve
+(x, y, z), parametrized by horizontal arc length s, solve it
+(``curves.verify_cesaro`` checks exactly this):
 
-    u1 = (C1 C5 + C3 C6) sin(theta) + (C2 C5 + C4 C6) cos(theta)
-         + (C3 sin + C4 cos)(theta) * I1 - (C1 sin + C2 cos)(theta) * I2
-    u2 = (C1 C5 + C3 C6) cos(theta) - (C2 C5 + C4 C6) sin(theta)
-         + (C3 cos - C4 sin)(theta) * I1 - (C1 cos - C2 sin)(theta) * I2
-         + 1/kappa
-    u3 = integral(u2 - tau) + const,
+    u1 = -(x x' + y y'),   u2 = -(y x' - x y'),   u3 = -z.
 
-where I1, I2 are the antiderivatives of (C1 sin + C2 cos)(theta) resp.
-(C3 sin + C4 cos)(theta) times kappa'/(kappa^2 Delta).  One integration by
-parts turns them into one fixed planar point Q seen from the planar track
-(X, Y) = integral((cos theta, sin theta)) of a unit-speed curve heading at
-theta: u1 and u2 are the frame components of Q - (X, Y),
+The system is linear, so a solution is fixed by its values at the
+interval's left endpoint lo: it is minus the coefficients of the curve
+with invariants (kappa, tau) (``frenet``, the fundamental theorem of
+curves) that starts at (-u1(lo), -u2(lo), -u3(lo)) with heading 0, since
+at a heading of 0 the coefficients there are minus that point.  A rotation
+about the z-axis leaves the coefficients unchanged, so any other heading
+gives the same solution.  The paper's closed forms, with theta the
+antiderivative of kappa, Delta = C2 C3 - C1 C4 != 0 and two integrals
+I1, I2 of terms in kappa'/(kappa^2 Delta), integrate by parts to these
+coefficients; their constants fix the start through
 
-    u1 = (Qx - X) cos(theta) + (Qy - Y) sin(theta),
-    u2 = (Qy - Y) cos(theta) - (Qx - X) sin(theta),
+    (u1(lo), u2(lo)) = Q = (C2 C5 + C4 C6, C1 C5 + C3 C6 + 1/kappa(lo)),
 
-which solve the first two equations for every kappa, of either sign and
-through its zeros.  The paper's constants fix Q as (u1, u2) at the left
-endpoint lo:
-
-    Q = (C2 C5 + C4 C6, C1 C5 + C3 C6 + 1/kappa(lo)).
-
-Only 1/kappa(lo) needs a nonzero kappa, so a kappa that is not identically
-zero is refused when |kappa(lo)| (hi - lo) <= ``curves.RELATIVE_ZERO``, and
-not for a zero inside the interval.  For kappa == 0 (|kappa| (hi - lo) <=
+so the solution is read off the cascade's curve started at (-Qx, -Qy,
+-u3_const), for every kappa, of either sign and through its zeros.  Only
+1/kappa(lo) needs a nonzero kappa, so a kappa that is not identically zero
+is refused when |kappa(lo)| (hi - lo) <= ``curves.RELATIVE_ZERO``, and not
+for a zero inside the interval.  For kappa == 0 (|kappa| (hi - lo) <=
 RELATIVE_ZERO everywhere) the system degenerates to u1 = c1 - s, u2 = c2,
-u3 = integral(c2 - tau) + c3: the same two formulas with theta = 0 and
-Q = (C5 - lo, C6).  theta is the antiderivative of the given kappa: the
-input here is invariants, and there is no curve yet.
+u3 = integral(c2 - tau) + c3: the same curve, a line, with
+Q = (C5 - lo, C6).
 
 These solutions characterize membership of curves in surfaces of
 revolution about the z-axis: r lies on the surface swept by (g, f) iff
@@ -45,11 +39,14 @@ u1^2 + u2^2 = g^2 and u3 = -f, which in terms of the invariants becomes
 
     f' - tau = ((g^2)''/2 - 1)/kappa,    f'' - tau' = -kappa (g^2)'/2.
 
-All indefinite integrals (theta, X, Y and u3) are pinned at the interval's
-left endpoint and evaluated by cumulative Simpson on one uniform grid of
-``numerics.ANTIDERIVATIVE_PANELS`` panels over the interval, exactly for a
-constant integrand.  The closed forms are ``ScalarFn`` trees over kappa,
-tau and these antiderivatives.
+u1^2 + u2^2 is x^2 + y^2, the squared distance of the curve to the z-axis,
+so the constant-tau surface is the one swept by rotating the curve about
+the z-axis, its squared radius shifted by a constant.
+
+The curve is ``frenet._cascade_curve`` on one uniform grid of
+``numerics.ANTIDERIVATIVE_PANELS`` panels over the interval, its integrals
+pinned at lo; the closed forms are ``ScalarFn`` trees over its leaves, and
+this module integrates nothing itself.
 """
 
 from __future__ import annotations
@@ -63,7 +60,9 @@ import numpy as np
 from .curves import (RELATIVE_ZERO, HorizontalCurve, InvariantPair, ParamCurve,
                      immobility_residuals, kappa_branch)
 from .expressions import EvalDomainError, Num, S
-from .fields import antiderivative, as_field
+from .fields import as_field
+from .frenet import InitialPose, _cascade_curve
+from .heisenberg import H1Point
 from .numerics import (ANTIDERIVATIVE_PANELS, fd4_first, lowest_local_minima, minimize_brackets,
                        require_finite, step_grid)
 
@@ -107,8 +106,10 @@ class CesaroConstants:
 @dataclass
 class CesaroSolution:
     """A solution (u1, u2, u3) of the immobility system for given
-    invariants, with theta the signed antiderivative of kappa; ``grid`` is
-    the grid its antiderivatives were built on."""
+    invariants: minus the position coefficients of ``curve``, the curve
+    with these invariants that starts at (-Qx, -Qy, -u3(lo)) with heading
+    0, parametrized by arc length on ``interval``; ``grid`` is the grid
+    of its integrals."""
 
     inv: InvariantPair
     constants: Optional[CesaroConstants]
@@ -117,7 +118,7 @@ class CesaroSolution:
     u1: object
     u2: object
     u3: object
-    theta: object
+    curve: ParamCurve
     grid: np.ndarray
 
 
@@ -127,10 +128,11 @@ def cesaro_closed_form(
     interval: tuple[float, float] = (0.0, 1.0),
     u3_const: float = 0.0,
 ) -> CesaroSolution:
-    """Closed-form immobility solution on the interval: the frame components
-    of the fixed point Q of the module docstring.  kappa is identically zero
-    (the degenerate branch, c1 = C5, c2 = C6) or nonzero at the left
-    endpoint, where the constants read 1/kappa; it may cross zero inside."""
+    """Closed-form immobility solution on the interval: the coefficients of
+    the curve of the module docstring, whose start the fixed point Q
+    fixes.  kappa is identically zero (the degenerate branch, c1 = C5,
+    c2 = C6) or nonzero at the left endpoint, where the constants read
+    1/kappa; it may cross zero inside."""
     lo, hi = (float(v) for v in interval)
     if not hi > lo:
         raise ValueError(f"degenerate interval [{lo}, {hi}]")
@@ -140,26 +142,23 @@ def cesaro_closed_form(
 
     c = constants
     if kappa_branch(kappa_vals, hi - lo) == "zero-kappa":
-        branch, theta, cos, sin = "zero-kappa", as_field(0.0), as_field(1.0), as_field(0.0)
-        qx, qy = c.c5 - lo, c.c6
+        branch, qx, qy = "zero-kappa", c.c5 - lo, c.c6
     else:
         if abs(kappa_vals[0]) * (hi - lo) <= RELATIVE_ZERO:
             raise ValueError(f"kappa vanishes at s = {lo} but is not identically zero; "
                              "the closed forms' constants need 1/kappa there")
-        branch, theta = "general", antiderivative(inv.kappa, grid)
-        cos, sin = theta.apply("cos"), theta.apply("sin")
+        branch = "general"
         qx = c.c2 * c.c5 + c.c4 * c.c6
         qy = c.c1 * c.c5 + c.c3 * c.c6 + 1.0 / float(kappa_vals[0])
-    dx, dy = qx - antiderivative(cos, grid), qy - antiderivative(sin, grid)
-    u1 = dx * cos + dy * sin
-    u2 = dy * cos - dx * sin
-    u3 = antiderivative(u2 - inv.tau, grid, const=u3_const)
-    return CesaroSolution(inv, constants, (lo, hi), branch, u1, u2, u3, theta, grid)
+    curve = _cascade_curve(inv, InitialPose(H1Point(-qx, -qy, -u3_const), 0.0), grid)
+    x, y, xp, yp = curve.x, curve.y, curve.x.derivative(), curve.y.derivative()
+    u1, u2 = -(x * xp + y * yp), -(y * xp - x * yp)
+    return CesaroSolution(inv, constants, (lo, hi), branch, u1, u2, -curve.z, curve, grid)
 
 
 def cesaro_system_residual(sol: CesaroSolution) -> tuple[float, float, float]:
     """``curves.immobility_residuals`` of the solution on ``sol.grid``, the
-    grid of its antiderivatives, derivatives by ``numerics.fd4_first`` there
+    grid of its curve's integrals, derivatives by ``numerics.fd4_first`` there
     (independent of the closed forms; error O(step^4) where the stencil is
     centred)."""
     grid = sol.grid
@@ -392,7 +391,7 @@ def _radicand_critical(kappa, c1, c2, c3g, lo, hi) -> list:
 
 def generate_surface_constant_kappa(
     kappa: float,
-    tau,
+    tau: float,
     c1: float,
     c2: float,
     c3g: float,
@@ -402,20 +401,20 @@ def generate_surface_constant_kappa(
     """Surface admitting a curve of nonzero constant p-curvature:
 
         g = [(-C1 cos(kappa s) + C2 sin(kappa s) + C3g)/kappa]^(1/2),
-        f = integral(tau) + (C1 sin(kappa s) + C2 cos(kappa s))/(2 kappa)
-            - s/kappa + C3f.
+        f = tau (s - lo) + (C1 sin(kappa s) + C2 cos(kappa s))/(2 kappa)
+            - s/kappa + C3f,
+
+    for a constant tau, whose integral from the range's start lo is the
+    first term of f.
 
     The two integration constants are deliberately independent (c3g, c3f).
     Only the nonnegative branch of g is produced; a radicand that is
     negative anywhere on the range (its least value is found exactly, at the
     ends and at the extrema of the trigonometric part), a
     profile that is not finite on the range and a parameter that is not
-    finite are errors naming the offending s or parameter.  g^2 and the
-    trigonometric part of f are parsed from the text ``to_json`` prints."""
-    tau = as_field(tau)
-    # a tau that depends on s is checked through f on the grid below
-    tau_value = tau.ast.value if isinstance(tau.ast, Num) else 0.0
-    require_finite(kappa=kappa, tau=tau_value, c1=c1, c2=c2, c3g=c3g, c3f=c3f)
+    finite are errors naming the offending s or parameter.  g^2 and f are
+    parsed from the text ``to_json`` prints."""
+    require_finite(kappa=kappa, tau=tau, c1=c1, c2=c2, c3g=c3g, c3f=c3f)
     if kappa == 0.0:
         raise ValueError("kappa must be a nonzero constant")
     lo, hi = _profile_range(interval)
@@ -424,13 +423,12 @@ def generate_surface_constant_kappa(
         f"(-({repr(float(c1))})*cos(({k})*s) + ({repr(float(c2))})*sin(({k})*s)"
         f" + ({repr(float(c3g))}))/({k})"
     )
-    f_trig_text = (
+    f_text = (
+        f"({repr(float(tau))})*(s - ({repr(lo)})) + "
         f"(({repr(float(c1))})*sin(({k})*s) + ({repr(float(c2))})*cos(({k})*s))"
         f"/(2*({k})) - s/({k}) + ({repr(float(c3f))})"
     )
-    g2 = as_field(g2_text)
-    tau_integral = antiderivative(tau, np.linspace(lo, hi, ANTIDERIVATIVE_PANELS + 1))
-    f = tau_integral + as_field(f_trig_text)
+    g2, f = as_field(g2_text), as_field(f_text)
     grid = np.linspace(lo, hi, 4097)  # the sign scan's; the exact extrema join it below
     radicand = np.asarray(g2(grid))
     require_finite(grid, g=radicand, f=f(grid))
@@ -440,9 +438,6 @@ def generate_surface_constant_kappa(
         raise ValueError(
             f"negative radicand for g at s = {bad}: the profile is not real there"
         )
-    f_text = None
-    if isinstance(tau.ast, Num):
-        f_text = f"({repr(tau_value)})*(s - ({repr(lo)})) + {f_trig_text}"
     return SurfaceOfRevolution(
         g2, f, lo, hi, g_text=f"sqrt({g2_text})", f_text=f_text
     )
@@ -462,10 +457,16 @@ def generate_surface_constant_tau(
         g^2 = -2 integral(u1) + g2_const,
         f   = integral((-u1' - 1)/kappa + tau) + f_const,
 
-    with u1 the closed-form coefficient; by the first system equation the
-    f-integrand equals tau - u2, so f = -u3 with u3 = integral(u2 - tau) -
-    f_const.  Both integrals start at the interval's left endpoint, with
-    their constants exposed.  tau is constant exactly when its derivative
+    with u1 the closed-form coefficient and both integrals from the
+    interval's left endpoint.  Both are read off the solution's curve
+    (x, y, z), which starts at (-Qx, -Qy, f_const): -2 u1 = (x^2 + y^2)',
+    so g^2 = (g2_const - |Q|^2) + x^2 + y^2, the surface swept by the
+    curve with its squared radius shifted by a constant; by the first
+    system equation the f-integrand equals tau - u2 = z', so f = z.  g^2
+    is summed as g2_const + (x^2 - Qx^2) + (y^2 - Qy^2), whose brackets
+    vanish exactly at lo, where the curve is -Q bit for bit, so g^2(lo) is
+    g2_const.
+    tau is constant exactly when its derivative
     folds to the number 0, with no tolerance and no unit (``s - s`` is,
     ``1e-9*sin(s)`` is not).  A non-finite parameter, tau or profile is an
     error naming it."""
@@ -478,8 +479,9 @@ def generate_surface_constant_tau(
     sol = cesaro_closed_form(inv, constants, (lo, hi), u3_const=-f_const)
     if sol.branch != "general":
         raise ValueError("kappa must not be identically zero for this construction")
-    g2 = g2_const - 2 * antiderivative(sol.u1, sol.grid)
-    f = -sol.u3
+    x, y, f = sol.curve.x, sol.curve.y, sol.curve.z
+    x0, y0 = float(x(lo)), float(y(lo))  # -Q, exactly
+    g2 = g2_const + (x * x - x0 * x0) + (y * y - y0 * y0)
     grid = sol.grid
     g2_vals = np.asarray(g2(grid))
     require_finite(grid, g=g2_vals, f=f(grid))
@@ -559,9 +561,10 @@ def pansu_sphere(lam: float, step: float = 1e-3, tol: float = 1e-6) -> PansuSphe
     Returns the generator profile, the pole-to-pole geodesic (x' = cos 2 lam
     s and y' = sin 2 lam s, so s is already its horizontal arc length), and
     a certificate from one sample of it on ``numerics.step_grid(0, pi/lam,
-    step)``: (i) its distance to the graphs z = +/-height(rho) within 1e-8,
-    to first order |dz|/sqrt(1 + height'^2), or rho - 1/lam past the
-    equator, where height' is unbounded; (ii) its invariants within 1e-9 of
+    step)``: (i) its distance to the graphs z = +/-height(rho) within
+    1e-8/lam^2, as heights scale by 1/lam^2, to first order
+    |dz|/sqrt(1 + height'^2), or rho - 1/lam past the equator, where
+    height' is unbounded; (ii) its invariants within 1e-9 of
     2 lam and 0; (iii) its membership in the surface within ``tol``.
     Failing (i) or (ii) raises ValueError; (iii) is a verdict, read from
     ``certificate.membership``."""
@@ -608,7 +611,7 @@ def pansu_sphere(lam: float, step: float = 1e-3, tol: float = 1e-6) -> PansuSphe
     tau_error = float(np.max(np.abs(smp.tau)))
     membership = surface_membership(geo, surface, tol=tol)
     cert = PansuCertificate(graph_defect, membership, kappa_error, tau_error, pts[0], pts[-1])
-    if graph_defect > 1e-8:
+    if graph_defect > 1e-8 / (lam * lam):
         raise ValueError(f"geodesic leaves the graph: defect {graph_defect:.3e}")
     if kappa_error > 1e-9 or tau_error > 1e-9:
         raise ValueError(

@@ -34,7 +34,7 @@ from .expressions import S
 from .fields import antiderivative
 from .frenet import InitialPose, _cascade_curve
 from .heisenberg import H1Point
-from .numerics import ANTIDERIVATIVE_PANELS, cumulative_simpson
+from .numerics import ANTIDERIVATIVE_PANELS, FD4_CENTRED, cumulative_simpson, fd4_first
 
 __all__ = [
     "ClassTag",
@@ -148,10 +148,8 @@ def _fit_planar(grid, pts, u1, u2, u3, kappa, tau, thresh, h):
     tau_residual = float(np.max(np.abs(u2 + tau)))
     if tau_residual > 1e-4 * (h.s_max + float(np.max(np.abs(tau)))):
         return None
-    eps = 1e-4 * h.s_max
-    interior = (grid > grid[0] + eps) & (grid < grid[-1] - eps)
-    taup = np.gradient(tau, grid)
-    f_residual = float(np.max(np.abs((u1 * kappa - taup)[interior])))
+    taup = fd4_first(tau, h.s_max / (grid.size - 1))
+    f_residual = float(np.max(np.abs((u1 * kappa - taup)[FD4_CENTRED])))
     return PositionClass(
         ClassTag.PLANAR_CURVE_XY,
         witness={"max_kappa": float(np.max(np.abs(kappa)))},
@@ -254,7 +252,7 @@ def make_canonical(tag: ClassTag, interval: tuple[float, float], **params) -> Pa
     lo, hi = (float(v) for v in interval)
     if not hi > lo:
         raise ValueError(f"degenerate interval [{lo}, {hi}]")
-    grid = np.linspace(lo, hi, ANTIDERIVATIVE_PANELS + 1)  # of the antiderivative of tau
+    grid = np.linspace(lo, hi, ANTIDERIVATIVE_PANELS + 1)  # of every integral of a form
     if tag is ClassTag.LINE_IN_XY_PLANE:
         heading = float(params.get("heading", 0.0))
         bx, by = params.get("offset", (0.0, 0.0))
@@ -263,7 +261,7 @@ def make_canonical(tag: ClassTag, interval: tuple[float, float], **params) -> Pa
     if tag is ClassTag.PLANAR_CURVE_XY:
         x0, y0 = (float(params.get(k, 0.0)) for k in ("x0", "y0"))
         pose = InitialPose(H1Point(x0, y0, 0.0), float(params.get("heading", 0.0)))
-        c = _cascade_curve(InvariantPair(params["kappa"], 0.0), pose, lo, hi)
+        c = _cascade_curve(InvariantPair(params["kappa"], 0.0), pose, grid)
         return ParamCurve.from_fields(c.x, c.y, 0.0, (lo, hi))
     if tag is ClassTag.VERTICAL_PLANE_CURVE:
         c1, c2, c3 = (float(params[k]) for k in ("c1", "c2", "c3"))

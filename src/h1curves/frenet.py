@@ -12,12 +12,16 @@ where the z-equation is the T-component identity -x'y + xy' + z' = tau
 solved for z'.  The contact constraint |r'_xi| = 1 then holds exactly and
 frame orthonormality cannot drift.  The system is triangular (phi, then x
 and y, then z), so it is solved by successive cumulative quadratures
-rather than a stepping loop.  ``reconstruct`` prints the nodes;
-``reconstruct_curve`` keeps phi, x, y and z as ``AntiderivativeField``
-leaves over those same integrals, whose integrands are the trees above, so
-every derivative of the curve is an exact integrand: kappa is exact to
-roundoff, and tau to the rounding of the coordinates (eps max|(x, y)|).
-Both refuse through ``_cascade``, which refuses what no leaf can represent.
+rather than a stepping loop.  This cascade is the one place where kappa is
+integrated into a heading and the heading into a planar track.  It runs on
+its caller's uniform grid: ``reconstruct`` prints the panel nodes of a grid
+of nodes and midpoints built from ``step``; ``_cascade_curve`` (behind
+``reconstruct_curve``, the Cesàro closed forms and ``classify``'s planar
+canonical form) keeps phi, x, y and z as ``AntiderivativeField`` leaves
+over those same integrals, whose integrands are the trees above, so every
+derivative of the curve is an exact integrand: kappa is exact to roundoff,
+and tau to the rounding of the coordinates (eps max|(x, y)|).  All refuse
+through ``_cascade``, which refuses what no leaf can represent.
 """
 
 from __future__ import annotations
@@ -64,19 +68,23 @@ class AlignmentError(ValueError):
     """No pseudo-hermitian transformation maps one curve onto the other."""
 
 
-def _cascade(inv, pose: InitialPose, lo: float, hi: float, step: float):
-    """The cascade on [lo, hi], each integral a cumulative Simpson from lo on
-    n = ceil((hi - lo)/step) panels (at least 4) and their midpoints: that
-    grid and the (values, integrand) samples of phi, x, y and z.  Refused: a
-    spacing whose square underflows, a coordinate past the float range (at
-    its s), and coordinates whose rounding exceeds RELATIVE_ZERO of the length."""
-    if not hi - lo > 0:
-        raise ValueError(f"s_max must be positive, got {hi - lo}")
-    n = panel_count(hi - lo, step, minimum=4)
-    dx = (hi - lo) / (2 * n)
+def _nodes_and_midpoints(s_max: float, step: float) -> np.ndarray:
+    """The nodes of ``step_grid(0, s_max, step)`` and their midpoints."""
+    if not s_max > 0:
+        raise ValueError(f"s_max must be positive, got {s_max}")
+    return np.linspace(0.0, s_max, 2 * panel_count(s_max, step, minimum=4) + 1)
+
+
+def _cascade(inv, pose: InitialPose, grid: np.ndarray):
+    """The cascade on the caller's uniform grid (at least 3 nodes), each
+    integral a cumulative Simpson from grid[0]: the (values, integrand)
+    samples of phi, x, y and z there.  Refused: a spacing whose square
+    underflows, a coordinate past the float range (at its s), and
+    coordinates whose rounding exceeds RELATIVE_ZERO of the length."""
+    lo, hi = float(grid[0]), float(grid[-1])
+    dx = (hi - lo) / (grid.size - 1)
     if dx * dx < np.finfo(float).tiny:
         raise ValueError(f"a node spacing of {dx:.3e} is too fine to interpolate")
-    grid = np.linspace(lo, hi, 2 * n + 1)  # nodes and midpoints
     kappa = np.asarray(inv.kappa(grid), dtype=float)
     tau = np.asarray(inv.tau(grid), dtype=float)
     require_finite(grid, kappa=kappa, tau=tau)
@@ -92,31 +100,34 @@ def _cascade(inv, pose: InitialPose, lo: float, hi: float, step: float):
     size = max(np.max(np.abs(x)), np.max(np.abs(y)))
     if np.finfo(float).eps * size > RELATIVE_ZERO * (hi - lo):
         raise ValueError(f"coordinates up to {size:.3e} cannot resolve a length of {hi - lo:g}")
-    return grid, (phi, kappa), (x, cos), (y, sin), (z, dz)
+    return (phi, kappa), (x, cos), (y, sin), (z, dz)
 
 
 def reconstruct(inv, pose: InitialPose, s_max: float, step: float) -> np.ndarray:
     """The samples (s, x, y, z) of the curve with invariants ``inv`` and
-    initial pose ``pose`` at the cascade's panel nodes on [0, s_max],
-    4th-order accurate: ``step_grid(0, s_max, step)`` bit for bit, with
-    s_max exact, so the curve is already parametrized by arc length."""
-    grid, _, (x, _), (y, _), (z, _) = _cascade(inv, pose, 0.0, s_max, step)
+    initial pose ``pose`` at the nodes of ``step_grid(0, s_max, step)``,
+    bit for bit, from a cascade on those nodes and their midpoints,
+    4th-order accurate; s_max is exact, so the curve is already
+    parametrized by arc length."""
+    grid = _nodes_and_midpoints(s_max, step)
+    _, (x, _), (y, _), (z, _) = _cascade(inv, pose, grid)
     return np.column_stack([grid[::2], x[::2], y[::2], z[::2]])
 
 
-def _cascade_curve(inv, pose: InitialPose, lo: float, hi: float, step: float = 1e-3) -> ParamCurve:
-    """The cascade's curve on [lo, hi], a tree over its own integrals."""
-    grid, *integrals = _cascade(inv, pose, lo, hi, step)
+def _cascade_curve(inv, pose: InitialPose, grid: np.ndarray) -> ParamCurve:
+    """The cascade's curve on the caller's grid, a tree over its own
+    integrals, with phi, x, y and z leaves whose nodes are that grid."""
+    integrals = _cascade(inv, pose, grid)
     phi = as_field(AntiderivativeField(inv.kappa, grid, *integrals[0]))
     cos, sin = phi.apply("cos"), phi.apply("sin")
     x, y = (as_field(AntiderivativeField(f, grid, *v)) for f, v in zip((cos, sin), integrals[1:3]))
     z = AntiderivativeField(inv.tau + y * cos - x * sin, grid, *integrals[3])
-    return ParamCurve(x, y, z, lo, hi)
+    return ParamCurve(x, y, z, float(grid[0]), float(grid[-1]))
 
 
 def reconstruct_curve(inv, pose: InitialPose, s_max: float, step: float = 1e-3) -> HorizontalCurve:
     """The curve of ``reconstruct`` as a tree, parametrized by arc length."""
-    return HorizontalCurve.arc_length(_cascade_curve(inv, pose, 0.0, s_max, step))
+    return HorizontalCurve.arc_length(_cascade_curve(inv, pose, _nodes_and_midpoints(s_max, step)))
 
 
 def find_psh_alignment(

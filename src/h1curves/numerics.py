@@ -27,7 +27,7 @@ __all__ = [
 
 
 MAX_PANELS = 1_000_000  # budget of every grid built from a (span, step) request
-ANTIDERIVATIVE_PANELS = 10_000  # panels of a closed form's antiderivatives over its interval
+ANTIDERIVATIVE_PANELS = 10_000  # panels of a closed form's grid over its interval
 
 
 def panel_count(span: float, step: float, minimum: int = 2) -> int:
@@ -76,12 +76,15 @@ def cumulative_simpson(y, dx: float) -> np.ndarray:
     interval together make composite Simpson, so every even node is exact
     on cubics, while an odd node carries the one-interval error
     dx^4 y'''/24.  Every node is exact on quadratics, for even and odd
-    panel counts alike."""
+    panel counts alike.  Equal samples give equal pieces, and node i gets
+    exactly i times that piece, which a running sum would drift from."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size < 3:
         raise ValueError("need at least 3 samples for cumulative Simpson")
     w = dx / 3.0
     forward = w * (1.25 * y[:-2] + 2.0 * y[1:-1] - 0.25 * y[2:])
+    if np.all(y == y[0]):
+        return np.concatenate([[0.0], np.arange(1, y.size) * forward[0]])
     backward = w * (1.25 * y[2:] + 2.0 * y[1:-1] - 0.25 * y[:-2])
     pieces = np.empty(y.size)
     pieces[0] = 0.0

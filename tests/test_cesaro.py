@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from h1curves import (
+    H1Point,
     HorizontalCurve,
     InitialPose,
     InvariantPair,
     ParamCurve,
+    PshTransform,
     find_psh_alignment,
+    psh_transform_curve,
     reconstruct_curve,
     reparam_horizontal,
 )
@@ -28,6 +31,7 @@ from h1curves.cesaro import (
 )
 from h1curves import numerics
 from h1curves.expressions import Leaf, ScalarFn, _children
+from h1curves.frenet import _cascade_curve
 from h1curves.fields import (AntiderivativeField, CubicHermite, SampledField, antiderivative,
                              as_field)
 from h1curves.numerics import lowest_local_minima
@@ -36,13 +40,11 @@ from conftest import contact_speed_deviation
 
 
 def curve_from_solution(sol, heading0=0.0):
-    """The curve whose own frame coefficients are the solution's -(u1, u2, u3):
-    x = -u1 cos(phi) + u2 sin(phi), y = -u1 sin(phi) - u2 cos(phi), z = -u3,
-    phi = heading0 + theta(s); its arc length is s - lo."""
-    phi = heading0 + sol.theta
-    sin, cos = phi.apply("sin"), phi.apply("cos")
-    x, y = -sol.u1 * cos + sol.u2 * sin, -sol.u1 * sin - sol.u2 * cos
-    return HorizontalCurve.arc_length(ParamCurve.from_fields(x, y, -sol.u3, sol.interval))
+    """A curve whose own frame coefficients are the solution's -(u1, u2, u3):
+    ``sol.curve`` rotated about the z-axis by heading0, which leaves the
+    coefficients unchanged; its arc length is s - lo."""
+    rotation = PshTransform(heading0, H1Point.origin())
+    return HorizontalCurve.arc_length(psh_transform_curve(rotation, sol.curve))
 
 
 def antiderivative_leaves(fn):
@@ -168,8 +170,9 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("kappa,tau,constants,interval", GENERAL_CASES)
     def test_fixed_point_is_the_papers_closed_form(self, kappa, tau, constants, interval):
-        # Q = (C2 C5 + C4 C6, C1 C5 + C3 C6 + 1/kappa(lo)) seen from the track
-        # (X, Y) is the paper's form, integrated by parts
+        # minus the coefficients of the curve that starts at -Q, Q = (C2 C5 +
+        # C4 C6, C1 C5 + C3 C6 + 1/kappa(lo)), are the paper's form,
+        # integrated by parts
         inv, c = InvariantPair(kappa, tau), CesaroConstants(*constants)
         sol = cesaro_closed_form(inv, c, interval=interval)
         u1, u2 = paper_closed_form(inv, c, sol.grid)
@@ -190,13 +193,25 @@ class TestClosedForm:
         assert max(cesaro_system_residual(sol)) < RESIDUAL_BOUND
 
     def test_antiderivatives_are_built_on_the_solution_grid(self):
-        # theta, X, Y and u3 (whose integrand holds the other three) are
-        # cumulative Simpson on sol.grid itself, not on copies of it
+        # u3 is minus the height z of the solution's curve, whose integrand
+        # holds its heading phi and its x and y: the cascade's cumulative
+        # Simpson on sol.grid itself, not on copies of it
         inv = InvariantPair("2 + sin(s)", "0.4*cos(s)")
         sol = cesaro_closed_form(inv, CesaroConstants(1, 0.2, -0.3, 1, 0.7, -0.2), (0.5, 3.0))
         leaves = antiderivative_leaves(sol.u3)
         assert len(leaves) == 4
         assert all(leaf._hermite.nodes is sol.grid for leaf in leaves)
+
+    @pytest.mark.parametrize("kappa,tau,constants,interval",
+                             GENERAL_CASES + [("0", "0.5*sin(s)", (1, 0, 0, 1, 1.5, 0.7), (0, 2))])
+    def test_solution_is_minus_the_coefficients_of_its_curve(self, kappa, tau, constants,
+                                                             interval):
+        # CurveSample.coefficients of sol.curve, read at sol.grid, are -(u1, u2, u3)
+        inv = InvariantPair(kappa, tau)
+        sol = cesaro_closed_form(inv, CesaroConstants(*constants), interval, u3_const=0.3)
+        smp = HorizontalCurve.arc_length(sol.curve).sample(sol.grid - sol.grid[0])
+        u = np.stack([f(sol.grid) for f in (sol.u1, sol.u2, sol.u3)])
+        assert np.max(np.abs(-np.stack(smp.coefficients()) - u)) <= 1e-13
 
     def test_degenerate_interval_rejected(self):
         inv = InvariantPair("2 + sin(s)", "0")
@@ -712,13 +727,41 @@ class TestGenerateConstantTau:
         assert np.max(np.abs((f1 - f1[0]) - (f2 - f2[0]))) < 1e-8
 
     def test_squared_radius_is_integrated_on_the_solution_grid(self):
-        # g^2 = g2_const - 2 integral(u1) and the leaves inside u1 share one grid
-        inv = InvariantPair("2 + sin(s)", "0.3")
-        surf = generate_surface_constant_tau(inv, CesaroConstants(1, 0, 0, 1, 0.0, 0.0),
-                                             interval=(0, 5), g2_const=1.0)
+        # g^2 = g2_const + (x^2 - Qx^2) + (y^2 - Qy^2) of the solution's
+        # curve, whose leaves share one grid, bit for bit.  It is the
+        # g2_const - 2 integral(u1) of the docstring, integrated on that
+        # grid, up to the quadrature of both: at an odd node cumulative
+        # Simpson errs by dx^4 f'''/24 of its integrand f, and for f = u1
+        # against f = cos(phi), sin(phi) that puts the integral dx^4 kappa^2/12
+        # above x^2 + y^2 there (4.7e-14 at kappa = 3), which is taken out
+        inv, c = InvariantPair("2 + sin(s)", "0.3"), CesaroConstants(1, 0, 0, 1, 0.0, 0.0)
+        surf = generate_surface_constant_tau(inv, c, interval=(0, 5), g2_const=1.0)
+        sol = cesaro_closed_form(inv, c, interval=(0, 5))
+        x, y = sol.curve.x, sol.curve.y
+        x0, y0 = x(0.0), y(0.0)  # the curve starts at -Q
+        s = np.linspace(0.0, 5.0, 7919)
+        xs, ys = x(s), y(s)
+        assert np.array_equal(surf.g2(s), 1.0 + (xs * xs - x0 * x0) + (ys * ys - y0 * y0))
+        grid, dx = sol.grid, sol.grid[1] - sol.grid[0]
+        integral = 1.0 - 2 * antiderivative(sol.u1, grid)(grid)
+        odd_term = np.where(np.arange(grid.size) % 2 == 1, dx ** 4 * inv.kappa(grid) ** 2 / 12, 0.0)
+        assert np.max(np.abs(surf.g2(grid) - (integral - odd_term))) <= 5e-14
         leaves = antiderivative_leaves(surf.g2)
-        assert len(leaves) == 4  # integral(u1), theta, X, Y
+        assert len(leaves) == 3  # phi, x, y
         assert len({id(leaf._hermite.nodes) for leaf in leaves}) == 1
+
+    @pytest.mark.parametrize("constants,g2_const", [
+        ((1, 0, 0, 1, 0.2, -0.3), 0.0),
+        ((0.5, 0.2, -0.3, 1.1, 0.4, -0.6), 0.0),
+        ((1, 0, 0, 1, -0.1, -1.1), 1e-300),
+    ])
+    def test_squared_radius_starts_at_its_constant(self, constants, g2_const):
+        # g^2(lo) is g2_const exactly: with a zero g2_const the radius grows
+        # from the axis, and no rounding of |Q|^2 may put it below
+        inv = InvariantPair("2 + sin(s)", "0")
+        c = CesaroConstants(*constants)
+        surf = generate_surface_constant_tau(inv, c, interval=(0, 0.2), g2_const=g2_const)
+        assert surf.g2(0.0) == g2_const
 
     def test_output_passes_necessary_conditions(self):
         inv = InvariantPair("2 + sin(s)", "0.3")
@@ -731,22 +774,24 @@ class TestGenerateConstantTau:
     @pytest.mark.parametrize("kappa,tau,constants", [
         ("1.5 + 0.3*sin(s)", "0.2", (1, 0, 0, 1, 0.4, -0.2)),
         ("-1 - 0.3*cos(s)", "-0.4", (0.5, 0.2, -0.3, 1.1, 0.4, -0.6)),
-        # constant kappa and default constants: tau - u2 folds to a number,
-        # so the antiderivative is the exact affine one
+        # constant kappa and default constants: the heading's samples are
+        # equal pieces, and tau - u2 is a tree over the curve's leaves
         ("3", "0", (1, 0, 0, 1, 0, 0)),
     ])
     def test_height_is_the_antiderivative_of_tau_minus_u2(self, kappa, tau, constants):
-        # f is read off the closed form's own u3, bit for bit what the
-        # explicit f_const + integral(tau - u2) gives, on and off the nodes
+        # f is the height z of the solution's curve, -u3, bit for bit, on
+        # and off the nodes; it is the f_const + integral(tau - u2) of the
+        # docstring, up to the quadrature of that integral
         lo, hi, f_const = 0.5, 3.5, 0.7
         inv = InvariantPair(kappa, tau)
         c = CesaroConstants(*constants)
         surf = generate_surface_constant_tau(inv, c, interval=(lo, hi), g2_const=20.0,
                                              f_const=f_const)
-        sol = cesaro_closed_form(inv, c, interval=(lo, hi))
-        explicit = antiderivative(inv.tau - sol.u2, sol.grid, const=f_const)
+        sol = cesaro_closed_form(inv, c, interval=(lo, hi), u3_const=-f_const)
         s = np.linspace(lo, hi, 7919)
-        assert np.array_equal(surf.f(s), explicit(s))
+        assert np.array_equal(surf.f(s), -sol.u3(s))
+        explicit = antiderivative(inv.tau - sol.u2, sol.grid, const=f_const)
+        assert np.max(np.abs(surf.f(s) - explicit(s))) <= 2e-15
         assert surf.f(lo) == f_const
 
     def test_negative_squared_radius_reports_crossing(self):
@@ -836,6 +881,13 @@ class TestPansuSphere:
         sphere = pansu_sphere(0.7)
         assert sphere.certificate.graph_defect < 1e-8
         assert sphere.certificate.membership.member
+
+    def test_graph_bound_scales_with_the_sphere(self):
+        # heights reach pi/(4 lam^2) = 7.9e7 at lam = 1e-4, where the graph
+        # defect of 4.5e-8 is rounding: 5.7e-16 of them
+        lam = 1e-4
+        sphere = pansu_sphere(lam, step=0.1)
+        assert sphere.certificate.graph_defect * lam * lam <= 1e-14
 
     def test_equator_node(self):
         # the grid has a node at s = S/2, where the graph's slope is

@@ -62,6 +62,18 @@ class TestClassifyExamples:
         out = classify_param(c)
         assert out.tag is ClassTag.PLANAR_CURVE_XY
 
+    @pytest.mark.parametrize("radius,x0,y0,S", [(1.0, 0.5, 0.2, 5.0), (0.7, 0.3, -0.4, 4.0)])
+    def test_planar_tangent_coefficient_fit_is_fourth_order(self, radius, x0, y0, S):
+        # u1~ kappa = tau' holds exactly in the xy-plane; tau' by fd4 at its
+        # centred nodes reads 4.4e-10 and 1.0e-9 here, where a second-order
+        # gradient read 1.4e-5 and 2.4e-5
+        r = repr(radius)
+        c = ParamCurve.from_fields(f"{x0} + {r}*cos(s/{r})", f"{y0} + {r}*sin(s/{r})", "0",
+                                   (0, S))
+        out = classify_param(c)
+        assert out.tag is ClassTag.PLANAR_CURVE_XY
+        assert out.residuals["tangent_coefficient_fit"] < 1e-8
+
     def test_generic_curve(self, rng):
         kt, tt = random_invariant_exprs(rng)
         h = reconstruct_curve(

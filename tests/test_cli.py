@@ -817,6 +817,13 @@ class TestSurface:
         assert result.stderr == ("error: lam must be positive and finite, with 4 lam^2 and "
                                  f"pi/lam finite and nonzero, got {float(lam)!r}\n")
 
+    def test_pansu_certifies_a_large_sphere(self, runner):
+        # heights of 7.9e7 carry a graph defect of 4.5e-8 in rounding alone;
+        # the verdict is membership's, by the absolute --tol
+        result = runner.invoke(main, ["surface", "pansu", "--lam", "1e-4", "--step", "0.1"])
+        assert result.exit_code in (0, 1), result.stderr
+        assert result.stderr == ""
+
     def test_pansu_honours_tol(self, runner):
         result = runner.invoke(main, ["surface", "pansu", "--lam", "1", "--tol", "1e-30"])
         assert result.exit_code == 1
@@ -905,6 +912,19 @@ class TestSurface:
         doc = json.loads(result.output)
         assert "sqrt" in doc["g"]
         assert doc["range"] == [-np.pi, 0.0]
+
+    def test_gen_const_kappa_csv_samples_the_json_texts(self, runner):
+        # the table's profiles are the printed texts evaluated on its s, bit
+        # for bit: f is parsed from its text, with no quadrature of tau
+        args = ["surface", "gen-const-kappa", "--kappa", "1.5", "--tau", "0.3", "--c1", "-0.8",
+                "--c2", "0.3", "--c3g", "1.2", "--c3f", "0.5", "--range", "0.7", "2.9"]
+        table, texts = runner.invoke(main, args), runner.invoke(main, [*args, "--format", "json"])
+        assert table.exit_code == texts.exit_code == 0
+        header, data = parse_csv(table.output)
+        doc = json.loads(texts.output)
+        assert header == ["s", "g", "f"]
+        assert np.array_equal(data[:, 1], ScalarFn.parse(doc["g"])(data[:, 0]))
+        assert np.array_equal(data[:, 2], ScalarFn.parse(doc["f"])(data[:, 0]))
 
     @pytest.mark.parametrize("step", ["0.5", "0.001"])
     def test_gen_const_kappa_json_refuses_a_step_flag(self, runner, tmp_path, step):
@@ -1446,7 +1466,8 @@ class TestGeneratorErrorContract:
     @example(kappa="2 + sin(s)", opts={**_tau_defaults, "f-const": float("inf")}, fmt="csv")
     @example(kappa="2 + sin(s)", opts={**_tau_defaults, "tau": float("inf")}, fmt="json")
     @example(kappa="2 + sin(s)", opts={**_tau_defaults, "C5": float("nan")}, fmt="csv")
-    # Delta = C2 C3 - C1 C4 is subnormal: the weights of I1 and I2 overflow
+    # Delta = C2 C3 - C1 C4 is subnormal but nonzero: the constants are accepted,
+    # and Q, which does not divide by Delta, stays finite
     @example(kappa="2 + sin(s)", opts={**_tau_defaults, "C1": -5e-324, "C2": 0.8, "C3": 5e-324,
                                        "C4": -1.7}, fmt="csv")
     def test_gen_const_tau(self, kappa, opts, fmt):

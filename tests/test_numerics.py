@@ -116,6 +116,28 @@ class TestCumulativeSimpson:
             expected[-1] = one_interval
         assert np.max(np.abs(out - x**4 / 4 - expected)) < 1e-14 * (1.0 + x[-1] ** 4)
 
+    @pytest.mark.parametrize("value,panels", [(2.0, 10_000), (-0.7, 7), (1e-300, 31)])
+    def test_constant_samples_give_whole_multiples_of_one_piece(self, value, panels):
+        # a running sum of the equal pieces drifts: 2 on 10 000 panels of
+        # [0, 3] ends 9.6e-13 off 6
+        dx = 3.0 / panels
+        out = cumulative_simpson(np.full(panels + 1, value), dx=dx)
+        piece = dx / 3.0 * (1.25 * value + 2.0 * value - 0.25 * value)
+        assert out[0] == 0.0
+        assert np.array_equal(out, np.arange(panels + 1) * piece)
+
+    @pytest.mark.parametrize("samples", [
+        [1.0, np.nan, 1.0, 1.0, 1.0], [np.nan] * 5, [2.0, 2.0, np.inf, 2.0, 2.0], [np.inf] * 5,
+        [-np.inf] * 5,
+    ], ids=["nan", "all-nan", "inf", "all-inf", "all-minus-inf"])
+    def test_samples_that_are_not_finite_give_values_that_are_not(self, samples):
+        # under the errstate its callers hold (frenet._cascade,
+        # fields.antiderivative), which then refuse the values at their s
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = cumulative_simpson(np.array(samples), dx=0.1)
+        assert out[0] == 0.0
+        assert not np.any(np.isfinite(out[1:]))
+
     def test_needs_three_samples(self):
         with pytest.raises(ValueError, match="at least 3"):
             cumulative_simpson(np.ones(2), dx=0.1)
