@@ -307,7 +307,9 @@ def reparam_horizontal(c: ParamCurve, step: float = 1e-3) -> HorizontalCurve:
     u = np.linspace(c.u_min, c.u_max, panel_count(c.u_max - c.u_min, step, minimum=64) + 1)
     speed = c.contact_speed(u)
     require_finite(u, "u", curve=speed)
-    sigma = cumulative_simpson(speed, dx=(c.u_max - c.u_min) / (u.size - 1))
+    with np.errstate(over="ignore"):  # an arc length past the float range is refused below
+        sigma = cumulative_simpson(speed, dx=(c.u_max - c.u_min) / (u.size - 1))
+    require_finite(u, "u", **{"arc length": sigma})
     floor = RELATIVE_ZERO * sigma[-1] / (c.u_max - c.u_min)  # of the mean speed
     if np.min(speed) <= floor:
         raise RegularityError(

@@ -9,9 +9,9 @@ once per call however many subtrees share it, and ``derivative()``
 differentiates symbolically, each shared node once, so a derivative
 shares its subtrees as its tree does and both walks are linear in the
 tree's distinct nodes.
-A leaf carries a derivative order: it differentiates by raising that
-order, and evaluates as ``field(s, order)``, so a numeric field answers
-every order it supports by index and no new field is built.
+A leaf holds one numeric field: it evaluates as ``field(s)`` and
+differentiates to the tree of ``field.derivative()``, which its producer
+built, so no new field is built and one call evaluates each field once.
 
 One table, ``_OPS``, declares each binary operator and each function once:
 its precedence, its kernel (evaluation together with its domain check) and
@@ -108,11 +108,10 @@ class Call:
 
 @dataclass(frozen=True, eq=False)
 class Leaf:
-    """The derivative of ``order`` of a numeric field inside a tree; the
-    field is called as ``field(s, order)``."""
+    """A numeric field inside a tree: called as ``field(s)``, differentiated
+    as the tree of ``field.derivative()``."""
 
     field: object
-    order: int = 0
 
 
 def _is_num(node, value=None):
@@ -420,17 +419,17 @@ def parse(text: str):
 
 def _eval(node, s, memo):
     """The value of ``node`` at ``s``, each node once however many parents
-    share it and each field at one order once however many leaves stand for
-    it: ``memo`` holds the values by node identity and by (field, order)."""
+    share it and each field once however many leaves stand for it: ``memo``
+    holds the values by node identity and by field."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
         return s
-    key = (node.field, node.order) if isinstance(node, Leaf) else id(node)
+    key = node.field if isinstance(node, Leaf) else id(node)
     if key in memo:
         return memo[key]
     if isinstance(node, Leaf):
-        value = node.field(s, node.order)
+        value = node.field(s)
     elif isinstance(node, Neg):
         value = -_eval(node.child, s, memo)
     elif isinstance(node, BinOp):
@@ -454,7 +453,7 @@ def _diff(node, memo):
     if key in memo:
         return memo[key]
     if isinstance(node, Leaf):
-        out = Leaf(node.field, node.order + 1)
+        out = node.field.derivative().ast
     elif isinstance(node, Neg):
         out = _neg(_diff(node.child, memo))
     elif isinstance(node, BinOp):

@@ -1,18 +1,17 @@
-"""Scalar fields over one parameter s: one composite type, numeric leaves.
+"""Scalar fields over one parameter s: one composite type, one numeric leaf.
 
-A numeric field is called as ``field(s, order=0)``, its derivative of that
-order at s, and ``derivative()`` gives its first derivative as a ScalarFn.
 ``expressions.ScalarFn`` is the only composite field: parsed text, or
 arithmetic over numbers, ``expressions.S`` and numeric fields, which enter
-the tree as leaves holding a field and a derivative order, so
-differentiating a tree builds no new field.  This module holds the numeric
-fields: ``SampledField`` (values on a uniform grid, finite-difference
-derivatives of order 1 and 2), for sampled data only, and
-``AntiderivativeField`` (a cumulative integral whose derivatives are those
-of its exact integrand), from ``antiderivative`` on its caller's grid or
-from the integrals of a reconstruction (``frenet``).  Between their nodes
-they are piecewise cubic Hermite interpolants (``CubicHermite``), with the
-node slopes each kind knows best.  ``as_field`` turns a number, expression
+the tree as leaves.  Every numeric field is a ``CubicHermite``, the
+piecewise cubic Hermite interpolant over its nodes (a ``SampledField``
+wraps one), called as ``field(s)``, whose ``derivative()`` is the ScalarFn
+its producer gives, so differentiating a tree splices that tree in and
+builds no new field.  The producers: ``antiderivative``, a cumulative
+integral on its caller's grid whose derivative is its exact integrand; the
+integrals of a reconstruction (``frenet``), whose derivatives are the
+Frenet-Serret trees; and ``SampledField`` (values on a uniform grid), for
+sampled data only, whose first and second derivatives are interpolants of
+its 4th-order finite differences.  ``as_field`` turns a number, expression
 text or numeric field into a ScalarFn.
 """
 
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expressions import Leaf, Num, S, ScalarFn, _node
+from .expressions import Num, S, ScalarFn, _node
 from .numerics import cumulative_simpson, fd4_first, fd4_second
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "local_slopes",
     "SampledField",
     "antiderivative",
-    "AntiderivativeField",
 ]
 
 # target spacing for second-derivative stencils, as a fraction of the length
@@ -58,13 +56,15 @@ def as_field(value) -> ScalarFn:
 class CubicHermite:
     """The piecewise cubic through (nodes[i], values[i]) with derivative
     slopes[i] at each node; outside the nodes the end cubics continue.
+    ``derivative()`` is the ScalarFn ``derivative`` its producer gives;
+    without one it is refused.
 
     Exact on cubics whenever the slopes are; with slopes accurate to
     O(h^4) the interpolation error is O(h^4).  Nodes (at least 2) must be
     strictly increasing.  Finite values whose coefficients overflow, as on
     a spacing whose square underflows, are refused."""
 
-    def __init__(self, nodes, values, slopes):
+    def __init__(self, nodes, values, slopes, derivative=None):
         x = np.asarray(nodes, dtype=float)
         y = np.asarray(values, dtype=float)
         m = np.asarray(slopes, dtype=float)
@@ -79,13 +79,22 @@ class CubicHermite:
         # power form in the offset from each interval's left node
         self.nodes = x
         self._coef = (y[:-1], m0, c2, c3)
+        self._derivative = derivative
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         i = np.clip(np.searchsorted(self.nodes, s, side="right") - 1, 0, self.nodes.size - 2)
         t = s - self.nodes[i]
         c0, c1, c2, c3 = (c[i] for c in self._coef)
-        return c0 + t * (c1 + t * (c2 + t * c3))
+        out = c0 + t * (c1 + t * (c2 + t * c3))
+        return out if s.ndim else float(out)
+
+    def derivative(self) -> ScalarFn:
+        if self._derivative is None:
+            raise NotImplementedError(
+                "no derivative of this interpolant is known; sampled fields support two "
+                "derivative orders")
+        return self._derivative
 
 
 def local_slopes(nodes, values) -> np.ndarray:
@@ -125,10 +134,11 @@ class SampledField:
     """Values on a uniform grid, evaluated through the cubic Hermite
     interpolant whose node slopes are 4th-order finite differences.
 
-    Derivatives of order 1 and 2 are interpolated the same way from their
-    4th-order finite differences on the grid; the second derivative widens
-    the stencil (subsampling the grid) so roundoff in the stored samples is
-    not amplified past the truncation error.  Order 3 is refused.
+    ``derivative()`` is the interpolant of the first derivative's 4th-order
+    finite differences on the grid, whose own derivative interpolates the
+    second derivative's the same way; the second derivative widens the
+    stencil (subsampling the grid) so roundoff in the stored samples is not
+    amplified past the truncation error.  A third derivative is refused.
     """
 
     def __init__(self, grid: np.ndarray, values: np.ndarray):
@@ -142,7 +152,7 @@ class SampledField:
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise _NonUniformGrid("grid must be uniform")
         self.h = float(steps[0])
-        self._interps = {}  # derivative order -> CubicHermite, built on first use
+        self._hermite = self._derivative = None  # built on first use
 
     @classmethod
     def resample(cls, u: np.ndarray, values: np.ndarray):
@@ -160,21 +170,6 @@ class SampledField:
                 pass
         grid = np.linspace(u[0], u[-1], n)
         return cls(grid, CubicHermite(u, values, local_slopes(u, values))(grid))
-
-    def _interp(self, order: int) -> CubicHermite:
-        """The interpolant of the derivative of ``order``, built on first use."""
-        if order not in self._interps:
-            first = fd4_first(self.values, self.h)
-            if order == 0:
-                args = self.grid, self.values, first
-            elif order == 1:
-                args = self.grid, first, fd4_first(first, self.h)
-            elif order == 2:
-                args = self._second(first)
-            else:
-                raise NotImplementedError("sampled fields support two derivative orders")
-            self._interps[order] = CubicHermite(*args)
-        return self._interps[order]
 
     def _second(self, first):
         """Nodes, values and slopes of the second derivative's interpolant,
@@ -200,20 +195,26 @@ class SampledField:
         vals = np.concatenate([d_left[keep_l], d_right[keep_r]])
         return nodes, vals, local_slopes(nodes, vals)
 
-    def __call__(self, s, order: int = 0):
-        s = np.asarray(s, dtype=float)
-        out = self._interp(order)(s)
-        return out if s.ndim else float(out)
+    def __call__(self, s):
+        if self._hermite is None:
+            self._hermite = CubicHermite(self.grid, self.values, fd4_first(self.values, self.h))
+        return self._hermite(s)
 
-    def derivative(self):
-        return ScalarFn(Leaf(self, 1))
+    def derivative(self) -> ScalarFn:
+        if self._derivative is None:
+            first = fd4_first(self.values, self.h)
+            second = CubicHermite(*self._second(first))
+            self._derivative = as_field(
+                CubicHermite(self.grid, first, fd4_first(first, self.h), as_field(second)))
+        return self._derivative
 
 
 def antiderivative(integrand, grid, const: float = 0.0):
     """const + the integral of ``integrand`` from grid[0], as a ScalarFn:
-    exactly (const - c grid[0]) + c s for a constant integrand c, else a
-    leaf around an AntiderivativeField, by cumulative Simpson on ``grid``,
-    the caller's uniform grid (at least 3 nodes)."""
+    exactly (const - c grid[0]) + c s for a constant integrand c, else
+    const plus a ``CubicHermite`` leaf through the cumulative Simpson values
+    on ``grid``, the caller's uniform grid (at least 3 nodes), with the
+    integrand's samples for slopes and the integrand for derivative."""
     integrand = as_field(integrand)
     lo = float(grid[0])
     if isinstance(integrand.ast, Num):
@@ -223,27 +224,4 @@ def antiderivative(integrand, grid, const: float = 0.0):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f = np.asarray(integrand(grid), dtype=float)
         values = cumulative_simpson(f, dx=(float(grid[-1]) - lo) / (grid.size - 1))
-        return ScalarFn(Leaf(AntiderivativeField(integrand, grid, values, f, const)))
-
-
-class AntiderivativeField:
-    """const + an integral of the ScalarFn ``integrand``, known on ``grid``
-    by its ``values`` and by the integrand's samples, the ``slopes`` of the
-    cubic Hermite interpolant between the nodes.  The exact integrand is
-    kept: the derivative of order n >= 1 is its derivative of order n - 1,
-    with no quadrature error."""
-
-    def __init__(self, integrand: ScalarFn, grid, values, slopes, const: float = 0.0):
-        self.integrand, self.const = integrand, float(const)
-        self._hermite = CubicHermite(grid, values, slopes)
-
-    def __call__(self, s, order: int = 0):
-        if order:
-            integrand = self.integrand
-            return (integrand if order == 1 else integrand.derivative(order - 1))(s)
-        s = np.asarray(s, dtype=float)
-        out = self._hermite(s) + self.const
-        return out if s.ndim else float(out)
-
-    def derivative(self):
-        return self.integrand
+        return as_field(CubicHermite(grid, values, f, integrand)) + float(const)

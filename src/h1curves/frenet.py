@@ -17,11 +17,11 @@ integrated into a heading and the heading into a planar track.  It runs on
 its caller's uniform grid: ``reconstruct`` prints the panel nodes of a grid
 of nodes and midpoints built from ``step``; ``_cascade_curve`` (behind
 ``reconstruct_curve``, the Cesàro closed forms and ``classify``'s planar
-canonical form) keeps phi, x, y and z as ``AntiderivativeField`` leaves
-over those same integrals, whose integrands are the trees above, so every
-derivative of the curve is an exact integrand: kappa is exact to roundoff,
-and tau to the rounding of the coordinates (eps max|(x, y)|).  All refuse
-through ``_cascade``, which refuses what no leaf can represent.
+canonical form) keeps phi, x, y and z as ``fields.CubicHermite`` leaves
+through those same integrals, whose derivatives are the trees above, so
+every derivative of the curve is an exact integrand: kappa is exact to
+roundoff, and tau to the rounding of the coordinates (eps max|(x, y)|).
+All refuse through ``_cascade``, which refuses what no leaf can represent.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import RELATIVE_ZERO, HorizontalCurve, ParamCurve
-from .fields import AntiderivativeField, as_field
+from .fields import CubicHermite, as_field
 from .heisenberg import H1Point, PshTransform, left_translate
 from .numerics import cumulative_simpson, panel_count, require_finite
 
@@ -116,12 +116,13 @@ def reconstruct(inv, pose: InitialPose, s_max: float, step: float) -> np.ndarray
 
 def _cascade_curve(inv, pose: InitialPose, grid: np.ndarray) -> ParamCurve:
     """The cascade's curve on the caller's grid, a tree over its own
-    integrals, with phi, x, y and z leaves whose nodes are that grid."""
+    integrals, with phi, x, y and z leaves whose nodes are that grid and
+    whose derivatives are their integrands' trees."""
     integrals = _cascade(inv, pose, grid)
-    phi = as_field(AntiderivativeField(inv.kappa, grid, *integrals[0]))
+    phi = as_field(CubicHermite(grid, *integrals[0], inv.kappa))
     cos, sin = phi.apply("cos"), phi.apply("sin")
-    x, y = (as_field(AntiderivativeField(f, grid, *v)) for f, v in zip((cos, sin), integrals[1:3]))
-    z = AntiderivativeField(inv.tau + y * cos - x * sin, grid, *integrals[3])
+    x, y = (as_field(CubicHermite(grid, *v, f)) for v, f in zip(integrals[1:3], (cos, sin)))
+    z = CubicHermite(grid, *integrals[3], inv.tau + y * cos - x * sin)
     return ParamCurve(x, y, z, float(grid[0]), float(grid[-1]))
 
 

@@ -128,9 +128,11 @@ class RecordingField:
     def __init__(self):
         self.calls = 0
 
-    def __call__(self, s, order=0):
+    def __call__(self, s):
         self.calls += 1
         return np.zeros_like(np.asarray(s, dtype=float))
 
     def derivative(self):
-        return self
+        from h1curves.fields import as_field
+
+        return as_field(self)

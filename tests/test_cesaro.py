@@ -32,8 +32,7 @@ from h1curves.cesaro import (
 from h1curves import numerics
 from h1curves.expressions import Leaf, ScalarFn, _children
 from h1curves.frenet import _cascade_curve
-from h1curves.fields import (AntiderivativeField, CubicHermite, SampledField, antiderivative,
-                             as_field)
+from h1curves.fields import CubicHermite, SampledField, antiderivative, as_field
 from h1curves.numerics import lowest_local_minima
 
 from conftest import contact_speed_deviation
@@ -48,17 +47,31 @@ def curve_from_solution(sol, heading0=0.0):
 
 
 def antiderivative_leaves(fn):
-    """Every ``AntiderivativeField`` in the tree of ``fn``, those inside the
-    integrands of others included, each once."""
+    """Every ``CubicHermite`` leaf in the tree of ``fn``, those inside the
+    derivative trees of others included, each once."""
     found, stack = {}, [fn.ast]
     while stack:
         node = stack.pop()
-        if isinstance(node, Leaf) and isinstance(node.field, AntiderivativeField):
+        if isinstance(node, Leaf) and isinstance(node.field, CubicHermite):
             if id(node.field) not in found:
                 found[id(node.field)] = node.field
-                stack.append(node.field.integrand.ast)
+                stack.append(node.field.derivative().ast)
         stack.extend(_children(node))
     return list(found.values())
+
+
+def hermite_calls(monkeypatch):
+    """The list that every ``CubicHermite`` call appends its interpolant to,
+    while the test runs."""
+    calls = []
+    original = CubicHermite.__call__
+
+    def counting(self, s):
+        calls.append(self)
+        return original(self, s)
+
+    monkeypatch.setattr(CubicHermite, "__call__", counting)
+    return calls
 
 
 def paper_closed_form(inv, c, grid):
@@ -200,7 +213,7 @@ class TestClosedForm:
         sol = cesaro_closed_form(inv, CesaroConstants(1, 0.2, -0.3, 1, 0.7, -0.2), (0.5, 3.0))
         leaves = antiderivative_leaves(sol.u3)
         assert len(leaves) == 4
-        assert all(leaf._hermite.nodes is sol.grid for leaf in leaves)
+        assert all(leaf.nodes is sol.grid for leaf in leaves)
 
     @pytest.mark.parametrize("kappa,tau,constants,interval",
                              GENERAL_CASES + [("0", "0.5*sin(s)", (1, 0, 0, 1, 1.5, 0.7), (0, 2))])
@@ -250,26 +263,33 @@ class TestClosedForm:
         assert np.max(np.abs(smp.tau - inv.tau(s))) < 1e-12
 
     def test_realized_curve_evaluates_each_field_once_per_order(self, monkeypatch):
-        # derivatives make new leaf nodes for the same field and order; a
-        # call evaluates that field's interpolant once, not once per node
+        # x' is the tree cos(phi) and x'' is -sin(phi) kappa: each order of
+        # x evaluates one interpolant, once
         inv = InvariantPair("1.5 + 0.3*sin(3*s)", "0.4 + 0.2*cos(s)")
         constants = CesaroConstants(1.0, 0.5, -0.3, 1.2, 0.2, -0.1)
         h = curve_from_solution(cesaro_closed_form(inv, constants, interval=(0, 3)))
-        calls = []
-        original = CubicHermite.__call__
-
-        def counting(self, s):
-            calls.append(self)
-            return original(self, s)
-
-        monkeypatch.setattr(CubicHermite, "__call__", counting)
+        calls = hermite_calls(monkeypatch)
         s = np.linspace(0.0, 3.0, 31)
         counts = []
         for f in (h.param.x, h.param.x.derivative(), h.param.x.derivative(2)):
             calls.clear()
             f(s)
             counts.append(len(calls))
-        assert counts[1] <= 5 and counts[2] <= 7
+        assert counts == [1, 1, 1]
+
+    def test_solution_evaluates_each_interpolant_once_per_call(self, monkeypatch):
+        # u1 = -(x x' + y y'), u2 and u1' hold x, y and the heading phi; a
+        # leaf's derivative is its integrand's tree, so a call evaluates
+        # each of the three interpolants once
+        inv = InvariantPair("1.5 + 0.3*sin(3*s)", "0.4 + 0.2*cos(s)")
+        constants = CesaroConstants(1.0, 0.5, -0.3, 1.2, 0.2, -0.1)
+        sol = cesaro_closed_form(inv, constants, interval=(0, 3))
+        calls = hermite_calls(monkeypatch)
+        s = np.linspace(0.0, 3.0, 31)
+        for f in (sol.u1, sol.u2, sol.u1.derivative()):
+            calls.clear()
+            f(s)
+            assert len(calls) <= 3
 
     def test_realized_curve_is_arc_length_parametrized(self):
         inv = InvariantPair("2 + sin(s)", "0.2*cos(s)")
@@ -748,7 +768,7 @@ class TestGenerateConstantTau:
         assert np.max(np.abs(surf.g2(grid) - (integral - odd_term))) <= 5e-14
         leaves = antiderivative_leaves(surf.g2)
         assert len(leaves) == 3  # phi, x, y
-        assert len({id(leaf._hermite.nodes) for leaf in leaves}) == 1
+        assert len({id(leaf.nodes) for leaf in leaves}) == 1
 
     @pytest.mark.parametrize("constants,g2_const", [
         ((1, 0, 0, 1, 0.2, -0.3), 0.0),

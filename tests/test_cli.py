@@ -1305,6 +1305,18 @@ class TestFreshProcess:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
+    def test_arc_length_past_the_float_range_is_the_only_stderr_line(self, tmp_path):
+        # a regular curve whose arc length sigma overflows: refused as a bad
+        # spec, not as an irregular curve against a floor of inf
+        spec = write_json(tmp_path, "c.json", {
+            "type": "analytic", "x": "s", "y": "s^2", "z": "0", "range": [-1e154, 1e154],
+        })
+        proc = self.run("-m", "h1curves.cli", "analyze", spec, "--step", "1e150")
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: bad curve spec: arc length: not finite near u = ")
+
 
 # values that stress option and range parsing: zero, negatives, non-finite
 # and huge magnitudes; ordinary ones are drawn alongside

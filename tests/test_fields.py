@@ -3,7 +3,6 @@ import pytest
 
 from h1curves.expressions import Leaf, S, ScalarFn, to_text
 from h1curves.fields import (
-    AntiderivativeField,
     CubicHermite,
     SampledField,
     antiderivative,
@@ -96,7 +95,7 @@ class TestAntiderivative:
     def test_integrand_values_are_the_hermite_slopes(self):
         integrand = 1.0 - 0.6 * S
         f = antiderivative(integrand, np.linspace(-1.0, 2.0, 9))
-        assert isinstance(f.ast, Leaf) and isinstance(f.ast.field, AntiderivativeField)
+        assert isinstance(f.ast, Leaf) and isinstance(f.ast.field, CubicHermite)
         # a quadratic antiderivative, exact at the Simpson nodes of the 8
         # panels and with exact slopes, is reproduced between them too
         s = np.linspace(-1.0, 2.0, 97)
@@ -126,10 +125,11 @@ class TestFieldTrees:
         assert np.array_equal(f(s), 2.5 * leaf(s) - 0.75)
         assert f(1.3) == 2.5 * leaf(1.3) - 0.75
         assert np.array_equal(f.derivative()(s), 2.5 * leaf.derivative()(s))
-        # every order the leaf supports is answered by index
-        assert np.array_equal(f.derivative(2)(s), 2.5 * leaf(s, 2))
+        # each derivative is the tree the leaf's own derivative gives
+        assert np.array_equal(f.derivative(2)(s), 2.5 * leaf.derivative().derivative()(s))
+        # refused while the tree is built, before anything is evaluated
         with pytest.raises(NotImplementedError, match="two derivative orders"):
-            f.derivative(3)(s)
+            f.derivative(3)
 
     def test_leaf_on_either_side_of_an_operator(self):
         grid = np.linspace(0.0, 3.0, 301)
@@ -151,6 +151,7 @@ class TestFieldTrees:
         integrand = as_field("1 + s^2") * S.apply("cos")
         f = antiderivative(integrand, np.linspace(0.0, 2.0, 101))
         assert isinstance(f.ast, Leaf)
+        assert f.derivative().ast is integrand.ast
         s = np.linspace(0.0, 2.0, 41)
         assert np.array_equal(f.derivative()(s), integrand(s))
 
