@@ -232,26 +232,13 @@ class SurfaceOfRevolution:
         return {"g": self.g_text, "f": self.f_text, "range": [self.s_lo, self.s_hi]}
 
 
-# The membership search takes _MEMBERSHIP_SAMPLES curve samples and scans
-# the generator on a grid of _MEMBERSHIP_PANELS panels, in blocks of
-# _MEMBERSHIP_BLOCK curve samples so the (samples x grid) temporaries stay
-# small, and keeps for each sample its _MEMBERSHIP_BASINS lowest candidate
-# basins of d^2.  Each basin's bracket of two grid panels is narrowed by
-# golden section to _MEMBERSHIP_COARSE times the profile span (14
-# evaluations for 1024 panels instead of 48 to 1e-12),
-# then _MEMBERSHIP_PARABOLIC_STEPS steps of parabolic interpolation finish
-# it: each roughly squares the error, from about 1e-5 of the span to the
-# rounding floor (three steps fell short on about 1 of 900 workload checks,
-# four on none).  A bracket that a probe 1e-12 of the span to either side
-# cannot certify is searched again by golden section to 1e-12 of the span.
-# _MEMBERSHIP_ROUNDOFF scales the rounding error of d^2 within which that
-# probe counts as level (see surface_membership).
+# The membership search (see surface_membership): curve samples, generator
+# grid panels, basins kept per sample, most parabolic steps per basin, and the
+# scale of d^2's rounding error within which a certificate probe is level.
 _MEMBERSHIP_SAMPLES = 200
 _MEMBERSHIP_PANELS = 1024
 _MEMBERSHIP_BASINS = 4
-_MEMBERSHIP_BLOCK = 32
-_MEMBERSHIP_COARSE = 1e-5
-_MEMBERSHIP_PARABOLIC_STEPS = 4
+_MEMBERSHIP_PARABOLIC_STEPS = 8
 _MEMBERSHIP_ROUNDOFF = 8.0
 
 
@@ -283,49 +270,24 @@ def surface_membership(
 
     A grid scan over the generator picks, for each sample, the closest few
     basins of d^2 (its interior local minima and the two ends): a folded
-    generator can pass near a point more than once, so the grid argmin
-    alone is not enough.  ``numerics.minimize_brackets`` then refines all
-    (sample, basin) brackets together, one vectorized ``sigma.profile``
-    call per step: a coarse golden section, a few parabolic steps, and a
-    certificate that f(x +- 1e-12 span) is not lower than f(x) beyond
-    rounding; a bracket without one (a kinked generator, say) is searched
-    again by golden section to 1e-12 of the span.  A sample's defect is the
-    lowest d^2 actually evaluated, grid nodes included, so it is the
-    distance to a real generator point and never an interpolated value."""
+    generator can pass near a point more than once, so the grid argmin alone is
+    not enough.  The scan is one matrix product, d^2 less each sample's own
+    term, which writes the grid once where d^2 itself takes five passes; a
+    sample whose lowest node that product's rounding cannot tell from a
+    neighbour is scanned by d^2 itself.  ``numerics.minimize_brackets`` then
+    refines all (sample, basin) brackets together, one vectorized
+    ``sigma.profile`` call per step: parabolic steps from each bracket's grid
+    nodes (d^2 recomputed there) and a certificate that f(x +- 1e-12 span) is
+    not lower than f(x) beyond rounding; a bracket without one (a kinked
+    generator, say) is searched again by golden section to 1e-12 of the span.
+    A sample's defect is the lowest d^2 actually evaluated, so it is the
+    distance to a real generator point, never an interpolated one."""
     s_curve = np.linspace(0.0, h.s_max, _MEMBERSHIP_SAMPLES)
     pts = h.point(s_curve)
-    rho = np.hypot(pts[:, 0], pts[:, 1])
-    height = pts[:, 2]
+    rho, height = np.hypot(pts[:, 0], pts[:, 1]), pts[:, 2]
     sp = np.linspace(sigma.s_lo, sigma.s_hi, _MEMBERSHIP_PANELS + 1)
     gp, fp = sigma.profile(sp)
-    last = len(sp) - 1
-
-    rows, nodes, grid_d2 = [], [], []
-    d2 = np.empty((_MEMBERSHIP_BLOCK, sp.size))
-    dz = np.empty_like(d2)
-    for lo in range(0, _MEMBERSHIP_SAMPLES, _MEMBERSHIP_BLOCK):
-        block = slice(lo, lo + _MEMBERSHIP_BLOCK)
-        d2_block, dz_block = d2[: len(rho[block])], dz[: len(rho[block])]
-        with np.errstate(over="ignore"):  # a d^2 past the float range is inf, no candidate
-            np.square(np.subtract(rho[block, None], gp, out=d2_block), out=d2_block)
-            np.square(np.subtract(height[block, None], fp, out=dz_block), out=dz_block)
-            d2_block += dz_block
-        r, k = lowest_local_minima(d2_block, _MEMBERSHIP_BASINS)
-        k = np.stack([np.maximum(k - 1, 0), k, np.minimum(k + 1, last)])
-        rows.append(r + lo)
-        nodes.append(k)
-        grid_d2.append(d2_block[r, k])
-    rows = np.concatenate(rows)
-    nodes, grid_d2 = np.concatenate(nodes, axis=1), np.concatenate(grid_d2, axis=1)
-    # an end basin has two distinct nodes: its repeated one must not count as
-    # a third point of the first parabola
-    grid_d2[(nodes == nodes[1]) & (np.arange(3) != 1)[:, None]] = np.inf
-    rho_b, height_b = rho[rows], height[rows]
-
-    def point_defect(t, i):
-        g_t, f_t = sigma.profile(t)
-        with np.errstate(over="ignore"):
-            return (rho_b[i] - g_t) ** 2 + (height_b[i] - f_t) ** 2
+    finite = np.isfinite(gp) & np.isfinite(fp)
 
     # each difference in d^2 = (rho - g)^2 + (z - f)^2 carries about eps
     # times the problem's size, so d^2 = v carries about 2 sqrt(v) eps size;
@@ -333,11 +295,44 @@ def surface_membership(
     # which g and f themselves are off
     size = sum(float(np.max(np.abs(v), where=np.isfinite(v), initial=0.0))
                for v in (np.concatenate([rho, height]), np.concatenate([gp, fp])))
-    span = sigma.s_hi - sigma.s_lo
+    # shrunk by a power of two past size, so that no term overflows, and
+    # centred on the generator's finite box c, d^2 - |p - c|^2 is
+    # |q - c|^2 - 2 (p - c).(q - c) for a sample p and a node q; rounding
+    # puts at most about 4 eps (max |q - c| + |p - c|)^2 into it
+    scale = math.ldexp(1.0, -max(math.frexp(size)[1], 0))
+    p, q = np.stack([rho, height]) * scale, np.stack([gp, fp]) * scale
+    box = q[:, finite]
+    centre = 0.5 * (box.min(axis=1) + box.max(axis=1)) if box.size else np.zeros(2)
+    p, q = p - centre[:, None], np.where(finite, q - centre[:, None], 0.0)
+    scan = np.column_stack([-2.0 * p.T, np.ones(p.shape[1])]) @ np.vstack([q, np.sum(q * q, 0)])
+
+    def d2(rho, height, g, f):
+        with np.errstate(over="ignore"):  # a d^2 past the float range is inf
+            return (rho - g) ** 2 + (height - f) ** 2
+
+    # a row whose lowest node is not below both neighbours by twice that bound
+    # (a generator reaching far past the curve, say) reads d^2 itself
+    scan[:, ~finite] = np.inf
+    every, low = np.arange(_MEMBERSHIP_SAMPLES), np.argmin(scan, axis=1)
+    side = np.clip(low + [[-1], [1]], 0, sp.size - 1)
+    gap = np.min(np.where(side == low, np.inf, scan[every, side]), axis=0) - scan[every, low]
+    exact = ~(gap > 8.0 * np.finfo(float).eps * (np.max(np.hypot(*q)) + np.hypot(*p)) ** 2)
+    scan[exact] = d2(rho[exact, None], height[exact, None], gp, fp)
+    # a node whose profile is not finite reads d^2 itself there: inf or NaN
+    scan[:, ~finite] = d2(rho[:, None], height[:, None], gp[~finite], fp[~finite])
+    rows, k = lowest_local_minima(scan, _MEMBERSHIP_BASINS)
+    nodes = np.clip(k + [[-1], [0], [1]], 0, sp.size - 1)
+    grid_d2 = d2(rho[rows], height[rows], gp[nodes], fp[nodes])
+    # a node where d^2 itself is past the float range gives no candidate
+    keep = np.isfinite(grid_d2[1])
+    rows, nodes, grid_d2 = rows[keep], nodes[:, keep], grid_d2[:, keep]
+    # an end basin has two distinct nodes: its repeated one must not count as
+    # a third point of the first parabola
+    grid_d2[(nodes == nodes[1]) & (np.arange(3) != 1)[:, None]] = np.inf
     _, refined = minimize_brackets(
-        point_defect, sp[nodes[0]], sp[nodes[2]], (sp[nodes], grid_d2),
-        tol=1e-12 * span, coarse_tol=_MEMBERSHIP_COARSE * span,
-        steps=_MEMBERSHIP_PARABOLIC_STEPS,
+        lambda t, i: d2(rho[rows[i]], height[rows[i]], *sigma.profile(t)),
+        sp[nodes[0]], sp[nodes[2]], (sp[nodes], grid_d2),
+        tol=1e-12 * (sigma.s_hi - sigma.s_lo), steps=_MEMBERSHIP_PARABOLIC_STEPS,
         roundoff=lambda v: _MEMBERSHIP_ROUNDOFF * np.finfo(float).eps * size * np.sqrt(v),
     )
     best = np.full(_MEMBERSHIP_SAMPLES, np.inf)

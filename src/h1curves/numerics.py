@@ -154,6 +154,14 @@ def fd4_second(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_points(a, b):
+    """The two golden-section interior points of [a, b]."""
+    return b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+
+
 def golden_section(f, a, b, tol: float = 1e-10):
     """Minimize f on every bracket [a, b] at once; returns (x_min, f_min).
 
@@ -166,23 +174,18 @@ def golden_section(f, a, b, tol: float = 1e-10):
     run and keeps the output deterministic."""
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     width = float(np.max(b - a, initial=0.0))
-    n_iter = math.ceil(math.log(tol / width) / math.log(inv_phi)) if width > tol else 0
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
+    n_iter = math.ceil(math.log(tol / width) / math.log(_INV_PHI)) if width > tol else 0
+    x1, x2 = _golden_points(a, b)
     f1, f2 = f(x1), f(x2)
     for _ in range(n_iter):
         # f1 <= f2 keeps [a, x2] and moves x1 into x2's place; otherwise
         # [x1, b] is kept and x2 moves into x1's place
         left = f1 <= f2
-        a = np.where(left, a, x1)
-        b = np.where(left, x2, b)
-        x_kept = np.where(left, x1, x2)
-        f_kept = np.where(left, f1, f2)
-        x_new = np.where(left, b - inv_phi * (b - a), a + inv_phi * (b - a))
+        a, b = np.where(left, a, x1), np.where(left, x2, b)
+        x_kept, f_kept = np.where(left, x1, x2), np.where(left, f1, f2)
+        x_new = np.where(left, *_golden_points(a, b))
         f_new = f(x_new)
         x1, x2 = np.where(left, x_new, x_kept), np.where(left, x_kept, x_new)
         f1, f2 = np.where(left, f_new, f_kept), np.where(left, f_kept, f_new)
@@ -210,9 +213,10 @@ def lowest_local_minima(values, k: int):
 
 def _parabola_vertex(t, ft):
     """Vertex of the parabola through the points t[0], t[1], t[2] (rows)
-    with values ft; t[0] where they fix none (collinear or repeated)."""
+    with values ft; t[0] where they fix none (collinear or repeated) or its
+    terms pass the float range."""
     (x, w, v), (fx, fw, fv) = t, ft
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = (x - w) * (fx - fv)
         q = (x - v) * (fx - fw)
         u = x - ((x - v) * q - (x - w) * r) / (2.0 * (q - r))
@@ -227,7 +231,7 @@ def _lowest_rows(t, ft, k: int):
     return np.take_along_axis(t, order, 0), np.take_along_axis(ft, order, 0)
 
 
-def minimize_brackets(f, a, b, known, tol: float, coarse_tol: float, steps: int, roundoff):
+def minimize_brackets(f, a, b, known, tol: float, steps: int, roundoff):
     """Minimize on every bracket [a[i], b[i]] of a function unimodal there;
     returns (x, f(x)) at the lowest point evaluated in each bracket.
 
@@ -235,46 +239,47 @@ def minimize_brackets(f, a, b, known, tol: float, coarse_tol: float, steps: int,
     the points ``t``.  ``known`` is a pair (t, f(t)) of arrays with one
     column per bracket: points already evaluated, such as the grid nodes a
     bracket came from; they count as evaluated, so a minimum at an end of a
-    bracket is found exactly.  ``golden_section`` first narrows every
-    bracket to ``coarse_tol``; ``steps`` steps of successive parabolic
-    interpolation through the three lowest points so far, each clipped to
-    [a, b] and at least ``tol`` long, then finish it (R. P. Brent,
-    *Algorithms for Minimization without Derivatives*, 1973, ch. 5).  A
+    bracket is found exactly.  With the two golden-section points of [a, b]
+    they start successive parabolic interpolation through the three lowest
+    points so far, each step clipped to [a, b] (R. P. Brent, *Algorithms
+    for Minimization without Derivatives*, 1973, ch. 5), for at most
+    ``steps`` steps and none onto the lowest point; a step under ``tol`` is
+    the last, and is taken, as the error it leaves is far smaller.  A
     bracket is settled when neither f(x - tol) nor f(x + tol) lies below
     f(x) by more than ``roundoff(f(x))``, the rounding error of f near x.
     Any other bracket (a kink near the minimum, say) is searched again by
     ``golden_section`` from [a, b] to ``tol``, as a search with no
     parabolic stage would, so no bracket ends less refined.  Each call of f
-    takes every bracket, or every unsettled one, at once."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = a.size
-    every = np.arange(n)
-    seen_t, seen_f = list(known[0]), list(known[1])  # one row per evaluation
-
-    def recorded(t, i=every):
-        ft = f(t, i)
-        row_t, row_f = np.full(n, np.nan), np.full(n, np.inf)
-        row_t[i], row_f[i] = t, ft
-        seen_t.append(row_t)
-        seen_f.append(row_f)
-        return ft
-
-    golden_section(recorded, a, b, tol=coarse_tol)
-    t, ft = _lowest_rows(np.array(seen_t), np.array(seen_f), 3)
+    takes every bracket, or every one still moving, at once."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    every = moving = np.arange(a.size)
+    inner = np.stack(_golden_points(a, b))
+    f_inner = f(inner.ravel(), np.tile(every, 2)).reshape(inner.shape)
+    t, ft = _lowest_rows(np.vstack([known[0], inner]), np.vstack([known[1], f_inner]), 3)
     for _ in range(steps):
-        # a step shorter than tol is lengthened to tol: values that close to
-        # x differ by rounding alone and would only steer the next parabola
-        x, u = t[0], _parabola_vertex(t, ft)
-        u = np.clip(np.where(np.abs(u - x) < tol, x + np.copysign(tol, u - x), u), a, b)
-        t, ft = _lowest_rows(np.vstack([t, u]), np.vstack([ft, f(u, every)]), 3)
+        x = t[0, moving]
+        u = np.clip(_parabola_vertex(t[:, moving], ft[:, moving]), a[moving], b[moving])
+        taken = u != x  # a step onto x itself learns nothing
+        moving, u, step = moving[taken], u[taken], np.abs(u - x)[taken]
+        if not moving.size:
+            break
+        t[:, moving], ft[:, moving] = _lowest_rows(
+            np.vstack([t[:, moving], u]), np.vstack([ft[:, moving], f(u, moving)]), 3)
+        moving = moving[step >= tol]
     x, fx = t[0], ft[0]
     sides = np.maximum(x - tol, a), np.minimum(x + tol, b)
-    side_f = np.split(f(np.concatenate(sides), np.concatenate([every, every])), 2)
+    side_f = np.split(f(np.concatenate(sides), np.tile(every, 2)), 2)
     unsettled = np.flatnonzero(~(np.minimum(*side_f) >= fx - roundoff(fx)))
-    # x is the lowest point so far: the record starts again from it
-    seen_t[:], seen_f[:] = [x, *sides], [fx, *side_f]
+    # x is the lowest point so far: the record starts from it
+    seen_t, seen_f = [x, *sides], [fx, *side_f]
     if unsettled.size:
-        golden_section(lambda t: recorded(t, unsettled), a[unsettled], b[unsettled], tol=tol)
+        def recorded(t):
+            row_t, row_f = np.full(a.size, np.nan), np.full(a.size, np.inf)
+            row_t[unsettled], row_f[unsettled] = t, f(t, unsettled)
+            seen_t.append(row_t)
+            seen_f.append(row_f)
+            return row_f[unsettled]
+
+        golden_section(recorded, a[unsettled], b[unsettled], tol=tol)
     (x,), (fx,) = _lowest_rows(np.array(seen_t), np.array(seen_f), 1)
     return x, fx

@@ -29,7 +29,7 @@ from h1curves.cesaro import (
     sphere_horizontal_gap,
     surface_membership,
 )
-from h1curves import numerics
+from h1curves import cesaro, numerics
 from h1curves.expressions import Leaf, ScalarFn, _children
 from h1curves.frenet import _cascade_curve
 from h1curves.fields import CubicHermite, SampledField, antiderivative, as_field
@@ -470,7 +470,7 @@ class TestMembershipSearch:
         ))
         golden = _counting(monkeypatch, numerics, "golden_section")
         report = surface_membership(curve, sigma, tol=1e-6)
-        assert len(golden) == 2  # the coarse search and the fallback
+        assert len(golden) == 1  # the fallback only
 
         pts = curve.point(np.linspace(0.0, curve.s_max, 200))
         rho, z = np.hypot(pts[:, 0], pts[:, 1]), pts[:, 2]
@@ -481,20 +481,22 @@ class TestMembershipSearch:
         assert report.max_defect == pytest.approx(brute, abs=1e-12)
 
     def test_cylinder_check_profile_calls(self, monkeypatch):
-        # one call for the grid, 14 for golden section to 1e-5 of the span,
-        # 4 parabolic steps, one for the certificate probes, no fallback
+        # one call for the grid, one for the golden-section points, two
+        # parabolic steps (d^2 is a parabola in t: the first lands on its
+        # vertex, the second moves by rounding alone, under tol), one for
+        # the certificate probes, no fallback
         lift, cylinder = self.cylinder_case(0.01)
         profile = _counting(monkeypatch, SurfaceOfRevolution, "profile")
         golden = _counting(monkeypatch, numerics, "golden_section")
         report = surface_membership(lift, cylinder, tol=1e-6)
         assert report.max_defect == pytest.approx(0.01, abs=1e-12)
-        assert len(profile) == 1 + 14 + 4 + 1
-        assert len(golden) == 1
+        assert len(profile) == 1 + 1 + 2 + 1
+        assert len(golden) == 0
 
     def test_minimum_near_a_generator_end_needs_no_fallback(self, monkeypatch):
         # the profile range is 1e6 long and the curve's heights all lie
-        # within the first golden-section width of its end s = 0, so the
-        # first parabola runs through that end node and two golden points
+        # within the first grid panel of its end s = 0, so the first
+        # parabola runs through that end node and two golden points
         lift = reparam_horizontal(
             ParamCurve.from_fields("cos(s)", "sin(s)", "-s", (0.0, 1.0))
         )
@@ -504,7 +506,126 @@ class TestMembershipSearch:
         golden = _counting(monkeypatch, numerics, "golden_section")
         report = surface_membership(lift, cylinder, tol=1e-6)
         assert report.member and report.max_defect < 1e-12
-        assert len(golden) == 1
+        assert len(golden) == 0
+
+    @pytest.mark.parametrize("kappa, tau, phi0, centre, c3f", [
+        (1.0657, 0.6081, -3.0231, (-0.3760, 0.1141), 0.6289),
+        (-2.4419, -0.9159, -0.1507, (-0.1782, -0.1410), -0.9181),
+        (-1.7159, 0.8131, -1.0765, (0.7305, 0.7718), 0.1723),
+        (-0.9044, 0.4675, -2.8892, (1.7740, 0.1863), 0.4994),
+    ])
+    def test_closed_form_curve_is_a_member_at_a_tight_tol(self, kappa, tau, phi0, centre, c3f):
+        # a circle track of radius 1/|kappa| about (a, b) with z = f lies on
+        # the constant-kappa surface whose g^2 is its x^2 + y^2; the search
+        # resolves the distance to rounding, far below 1e-12
+        (a, b), lo, hi = centre, -3.0, 0.5
+        sigma = generate_surface_constant_kappa(
+            kappa, tau, 2.0 * (b * np.cos(phi0) - a * np.sin(phi0)),
+            2.0 * (a * np.cos(phi0) + b * np.sin(phi0)), kappa * (a * a + b * b) + 1.0 / kappa,
+            c3f, (lo, hi))
+        k = repr(kappa)
+        curve = reparam_horizontal(ParamCurve.from_fields(
+            f"{a!r} + sin({phi0!r} + {k}*s)/{k}", f"{b!r} - cos({phi0!r} + {k}*s)/{k}",
+            sigma.f_text, (lo, hi)))
+        report = surface_membership(curve, sigma, tol=1e-12)
+        assert report.member and report.max_defect < 1e-13
+
+    @staticmethod
+    def scan_candidates(monkeypatch, h, sigma):
+        """The (row, node) candidates of the membership scan, the exact d^2
+        on its grid and the report."""
+        seen = []
+
+        def recorded(values, k):
+            seen.append(lowest_local_minima(values, k))
+            return seen[-1]
+
+        monkeypatch.setattr(cesaro, "lowest_local_minima", recorded)
+        report = surface_membership(h, sigma, tol=1e-6)
+        pts = h.point(np.linspace(0.0, h.s_max, 200))
+        gp, fp = sigma.profile(np.linspace(sigma.s_lo, sigma.s_hi, 1025))
+        rho, z = np.hypot(pts[:, 0], pts[:, 1]), pts[:, 2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = (rho[:, None] - gp) ** 2 + (z[:, None] - fp) ** 2
+        (found,) = seen
+        return found, d2, report
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_product_scan_picks_the_candidates_of_exact_d2(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        u = lambda lo, hi: repr(float(rng.uniform(lo, hi)))  # noqa: E731
+        # a folded generator, so rows have several basins, and a helix-like
+        # curve off the origin
+        sigma = SurfaceOfRevolution.from_profiles(
+            as_field(f"{u(1, 2)} + {u(0.2, 0.9)}*sin({u(1, 4)}*s + {u(-3, 3)})"),
+            as_field(f"{u(-1, 1)}*s + {u(0.5, 2)}*cos({u(1, 3)}*s)"),
+            (float(u(-4, -1)), float(u(1, 4))))
+        r, w = u(0.5, 2.5), u(0.5, 2)
+        h = reparam_horizontal(ParamCurve.from_fields(
+            f"{r}*cos({w}*s)", f"{r}*sin({w}*s)", f"{u(-1, 1)}*s + {u(-2, 2)}", (0.0, 4.0)))
+        (rows, cols), d2, _ = self.scan_candidates(monkeypatch, h, sigma)
+        want_rows, want_cols = lowest_local_minima(d2, 4)
+        # a row whose neighbouring grid values, or whose candidate values,
+        # come within rounding of each other may order them either way
+        level = 1e3 * np.finfo(float).eps * np.max(d2, axis=1)
+        tied = np.any(np.abs(np.diff(d2, axis=1)) <= level[:, None], axis=1)
+        every_rows, every_cols = lowest_local_minima(d2, d2.shape[1])
+        close = np.diff(d2[every_rows, every_cols]) <= level[every_rows[1:]]
+        tied[every_rows[1:][close & (np.diff(every_rows) == 0)]] = True
+        compared = np.flatnonzero(~tied)
+        assert compared.size >= 190
+        for row in compared:
+            np.testing.assert_array_equal(cols[rows == row], want_cols[want_rows == row])
+
+    @pytest.mark.parametrize("node, value", [(300, np.inf), (300, np.nan), (0, np.inf)])
+    def test_non_finite_node_gives_no_candidate(self, monkeypatch, node, value):
+        # the cylinder g = 1 with g not finite at one scan node: that node is
+        # no candidate, its neighbours are as in d^2 itself, and the centring
+        # ignores it, so the lift of the circle stays a member
+        lift, _ = self.cylinder_case()
+        bad = np.linspace(-0.5, 6.5, 1025)[node]
+        sigma = SurfaceOfRevolution(lambda s: np.where(s == bad, value, 1.0),
+                                    as_field("-s"), -0.5, 6.5)
+        (rows, cols), d2, report = self.scan_candidates(monkeypatch, lift, sigma)
+        want_rows, want_cols = lowest_local_minima(d2, 4)
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(cols, want_cols)
+        assert node not in cols
+        assert report.member and report.max_defect < 1e-13
+
+    @pytest.mark.parametrize("g, f, lo, hi", [
+        ("1 + exp(4*(s-20))", "-s", -2.0, 40.0),
+        ("1 + 1e-9*exp(4*(s-20))", "-s", -2.0, 30.0),
+        ("exp(s)", "s", -3.0, 100.0),
+    ])
+    def test_generator_far_past_the_curve_is_scanned_exactly(self, monkeypatch, g, f, lo, hi):
+        # g reaches 2e8 to 3e43 far from the curve, so the product's rounding
+        # swamps the grid's differences near it: those rows are scanned by
+        # d^2 itself, every row keeps its grid minimum, and the lift of the
+        # unit circle stays a member of the first two
+        lift, _ = self.cylinder_case()
+        sigma = SurfaceOfRevolution.from_profiles(as_field(g), as_field(f), (lo, hi))
+        (rows, cols), d2, report = self.scan_candidates(monkeypatch, lift, sigma)
+        np.testing.assert_array_equal(cols[np.searchsorted(rows, np.arange(200))],
+                                      np.argmin(d2, axis=1))
+        assert report.max_defect <= np.sqrt(np.max(np.min(d2, axis=1)))
+        assert report.member == (f == "-s")
+        if report.member:
+            assert surface_membership(lift, sigma, tol=1e-12).member
+
+    @pytest.mark.parametrize("half_width", [1e100, 1e150, 1e200])
+    def test_huge_profile_range_writes_no_warning(self, half_width):
+        # a parabola through nodes 1e97 apart has terms past the float range;
+        # it makes no step, and a numpy warning would be a second stderr line
+        lift = reparam_horizontal(
+            ParamCurve.from_fields("cos(s)", "sin(s)", "-s", (0.0, 1.0))
+        )
+        cylinder = SurfaceOfRevolution.from_profiles(
+            as_field("1"), as_field("-s"), (-half_width, half_width)
+        )
+        # (pytest's settings make any numpy warning an error)
+        report = surface_membership(lift, cylinder, tol=1e-6)
+        assert np.isfinite(report.max_defect)
 
     @pytest.mark.parametrize("delta", [0.0, 0.02])
     def test_repeated_runs_are_bit_identical(self, delta):

@@ -5,8 +5,9 @@ import pytest
 
 from h1curves import HorizontalCurve, ParamCurve, reparam_horizontal
 from h1curves.bertrand import BertrandSpec, bertrand_mate
-from h1curves.numerics import (MAX_PANELS, cumulative_simpson, golden_section, panel_count,
-                               step_grid)
+from h1curves import numerics
+from h1curves.numerics import (MAX_PANELS, cumulative_simpson, golden_section, minimize_brackets,
+                               panel_count, step_grid)
 
 LINE = ParamCurve.from_fields("s", "0", "0", (0.0, 1.0))
 
@@ -53,6 +54,55 @@ class TestGoldenSection:
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError, match="tol"):
             golden_section(np.abs, np.zeros(2), np.ones(2), tol=0.0)
+
+
+class TestMinimizeBrackets:
+    @staticmethod
+    def minimize(f, a, b, monkeypatch, steps=8):
+        """minimize_brackets of f(t, i) (t in brackets i) on [a, b], the ends
+        known; returns (x, f(x), golden_section calls, f's calls)."""
+        golden, calls = [], []
+        original = numerics.golden_section
+        monkeypatch.setattr(numerics, "golden_section",
+                            lambda *args, **kw: golden.append(args) or original(*args, **kw))
+
+        def objective(t, i):
+            calls.append(np.size(t))
+            return f(t, i)
+
+        ends = np.stack([a, b])
+        x, fx = minimize_brackets(objective, a, b, (ends, f(ends, np.arange(a.size))),
+                                  tol=1e-12, steps=steps, roundoff=lambda v: 1e-15 * np.abs(v))
+        return x, fx, golden, calls
+
+    def test_minimum_at_a_bracket_end_is_found_exactly(self, rng, monkeypatch):
+        # exp is increasing and -exp decreasing: each parabola's vertex is
+        # clipped onto the known end, which no call evaluates again
+        a = rng.uniform(-2.0, 2.0, size=30)
+        b = a + rng.uniform(1e-3, 1.0, size=a.shape)
+        for sign, end in ((1.0, a), (-1.0, b)):
+            x, fx, golden, _ = self.minimize(lambda t, i: sign * np.exp(t), a, b, monkeypatch)
+            assert np.array_equal(x, end)
+            assert np.array_equal(fx, sign * np.exp(end))
+            assert golden == []
+
+    def test_smooth_bracket_settles_without_golden_section(self, rng, monkeypatch):
+        c = rng.uniform(-1.0, 1.0, size=40)
+        a, b = c - rng.uniform(0.01, 0.3, size=c.shape), c + rng.uniform(0.01, 0.3, size=c.shape)
+        x, fx, golden, calls = self.minimize(lambda t, i: (t - c[i]) ** 2 * (1.0 + t - c[i]),
+                                             a, b, monkeypatch)
+        assert golden == []
+        assert np.max(np.abs(x - c)) < 1e-12
+        # the golden-section points, at most 8 steps, the certificate
+        assert len(calls) <= 1 + 8 + 1 and calls[0] == calls[-1] == 2 * c.size
+
+    def test_kink_falls_back_to_golden_section(self, rng, monkeypatch):
+        c = rng.uniform(-1.0, 1.0, size=10)
+        a, b = c - rng.uniform(0.1, 0.3, size=c.shape), c + rng.uniform(0.1, 0.3, size=c.shape)
+        x, fx, golden, _ = self.minimize(lambda t, i: np.abs(t - c[i]), a, b, monkeypatch,
+                                         steps=2)
+        assert len(golden) == 1
+        assert np.max(np.abs(x - c)) < 1e-12
 
 
 class TestPanelCount:
