@@ -8,7 +8,7 @@ import argparse
 
 import numpy as np
 
-from h1curves import InitialPose, InvariantPair, reconstruct_curve
+from h1curves import H1Point, InvariantPair, PshTransform, reconstruct_curve
 from h1curves.bertrand import BertrandSpec, bertrand_mate, mate_residuals
 
 
@@ -23,7 +23,7 @@ def main():
 
     base = reconstruct_curve(
         InvariantPair(args.kappa, args.tau),
-        InitialPose.origin(),
+        PshTransform(0.0, H1Point.origin()),  # start at the origin with heading 0
         args.s_max,
     )
     rng = np.random.default_rng(args.seed)

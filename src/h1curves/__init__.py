@@ -14,7 +14,7 @@ from .curves import (
     reparam_horizontal,
     verify_cesaro,
 )
-from .frenet import AlignmentError, InitialPose, find_psh_alignment, reconstruct, reconstruct_curve
+from .frenet import AlignmentError, find_psh_alignment, reconstruct, reconstruct_curve
 
 __all__ = [
     "H1Point",
@@ -32,7 +32,6 @@ __all__ = [
     "reparam_horizontal",
     "verify_cesaro",
     "AlignmentError",
-    "InitialPose",
     "find_psh_alignment",
     "reconstruct",
     "reconstruct_curve",

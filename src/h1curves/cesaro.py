@@ -24,14 +24,14 @@ coefficients; their constants fix the start through
 
     (u1(lo), u2(lo)) = Q = (C2 C5 + C4 C6, C1 C5 + C3 C6 + 1/kappa(lo)),
 
-so the solution is read off the cascade's curve started at (-Qx, -Qy,
--u3_const), for every kappa, of either sign and through its zeros.  Only
-1/kappa(lo) needs a nonzero kappa, so a kappa that is not identically zero
-is refused when |kappa(lo)| (hi - lo) <= ``curves.RELATIVE_ZERO``, and not
-for a zero inside the interval.  For kappa == 0 (|kappa| (hi - lo) <=
-RELATIVE_ZERO everywhere) the system degenerates to u1 = c1 - s, u2 = c2,
-u3 = integral(c2 - tau) + c3: the same curve, a line, with
-Q = (C5 - lo, C6).
+so the solution is read off the cascade's curve whose pose (``frenet``)
+is the left translation by (-Qx, -Qy, -u3_const), for every kappa, of
+either sign and through its zeros.  Only 1/kappa(lo) needs a nonzero
+kappa, so a kappa that is not identically zero is refused when
+|kappa(lo)| (hi - lo) <= ``curves.RELATIVE_ZERO``, and not for a zero
+inside the interval.  For kappa == 0 (|kappa| (hi - lo) <= RELATIVE_ZERO
+everywhere) the system degenerates to u1 = c1 - s, u2 = c2, u3 =
+integral(c2 - tau) + c3: the same curve, a line, with Q = (C5 - lo, C6).
 
 These solutions characterize membership of curves in surfaces of
 revolution about the z-axis: r lies on the surface swept by (g, f) iff
@@ -61,8 +61,8 @@ from .curves import (RELATIVE_ZERO, HorizontalCurve, InvariantPair, ParamCurve,
                      immobility_residuals, kappa_branch)
 from .expressions import EvalDomainError, Num, S
 from .fields import as_field
-from .frenet import InitialPose, _cascade_curve
-from .heisenberg import H1Point
+from .frenet import _cascade_curve
+from .heisenberg import H1Point, PshTransform
 from .numerics import (ANTIDERIVATIVE_PANELS, fd4_first, lowest_local_minima, minimize_brackets,
                        require_finite, step_grid)
 
@@ -150,7 +150,7 @@ def cesaro_closed_form(
         branch = "general"
         qx = c.c2 * c.c5 + c.c4 * c.c6
         qy = c.c1 * c.c5 + c.c3 * c.c6 + 1.0 / float(kappa_vals[0])
-    curve = _cascade_curve(inv, InitialPose(H1Point(-qx, -qy, -u3_const), 0.0), grid)
+    curve = _cascade_curve(inv, PshTransform(0.0, H1Point(-qx, -qy, -u3_const)), grid)
     x, y, xp, yp = curve.x, curve.y, curve.x.derivative(), curve.y.derivative()
     u1, u2 = -(x * xp + y * yp), -(y * xp - x * yp)
     return CesaroSolution(inv, constants, (lo, hi), branch, u1, u2, -curve.z, curve, grid)

@@ -32,8 +32,8 @@ import numpy as np
 from .curves import HorizontalCurve, InvariantPair, ParamCurve, kappa_branch
 from .expressions import S
 from .fields import antiderivative
-from .frenet import InitialPose, _cascade_curve
-from .heisenberg import H1Point
+from .frenet import _cascade_curve
+from .heisenberg import H1Point, PshTransform
 from .numerics import ANTIDERIVATIVE_PANELS, FD4_CENTRED, cumulative_simpson, fd4_first
 
 __all__ = [
@@ -243,7 +243,7 @@ def make_canonical(tag: ClassTag, interval: tuple[float, float], **params) -> Pa
 
     Parameters by tag:
       LINE_IN_XY_PLANE: heading, offset=(bx, by)
-      PLANAR_CURVE_XY: kappa (expression), x0, y0, heading
+      PLANAR_CURVE_XY: kappa (expression), x0, y0, heading (the pose's shift, angle)
       VERTICAL_PLANE_CURVE: c1, c2, c3, tau
       CIRCULAR_HELIX: c1 != 0, c2, c3, c4, tau  (unit contact speed needs
         c3^2 + c4^2 = c1^2; the fitted c1 after reparametrization is
@@ -260,7 +260,7 @@ def make_canonical(tag: ClassTag, interval: tuple[float, float], **params) -> Pa
         return ParamCurve.from_fields(bx + a * S, by + c * S, 0.0, (lo, hi))
     if tag is ClassTag.PLANAR_CURVE_XY:
         x0, y0 = (float(params.get(k, 0.0)) for k in ("x0", "y0"))
-        pose = InitialPose(H1Point(x0, y0, 0.0), float(params.get("heading", 0.0)))
+        pose = PshTransform(float(params.get("heading", 0.0)), H1Point(x0, y0, 0.0))
         c = _cascade_curve(InvariantPair(params["kappa"], 0.0), pose, grid)
         return ParamCurve.from_fields(c.x, c.y, 0.0, (lo, hi))
     if tag is ClassTag.VERTICAL_PLANE_CURVE:

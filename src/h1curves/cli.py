@@ -57,8 +57,8 @@ from .curves import (
 )
 from .expressions import EvalDomainError
 from .fields import as_field
-from .frenet import InitialPose, reconstruct, reconstruct_curve
-from .heisenberg import H1Point
+from .frenet import reconstruct, reconstruct_curve
+from .heisenberg import H1Point, PshTransform
 from .numerics import step_grid
 
 EXIT_NEGATIVE = 1
@@ -166,10 +166,17 @@ _SPEC_KEYS = {"analytic": ("type", "x", "y", "z", "range"), "samples": ("type", 
               "initial": ("point", "heading"), "surface": ("g", "f", "range")}
 
 
+def _has_bool(value) -> bool:
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_has_bool, value))
+
+
 def _known_keys(doc: dict, kind: str):
-    for key in doc:
+    """Refuse a key not among ``kind``'s, and a boolean (json's 1 or 0) in its value."""
+    for key, value in doc.items():
         if key not in _SPEC_KEYS[kind]:
             raise ValueError(f"unknown key {key!r}; the keys are {', '.join(_SPEC_KEYS[kind])}")
+        if _has_bool(value):
+            raise ValueError(f"key {key!r} holds a boolean; true and false are not numbers")
 
 
 def _curve_from_spec(spec: dict, step: float) -> HorizontalCurve:
@@ -190,8 +197,8 @@ def _curve_from_spec(spec: dict, step: float) -> HorizontalCurve:
         raise ValueError(f"unknown curve type {kind!r}")
 
 
-def _intrinsic(spec: dict) -> tuple[InvariantPair, InitialPose, float]:
-    """The invariants, initial pose and length of an intrinsic spec."""
+def _intrinsic(spec: dict) -> tuple[InvariantPair, PshTransform, float]:
+    """The invariants, pose (``frenet``) and length of an intrinsic spec."""
     _known_keys(spec, "intrinsic")
     inv = InvariantPair(spec["kappa"], spec["tau"])
     lo, hi = (float(v) for v in spec["range"])
@@ -203,7 +210,9 @@ def _intrinsic(spec: dict) -> tuple[InvariantPair, InitialPose, float]:
     _known_keys(initial, "initial")
     point = H1Point.from_array(initial.get("point", [0.0, 0.0, 0.0]))
     heading = float(initial.get("heading", 0.0))
-    return inv, InitialPose(point, heading), hi
+    if not np.isfinite(heading):
+        raise ValueError("non-finite heading")
+    return inv, PshTransform(heading, point), hi
 
 
 def _emit(text: str, output: str | None):

@@ -22,12 +22,15 @@ through those same integrals, whose derivatives are the trees above, so
 every derivative of the curve is an exact integrand: kappa is exact to
 roundoff, and tau to the rounding of the coordinates (eps max|(x, y)|).
 All refuse through ``_cascade``, which refuses what no leaf can represent.
+
+The start is a pose, the ``PshTransform`` g with the start heading as
+angle and the start point p as shift: g maps the curve from the origin
+with heading 0 onto the posed one, as its rotation adds the angle to phi
+and keeps tau, and the z-equation's p.y x' - p.x y' integrates to g's
+p.y x - p.x y.  ``_cascade`` integrates from p and the angle directly.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +40,6 @@ from .heisenberg import H1Point, PshTransform, left_translate
 from .numerics import cumulative_simpson, panel_count, require_finite
 
 __all__ = [
-    "InitialPose",
     "AlignmentError",
     "reconstruct",
     "reconstruct_curve",
@@ -46,22 +48,6 @@ __all__ = [
 
 _ALIGNMENT_SAMPLES = 200
 _INVARIANT_TOL = 1e-4
-
-
-@dataclass(frozen=True)
-class InitialPose:
-    """Starting point and heading angle of the unit contact velocity."""
-
-    point: H1Point
-    heading: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.heading):
-            raise ValueError("non-finite heading")
-
-    @classmethod
-    def origin(cls, heading: float = 0.0) -> "InitialPose":
-        return cls(H1Point.origin(), heading)
 
 
 class AlignmentError(ValueError):
@@ -75,7 +61,7 @@ def _nodes_and_midpoints(s_max: float, step: float) -> np.ndarray:
     return np.linspace(0.0, s_max, 2 * panel_count(s_max, step, minimum=4) + 1)
 
 
-def _cascade(inv, pose: InitialPose, grid: np.ndarray):
+def _cascade(inv, pose: PshTransform, grid: np.ndarray):
     """The cascade on the caller's uniform grid (at least 3 nodes), each
     integral a cumulative Simpson from grid[0]: the (values, integrand)
     samples of phi, x, y and z there.  Refused: a spacing whose square
@@ -88,9 +74,9 @@ def _cascade(inv, pose: InitialPose, grid: np.ndarray):
     kappa = np.asarray(inv.kappa(grid), dtype=float)
     tau = np.asarray(inv.tau(grid), dtype=float)
     require_finite(grid, kappa=kappa, tau=tau)
-    p = pose.point
+    p = pose.shift
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, at its s
-        phi = pose.heading + cumulative_simpson(kappa, dx=dx)
+        phi = pose.angle + cumulative_simpson(kappa, dx=dx)
         cos, sin = np.cos(phi), np.sin(phi)
         x = p.x + cumulative_simpson(cos, dx=dx)
         y = p.y + cumulative_simpson(sin, dx=dx)
@@ -103,18 +89,18 @@ def _cascade(inv, pose: InitialPose, grid: np.ndarray):
     return (phi, kappa), (x, cos), (y, sin), (z, dz)
 
 
-def reconstruct(inv, pose: InitialPose, s_max: float, step: float) -> np.ndarray:
-    """The samples (s, x, y, z) of the curve with invariants ``inv`` and
-    initial pose ``pose`` at the nodes of ``step_grid(0, s_max, step)``,
-    bit for bit, from a cascade on those nodes and their midpoints,
-    4th-order accurate; s_max is exact, so the curve is already
+def reconstruct(inv, pose: PshTransform, s_max: float, step: float) -> np.ndarray:
+    """The samples (s, x, y, z) of the curve with invariants ``inv`` whose
+    pose (see above) is ``pose``, at the nodes of ``step_grid(0, s_max,
+    step)``, bit for bit, from a cascade on those nodes and their
+    midpoints, 4th-order accurate; s_max is exact, so the curve is already
     parametrized by arc length."""
     grid = _nodes_and_midpoints(s_max, step)
     _, (x, _), (y, _), (z, _) = _cascade(inv, pose, grid)
     return np.column_stack([grid[::2], x[::2], y[::2], z[::2]])
 
 
-def _cascade_curve(inv, pose: InitialPose, grid: np.ndarray) -> ParamCurve:
+def _cascade_curve(inv, pose: PshTransform, grid: np.ndarray) -> ParamCurve:
     """The cascade's curve on the caller's grid, a tree over its own
     integrals, with phi, x, y and z leaves whose nodes are that grid and
     whose derivatives are their integrands' trees."""
@@ -126,7 +112,7 @@ def _cascade_curve(inv, pose: InitialPose, grid: np.ndarray) -> ParamCurve:
     return ParamCurve(x, y, z, float(grid[0]), float(grid[-1]))
 
 
-def reconstruct_curve(inv, pose: InitialPose, s_max: float, step: float = 1e-3) -> HorizontalCurve:
+def reconstruct_curve(inv, pose: PshTransform, s_max: float, step: float = 1e-3) -> HorizontalCurve:
     """The curve of ``reconstruct`` as a tree, parametrized by arc length."""
     return HorizontalCurve.arc_length(_cascade_curve(inv, pose, _nodes_and_midpoints(s_max, step)))
 

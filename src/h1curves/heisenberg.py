@@ -52,7 +52,11 @@ class H1Point:
 class PshTransform:
     """Pseudo-hermitian transformation: rotate (x, y) about the z-axis by
     ``angle`` (z fixed), then left-translate by ``shift``.  Orientation-
-    reversing maps are not represented."""
+    reversing maps are not represented.
+
+    Read as a pose, it maps the origin with heading 0 to a curve's start:
+    ``shift`` is the start point and ``angle`` the start heading of the
+    unit contact velocity against e1 (``frenet.reconstruct``)."""
 
     angle: float
     shift: H1Point

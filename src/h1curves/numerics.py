@@ -163,15 +163,18 @@ def _golden_points(a, b):
 
 
 def golden_section(f, a, b, tol: float = 1e-10):
-    """Minimize f on every bracket [a, b] at once; returns (x_min, f_min).
+    """Minimize f on every bracket [a, b] at once; returns (x_min, f_min),
+    the lowest point f was evaluated at in each bracket: of equal values
+    the earlier evaluation, and a NaN value only where every one is NaN.
 
     ``a`` and ``b`` are arrays of one shape (scalars work as 0-d arrays),
     each pair a bracket of a unimodal function.  ``f`` takes an array of
     that shape and returns the values elementwise, so every iteration makes
     exactly one call for all brackets.  The iteration count is fixed from
     the widest bracket, ceil(log(tol/width)/log(1/phi)), which leaves every
-    bracket narrower than ``tol``, makes the same number of calls on every
-    run and keeps the output deterministic."""
+    bracket narrower than ``tol``; its midpoint is evaluated last.  So
+    every run makes the same number of calls and its output is
+    deterministic."""
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -179,6 +182,7 @@ def golden_section(f, a, b, tol: float = 1e-10):
     n_iter = math.ceil(math.log(tol / width) / math.log(_INV_PHI)) if width > tol else 0
     x1, x2 = _golden_points(a, b)
     f1, f2 = f(x1), f(x2)
+    seen_t, seen_f = [x1, x2], [f1, f2]
     for _ in range(n_iter):
         # f1 <= f2 keeps [a, x2] and moves x1 into x2's place; otherwise
         # [x1, b] is kept and x2 moves into x1's place
@@ -187,10 +191,13 @@ def golden_section(f, a, b, tol: float = 1e-10):
         x_kept, f_kept = np.where(left, x1, x2), np.where(left, f1, f2)
         x_new = np.where(left, *_golden_points(a, b))
         f_new = f(x_new)
+        seen_t.append(x_new)
+        seen_f.append(f_new)
         x1, x2 = np.where(left, x_new, x_kept), np.where(left, x_kept, x_new)
         f1, f2 = np.where(left, f_new, f_kept), np.where(left, f_kept, f_new)
     x = 0.5 * (a + b)
-    return x, f(x)
+    (x,), (fx,) = _lowest_rows(np.array([*seen_t, x]), np.array([*seen_f, f(x)]), 1)
+    return x, fx
 
 
 def lowest_local_minima(values, k: int):
@@ -270,16 +277,10 @@ def minimize_brackets(f, a, b, known, tol: float, steps: int, roundoff):
     sides = np.maximum(x - tol, a), np.minimum(x + tol, b)
     side_f = np.split(f(np.concatenate(sides), np.tile(every, 2)), 2)
     unsettled = np.flatnonzero(~(np.minimum(*side_f) >= fx - roundoff(fx)))
-    # x is the lowest point so far: the record starts from it
-    seen_t, seen_f = [x, *sides], [fx, *side_f]
+    # x is the lowest point so far, so of equal values it is kept
+    (x,), (fx,) = _lowest_rows(np.array([x, *sides]), np.array([fx, *side_f]), 1)
     if unsettled.size:
-        def recorded(t):
-            row_t, row_f = np.full(a.size, np.nan), np.full(a.size, np.inf)
-            row_t[unsettled], row_f[unsettled] = t, f(t, unsettled)
-            seen_t.append(row_t)
-            seen_f.append(row_f)
-            return row_f[unsettled]
-
-        golden_section(recorded, a[unsettled], b[unsettled], tol=tol)
-    (x,), (fx,) = _lowest_rows(np.array(seen_t), np.array(seen_f), 1)
+        gx, gf = golden_section(lambda t: f(t, unsettled), a[unsettled], b[unsettled], tol=tol)
+        (x[unsettled],), (fx[unsettled],) = _lowest_rows(
+            np.array([x[unsettled], gx]), np.array([fx[unsettled], gf]), 1)
     return x, fx

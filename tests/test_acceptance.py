@@ -6,9 +6,9 @@ import pytest
 
 from h1curves import (
     H1Point,
-    InitialPose,
     InvariantPair,
     ParamCurve,
+    PshTransform,
     find_psh_alignment,
     kappa_tau_arbitrary,
     psh_transform_curve,
@@ -33,6 +33,8 @@ from conftest import (frame, heading, mate_sample, random_invariant_exprs,
                       random_psh_transform)
 
 SEED = 987123
+# the pose that starts a curve at the origin with heading 0
+IDENTITY = PshTransform(0.0, H1Point.origin())
 
 
 def report(index, name, ok, detail):
@@ -42,7 +44,7 @@ def report(index, name, ok, detail):
 
 
 def test_criterion_01_pansu_reproduction():
-    h = reconstruct_curve(InvariantPair(2, 0), InitialPose.origin(),
+    h = reconstruct_curve(InvariantPair(2, 0), IDENTITY,
                     np.pi, 1e-3)
     s = np.linspace(0.0, h.s_max, 1001)
     expected = np.stack(
@@ -64,7 +66,7 @@ def test_criterion_02_invariant_round_trip():
     for _ in range(20):
         kt, tt = random_invariant_exprs(rng)
         inv = InvariantPair(kt, tt)
-        h = reconstruct_curve(inv, InitialPose.origin(), 5.0, 1e-3)
+        h = reconstruct_curve(inv, IDENTITY, 5.0, 1e-3)
         s = np.linspace(0.0, h.s_max, 400)
         smp = h.sample(s)
         worst = max(
@@ -100,14 +102,13 @@ def test_criterion_03_psh_invariance():
 
 def test_criterion_04_fundamental_theorem_uniqueness():
     rng = np.random.default_rng(SEED + 2)
-    worst = 0.0
+    worst = worst_angle = worst_shift = 0.0
     for _ in range(8):
         kt, tt = random_invariant_exprs(rng)
         inv = InvariantPair(kt, tt)
-        a = reconstruct_curve(inv, InitialPose.origin(), 4.0, 1e-3)
-        pose = InitialPose(
-            H1Point(*rng.uniform(-1.5, 1.5, size=3)), float(rng.uniform(-3, 3))
-        )
+        a = reconstruct_curve(inv, IDENTITY, 4.0, 1e-3)
+        start = H1Point(*rng.uniform(-1.5, 1.5, size=3))
+        pose = PshTransform(float(rng.uniform(-3, 3)), start)
         b = reconstruct_curve(inv, pose, 4.0, 1e-3)
         g = find_psh_alignment(a, b, tol=1e-6)
         grid = np.linspace(0.0, 4.0, 120)
@@ -115,8 +116,13 @@ def test_criterion_04_fundamental_theorem_uniqueness():
             np.stack(g.apply(*a.point(grid).T), axis=-1) - b.point(grid), axis=1
         )))
         worst = max(worst, sup)
-    report(4, "fundamental-theorem-uniqueness", worst < 1e-6,
-           f"max sup-distance={worst:.2e}")
+        # the transformation that aligns the curves is the pose itself
+        worst_angle = max(worst_angle, abs((g.angle - pose.angle + np.pi) % (2 * np.pi) - np.pi))
+        worst_shift = max(worst_shift, float(np.max(np.abs(
+            np.subtract([g.shift.x, g.shift.y, g.shift.z], [start.x, start.y, start.z])))))
+    ok = worst < 1e-6 and worst_angle < 1e-9 and worst_shift < 1e-8
+    report(4, "fundamental-theorem-uniqueness", ok,
+           f"max sup-distance={worst:.2e}, dangle={worst_angle:.1e}, dshift={worst_shift:.1e}")
 
 
 def test_criterion_05_cesaro_identity():
@@ -125,7 +131,7 @@ def test_criterion_05_cesaro_identity():
     for _ in range(10):
         kt, tt = random_invariant_exprs(rng)
         h = reconstruct_curve(
-            InvariantPair(kt, tt), InitialPose.origin(), 5.0, 1e-3
+            InvariantPair(kt, tt), IDENTITY, 5.0, 1e-3
         )
         grid = step_grid(0.0, h.s_max, 1e-3)  # the table analyze prints
         worst = max(worst, verify_cesaro(grid, h.sample(grid)))
@@ -181,7 +187,7 @@ def test_criterion_07_surface_loop():
         surf, inv, np.linspace(-np.pi / 2 + 0.05, np.pi / 2 - 0.05, 101)
     )
     # the reconstructed constant-kappa curve lies on it
-    h = reconstruct_curve(inv, InitialPose.origin(), np.pi, 1e-3)
+    h = reconstruct_curve(inv, IDENTITY, np.pi, 1e-3)
     membership = surface_membership(h, surf, tol=1e-6)
     # the stated lambda = 1 constants reproduce the closed-form profile
     paper = generate_surface_constant_kappa(2.0, 0.0, -1.0, 0.0, 1.0, 1.0,
@@ -214,7 +220,7 @@ def test_criterion_09_bertrand_suite():
     for _ in range(20):
         kt, tt = random_invariant_exprs(rng, kappa_nonzero=True)
         base = reconstruct_curve(
-            InvariantPair(kt, tt), InitialPose.origin(), 4.0, 1e-3
+            InvariantPair(kt, tt), IDENTITY, 4.0, 1e-3
         )
         c1, c2 = rng.uniform(-2, 2, size=2)
         spec = BertrandSpec(c1, c2, tau_bar=f"{rng.uniform(-0.5, 0.5):.6f}*cos(s)")
@@ -288,7 +294,7 @@ def test_criterion_10_classification_round_trip():
     for _ in range(20):
         kt, tt = random_invariant_exprs(rng)
         h = reconstruct_curve(InvariantPair(kt, tt),
-                        InitialPose.origin(), 4.0, 1e-3)
+                        IDENTITY, 4.0, 1e-3)
         generic_ok += classify_position(h).tag is ClassTag.GENERAL
     ok &= generic_ok == 20
     details.append(f"generic {generic_ok}/20")

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from h1curves import (
-    InitialPose,
+    H1Point,
     InvariantPair,
     ParamCurve,
+    PshTransform,
     reconstruct_curve,
     reparam_horizontal,
 )
@@ -24,12 +25,16 @@ from h1curves.numerics import cumulative_simpson, fd4_first
 from conftest import heading, mate_sample, random_invariant_exprs
 
 
+# the pose that starts a curve at the origin with heading 0
+IDENTITY = PshTransform(0.0, H1Point.origin())
+
+
 def line(s_max=3.0):
-    return reconstruct_curve(InvariantPair(0, 0), InitialPose.origin(), s_max)
+    return reconstruct_curve(InvariantPair(0, 0), IDENTITY, s_max)
 
 
 def unit_circle_curve(s_max=4.0):
-    return reconstruct_curve(InvariantPair(1, 0), InitialPose.origin(), s_max)
+    return reconstruct_curve(InvariantPair(1, 0), IDENTITY, s_max)
 
 
 def mate_kappa(m):
@@ -40,7 +45,7 @@ def mate_kappa(m):
 class TestMateConstruction:
     def test_mate_shares_the_arc_length_parameter(self):
         base = reconstruct_curve(
-            InvariantPair("1 + 0.3*sin(s)", "0.4"), InitialPose.origin(), 4.0
+            InvariantPair("1 + 0.3*sin(s)", "0.4"), IDENTITY, 4.0
         )
         m = bertrand_mate(base, BertrandSpec(0.7, -0.4))
         assert m.grid[-1] == base.s_max
@@ -88,7 +93,7 @@ class TestMateConstruction:
         # no heading and no nonzero kappa, so the mate meets criterion 09's
         # bounds as any other mate does
         h = reconstruct_curve(
-            InvariantPair("sin(s)", "0"), InitialPose.origin(), 3.0
+            InvariantPair("sin(s)", "0"), IDENTITY, 3.0
         )
         m = bertrand_mate(h, BertrandSpec(1.0, 0.0))
         assert m.branch == "general"
@@ -101,7 +106,7 @@ class TestMateConstruction:
         for _ in range(3):
             kt, tt = random_invariant_exprs(rng, kappa_nonzero=True)
             base = reconstruct_curve(
-                InvariantPair(kt, tt), InitialPose.origin(), 4.0
+                InvariantPair(kt, tt), IDENTITY, 4.0
             )
             c1, c2 = rng.uniform(-2, 2, size=2)
             tb_text = f"{rng.uniform(-0.5, 0.5):.6f}*cos(s)"
@@ -158,7 +163,7 @@ CLEAN_BOUND = 1e-11
 @pytest.fixture
 def wavy_base():
     return reconstruct_curve(InvariantPair("1 + 0.4*sin(s)", "0.2*cos(s)"),
-                             InitialPose.origin(), 5.0)
+                             IDENTITY, 5.0)
 
 
 @pytest.fixture

@@ -7,7 +7,6 @@ import pytest
 from h1curves import (
     H1Point,
     HorizontalCurve,
-    InitialPose,
     InvariantPair,
     ParamCurve,
     PshTransform,

@@ -789,6 +789,50 @@ class TestErrorBoundary:
         self.assert_one_error_line(result)
         assert result.stderr == f"error: {message}\n"
 
+    @pytest.mark.parametrize("heading", [float("nan"), float("-inf")])
+    def test_nonfinite_heading_is_refused(self, runner, tmp_path, heading):
+        # json reads NaN and -Infinity; the spec names the heading, not the
+        # pose's rotation angle
+        doc = write_json(tmp_path, "doc.json", {**INTRINSIC_PANSU, "initial": {"heading": heading}})
+        result = runner.invoke(main, ["reconstruct", doc])
+        self.assert_one_error_line(result)
+        assert result.stderr == "error: bad curve spec: non-finite heading\n"
+
+    _ANALYTIC = {"type": "analytic", "x": "cos(s)", "y": "sin(s)", "z": "-s", "range": [0, 1]}
+    _SAMPLES = {"type": "samples", "data": [[0, 1, 0, 0], [0.25, True, 0, 0], [0.5, 1, 0.5, 0],
+                                            [0.75, 1, 0.75, 0], [1, 1, 1, 0]]}
+    _SURFACE = {"g": "1", "f": "s", "range": [-1, 1]}
+
+    @pytest.mark.parametrize("args,doc,key", [
+        (["reconstruct", "{doc}", "--step", "0.25"],
+         {"type": "intrinsic", "kappa": "1", "tau": "0", "range": [0, True],
+          "initial": {"point": [True, 0, 0], "heading": False}}, "range"),
+        (["reconstruct", "{doc}"], {**INTRINSIC_PANSU, "initial": {"point": [True, 0, 0]}},
+         "point"),
+        (["reconstruct", "{doc}"], {**INTRINSIC_PANSU, "initial": {"heading": False}}, "heading"),
+        (["analyze", "{doc}"], {**INTRINSIC_PANSU, "kappa": True}, "kappa"),
+        (["analyze", "{doc}"], {**INTRINSIC_PANSU, "tau": False}, "tau"),
+        (["analyze", "{doc}"], _SAMPLES, "data"),
+        (["analyze", "{doc}"], {**_ANALYTIC, "x": True}, "x"),
+        (["analyze", "{doc}"], {**_ANALYTIC, "y": False}, "y"),
+        (["analyze", "{doc}"], {**_ANALYTIC, "z": False}, "z"),
+        (["analyze", "{doc}"], {**_ANALYTIC, "range": [False, True]}, "range"),
+        (["surface", "check", "{doc}", "{curve}"], {**_SURFACE, "g": True}, "g"),
+        (["surface", "check", "{doc}", "{curve}"], {**_SURFACE, "f": False}, "f"),
+        (["surface", "check", "{doc}", "{curve}"], {**_SURFACE, "range": [False, True]}, "range"),
+    ], ids=["intrinsic-range", "point", "heading", "kappa", "tau", "data", "x", "y", "z",
+            "analytic-range", "g", "f", "surface-range"])
+    def test_boolean_in_a_spec_is_refused(self, runner, tmp_path, args, doc, key):
+        # json reads true and false as Python's True and False, which pass
+        # for 1 and 0 wherever a number is taken
+        paths = {"doc": write_json(tmp_path, "doc.json", doc),
+                 "curve": write_json(tmp_path, "c.json", self._ANALYTIC)}
+        result = runner.invoke(main, [a.format(**paths) for a in args])
+        self.assert_one_error_line(result)
+        kind = "surface" if args[0] == "surface" else "curve"
+        assert result.stderr == (f"error: bad {kind} spec: key {key!r} holds a boolean; "
+                                 "true and false are not numbers\n")
+
 
 class TestSurface:
     def test_pansu_membership(self, runner):

@@ -6,10 +6,11 @@ import pytest
 from click.testing import CliRunner
 
 from h1curves import (
+    H1Point,
     HorizontalCurve,
-    InitialPose,
     InvariantPair,
     ParamCurve,
+    PshTransform,
     RegularityError,
     kappa_tau_arbitrary,
     psh_transform_curve,
@@ -25,6 +26,10 @@ from h1curves.numerics import step_grid
 
 from conftest import (RecordingField, contact_speed_deviation, frame, heading,
                       random_analytic_curve, random_psh_transform)
+
+
+# the pose that starts a curve at the origin with heading 0
+IDENTITY = PshTransform(0.0, H1Point.origin())
 
 
 def line_curve(scale="1"):
@@ -255,7 +260,7 @@ class TestVerifyCesaro:
 
     def test_reconstructed_curve(self):
         inv = InvariantPair("1 + 0.5*sin(s)", "0.2*s")
-        h = reconstruct_curve(inv, InitialPose.origin(), 3.0, 1e-3)
+        h = reconstruct_curve(inv, IDENTITY, 3.0, 1e-3)
         assert cesaro_residual(h, 1e-3) < 1e-11
 
     def test_scaled_kappa_fails(self):
@@ -380,7 +385,7 @@ class TestSample:
     @pytest.mark.parametrize("make", [
         lambda: reparam_horizontal(slow_speed_curve(4.0)),
         lambda: reconstruct_curve(InvariantPair("1 + 0.5*sin(s)", "0.2*s"),
-                            InitialPose.origin(), 3.0, 1e-3),
+                            IDENTITY, 3.0, 1e-3),
     ], ids=["reparametrized", "arc-length"])
     def test_matches_the_single_quantity_methods(self, make):
         h = make()

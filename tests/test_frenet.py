@@ -6,9 +6,10 @@ import pytest
 from h1curves import (
     AlignmentError,
     H1Point,
-    InitialPose,
+    HorizontalCurve,
     InvariantPair,
     ParamCurve,
+    PshTransform,
     find_psh_alignment,
     psh_transform_curve,
     reconstruct,
@@ -21,16 +22,20 @@ from conftest import (RecordingField, contact_speed_deviation, frame, random_inv
                       random_psh_transform)
 
 
+# the pose that starts a curve at the origin with heading 0
+IDENTITY = PshTransform(0.0, H1Point.origin())
+
+
 class TestReconstruct:
     def test_zero_invariants_give_line(self):
-        h = reconstruct_curve(InvariantPair(0, 0), InitialPose.origin(), 2.0)
+        h = reconstruct_curve(InvariantPair(0, 0), IDENTITY, 2.0)
         s = np.linspace(0, 2, 21)
         assert np.max(np.abs(h.point(s) - np.stack([s, 0 * s, 0 * s], axis=1))) < 1e-10
 
     def test_constant_tau_line_with_drift(self):
         c = 0.7
         h = reconstruct_curve(
-            InvariantPair(0, c), InitialPose.origin(), 2.0
+            InvariantPair(0, c), IDENTITY, 2.0
         )
         s = np.linspace(0, 2, 21)
         expected = np.stack([s, 0 * s, c * s], axis=1)
@@ -38,7 +43,7 @@ class TestReconstruct:
 
     def test_pansu_generator(self):
         # kappa = 2*lambda, tau = 0 from the origin with heading 0
-        h = reconstruct_curve(InvariantPair(2, 0), InitialPose.origin(), np.pi)
+        h = reconstruct_curve(InvariantPair(2, 0), IDENTITY, np.pi)
         s = np.linspace(0, np.pi, 101)
         expected = np.stack(
             [np.sin(2 * s) / 2, (1 - np.cos(2 * s)) / 2, np.sin(2 * s) / 4 - s / 2],
@@ -50,7 +55,7 @@ class TestReconstruct:
         for _ in range(3):
             kt, tt = random_invariant_exprs(rng)
             inv = InvariantPair(kt, tt)
-            h = reconstruct_curve(inv, InitialPose.origin(), 5.0, 1e-3)
+            h = reconstruct_curve(inv, IDENTITY, 5.0, 1e-3)
             s = np.linspace(0.05, h.s_max - 0.05, 60)
             smp = h.sample(s)
             assert np.max(np.abs(smp.kappa - inv.kappa(s))) < 1e-5
@@ -58,18 +63,18 @@ class TestReconstruct:
 
     def test_unit_contact_speed_exact(self):
         inv = InvariantPair("sin(3*s)", "cos(2*s)")
-        h = reconstruct_curve(inv, InitialPose.origin(), 4.0)
+        h = reconstruct_curve(inv, IDENTITY, 4.0)
         assert contact_speed_deviation(h) < 2e-11  # M = 3.6, D5 = 38: 2.5e-12 + 9.7e-12
 
     def test_nonfinite_invariants_rejected(self):
         inv = InvariantPair("1/(s - 1)", "0")
         with pytest.raises((ValueError, ZeroDivisionError)):
-            reconstruct_curve(inv, InitialPose.origin(), 2.0)
+            reconstruct_curve(inv, IDENTITY, 2.0)
 
     def test_frenet_relations_from_coordinates(self):
         # t' = kappa n, n' = -kappa t - b, b' = 0 for the Euclidean frame
         inv = InvariantPair("1 + 0.3*sin(s)", "0.4")
-        h = reconstruct_curve(inv, InitialPose.origin(), 3.0)
+        h = reconstruct_curve(inv, IDENTITY, 3.0)
         s = np.linspace(0.2, 2.8, 15)
         eps = 1e-4
         tp, npl, _ = frame(h.sample(s + eps))
@@ -100,7 +105,7 @@ class TestQuadratureCascade:
     @pytest.mark.parametrize("step,bound", [(1e-2, 1e-8), (1e-3, 1e-11)])
     def test_constant_invariants_match_closed_form(self, kappa, tau, step, bound):
         S = 10.0
-        h = reconstruct_curve(InvariantPair(kappa, tau), InitialPose.origin(),
+        h = reconstruct_curve(InvariantPair(kappa, tau), IDENTITY,
                               S, step)
         s = np.linspace(0.0, S, 1001)
         err = np.max(np.abs(h.point(s) - constant_invariant_curve(kappa, tau, s)))
@@ -109,9 +114,9 @@ class TestQuadratureCascade:
     def test_fourth_order_convergence(self):
         inv = InvariantPair("1 + 0.5*sin(2*s)", "0.3*cos(s)")
         S = 4.0
-        ref = reconstruct_curve(inv, InitialPose.origin(), S, 1e-3).point(S)
+        ref = reconstruct_curve(inv, IDENTITY, S, 1e-3).point(S)
         coarse, fine = (
-            np.max(np.abs(reconstruct_curve(inv, InitialPose.origin(), S, step).point(S) - ref))
+            np.max(np.abs(reconstruct_curve(inv, IDENTITY, S, step).point(S) - ref))
             for step in (0.04, 0.02)
         )
         assert coarse > 1e-10  # well above roundoff, so the ratio is meaningful
@@ -119,20 +124,39 @@ class TestQuadratureCascade:
 
     def test_s_max_is_exact(self):
         for S, step in ((4.0, 1e-3), (np.pi, 0.01), (10.0, 0.003)):
-            h = reconstruct_curve(InvariantPair(1.5, 0.2), InitialPose.origin(),
+            h = reconstruct_curve(InvariantPair(1.5, 0.2), IDENTITY,
                                   S, step)
             assert h.s_max == S
             assert h.param.u_min == 0.0 and h.param.u_max == S
 
     @pytest.mark.parametrize("S,step", [(4.0, 0.002), (np.pi, 0.01), (1e-5, 3e-7), (7.3, 1.9)])
     def test_samples_are_on_the_step_grid(self, S, step):
-        rows = reconstruct(InvariantPair(1.5, 0.2), InitialPose.origin(), S, step)
+        rows = reconstruct(InvariantPair(1.5, 0.2), IDENTITY, S, step)
         assert rows.shape[1] == 4
         assert np.array_equal(rows[:, 0], step_grid(0.0, S, step))
 
+    @pytest.mark.parametrize("angle,shift", [(2.3, (1.5, -0.8, 0.6)), (-1.0, (1e3, -2e3, 5e2))])
+    def test_pose_is_the_transformation_of_the_origin_curve(self, angle, shift):
+        # the cascade integrates from the pose's point and heading, and
+        # psh_transform_curve moves the trees of the curve from the origin;
+        # Simpson's sums are linear, so the two differ by rounding alone
+        inv = InvariantPair("1 + 0.3*sin(2*s)", "0.4 - 0.2*cos(s)")
+        S, g = 4.0, PshTransform(angle, H1Point(*shift))
+        posed = reconstruct_curve(inv, g, S)
+        moved = HorizontalCurve.arc_length(
+            psh_transform_curve(g, reconstruct_curve(inv, IDENTITY, S).param))
+        s = np.linspace(0.0, S, 401)
+        a, b = posed.sample(s), moved.sample(s)
+        # x and y are sums of size |p| + S; z adds p.y x - p.x y, up to |p| S
+        # (seen: 1.5 and 8.9 eps (|p| + S)(1 + S))
+        bound = 32 * np.finfo(float).eps * (np.linalg.norm(shift) + S) * (1 + S)
+        assert np.max(np.abs(a.points - b.points)) < bound
+        assert np.max(np.abs(a.kappa - b.kappa)) < bound
+        assert np.max(np.abs(a.tau - b.tau)) < bound
+
     def test_contact_speed_is_one(self):
         inv = InvariantPair("sin(3*s)", "cos(2*s)")
-        h = reconstruct_curve(inv, InitialPose(H1Point(0.3, -0.2, 1.0), 0.7), 4.0)
+        h = reconstruct_curve(inv, PshTransform(0.7, H1Point(0.3, -0.2, 1.0)), 4.0)
         assert contact_speed_deviation(h) < 2e-11  # M = 3.2, D5 = 38: 2.5e-12 + 8.4e-12
 
     @pytest.mark.parametrize("s_max,step", [(1e9, 1e-3), ((MAX_PANELS + 1) * 1e-3, 1e-3)])
@@ -142,7 +166,7 @@ class TestQuadratureCascade:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="panels requested"):
-                reconstruct_curve(inv, InitialPose.origin(), s_max, step)
+                reconstruct_curve(inv, IDENTITY, s_max, step)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -152,7 +176,7 @@ class TestQuadratureCascade:
 
 class TestAlignment:
     def test_identity_for_same_curve(self):
-        h = reconstruct_curve(InvariantPair(1, 0), InitialPose.origin(), 3.0)
+        h = reconstruct_curve(InvariantPair(1, 0), IDENTITY, 3.0)
         g = find_psh_alignment(h, h, tol=1e-8)
         assert abs(g.angle) < 1e-12
         assert np.allclose([g.shift.x, g.shift.y, g.shift.z], 0, atol=1e-12)
@@ -174,19 +198,22 @@ class TestAlignment:
                                [g.shift.x, g.shift.y, g.shift.z], atol=1e-8)
 
     def test_different_invariants_detected(self):
-        line = reconstruct_curve(InvariantPair(0, 0), InitialPose.origin(), 3.0)
-        pansu = reconstruct_curve(InvariantPair(2, 0), InitialPose.origin(), 3.0)
+        line = reconstruct_curve(InvariantPair(0, 0), IDENTITY, 3.0)
+        pansu = reconstruct_curve(InvariantPair(2, 0), IDENTITY, 3.0)
         with pytest.raises(AlignmentError, match="invariants differ"):
             find_psh_alignment(line, pansu)
 
     def test_uniqueness_of_fundamental_theorem(self, rng):
         kt, tt = random_invariant_exprs(rng)
         inv = InvariantPair(kt, tt)
-        a = reconstruct_curve(inv, InitialPose.origin(), 4.0)
-        pose = InitialPose(H1Point(0.5, -1.0, 2.0), 1.1)
+        a = reconstruct_curve(inv, IDENTITY, 4.0)
+        pose = PshTransform(1.1, H1Point(0.5, -1.0, 2.0))
         b = reconstruct_curve(inv, pose, 4.0)
         g = find_psh_alignment(a, b, tol=1e-6)
         grid = np.linspace(0, 4.0, 80)
         moved = np.stack(g.apply(*a.point(grid).T), axis=-1)
         sup = np.max(np.linalg.norm(moved - b.point(grid), axis=1))
         assert sup < 1e-6
+        # the transformation that aligns the curves is the pose itself
+        assert abs((g.angle - pose.angle + np.pi) % (2 * np.pi) - np.pi) < 1e-9
+        assert np.allclose([g.shift.x, g.shift.y, g.shift.z], [0.5, -1.0, 2.0], rtol=0, atol=1e-8)

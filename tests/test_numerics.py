@@ -23,6 +23,27 @@ class TestGoldenSection:
         assert np.max(np.abs(x - c)) < tol
         assert np.array_equal(fx, np.abs(x - c))
 
+    def test_returns_the_lowest_value_it_evaluated(self, rng):
+        # a kink: the final midpoint often lies above an earlier evaluation
+        a = rng.uniform(-1.0, 1.0, size=1000)
+        b = a + rng.uniform(1e-3, 1.0, size=a.shape)
+        c = rng.uniform(a, b)
+        seen = []
+        x, fx = golden_section(lambda t: seen.append(np.abs(t - c)) or seen[-1], a, b, tol=1e-6)
+        assert np.all(fx <= np.min(seen, axis=0))
+        assert np.array_equal(fx, np.abs(x - c))
+
+    def test_nan_value_is_returned_only_where_every_one_is_nan(self, rng):
+        a = rng.uniform(-1.0, 1.0, size=200)
+        b = a + rng.uniform(1e-3, 1.0, size=a.shape)
+        c = rng.uniform(a, b)
+        seen = []
+        nan_right = lambda t: seen.append(np.where(t > c, np.nan, c - t)) or seen[-1]
+        _, fx = golden_section(nan_right, a, b, tol=1e-6)
+        # np.sort puts NaN last
+        assert np.array_equal(fx, np.sort(seen, axis=0)[0], equal_nan=True)
+        assert np.isnan(fx).any() and not np.isnan(fx).all()
+
     def test_repeated_calls_are_bit_identical(self, rng):
         a = rng.uniform(-1.0, 1.0, size=(20, 3))
         b = a + rng.uniform(0.1, 1.0, size=a.shape)
