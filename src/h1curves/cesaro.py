@@ -108,12 +108,10 @@ class CesaroSolution:
     """A solution (u1, u2, u3) of the immobility system for given
     invariants: minus the position coefficients of ``curve``, the curve
     with these invariants that starts at (-Qx, -Qy, -u3(lo)) with heading
-    0, parametrized by arc length on ``interval``; ``grid`` is the grid
-    of its integrals."""
+    0, parametrized by arc length over ``grid``, the grid of its integrals."""
 
     inv: InvariantPair
     constants: Optional[CesaroConstants]
-    interval: tuple[float, float]
     branch: str  # "general" | "zero-kappa"
     u1: object
     u2: object
@@ -153,7 +151,7 @@ def cesaro_closed_form(
     curve = _cascade_curve(inv, PshTransform(0.0, H1Point(-qx, -qy, -u3_const)), grid)
     x, y, xp, yp = curve.x, curve.y, curve.x.derivative(), curve.y.derivative()
     u1, u2 = -(x * xp + y * yp), -(y * xp - x * yp)
-    return CesaroSolution(inv, constants, (lo, hi), branch, u1, u2, -curve.z, curve, grid)
+    return CesaroSolution(inv, constants, branch, u1, u2, -curve.z, curve, grid)
 
 
 def cesaro_system_residual(sol: CesaroSolution) -> tuple[float, float, float]:
@@ -186,7 +184,15 @@ class SurfaceOfRevolution:
     The squared radius profile g2 is stored as the primary field because
     the membership conditions involve (g^2)' and (g^2)''; g itself is its
     nonnegative square root.  g_text/f_text hold expression forms when the
-    profiles are analytic."""
+    profiles are analytic.
+
+    The profile is checked once, where the surface is built, on the
+    generator grid that ``surface_membership`` scans (``_nodes``,
+    ``_MEMBERSHIP_PANELS`` + 1 nodes): g^2 or f not finite there is an error
+    naming g or f and s, and so is a g^2 below ``_g2_floor`` = -64 eps
+    max|g^2| there, roundoff relative to the profile's own size, as a
+    dilation demands; ``profile`` applies the same bound everywhere.  The
+    radius and height there are kept, as ``_radius`` and ``_height``."""
 
     g2: object
     f: object
@@ -196,35 +202,41 @@ class SurfaceOfRevolution:
     f_text: str | None = None
 
     def __post_init__(self):
-        _profile_range((self.s_lo, self.s_hi))
+        self._nodes = np.linspace(*_profile_range((self.s_lo, self.s_hi)), _MEMBERSHIP_PANELS + 1)
+        g2, height = (np.asarray(v(self._nodes), dtype=float) for v in (self.g2, self.f))
+        require_finite(self._nodes, g=g2, f=height)
+        self._g2_floor = -64.0 * np.finfo(float).eps * float(np.max(np.abs(g2)))
+        self._radius, self._height = self._checked(self._nodes, g2, height)
 
     @classmethod
     def from_profiles(cls, g, f, interval, g_text=None, f_text=None):
+        """The surface of squared radius g ** 2; g must be nonnegative on the
+        generator grid, up to roundoff relative to its size (cos past pi/2)."""
         g = as_field(g)
         lo, hi = (float(v) for v in interval)
         sigma = cls(g ** 2, as_field(f), lo, hi, g_text, f_text)
-        grid = np.linspace(lo, hi, 512)
-        values = np.asarray(g(grid), dtype=float)
-        require_finite(grid, g=values, f=sigma.f(grid))
-        # a profile that touches the axis at an end of the range can come out
-        # a few ulps below zero there (cos just past pi/2); only values below
-        # roundoff relative to the profile's own size are negative
+        values = np.asarray(g(sigma._nodes), dtype=float)
         if np.any(values < -64.0 * np.finfo(float).eps * np.max(np.abs(values))):
             raise ValueError("radius profile g must be nonnegative")
         return sigma
 
     def profile(self, s):
-        """(radius, height) samples along the generator."""
+        """(radius, height) samples along the generator; a squared radius
+        below the bound of the class docstring is an error naming s."""
         try:
-            g2 = np.asarray(self.g2(s), dtype=float)
-            if np.any(g2 < -1e-12):
-                raise ValueError("negative squared radius on the profile")
-            # + 0.0 makes a zero height +0: a tree drops additive zeros, so a
-            # height that sums to zero can otherwise come out as -0
-            height = np.asarray(self.f(s), dtype=float) + 0.0
+            g2, height = (np.asarray(v(s), dtype=float) for v in (self.g2, self.f))
         except EvalDomainError as exc:
             raise ValueError(f"bad surface spec: {exc}") from exc
-        return np.sqrt(np.where(g2 < 0.0, 0.0, g2)), height
+        return self._checked(s, g2, height)
+
+    def _checked(self, s, g2, height):
+        below = g2 < self._g2_floor
+        if np.any(below):
+            bad = np.broadcast_to(s, below.shape)[below][0]
+            raise ValueError(f"negative squared radius on the profile at s = {bad}")
+        # + 0.0 makes a zero height +0: a tree drops additive zeros, so a
+        # height that sums to zero can otherwise come out as -0
+        return np.sqrt(np.where(g2 < 0.0, 0.0, g2)), height + 0.0
 
     def to_json(self) -> dict:
         if self.g_text is None or self.f_text is None:
@@ -248,9 +260,6 @@ class MembershipReport:
     max_defect: float
     worst_s: float
 
-    def __bool__(self) -> bool:
-        return self.member
-
     def to_json(self) -> dict:
         return {
             "member": self.member,
@@ -268,13 +277,14 @@ def surface_membership(
     tol of the surface, measured as the distance from (distance-to-z-axis,
     height) to the nearest generator point.
 
-    A grid scan over the generator picks, for each sample, the closest few
-    basins of d^2 (its interior local minima and the two ends): a folded
-    generator can pass near a point more than once, so the grid argmin alone is
-    not enough.  The scan is one matrix product, d^2 less each sample's own
-    term, which writes the grid once where d^2 itself takes five passes; a
-    sample whose lowest node that product's rounding cannot tell from a
-    neighbour is scanned by d^2 itself.  ``numerics.minimize_brackets`` then
+    A scan of the generator grid, whose samples ``SurfaceOfRevolution`` kept
+    when it checked them, picks, for each sample, the closest few basins of
+    d^2 (its interior local minima and the two ends): a folded generator can
+    pass near a point more than once, so the grid argmin alone is not enough.
+    The scan is one matrix product, d^2 less each sample's own term, which
+    writes the grid once where d^2 itself takes five passes; a sample whose
+    lowest node that product's rounding cannot tell from a neighbour is
+    scanned by d^2 itself.  ``numerics.minimize_brackets`` then
     refines all (sample, basin) brackets together, one vectorized
     ``sigma.profile`` call per step: parabolic steps from each bracket's grid
     nodes (d^2 recomputed there) and a certificate that f(x +- 1e-12 span) is
@@ -285,25 +295,23 @@ def surface_membership(
     s_curve = np.linspace(0.0, h.s_max, _MEMBERSHIP_SAMPLES)
     pts = h.point(s_curve)
     rho, height = np.hypot(pts[:, 0], pts[:, 1]), pts[:, 2]
-    sp = np.linspace(sigma.s_lo, sigma.s_hi, _MEMBERSHIP_PANELS + 1)
-    gp, fp = sigma.profile(sp)
-    finite = np.isfinite(gp) & np.isfinite(fp)
+    sp, gp, fp = sigma._nodes, sigma._radius, sigma._height
 
     # each difference in d^2 = (rho - g)^2 + (z - f)^2 carries about eps
     # times the problem's size, so d^2 = v carries about 2 sqrt(v) eps size;
     # _MEMBERSHIP_ROUNDOFF = 8 allows four times that, for the few ulps by
     # which g and f themselves are off
-    size = sum(float(np.max(np.abs(v), where=np.isfinite(v), initial=0.0))
-               for v in (np.concatenate([rho, height]), np.concatenate([gp, fp])))
+    curve = np.concatenate([rho, height])
+    size = (float(np.max(np.abs(curve), where=np.isfinite(curve), initial=0.0))
+            + float(np.max(np.abs(np.concatenate([gp, fp])))))
     # shrunk by a power of two past size, so that no term overflows, and
-    # centred on the generator's finite box c, d^2 - |p - c|^2 is
+    # centred on the generator's box c, d^2 - |p - c|^2 is
     # |q - c|^2 - 2 (p - c).(q - c) for a sample p and a node q; rounding
     # puts at most about 4 eps (max |q - c| + |p - c|)^2 into it
     scale = math.ldexp(1.0, -max(math.frexp(size)[1], 0))
     p, q = np.stack([rho, height]) * scale, np.stack([gp, fp]) * scale
-    box = q[:, finite]
-    centre = 0.5 * (box.min(axis=1) + box.max(axis=1)) if box.size else np.zeros(2)
-    p, q = p - centre[:, None], np.where(finite, q - centre[:, None], 0.0)
+    centre = 0.5 * (q.min(axis=1) + q.max(axis=1))
+    p, q = p - centre[:, None], q - centre[:, None]
     scan = np.column_stack([-2.0 * p.T, np.ones(p.shape[1])]) @ np.vstack([q, np.sum(q * q, 0)])
 
     def d2(rho, height, g, f):
@@ -312,14 +320,11 @@ def surface_membership(
 
     # a row whose lowest node is not below both neighbours by twice that bound
     # (a generator reaching far past the curve, say) reads d^2 itself
-    scan[:, ~finite] = np.inf
     every, low = np.arange(_MEMBERSHIP_SAMPLES), np.argmin(scan, axis=1)
     side = np.clip(low + [[-1], [1]], 0, sp.size - 1)
     gap = np.min(np.where(side == low, np.inf, scan[every, side]), axis=0) - scan[every, low]
     exact = ~(gap > 8.0 * np.finfo(float).eps * (np.max(np.hypot(*q)) + np.hypot(*p)) ** 2)
     scan[exact] = d2(rho[exact, None], height[exact, None], gp, fp)
-    # a node whose profile is not finite reads d^2 itself there: inf or NaN
-    scan[:, ~finite] = d2(rho[:, None], height[:, None], gp[~finite], fp[~finite])
     rows, k = lowest_local_minima(scan, _MEMBERSHIP_BASINS)
     nodes = np.clip(k + [[-1], [0], [1]], 0, sp.size - 1)
     grid_d2 = d2(rho[rows], height[rows], gp[nodes], fp[nodes])
@@ -404,11 +409,11 @@ def generate_surface_constant_kappa(
 
     The two integration constants are deliberately independent (c3g, c3f).
     Only the nonnegative branch of g is produced; a radicand that is
-    negative anywhere on the range (its least value is found exactly, at the
-    ends and at the extrema of the trigonometric part), a
-    profile that is not finite on the range and a parameter that is not
-    finite are errors naming the offending s or parameter.  g^2 and f are
-    parsed from the text ``to_json`` prints."""
+    negative at an extremum of the trigonometric part in the range (found
+    exactly, so no dip hides between nodes) and a parameter that is not
+    finite are errors naming that s or parameter, and ``SurfaceOfRevolution``
+    checks the rest, ends included.  g^2 and f are parsed from the text
+    ``to_json`` prints."""
     require_finite(kappa=kappa, tau=tau, c1=c1, c2=c2, c3g=c3g, c3f=c3f)
     if kappa == 0.0:
         raise ValueError("kappa must be a nonzero constant")
@@ -423,18 +428,11 @@ def generate_surface_constant_kappa(
         f"(({repr(float(c1))})*sin(({k})*s) + ({repr(float(c2))})*cos(({k})*s))"
         f"/(2*({k})) - s/({k}) + ({repr(float(c3f))})"
     )
-    g2, f = as_field(g2_text), as_field(f_text)
-    grid = np.linspace(lo, hi, 4097)  # the sign scan's; the exact extrema join it below
-    radicand = np.asarray(g2(grid))
-    require_finite(grid, g=radicand, f=f(grid))
-    least, bad = min([(float(np.min(radicand)), float(grid[np.argmin(radicand)]))]
-                     + _radicand_critical(kappa, c1, c2, c3g, lo, hi))
+    least, bad = min(_radicand_critical(kappa, c1, c2, c3g, lo, hi), default=(0.0, lo))
     if least < 0.0:
-        raise ValueError(
-            f"negative radicand for g at s = {bad}: the profile is not real there"
-        )
+        raise ValueError(f"negative radicand for g at s = {bad}: the profile is not real there")
     return SurfaceOfRevolution(
-        g2, f, lo, hi, g_text=f"sqrt({g2_text})", f_text=f_text
+        as_field(g2_text), as_field(f_text), lo, hi, g_text=f"sqrt({g2_text})", f_text=f_text
     )
 
 
@@ -464,7 +462,8 @@ def generate_surface_constant_tau(
     tau is constant exactly when its derivative
     folds to the number 0, with no tolerance and no unit (``s - s`` is,
     ``1e-9*sin(s)`` is not).  A non-finite parameter, tau or profile is an
-    error naming it."""
+    error naming it; so is a g^2 below the surface's bound on the
+    solution's grid, finer than ``SurfaceOfRevolution``'s own."""
     require_finite(c1=constants.c1, c2=constants.c2, c3=constants.c3, c4=constants.c4,
                    c5=constants.c5, c6=constants.c6, g2_const=g2_const, f_const=f_const)
     lo, hi = _profile_range(interval)
@@ -474,19 +473,17 @@ def generate_surface_constant_tau(
     sol = cesaro_closed_form(inv, constants, (lo, hi), u3_const=-f_const)
     if sol.branch != "general":
         raise ValueError("kappa must not be identically zero for this construction")
-    x, y, f = sol.curve.x, sol.curve.y, sol.curve.z
+    x, y = sol.curve.x, sol.curve.y
     x0, y0 = float(x(lo)), float(y(lo))  # -Q, exactly
-    g2 = g2_const + (x * x - x0 * x0) + (y * y - y0 * y0)
+    sigma = SurfaceOfRevolution(g2_const + (x * x - x0 * x0) + (y * y - y0 * y0), sol.curve.z,
+                                lo, hi)
     grid = sol.grid
-    g2_vals = np.asarray(g2(grid))
-    require_finite(grid, g=g2_vals, f=f(grid))
-    if np.min(g2_vals) < 0.0:
-        bad = grid[np.argmin(g2_vals)]
-        raise ValueError(
-            f"squared radius -2*integral(u1) + {g2_const} turns negative "
-            f"near s = {bad}"
-        )
-    return SurfaceOfRevolution(g2, f, lo, hi)
+    g2_vals = np.asarray(sigma.g2(grid))
+    require_finite(grid, g=g2_vals)
+    if np.min(g2_vals) < sigma._g2_floor:
+        raise ValueError(f"squared radius -2*integral(u1) + {g2_const} turns negative "
+                         f"near s = {grid[np.argmin(g2_vals)]}")
+    return sigma
 
 
 def sphere_horizontal_gap(radius: float, grid) -> np.ndarray:

@@ -501,10 +501,10 @@ def to_text(node) -> str:
 
 
 def _node(value):
-    """The tree of a ScalarFn, number or numeric field; None otherwise."""
+    """The tree of a ScalarFn, number (not a bool) or numeric field; None otherwise."""
     if isinstance(value, ScalarFn):
         return value.ast
-    if isinstance(value, numbers.Real):
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return Num(float(value))
     if callable(value) and hasattr(value, "derivative"):
         return Leaf(value)

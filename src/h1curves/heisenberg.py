@@ -32,6 +32,8 @@ class H1Point:
     def __post_init__(self):
         for name in ("x", "y", "z"):
             v = getattr(self, name)
+            if isinstance(v, bool):
+                raise TypeError(f"boolean coordinate {name}={v}")
             if not math.isfinite(v):
                 raise ValueError(f"non-finite coordinate {name}={v}")
 
@@ -41,7 +43,7 @@ class H1Point:
 
     @classmethod
     def from_array(cls, arr) -> "H1Point":
-        x, y, z = (float(v) for v in arr)
+        x, y, z = (v if isinstance(v, bool) else float(v) for v in arr)  # a bool is refused
         return cls(x, y, z)
 
     def inverse(self) -> "H1Point":

@@ -367,10 +367,11 @@ class TestMembership:
         assert np.any(sp[argmin] < 0.0)  # the grid argmin lies on arm 2
 
     def test_negative_squared_radius_between_grid_points_raises(self):
-        # g^2 vanishes (to roundoff) on every grid node and is -1 halfway
-        # between, so only the refinement inside a bracket can see it
+        # g^2 is 1e-20 (to roundoff) on every generator node and -1 halfway
+        # between, so construction accepts it and only the refinement inside
+        # a bracket can see the dip
         sigma = SurfaceOfRevolution(
-            g2=as_field("-sin(1024*pi*s)^2"), f=as_field("s"), s_lo=0.0, s_hi=1.0
+            g2=as_field("1e-20 - sin(1024*pi*s)^2"), f=as_field("s"), s_lo=0.0, s_hi=1.0
         )
         lift = reparam_horizontal(
             ParamCurve.from_fields("cos(s)", "sin(s)", "-s", (0.0, 1.0))
@@ -480,16 +481,16 @@ class TestMembershipSearch:
         assert report.max_defect == pytest.approx(brute, abs=1e-12)
 
     def test_cylinder_check_profile_calls(self, monkeypatch):
-        # one call for the grid, one for the golden-section points, two
-        # parabolic steps (d^2 is a parabola in t: the first lands on its
-        # vertex, the second moves by rounding alone, under tol), one for
-        # the certificate probes, no fallback
+        # no call for the grid (the surface keeps its samples), one for the
+        # golden-section points, two parabolic steps (d^2 is a parabola in
+        # t: the first lands on its vertex, the second moves by rounding
+        # alone, under tol), one for the certificate probes, no fallback
         lift, cylinder = self.cylinder_case(0.01)
         profile = _counting(monkeypatch, SurfaceOfRevolution, "profile")
         golden = _counting(monkeypatch, numerics, "golden_section")
         report = surface_membership(lift, cylinder, tol=1e-6)
         assert report.max_defect == pytest.approx(0.01, abs=1e-12)
-        assert len(profile) == 1 + 1 + 2 + 1
+        assert len(profile) == 1 + 2 + 1
         assert len(golden) == 0
 
     def test_minimum_near_a_generator_end_needs_no_fallback(self, monkeypatch):
@@ -577,20 +578,13 @@ class TestMembershipSearch:
             np.testing.assert_array_equal(cols[rows == row], want_cols[want_rows == row])
 
     @pytest.mark.parametrize("node, value", [(300, np.inf), (300, np.nan), (0, np.inf)])
-    def test_non_finite_node_gives_no_candidate(self, monkeypatch, node, value):
-        # the cylinder g = 1 with g not finite at one scan node: that node is
-        # no candidate, its neighbours are as in d^2 itself, and the centring
-        # ignores it, so the lift of the circle stays a member
-        lift, _ = self.cylinder_case()
+    def test_non_finite_node_is_refused_when_built(self, node, value):
+        # the cylinder g = 1 with g not finite at one generator node: the
+        # surface's own check names g and that node's s, so membership never
+        # scans a node that is not finite
         bad = np.linspace(-0.5, 6.5, 1025)[node]
-        sigma = SurfaceOfRevolution(lambda s: np.where(s == bad, value, 1.0),
-                                    as_field("-s"), -0.5, 6.5)
-        (rows, cols), d2, report = self.scan_candidates(monkeypatch, lift, sigma)
-        want_rows, want_cols = lowest_local_minima(d2, 4)
-        np.testing.assert_array_equal(rows, want_rows)
-        np.testing.assert_array_equal(cols, want_cols)
-        assert node not in cols
-        assert report.member and report.max_defect < 1e-13
+        with pytest.raises(ValueError, match=re.escape(f"g: not finite near s = {bad}")):
+            SurfaceOfRevolution(lambda s: np.where(s == bad, value, 1.0), as_field("-s"), -0.5, 6.5)
 
     @pytest.mark.parametrize("g, f, lo, hi", [
         ("1 + exp(4*(s-20))", "-s", -2.0, 40.0),

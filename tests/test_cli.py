@@ -1332,6 +1332,19 @@ class TestFreshProcess:
         assert proc.returncode in (0, 1)
         assert proc.stderr == ""
 
+    def test_radicand_touching_the_axis_at_a_large_scale(self):
+        # g^2 = c3g - hypot(c1, c2) cos(s - 0.17...) is 0 at its least, and
+        # about 1e5 elsewhere; its rounding there, about 1.5e-11, is far
+        # below the profile's own size
+        proc = self.run("-m", "h1curves.cli", "surface", "gen-const-kappa", "--kappa", "1",
+                        "--c1", "98558.47669095607", "--c2", "-16918.234906699603",
+                        "--c3g", "100000.0", "--range", "0", "6.3")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "s,g,f" and len(lines) == 1 + 6301
+        assert min(float(line.split(",")[1]) for line in lines[1:]) == 0.0
+
     def test_output_into_a_missing_directory(self, tmp_path):
         spec = write_json(tmp_path, "c.json", INTRINSIC_PANSU)
         proc = self.run("-m", "h1curves.cli", "analyze", spec,

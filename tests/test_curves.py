@@ -332,6 +332,13 @@ class TestArcLengthCurve:
 
 
 class TestFiniteInputs:
+    def test_boolean_invariants_refused(self):
+        # not read as the constants 1 and 0
+        with pytest.raises(TypeError, match="cannot interpret True"):
+            InvariantPair(True, False)
+        with pytest.raises(TypeError, match="cannot interpret False"):
+            InvariantPair(1.0, False)
+
     @pytest.mark.parametrize("column", range(4))
     def test_sample_column_named(self, column):
         data = np.column_stack([np.arange(8.0)] + [np.arange(8.0) ** k for k in (1, 2, 3)])

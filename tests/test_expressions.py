@@ -119,6 +119,14 @@ class TestEval:
     def test_precedence(self):
         assert ScalarFn.parse("1 + 2*3^2")(0.0) == 19.0
 
+    def test_boolean_is_no_operand(self):
+        # Python counts True as the number 1; a tree does not
+        f = ScalarFn.parse("s")
+        assert f.__add__(True) is NotImplemented
+        assert f.__rmul__(False) is NotImplemented
+        with pytest.raises(TypeError):
+            f + True
+
 
 GOLDEN = [
     "sin(s)",

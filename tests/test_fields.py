@@ -116,6 +116,11 @@ class TestAntiderivative:
 class TestFieldTrees:
     """Arithmetic over numbers, S and numeric leaves builds ScalarFn trees."""
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_is_no_field(self, value):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            as_field(value)
+
     def test_sampled_leaf_values_and_derivative(self):
         grid = np.linspace(0.0, 3.0, 301)
         leaf = SampledField(grid, np.sin(grid))

@@ -61,6 +61,13 @@ class TestLeftTranslate:
         with pytest.raises(ValueError):
             H1Point(np.nan, 0.0, 0.0)
 
+    def test_rejects_boolean(self):
+        # not read as the coordinates 1 and 0
+        with pytest.raises(TypeError, match="boolean coordinate x=True"):
+            H1Point.from_array([True, 0, 0])
+        with pytest.raises(TypeError, match="boolean coordinate z=False"):
+            H1Point(0.0, 1.0, False)
+
 
 class TestStandardFrame:
     """The left-invariant frame (e1, e2, T) is the moving frame of a sample

@@ -20,9 +20,11 @@ from click.testing import CliRunner
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from h1curves.cesaro import generate_surface_constant_kappa
 from h1curves.cli import main
 from h1curves.expressions import ScalarFn
 from h1curves.heisenberg import H1Point, PshTransform
+from h1curves.numerics import step_grid
 
 from conftest import random_invariant_exprs
 
@@ -293,3 +295,18 @@ def test_moved_reconstruction_keeps_its_invariants(tmp_path_factory, seed, s_max
     assert np.all(np.abs(table[:, 4] - exact_kappa) <= 8 * EPS * (1.0 + np.abs(exact_kappa)))
     size = np.max(np.hypot(table[:, 1], table[:, 2]))
     assert np.max(np.abs(table[:, 5] - exact_tau)) <= 8 * EPS * (1.0 + size)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(exponent=st.floats(0.0, 8.0), phase=st.floats(0.0, 6.3))
+def test_radicand_touching_the_axis_is_accepted_at_every_scale(exponent, phase):
+    """g^2 = H (1 - cos(s - phase)) touches zero at s = phase, and its
+    rounding there grows with H: the profile's bound is relative to its own
+    size, so no scale H from 1 to 1e8 turns that rounding into a refusal."""
+    scale = 10.0 ** exponent
+    c1, c2 = scale * math.cos(phase), -scale * math.sin(phase)
+    sigma = generate_surface_constant_kappa(1.0, 0.0, c1, c2, math.hypot(c1, c2), 0.0,
+                                            (0.0, 6.3))
+    for s in (np.array([phase]), step_grid(0.0, 6.3, 1e-3)):
+        radius, _ = sigma.profile(s)
+        assert np.all(np.isfinite(radius))
