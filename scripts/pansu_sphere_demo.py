@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Build Pansu spheres for a few shape parameters and print their
 certificates: pole positions, invariants of the generating geodesic, the
-graph identity defect, and the membership report."""
+graph identity defect (these two read on the lambda = 1 sphere, so
+unit-free), and the membership report."""
 
 import argparse
 

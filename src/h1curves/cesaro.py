@@ -43,17 +43,16 @@ u1^2 + u2^2 is x^2 + y^2, the squared distance of the curve to the z-axis,
 so the constant-tau surface is the one swept by rotating the curve about
 the z-axis, its squared radius shifted by a constant.
 
-The curve is ``frenet._cascade_curve`` on one uniform grid of
-``numerics.ANTIDERIVATIVE_PANELS`` panels over the interval, its integrals
-pinned at lo; the closed forms are ``ScalarFn`` trees over its leaves, and
-this module integrates nothing itself.
+The curve is ``frenet._cascade_curve`` on the nodes of a uniform grid of
+``numerics.ANTIDERIVATIVE_PANELS`` panels, its integrals composite Simpson
+from lo; the closed forms are ``ScalarFn`` trees over its leaves, and this
+module integrates nothing itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -108,10 +107,9 @@ class CesaroSolution:
     """A solution (u1, u2, u3) of the immobility system for given
     invariants: minus the position coefficients of ``curve``, the curve
     with these invariants that starts at (-Qx, -Qy, -u3(lo)) with heading
-    0, parametrized by arc length over ``grid``, the grid of its integrals."""
+    0, parametrized by arc length over ``grid``, the nodes of its leaves."""
 
     inv: InvariantPair
-    constants: Optional[CesaroConstants]
     branch: str  # "general" | "zero-kappa"
     u1: object
     u2: object
@@ -151,12 +149,12 @@ def cesaro_closed_form(
     curve = _cascade_curve(inv, PshTransform(0.0, H1Point(-qx, -qy, -u3_const)), grid)
     x, y, xp, yp = curve.x, curve.y, curve.x.derivative(), curve.y.derivative()
     u1, u2 = -(x * xp + y * yp), -(y * xp - x * yp)
-    return CesaroSolution(inv, constants, branch, u1, u2, -curve.z, curve, grid)
+    return CesaroSolution(inv, branch, u1, u2, -curve.z, curve, grid)
 
 
 def cesaro_system_residual(sol: CesaroSolution) -> tuple[float, float, float]:
     """``curves.immobility_residuals`` of the solution on ``sol.grid``, the
-    grid of its curve's integrals, derivatives by ``numerics.fd4_first`` there
+    nodes of its curve's leaves, derivatives by ``numerics.fd4_first`` there
     (independent of the closed forms; error O(step^4) where the stencil is
     centred)."""
     grid = sol.grid
@@ -553,13 +551,15 @@ def pansu_sphere(lam: float, step: float = 1e-3, tol: float = 1e-6) -> PansuSphe
     Returns the generator profile, the pole-to-pole geodesic (x' = cos 2 lam
     s and y' = sin 2 lam s, so s is already its horizontal arc length), and
     a certificate from one sample of it on ``numerics.step_grid(0, pi/lam,
-    step)``: (i) its distance to the graphs z = +/-height(rho) within
-    1e-8/lam^2, as heights scale by 1/lam^2, to first order
-    |dz|/sqrt(1 + height'^2), or rho - 1/lam past the equator, where
-    height' is unbounded; (ii) its invariants within 1e-9 of
-    2 lam and 0; (iii) its membership in the surface within ``tol``.
-    Failing (i) or (ii) raises ValueError; (iii) is a verdict, read from
-    ``certificate.membership``."""
+    step)``, whose first two figures are unit-free, read on the lam = 1
+    sphere (this one dilated by lam in the plane and lam^2 in height, which
+    sends kappa to kappa/lam and tau to lam tau; ``curves`` cites why):
+    (i) the distance of (lam rho, lam^2 z) to its graphs z = +/-height
+    within 1e-8, to first order |dz|/sqrt(1 + height'^2), or lam rho - 1
+    past the equator, where height' is unbounded; (ii) |kappa/lam - 2| and
+    |lam tau| within 1e-9; (iii) its membership in the surface within
+    ``tol``.  Failing (i) or (ii), or a figure not finite, raises
+    ValueError; (iii) is a verdict, read from ``certificate.membership``."""
     # constants are folded before they enter the trees, as parsing the text
     # sin(2*lam*s)/(4*lam^2) folds them, so the trees and their derivatives
     # evaluate bit for bit like the parsed text
@@ -591,21 +591,20 @@ def pansu_sphere(lam: float, step: float = 1e-3, tol: float = 1e-6) -> PansuSphe
 
     smp = geo.sample(step_grid(0.0, geo.s_max, step))
     pts = smp.points
-    rho = np.hypot(pts[:, 0], pts[:, 1])
-    # |height'(rho)| = x^2/(lam w) with x = lam rho and w = sqrt(1 - x^2),
-    # so 1/sqrt(1 + height'^2) = lam w/hypot(lam w, x^2)
-    x = np.minimum(lam * rho, 1.0)
-    lam_w = lam * np.sqrt(1.0 - x * x)
-    dz = np.abs(np.abs(pts[:, 2]) - pansu_graph_height(lam, rho))
-    graph_defect = float(np.max(np.maximum(dz * lam_w / np.hypot(lam_w, x * x),
-                                           rho - 1.0 / lam)))
-    kappa_error = float(np.max(np.abs(smp.kappa - 2.0 * lam)))
-    tau_error = float(np.max(np.abs(smp.tau)))
+    # on the lam = 1 sphere, at radius r, |height'| = x^2/w with x = min(r, 1)
+    # and w = sqrt(1 - x^2), so 1/sqrt(1 + height'^2) = w/hypot(w, x^2)
+    r = lam * np.hypot(pts[:, 0], pts[:, 1])
+    x = np.minimum(r, 1.0)
+    w = np.sqrt(1.0 - x * x)
+    dz = np.abs(np.abs(lam * lam * pts[:, 2]) - pansu_graph_height(1.0, r))
+    graph_defect = float(np.max(np.maximum(dz * w / np.hypot(w, x * x), r - 1.0)))
+    kappa_error = float(np.max(np.abs(smp.kappa / lam - 2.0)))
+    tau_error = float(np.max(np.abs(lam * smp.tau)))
     membership = surface_membership(geo, surface, tol=tol)
     cert = PansuCertificate(graph_defect, membership, kappa_error, tau_error, pts[0], pts[-1])
-    if graph_defect > 1e-8 / (lam * lam):
+    if not graph_defect <= 1e-8:
         raise ValueError(f"geodesic leaves the graph: defect {graph_defect:.3e}")
-    if kappa_error > 1e-9 or tau_error > 1e-9:
+    if not (kappa_error <= 1e-9 and tau_error <= 1e-9):
         raise ValueError(
             f"geodesic invariants off: dkappa {kappa_error:.3e}, dtau {tau_error:.3e}"
         )

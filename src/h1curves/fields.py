@@ -7,9 +7,10 @@ piecewise cubic Hermite interpolant over its nodes (a ``SampledField``
 wraps one), called as ``field(s)``, whose ``derivative()`` is the ScalarFn
 its producer gives, so differentiating a tree splices that tree in and
 builds no new field.  The producers: ``antiderivative``, a cumulative
-integral on its caller's grid whose derivative is its exact integrand; the
-integrals of a reconstruction (``frenet``), whose derivatives are the
-Frenet-Serret trees; and ``SampledField`` (values on a uniform grid), for
+integral over its caller's nodes whose derivative is its exact integrand;
+the integrals of a reconstruction (``frenet``), whose derivatives are the
+Frenet-Serret trees, both composite Simpson over the nodes and their
+midpoints; and ``SampledField`` (values on a uniform grid), for
 sampled data only, whose first and second derivatives are interpolants of
 its 4th-order finite differences.  ``as_field`` turns a number, expression
 text or numeric field into a ScalarFn.
@@ -212,16 +213,17 @@ class SampledField:
 def antiderivative(integrand, grid, const: float = 0.0):
     """const + the integral of ``integrand`` from grid[0], as a ScalarFn:
     exactly (const - c grid[0]) + c s for a constant integrand c, else
-    const plus a ``CubicHermite`` leaf through the cumulative Simpson values
-    on ``grid``, the caller's uniform grid (at least 3 nodes), with the
-    integrand's samples for slopes and the integrand for derivative."""
+    const plus a ``CubicHermite`` leaf over ``grid``, the caller's uniform
+    nodes (at least 2), through composite Simpson over those nodes and
+    their midpoints, with the integrand's samples for slopes and the
+    integrand for derivative."""
     integrand = as_field(integrand)
-    lo = float(grid[0])
+    lo, hi = float(grid[0]), float(grid[-1])
     if isinstance(integrand.ast, Num):
         c = integrand.ast.value
         return (float(const) - c * lo) + c * S
     # a non-finite integrand is left to the callers' finiteness checks
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f = np.asarray(integrand(grid), dtype=float)
-        values = cumulative_simpson(f, dx=(float(grid[-1]) - lo) / (grid.size - 1))
-        return as_field(CubicHermite(grid, values, f, integrand)) + float(const)
+        f = np.asarray(integrand(np.linspace(lo, hi, 2 * len(grid) - 1)), dtype=float)
+        values = cumulative_simpson(f, dx=(hi - lo) / (f.size - 1))
+        return as_field(CubicHermite(grid, values[::2], f[::2], integrand)) + float(const)

@@ -13,13 +13,14 @@ solved for z'.  The contact constraint |r'_xi| = 1 then holds exactly and
 frame orthonormality cannot drift.  The system is triangular (phi, then x
 and y, then z), so it is solved by successive cumulative quadratures
 rather than a stepping loop.  This cascade is the one place where kappa is
-integrated into a heading and the heading into a planar track.  It runs on
-its caller's uniform grid: ``reconstruct`` prints the panel nodes of a grid
-of nodes and midpoints built from ``step``; ``_cascade_curve`` (behind
+integrated into a heading and the heading into a planar track.  It takes
+its caller's uniform nodes and integrates on them and their midpoints, so
+every value it returns is composite Simpson: ``reconstruct`` prints the
+nodes of ``step_grid(0, s_max, step)``; ``_cascade_curve`` (behind
 ``reconstruct_curve``, the Cesàro closed forms and ``classify``'s planar
 canonical form) keeps phi, x, y and z as ``fields.CubicHermite`` leaves
-through those same integrals, whose derivatives are the trees above, so
-every derivative of the curve is an exact integrand: kappa is exact to
+over those nodes, whose derivatives are the trees above, so every
+derivative of the curve is an exact integrand: kappa is exact to
 roundoff, and tau to the rounding of the coordinates (eps max|(x, y)|).
 All refuse through ``_cascade``, which refuses what no leaf can represent.
 
@@ -37,7 +38,7 @@ import numpy as np
 from .curves import RELATIVE_ZERO, HorizontalCurve, ParamCurve
 from .fields import CubicHermite, as_field
 from .heisenberg import H1Point, PshTransform, left_translate
-from .numerics import cumulative_simpson, panel_count, require_finite
+from .numerics import cumulative_simpson, require_finite, step_grid
 
 __all__ = [
     "AlignmentError",
@@ -54,20 +55,17 @@ class AlignmentError(ValueError):
     """No pseudo-hermitian transformation maps one curve onto the other."""
 
 
-def _nodes_and_midpoints(s_max: float, step: float) -> np.ndarray:
-    """The nodes of ``step_grid(0, s_max, step)`` and their midpoints."""
-    if not s_max > 0:
-        raise ValueError(f"s_max must be positive, got {s_max}")
-    return np.linspace(0.0, s_max, 2 * panel_count(s_max, step, minimum=4) + 1)
-
-
-def _cascade(inv, pose: PshTransform, grid: np.ndarray):
-    """The cascade on the caller's uniform grid (at least 3 nodes), each
-    integral a cumulative Simpson from grid[0]: the (values, integrand)
-    samples of phi, x, y and z there.  Refused: a spacing whose square
-    underflows, a coordinate past the float range (at its s), and
-    coordinates whose rounding exceeds RELATIVE_ZERO of the length."""
-    lo, hi = float(grid[0]), float(grid[-1])
+def _cascade(inv, pose: PshTransform, nodes: np.ndarray):
+    """The cascade on the caller's uniform nodes (at least 2), each integral
+    composite Simpson from nodes[0] over them and their midpoints: the
+    (values, integrand) samples of phi, x, y and z at the nodes.  Refused:
+    nodes that do not increase (naming their range), a midpoint spacing
+    whose square underflows, kappa, tau or a coordinate not finite (at its
+    s), and coordinates whose rounding exceeds RELATIVE_ZERO of the length."""
+    lo, hi = float(nodes[0]), float(nodes[-1])
+    if not hi > lo:
+        raise ValueError(f"the range [{lo}, {hi}] does not increase")
+    grid = np.linspace(lo, hi, 2 * len(nodes) - 1)
     dx = (hi - lo) / (grid.size - 1)
     if dx * dx < np.finfo(float).tiny:
         raise ValueError(f"a node spacing of {dx:.3e} is too fine to interpolate")
@@ -86,35 +84,34 @@ def _cascade(inv, pose: PshTransform, grid: np.ndarray):
     size = max(np.max(np.abs(x)), np.max(np.abs(y)))
     if np.finfo(float).eps * size > RELATIVE_ZERO * (hi - lo):
         raise ValueError(f"coordinates up to {size:.3e} cannot resolve a length of {hi - lo:g}")
-    return (phi, kappa), (x, cos), (y, sin), (z, dz)
+    return tuple((v[::2], f[::2]) for v, f in ((phi, kappa), (x, cos), (y, sin), (z, dz)))
 
 
 def reconstruct(inv, pose: PshTransform, s_max: float, step: float) -> np.ndarray:
     """The samples (s, x, y, z) of the curve with invariants ``inv`` whose
     pose (see above) is ``pose``, at the nodes of ``step_grid(0, s_max,
-    step)``, bit for bit, from a cascade on those nodes and their
-    midpoints, 4th-order accurate; s_max is exact, so the curve is already
-    parametrized by arc length."""
-    grid = _nodes_and_midpoints(s_max, step)
-    _, (x, _), (y, _), (z, _) = _cascade(inv, pose, grid)
-    return np.column_stack([grid[::2], x[::2], y[::2], z[::2]])
+    step)``, from the cascade on them, 4th-order accurate; s_max is exact,
+    so the curve is already parametrized by arc length."""
+    nodes = step_grid(0.0, s_max, step)
+    _, (x, _), (y, _), (z, _) = _cascade(inv, pose, nodes)
+    return np.column_stack([nodes, x, y, z])
 
 
-def _cascade_curve(inv, pose: PshTransform, grid: np.ndarray) -> ParamCurve:
-    """The cascade's curve on the caller's grid, a tree over its own
-    integrals, with phi, x, y and z leaves whose nodes are that grid and
-    whose derivatives are their integrands' trees."""
-    integrals = _cascade(inv, pose, grid)
-    phi = as_field(CubicHermite(grid, *integrals[0], inv.kappa))
+def _cascade_curve(inv, pose: PshTransform, nodes: np.ndarray) -> ParamCurve:
+    """The cascade's curve on the caller's nodes, a tree over its own
+    integrals, with phi, x, y and z leaves over those nodes whose
+    derivatives are their integrands' trees."""
+    integrals = _cascade(inv, pose, nodes)
+    phi = as_field(CubicHermite(nodes, *integrals[0], inv.kappa))
     cos, sin = phi.apply("cos"), phi.apply("sin")
-    x, y = (as_field(CubicHermite(grid, *v, f)) for v, f in zip(integrals[1:3], (cos, sin)))
-    z = CubicHermite(grid, *integrals[3], inv.tau + y * cos - x * sin)
-    return ParamCurve(x, y, z, float(grid[0]), float(grid[-1]))
+    x, y = (as_field(CubicHermite(nodes, *v, f)) for v, f in zip(integrals[1:3], (cos, sin)))
+    z = CubicHermite(nodes, *integrals[3], inv.tau + y * cos - x * sin)
+    return ParamCurve(x, y, z, float(nodes[0]), float(nodes[-1]))
 
 
 def reconstruct_curve(inv, pose: PshTransform, s_max: float, step: float = 1e-3) -> HorizontalCurve:
     """The curve of ``reconstruct`` as a tree, parametrized by arc length."""
-    return HorizontalCurve.arc_length(_cascade_curve(inv, pose, _nodes_and_midpoints(s_max, step)))
+    return HorizontalCurve.arc_length(_cascade_curve(inv, pose, step_grid(0.0, s_max, step)))
 
 
 def find_psh_alignment(

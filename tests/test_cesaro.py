@@ -206,8 +206,8 @@ class TestClosedForm:
 
     def test_antiderivatives_are_built_on_the_solution_grid(self):
         # u3 is minus the height z of the solution's curve, whose integrand
-        # holds its heading phi and its x and y: the cascade's cumulative
-        # Simpson on sol.grid itself, not on copies of it
+        # holds its heading phi and its x and y: the cascade's leaves, whose
+        # nodes are sol.grid itself, not copies of it
         inv = InvariantPair("2 + sin(s)", "0.4*cos(s)")
         sol = cesaro_closed_form(inv, CesaroConstants(1, 0.2, -0.3, 1, 0.7, -0.2), (0.5, 3.0))
         leaves = antiderivative_leaves(sol.u3)
@@ -229,6 +229,13 @@ class TestClosedForm:
         inv = InvariantPair("2 + sin(s)", "0")
         with pytest.raises(ValueError, match=r"degenerate interval \[1.0, 1.0\]"):
             cesaro_closed_form(inv, CesaroConstants(1.0, 0.0, 0.0, 1.0), interval=(1, 1))
+
+    def test_kappa_not_finite_between_the_nodes_rejected(self):
+        # the integrals sample kappa at the nodes' midpoints too: this one is
+        # finite at every node and past the float range at the first midpoint
+        inv = InvariantPair("2 + 1e290/((s - 0.00005)^2 + 1e-300)", "0")
+        with pytest.raises(ValueError, match=re.escape("kappa: not finite near s = 5e-05")):
+            cesaro_closed_form(inv, CesaroConstants(1.0, 0.0, 0.0, 1.0), interval=(0, 1))
 
     def test_sign_changing_kappa_rejected(self):
         inv = InvariantPair("sin(s)", "0")
@@ -864,10 +871,7 @@ class TestGenerateConstantTau:
         # g^2 = g2_const + (x^2 - Qx^2) + (y^2 - Qy^2) of the solution's
         # curve, whose leaves share one grid, bit for bit.  It is the
         # g2_const - 2 integral(u1) of the docstring, integrated on that
-        # grid, up to the quadrature of both: at an odd node cumulative
-        # Simpson errs by dx^4 f'''/24 of its integrand f, and for f = u1
-        # against f = cos(phi), sin(phi) that puts the integral dx^4 kappa^2/12
-        # above x^2 + y^2 there (4.7e-14 at kappa = 3), which is taken out
+        # grid, up to the quadrature of both, composite Simpson at every node
         inv, c = InvariantPair("2 + sin(s)", "0.3"), CesaroConstants(1, 0, 0, 1, 0.0, 0.0)
         surf = generate_surface_constant_tau(inv, c, interval=(0, 5), g2_const=1.0)
         sol = cesaro_closed_form(inv, c, interval=(0, 5))
@@ -876,13 +880,25 @@ class TestGenerateConstantTau:
         s = np.linspace(0.0, 5.0, 7919)
         xs, ys = x(s), y(s)
         assert np.array_equal(surf.g2(s), 1.0 + (xs * xs - x0 * x0) + (ys * ys - y0 * y0))
-        grid, dx = sol.grid, sol.grid[1] - sol.grid[0]
+        grid = sol.grid
         integral = 1.0 - 2 * antiderivative(sol.u1, grid)(grid)
-        odd_term = np.where(np.arange(grid.size) % 2 == 1, dx ** 4 * inv.kappa(grid) ** 2 / 12, 0.0)
-        assert np.max(np.abs(surf.g2(grid) - (integral - odd_term))) <= 5e-14
+        assert np.max(np.abs(surf.g2(grid) - integral)) <= 5e-14
         leaves = antiderivative_leaves(surf.g2)
         assert len(leaves) == 3  # phi, x, y
         assert len({id(leaf.nodes) for leaf in leaves}) == 1
+
+    def test_odd_and_even_nodes_err_alike(self, monkeypatch):
+        # every node of the solution grid is composite Simpson, so the
+        # radius errs alike at odd and even nodes against a 16x finer
+        # solution (3.5e-11 at both); a one-interval parabola at the odd
+        # nodes would put 4.5x the even nodes' error there
+        inv, c = InvariantPair("1.5 + 0.3*sin(3*s)", 0.0), CesaroConstants(1, 0, 0, 1, 0, 0)
+        nodes = np.linspace(0.0, 300.0, cesaro.ANTIDERIVATIVE_PANELS + 1)
+        g, _ = generate_surface_constant_tau(inv, c, (0, 300), g2_const=1e4).profile(nodes)
+        monkeypatch.setattr(cesaro, "ANTIDERIVATIVE_PANELS", 16 * cesaro.ANTIDERIVATIVE_PANELS)
+        ref, _ = generate_surface_constant_tau(inv, c, (0, 300), g2_const=1e4).profile(nodes)
+        err = np.abs(g - ref)
+        assert np.max(err[1::2]) <= 2 * np.max(err[::2])
 
     @pytest.mark.parametrize("constants,g2_const", [
         ((1, 0, 0, 1, 0.2, -0.3), 0.0),
@@ -1017,11 +1033,19 @@ class TestPansuSphere:
         assert sphere.certificate.membership.member
 
     def test_graph_bound_scales_with_the_sphere(self):
-        # heights reach pi/(4 lam^2) = 7.9e7 at lam = 1e-4, where the graph
-        # defect of 4.5e-8 is rounding: 5.7e-16 of them
+        # heights reach pi/(4 lam^2) = 7.9e7 at lam = 1e-4, where a vertical
+        # defect of 4.5e-8 is rounding: the figure, read on the lam = 1
+        # sphere, is 5.5e-16
         lam = 1e-4
         sphere = pansu_sphere(lam, step=0.1)
-        assert sphere.certificate.graph_defect * lam * lam <= 1e-14
+        assert sphere.certificate.graph_defect <= 1e-14
+
+    @pytest.mark.parametrize("lam", [1e-4, 2.0, 1e50])
+    def test_figures_are_unit_free(self, lam):
+        # each figure is read on the lam = 1 sphere, so each is rounding at
+        # every scale (at most 2e-15 here)
+        cert = pansu_sphere(lam, step=0.1 if lam < 1 else 1e-3).certificate
+        assert max(cert.graph_defect, cert.kappa_error, cert.tau_error) <= 1e-14
 
     def test_equator_node(self):
         # the grid has a node at s = S/2, where the graph's slope is

@@ -219,6 +219,16 @@ class TestReconstruct:
         assert len(lines) == 1 and lines[0].startswith("error: bad curve spec: ")
 
     @pytest.mark.parametrize("command", ["reconstruct", "analyze"])
+    @pytest.mark.parametrize("hi", [0.0, -1.0])
+    def test_refuses_a_range_that_does_not_increase(self, runner, tmp_path, command, hi):
+        path = write_json(tmp_path, "c.json", {
+            "type": "intrinsic", "kappa": "1", "tau": "0", "range": [0, hi]})
+        result = runner.invoke(main, [command, path])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: bad curve spec: the range [0.0, {hi}] does not increase\n"
+
+    @pytest.mark.parametrize("command", ["reconstruct", "analyze"])
     @pytest.mark.parametrize("p", [1e5, 1e8])
     def test_far_curve_within_the_resolution(self, runner, tmp_path, command, p):
         path = write_json(tmp_path, "c.json", {
@@ -861,9 +871,26 @@ class TestSurface:
         assert result.stderr == ("error: lam must be positive and finite, with 4 lam^2 and "
                                  f"pi/lam finite and nonzero, got {float(lam)!r}\n")
 
+    @pytest.mark.parametrize("lam", ["1e11", "3e11", "1e12"])
+    def test_pansu_certifies_a_small_sphere(self, runner, lam):
+        # its figures are unit-free, so the rounding of heights near 1e-24
+        # or of kappa near 2e12 passes as on the lam = 1 sphere
+        result = runner.invoke(main, ["surface", "pansu", "--lam", lam])
+        assert result.exit_code == 0, result.stderr
+        cert = json.loads(result.output)["certificate"]
+        assert max(cert["graph_defect"], cert["kappa_error"], cert["tau_error"]) <= 1e-14
+
+    def test_pansu_refuses_a_kappa_it_cannot_evaluate(self, runner):
+        # at lam = 1e100 kappa is NaN on the geodesic, which fails the bound
+        # rather than passing a > test and printing NaN
+        result = runner.invoke(main, ["surface", "pansu", "--lam", "1e100"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: geodesic invariants off: dkappa nan")
+
     def test_pansu_certifies_a_large_sphere(self, runner):
-        # heights of 7.9e7 carry a graph defect of 4.5e-8 in rounding alone;
-        # the verdict is membership's, by the absolute --tol
+        # heights of 7.9e7 carry a vertical defect of 4.5e-8 in rounding
+        # alone; the verdict is membership's, by the absolute --tol
         result = runner.invoke(main, ["surface", "pansu", "--lam", "1e-4", "--step", "0.1"])
         assert result.exit_code in (0, 1), result.stderr
         assert result.stderr == ""

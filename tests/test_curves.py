@@ -14,6 +14,7 @@ from h1curves import (
     RegularityError,
     kappa_tau_arbitrary,
     psh_transform_curve,
+    reconstruct,
     reconstruct_curve,
     reparam_horizontal,
     verify_cesaro,
@@ -372,6 +373,20 @@ class TestSampledCurves:
         k, t = kappa_tau_arbitrary(c, q)
         assert np.max(np.abs(k - 2.0)) < 1e-7
         assert np.max(np.abs(t)) < 1e-9
+
+    @pytest.mark.parametrize("make", [
+        lambda u: np.column_stack([u, np.cos(u), np.sin(u), 0.2 * u]),
+        lambda _: reconstruct(InvariantPair(1.0, 0.2), PshTransform(0.0, H1Point.origin()),
+                              4.0, 1e-3),
+    ], ids=["helix", "reconstructed"])
+    def test_second_derivative_stencil_is_widened(self, make):
+        # kappa = 1 from dense rows (a whole turn of 10 001, or 4001), good
+        # to about 1e-16: the widened second-derivative stencil keeps it to
+        # 6e-11, where the densest one amplifies their rounding past 1e-8
+        rows = make(np.linspace(0.0, 2 * np.pi, 10_001))
+        h = reparam_horizontal(ParamCurve.from_samples(*rows.T))
+        kappa = h.sample(np.linspace(0.0, h.s_max, 400)).kappa
+        assert np.max(np.abs(kappa - 1.0)) <= 1e-9
 
     def test_sample_validation(self):
         with pytest.raises(ValueError):

@@ -103,12 +103,13 @@ class TestAntiderivative:
         assert np.max(np.abs(f(s) - exact)) < 1e-14
 
     def test_integrates_on_the_callers_grid_of_odd_panel_count(self):
-        # 7 panels, used as given: the values at the nodes are cumulative
-        # Simpson's on that grid, plus the constant
+        # 7 panels: the values at the 8 nodes are composite Simpson's over
+        # those nodes and their midpoints, 15 points, plus the constant
         grid = np.linspace(0.3, 2.0, 8)
         integrand = as_field("(1 + s)*cos(s)")
         f = antiderivative(integrand, grid, const=0.4)
-        nodes = 0.4 + cumulative_simpson(integrand(grid), (2.0 - 0.3) / 7)
+        fine = np.linspace(0.3, 2.0, 15)
+        nodes = 0.4 + cumulative_simpson(integrand(fine), (2.0 - 0.3) / 14)[::2]
         assert np.max(np.abs(f(grid) - nodes)) <= 1e-15
         assert np.array_equal(f(grid[:-1]), nodes[:-1])
 
