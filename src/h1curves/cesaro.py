@@ -210,9 +210,9 @@ class SurfaceOfRevolution:
     def from_profiles(cls, g, f, interval, g_text=None, f_text=None):
         """The surface of squared radius g ** 2; g must be nonnegative on the
         generator grid, up to roundoff relative to its size (cos past pi/2)."""
-        g = as_field(g)
+        g, f = as_field(g), as_field(f)
         lo, hi = (float(v) for v in interval)
-        sigma = cls(g ** 2, as_field(f), lo, hi, g_text, f_text)
+        sigma = cls(g ** 2, f, lo, hi, g_text, f_text)
         values = np.asarray(g(sigma._nodes), dtype=float)
         if np.any(values < -64.0 * np.finfo(float).eps * np.max(np.abs(values))):
             raise ValueError("radius profile g must be nonnegative")
@@ -257,13 +257,6 @@ class MembershipReport:
     member: bool
     max_defect: float
     worst_s: float
-
-    def to_json(self) -> dict:
-        return {
-            "member": self.member,
-            "max_defect": self.max_defect,
-            "worst_s": self.worst_s,
-        }
 
 
 def surface_membership(
@@ -517,16 +510,6 @@ class PansuCertificate:
     tau_error: float
     north_pole: np.ndarray
     south_pole: np.ndarray
-
-    def to_json(self) -> dict:
-        return {
-            "graph_defect": self.graph_defect,
-            "membership": self.membership.to_json(),
-            "kappa_error": self.kappa_error,
-            "tau_error": self.tau_error,
-            "north_pole": list(self.north_pole),
-            "south_pole": list(self.south_pole),
-        }
 
 
 @dataclass

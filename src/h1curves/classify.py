@@ -61,13 +61,6 @@ class PositionClass:
     witness: dict = field(default_factory=dict)
     residuals: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "tag": self.tag.value,
-            "witness": self.witness,
-            "residuals": self.residuals,
-        }
-
 
 class AmbiguousClassificationError(ValueError):
     def __init__(self, candidates):

@@ -20,15 +20,20 @@ over config values, which win over the defaults, and a key for an option
 the command does not take is ignored.  ``--output``
 is probed for writing while the options are parsed, before any work, and
 is written only once the command has its whole text, to stdout without
-``click.echo``.  Every table goes through ``textout``, imported on first
-use: CSV prints each number as ``"%.17g"`` does (17 significant digits),
-JSON as ``json.dumps(..., indent=2)`` does, each number Python's shortest
-round-trip ``repr``, with the table at its key's place in the document;
-both read back to the same doubles.
+``click.echo``.  A command imports the construction it runs (``bertrand``,
+``cesaro``, ``classify``) and ``textout`` where it uses them; the imports
+at the top are those every command shares.  Every table goes through
+``textout``: CSV prints each number as ``"%.17g"`` does (17 significant
+digits), JSON as ``json.dumps(..., indent=2)`` does, each number Python's
+shortest round-trip ``repr``, with the table at its key's place in the
+document; both read back to the same doubles.  Every record prints
+through ``_json_text``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import json
 import os
 import sys
@@ -38,16 +43,6 @@ import click
 import numpy as np
 from click.core import ParameterSource
 
-from .bertrand import BertrandSpec, bertrand_mate
-from .cesaro import (
-    SurfaceOfRevolution,
-    generate_surface_constant_kappa,
-    generate_surface_constant_tau,
-    pansu_sphere,
-    surface_membership,
-    CesaroConstants,
-)
-from .classify import classify_position
 from .curves import (
     HorizontalCurve,
     InvariantPair,
@@ -56,7 +51,6 @@ from .curves import (
     reparam_horizontal,
 )
 from .expressions import EvalDomainError
-from .fields import as_field
 from .frenet import reconstruct, reconstruct_curve
 from .heisenberg import H1Point, PshTransform
 from .numerics import step_grid
@@ -232,7 +226,7 @@ def _table(fmt: str, header: list[str], rows, doc: dict | None = None, key: str 
     """CSV, or ``_json_text`` of the JSON document ``doc`` (default
     ``{"columns": header}``) with the 2-d float table ``rows`` as lists
     under ``key``, which keeps its place when ``doc`` already holds it."""
-    from . import textout  # imported on first use: commands that write no table never compile it
+    from . import textout
 
     if fmt == "csv":
         return textout.csv(header, rows)
@@ -240,7 +234,19 @@ def _table(fmt: str, header: list[str], rows, doc: dict | None = None, key: str 
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """The one JSON writer of records: a dataclass prints as its declared
+    fields in order, an enum as its value and an array as a list."""
+    return json.dumps(obj, indent=2, default=_json_value) + "\n"
+
+
+def _json_value(obj):
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} has no JSON form")
 
 
 _OPTIONS = {
@@ -309,6 +315,8 @@ def reconstruct_cmd(curve_json, step, fmt, output):
 @_options("step", "fmt")
 def bertrand(curve_json, c1, c2, tau_bar, g, step, fmt, output):
     """Construct a Bertrand mate; emits paired samples with distances."""
+    from .bertrand import BertrandSpec, bertrand_mate
+
     h = _curve_from_spec(_read_json(curve_json), step)
     spec = BertrandSpec(c1, c2, tau_bar=tau_bar, g=g)
     with _prefixed("cannot evaluate curve", EvalDomainError):
@@ -322,11 +330,13 @@ def bertrand(curve_json, c1, c2, tau_bar, g, step, fmt, output):
 @_options("step", "tol")
 def classify(curve_json, step, tol, output):
     """Position-vector classification; emits a JSON verdict."""
+    from .classify import classify_position
+
     h = _curve_from_spec(_read_json(curve_json), step)
     with (_prefixed("cannot classify", ValueError),  # AmbiguousClassificationError too
           _prefixed("cannot evaluate curve", EvalDomainError)):
         verdict = classify_position(h, tol=tol)
-    _emit(_json_text(verdict.to_json()), output)
+    _emit(_json_text(verdict), output)
 
 
 @main.group()
@@ -334,12 +344,13 @@ def surface():
     """Rotationally symmetric surfaces: membership and generation."""
 
 
-def _surface_from_json(doc: dict) -> SurfaceOfRevolution:
+def _surface_from_json(doc: dict):
+    from .cesaro import SurfaceOfRevolution
+
     with _prefixed("bad surface spec", KeyError, TypeError, ValueError):
         g, f = doc["g"], doc["f"]
         _known_keys(doc, "surface")  # doc["g"] has shown it is an object
-        return SurfaceOfRevolution.from_profiles(as_field(g), as_field(f), doc["range"],
-                                                 g_text=g, f_text=f)
+        return SurfaceOfRevolution.from_profiles(g, f, doc["range"], g_text=g, f_text=f)
 
 
 @surface.command()
@@ -348,13 +359,15 @@ def _surface_from_json(doc: dict) -> SurfaceOfRevolution:
 @_options("step", "tol")
 def check(surface_json, curve_json, step, tol, output):
     """Membership of a curve in a surface; exit 1 when not a member."""
+    from .cesaro import surface_membership
+
     sigma = _surface_from_json(_read_json(surface_json))
     h = _curve_from_spec(_read_json(curve_json), step)
     # a profile's domain error is already a bad surface spec; a curve point
     # that is not finite names the curve itself
     with _prefixed("cannot evaluate curve", EvalDomainError):
         report = surface_membership(h, sigma, tol=tol)
-    _emit(_json_text(report.to_json()), output)
+    _emit(_json_text(report), output)
     if not report.member:
         sys.exit(EXIT_NEGATIVE)
 
@@ -377,6 +390,8 @@ def gen_const_kappa(kappa, tau_const, c1, c2, c3g, c3f, srange, step, fmt, outpu
                           is ParameterSource.COMMANDLINE):
         raise click.UsageError("--step samples the csv table; the json output is the "
                                "closed-form profile texts, which have no step")
+    from .cesaro import generate_surface_constant_kappa
+
     sigma = generate_surface_constant_kappa(kappa, tau_const, c1, c2, c3g, c3f, srange)
     if fmt == "json":
         text = _json_text(sigma.to_json())
@@ -397,6 +412,8 @@ def gen_const_kappa(kappa, tau_const, c1, c2, c3g, c3f, srange, step, fmt, outpu
 @_options("step", "fmt")
 def gen_const_tau(kappa, tau_const, constants, g2_const, f_const, srange, step, fmt, output):
     """Generate the surface admitting a constant-tau curve."""
+    from .cesaro import CesaroConstants, generate_surface_constant_tau
+
     inv = InvariantPair(kappa, float(tau_const))
     sigma = generate_surface_constant_tau(
         inv, CesaroConstants(*constants), srange, g2_const=g2_const, f_const=f_const,
@@ -412,12 +429,11 @@ def gen_const_tau(kappa, tau_const, constants, g2_const, f_const, srange, step, 
 @_options("step", "tol")
 def pansu(lam, step, tol, output):
     """Pansu sphere: profile, generating geodesic, membership certificate."""
+    from .cesaro import pansu_sphere
+
     sphere = pansu_sphere(lam, step=step, tol=tol)
-    doc = {
-        "surface": sphere.surface.to_json(),
-        "certificate": sphere.certificate.to_json(),
-    }
-    _emit(_json_text(doc), output)
+    _emit(_json_text({"surface": sphere.surface.to_json(), "certificate": sphere.certificate}),
+          output)
     if not sphere.certificate.membership.member:
         sys.exit(EXIT_NEGATIVE)
 

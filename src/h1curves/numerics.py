@@ -32,10 +32,12 @@ ANTIDERIVATIVE_PANELS = 10_000  # panels of a closed form's grid over its interv
 
 def panel_count(span: float, step: float, minimum: int = 2) -> int:
     """ceil(span/step), at least ``minimum``; a step that is not positive and
-    finite, or a request above MAX_PANELS (or not finite), raises ValueError
-    before anything is allocated."""
+    finite, a span that is not finite, or a request above MAX_PANELS raises
+    ValueError before anything is allocated."""
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
+    if not math.isfinite(span):
+        raise ValueError(f"grid span must be finite, got {span}")
     n = span / step
     if not n <= MAX_PANELS:
         raise ValueError(f"grid of {n:.0f} panels requested (span {span:g} / step "
@@ -204,11 +206,14 @@ def lowest_local_minima(values, k: int):
     """The at most ``k`` lowest candidate minima of every row of ``values``:
     the interior entries no larger than either neighbour, and the two ends,
     finite ones only.  Returns (rows, cols) ordered by row, then by (value,
-    column), so ties go to the lower column."""
+    column), so ties go to the lower column.  Neighbours are compared
+    along the flattened rows, whose ends are then made candidates."""
     v = np.asarray(values, dtype=float)
-    candidate = np.ones(v.shape, dtype=bool)
-    np.logical_and(v[:, 1:-1] <= v[:, :-2], v[:, 1:-1] <= v[:, 2:], out=candidate[:, 1:-1])
-    rows, cols = np.divmod(np.flatnonzero(candidate), v.shape[1])
+    flat, width = v.ravel(), v.shape[1]
+    candidate = np.ones(flat.size, dtype=bool)
+    np.logical_and(flat[1:-1] <= flat[:-2], flat[1:-1] <= flat[2:], out=candidate[1:-1])
+    candidate[::width] = candidate[width - 1::width] = True
+    rows, cols = np.divmod(np.flatnonzero(candidate), width)
     value = v[rows, cols]
     finite = np.isfinite(value)
     rows, cols, value = rows[finite], cols[finite], value[finite]

@@ -634,7 +634,7 @@ class TestMembershipSearch:
         for h, sigma in ((lift, cylinder), (sphere.geodesic, sphere.surface)):
             first = surface_membership(h, sigma, tol=1e-6)
             second = surface_membership(h, sigma, tol=1e-6)
-            assert first.to_json() == second.to_json()
+            assert first == second
 
 
 class TestFrameCoefficientsOnSurfaces:

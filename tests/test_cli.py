@@ -396,13 +396,13 @@ class TestErrorExits:
         assert json.loads(result.output)["tag"] == "PlanarCurveXY"
 
     def test_classify_ambiguous(self, runner, spec, monkeypatch):
-        from h1curves import cli
+        from h1curves import classify
         from h1curves.classify import AmbiguousClassificationError, ClassTag
 
         def ambiguous(h, tol):
             raise AmbiguousClassificationError([ClassTag.CIRCULAR_HELIX])
 
-        monkeypatch.setattr(cli, "classify_position", ambiguous)
+        monkeypatch.setattr(classify, "classify_position", ambiguous)
         self.assert_one_error_line(runner.invoke(main, ["classify", spec]))
 
     @pytest.mark.parametrize("flag,value", [
@@ -546,6 +546,16 @@ class TestErrorExits:
         self.assert_one_error_line(result)
         assert "10000000000 panels requested" in result.stderr
 
+    @pytest.mark.parametrize("end,named", [(float("nan"), "nan"), (float("inf"), "inf")])
+    def test_range_ending_off_the_float_line_names_its_span(self, runner, tmp_path, end, named):
+        # a span that is not finite exceeds no panel budget
+        spec = write_json(tmp_path, "c.json", {
+            "type": "intrinsic", "kappa": "1", "tau": "0", "range": [0, end],
+        })
+        result = runner.invoke(main, ["reconstruct", spec])
+        self.assert_one_error_line(result)
+        assert result.stderr == f"error: bad curve spec: grid span must be finite, got {named}\n"
+
     # sigma(u) rounds to repeated values on subnormal panels
     TINY_ANALYTIC = {"type": "analytic", "x": "cos(s)", "y": "sin(s)", "z": "0",
                      "range": [0, 1e-300]}
@@ -641,10 +651,10 @@ class TestErrorBoundary:
 
     def test_output_is_checked_before_a_surface_is_generated(self, runner, tmp_path,
                                                              monkeypatch):
-        from h1curves import cli
+        from h1curves import cesaro
 
         built = []
-        monkeypatch.setattr(cli, "generate_surface_constant_kappa",
+        monkeypatch.setattr(cesaro, "generate_surface_constant_kappa",
                             lambda *args: built.append(args))
         result = runner.invoke(main, ["surface", "gen-const-kappa", "--kappa", "1",
                                       "--range", "0", "1", "--output",
@@ -903,7 +913,7 @@ class TestSurface:
         assert 0.0 < membership["max_defect"] < 1e-9
 
     def test_pansu_passes_step_and_tol(self, runner, monkeypatch):
-        from h1curves import cli
+        from h1curves import cesaro
 
         seen = {}
 
@@ -911,7 +921,7 @@ class TestSurface:
             seen.update(kwargs)
             return pansu_sphere(lam, **kwargs)
 
-        monkeypatch.setattr(cli, "pansu_sphere", spy)
+        monkeypatch.setattr(cesaro, "pansu_sphere", spy)
         result = runner.invoke(main, [
             "surface", "pansu", "--lam", "1", "--step", "0.1", "--tol", "1e-5",
         ])
@@ -1322,6 +1332,57 @@ class TestJsonTable:
         self.assert_dumps(rows)
 
 
+class TestRecords:
+    """Every record prints through one writer: its declared fields in order,
+    an enum as its value, an array as a list."""
+
+    MEMBERSHIP = {"member": bool, "max_defect": float, "worst_s": float}
+
+    @staticmethod
+    def assert_record(doc, types):
+        assert list(doc) == list(types)
+        for key, kind in types.items():
+            assert type(doc[key]) is kind, (key, doc[key])
+
+    def test_classify_verdict(self, runner, tmp_path):
+        from h1curves.classify import ClassTag
+
+        spec = write_json(tmp_path, "c.json", INTRINSIC_PANSU)
+        result = runner.invoke(main, ["classify", spec])
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        self.assert_record(doc, {"tag": str, "witness": dict, "residuals": dict})
+        assert doc["tag"] in {tag.value for tag in ClassTag}
+
+    def test_surface_check_report(self, runner, tmp_path):
+        surface = write_json(tmp_path, "s.json", {"g": "1", "f": "s", "range": [-1, 5]})
+        curve = write_json(tmp_path, "c.json", INTRINSIC_PANSU)
+        result = runner.invoke(main, ["surface", "check", surface, curve])
+        assert result.exit_code in (0, 1)
+        self.assert_record(json.loads(result.output), self.MEMBERSHIP)
+
+    def test_pansu_certificate(self, runner):
+        result = runner.invoke(main, ["surface", "pansu", "--lam", "1"])
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert list(doc) == ["surface", "certificate"]
+        self.assert_record(doc["surface"], {"g": str, "f": str, "range": list})
+        certificate = doc["certificate"]
+        self.assert_record(certificate, {
+            "graph_defect": float, "membership": dict, "kappa_error": float,
+            "tau_error": float, "north_pole": list, "south_pole": list,
+        })
+        self.assert_record(certificate["membership"], self.MEMBERSHIP)
+        for pole in ("north_pole", "south_pole"):
+            assert [type(v) for v in certificate[pole]] == [float] * 3
+
+    def test_an_object_with_no_json_form_is_refused(self):
+        from h1curves.cli import _json_text
+
+        with pytest.raises(TypeError, match="object has no JSON form"):
+            _json_text({"x": object()})
+
+
 class TestFreshProcess:
     """The CLI as users start it: a new interpreter per command."""
 
@@ -1371,6 +1432,39 @@ class TestFreshProcess:
         lines = proc.stdout.splitlines()
         assert lines[0] == "s,g,f" and len(lines) == 1 + 6301
         assert min(float(line.split(",")[1]) for line in lines[1:]) == 0.0
+
+    # the constructions each command kind runs; it loads no other
+    CONSTRUCTIONS = {"h1curves.bertrand", "h1curves.cesaro", "h1curves.classify"}
+    LOADED = ("import json, sys\n"
+              "from h1curves.cli import main\n"
+              "try:\n"
+              "    main(sys.argv[1:])\n"
+              "except SystemExit as exc:\n"
+              "    print(json.dumps([exc.code, sorted(sys.modules)]))\n")
+
+    @pytest.mark.parametrize("args,runs", [
+        (["analyze", "{curve}"], set()),
+        (["reconstruct", "{curve}"], set()),
+        (["bertrand", "{curve}", "--c1", "0.3", "--tau-bar", "0.5"], {"h1curves.bertrand"}),
+        (["classify", "{curve}"], {"h1curves.classify"}),
+        (["surface", "check", "{surface}", "{curve}"], {"h1curves.cesaro"}),
+        (["surface", "gen-const-kappa", "--kappa", "1", "--range", "0", "1"],
+         {"h1curves.cesaro"}),
+        (["surface", "gen-const-tau", "--kappa", "1", "--g2-const", "4", "--range", "0", "1"],
+         {"h1curves.cesaro"}),
+        (["surface", "pansu", "--lam", "1"], {"h1curves.cesaro"}),
+    ], ids=["analyze", "reconstruct", "bertrand", "classify", "check", "gen-const-kappa",
+            "gen-const-tau", "pansu"])
+    def test_each_command_loads_only_the_construction_it_runs(self, tmp_path, args, runs):
+        files = {"curve": write_json(tmp_path, "c.json", INTRINSIC_PANSU),
+                 "surface": write_json(tmp_path, "s.json", {"g": "1", "f": "s", "range": [-1, 5]})}
+        args = [a.format(**files) for a in args]
+        proc = self.run("-c", self.LOADED, *args, "--step", "0.01",
+                        "--output", str(tmp_path / "out"))
+        assert proc.stderr == ""
+        code, modules = json.loads(proc.stdout)
+        assert code in ((0, 1) if args[1] == "check" else (0,))
+        assert self.CONSTRUCTIONS & set(modules) == runs
 
     def test_output_into_a_missing_directory(self, tmp_path):
         spec = write_json(tmp_path, "c.json", INTRINSIC_PANSU)

@@ -154,12 +154,18 @@ class TestPanelCount:
         assert panel_count(float(MAX_PANELS), 1.0) == MAX_PANELS
 
     @pytest.mark.parametrize("span,step", [
-        (1e9, 1e-3), (MAX_PANELS + 1.0, 1.0), (1.0, 1e-300), (math.inf, 1.0),
+        (1e9, 1e-3), (MAX_PANELS + 1.0, 1.0), (1.0, 1e-300),
     ])
     def test_over_budget_names_the_request(self, span, step):
         with pytest.raises(ValueError, match="panels requested") as err:
             panel_count(span, step)
         assert str(MAX_PANELS) in str(err.value)
+
+    @pytest.mark.parametrize("span", [math.nan, math.inf, -math.inf])
+    def test_span_that_is_not_finite_is_named(self, span):
+        # not blamed on the panel budget, which a NaN span exceeds nothing of
+        with pytest.raises(ValueError, match=f"^grid span must be finite, got {span}$"):
+            panel_count(span, 1.0)
 
 
 class TestCumulativeSimpson:
