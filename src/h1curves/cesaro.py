@@ -431,7 +431,7 @@ def generate_surface_constant_tau(
     inv: InvariantPair,
     constants: CesaroConstants,
     interval: tuple[float, float] = (0.0, 1.0),
-    g2_const: float = 0.0,
+    g2_const: float | None = None,
     f_const: float = 0.0,
 ) -> SurfaceOfRevolution:
     """Surface admitting a curve of constant tau and a kappa that is not
@@ -445,18 +445,19 @@ def generate_surface_constant_tau(
     interval's left endpoint.  Both are read off the solution's curve
     (x, y, z), which starts at (-Qx, -Qy, f_const): -2 u1 = (x^2 + y^2)',
     so g^2 = (g2_const - |Q|^2) + x^2 + y^2, the surface swept by the
-    curve with its squared radius shifted by a constant; by the first
-    system equation the f-integrand equals tau - u2 = z', so f = z.  g^2
-    is summed as g2_const + (x^2 - Qx^2) + (y^2 - Qy^2), whose brackets
-    vanish exactly at lo, where the curve is -Q bit for bit, so g^2(lo) is
-    g2_const.
-    tau is constant exactly when its derivative
+    curve with its squared radius shifted by a constant, which carries the
+    curve only at g2_const = |Q|^2, the default; by the first system
+    equation the f-integrand equals tau - u2 = z', so f = z.  g^2 is summed
+    as g2_const + (x^2 - Qx^2) + (y^2 - Qy^2), whose brackets vanish
+    exactly at lo, where the curve is -Q bit for bit, so g^2(lo) is
+    g2_const.  tau is constant exactly when its derivative
     folds to the number 0, with no tolerance and no unit (``s - s`` is,
     ``1e-9*sin(s)`` is not).  A non-finite parameter, tau or profile is an
     error naming it; so is a g^2 below the surface's bound on the
     solution's grid, finer than ``SurfaceOfRevolution``'s own."""
+    given = {} if g2_const is None else {"g2_const": g2_const}
     require_finite(c1=constants.c1, c2=constants.c2, c3=constants.c3, c4=constants.c4,
-                   c5=constants.c5, c6=constants.c6, g2_const=g2_const, f_const=f_const)
+                   c5=constants.c5, c6=constants.c6, **given, f_const=f_const)
     lo, hi = _profile_range(interval)
     if inv.tau.derivative().ast != Num(0.0):
         raise ValueError("tau must be constant for this construction")
@@ -466,6 +467,7 @@ def generate_surface_constant_tau(
         raise ValueError("kappa must not be identically zero for this construction")
     x, y = sol.curve.x, sol.curve.y
     x0, y0 = float(x(lo)), float(y(lo))  # -Q, exactly
+    g2_const = x0 * x0 + y0 * y0 if g2_const is None else g2_const
     sigma = SurfaceOfRevolution(g2_const + (x * x - x0 * x0) + (y * y - y0 * y0), sol.curve.z,
                                 lo, hi)
     grid = sol.grid

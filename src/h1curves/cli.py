@@ -406,7 +406,7 @@ def gen_const_kappa(kappa, tau_const, c1, c2, c3g, c3f, srange, step, fmt, outpu
 @click.option("--tau", "tau_const", type=float, default=0.0, help="constant contact normality")
 @click.option("--constants", type=float, nargs=6, default=(1.0, 0.0, 0.0, 1.0, 0.0, 0.0),
               help="C1..C6 of the closed-form coefficient")
-@click.option("--g2-const", type=float, default=0.0, help="integration constant of g^2")
+@click.option("--g2-const", type=float, help="integration constant of g^2 (default |Q|^2)")
 @click.option("--f-const", type=float, default=0.0, help="integration constant of f")
 @click.option("--range", "srange", type=float, nargs=2, required=True)
 @_options("step", "fmt")

@@ -17,12 +17,16 @@ moving frame is, in Euclidean coordinates,
 with n = J t.  Analytic components differentiate symbolically; sampled
 components use 4th-order finite differences on a uniform resample.
 
-A ``HorizontalCurve`` answers two pointwise questions: ``sample(s)``
+The arc length sigma(u) is composite Simpson over the nodes and midpoints
+of a uniform u-grid, as every integral in a tree is, and s -> u inverts
+sigma's cubic Hermite through those nodes (slopes the contact speed), so
+the contact speed is evaluated only where sigma is built.  A
+``HorizontalCurve`` answers two pointwise questions: ``sample(s)``
 inverts s -> u once and returns a ``CurveSample`` (u, points, unit
 velocity, kappa and tau), from which the position coefficients are read
 and the frame above follows from the points and the velocity; ``point(s)``
-gives positions only.  A caller that needs two
-quantities at the same s samples once.
+gives positions only.  A caller that needs two quantities at the same s
+samples once.
 
 The dilation (x, y, z) -> (l x, l y, l^2 z), s -> l s sends kappa to
 kappa/l and tau to l tau (Capogna, Danielli, Pauls & Tyson, An Introduction
@@ -33,7 +37,6 @@ hi - lo for invariants on [lo, hi]), with ``RELATIVE_ZERO``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,7 +44,8 @@ import numpy as np
 
 from .fields import CubicHermite, SampledField, as_field
 from .heisenberg import PshTransform
-from .numerics import FD4_CENTRED, cumulative_simpson, fd4_first, panel_count, require_finite
+from .numerics import (FD4_CENTRED, RELATIVE_ZERO, cumulative_simpson, fd4_first, panel_count,
+                       require_finite)
 
 __all__ = [
     "RELATIVE_ZERO",
@@ -58,10 +62,6 @@ __all__ = [
     "psh_transform_curve",
 ]
 
-
-# A dimensionless ratio at or below this counts as zero: kappa times the
-# horizontal length, and the contact speed over its mean.
-RELATIVE_ZERO = 1e-8
 
 # The s -> u Newton stops for a query once its residual sigma(u) - s is
 # below _NEWTON_TOL * S, or after _NEWTON_MAX_ITER steps.
@@ -127,11 +127,7 @@ class ParamCurve:
 
     def point(self, u):
         u = np.asarray(u, dtype=float)
-        out = np.stack(
-            [np.asarray(self.x(u)), np.asarray(self.y(u)), np.asarray(self.z(u))],
-            axis=-1,
-        )
-        return out
+        return np.stack([np.asarray(f(u)) for f in (self.x, self.y, self.z)], axis=-1)
 
     def contact_speed(self, u):
         return np.hypot(np.asarray(self.x.derivative()(u)), np.asarray(self.y.derivative()(u)))
@@ -174,14 +170,6 @@ def kappa_tau_arbitrary(c: ParamCurve, u, jet=None):
 # Horizontal arc-length
 
 
-# 4-node Gauss-Legendre rule on [0, 1], exact on polynomials of degree 7:
-# nodes (1 -+ x)/2 for x = sqrt(3/7 +- (2/7) sqrt(6/5)), weights (18 -+ sqrt(30))/72
-_X_OUT, _X_IN = (0.5 * math.sqrt(3.0 / 7.0 + k * 2.0 / 7.0 * math.sqrt(1.2)) for k in (1, -1))
-_W_OUT, _W_IN = ((18.0 - k * math.sqrt(30.0)) / 72.0 for k in (1, -1))
-_GL4_T = (0.5 - _X_OUT, 0.5 - _X_IN, 0.5 + _X_IN, 0.5 + _X_OUT)
-_GL4_W = (_W_OUT, _W_IN, _W_IN, _W_OUT)
-
-
 class CurveSample(NamedTuple):
     """A curve evaluated at horizontal arc lengths s: the parameter u, the
     points and unit velocity d/ds (Euclidean components, shape (m, 3)),
@@ -214,9 +202,11 @@ class HorizontalCurve:
     by construction: from the arc length sigma(u_grid) of
     ``reparam_horizontal`` and the contact speed at the same nodes, a
     Hermite seed (the cubic Hermite inverse, slopes du/dsigma = 1/speed),
-    then Newton with a 4-node Gauss-Legendre local integral per query, or,
-    built by ``arc_length``, u = u_min + s.  ``sample`` inverts once and
-    returns every pointwise quantity; ``point`` evaluates positions only.
+    then Newton on sigma's own cubic Hermite (node values sigma, slopes
+    the speeds) within the grid interval whose sigma brackets s, with no
+    further contact-speed evaluation, or, built by ``arc_length``,
+    u = u_min + s.  ``sample`` inverts once and returns
+    every pointwise quantity; ``point`` evaluates positions only.
     """
 
     def __init__(self, param: ParamCurve, u_grid=None, sigma=None, speed=None):
@@ -225,6 +215,10 @@ class HorizontalCurve:
         arc = sigma is None
         self.s_max = param.u_max - param.u_min if arc else float(sigma[-1])
         self._inverse = None if arc else CubicHermite(sigma, u_grid, 1.0 / speed)
+        if not arc:  # sigma's cubic per interval in t = (u - u_i)/h_i, in sigma's units
+            width, rise = np.diff(u_grid), np.diff(sigma)
+            m0, m1 = width * speed[:-1], width * speed[1:]
+            self._cubic = (sigma[:-1], m0, 3.0 * rise - 2.0 * m0 - m1, m0 + m1 - 2.0 * rise)
 
     @classmethod
     def arc_length(cls, param: ParamCurve) -> "HorizontalCurve":
@@ -241,31 +235,23 @@ class HorizontalCurve:
         if self._inverse is None:
             u = self.param.u_min + s
             return float(u[0]) if scalar else u
-        lo, hi = self.param.u_min, self.param.u_max
-        u = np.clip(self._inverse(s), lo, hi)
-        # anchor each query at the nearest grid node below and Newton-refine
-        # sigma(u) - s, whose rounding floor grows with S
-        idx = np.clip(np.searchsorted(self._sigma, s, side="right") - 1, 0,
-                      len(self._sigma) - 2)
+        # Newton from the seed, kept in the interval whose sigma brackets s; its
+        # stop is relative to S, as the residual's rounding floor grows with S
+        i = np.clip(np.searchsorted(self._sigma, s, side="right") - 1, 0, self._sigma.size - 2)
+        left, right = self._u_grid[i], self._u_grid[i + 1]
+        u = np.clip(self._inverse(s), left, right)
         active = np.arange(s.size)
         for _ in range(_NEWTON_MAX_ITER):
-            i, ua = idx[active], u[active]
-            local, speed = self._local_integral(self._u_grid[i], ua)
-            residual = self._sigma[i] + local - s[active]
-            u[active] = np.clip(ua - residual / np.maximum(speed, 1e-300), lo, hi)
+            a, b, ua = left[active], right[active], u[active]
+            t = (ua - a) / (b - a)
+            c0, c1, c2, c3 = (c[i[active]] for c in self._cubic)
+            residual = c0 + t * (c1 + t * (c2 + t * c3)) - s[active]
+            slope = c1 + t * (2.0 * c2 + 3.0 * t * c3)
+            u[active] = np.clip(ua - (b - a) * (residual / np.maximum(slope, 1e-300)), a, b)
             active = active[np.abs(residual) >= _NEWTON_TOL * self.s_max]
             if not active.size:
                 break
         return float(u[0]) if scalar else u
-
-    def _local_integral(self, a: np.ndarray, b: np.ndarray):
-        """The integral of the contact speed over [a_i, b_i] by 4-node
-        Gauss-Legendre, and the speed at b_i, from one contact_speed call."""
-        m = b.size
-        nodes = np.concatenate([a + (b - a) * t for t in _GL4_T] + [b])
-        vals = self.param.contact_speed(nodes)
-        rule = sum(w * vals[k * m:(k + 1) * m] for k, w in enumerate(_GL4_W))
-        return (b - a) * rule, vals[4 * m:]
 
     # -- geometry -----------------------------------------------------------
 
@@ -295,28 +281,31 @@ class HorizontalCurve:
 def reparam_horizontal(c: ParamCurve, step: float = 1e-3) -> HorizontalCurve:
     """Reparametrize by horizontal arc-length.
 
-    ``step`` controls the u-grid spacing of the cumulative Simpson
-    accumulation of sigma(u) = integral of the contact speed, on
-    ceil((u_max - u_min)/step) panels, at least 64 (a request above
-    ``numerics.MAX_PANELS`` raises ValueError); a contact speed at or below
-    RELATIVE_ZERO times its mean on that grid raises RegularityError.  Inversion is a Hermite seed (the cubic Hermite
-    inverse, slopes 1/speed), then Newton with a 4-node Gauss-Legendre
-    local integral to ~1e-12 S per query.  Use ``HorizontalCurve.sample``
-    to get points, velocity and invariants from one inversion.
+    ``step`` controls the u-grid spacing: ``numerics.panel_count`` panels of
+    (u_max - u_min)/step, at least 64 (a request above
+    ``numerics.MAX_PANELS`` raises ValueError).  sigma(u), the integral of
+    the contact speed, is composite Simpson over the panels' nodes and
+    midpoints, so every node is exact on cubics; a contact speed at any of
+    them at or below RELATIVE_ZERO times its mean raises RegularityError.
+    Inversion is a Hermite seed (the cubic Hermite inverse, slopes
+    1/speed), then Newton on sigma's cubic Hermite through the nodes to
+    ~1e-12 S per query.  Use ``HorizontalCurve.sample`` to get points,
+    velocity and invariants from one inversion.
     """
-    u = np.linspace(c.u_min, c.u_max, panel_count(c.u_max - c.u_min, step, minimum=64) + 1)
+    span = c.u_max - c.u_min
+    u = np.linspace(c.u_min, c.u_max, 2 * panel_count(span, step, minimum=64) + 1)
     speed = c.contact_speed(u)
     require_finite(u, "u", curve=speed)
     with np.errstate(over="ignore"):  # an arc length past the float range is refused below
-        sigma = cumulative_simpson(speed, dx=(c.u_max - c.u_min) / (u.size - 1))
+        sigma = cumulative_simpson(speed, dx=span / (u.size - 1))
     require_finite(u, "u", **{"arc length": sigma})
-    floor = RELATIVE_ZERO * sigma[-1] / (c.u_max - c.u_min)  # of the mean speed
+    floor = RELATIVE_ZERO * sigma[-1] / span  # of the mean speed
     if np.min(speed) <= floor:
         raise RegularityError(
             f"curve is not horizontally regular: contact speed {np.min(speed):.3e} "
             f"<= {floor:.3e} ({RELATIVE_ZERO:g} of its mean) near u = {u[np.argmin(speed)]}"
         )
-    return HorizontalCurve(c, u, sigma, speed)
+    return HorizontalCurve(c, u[::2], sigma[::2], speed[::2])
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,20 @@ __all__ = [
 ]
 
 
+# A dimensionless ratio at or below this counts as zero: kappa times the horizontal
+# length, the contact speed over its mean, a panel count's distance from a whole number
+RELATIVE_ZERO = 1e-8
+
 MAX_PANELS = 1_000_000  # budget of every grid built from a (span, step) request
 ANTIDERIVATIVE_PANELS = 10_000  # panels of a closed form's grid over its interval
 
 
 def panel_count(span: float, step: float, minimum: int = 2) -> int:
-    """ceil(span/step), at least ``minimum``; a step that is not positive and
-    finite, a span that is not finite, or a request above MAX_PANELS raises
-    ValueError before anything is allocated."""
+    """ceil(span/step), at least ``minimum``, a quotient within RELATIVE_ZERO
+    (relative) of a whole number taken as that number, so a rounding sliver
+    adds no panel; a step that is not positive and finite, a span that is
+    not finite, or a request above MAX_PANELS raises ValueError before
+    anything is allocated."""
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
     if not math.isfinite(span):
@@ -42,13 +48,13 @@ def panel_count(span: float, step: float, minimum: int = 2) -> int:
     if not n <= MAX_PANELS:
         raise ValueError(f"grid of {n:.0f} panels requested (span {span:g} / step "
                          f"{step:g}) exceeds the limit of {MAX_PANELS}")
-    return max(minimum, math.ceil(n))
+    return max(minimum, math.ceil(n * (1.0 - RELATIVE_ZERO)))
 
 
 def step_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """The uniform grid over [lo, hi] at about ``step``: ceil((hi - lo)/step)
-    panels, at least 4, so every table has at least 5 rows; a request over
-    budget is refused by ``panel_count``."""
+    """The uniform grid over [lo, hi] at about ``step``: ``panel_count(hi -
+    lo, step)`` panels, at least 4, so every table has at least 5 rows; a
+    request over budget is refused by ``panel_count``."""
     return np.linspace(lo, hi, panel_count(hi - lo, step, minimum=4) + 1)
 
 

@@ -913,6 +913,16 @@ class TestGenerateConstantTau:
         surf = generate_surface_constant_tau(inv, c, interval=(0, 0.2), g2_const=g2_const)
         assert surf.g2(0.0) == g2_const
 
+    def test_default_surface_carries_its_curve(self):
+        # the default g2_const is |Q|^2, where g^2 = x^2 + y^2 along the
+        # closed forms' curve, so that curve is a member to rounding
+        inv, c = InvariantPair("2 + sin(s)", 0.3), CesaroConstants(1, 0, 0, 1, 0, 0)
+        surf = generate_surface_constant_tau(inv, c, interval=(0, 5))
+        assert surf.g2(0.0) == 0.25
+        curve = HorizontalCurve.arc_length(cesaro_closed_form(inv, c, interval=(0, 5)).curve)
+        report = surface_membership(curve, surf, tol=1e-12)
+        assert report.member and report.max_defect <= 1e-12
+
     def test_output_passes_necessary_conditions(self):
         inv = InvariantPair("2 + sin(s)", "0.3")
         surf = generate_surface_constant_tau(

@@ -1024,6 +1024,15 @@ class TestSurface:
         assert configured.stdout == plain.stdout
         assert runner.invoke(main, [*args, "--step", step]).exit_code == 0
 
+    def test_gen_const_kappa_rounding_sliver_adds_no_row(self, runner):
+        # 4.3/0.1 reads 43.00000000000001: 43 panels at spacing 0.1, not 44
+        result = runner.invoke(main, ["surface", "gen-const-kappa", "--kappa", "1", "--c3g", "4",
+                                      "--range", "0.1", "4.4", "--step", "0.1"])
+        assert result.exit_code == 0, result.stderr
+        _, data = parse_csv(result.output)
+        assert len(data) == 44
+        assert np.allclose(np.diff(data[:, 0]), 0.1, rtol=1e-12)
+
     def test_gen_const_kappa_negative_radicand(self, runner):
         result = runner.invoke(main, [
             "surface", "gen-const-kappa", "--kappa", "2", "--c1", "-1",
@@ -1073,6 +1082,16 @@ class TestSurface:
         header, data = parse_csv(result.output)
         assert header == ["s", "g", "f"]
         assert np.all(data[:, 1] >= 0)
+
+    def test_gen_const_tau_readme_example(self, runner):
+        # README's usage line, with the default g2_const |Q|^2: the default
+        # constants put Q at (0, 1/kappa(0)) = (0, 0.5), so g starts at 0.5
+        result = runner.invoke(main, ["surface", "gen-const-tau", "--kappa", "2 + sin(s)",
+                                      "--tau", "0.3", "--range", "0", "5"])
+        assert result.exit_code == 0, result.stderr
+        header, data = parse_csv(result.output)
+        assert header == ["s", "g", "f"] and len(data) == 5001
+        assert list(data[0]) == [0.0, 0.5, 0.0]
 
     @pytest.mark.parametrize("kappa", ["s - 0.50005", "s - 0.5"],
                              ids=["between-nodes", "on-a-node"])

@@ -444,18 +444,72 @@ class TestSample:
         ref = self.bisect(lambda u: u + 0.5 * (1.0 - np.cos(u)) - s)
         assert np.max(np.abs(h.u_of_s(s) - ref)) < 1e-12
 
+    @staticmethod
+    def sigma_cubic(h):
+        """sigma's cubic Hermite through the grid nodes of ``h`` (values
+        sigma, slopes the contact speed), in the Hermite basis."""
+        nodes, sigma = h._u_grid, h._sigma
+        speed = h.param.contact_speed(nodes)
+
+        def cubic(u):
+            i = np.clip(np.searchsorted(nodes, u, side="right") - 1, 0, nodes.size - 2)
+            w = nodes[i + 1] - nodes[i]
+            t = (u - nodes[i]) / w
+            return ((2 * t**3 - 3 * t**2 + 1) * sigma[i] + (t**3 - 2 * t**2 + t) * w * speed[i]
+                    + (-2 * t**3 + 3 * t**2) * sigma[i + 1] + (t**3 - t**2) * w * speed[i + 1])
+
+        return cubic
+
     @pytest.mark.parametrize("step", [1e-3, 0.05])
     def test_newton_inverts_the_grid_arc_length(self, step):
-        # the map u_of_s inverts: sigma at the grid node below, plus the exact
-        # integral of the contact speed from that node; the reference takes
-        # that integral in closed form, so only the Hermite seed, the
-        # Gauss-Legendre rule and the Newton stopping rule are under test
+        # the map u_of_s inverts sigma's cubic Hermite through the grid
+        # nodes; the reference inverts that cubic by bisection, so only the
+        # Hermite seed, the cubic's evaluation and the Newton stopping rule
+        # are under test
+        h = reparam_horizontal(slow_speed_curve(), step=step)
+        cubic = self.sigma_cubic(h)
+        s = np.linspace(0.0, h.s_max, 2001)
+        u = h.u_of_s(s)
+        assert np.max(np.abs(cubic(u) - s)) <= 1e-12 * h.s_max
+        # the contact speed is at least 0.5
+        ref = self.bisect(lambda v: cubic(v) - s)
+        assert np.max(np.abs(u - ref)) <= 2e-12 * h.s_max
+
+    @pytest.mark.parametrize("step,bound", [(0.01, 6.1e-11), (0.05, 3.8e-8)])
+    def test_coarse_inversion_is_bounded_by_the_error_terms(self, step, bound):
+        # sigma is composite Simpson over the nodes and midpoints (spacing
+        # h/2) and s -> u inverts its cubic Hermite, so the error in u is at
+        # most (U (h/2)^4/180 max|sigma^(5)| + h^4/384 max|sigma^(4)|) /
+        # min sigma' with U = 10, both derivatives at most 0.5 and sigma' at
+        # least 0.5: 6.1e-11 at h = 0.01 (1.5e-11 measured) and 3.8e-8 at
+        # h = 0.05 (9.6e-9 measured)
         h = reparam_horizontal(slow_speed_curve(), step=step)
         s = np.linspace(0.0, h.s_max, 2001)
+        ref = self.bisect(lambda u: u + 0.5 * (1.0 - np.cos(u)) - s)
+        assert np.max(np.abs(h.u_of_s(s) - ref)) < bound
+
+    def test_inversion_stays_between_the_nodes_that_bracket_s(self):
+        # a speed spike of width 0.003 and height 1e5 between the nodes of
+        # step 0.1: sigma's cubic is not monotone there, and an unbounded
+        # Newton step left the interval (its residual reached S); kept in
+        # the interval, each u lies between the nodes whose sigma bracket s
+        t = "((s - 0.5)/0.003)"
+        c = ParamCurve.from_fields(f"s + 300*{t}/sqrt(1 + {t}^2)", "0", "0", (0.0, 1.0))
+        h = reparam_horizontal(c, step=0.1)
+        s = np.linspace(0.0, h.s_max, 4001)
         i = np.clip(np.searchsorted(h._sigma, s, side="right") - 1, 0, h._sigma.size - 2)
-        u_i = h._u_grid[i]
-        ref = self.bisect(lambda u: h._sigma[i] + (u - u_i) + 0.5 * (np.cos(u_i) - np.cos(u)) - s)
-        assert np.max(np.abs(h.u_of_s(s) - ref)) < 1e-12
+        u = h.u_of_s(s)
+        assert np.all((h._u_grid[i] <= u) & (u <= h._u_grid[i + 1]))
+
+    def test_inversion_evaluates_no_contact_speed(self):
+        h = reparam_horizontal(slow_speed_curve(), step=1e-3)
+
+        def refused(u):
+            raise AssertionError("u_of_s evaluated the contact speed")
+
+        h.param.contact_speed = refused
+        h.u_of_s(np.linspace(0.0, h.s_max, 2001))
+        h.u_of_s(1.3)
 
 
 def dilated_slow_speed_curve(lam, u_max=10.0):
@@ -470,16 +524,18 @@ def dilated_slow_speed_curve(lam, u_max=10.0):
 
 class TestInversionScale:
     @staticmethod
-    def points_per_query(lam):
-        """Contact-speed evaluations per query point of one u_of_s call."""
+    def passes_per_query(lam):
+        """Newton passes per query point of one u_of_s call: each pass reads
+        the cubic's coefficients of every query it refines, once."""
         h = reparam_horizontal(dilated_slow_speed_curve(lam), step=1e-3 * lam)
-        counted, speed = [0], h.param.contact_speed
+        counted = [0]
 
-        def counting(u):
-            counted[0] += np.size(u)
-            return speed(u)
+        class CountingReads(np.ndarray):
+            def __getitem__(self, index):
+                counted[0] += np.size(index)
+                return np.asarray(self)[index]
 
-        h.param.contact_speed = counting
+        h._cubic = (h._cubic[0].view(CountingReads), *h._cubic[1:])
         s = np.linspace(0.0, h.s_max, 2001)
         h.u_of_s(s)
         return counted[0] / s.size
@@ -487,9 +543,8 @@ class TestInversionScale:
     @pytest.mark.parametrize("lam", [1e-4, 1e4])
     def test_newton_work_does_not_depend_on_units(self, lam):
         # the Newton stop is relative to S: an absolute one ran into the
-        # rounding floor of sigma at large lam (13.5 points per query at 1e4)
-        # and stopped early at small lam
-        assert abs(self.points_per_query(lam) - self.points_per_query(1.0)) <= 1.0
+        # rounding floor of sigma at large lam and stopped early at small lam
+        assert abs(self.passes_per_query(lam) - self.passes_per_query(1.0)) <= 1.0
 
     @pytest.mark.parametrize("lam", [1e-4, 1e4])
     def test_inversion_is_relative_to_scale(self, lam):

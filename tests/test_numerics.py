@@ -132,6 +132,20 @@ class TestPanelCount:
         assert panel_count(1e-9, 1.0) == 2
         assert panel_count(1.0, 0.5, minimum=64) == 64
 
+    @pytest.mark.parametrize("span,step,panels", [
+        (4.4 - 0.1, 0.1, 43),  # 43.00000000000001
+        (6.000000000000338, 1e-3, 6000),
+        (5.999999999999394, 1e-3, 6000),
+        (1.0 + 2e-8, 0.1, 11),  # past a whole number by more than RELATIVE_ZERO
+    ])
+    def test_rounding_sliver_is_no_panel(self, span, step, panels):
+        assert panel_count(span, step) == panels
+
+    def test_step_grid_ignores_a_rounding_sliver(self):
+        grid = step_grid(0.1, 4.4, 0.1)
+        assert grid.size == 44
+        assert (grid[0], grid[-1]) == (0.1, 4.4)
+
     @pytest.mark.parametrize("step,nodes", [(1e-3, 1001), (0.3, 5), (0.5, 5), (10.0, 5)])
     def test_step_grid_has_at_least_four_panels(self, step, nodes):
         grid = step_grid(-0.25, 0.75, step)

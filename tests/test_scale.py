@@ -185,7 +185,7 @@ def test_dilated_and_rotated_curve_answers_alike(tmp_path_factory, kind, data):
         analyzed = run(workdir, ["analyze", *step], spec)
         table = columns(analyzed) if analyzed.exit_code == 0 else None
         if not answers and table is not None:
-            # the output grid has ceil(S/step) panels: keep S/step clear of
+            # the output grid has panel_count(S, step) panels: keep S/step clear of
             # an integer, where rounding could pick either count
             panels = table[-1, 0] / 0.01
             assume(abs(panels - round(panels)) > 1e-6)
